@@ -249,16 +249,14 @@ def relu(a):
 
 
 def exp(a):
-    out_val = np.exp(a.value)
-    out = _node(out_val, (a,), ())
-    out.vjps = (lambda g: mul(g, out),)
-    return out
+    # the VJP rebuilds exp(a) rather than closing over the output node,
+    # which would put every graph in a reference cycle
+    return _node(np.exp(a.value), (a,), (lambda g: mul(g, exp(a)),))
 
 
 def sqrt(a):
-    out = _node(np.sqrt(a.value), (a,), ())
-    out.vjps = (lambda g: div(mul(g, constant(0.5)), out),)
-    return out
+    return _node(np.sqrt(a.value), (a,),
+                 (lambda g: div(mul(g, constant(0.5)), sqrt(a)),))
 
 
 def absval(a):

@@ -249,6 +249,11 @@ def cmd_evaluate(args):
         rival = np.ones_like(margins, dtype=bool)
         rival[np.arange(dataset.size), dataset.labels] = False
         q = float(np.where(rival, margins, np.inf).min())
+        if not q > 0.0:
+            raise _Fail(EXIT_VERIFY,
+                        f"{args.classifier} does not separate the "
+                        f"evaluation data (minimum margin {q:.6g}); the "
+                        f"KKT residual needs a separating classifier")
         residual, _ = kkt_residual_oracle(spec, params, profile,
                                           dataset.x, dataset.labels,
                                           float(-np.log(q)))

@@ -8,7 +8,9 @@ The stationarity loss measures how far the rescaled stationarity condition
 is from holding over a generated batch; the duality loss pushes every
 second-place margin into the band [e^{-alpha}, e^{-alpha} + delta].  The
 NNLS oracle checks the same stationarity system on real labeled data with
-freely fitted nonnegative multipliers.
+freely fitted nonnegative multipliers.  Both losses exist twice: as
+autodiff graphs, the reference, and in closed form with their gradients
+(:func:`kkt_loss_grads`), which the generator step uses.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import scipy.optimize
 from . import autodiff as ad
 from .autodiff import Tensor
 from .homogeneity import lambda_bar
-from .models import (classifier_param_gradient, make_leaves, mlp_apply,
-                     mlp_apply_np, spec_group_shapes)
+from .models import (ParameterVector, classifier_param_gradient,
+                     layer_weight, make_leaves, mlp_apply, mlp_apply_np,
+                     mlp_backprop, mlp_forward, mlp_param_grad,
+                     mlp_param_jvp, spec_group_shapes)
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -93,13 +97,22 @@ def second_place_set(logits, y, tie_tol=DEFAULT_TIE_TOL):
 
 
 def second_place_mask(logits, labels, tie_tol=DEFAULT_TIE_TOL):
-    """(M, C) indicator of second-place sets for a batch of logits."""
-    logits = np.atleast_2d(logits)
-    mask = np.zeros_like(logits)
-    for i, (row, y) in enumerate(zip(logits, labels)):
-        for c in second_place_set(row, int(y), tie_tol):
-            mask[i, c] = 1.0
-    return mask
+    """(M, C) indicator of second-place sets for a batch of logits.
+
+    Row i marks the classes of ``second_place_set(logits[i], labels[i])``.
+    """
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64)
+    m, num_classes = logits.shape
+    if num_classes < 2:
+        raise ValueError("second-place set needs at least two classes")
+    if labels.shape != (m,) or np.any((labels < 0) | (labels >= num_classes)):
+        raise ValueError("labels must be one in-range class per row")
+    rows = np.arange(m)
+    rivals = logits.copy()
+    rivals[rows, labels] = -np.inf
+    best = rivals.max(axis=1, keepdims=True)
+    return (rivals >= best - tie_tol).astype(np.float64)
 
 
 def multipliers_from_proxy(proxy):
@@ -185,6 +198,67 @@ def duality_loss(logits, labels, alpha, delta, tie_tol=DEFAULT_TIE_TOL):
     mask = ad.constant(second_place_mask(logits_t.value, labels, tie_tol))
     per_pair = ad.mul(mask, ad.sub(upper, lower))
     return ad.mul(ad.tsum(per_pair), ad.constant(1.0 / m))
+
+
+def _duality_grads(logits, labels, alpha, delta, tie_tol):
+    """Numpy L_dual with its gradients in the logits and in alpha."""
+    m = labels.size
+    rows = np.arange(m)
+    threshold = np.exp(-alpha)
+    z = logits[rows, labels][:, None] - logits - threshold
+    mask = second_place_mask(logits, labels, tie_tol)
+    per_pair = mask * (np.maximum(z - delta, 0.0) - np.minimum(z, 0.0))
+    l_dual = float(np.sum(per_pair) * (1.0 / m))
+    # ties get derivative 0 on both sides of the band, as in the graph
+    dz = mask * ((z - delta > 0.0) * 1.0 - (z < 0.0)) * (1.0 / m)
+    dlogits = -dz
+    dlogits[rows, labels] += dz.sum(axis=1)
+    return l_dual, dlogits, float(dz.sum() * threshold)
+
+
+def kkt_loss_grads(spec, zeta, lbar_weights, virtual_n, x, labels, mu,
+                   alpha, delta, beta, tie_tol=DEFAULT_TIE_TOL):
+    """L_stat + beta * L_dual on a batch, with gradients in x, mu and alpha.
+
+    The closed-form numpy counterpart of :func:`stationarity_loss_graph`
+    plus :func:`duality_loss`, which stay the reference it is tested
+    against.  With coefficient matrix ``coeff(mu)`` and S = sum coeff *
+    Phi(x), one backprop gives grad_zeta S and the residual r; the
+    gradient of L_stat in grad_zeta S is the parameter tangent
+    V = -r / (M L_stat).  A tangent forward along V gives dL_stat/dcoeff,
+    and injecting delta_l V_l^T at each layer input on a backprop that
+    also carries the duality cotangent gives the x gradient (the ReLU
+    masks are locally constant).  ``lbar_weights`` is a constant, as in
+    the graph, so alpha's gradient comes from the duality threshold
+    alone.  Returns (l_stat, l_dual, dx, dmu, dalpha); dx and dalpha are
+    gradients of the weighted sum, dmu of L_stat.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    mlp = spec if hasattr(spec, "widths") else spec.mlp()
+    m = labels.size
+    rows = np.arange(m)
+    logits, cache = mlp_forward(mlp, zeta, x)
+    not_y = np.ones_like(mu)
+    not_y[rows, labels] = 0.0
+    mu_rivals = mu * not_y
+    coeff = -mu_rivals
+    coeff[rows, labels] = mu_rivals.sum(axis=1)
+    deltas, _ = mlp_backprop(cache, coeff)
+    target = np.concatenate([zeta.group(name)
+                             * (lbar_weights[name] / virtual_n)
+                             for name in zeta.groups])
+    r = target - mlp_param_grad(mlp, cache, deltas) * (1.0 / m)
+    l_stat = float(np.sqrt(r @ r + NORM_EPS))
+    tangent = ParameterVector(r * (-1.0 / (m * l_stat)), zeta.groups)
+    dcoeff = mlp_param_jvp(mlp, cache, tangent)
+    dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
+    l_dual, dlogits, dalpha = _duality_grads(logits, labels, alpha, delta,
+                                             tie_tol)
+    inject = [d @ layer_weight(mlp, tangent, l).T
+              for l, d in enumerate(deltas)]
+    _, dx = mlp_backprop(cache, dlogits * beta, inject)
+    return l_stat, l_dual, dx, dmu, dalpha * beta
 
 
 def total_loss(l_stat, l_dual, beta):

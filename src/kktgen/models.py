@@ -13,6 +13,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,6 +274,29 @@ def mlp_apply(spec, leaves, x):
 
 def mlp_apply_np(spec, params, x):
     """Pure-numpy forward, the fast path for training and evaluation."""
+    return mlp_forward(spec, params, x)[0]
+
+
+def layer_weight(mlp, params, l):
+    """Layer l's weight group as a (fan_in, fan_out) view."""
+    return params.group(f"layer{l}.weight").reshape(mlp.widths[l],
+                                                    mlp.widths[l + 1])
+
+
+class MlpCache(NamedTuple):
+    """What one numpy forward keeps for backprop and tangent passes.
+
+    ``acts[l]`` is the input of layer l (``acts[0]`` is x).  A hidden ReLU
+    is active exactly where its output is positive, so the masks need not
+    be stored.
+    """
+
+    weights: list  # (fan_in, fan_out) views, one per layer
+    acts: list
+
+
+def mlp_forward(spec, params, x):
+    """Numpy forward; returns (output, :class:`MlpCache`)."""
     mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mlp.in_dim:
@@ -280,16 +304,68 @@ def mlp_apply_np(spec, params, x):
             f"input dimension {x.shape[-1]} does not match spec input "
             f"{mlp.in_dim}"
         )
+    weights = [layer_weight(mlp, params, l) for l in range(mlp.n_layers)]
+    acts = [x]
     h = x
-    for l in range(mlp.n_layers):
-        w = params.group(f"layer{l}.weight").reshape(mlp.widths[l],
-                                                     mlp.widths[l + 1])
+    for l, w in enumerate(weights):
         h = h @ w
         if mlp.bias[l]:
             h = h + params.group(f"layer{l}.bias")
         if l < mlp.n_layers - 1:
             h = np.maximum(h, 0.0)
-    return h
+            acts.append(h)
+    return h, MlpCache(weights, acts)
+
+
+def mlp_backprop(cache, dout, inject=None):
+    """Backpropagate the output cotangent ``dout`` through a cached forward.
+
+    ``inject[l]``, when given, is an extra cotangent added at the input of
+    layer l (``inject[0]`` lands on x).  Returns (deltas, dx): ``deltas[l]``
+    is the cotangent of layer l's pre-activation, ``dx`` that of x.
+    ReLU derivatives are 0 at the kink, as in :func:`autodiff.relu`.
+    """
+    deltas = [None] * len(cache.weights)
+    delta = dout
+    for l in reversed(range(len(cache.weights))):
+        deltas[l] = delta
+        cot = delta @ cache.weights[l].T
+        if inject is not None:
+            cot = cot + inject[l]
+        if l > 0:
+            delta = cot * (cache.acts[l] > 0.0)
+    return deltas, cot
+
+
+def mlp_param_grad(mlp, cache, deltas):
+    """Flat parameter gradient (group order) from pre-activation cotangents."""
+    parts = []
+    for l in range(mlp.n_layers):
+        parts.append((cache.acts[l].T @ deltas[l]).reshape(-1))
+        if mlp.bias[l]:
+            parts.append(deltas[l].sum(axis=0))
+    return np.concatenate(parts)
+
+
+def mlp_param_jvp(mlp, cache, tangent):
+    """Output derivative along the parameter direction ``tangent``.
+
+    ``tangent`` is a :class:`ParameterVector` over the same groups.  This is
+    one tangent forward pass (Pearlmutter's R-operator) with the ReLU masks
+    of the cached forward held fixed.
+    """
+    acts = cache.acts
+    dz = None
+    for l in range(mlp.n_layers):
+        w_dot = layer_weight(mlp, tangent, l)
+        if l == 0:
+            dz = acts[0] @ w_dot
+        else:
+            dz = ((dz * (acts[l] > 0.0)) @ cache.weights[l]
+                  + acts[l] @ w_dot)
+        if mlp.bias[l]:
+            dz = dz + tangent.group(f"layer{l}.bias")
+    return dz
 
 
 def classifier_forward(spec, params, x):

@@ -21,10 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .homogeneity import lambda_bar, verify_lambda, default_probe_samples
-from .kkt import duality_loss, stationarity_loss_graph
-from .models import (GeneratorSpec, MlpSpec, MultiplierSpec,
-                     ParameterVector, init_kaiming, make_leaves, mlp_apply,
-                     mlp_apply_np, spec_group_shapes)
+from .kkt import kkt_loss_grads
+from .models import (MlpSpec, ParameterVector, init_kaiming, mlp_apply_np,
+                     mlp_backprop, mlp_forward, mlp_param_grad)
 
 PROFILE_DEVIATION_LIMIT = 1e-4
 
@@ -308,7 +307,8 @@ def train_classifier(dataset, spec, config):
     max-margin KKT point.  Returns (params, trajectory) where the
     trajectory is the cross-entropy history of the GD phase.  Raises
     :class:`ConvergenceError` (carrying the trajectory) if the threshold
-    is never reached.
+    is never reached, or as soon as the gradient is exactly zero before
+    it is.
     """
     params = init_kaiming(spec, config.seed)
     threshold = np.log(2.0) / dataset.size
@@ -324,6 +324,12 @@ def train_classifier(dataset, spec, config):
         if (converged_at is not None
                 and epoch - converged_at >= config.extra_epochs):
             break
+        if converged_at is None and not grad.any():
+            # a GD fixed point: every later epoch would repeat this one
+            raise ConvergenceError(
+                f"gradient is exactly zero at epoch {epoch} with loss "
+                f"{loss:.6g} above threshold {threshold:.6g} (every ReLU "
+                f"dead?); gradient descent cannot move", trajectory)
         params.values -= config.learning_rate * grad
         epoch += 1
     if converged_at is None:
@@ -344,25 +350,24 @@ def _step_rng(seed, step, stream=0):
     return np.random.default_rng([int(seed), int(stream), int(step)])
 
 
-def _batched_generator_forward(gen_spec, leaves, eps, labels, t):
-    parts = [eps if isinstance(eps, ad.Tensor) else ad.constant(eps),
-             ad.one_hot(labels, gen_spec.num_classes)]
-    if gen_spec.conditions_on_classifier:
-        parts.append(ad.one_hot(np.full(labels.size, int(t)),
-                                gen_spec.num_classifiers))
-    return mlp_apply(gen_spec.mlp(), leaves, ad.concat(parts, axis=1))
+def _condition(first, labels, t, spec):
+    """Network input [first, onehot(labels)(, onehot(t))] for a spec.
 
-
-def _batched_multiplier_forward(mult_spec, leaves, x, labels, t):
-    parts = [x, ad.one_hot(labels, mult_spec.num_classes)]
-    if mult_spec.conditions_on_classifier:
-        parts.append(ad.one_hot(np.full(labels.size, int(t)),
-                                mult_spec.num_classifiers))
-    return mlp_apply(mult_spec.mlp(), leaves, ad.concat(parts, axis=1))
+    ``t`` is one classifier index or one per row; it enters only when the
+    spec conditions on the classifier.
+    """
+    parts = [first, np.eye(spec.num_classes)[labels]]
+    if spec.conditions_on_classifier:
+        ts = np.broadcast_to(np.asarray(t, dtype=np.int64), labels.shape)
+        parts.append(np.eye(spec.num_classifiers)[ts])
+    return np.concatenate(parts, axis=1)
 
 
 def tv_loss(x, height, width):
-    """Mean anisotropic total variation of a batch of flat images."""
+    """Mean anisotropic total variation of a batch of flat images.
+
+    Graph form, the reference for :func:`_tv_value_grad`.
+    """
     x_t = x if isinstance(x, ad.Tensor) else ad.tensor(np.atleast_2d(x))
     m, d = x_t.value.shape
     if d != height * width:
@@ -376,29 +381,60 @@ def tv_loss(x, height, width):
                   ad.constant(1.0 / m))
 
 
-def _classifier_loss(classifier, gen_spec, mult_spec, gen_leaves,
-                     mult_leaves, alpha_leaf, delta, t, labels, eps,
+def _tv_value_grad(x, height, width):
+    """:func:`tv_loss` and its x gradient in numpy (|.|' = 0 at ties)."""
+    m, d = x.shape
+    if d != height * width:
+        raise ValueError(f"flat dimension {d} != {height}x{width}")
+    imgs = x.reshape(m, height, width)
+    down = imgs[:, 1:, :] - imgs[:, :-1, :]
+    right = imgs[:, :, 1:] - imgs[:, :, :-1]
+    value = (np.sum(np.abs(down)) + np.sum(np.abs(right))) * (1.0 / m)
+    sign_down, sign_right = np.sign(down), np.sign(right)
+    grad = np.zeros_like(imgs)
+    grad[:, 1:, :] += sign_down
+    grad[:, :-1, :] -= sign_down
+    grad[:, :, 1:] += sign_right
+    grad[:, :, :-1] -= sign_right
+    return float(value), grad.reshape(m, d) * (1.0 / m)
+
+
+def _classifier_step(classifier, gen_spec, mult_spec, state, t, labels, eps,
                      config):
-    """Graph for one classifier's L_stat + beta L_dual (+ tv)."""
-    x = _batched_generator_forward(gen_spec, gen_leaves, eps, labels, t)
-    mu = ad.relu(_batched_multiplier_forward(mult_spec, mult_leaves, x,
-                                             labels, t))
-    zeta_leaves = make_leaves(classifier.spec, classifier.params)
-    lbar = lambda_bar(classifier.profile, float(alpha_leaf.value))
-    l_stat, logits = stationarity_loss_graph(
-        classifier.spec, zeta_leaves, lbar, classifier.virtual_n, x,
-        labels, mu)
-    l_dual = duality_loss(logits, labels, alpha_leaf, delta)
-    total = ad.add(l_stat, ad.mul(l_dual, ad.constant(config.beta)))
-    l_tv = None
+    """One classifier's loss terms and their closed-form gradients.
+
+    Runs the generator, multiplier and classifier forwards once, takes
+    L_stat + beta L_dual and its x/mu/alpha gradients from
+    :func:`kkt.kkt_loss_grads`, adds the TV term, then backpropagates
+    through the multiplier and the generator.  Returns
+    (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha).
+    """
+    gen_mlp, mult_mlp = gen_spec.mlp(), mult_spec.mlp()
+    x, gen_cache = mlp_forward(gen_mlp, state.gen_params,
+                               _condition(eps, labels, t, gen_spec))
+    if not np.isfinite(x).all():
+        raise TrainingAborted(
+            f"non-finite generated sample at step {state.step}",
+            state.step, state)
+    mu_pre, mult_cache = mlp_forward(mult_mlp, state.mult_params,
+                                     _condition(x, labels, t, mult_spec))
+    alpha = float(state.alphas[t])
+    l_stat, l_dual, dx, dmu, g_alpha = kkt_loss_grads(
+        classifier.spec, classifier.params,
+        lambda_bar(classifier.profile, alpha), classifier.virtual_n, x,
+        labels, np.maximum(mu_pre, 0.0), alpha, float(state.deltas[t]),
+        config.beta)
+    total = l_stat + l_dual * config.beta
+    l_tv = 0.0
     if config.tv_weight > 0:
-        l_tv = tv_loss(x, *config.tv_shape)
-        total = ad.add(total, ad.mul(l_tv, ad.constant(config.tv_weight)))
-    return total, l_stat, l_dual, l_tv, x
-
-
-def _flat_grads(leaves, grads, spec):
-    return np.concatenate([g.value.reshape(-1) for g in grads])
+        l_tv, dtv = _tv_value_grad(x, *config.tv_shape)
+        total = total + l_tv * config.tv_weight
+        dx = dx + dtv * config.tv_weight
+    mult_deltas, dcond = mlp_backprop(mult_cache, dmu * (mu_pre > 0.0))
+    gen_deltas, _ = mlp_backprop(gen_cache, dx + dcond[:, :x.shape[1]])
+    return (total, l_stat, l_dual, l_tv,
+            mlp_param_grad(gen_mlp, gen_cache, gen_deltas),
+            mlp_param_grad(mult_mlp, mult_cache, mult_deltas), g_alpha)
 
 
 def probe_peak_margin(classifier, config, t):
@@ -424,9 +460,7 @@ def init_alpha(classifier, gen_spec, config, t):
     labels = rng.integers(0, gen_spec.num_classes, size=64)
     eps = rng.standard_normal((64, gen_spec.noise_dim))
     theta = init_kaiming(gen_spec.mlp(), _spawn_seed(config.seed, 1))
-    pv = ParameterVector(theta.values, theta.groups)
-    leaves = make_leaves(gen_spec, pv)
-    x = _batched_generator_forward(gen_spec, leaves, eps, labels, t).value
+    x = mlp_apply_np(gen_spec, theta, _condition(eps, labels, t, gen_spec))
     logits = mlp_apply_np(classifier.spec, classifier.params, x)
     phi_y = logits[np.arange(labels.size), labels]
     rival = logits.copy()
@@ -502,52 +536,46 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         else:
             active = [(offset + step) % t_count]
 
-        gen_leaves = make_leaves(gen_spec, state.gen_params)
-        mult_leaves = make_leaves(mult_spec, state.mult_params)
-        alpha_leaves = {t: ad.tensor(state.alphas[t]) for t in active}
+        if not (np.isfinite(state.gen_params.values).all()
+                and np.isfinite(state.mult_params.values).all()):
+            raise TrainingAborted(
+                f"non-finite generator or multiplier parameters at step "
+                f"{step}", step, state)
 
-        total = None
+        total = 0.0
+        g_theta = g_eta = 0.0
+        g_alphas = {}
         parts = {"stat": 0.0, "dual": 0.0, "tv": 0.0}
         for t in active:
             labels = rng.choice(gen_spec.num_classes,
                                 size=config.batch_size, p=probs)
             eps = rng.standard_normal((config.batch_size,
                                        gen_spec.noise_dim))
-            loss_t, l_stat, l_dual, l_tv, _ = _classifier_loss(
-                classifiers[t], gen_spec, mult_spec, gen_leaves,
-                mult_leaves, alpha_leaves[t], float(state.deltas[t]), t,
-                labels, eps, config)
-            total = loss_t if total is None else ad.add(total, loss_t)
-            parts["stat"] += float(l_stat.value)
-            parts["dual"] += float(l_dual.value)
-            parts["tv"] += float(l_tv.value) if l_tv is not None else 0.0
+            loss_t, l_stat, l_dual, l_tv, g_th, g_et, g_alphas[t] = \
+                _classifier_step(classifiers[t], gen_spec, mult_spec, state,
+                                 t, labels, eps, config)
+            total = total + loss_t
+            g_theta = g_theta + g_th
+            g_eta = g_eta + g_et
+            parts["stat"] += l_stat
+            parts["dual"] += l_dual
+            parts["tv"] += l_tv
 
-        if not np.isfinite(total.value):
+        if not np.isfinite(total):
             raise TrainingAborted(
                 f"non-finite loss at step {step}", step, state)
 
-        gen_names = [n for n, _ in spec_group_shapes(gen_spec)]
-        mult_names = [n for n, _ in spec_group_shapes(mult_spec)]
-        wrt = ([gen_leaves[n] for n in gen_names]
-               + [mult_leaves[n] for n in mult_names]
-               + [alpha_leaves[t] for t in active])
-        grads = ad.grad(total, wrt, allow_unused=True)
-        n_gen = len(gen_names)
-        n_mult = len(mult_names)
-        g_theta = _flat_grads(gen_leaves, grads[:n_gen], gen_spec)
-        g_eta = _flat_grads(mult_leaves, grads[n_gen:n_gen + n_mult],
-                            mult_spec)
         state.optimizers["theta"].step(state.gen_params.values, g_theta)
         state.optimizers["eta"].step(state.mult_params.values, g_eta)
-        for j, t in enumerate(active):
-            g_alpha = np.array([float(grads[n_gen + n_mult + j].value)])
+        for t in active:
             slot = state.alphas[t:t + 1]
-            state.optimizers["alpha"][t].step(slot, g_alpha)
+            state.optimizers["alpha"][t].step(slot,
+                                              np.array([g_alphas[t]]))
 
         row = {"step": step, "t": active[0] if len(active) == 1 else -1,
                "l_stat": parts["stat"], "l_dual": parts["dual"],
                "tv": parts["tv"],
-               "total": float(total.value)}
+               "total": float(total)}
         for t in range(t_count):
             row[f"alpha_{t}"] = float(state.alphas[t])
         state.history.append(row)
@@ -576,15 +604,8 @@ def sample(gen_spec, gen_params, y, n, t=None, seed=0, t_table=None):
     else:
         ts = np.full(n, int(t) if t is not None else 0)
     eps = rng.standard_normal((n, gen_spec.noise_dim))
-    out = np.zeros((n, gen_spec.out_dim))
-    onehot_y = np.zeros((n, gen_spec.num_classes))
-    onehot_y[:, int(y)] = 1.0
-    parts = [eps, onehot_y]
-    if multi:
-        onehot_t = np.zeros((n, gen_spec.num_classifiers))
-        onehot_t[np.arange(n), ts] = 1.0
-        parts.append(onehot_t)
-    if n:
-        out = mlp_apply_np(gen_spec.mlp(), gen_params,
-                           np.concatenate(parts, axis=1))
-    return out, ts
+    if not n:
+        return np.zeros((0, gen_spec.out_dim)), ts
+    return mlp_apply_np(gen_spec, gen_params,
+                        _condition(eps, np.full(n, int(y)), ts,
+                                   gen_spec)), ts

@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,25 @@ def test_exp_sqrt_division_gradients():
         return ad.tsum(ad.div(ad.exp(x), ad.sqrt(ad.add(ad.square(x),
                                                         1.0))))
     assert ad.finite_difference_check(fn, np.array([0.3, -0.7])) < 1e-7
+
+
+@pytest.mark.parametrize("op", [ad.exp, ad.sqrt])
+def test_exp_sqrt_graphs_are_freed_without_the_cycle_collector(op):
+    """Dropped exp/sqrt graphs, gradients included, die by refcount."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = ad.tensor(np.array([0.3, 1.7]))
+        out = op(x)
+        root = ad.tsum(ad.mul(out, out))
+        (g,) = ad.grad(root, [x])
+        (gg,) = ad.grad(ad.tsum(g), [x])
+        probes = [weakref.ref(t.value) for t in (out, root, g, gg)]
+        del out, root, g, gg
+        assert [p() for p in probes] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_finite_difference_check_rejects_bad_step():

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,30 @@ def test_generator_resume_matches_straight_run(workdir):
     assert np.array_equal(resumed.mult_params.values,
                           straight.mult_params.values)
     assert np.array_equal(resumed.alphas, straight.alphas)
+
+
+def test_evaluate_non_separating_classifier_is_verify_error(tmp_path,
+                                                            capsys):
+    """A shard classifier does not separate the combined arc-split data."""
+    cfg = tmp_path / "arc.cfg"
+    cfg.write_text("[experiment]\nname = arc\n"
+                   f"output_dir = {tmp_path / 'runs'}\n"
+                   "[dataset]\nsplit = arc\n"
+                   "[classifier]\nrefine_margins = false\n")
+    out = tmp_path / "runs" / "arc"
+    assert main(["train-classifier", str(cfg)]) == 0
+    clf = out / "classifier_1.ckpt"
+    assert main(["estimate-lambda", str(clf)]) == 0
+    samples = tmp_path / "s.csv"
+    samples.write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evaluate", str(cfg), str(samples), "--classifier",
+                     str(clf)])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "does not separate" in err[0]
 
 
 def test_sample_from_missing_checkpoint_fails(tmp_path):

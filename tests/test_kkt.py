@@ -53,6 +53,30 @@ def test_second_place_mask_batch():
     assert np.array_equal(mask, [[0, 1, 0], [0, 0, 1]])
 
 
+def test_second_place_mask_matches_set_definition():
+    """Row-wise mask equals second_place_set on ties and tie_tol gaps."""
+    rng = np.random.default_rng(0)
+    tol = kk.DEFAULT_TIE_TOL
+    logits = rng.standard_normal((300, 4))
+    labels = rng.integers(0, 4, size=300)
+    rows = np.arange(300)
+    for i in range(0, 300, 3):  # exact ties, gaps of exactly tie_tol
+        rivals = [c for c in range(4) if c != labels[i]]
+        best = max(logits[i, c] for c in rivals)
+        logits[i, rivals[0]] = best
+        logits[i, rivals[1]] = best - tol if i % 2 else best
+        logits[i, rivals[2]] = np.nextafter(best - tol, -np.inf)
+    logits[rows[::7], labels[::7]] = logits[rows[::7]].max(axis=1)
+    for tie_tol in (tol, 0.0, 0.5):
+        mask = kk.second_place_mask(logits, labels, tie_tol)
+        want = np.zeros_like(logits)
+        for i, (row, y) in enumerate(zip(logits, labels)):
+            want[i, list(kk.second_place_set(row, int(y), tie_tol))] = 1.0
+        assert np.array_equal(mask, want)
+    with pytest.raises(ValueError, match="in-range"):
+        kk.second_place_mask(logits[:2], np.array([0, 4]))
+
+
 def test_multipliers_from_proxy():
     proxy = np.array([-1.0, 0.0, 2.0])
     assert np.array_equal(kk.multipliers_from_proxy(proxy), [0.0, 0.0, 2.0])

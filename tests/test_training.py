@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kktgen.training as tr
-from kktgen.datasets import LabeledDataset, circle_dataset
+from kktgen.datasets import LabeledDataset, circle_dataset, pattern_dataset
 from kktgen.homogeneity import estimate_profile
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            init_kaiming, mlp_apply_np)
@@ -66,6 +66,18 @@ def test_train_classifier_convergence_error_carries_trajectory():
     with pytest.raises(ConvergenceError) as err:
         tr.train_classifier(data, spec, config)
     assert len(err.value.trajectory) == 3
+
+
+def test_train_classifier_stops_at_zero_gradient():
+    """Diverging GD kills every ReLU; the fixed point ends training."""
+    data = pattern_dataset()
+    spec = MlpSpec((64, 32, 32, 2), False)
+    with pytest.raises(ConvergenceError, match="exactly zero") as err:
+        tr.train_classifier(data, spec,
+                            ClassifierTrainConfig(learning_rate=0.1))
+    trajectory = err.value.trajectory
+    assert len(trajectory) <= 10
+    assert trajectory[-1] == pytest.approx(data.size * np.log(2.0))
 
 
 def test_extra_epochs_keep_shrinking_loss():
