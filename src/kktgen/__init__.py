@@ -15,13 +15,10 @@ from .datasets import (CoverageReport, LabeledDataset, circle_dataset,
 from .homogeneity import (QuasiHomogeneousProfile, estimate_profile,
                           lambda_bar, normalize, scale_params, solve_lambda,
                           verify_lambda)
-from .kkt import (duality_loss, evaluate_batch, kkt_residual_oracle,
-                  margins_np, q_min, second_place_set, stationarity_loss,
-                  total_loss)
+from .kkt import (duality_loss, kkt_residual_oracle, margins_np,
+                  second_place_set)
 from .models import (GeneratorSpec, MlpSpec, MultiplierSpec,
-                     ParameterVector, classifier_forward,
-                     classifier_param_gradient, deserialize_params,
-                     generator_forward, init_kaiming, multiplier_forward,
+                     ParameterVector, deserialize_params, init_kaiming,
                      serialize_params)
 from .training import (ClassifierBundle, ClassifierTrainConfig,
                        ConvergenceError, GeneratorTrainConfig,
@@ -36,13 +33,11 @@ __all__ = [
     "GeneratorTrainConfig", "GeneratorTrainState", "LabeledDataset",
     "MlpSpec", "MultiplierSpec", "ParameterVector",
     "QuasiHomogeneousProfile", "RunConfig", "TrainingAborted",
-    "circle_dataset", "classifier_forward", "classifier_param_gradient",
-    "coverage_report", "deserialize_params", "duality_loss",
-    "estimate_profile", "evaluate_batch", "generator_forward",
-    "init_kaiming", "kkt_residual_oracle", "lambda_bar", "margins_np",
-    "multiplier_forward", "nearest_neighbor", "normalize",
-    "pattern_dataset", "q_min", "refine_margins", "sample",
+    "circle_dataset", "coverage_report", "deserialize_params",
+    "duality_loss", "estimate_profile", "init_kaiming",
+    "kkt_residual_oracle", "lambda_bar", "margins_np", "nearest_neighbor",
+    "normalize", "pattern_dataset", "refine_margins", "sample",
     "scale_params", "second_place_set", "serialize_params",
-    "solve_lambda", "split_dataset", "ssim", "stationarity_loss",
-    "total_loss", "train_classifier", "train_generator", "verify_lambda",
+    "solve_lambda", "split_dataset", "ssim", "train_classifier",
+    "train_generator", "verify_lambda",
 ]

@@ -10,12 +10,13 @@ generator run can resume bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
 from .homogeneity import QuasiHomogeneousProfile
-from .models import (ParameterVector, deserialize_params, serialize_params,
+from .models import (deserialize_params, read_struct, serialize_params,
                      spec_from_json)
 
 CHECKPOINT_MAGIC = b"KGCK"
@@ -23,6 +24,11 @@ CHECKPOINT_VERSION = 1
 
 
 def write_sections(path, sections):
+    """Write the container atomically.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces the target, so a failed write leaves any old file intact.
+    """
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
@@ -33,8 +39,15 @@ def write_sections(path, sections):
         blob += encoded
         blob += struct.pack("<Q", len(payload))
         blob += payload
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_sections(path):
@@ -43,24 +56,19 @@ def read_sections(path):
     view = memoryview(blob)
     if bytes(view[:4]) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    pos = 4
-    (version,) = struct.unpack_from("<I", view, pos)
-    pos += 4
+    what = f"{path}: checkpoint"
+    (version,), pos = read_struct("<I", view, 4, what)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<I", view, pos)
-    pos += 4
+    (count,), pos = read_struct("<I", view, pos, what)
     sections = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", view, pos)
-        pos += 2
-        name = bytes(view[pos:pos + name_len]).decode("utf-8")
-        pos += name_len
-        (payload_len,) = struct.unpack_from("<Q", view, pos)
-        pos += 8
+        (name_len,), pos = read_struct("<H", view, pos, what)
+        (name, payload_len), pos = read_struct(f"<{name_len}sQ", view, pos,
+                                               what)
         if pos + payload_len > len(blob):
             raise ValueError(f"{path}: truncated checkpoint")
-        sections[name] = bytes(view[pos:pos + payload_len])
+        sections[name.decode("utf-8")] = bytes(view[pos:pos + payload_len])
         pos += payload_len
     return sections
 

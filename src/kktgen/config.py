@@ -19,8 +19,9 @@ of sections and keys.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass
+import typing
 
 from .datasets import (circle_dataset, dataset_from_csv, pattern_dataset,
                        split_dataset)
@@ -68,6 +69,17 @@ _PARSERS = {
     "floats": _parse_floats,
 }
 
+_TYPE_NAMES = {int: "int", float: "float", bool: "bool",
+               tuple[int, ...]: "ints", tuple[float, ...]: "floats"}
+
+
+def _train_keys(cls):
+    """Config keys of a train-config dataclass: its fields and defaults."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (_TYPE_NAMES[hints[f.name]], f.default)
+            for f in dataclasses.fields(cls)}
+
+
 # section -> key -> (type name, default value)
 SCHEMA = {
     "experiment": {
@@ -89,16 +101,7 @@ SCHEMA = {
     "classifier": {
         "widths": ("ints", (2, 16, 16, 3)),
         "bias": ("bool", False),
-        "learning_rate": ("float", 0.1),
-        "max_epochs": ("int", 200_000),
-        "extra_epochs": ("int", 0),
-        "seed": ("int", 0),
-        "refine_margins": ("bool", True),
-        "refine_temperatures": ("floats", (3.0, 6.0, 12.0, 25.0, 50.0,
-                                           100.0, 200.0, 400.0)),
-        "refine_iters": ("int", 6000),
-        "refine_lr": ("float", 1e-3),
-        "refine_final_lrs": ("floats", (3e-4, 1e-4, 3e-5, 1e-5, 3e-6)),
+        **_train_keys(ClassifierTrainConfig),
     },
     "lambda": {
         "probes": ("int", 32),
@@ -114,23 +117,7 @@ SCHEMA = {
         "hidden": ("ints", (32, 32)),
         "bias": ("bool", True),
     },
-    "generator_training": {
-        "batch_size": ("int", 64),
-        "beta": ("float", 3.0),
-        "delta": ("float", 0.05),
-        "lr_theta": ("float", 1e-4),
-        "lr_eta": ("float", 1e-3),
-        "lr_alpha": ("float", 0.0),
-        "steps": ("int", 20_000),
-        "tv_weight": ("float", 0.0),
-        "tv_shape": ("ints", ()),
-        "label_distribution": ("floats", ()),
-        "seed": ("int", 0),
-        "full_sum": ("bool", False),
-        "margin_band": ("floats", (0.677, 1.03)),
-        "probe_count": ("int", 256),
-        "init_output_scale": ("float", 2.0),
-    },
+    "generator_training": _train_keys(GeneratorTrainConfig),
 }
 
 
@@ -166,7 +153,7 @@ def parse_config_text(text):
     return sections
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Typed view over a parsed configuration, with defaults filled in."""
 
@@ -268,17 +255,8 @@ class RunConfig:
         return MlpSpec(sec["widths"], sec["bias"])
 
     def classifier_train_config(self, seed=None):
-        sec = self.section("classifier")
-        return ClassifierTrainConfig(
-            learning_rate=sec["learning_rate"],
-            max_epochs=sec["max_epochs"],
-            extra_epochs=sec["extra_epochs"],
-            seed=sec["seed"] if seed is None else seed,
-            refine_margins=sec["refine_margins"],
-            refine_temperatures=sec["refine_temperatures"],
-            refine_iters=sec["refine_iters"],
-            refine_lr=sec["refine_lr"],
-            refine_final_lrs=sec["refine_final_lrs"])
+        return self._train_config(ClassifierTrainConfig,
+                                  self.section("classifier"), seed)
 
     def generator_spec(self, num_classes, out_dim, num_classifiers=1):
         sec = self.section("generator")
@@ -296,18 +274,16 @@ class RunConfig:
                               bias=sec["bias"])
 
     def generator_train_config(self, seed=None):
-        sec = self.section("generator_training")
-        return GeneratorTrainConfig(
-            batch_size=sec["batch_size"], beta=sec["beta"],
-            delta=sec["delta"], lr_theta=sec["lr_theta"],
-            lr_eta=sec["lr_eta"], lr_alpha=sec["lr_alpha"],
-            steps=sec["steps"], tv_weight=sec["tv_weight"],
-            tv_shape=sec["tv_shape"],
-            label_distribution=sec["label_distribution"],
-            seed=sec["seed"] if seed is None else seed,
-            full_sum=sec["full_sum"], margin_band=sec["margin_band"],
-            probe_count=sec["probe_count"],
-            init_output_scale=sec["init_output_scale"])
+        return self._train_config(GeneratorTrainConfig,
+                                  self.section("generator_training"), seed)
+
+    @staticmethod
+    def _train_config(cls, section, seed):
+        """``cls`` from its keys in ``section``, ``seed`` overriding."""
+        values = {f.name: section[f.name] for f in dataclasses.fields(cls)}
+        if seed is not None:
+            values["seed"] = seed
+        return cls(**values)
 
     def lambda_options(self):
         sec = self.section("lambda")

@@ -147,17 +147,21 @@ def pattern_dataset(kind="stripes-vs-checks-8x8", per_class=50,
 
 
 def ssim(a, b, window=8, k1=SSIM_K1, k2=SSIM_K2, data_range=1.0):
-    """Single-scale SSIM with a uniform window; ssim(a, a) = 1."""
+    """Single-scale SSIM with a uniform window; ssim(a, a) = 1.
+
+    ``a`` is one image, flat (square) or 2-d; ``b`` is one image of the
+    same shape, giving a float, or a stack of them, giving one score each.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if b.shape[b.ndim - a.ndim:] != a.shape or b.ndim > a.ndim + 1:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim == 1:
         side = int(round(np.sqrt(a.size)))
         if side * side != a.size:
             raise ValueError("flat image length is not a perfect square")
         a = a.reshape(side, side)
-        b = b.reshape(side, side)
+        b = b.reshape(*b.shape[:-1], side, side)
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
     return kernels.ssim_uniform(a, b, window, c1, c2)
@@ -183,8 +187,7 @@ def nearest_neighbor(samples, dataset, metric="euclidean"):
         if side * side != dataset.dim:
             raise ValueError("ssim metric requires square image data")
         for s in samples:
-            scores = np.array([ssim(s, p, window=min(8, side))
-                               for p in dataset.x])
+            scores = ssim(s, dataset.x, window=min(8, side))
             idx = int(np.argmax(scores))
             out.append((idx, float(scores[idx])))
     else:

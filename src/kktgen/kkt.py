@@ -15,72 +15,18 @@ autodiff graphs, the reference, and in closed form with their gradients
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.optimize
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .homogeneity import lambda_bar
-from .models import (ParameterVector, classifier_param_gradient,
-                     layer_weight, make_leaves, mlp_apply, mlp_apply_np,
+from .models import (ParameterVector, layer_weight, mlp_apply, mlp_apply_np,
                      mlp_backprop, mlp_forward, mlp_param_grad,
                      mlp_param_jvp, spec_group_shapes)
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
-
-
-@dataclass
-class GeneratedBatch:
-    """A batch of generated samples with their conditioning labels."""
-
-    x: np.ndarray  # (M, d)
-    labels: np.ndarray  # (M,)
-    classifier_indices: np.ndarray | None = None
-    noise_seed: int | None = None
-
-    def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.x.shape[0] != self.labels.size or self.x.shape[0] < 1:
-            raise ValueError("batch needs >= 1 sample with matching labels")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("non-finite sample in generated batch")
-
-    @property
-    def size(self):
-        return self.x.shape[0]
-
-
-@dataclass
-class KktEvaluation:
-    """Per-batch margins, multipliers and loss values."""
-
-    margins: np.ndarray  # (M, C): Phi_y - Phi_c
-    second_place_sets: list
-    multipliers: np.ndarray  # (M, C), zero at c = y
-    stationarity_residual: np.ndarray  # flat, length |zeta|
-    stationarity_loss: float
-    duality_loss: float
-    total_loss: float
-    extras: dict = field(default_factory=dict)
-
-    def to_record(self):
-        """Flat key/value view for one CSV row."""
-        rec = {
-            "stationarity_loss": self.stationarity_loss,
-            "duality_loss": self.duality_loss,
-            "total_loss": self.total_loss,
-            "residual_norm": float(
-                np.linalg.norm(self.stationarity_residual)),
-            "min_margin": float(self.margins[self.margins != 0.0].min())
-            if np.any(self.margins != 0.0) else 0.0,
-            "max_multiplier": float(self.multipliers.max(initial=0.0)),
-        }
-        rec.update(self.extras)
-        return rec
 
 
 def second_place_set(logits, y, tie_tol=DEFAULT_TIE_TOL):
@@ -115,26 +61,17 @@ def second_place_mask(logits, labels, tie_tol=DEFAULT_TIE_TOL):
     return (rivals >= best - tie_tol).astype(np.float64)
 
 
-def multipliers_from_proxy(proxy):
-    """mu = relu(mu'); keeps dual feasibility by construction."""
-    if isinstance(proxy, Tensor):
-        return ad.relu(proxy)
-    return np.maximum(np.asarray(proxy, dtype=np.float64), 0.0)
-
-
 def _weighted_logit_sum(logits, labels, mu, num_classes):
     """sum_i sum_{c != y_i} mu_ic (Phi_{y_i} - Phi_c) as one graph scalar.
 
     Rewriting the double sum as a coefficient matrix against the logits
     lets one backward pass produce the full weighted gradient combination.
     """
-    m = labels.size
     onehot = ad.one_hot(labels, num_classes)
     not_y = ad.constant(1.0 - onehot.value)
     mu_rivals = ad.mul(mu, not_y)
     row_tot = ad.tsum(mu_rivals, axis=1, keepdims=True)
     coeff = ad.sub(ad.mul(row_tot, onehot), mu_rivals)
-    del m
     return ad.tsum(ad.mul(coeff, logits))
 
 
@@ -162,18 +99,6 @@ def stationarity_loss_graph(spec, zeta_leaves, lbar_weights, virtual_n,
         term = ad.tsum(ad.square(r))
         sq = term if sq is None else ad.add(sq, term)
     return ad.sqrt(ad.add(sq, ad.constant(NORM_EPS))), logits
-
-
-def stationarity_loss(spec, zeta, lbar_weights, virtual_n, batch, mu):
-    """Spec-level wrapper building its own graph; returns a scalar tensor."""
-    if virtual_n < 1:
-        raise ValueError("virtual dataset size must be >= 1")
-    leaves = make_leaves(spec, zeta)
-    mu_t = mu if isinstance(mu, Tensor) else ad.tensor(mu)
-    x_t = ad.tensor(batch.x)
-    loss, _ = stationarity_loss_graph(spec, leaves, lbar_weights, virtual_n,
-                                      x_t, batch.labels, mu_t)
-    return loss
 
 
 def duality_loss(logits, labels, alpha, delta, tie_tol=DEFAULT_TIE_TOL):
@@ -261,17 +186,6 @@ def kkt_loss_grads(spec, zeta, lbar_weights, virtual_n, x, labels, mu,
     return l_stat, l_dual, dx, dmu, dalpha * beta
 
 
-def total_loss(l_stat, l_dual, beta):
-    """L = L_stationarity + beta * L_duality."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if isinstance(l_stat, Tensor) or isinstance(l_dual, Tensor):
-        l_stat = l_stat if isinstance(l_stat, Tensor) else ad.constant(l_stat)
-        l_dual = l_dual if isinstance(l_dual, Tensor) else ad.constant(l_dual)
-        return ad.add(l_stat, ad.mul(l_dual, ad.constant(beta)))
-    return l_stat + beta * l_dual
-
-
 def margins_np(spec, zeta, x, labels):
     """Numpy margins Phi_y - Phi_c, zero in the true-class column."""
     logits = mlp_apply_np(spec, zeta, x)
@@ -285,82 +199,37 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
 
     Multipliers are restricted to second-place (i, c) pairs.  Returns the
     normalized residual ||Lbar zeta - G mu|| / ||Lbar zeta|| and the fitted
-    mu as {(i, c): value}.  ``require_separation=False`` skips the
-    positive-margin check so the fit can serve as a control on shuffled
-    labels, where stationarity should NOT be satisfiable.
+    mu as {(i, c): value}.  Column (i, c) of G is the margin gradient
+    grad_zeta (Phi_{y_i} - Phi_c)(x_i); all columns come from one forward
+    and one backprop over the pair rows.  ``require_separation=False``
+    skips the positive-margin check so the fit can serve as a control on
+    shuffled labels, where stationarity should NOT be satisfiable.
     """
+    mlp = spec if hasattr(spec, "widths") else spec.mlp()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    margins = margins_np(spec, zeta, x, labels)
-    rival = np.ones_like(margins, dtype=bool)
-    rival[np.arange(len(labels)), labels] = False
-    if require_separation and np.min(margins[rival]) <= 0.0:
-        raise ValueError("classifier does not separate the data; the "
-                         "max-margin conditions do not apply")
+    logits = mlp_apply_np(mlp, zeta, x)
+    mask = second_place_mask(logits, labels, tie_tol)
+    if require_separation:
+        rival = np.ones_like(logits, dtype=bool)
+        rival[np.arange(len(labels)), labels] = False
+        margins = logits[np.arange(len(labels)), labels][:, None] - logits
+        if np.min(margins[rival]) <= 0.0:
+            raise ValueError("classifier does not separate the data; the "
+                             "max-margin conditions do not apply")
     lbar = lambda_bar(profile, alpha)
     target = np.concatenate(
         [lbar[name] * zeta.group(name) for name in zeta.groups])
-    logits = mlp_apply_np(spec, zeta, x)
-    pairs, columns = [], []
-    for i, (xi, y) in enumerate(zip(x, labels)):
-        gy, _, _ = classifier_param_gradient(spec, zeta, xi, int(y))
-        for c in sorted(second_place_set(logits[i], int(y), tie_tol)):
-            gc, _, _ = classifier_param_gradient(spec, zeta, xi, int(c))
-            pairs.append((i, int(c)))
-            columns.append(gy - gc)
-    g = np.array(columns).T
+    rows, classes = np.nonzero(mask)
+    pair_rows = np.arange(rows.size)
+    _, cache = mlp_forward(mlp, zeta, x[rows][:, None, :])
+    dlogits = np.zeros((rows.size, 1, mlp.out_dim))
+    dlogits[pair_rows, 0, labels[rows]] = 1.0
+    dlogits[pair_rows, 0, classes] = -1.0
+    deltas, _ = mlp_backprop(cache, dlogits)
+    g = mlp_param_grad(mlp, cache, deltas).T
     mu, _ = scipy.optimize.nnls(g, target)
     residual = float(np.linalg.norm(target - g @ mu)
                      / (np.linalg.norm(target) + NORM_EPS))
+    pairs = [(int(i), int(c)) for i, c in zip(rows, classes)]
     return residual, dict(zip(pairs, mu))
-
-
-def q_min(spec, zeta_bar, x, labels):
-    """Minimum margin of the normalized classifier over a dataset."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("dataset must be nonempty")
-    labels = np.asarray(labels, dtype=np.int64)
-    margins = margins_np(spec, zeta_bar, x, labels)
-    rival = np.ones_like(margins, dtype=bool)
-    rival[np.arange(len(labels)), labels] = False
-    return float(np.min(margins[rival]))
-
-
-def evaluate_batch(spec, zeta, profile, alpha, batch, mu, virtual_n, beta,
-                   delta, tie_tol=DEFAULT_TIE_TOL):
-    """Full KktEvaluation of a batch under fixed multipliers."""
-    mu_arr = multipliers_from_proxy(np.asarray(mu, dtype=np.float64))
-    lbar = lambda_bar(profile, alpha)
-    leaves = make_leaves(spec, zeta)
-    x_t = ad.tensor(batch.x)
-    l_stat, logits = stationarity_loss_graph(
-        spec, leaves, lbar, virtual_n, x_t, batch.labels, ad.tensor(mu_arr))
-    l_dual = duality_loss(logits, batch.labels, float(alpha), delta,
-                          tie_tol)
-    margins = margins_np(spec, zeta, batch.x, batch.labels)
-    sets = [second_place_set(row, int(y), tie_tol)
-            for row, y in zip(mlp_apply_np(spec, zeta, batch.x),
-                              batch.labels)]
-    mu_clean = mu_arr.copy()
-    mu_clean[np.arange(batch.size), batch.labels] = 0.0
-    names = [name for name, _ in spec_group_shapes(spec)]
-    target = np.concatenate([lbar[n] * zeta.group(n) / virtual_n
-                             for n in names])
-    s = _weighted_logit_sum(mlp_apply(spec, leaves, ad.tensor(batch.x)),
-                            batch.labels, ad.tensor(mu_arr),
-                            margins.shape[1])
-    grads = ad.grad(s, [leaves[n] for n in names], allow_unused=True)
-    avg = np.concatenate([g.value.reshape(-1) for g in grads]) / batch.size
-    lstat_v = float(l_stat.value)
-    ldual_v = float(l_dual.value)
-    return KktEvaluation(
-        margins=margins,
-        second_place_sets=sets,
-        multipliers=mu_clean,
-        stationarity_residual=target - avg,
-        stationarity_loss=lstat_v,
-        duality_loss=ldual_v,
-        total_loss=lstat_v + beta * ldual_v,
-        extras={"alpha": float(alpha), "beta": beta, "delta": delta},
-    )

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 PARAM_MAGIC = b"KGPV"
 PARAM_VERSION = 1
@@ -338,13 +337,20 @@ def mlp_backprop(cache, dout, inject=None):
 
 
 def mlp_param_grad(mlp, cache, deltas):
-    """Flat parameter gradient (group order) from pre-activation cotangents."""
+    """Flat parameter gradient (group order) from pre-activation cotangents.
+
+    The rows of the forward are summed over.  With a leading batch axis,
+    inputs ``(batch, rows, in_dim)``, the result is one flat gradient per
+    batch entry, ``(batch, n_params)``.
+    """
     parts = []
     for l in range(mlp.n_layers):
-        parts.append((cache.acts[l].T @ deltas[l]).reshape(-1))
+        delta = deltas[l]
+        parts.append((cache.acts[l].swapaxes(-1, -2) @ delta)
+                     .reshape(*delta.shape[:-2], -1))
         if mlp.bias[l]:
-            parts.append(deltas[l].sum(axis=0))
-    return np.concatenate(parts)
+            parts.append(delta.sum(axis=-2))
+    return np.concatenate(parts, axis=-1)
 
 
 def mlp_param_jvp(mlp, cache, tangent):
@@ -368,79 +374,20 @@ def mlp_param_jvp(mlp, cache, tangent):
     return dz
 
 
-def classifier_forward(spec, params, x):
-    """Logits Phi(x; params) as a graph tensor."""
-    if not isinstance(x, Tensor):
-        x = ad.tensor(x)
-    return mlp_apply(spec, make_leaves(spec, params), x)
+def condition(first, labels, t, spec):
+    """Network input [first, onehot(labels)(, onehot(t))] for a spec.
 
-
-def classifier_param_gradient(spec, params, x, c):
-    """Flat gradient of logit ``c`` at input ``x`` w.r.t. all parameters.
-
-    Returns (flat numpy gradient aligned with the group map, input tensor,
-    per-group cotangent tensors) so callers needing d/dx can keep
-    differentiating the graph.
+    The one conditional-input builder of the generator and multiplier
+    networks.  ``t`` is one classifier index or one per row; it enters only
+    when the spec conditions on the classifier, which then requires it.
     """
-    mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
-    if not 0 <= int(c) < mlp.out_dim:
-        raise ValueError(f"class index {c} out of range")
-    x_leaf = x if isinstance(x, Tensor) else ad.tensor(x)
-    leaves = make_leaves(spec, params)
-    logits = mlp_apply(spec, leaves, x_leaf)
-    target = ad.tsum(ad.slice_axis(logits, logits.value.ndim - 1,
-                                   int(c), int(c) + 1))
-    names = [name for name, _ in spec_group_shapes(spec)]
-    cots = ad.grad(target, [leaves[n] for n in names])
-    flat = np.concatenate([c_.value.reshape(-1) for c_ in cots])
-    return flat, x_leaf, dict(zip(names, cots))
-
-
-def _condition_input(spec, first, y, t, batch):
-    parts = [first, ad.one_hot(np.full(batch, int(y)), spec.num_classes)]
+    parts = [first, np.eye(spec.num_classes)[labels]]
     if spec.conditions_on_classifier:
         if t is None:
             raise ValueError("classifier index t required by this spec")
-        parts.append(ad.one_hot(np.full(batch, int(t)),
-                                spec.num_classifiers))
-    elif t is not None:
-        raise ValueError("classifier index t given but spec is "
-                         "single-classifier")
-    return ad.concat(parts, axis=1)
-
-
-def generator_forward(spec, params, eps, y, t=None, leaves=None):
-    """x = g(eps, y[, t]); eps is (noise_dim,) or (batch, noise_dim)."""
-    eps = eps if isinstance(eps, Tensor) else ad.tensor(eps)
-    single = eps.value.ndim == 1
-    if single:
-        eps = ad.reshape(eps, (1, eps.value.size))
-    if eps.value.shape[1] != spec.noise_dim:
-        raise ValueError("noise dimension mismatch")
-    if not 0 <= int(y) < spec.num_classes:
-        raise ValueError(f"label {y} out of range")
-    inp = _condition_input(spec, eps, y, t, eps.value.shape[0])
-    if leaves is None:
-        leaves = make_leaves(spec, params)
-    out = mlp_apply(spec.mlp(), leaves, inp)
-    return ad.reshape(out, (spec.out_dim,)) if single else out
-
-
-def multiplier_forward(spec, params, x, y, t=None, leaves=None):
-    """mu' = h(x, y[, t]) in R^{num_classes}."""
-    x = x if isinstance(x, Tensor) else ad.tensor(x)
-    single = x.value.ndim == 1
-    if single:
-        x = ad.reshape(x, (1, x.value.size))
-    if x.value.shape[1] != spec.in_dim:
-        raise ValueError("sample dimension mismatch")
-    if not 0 <= int(y) < spec.num_classes:
-        raise ValueError(f"label {y} out of range")
-    inp = _condition_input(spec, x, y, t, x.value.shape[0])
-    if leaves is None:
-        leaves = make_leaves(spec, params)
-    out = mlp_apply(spec.mlp(), leaves, inp)
-    return ad.reshape(out, (spec.num_classes,)) if single else out
+        ts = np.broadcast_to(np.asarray(t, dtype=np.int64), labels.shape)
+        parts.append(np.eye(spec.num_classifiers)[ts])
+    return np.concatenate(parts, axis=1)
 
 
 def init_kaiming(spec, seed):
@@ -477,35 +424,38 @@ def serialize_params(spec, params):
     return bytes(blob)
 
 
+def read_struct(fmt, view, pos, what):
+    """Unpack ``fmt`` at ``pos`` of a buffer; returns (values, end position).
+
+    Raises ValueError naming ``what`` when the buffer ends first.
+    """
+    end = pos + struct.calcsize(fmt)
+    if end > len(view):
+        raise ValueError(f"{what}: truncated at byte {len(view)}")
+    return struct.unpack_from(fmt, view, pos), end
+
+
 def deserialize_params(blob, expected_spec=None):
     view = memoryview(blob)
+    what = "parameter blob"
     if bytes(view[:4]) != PARAM_MAGIC:
         raise ValueError("bad parameter blob magic")
-    pos = 4
-    (version,) = struct.unpack_from("<I", view, pos)
-    pos += 4
+    (version,), pos = read_struct("<I", view, 4, what)
     if version != PARAM_VERSION:
         raise ValueError(f"unsupported parameter blob version {version}")
-    spec_hash = bytes(view[pos:pos + 32])
-    pos += 32
+    (spec_hash, n_groups), pos = read_struct("<32sI", view, pos, what)
     if expected_spec is not None:
         mlp = (expected_spec if isinstance(expected_spec, MlpSpec)
                else expected_spec.mlp())
         if mlp.hash() != spec_hash:
             raise ValueError("parameter blob does not match the given spec")
-    (n_groups,) = struct.unpack_from("<I", view, pos)
-    pos += 4
     groups = {}
     for _ in range(n_groups):
-        (name_len,) = struct.unpack_from("<H", view, pos)
-        pos += 2
-        name = bytes(view[pos:pos + name_len]).decode("utf-8")
-        pos += name_len
-        offset, length = struct.unpack_from("<QQ", view, pos)
-        pos += 16
-        groups[name] = (offset, length)
-    (count,) = struct.unpack_from("<Q", view, pos)
-    pos += 8
+        (name_len,), pos = read_struct("<H", view, pos, what)
+        (name, offset, length), pos = read_struct(f"<{name_len}sQQ", view,
+                                                  pos, what)
+        groups[name.decode("utf-8")] = (offset, length)
+    (count,), pos = read_struct("<Q", view, pos, what)
     values = np.frombuffer(view, dtype="<f8", count=count,
                            offset=pos).astype(np.float64)
     return ParameterVector(values, groups)

@@ -22,8 +22,8 @@ from . import autodiff as ad
 from . import kernels
 from .homogeneity import lambda_bar, verify_lambda, default_probe_samples
 from .kkt import kkt_loss_grads
-from .models import (MlpSpec, ParameterVector, init_kaiming, mlp_apply_np,
-                     mlp_backprop, mlp_forward, mlp_param_grad)
+from .models import (MlpSpec, ParameterVector, condition, init_kaiming,
+                     mlp_apply_np, mlp_backprop, mlp_forward, mlp_param_grad)
 
 PROFILE_DEVIATION_LIMIT = 1e-4
 
@@ -56,11 +56,11 @@ class ClassifierTrainConfig:
     # classifier parameters actually satisfy the max-margin KKT conditions
     # instead of merely drifting toward them.  Requires a bias-free spec.
     refine_margins: bool = True
-    refine_temperatures: tuple = (3.0, 6.0, 12.0, 25.0, 50.0,
-                                  100.0, 200.0, 400.0)
+    refine_temperatures: tuple[float, ...] = (3.0, 6.0, 12.0, 25.0, 50.0,
+                                              100.0, 200.0, 400.0)
     refine_iters: int = 6000
     refine_lr: float = 1e-3
-    refine_final_lrs: tuple = (3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
+    refine_final_lrs: tuple[float, ...] = (3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -81,15 +81,15 @@ class GeneratorTrainConfig:
     lr_alpha: float = 0.0
     steps: int = 20_000
     tv_weight: float = 0.0
-    tv_shape: tuple = ()  # (height, width) when tv_weight > 0
-    label_distribution: tuple = ()  # empty = uniform
+    tv_shape: tuple[int, ...] = ()  # (height, width) when tv_weight > 0
+    label_distribution: tuple[float, ...] = ()  # empty = uniform
     seed: int = 0
     full_sum: bool = False  # sum all classifier losses each step
     # Duality band placement as fractions of the classifier's peak margin
     # probed on random unit directions: e^{-alpha} = lo * peak and
     # e^{-alpha} + delta = hi * peak.  Empty tuple falls back to the
     # probe-batch minimum-margin alpha init with the explicit delta.
-    margin_band: tuple = (0.677, 1.03)
+    margin_band: tuple[float, ...] = (0.677, 1.03)
     probe_count: int = 256
     init_output_scale: float = 2.0  # generator output layer at init
 
@@ -181,37 +181,17 @@ class GeneratorTrainState:
 
 
 def _ce_loss_and_grad(spec, params, x, labels):
-    """Summed cross-entropy and its flat gradient via manual backprop."""
+    """Summed cross-entropy and its flat parameter gradient."""
     mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
-    acts = [np.asarray(x, dtype=np.float64)]
-    pres = []
-    for l in range(mlp.n_layers):
-        w = params.group(f"layer{l}.weight").reshape(mlp.widths[l],
-                                                     mlp.widths[l + 1])
-        z = acts[-1] @ w
-        if mlp.bias[l]:
-            z = z + params.group(f"layer{l}.bias")
-        pres.append(z)
-        acts.append(np.maximum(z, 0.0) if l < mlp.n_layers - 1 else z)
-    logits = acts[-1]
+    logits, cache = mlp_forward(mlp, params, x)
     shift = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shift).sum(axis=1))
     n = len(labels)
     loss = float(np.sum(logz - shift[np.arange(n), labels]))
     dlogits = np.exp(shift) / np.exp(logz)[:, None]
     dlogits[np.arange(n), labels] -= 1.0
-
-    grad = ParameterVector.zeros_for(mlp)
-    delta = dlogits
-    for l in reversed(range(mlp.n_layers)):
-        w = params.group(f"layer{l}.weight").reshape(mlp.widths[l],
-                                                     mlp.widths[l + 1])
-        grad.group(f"layer{l}.weight")[:] = (acts[l].T @ delta).reshape(-1)
-        if mlp.bias[l]:
-            grad.group(f"layer{l}.bias")[:] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ w.T) * (pres[l - 1] > 0.0)
-    return loss, grad.values, logits
+    deltas, _ = mlp_backprop(cache, dlogits)
+    return loss, mlp_param_grad(mlp, cache, deltas)
 
 
 def classifier_accuracy(spec, params, x, labels):
@@ -219,28 +199,32 @@ def classifier_accuracy(spec, params, x, labels):
     return float(np.mean(pred == np.asarray(labels)))
 
 
-def _pair_margin_backprop(spec, params, x, labels, weights):
-    """Flat gradient of sum_{i,c} W[i,c] * (Phi_y(x_i) - Phi_c(x_i))."""
-    n = len(labels)
-    acts = [x]
-    pres = []
-    for l in range(spec.n_layers):
-        w = params.group(f"layer{l}.weight").reshape(spec.widths[l],
-                                                     spec.widths[l + 1])
-        z = acts[-1] @ w
-        pres.append(z)
-        acts.append(np.maximum(z, 0.0) if l < spec.n_layers - 1 else z)
-    dlogits = -weights.copy()
-    dlogits[np.arange(n), labels] += weights.sum(axis=1)
-    grad = ParameterVector.zeros_for(spec)
-    delta = dlogits
-    for l in reversed(range(spec.n_layers)):
-        w = params.group(f"layer{l}.weight").reshape(spec.widths[l],
-                                                     spec.widths[l + 1])
-        grad.group(f"layer{l}.weight")[:] = (acts[l].T @ delta).reshape(-1)
-        if l > 0:
-            delta = (delta @ w.T) * (pres[l - 1] > 0.0)
-    return grad.values
+def _margin_ascent_grad(spec, params, x, labels, rival, temperature):
+    """Gradient of the softmin surrogate of the normalized minimum margin.
+
+    With mhat = (Phi_y - Phi_c) / ||zeta||^L over the rival pairs and
+    tau = temperature / min mhat held fixed, this is the zeta gradient of
+    -(1/tau) log sum exp(-tau mhat): the softmin weights W backpropagated
+    as the logit cotangent of sum W (Phi_y - Phi_c), plus the norm term.
+    """
+    deg = spec.n_layers
+    rows = np.arange(len(labels))
+    rho = np.linalg.norm(params.values)
+    logits, cache = mlp_forward(spec, params, x)
+    mm = logits[rows, labels][:, None] - logits
+    mhat = mm / rho ** deg
+    q_hat = np.where(rival, mhat, np.inf).min()
+    tau = temperature / max(q_hat, 1e-9)
+    z = np.where(rival, -tau * mhat, -np.inf)
+    w = np.exp(z - z.max())
+    w[~rival] = 0.0
+    w /= w.sum()
+    dlogits = -w
+    dlogits[rows, labels] += w.sum(axis=1)
+    deltas, _ = mlp_backprop(cache, dlogits)
+    return (mlp_param_grad(spec, cache, deltas) / rho ** deg
+            - deg * (w * mm)[rival].sum() * params.values
+            / rho ** (deg + 2))
 
 
 def refine_margins(dataset, spec, params, config):
@@ -256,45 +240,25 @@ def refine_margins(dataset, spec, params, config):
     """
     if any(spec.bias):
         raise ValueError("margin refinement requires a bias-free spec")
-    deg = spec.n_layers
     n = dataset.size
     rival = np.ones((n, spec.widths[-1]), dtype=bool)
     rival[np.arange(n), dataset.labels] = False
 
-    def stage(iters, lr, temperature, m_state, v_state, t_step):
-        for _ in range(iters):
-            rho = np.linalg.norm(params.values)
-            logits = mlp_apply_np(spec, params, dataset.x)
-            mm = logits[np.arange(n), dataset.labels][:, None] - logits
-            mhat = mm / rho ** deg
-            q_hat = np.where(rival, mhat, np.inf).min()
-            tau = temperature / max(q_hat, 1e-9)
-            z = np.where(rival, -tau * mhat, -np.inf)
-            w = np.exp(z - z.max())
-            w[~rival] = 0.0
-            w /= w.sum()
-            g_pairs = _pair_margin_backprop(spec, params, dataset.x,
-                                            dataset.labels, w)
-            g = (g_pairs / rho ** deg
-                 - deg * (w * mm)[rival].sum() * params.values
-                 / rho ** (deg + 2))
-            t_step += 1
-            kernels.adam_update(params.values, -g, m_state, v_state,
-                                t_step, lr)
-        return t_step
+    def ascend(temperature, adam):
+        for _ in range(config.refine_iters):
+            adam.step(params.values,
+                      -_margin_ascent_grad(spec, params, dataset.x,
+                                           dataset.labels, rival,
+                                           temperature))
 
-    m_state = np.zeros_like(params.values)
-    v_state = np.zeros_like(params.values)
-    t_step = 0
+    # the annealing stages share one Adam; each polish stage starts afresh
+    annealing = Adam(len(params), config.refine_lr)
     for temperature in config.refine_temperatures:
-        t_step = stage(config.refine_iters, config.refine_lr, temperature,
-                       m_state, v_state, t_step)
+        ascend(temperature, annealing)
     final_t = (config.refine_temperatures[-1]
                if config.refine_temperatures else 400.0)
     for lr in config.refine_final_lrs:
-        m_state[:] = 0.0
-        v_state[:] = 0.0
-        stage(config.refine_iters, lr, final_t, m_state, v_state, 0)
+        ascend(final_t, Adam(len(params), lr))
     return params
 
 
@@ -316,8 +280,8 @@ def train_classifier(dataset, spec, config):
     converged_at = None
     epoch = 0
     while epoch < config.max_epochs:
-        loss, grad, _ = _ce_loss_and_grad(spec, params, dataset.x,
-                                          dataset.labels)
+        loss, grad = _ce_loss_and_grad(spec, params, dataset.x,
+                                       dataset.labels)
         trajectory.append(loss)
         if converged_at is None and loss < threshold:
             converged_at = epoch
@@ -348,19 +312,6 @@ def train_classifier(dataset, spec, config):
 
 def _step_rng(seed, step, stream=0):
     return np.random.default_rng([int(seed), int(stream), int(step)])
-
-
-def _condition(first, labels, t, spec):
-    """Network input [first, onehot(labels)(, onehot(t))] for a spec.
-
-    ``t`` is one classifier index or one per row; it enters only when the
-    spec conditions on the classifier.
-    """
-    parts = [first, np.eye(spec.num_classes)[labels]]
-    if spec.conditions_on_classifier:
-        ts = np.broadcast_to(np.asarray(t, dtype=np.int64), labels.shape)
-        parts.append(np.eye(spec.num_classifiers)[ts])
-    return np.concatenate(parts, axis=1)
 
 
 def tv_loss(x, height, width):
@@ -411,13 +362,13 @@ def _classifier_step(classifier, gen_spec, mult_spec, state, t, labels, eps,
     """
     gen_mlp, mult_mlp = gen_spec.mlp(), mult_spec.mlp()
     x, gen_cache = mlp_forward(gen_mlp, state.gen_params,
-                               _condition(eps, labels, t, gen_spec))
+                               condition(eps, labels, t, gen_spec))
     if not np.isfinite(x).all():
         raise TrainingAborted(
             f"non-finite generated sample at step {state.step}",
             state.step, state)
     mu_pre, mult_cache = mlp_forward(mult_mlp, state.mult_params,
-                                     _condition(x, labels, t, mult_spec))
+                                     condition(x, labels, t, mult_spec))
     alpha = float(state.alphas[t])
     l_stat, l_dual, dx, dmu, g_alpha = kkt_loss_grads(
         classifier.spec, classifier.params,
@@ -460,7 +411,7 @@ def init_alpha(classifier, gen_spec, config, t):
     labels = rng.integers(0, gen_spec.num_classes, size=64)
     eps = rng.standard_normal((64, gen_spec.noise_dim))
     theta = init_kaiming(gen_spec.mlp(), _spawn_seed(config.seed, 1))
-    x = mlp_apply_np(gen_spec, theta, _condition(eps, labels, t, gen_spec))
+    x = mlp_apply_np(gen_spec, theta, condition(eps, labels, t, gen_spec))
     logits = mlp_apply_np(classifier.spec, classifier.params, x)
     phi_y = logits[np.arange(labels.size), labels]
     rival = logits.copy()
@@ -593,6 +544,8 @@ def sample(gen_spec, gen_params, y, n, t=None, seed=0, t_table=None):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not 0 <= int(y) < gen_spec.num_classes:
+        raise ValueError(f"label {y} out of range")
     rng = np.random.default_rng([int(seed), int(y)])
     multi = gen_spec.conditions_on_classifier
     if multi and t is None:
@@ -607,5 +560,5 @@ def sample(gen_spec, gen_params, y, n, t=None, seed=0, t_table=None):
     if not n:
         return np.zeros((0, gen_spec.out_dim)), ts
     return mlp_apply_np(gen_spec, gen_params,
-                        _condition(eps, np.full(n, int(y)), ts,
+                        condition(eps, np.full(n, int(y)), ts,
                                    gen_spec)), ts

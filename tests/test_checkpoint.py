@@ -26,15 +26,40 @@ def test_read_sections_rejects_bad_files(tmp_path):
     good = tmp_path / "good.ckpt"
     ck.write_sections(good, {"a": b"0123456789"})
     truncated = tmp_path / "trunc.ckpt"
-    truncated.write_bytes(good.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        ck.read_sections(truncated)
+    # the payload, then the header: version, count, name length, name,
+    # payload length
+    for cut in (-4, 6, 10, 13, 14, 20):
+        truncated.write_bytes(good.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            ck.read_sections(truncated)
     wrong_version = bytearray(good.read_bytes())
     wrong_version[4] = 99
     bad_v = tmp_path / "v.ckpt"
     bad_v.write_bytes(bytes(wrong_version))
     with pytest.raises(ValueError, match="version"):
         ck.read_sections(bad_v)
+
+
+@pytest.mark.parametrize("write", ["save", "attach"])
+def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch,
+                                               write):
+    spec = MlpSpec((2, 8, 3), False)
+    path = tmp_path / "clf.ckpt"
+    ck.save_classifier(path, spec, init_kaiming(spec, seed=0))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ck.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        if write == "save":
+            ck.save_classifier(path, spec, init_kaiming(spec, seed=1))
+        else:
+            ck.attach_profile(path, QuasiHomogeneousProfile(
+                {"layer0.weight": 0.5, "layer1.weight": 0.5}))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["clf.ckpt"]
 
 
 def test_classifier_roundtrip(tmp_path):

@@ -208,6 +208,38 @@ def test_evaluate_non_separating_classifier_is_verify_error(tmp_path,
     assert len(err) == 1 and "does not separate" in err[0]
 
 
+# (section container cut, parameter blob cut) in bytes: a cut in the
+# container's version, section count and first name length, then cuts in
+# the parameter blob's version, group count and group table
+TRUNCATIONS = [(6, None), (10, None), (13, None),
+               (None, 6), (None, 42), (None, 50)]
+
+
+@pytest.mark.parametrize("container_cut,blob_cut", TRUNCATIONS)
+@pytest.mark.parametrize("command", ["estimate-lambda", "train-generator"])
+def test_truncated_classifier_header_is_usage_error(tmp_path, capsys,
+                                                    command, container_cut,
+                                                    blob_cut):
+    from kktgen.models import MlpSpec, init_kaiming
+
+    spec = MlpSpec((2, 8, 3), False)
+    clf = tmp_path / "classifier.ckpt"
+    ck.save_classifier(clf, spec, init_kaiming(spec, 0))
+    if container_cut is not None:
+        clf.write_bytes(clf.read_bytes()[:container_cut])
+    else:
+        sections = ck.read_sections(clf)
+        sections["params"] = sections["params"][:blob_cut]
+        ck.write_sections(clf, sections)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n")
+    argv = {"estimate-lambda": ["estimate-lambda", str(clf)],
+            "train-generator": ["train-generator", str(cfg), str(clf)]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "truncated at byte" in err[0]
+
+
 def test_sample_from_missing_checkpoint_fails(tmp_path):
     with pytest.raises(FileNotFoundError):
         main(["sample", str(tmp_path / "none.ckpt")])

@@ -150,3 +150,30 @@ def test_schema_defaults_match_dataclass_defaults():
     cfg = RunConfig.defaults()
     assert cfg.generator_train_config() == GeneratorTrainConfig()
     assert cfg.classifier_train_config() == ClassifierTrainConfig()
+
+
+# Canonical hashes of the blank config and of the benchmark's three
+# workload configs under a fixed [experiment] header: the schema takes the
+# train-config defaults from the dataclasses, and their rendering must
+# not move.
+PINNED = [
+    ("", "b896024511d5fa2e69e9caa840de811c83f344200620f8b550fbff0c19e001c7"),
+    ("[generator_training]\nsteps = 2000\n",
+     "db715cb81d1d157b6d1945740f8c1add87fd5c9a31fc09ae89b6ce818dd0241d"),
+    ("[dataset]\nkind = stripes-vs-checks-8x8\n"
+     "[classifier]\nwidths = 64,32,32,2\nlearning_rate = 0.001\n"
+     "refine_iters = 1000\n"
+     "[generator_training]\nsteps = 2000\ntv_weight = 0.01\n"
+     "tv_shape = 8,8\n",
+     "552203816bae1ac5e5e93204d47d97311cc839c3b6014d71d50c5cded50fde5e"),
+    ("[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 2000\n"
+     "[generator_training]\nsteps = 1500\nfull_sum = true\n",
+     "ed6ada6bbcd9ce9d9a0024bc1089e34dbd9dea63aaaf2a9d096591a219a382c8"),
+]
+
+
+@pytest.mark.parametrize("text,digest", PINNED)
+def test_config_hashes_are_pinned(text, digest):
+    if text:
+        text = "[experiment]\nname = exp\noutput_dir = runs\n" + text
+    assert RunConfig.from_text(text).hash() == digest

@@ -17,7 +17,7 @@ from kktgen.cli import main
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.kkt import duality_loss, stationarity_loss_graph
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
-                           init_kaiming, make_leaves, mlp_apply,
+                           condition, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np)
 from test_training import small_bundle
 
@@ -86,7 +86,7 @@ def random_setup(seed, n_layers, bias, t_count, tv):
     eps = rng.standard_normal((BATCH, 3))
     alphas, deltas = [], []
     for k, bundle in enumerate(bundles):
-        cond = tr._condition(eps, labels, k, gen_spec)
+        cond = condition(eps, labels, k, gen_spec)
         logits = mlp_apply_np(spec, bundle.params,
                               mlp_apply_np(gen_spec, gen_params, cond))
         margins = np.abs(logits[np.arange(BATCH), labels][:, None]

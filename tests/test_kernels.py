@@ -1,8 +1,4 @@
-"""Unit tests for the numba/numpy kernel pair."""
-
-import os
-import subprocess
-import sys
+"""Unit tests for the numpy kernels."""
 
 import numpy as np
 import pytest
@@ -34,19 +30,6 @@ def test_adam_update_matches_reference():
     assert np.allclose(m, wm) and np.allclose(v, wv)
 
 
-def test_tv_batch_known_value():
-    img = np.array([[[0.0, 1.0], [1.0, 0.0]]])  # checkerboard 2x2
-    # row diffs: |1-0| + |0-1| = 2; col diffs: |1-0| + |0-1| = 2
-    assert kernels.tv_batch(img) == pytest.approx(4.0)
-    flat = np.zeros((3, 4, 4))
-    assert kernels.tv_batch(flat) == 0.0
-
-
-def test_tv_batch_shape_check():
-    with pytest.raises(ValueError, match="batch, h, w"):
-        kernels.tv_batch(np.zeros((4, 4)))
-
-
 def test_ssim_uniform_identity_and_symmetry():
     rng = np.random.default_rng(1)
     a = rng.random((12, 12))
@@ -62,57 +45,45 @@ def test_ssim_uniform_validation():
     with pytest.raises(ValueError, match="equal-shape"):
         kernels.ssim_uniform(np.zeros((4, 4)), np.zeros((5, 5)), 2, 1e-4,
                              9e-4)
+    with pytest.raises(ValueError, match="equal-shape"):
+        kernels.ssim_uniform(np.zeros((4, 4)), np.zeros((2, 3, 4, 4)), 2,
+                             1e-4, 9e-4)
     with pytest.raises(ValueError, match="window"):
         kernels.ssim_uniform(np.zeros((4, 4)), np.zeros((4, 4)), 8, 1e-4,
                              9e-4)
 
 
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba disabled")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(2)
-    grads = rng.standard_normal(128)
-    v_np = np.ones(128)
-    m_np = np.zeros(128)
-    s_np = np.zeros(128)
-    v_nb, m_nb, s_nb = v_np.copy(), m_np.copy(), s_np.copy()
-    for t in range(1, 4):
-        kernels._adam_update_np(v_np, grads, m_np, s_np, float(t), 1e-3,
-                                0.9, 0.999, 1e-8)
-        kernels._adam_update_nb(v_nb, grads, m_nb, s_nb, float(t), 1e-3,
-                                0.9, 0.999, 1e-8)
-    assert np.allclose(v_np, v_nb, rtol=1e-13, atol=1e-15)
-
-    images = rng.random((5, 9, 9))
-    assert kernels._tv_batch_np(images) == pytest.approx(
-        kernels._tv_batch_nb(images), rel=1e-12)
-
-    a = rng.random((10, 10))
-    b = rng.random((10, 10))
-    assert kernels._ssim_uniform_np(a, b, 4, 1e-4, 9e-4) == pytest.approx(
-        kernels._ssim_uniform_nb(a, b, 4, 1e-4, 9e-4), rel=1e-12)
+def loop_ssim(a, b, window, c1, c2):
+    """Mean SSIM of two images, one window at a time: the reference."""
+    h, w = a.shape
+    scores = []
+    for r in range(h - window + 1):
+        for c in range(w - window + 1):
+            pa = a[r:r + window, c:c + window]
+            pb = b[r:r + window, c:c + window]
+            mu_a = pa.mean()
+            mu_b = pb.mean()
+            var_a = (pa * pa).mean() - mu_a * mu_a
+            var_b = (pb * pb).mean() - mu_b * mu_b
+            cov = (pa * pb).mean() - mu_a * mu_b
+            scores.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                          / ((mu_a * mu_a + mu_b * mu_b + c1)
+                             * (var_a + var_b + c2)))
+    return float(np.mean(np.array(scores)))
 
 
-def test_disable_numba_env_flag():
-    """KKTGEN_DISABLE_NUMBA=1 forces the numpy path with equal results."""
-    code = (
-        "import numpy as np\n"
-        "from kktgen import kernels\n"
-        "assert not kernels.USE_NUMBA\n"
-        "rng = np.random.default_rng(3)\n"
-        "values = np.ones(32); grads = rng.standard_normal(32)\n"
-        "m = np.zeros(32); v = np.zeros(32)\n"
-        "kernels.adam_update(values, grads, m, v, 1, 1e-2)\n"
-        "print(repr(values.sum()))\n"
-    )
-    env = dict(os.environ, KKTGEN_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-
-    rng = np.random.default_rng(3)
-    values = np.ones(32)
-    grads = rng.standard_normal(32)
-    m = np.zeros(32)
-    v = np.zeros(32)
-    kernels.adam_update(values, grads, m, v, 1, 1e-2)
-    assert out.stdout.strip() == repr(values.sum())
+@pytest.mark.parametrize("shape,window", [((8, 8), 8), ((8, 8), 3),
+                                          ((12, 9), 4), ((5, 5), 1)])
+def test_ssim_uniform_matches_window_loop(shape, window):
+    """Vectorized windows, one image or a stack, against the loop."""
+    rng = np.random.default_rng(sum(shape) + window)
+    a = rng.random(shape)
+    stack = rng.random((6, *shape))
+    stack[2] = a
+    c1, c2 = 1e-4, 9e-4
+    got = kernels.ssim_uniform(a, stack, window, c1, c2)
+    want = np.array([loop_ssim(a, b, window, c1, c2) for b in stack])
+    assert got.shape == (6,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    one = kernels.ssim_uniform(a, stack[0], window, c1, c2)
+    assert isinstance(one, float) and one == got[0]

@@ -1,4 +1,4 @@
-"""Unit tests for the KKT losses, oracle and batch evaluation."""
+"""Unit tests for the KKT losses and the residual oracle."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 import kktgen.autodiff as ad
 import kktgen.kkt as kk
 import kktgen.models as km
-from kktgen.homogeneity import QuasiHomogeneousProfile
-from kktgen.kkt import GeneratedBatch
+from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.models import MlpSpec, ParameterVector
 
 
@@ -25,15 +24,6 @@ def linear_pair_classifier(a=1.0):
     x = np.array([[1.0, 0.0], [-1.0, 0.0]])
     labels = np.array([0, 1])
     return spec, zeta, profile, x, labels
-
-
-def test_generated_batch_validation():
-    with pytest.raises(ValueError, match="matching labels"):
-        GeneratedBatch(np.zeros((3, 2)), np.zeros(2, dtype=int))
-    with pytest.raises(ValueError, match="non-finite"):
-        GeneratedBatch(np.array([[np.nan, 0.0]]), np.array([0]))
-    b = GeneratedBatch(np.zeros((3, 2)), np.zeros(3, dtype=int))
-    assert b.size == 3
 
 
 def test_second_place_set_basic_and_ties():
@@ -77,13 +67,6 @@ def test_second_place_mask_matches_set_definition():
         kk.second_place_mask(logits[:2], np.array([0, 4]))
 
 
-def test_multipliers_from_proxy():
-    proxy = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(kk.multipliers_from_proxy(proxy), [0.0, 0.0, 2.0])
-    t = kk.multipliers_from_proxy(ad.tensor(proxy))
-    assert np.array_equal(t.value, [0.0, 0.0, 2.0])
-
-
 def test_margins_np_true_class_column_zero():
     spec, zeta, _, x, labels = linear_pair_classifier()
     margins = kk.margins_np(spec, zeta, x, labels)
@@ -125,23 +108,20 @@ def test_duality_loss_rejects_bad_delta():
         kk.duality_loss(np.zeros((1, 2)), np.array([0]), 0.0, 0.0)
 
 
-def test_total_loss_scalar_and_graph():
-    assert kk.total_loss(1.0, 2.0, 3.0) == 7.0
-    out = kk.total_loss(ad.tensor(1.0), 2.0, beta=3.0)
-    assert out.item() == 7.0
-    with pytest.raises(ValueError, match="beta"):
-        kk.total_loss(1.0, 1.0, -1.0)
+def stationarity_loss(spec, zeta, lbar, virtual_n, x, labels, mu):
+    """The stationarity graph on constant samples and multipliers."""
+    loss, _ = kk.stationarity_loss_graph(spec, km.make_leaves(spec, zeta),
+                                         lbar, virtual_n, ad.tensor(x),
+                                         labels, ad.tensor(mu))
+    return loss
 
 
 def test_stationarity_loss_zero_multipliers():
     """With mu = 0 the loss is the norm of the weighted-parameter target."""
     spec, zeta, profile, x, labels = linear_pair_classifier()
-    from kktgen.homogeneity import lambda_bar
     lbar = lambda_bar(profile, alpha=0.0)
-    batch = GeneratedBatch(x, labels)
     mu = np.zeros((2, 2))
-    loss = kk.stationarity_loss(spec, zeta, lbar, virtual_n=2, batch=batch,
-                                mu=mu)
+    loss = stationarity_loss(spec, zeta, lbar, 2, x, labels, mu)
     want = np.linalg.norm(zeta.values / 2.0)
     assert loss.item() == pytest.approx(want, rel=1e-6)
 
@@ -149,24 +129,20 @@ def test_stationarity_loss_zero_multipliers():
 def test_stationarity_loss_exact_kkt_point_reaches_zero():
     """The linear pair admits multipliers that zero the residual."""
     spec, zeta, profile, x, labels = linear_pair_classifier(a=1.0)
-    from kktgen.homogeneity import lambda_bar
     lbar = lambda_bar(profile, alpha=0.0)
-    batch = GeneratedBatch(x, labels)
     # target per point: Lbar zeta / N = zeta / 2.  Each point's margin
     # gradient (grad Phi_y - grad Phi_c) equals [[1,-1],[0,0]], while
     # zeta = [[1,-1],[0,0]]: mu = 1/2 per pair (M = 2 rescales by 1/M).
     mu = np.zeros((2, 2))
     mu[0, 1] = 0.5
     mu[1, 0] = 0.5
-    loss = kk.stationarity_loss(spec, zeta, lbar, virtual_n=2, batch=batch,
-                                mu=mu)
+    loss = stationarity_loss(spec, zeta, lbar, 2, x, labels, mu)
     assert loss.item() < 1e-5
 
 
 def test_stationarity_loss_gradient_flows_to_samples():
     spec = MlpSpec((2, 4, 3), False)
     zeta = km.init_kaiming(spec, seed=0)
-    from kktgen.homogeneity import lambda_bar
     profile = QuasiHomogeneousProfile(
         {name: 0.5 for name in zeta.groups})
     lbar = lambda_bar(profile, 0.0)
@@ -183,7 +159,6 @@ def test_stationarity_loss_gradient_flows_to_samples():
 
 def test_stationarity_loss_rejects_nonfinite_samples():
     spec, zeta, profile, x, labels = linear_pair_classifier()
-    from kktgen.homogeneity import lambda_bar
     leaves = km.make_leaves(spec, zeta)
     bad = ad.constant(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="non-finite generated sample"):
@@ -210,26 +185,3 @@ def test_kkt_residual_oracle_separation_check():
                                          alpha=0.0,
                                          require_separation=False)
     assert residual > 0.5  # flipped labels cannot satisfy stationarity
-
-
-def test_q_min():
-    spec, zeta, _, x, labels = linear_pair_classifier(a=1.5)
-    assert kk.q_min(spec, zeta, x, labels) == pytest.approx(3.0)
-    with pytest.raises(ValueError, match="nonempty"):
-        kk.q_min(spec, zeta, np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-
-def test_evaluate_batch_record():
-    spec, zeta, profile, x, labels = linear_pair_classifier()
-    batch = GeneratedBatch(x, labels)
-    mu = np.full((2, 2), 0.5)
-    ev = kk.evaluate_batch(spec, zeta, profile, alpha=0.0, batch=batch,
-                           mu=mu, virtual_n=2, beta=3.0, delta=0.1)
-    rec = ev.to_record()
-    assert rec["total_loss"] == pytest.approx(
-        rec["stationarity_loss"] + 3.0 * rec["duality_loss"])
-    assert rec["min_margin"] == pytest.approx(2.0)
-    assert rec["max_multiplier"] == pytest.approx(0.5)
-    assert ev.multipliers[0, 0] == 0.0  # true-class column cleared
-    assert ev.second_place_sets == [{1}, {0}]
-    assert rec["alpha"] == 0.0

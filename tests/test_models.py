@@ -68,7 +68,8 @@ def test_forward_matches_manual_arithmetic():
     b1 = pv.group("layer1.bias")
     want = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
     got_np = km.mlp_apply_np(spec, pv, x)
-    got_graph = km.classifier_forward(spec, pv, x).value
+    got_graph = km.mlp_apply(spec, km.make_leaves(spec, pv),
+                             ad.tensor(x)).value
     assert np.allclose(got_np, want, atol=1e-12)
     assert np.allclose(got_graph, want, atol=1e-12)
 
@@ -79,7 +80,8 @@ def test_forward_input_dim_check():
     with pytest.raises(ValueError, match="input dimension"):
         km.mlp_apply_np(spec, pv, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="input dimension"):
-        km.classifier_forward(spec, pv, np.zeros((4, 3)))
+        km.mlp_apply(spec, km.make_leaves(spec, pv),
+                     ad.tensor(np.zeros((4, 3))))
 
 
 def test_zero_params_zero_logits():
@@ -89,41 +91,56 @@ def test_zero_params_zero_logits():
     assert np.array_equal(out, np.zeros((4, 3)))
 
 
+def logit_gradients(spec, params, x, c):
+    """Flat gradient of logit c at each row of x, one row per sample.
+
+    The numpy core with a leading batch axis: each sample is its own
+    one-row batch entry.
+    """
+    out, cache = km.mlp_forward(spec, params, np.atleast_2d(x)[:, None, :])
+    dout = np.zeros_like(out)
+    dout[..., c] = 1.0
+    deltas, _ = km.mlp_backprop(cache, dout)
+    return km.mlp_param_grad(spec, cache, deltas)
+
+
 def test_param_gradient_linear_case_is_input():
     """For a single linear layer, d logit_c / d W[:, c] = x."""
     spec = MlpSpec((3, 2), False)
     pv = ParameterVector.zeros_for(spec)
     pv.values[:] = np.arange(6.0)
-    x = np.array([1.0, -2.0, 0.5])
-    flat, _, cots = km.classifier_param_gradient(spec, pv, x, 1)
-    grad_w = flat.reshape(3, 2)
-    assert np.allclose(grad_w[:, 1], x)
-    assert np.allclose(grad_w[:, 0], 0.0)
-    assert np.allclose(cots["layer0.weight"].value, grad_w)
+    x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    grads = logit_gradients(spec, pv, x, 1)
+    assert grads.shape == (2, 6)
+    for g, xi in zip(grads, x):
+        grad_w = g.reshape(3, 2)
+        assert np.array_equal(grad_w[:, 1], xi)
+        assert np.array_equal(grad_w[:, 0], np.zeros(3))
 
 
 def test_param_gradient_matches_finite_difference():
     spec = MlpSpec((2, 6, 3), (True, False))
     pv = km.init_kaiming(spec, seed=5)
-    x = np.array([0.4, -0.9])
-    flat, _, _ = km.classifier_param_gradient(spec, pv, x, 2)
+    x = np.array([[0.4, -0.9], [-0.3, 0.7]])
+    grads = logit_gradients(spec, pv, x, 2)
     step = 1e-6
-    fd = np.empty_like(flat)
-    for i in range(len(pv)):
-        plus = pv.copy()
-        plus.values[i] += step
-        minus = pv.copy()
-        minus.values[i] -= step
-        fd[i] = (km.mlp_apply_np(spec, plus, x)[2]
-                 - km.mlp_apply_np(spec, minus, x)[2]) / (2 * step)
-    assert np.max(np.abs(flat - fd)) < 1e-5
-
-
-def test_param_gradient_class_range_check():
-    spec = MlpSpec((2, 3), False)
-    pv = ParameterVector.zeros_for(spec)
-    with pytest.raises(ValueError, match="out of range"):
-        km.classifier_param_gradient(spec, pv, np.zeros(2), 3)
+    for flat, xi in zip(grads, x):
+        fd = np.empty_like(flat)
+        for i in range(len(pv)):
+            plus = pv.copy()
+            plus.values[i] += step
+            minus = pv.copy()
+            minus.values[i] -= step
+            fd[i] = (km.mlp_apply_np(spec, plus, xi)[2]
+                     - km.mlp_apply_np(spec, minus, xi)[2]) / (2 * step)
+        assert np.max(np.abs(flat - fd)) < 1e-5
+    # the batch axis gives each row's gradient; without it rows are summed
+    out, cache = km.mlp_forward(spec, pv, x)
+    dout = np.zeros_like(out)
+    dout[:, 2] = 1.0
+    deltas, _ = km.mlp_backprop(cache, dout)
+    assert np.allclose(km.mlp_param_grad(spec, cache, deltas),
+                       grads.sum(axis=0), rtol=1e-14, atol=1e-15)
 
 
 def test_relu_net_positively_homogeneous_in_input():
@@ -146,36 +163,43 @@ def test_generator_spec_input_layout():
 
 
 def test_generator_forward_conditioning_rules():
+    """The conditional input: [first, onehot(y)(, onehot(t))]."""
     spec = GeneratorSpec(3, 2, (5,), 2)
-    pv = km.init_kaiming(spec, seed=0)
     eps = np.random.default_rng(0).standard_normal((4, 3))
-    out = km.generator_forward(spec, pv, eps, y=1)
-    assert out.value.shape == (4, 2)
-    with pytest.raises(ValueError, match="single-classifier"):
-        km.generator_forward(spec, pv, eps, y=1, t=0)
-    with pytest.raises(ValueError, match="out of range"):
-        km.generator_forward(spec, pv, eps, y=2)
+    labels = np.array([1, 0, 1, 1])
+    inp = km.condition(eps, labels, None, spec)
+    assert inp.shape == (4, spec.in_dim)
+    assert np.array_equal(inp[:, :3], eps)
+    assert np.array_equal(inp[:, 3:], np.eye(2)[labels])
+    # a single-classifier spec has no t slot, whatever t is passed
+    assert np.array_equal(km.condition(eps, labels, 0, spec), inp)
     two = GeneratorSpec(3, 2, (5,), 2, num_classifiers=2)
-    pv2 = km.init_kaiming(two, seed=0)
     with pytest.raises(ValueError, match="classifier index"):
-        km.generator_forward(two, pv2, eps, y=0)
-    assert km.generator_forward(two, pv2, eps, y=0, t=1).value.shape == (4, 2)
+        km.condition(eps, labels, None, two)
+    per_row = km.condition(eps, labels, np.array([0, 1, 1, 0]), two)
+    assert per_row.shape == (4, two.in_dim)
+    assert np.array_equal(per_row[:, 5:], np.eye(2)[[0, 1, 1, 0]])
+    assert np.array_equal(km.condition(eps, labels, 1, two)[:, 5:],
+                          np.eye(2)[[1, 1, 1, 1]])
 
 
 def test_generator_label_changes_output():
     spec = GeneratorSpec(3, 2, (8,), 2)
     pv = km.init_kaiming(spec, seed=7)
     eps = np.random.default_rng(1).standard_normal((4, 3))
-    a = km.generator_forward(spec, pv, eps, y=0).value
-    b = km.generator_forward(spec, pv, eps, y=1).value
+    a = km.mlp_apply_np(spec, pv, km.condition(eps, np.zeros(4, int), None,
+                                               spec))
+    b = km.mlp_apply_np(spec, pv, km.condition(eps, np.ones(4, int), None,
+                                               spec))
     assert not np.allclose(a, b)
 
 
 def test_generator_single_sample_shape():
     spec = GeneratorSpec(3, 2, (5,), 2)
     pv = km.init_kaiming(spec, seed=0)
-    out = km.generator_forward(spec, pv, np.zeros(3), y=0)
-    assert out.value.shape == (2,)
+    out = km.mlp_apply_np(spec, pv, km.condition(np.zeros((1, 3)),
+                                                 np.array([0]), None, spec))
+    assert out.shape == (1, 2)
 
 
 def test_multiplier_forward_shapes():
@@ -183,8 +207,9 @@ def test_multiplier_forward_shapes():
         spec = MultiplierSpec(in_dim=2, num_classes=n_classes, hidden=(6,))
         pv = km.init_kaiming(spec, seed=0)
         x = np.zeros((5, 2))
-        out = km.multiplier_forward(spec, pv, x, y=0)
-        assert out.value.shape == (5, n_classes)
+        out = km.mlp_apply_np(spec, pv,
+                              km.condition(x, np.zeros(5, int), None, spec))
+        assert out.shape == (5, n_classes)
 
 
 def test_init_kaiming_statistics_and_determinism():
@@ -216,6 +241,10 @@ def test_deserialize_rejects_bad_blobs():
         km.deserialize_params(b"XXXX" + blob[4:])
     with pytest.raises(ValueError, match="does not match"):
         km.deserialize_params(blob, expected_spec=MlpSpec((2, 3), True))
+    # a cut anywhere in the header: version, hash, group table, count
+    for cut in (6, 20, 41, 45, 50, 70, 80):
+        with pytest.raises(ValueError, match="truncated"):
+            km.deserialize_params(blob[:cut])
 
 
 def test_spec_from_json_dispatch():

@@ -275,6 +275,26 @@ def test_tv_loss_value_and_validation():
         tr.tv_loss(x, 3, 3)
 
 
+def test_tv_loss_known_value():
+    checker = np.array([[0.0, 1.0, 1.0, 0.0]])  # 2x2 checkerboard
+    # row diffs: |1-0| + |0-1| = 2; col diffs: |1-0| + |0-1| = 2
+    cases = [(checker, 2, 2, 4.0),
+             # a batch mean: with a flat image the checkerboard's 4 halves
+             (np.vstack([checker, np.ones((1, 4))]), 2, 2, 2.0),
+             (np.zeros((3, 16)), 4, 4, 0.0)]
+    for x, h, w, want in cases:
+        assert tr.tv_loss(x, h, w).item() == want
+        assert tr._tv_value_grad(x, h, w)[0] == want
+
+
+def test_tv_loss_shape_check():
+    for x, h, w in [(np.zeros((2, 16)), 4, 3), (np.zeros((2, 12)), 4, 4)]:
+        with pytest.raises(ValueError, match="flat dimension"):
+            tr.tv_loss(x, h, w)
+        with pytest.raises(ValueError, match="flat dimension"):
+            tr._tv_value_grad(x, h, w)
+
+
 def test_sample_shapes_and_determinism():
     gen_spec = GeneratorSpec(3, 2, (8,), 2)
     theta = init_kaiming(gen_spec.mlp(), seed=0)
@@ -289,6 +309,9 @@ def test_sample_shapes_and_determinism():
     assert empty.shape == (0, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         tr.sample(gen_spec, theta, y=0, n=-1)
+    for y in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            tr.sample(gen_spec, theta, y=y, n=3)
 
 
 def test_sample_multi_classifier_t_table():
