@@ -187,23 +187,24 @@ def load_generator(path, config=None):
         mult_params = deserialize_params(sections["mult_params"], mult_spec)
         alphas = _floats_from(sections["alphas"])
         deltas = _floats_from(sections["deltas"])
+        state = GeneratorTrainState(gen_params, mult_params, alphas,
+                                    deltas if deltas.size else None,
+                                    step=int(meta.get("step", 0)))
+        if config is not None and "opt.theta" in sections:
+            optimizers = {
+                "theta": Adam(len(gen_params), config.lr_theta),
+                "eta": Adam(len(mult_params), config.lr_eta),
+                "alpha": [Adam(1, config.alpha_lr(t))
+                          for t in range(alphas.size)],
+            }
+            _adam_load(optimizers["theta"], sections["opt.theta"])
+            _adam_load(optimizers["eta"], sections["opt.eta"])
+            for t in range(alphas.size):
+                _adam_load(optimizers["alpha"][t],
+                           sections[f"opt.alpha{t}"])
+            state.optimizers = optimizers
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
     if meta.get("kind") != "generator":
         raise ValueError(f"{path}: not a generator checkpoint")
-    state = GeneratorTrainState(gen_params, mult_params, alphas,
-                                deltas if deltas.size else None,
-                                step=int(meta.get("step", 0)))
-    if config is not None and "opt.theta" in sections:
-        optimizers = {
-            "theta": Adam(len(gen_params), config.lr_theta),
-            "eta": Adam(len(mult_params), config.lr_eta),
-            "alpha": [Adam(1, config.alpha_lr(t))
-                      for t in range(alphas.size)],
-        }
-        _adam_load(optimizers["theta"], sections["opt.theta"])
-        _adam_load(optimizers["eta"], sections["opt.eta"])
-        for t in range(alphas.size):
-            _adam_load(optimizers["alpha"][t], sections[f"opt.alpha{t}"])
-        state.optimizers = optimizers
     return gen_spec, mult_spec, state, meta

@@ -91,13 +91,30 @@ def _read_samples_csv(path):
     return x, np.array(ys, dtype=int), np.array(ts, dtype=int)
 
 
-def _load_classifier(path):
+def _load_checkpoint(load, path, *args):
+    """``load(path, *args)``; a missing or corrupt file is a usage error."""
     if not os.path.exists(path):
         raise _Fail(EXIT_USAGE, f"checkpoint not found: {path}")
     try:
-        return ckpt.load_classifier(path)
+        return load(path, *args)
     except ValueError as exc:
         raise _Fail(EXIT_USAGE, str(exc))
+
+
+def _load_classifier(path):
+    return _load_checkpoint(ckpt.load_classifier, path)
+
+
+def _load_generator(path, config=None):
+    return _load_checkpoint(ckpt.load_generator, path, config)
+
+
+def _generator_run_hash(config, seed):
+    """Hash of a generator run's config, with the seed it runs with and
+    without ``generator_training.steps``: a run resumed from its
+    checkpoint may extend its step count but change nothing else."""
+    return config.replaced("generator_training", seed=seed,
+                           steps=None).hash()
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +204,24 @@ def cmd_train_generator(args):
                                        t_count if t_count > 1 else 1)
     gen_cfg = config.generator_train_config(seed=args.seed)
     gen_path = os.path.join(out, args.name + ".ckpt")
+    run_hash = _generator_run_hash(config, gen_cfg.seed)
     state = None
     if args.resume and os.path.exists(gen_path):
-        _, _, state, _ = ckpt.load_generator(gen_path, gen_cfg)
+        saved_gen, saved_mult, state, meta = _load_generator(gen_path,
+                                                             gen_cfg)
+        if (meta.get("config_hash") != run_hash
+                or (saved_gen, saved_mult) != (gen_spec, mult_spec)):
+            raise _Fail(EXIT_USAGE,
+                        f"{gen_path} was written by a run with another "
+                        f"configuration, seed or classifier count; only "
+                        f"generator_training.steps may change on --resume")
     try:
         state = tr.train_generator(bundles, gen_spec, mult_spec, gen_cfg,
                                    state=state)
     except tr.TrainingAborted as exc:
         raise _Fail(EXIT_NUMERIC, str(exc))
     ckpt.save_generator(gen_path, gen_spec, mult_spec, state,
-                        config_hash=config.hash())
+                        config_hash=run_hash)
     header = ["step", "t", "l_stat", "l_dual", "tv", "total"] + \
         [f"alpha_{t}" for t in range(t_count)]
     _write_csv(os.path.join(out, args.name + "_loss.csv"), header,
@@ -210,7 +235,7 @@ def _t_table(t_count, num_classes):
 
 
 def cmd_sample(args):
-    gen_spec, _, state, _ = ckpt.load_generator(args.checkpoint)
+    gen_spec, _, state, _ = _load_generator(args.checkpoint)
     xs, ys, ts = [], [], []
     for y in range(gen_spec.num_classes):
         x, t_idx = tr.sample(

@@ -223,6 +223,15 @@ class RunConfig:
     def hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
+    def replaced(self, section, **values):
+        """This config with keys of ``section`` set to ``values``; a value
+        of None leaves its key out.  No type check: for hashing."""
+        items = {**self.section(section), **values}
+        edited = tuple(sorted((k, v) for k, v in items.items()
+                              if v is not None))
+        return RunConfig(tuple((sec, edited if sec == section else old)
+                               for sec, old in self.values))
+
     # ------------------------------------------------------------------
     # object builders
 

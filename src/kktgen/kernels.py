@@ -10,13 +10,30 @@ __all__ = ["adam_update", "ssim_uniform"]
 
 def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
                 eps=1e-8):
-    """One in-place Adam step with bias correction; t is 1-based."""
+    """One in-place Adam step with bias correction; t is 1-based.
+
+    ``m``, ``v`` and ``values`` are updated in their own storage, with the
+    operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
+    and ``values -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order,
+    so the result is bit-identical to the out-of-place expressions.
+    """
     t = float(t)
-    m[:] = beta1 * m + (1.0 - beta1) * grads
-    v[:] = beta2 * v + (1.0 - beta2) * grads * grads
+    m *= beta1
+    step = np.multiply(grads, 1.0 - beta1)
+    m += step
+    np.multiply(grads, 1.0 - beta2, out=step)
+    step *= grads
+    v *= beta2
+    v += step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.divide(v, bc2, out=step)
+    np.sqrt(step, out=step)
+    step += eps
+    update = np.divide(m, bc1)
+    update *= lr
+    update /= step
+    values -= update
 
 
 def ssim_uniform(a, b, window, c1, c2):

@@ -21,9 +21,7 @@ import scipy.optimize
 from . import autodiff as ad
 from .autodiff import Tensor
 from .homogeneity import lambda_bar
-from .models import (ParameterVector, layer_weight, mlp_apply, mlp_apply_np,
-                     mlp_backprop, mlp_forward, mlp_param_grad,
-                     mlp_param_jvp, spec_group_shapes)
+from .models import BoundMlp, mlp_apply, mlp_apply_np, spec_group_shapes
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -141,11 +139,12 @@ def _duality_grads(logits, labels, alpha, delta, tie_tol):
     return l_dual, dlogits, float(dz.sum() * threshold)
 
 
-def kkt_loss_grads(spec, zeta, lbar_weights, virtual_n, x, labels, mu,
-                   alpha, delta, beta, tie_tol=DEFAULT_TIE_TOL):
+def kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu, alpha,
+                   delta, beta, tie_tol=DEFAULT_TIE_TOL):
     """L_stat + beta * L_dual on a batch, with gradients in x, mu and alpha.
 
-    The closed-form numpy counterpart of :func:`stationarity_loss_graph`
+    ``zeta`` is the classifier's :class:`models.BoundMlp`.  The
+    closed-form numpy counterpart of :func:`stationarity_loss_graph`
     plus :func:`duality_loss`, which stay the reference it is tested
     against.  With coefficient matrix ``coeff(mu)`` and S = sum coeff *
     Phi(x), one backprop gives grad_zeta S and the residual r; the
@@ -160,29 +159,29 @@ def kkt_loss_grads(spec, zeta, lbar_weights, virtual_n, x, labels, mu,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    mlp = spec if hasattr(spec, "widths") else spec.mlp()
     m = labels.size
     rows = np.arange(m)
-    logits, cache = mlp_forward(mlp, zeta, x)
+    logits, acts = zeta.forward(x)
     not_y = np.ones_like(mu)
     not_y[rows, labels] = 0.0
     mu_rivals = mu * not_y
     coeff = -mu_rivals
     coeff[rows, labels] = mu_rivals.sum(axis=1)
-    deltas, _ = mlp_backprop(cache, coeff)
-    target = np.concatenate([zeta.group(name)
+    deltas = zeta.backprop(acts, coeff)
+    params = zeta.params
+    target = np.concatenate([params.group(name)
                              * (lbar_weights[name] / virtual_n)
-                             for name in zeta.groups])
-    r = target - mlp_param_grad(mlp, cache, deltas) * (1.0 / m)
+                             for name in params.groups])
+    r = target - zeta.param_grad(acts, deltas) * (1.0 / m)
     l_stat = float(np.sqrt(r @ r + NORM_EPS))
-    tangent = ParameterVector(r * (-1.0 / (m * l_stat)), zeta.groups)
-    dcoeff = mlp_param_jvp(mlp, cache, tangent)
+    tangent = r * (-1.0 / (m * l_stat))
+    dcoeff = zeta.jvp(acts, tangent)
     dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
     l_dual, dlogits, dalpha = _duality_grads(logits, labels, alpha, delta,
                                              tie_tol)
-    inject = [d @ layer_weight(mlp, tangent, l).T
-              for l, d in enumerate(deltas)]
-    _, dx = mlp_backprop(cache, dlogits * beta, inject)
+    inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
+    dx = zeta.input_cotangent(zeta.backprop(acts, dlogits * beta, inject),
+                              inject)
     return l_stat, l_dual, dx, dmu, dalpha * beta
 
 
@@ -222,12 +221,12 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
         [lbar[name] * zeta.group(name) for name in zeta.groups])
     rows, classes = np.nonzero(mask)
     pair_rows = np.arange(rows.size)
-    _, cache = mlp_forward(mlp, zeta, x[rows][:, None, :])
+    net = BoundMlp(mlp, zeta, batch=(rows.size,))
+    _, acts = net.forward(x[rows][:, None, :])
     dlogits = np.zeros((rows.size, 1, mlp.out_dim))
     dlogits[pair_rows, 0, labels[rows]] = 1.0
     dlogits[pair_rows, 0, classes] = -1.0
-    deltas, _ = mlp_backprop(cache, dlogits)
-    g = mlp_param_grad(mlp, cache, deltas).T
+    g = net.param_grad(acts, net.backprop(acts, dlogits)).T
     mu, _ = scipy.optimize.nnls(g, target)
     residual = float(np.linalg.norm(target - g @ mu)
                      / (np.linalg.norm(target) + NORM_EPS))

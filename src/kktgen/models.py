@@ -13,7 +13,6 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -271,107 +270,148 @@ def mlp_apply(spec, leaves, x):
     return h
 
 
+def _matmul(a, b, out=None):
+    """``a @ b``, into ``out`` when given.
+
+    On 2-d operands ``ndarray.dot`` gives the same bits as matmul at a
+    lower cost per call; matmul broadcasts any leading batch axes.
+    """
+    if a.ndim == 2:
+        return a.dot(b, out)
+    return np.matmul(a, b, out=out)
+
+
 def mlp_apply_np(spec, params, x):
     """Pure-numpy forward, the fast path for training and evaluation."""
-    return mlp_forward(spec, params, x)[0]
+    return BoundMlp(spec, params).forward(x)[0]
 
 
-def layer_weight(mlp, params, l):
-    """Layer l's weight group as a (fan_in, fan_out) view."""
-    return params.group(f"layer{l}.weight").reshape(mlp.widths[l],
-                                                    mlp.widths[l + 1])
+class BoundMlp:
+    """An MLP spec bound to its flat parameters: the numpy core.
 
+    Binding once builds what every pass needs: per-layer weight views
+    (fan_in, fan_out) into ``params.values`` and their transposes, bias
+    views, and a flat gradient buffer with per-layer views that
+    :meth:`param_grad` fills.  The views stay valid as long as
+    ``params.values`` is updated in place, as every optimizer here does,
+    so a training loop binds once before its first iteration.
 
-class MlpCache(NamedTuple):
-    """What one numpy forward keeps for backprop and tangent passes.
-
-    ``acts[l]`` is the input of layer l (``acts[0]`` is x).  A hidden ReLU
-    is active exactly where its output is positive, so the masks need not
-    be stored.
+    ``batch`` is a leading batch shape: inputs ``(*batch, rows, in_dim)``
+    then give one flat gradient per batch entry, ``(*batch, n_params)``,
+    each summed over its rows.  ReLU derivatives are 0 at the kink, as in
+    :func:`autodiff.relu`.
     """
 
-    weights: list  # (fan_in, fan_out) views, one per layer
-    acts: list
+    def __init__(self, spec, params, batch=()):
+        mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
+        self.spec = spec
+        self.mlp = mlp
+        self.params = params
+        shapes = mlp.group_shapes()
+        if [(name, int(np.prod(shape))) for name, shape in shapes] != [
+                (name, length) for name, (_, length) in params.groups.items()]:
+            raise ValueError("parameter groups do not match the spec")
+        self.grad = np.empty((*batch, len(params)))
+        # (weight slice, weight shape, bias slice or None) per layer
+        self.layout = []
+        for l in range(mlp.n_layers):
+            offset, length = params.groups[f"layer{l}.weight"]
+            bias = None
+            if mlp.bias[l]:
+                b_offset, b_length = params.groups[f"layer{l}.bias"]
+                bias = slice(b_offset, b_offset + b_length)
+            self.layout.append((slice(offset, offset + length),
+                                (mlp.widths[l], mlp.widths[l + 1]), bias))
+        self.weights = self.weights_of(params.values)
+        self.weights_t = [w.T for w in self.weights]
+        self.biases = [None if b is None else params.values[b]
+                       for _, _, b in self.layout]
+        self.grad_weights = [self.grad[..., w].reshape(*batch, *shape)
+                             for w, shape, _ in self.layout]
+        self.grad_biases = [None if b is None else self.grad[..., b]
+                            for _, _, b in self.layout]
 
+    def weights_of(self, flat):
+        """Per-layer (fan_in, fan_out) weight views of a flat vector."""
+        return [flat[w].reshape(shape) for w, shape, _ in self.layout]
 
-def mlp_forward(spec, params, x):
-    """Numpy forward; returns (output, :class:`MlpCache`)."""
-    mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != mlp.in_dim:
-        raise ValueError(
-            f"input dimension {x.shape[-1]} does not match spec input "
-            f"{mlp.in_dim}"
-        )
-    weights = [layer_weight(mlp, params, l) for l in range(mlp.n_layers)]
-    acts = [x]
-    h = x
-    for l, w in enumerate(weights):
-        h = h @ w
-        if mlp.bias[l]:
-            h = h + params.group(f"layer{l}.bias")
-        if l < mlp.n_layers - 1:
-            h = np.maximum(h, 0.0)
-            acts.append(h)
-    return h, MlpCache(weights, acts)
+    def forward(self, x):
+        """Returns (output, acts); ``acts[l]`` is the input of layer l.
 
+        A hidden ReLU is active exactly where its output is positive, so
+        the masks need not be kept.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.mlp.in_dim:
+            raise ValueError(
+                f"input dimension {x.shape[-1]} does not match spec input "
+                f"{self.mlp.in_dim}"
+            )
+        last = self.mlp.n_layers - 1
+        acts = [x]
+        h = x
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = _matmul(h, w)
+            if b is not None:
+                h += b
+            if l < last:
+                np.maximum(h, 0.0, out=h)
+                acts.append(h)
+        return h, acts
 
-def mlp_backprop(cache, dout, inject=None):
-    """Backpropagate the output cotangent ``dout`` through a cached forward.
+    def backprop(self, acts, dout, inject=None):
+        """Pre-activation cotangents ``deltas[l]`` from the output's ``dout``.
 
-    ``inject[l]``, when given, is an extra cotangent added at the input of
-    layer l (``inject[0]`` lands on x).  Returns (deltas, dx): ``deltas[l]``
-    is the cotangent of layer l's pre-activation, ``dx`` that of x.
-    ReLU derivatives are 0 at the kink, as in :func:`autodiff.relu`.
-    """
-    deltas = [None] * len(cache.weights)
-    delta = dout
-    for l in reversed(range(len(cache.weights))):
-        deltas[l] = delta
-        cot = delta @ cache.weights[l].T
+        ``inject[l]``, when given, is an extra cotangent added at the input
+        of layer l; ``inject[0]`` lands on x and is taken by
+        :meth:`input_cotangent`, which this pass does not compute.
+        """
+        deltas = [None] * len(acts)
+        delta = deltas[-1] = dout
+        for l in range(len(acts) - 1, 0, -1):
+            cot = _matmul(delta, self.weights_t[l])
+            if inject is not None:
+                cot += inject[l]
+            delta = deltas[l - 1] = np.multiply(cot, acts[l] > 0.0, out=cot)
+        return deltas
+
+    def input_cotangent(self, deltas, inject=None):
+        """Cotangent of the input x, plus ``inject[0]`` when given."""
+        cot = _matmul(deltas[0], self.weights_t[0])
         if inject is not None:
-            cot = cot + inject[l]
-        if l > 0:
-            delta = cot * (cache.acts[l] > 0.0)
-    return deltas, cot
+            cot += inject[0]
+        return cot
 
+    def param_grad(self, acts, deltas):
+        """Flat parameter gradient (group order) from :meth:`backprop`.
 
-def mlp_param_grad(mlp, cache, deltas):
-    """Flat parameter gradient (group order) from pre-activation cotangents.
+        Returns the binding's gradient buffer, which the next call
+        overwrites.
+        """
+        for a, delta, gw, gb in zip(acts, deltas, self.grad_weights,
+                                    self.grad_biases):
+            _matmul(a.swapaxes(-1, -2), delta, gw)
+            if gb is not None:
+                np.add.reduce(delta, axis=-2, out=gb)
+        return self.grad
 
-    The rows of the forward are summed over.  With a leading batch axis,
-    inputs ``(batch, rows, in_dim)``, the result is one flat gradient per
-    batch entry, ``(batch, n_params)``.
-    """
-    parts = []
-    for l in range(mlp.n_layers):
-        delta = deltas[l]
-        parts.append((cache.acts[l].swapaxes(-1, -2) @ delta)
-                     .reshape(*delta.shape[:-2], -1))
-        if mlp.bias[l]:
-            parts.append(delta.sum(axis=-2))
-    return np.concatenate(parts, axis=-1)
+    def jvp(self, acts, tangent):
+        """Output derivative along the flat parameter direction ``tangent``.
 
-
-def mlp_param_jvp(mlp, cache, tangent):
-    """Output derivative along the parameter direction ``tangent``.
-
-    ``tangent`` is a :class:`ParameterVector` over the same groups.  This is
-    one tangent forward pass (Pearlmutter's R-operator) with the ReLU masks
-    of the cached forward held fixed.
-    """
-    acts = cache.acts
-    dz = None
-    for l in range(mlp.n_layers):
-        w_dot = layer_weight(mlp, tangent, l)
-        if l == 0:
-            dz = acts[0] @ w_dot
-        else:
-            dz = ((dz * (acts[l] > 0.0)) @ cache.weights[l]
-                  + acts[l] @ w_dot)
-        if mlp.bias[l]:
-            dz = dz + tangent.group(f"layer{l}.bias")
-    return dz
+        One tangent forward pass (Pearlmutter's R-operator) with the ReLU
+        masks of the forward that gave ``acts`` held fixed.
+        """
+        dz = None
+        for l, (a, w_dot, (_, _, b)) in enumerate(
+                zip(acts, self.weights_of(tangent), self.layout)):
+            if l == 0:
+                dz = _matmul(a, w_dot)
+            else:
+                dz = (_matmul(dz * (a > 0.0), self.weights[l])
+                      + _matmul(a, w_dot))
+            if b is not None:
+                dz = dz + tangent[b]
+        return dz
 
 
 def condition(first, labels, t, spec):

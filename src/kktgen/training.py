@@ -22,8 +22,8 @@ from . import autodiff as ad
 from . import kernels
 from .homogeneity import lambda_bar, verify_lambda, default_probe_samples
 from .kkt import kkt_loss_grads
-from .models import (MlpSpec, ParameterVector, condition, init_kaiming,
-                     mlp_apply_np, mlp_backprop, mlp_forward, mlp_param_grad)
+from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
+                     init_kaiming, mlp_apply_np)
 
 PROFILE_DEVIATION_LIMIT = 1e-4
 
@@ -180,51 +180,24 @@ class GeneratorTrainState:
 # classifier training (plain numpy backprop; no double backward needed)
 
 
-def _ce_loss_and_grad(spec, params, x, labels):
-    """Summed cross-entropy and its flat parameter gradient."""
-    mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
-    logits, cache = mlp_forward(mlp, params, x)
+def _ce_loss_and_grad(net, x, labels):
+    """Summed cross-entropy and its flat parameter gradient.
+
+    ``net`` is a :class:`BoundMlp`; the gradient is its buffer.
+    """
+    logits, acts = net.forward(x)
     shift = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shift).sum(axis=1))
     n = len(labels)
     loss = float(np.sum(logz - shift[np.arange(n), labels]))
     dlogits = np.exp(shift) / np.exp(logz)[:, None]
     dlogits[np.arange(n), labels] -= 1.0
-    deltas, _ = mlp_backprop(cache, dlogits)
-    return loss, mlp_param_grad(mlp, cache, deltas)
+    return loss, net.param_grad(acts, net.backprop(acts, dlogits))
 
 
 def classifier_accuracy(spec, params, x, labels):
     pred = np.argmax(mlp_apply_np(spec, params, x), axis=1)
     return float(np.mean(pred == np.asarray(labels)))
-
-
-def _margin_ascent_grad(spec, params, x, labels, rival, temperature):
-    """Gradient of the softmin surrogate of the normalized minimum margin.
-
-    With mhat = (Phi_y - Phi_c) / ||zeta||^L over the rival pairs and
-    tau = temperature / min mhat held fixed, this is the zeta gradient of
-    -(1/tau) log sum exp(-tau mhat): the softmin weights W backpropagated
-    as the logit cotangent of sum W (Phi_y - Phi_c), plus the norm term.
-    """
-    deg = spec.n_layers
-    rows = np.arange(len(labels))
-    rho = np.linalg.norm(params.values)
-    logits, cache = mlp_forward(spec, params, x)
-    mm = logits[rows, labels][:, None] - logits
-    mhat = mm / rho ** deg
-    q_hat = np.where(rival, mhat, np.inf).min()
-    tau = temperature / max(q_hat, 1e-9)
-    z = np.where(rival, -tau * mhat, -np.inf)
-    w = np.exp(z - z.max())
-    w[~rival] = 0.0
-    w /= w.sum()
-    dlogits = -w
-    dlogits[rows, labels] += w.sum(axis=1)
-    deltas, _ = mlp_backprop(cache, dlogits)
-    return (mlp_param_grad(spec, cache, deltas) / rho ** deg
-            - deg * (w * mm)[rival].sum() * params.values
-            / rho ** (deg + 2))
 
 
 def refine_margins(dataset, spec, params, config):
@@ -237,19 +210,55 @@ def refine_margins(dataset, spec, params, config):
     are the binding max-margin constraints, which is what makes the
     NNLS-fitted KKT multipliers consistent.  Bias-free specs only: with
     biases the parameter norm is not a pure scale direction.
+
+    Each iteration takes the zeta gradient of the surrogate
+    -(1/tau) log sum exp(-tau mhat) over the rival pairs, with
+    mhat = (Phi_y - Phi_c) / ||zeta||^L and tau = temperature / min mhat
+    held fixed: the softmin weights W backpropagated as the logit
+    cotangent of sum W (Phi_y - Phi_c), plus the norm term.
     """
     if any(spec.bias):
         raise ValueError("margin refinement requires a bias-free spec")
-    n = dataset.size
-    rival = np.ones((n, spec.widths[-1]), dtype=bool)
-    rival[np.arange(n), dataset.labels] = False
+    net = BoundMlp(spec, params)
+    values = params.values
+    x = dataset.x
+    deg = spec.n_layers
+    n, num_classes = dataset.size, spec.widths[-1]
+    # flat (i, y_i) indices, and the flat rival pairs (i, c != y_i)
+    own = np.arange(n) * num_classes + dataset.labels
+    own_col = own[:, None]
+    rival = np.ones(n * num_classes, dtype=bool)
+    rival[own] = False
+    rivals = np.flatnonzero(rival)
+    inf, neg_inf = np.full(n, np.inf), np.full(n, -np.inf)
+    norm_term = np.empty_like(values)
 
     def ascend(temperature, adam):
         for _ in range(config.refine_iters):
-            adam.step(params.values,
-                      -_margin_ascent_grad(spec, params, dataset.x,
-                                           dataset.labels, rival,
-                                           temperature))
+            rho = np.sqrt(values.dot(values))  # np.linalg.norm's bits
+            scale = rho ** deg
+            logits, acts = net.forward(x)
+            mm = logits.take(own_col) - logits
+            mhat = mm / scale
+            mhat.put(own, inf)
+            tau = temperature / max(np.minimum.reduce(mhat, axis=None),
+                                    1e-9)
+            z = np.multiply(mhat, -tau, out=mhat)
+            z.put(own, neg_inf)
+            z -= np.maximum.reduce(z, axis=None)
+            w = np.exp(z, out=z)  # exactly 0 on the own-class entries
+            w /= np.add.reduce(w, axis=None)
+            # the own-class entry of -w is exactly (-)0, so put, not add
+            dlogits = np.negative(w)
+            dlogits.put(own, np.add.reduce(w, axis=1))
+            grad = net.param_grad(acts, net.backprop(acts, dlogits))
+            margin_sum = np.add.reduce(
+                np.multiply(w, mm, out=mm).take(rivals))
+            grad /= scale
+            np.multiply(values, deg * margin_sum, out=norm_term)
+            np.divide(norm_term, rho ** (deg + 2), out=norm_term)
+            grad -= norm_term
+            adam.step(values, np.negative(grad, out=grad))
 
     # the annealing stages share one Adam; each polish stage starts afresh
     annealing = Adam(len(params), config.refine_lr)
@@ -275,13 +284,13 @@ def train_classifier(dataset, spec, config):
     it is.
     """
     params = init_kaiming(spec, config.seed)
+    net = BoundMlp(spec, params)
     threshold = np.log(2.0) / dataset.size
     trajectory = []
     converged_at = None
     epoch = 0
     while epoch < config.max_epochs:
-        loss, grad = _ce_loss_and_grad(spec, params, dataset.x,
-                                       dataset.labels)
+        loss, grad = _ce_loss_and_grad(net, dataset.x, dataset.labels)
         trajectory.append(loss)
         if converged_at is None and loss < threshold:
             converged_at = epoch
@@ -350,30 +359,29 @@ def _tv_value_grad(x, height, width):
     return float(value), grad.reshape(m, d) * (1.0 / m)
 
 
-def _classifier_step(classifier, gen_spec, mult_spec, state, t, labels, eps,
+def _classifier_step(classifier, zeta, gen, mult, state, t, labels, eps,
                      config):
     """One classifier's loss terms and their closed-form gradients.
 
-    Runs the generator, multiplier and classifier forwards once, takes
+    ``zeta``, ``gen`` and ``mult`` are :class:`BoundMlp` bindings of the
+    classifier's, the generator's and the multiplier's parameters.  Runs
+    the generator, multiplier and classifier forwards once, takes
     L_stat + beta L_dual and its x/mu/alpha gradients from
     :func:`kkt.kkt_loss_grads`, adds the TV term, then backpropagates
     through the multiplier and the generator.  Returns
-    (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha).
+    (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha); g_theta and
+    g_eta are the bindings' gradient buffers.
     """
-    gen_mlp, mult_mlp = gen_spec.mlp(), mult_spec.mlp()
-    x, gen_cache = mlp_forward(gen_mlp, state.gen_params,
-                               condition(eps, labels, t, gen_spec))
+    x, gen_acts = gen.forward(condition(eps, labels, t, gen.spec))
     if not np.isfinite(x).all():
         raise TrainingAborted(
             f"non-finite generated sample at step {state.step}",
             state.step, state)
-    mu_pre, mult_cache = mlp_forward(mult_mlp, state.mult_params,
-                                     condition(x, labels, t, mult_spec))
+    mu_pre, mult_acts = mult.forward(condition(x, labels, t, mult.spec))
     alpha = float(state.alphas[t])
     l_stat, l_dual, dx, dmu, g_alpha = kkt_loss_grads(
-        classifier.spec, classifier.params,
-        lambda_bar(classifier.profile, alpha), classifier.virtual_n, x,
-        labels, np.maximum(mu_pre, 0.0), alpha, float(state.deltas[t]),
+        zeta, lambda_bar(classifier.profile, alpha), classifier.virtual_n,
+        x, labels, np.maximum(mu_pre, 0.0), alpha, float(state.deltas[t]),
         config.beta)
     total = l_stat + l_dual * config.beta
     l_tv = 0.0
@@ -381,11 +389,11 @@ def _classifier_step(classifier, gen_spec, mult_spec, state, t, labels, eps,
         l_tv, dtv = _tv_value_grad(x, *config.tv_shape)
         total = total + l_tv * config.tv_weight
         dx = dx + dtv * config.tv_weight
-    mult_deltas, dcond = mlp_backprop(mult_cache, dmu * (mu_pre > 0.0))
-    gen_deltas, _ = mlp_backprop(gen_cache, dx + dcond[:, :x.shape[1]])
-    return (total, l_stat, l_dual, l_tv,
-            mlp_param_grad(gen_mlp, gen_cache, gen_deltas),
-            mlp_param_grad(mult_mlp, mult_cache, mult_deltas), g_alpha)
+    mult_deltas = mult.backprop(mult_acts, dmu * (mu_pre > 0.0))
+    dcond = mult.input_cotangent(mult_deltas)
+    gen_deltas = gen.backprop(gen_acts, dx + dcond[:, :x.shape[1]])
+    return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_acts, gen_deltas),
+            mult.param_grad(mult_acts, mult_deltas), g_alpha)
 
 
 def probe_peak_margin(classifier, config, t):
@@ -478,6 +486,9 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         state.deltas = np.full(t_count, float(config.delta))
     offset = int(_step_rng(config.seed, 0, stream=7).integers(t_count))
     probs = config.label_probs(gen_spec.num_classes)
+    zetas = [BoundMlp(cb.spec, cb.params) for cb in classifiers]
+    gen = BoundMlp(gen_spec, state.gen_params)
+    mult = BoundMlp(mult_spec, state.mult_params)
 
     while state.step < config.steps:
         step = state.step
@@ -503,7 +514,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             eps = rng.standard_normal((config.batch_size,
                                        gen_spec.noise_dim))
             loss_t, l_stat, l_dual, l_tv, g_th, g_et, g_alphas[t] = \
-                _classifier_step(classifiers[t], gen_spec, mult_spec, state,
+                _classifier_step(classifiers[t], zetas[t], gen, mult, state,
                                  t, labels, eps, config)
             total = total + loss_t
             g_theta = g_theta + g_th

@@ -60,3 +60,22 @@ def test_tracer_swaps_and_restores_kktgen_functions(tracing):
         changed = [k for k, v in saved.items() if now[k] is not v]
         assert not changed, f"{module.__name__}: {changed}"
     assert autodiff.Tensor.__init__ is tensor_init
+
+
+@pytest.mark.parametrize("iters", [1, 3])
+def test_tracer_counts_refinement_iterations_and_gd_epochs(tracing, iters):
+    """Refinement runs 13 Adam stages (8 temperatures, 5 polish rates) of
+    ``refine_iters`` steps each; every step is one ``kernels.adam_update``
+    call, which is what ``training.refine_iters`` counts."""
+    config = training.ClassifierTrainConfig(refine_iters=iters)
+    stages = len(config.refine_temperatures) + len(config.refine_final_lrs)
+    assert stages == 13
+    with tracing.Tracer() as tracer:
+        _, trajectory = training.train_classifier(
+            datasets.circle_dataset(), models.MlpSpec((2, 8, 3), False),
+            config)
+        tracer.close_stage(1.0)
+    metrics = tracer.metrics()
+    assert metrics["training.refine_iters"] == (stages * iters, "count")
+    assert metrics["kernels.adam_calls"] == (stages * iters, "count")
+    assert metrics["training.gd_epochs"] == (len(trajectory), "count")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kktgen.checkpoint as ck
+import kktgen.training as tr
 from kktgen.cli import main
 from kktgen.datasets import circle_dataset
 
@@ -184,6 +185,34 @@ def test_generator_resume_matches_straight_run(workdir):
     assert np.array_equal(resumed.alphas, straight.alphas)
 
 
+@pytest.mark.parametrize("change", ["config", "seed", "classifiers"])
+def test_resume_refuses_a_checkpoint_of_another_run(workdir, capsys,
+                                                    change):
+    """Only generator_training.steps may differ between a run and its
+    resume; extending it is covered above."""
+    tmp_path, cfg = workdir
+    out = run_dir(tmp_path)
+    assert main(["train-classifier", str(cfg)]) == 0
+    clf = out / "classifier.ckpt"
+    assert main(["estimate-lambda", str(clf)]) == 0
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    before = (out / "generator.ckpt").read_bytes()
+    argv = ["train-generator", str(cfg), str(clf), "--resume"]
+    if change == "config":
+        other = tmp_path / "other.cfg"
+        other.write_text(cfg.read_text() + "beta = 2.5\n")
+        argv[1] = str(other)
+    elif change == "seed":
+        argv += ["--seed", "1"]
+    else:
+        argv.insert(3, str(clf))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--resume" in err[0]
+    assert (out / "generator.ckpt").read_bytes() == before
+
+
 def test_evaluate_non_separating_classifier_is_verify_error(tmp_path,
                                                             capsys):
     """A shard classifier does not separate the combined arc-split data."""
@@ -240,9 +269,74 @@ def test_truncated_classifier_header_is_usage_error(tmp_path, capsys,
     assert len(err) == 1 and "truncated at byte" in err[0]
 
 
-def test_sample_from_missing_checkpoint_fails(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        main(["sample", str(tmp_path / "none.ckpt")])
+def test_sample_from_missing_checkpoint_fails(tmp_path, capsys):
+    assert main(["sample", str(tmp_path / "none.ckpt")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "checkpoint not found" in err[0]
+
+
+def small_generator_run(tmp_path):
+    """A classifier checkpoint with a profile, a config and the generator
+    checkpoint a resume of that config reads, with optimizer state."""
+    from kktgen.homogeneity import estimate_profile
+    from kktgen.models import GeneratorSpec, MlpSpec, MultiplierSpec, \
+        init_kaiming
+
+    spec = MlpSpec((2, 8, 3), False)
+    params = init_kaiming(spec, 0)
+    clf = tmp_path / "classifier.ckpt"
+    ck.save_classifier(clf, spec, params,
+                       profile=estimate_profile(spec, params)[0])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n")
+    gen_spec = GeneratorSpec(2, 3, (8,), 2)
+    mult_spec = MultiplierSpec(2, 3, (8,))
+    theta = init_kaiming(gen_spec.mlp(), 1)
+    eta = init_kaiming(mult_spec.mlp(), 2)
+    state = tr.GeneratorTrainState(theta, eta, np.zeros(1), np.ones(1),
+                                   step=3)
+    state.optimizers = {"theta": tr.Adam(len(theta), 1e-3),
+                        "eta": tr.Adam(len(eta), 1e-3),
+                        "alpha": [tr.Adam(1, 0.0)]}
+    gen = tmp_path / "runs" / "experiment" / "generator.ckpt"
+    gen.parent.mkdir(parents=True)
+    ck.save_generator(gen, gen_spec, mult_spec, state)
+    return clf, cfg, gen
+
+
+# generator-checkpoint cuts: (section, cut) in bytes, None for the whole
+# container; the parameter-blob cuts are those of TRUNCATIONS, and a cut
+# optimizer section has lost its separator
+GENERATOR_TRUNCATIONS = [(None, 6), (None, 10), (None, 13), (None, 300),
+                         ("gen_params", 6), ("gen_params", 42),
+                         ("gen_params", 50), ("mult_params", 42),
+                         ("opt.theta", 3)]
+
+
+@pytest.mark.parametrize("section,cut", GENERATOR_TRUNCATIONS)
+@pytest.mark.parametrize("command", ["sample", "train-generator"])
+def test_truncated_generator_checkpoint_is_usage_error(tmp_path, capsys,
+                                                       command, section,
+                                                       cut):
+    clf, cfg, gen = small_generator_run(tmp_path)
+    if section is None:
+        gen.write_bytes(gen.read_bytes()[:cut])
+    else:
+        sections = ck.read_sections(gen)
+        sections[section] = sections[section][:cut]
+        ck.write_sections(gen, sections)
+    argv = {"sample": ["sample", str(gen), "--out",
+                       str(tmp_path / "s.csv")],
+            "train-generator": ["train-generator", str(cfg), str(clf),
+                                "--resume"]}
+    if command == "sample" and section == "opt.theta":
+        # sampling reads no optimizer state
+        assert main(argv[command]) == 0
+        return
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(gen) in err[0]
+    assert "truncated" in err[0] or "corrupt" in err[0]
 
 
 def test_plot_scatter_rejects_high_dim(tmp_path, capsys):

@@ -16,7 +16,7 @@ import kktgen.training as tr
 from kktgen.cli import main
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.kkt import duality_loss, stationarity_loss_graph
-from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
+from kktgen.models import (BoundMlp, GeneratorSpec, MlpSpec, MultiplierSpec,
                            condition, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np)
 from test_training import small_bundle
@@ -130,8 +130,11 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
     for t in active:
         total, g_theta, g_eta, g_alpha = graph_step(
             bundles[t], gen_spec, mult_spec, state, t, labels, eps, config)
-        step = tr._classifier_step(bundles[t], gen_spec, mult_spec, state,
-                                   t, labels, eps, config)
+        step = tr._classifier_step(
+            bundles[t], BoundMlp(bundles[t].spec, bundles[t].params),
+            BoundMlp(gen_spec, state.gen_params),
+            BoundMlp(mult_spec, state.mult_params), state, t, labels, eps,
+            config)
         want = [want[0] + total, want[1] + g_theta, want[2] + g_eta]
         got = [got[0] + step[0], got[1] + step[4], got[2] + step[5]]
         assert g_alpha != 0.0

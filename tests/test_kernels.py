@@ -30,6 +30,36 @@ def test_adam_update_matches_reference():
     assert np.allclose(m, wm) and np.allclose(v, wv)
 
 
+def out_of_place_adam(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
+                      eps=1e-8):
+    """The out-of-place Adam step, the bit-level reference for the kernel."""
+    t = float(t)
+    m[:] = beta1 * m + (1.0 - beta1) * grads
+    v[:] = beta2 * v + (1.0 - beta2) * grads * grads
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+@pytest.mark.parametrize("lr,beta1,beta2,eps",
+                         [(1e-2, 0.9, 0.999, 1e-8), (3e-4, 0.8, 0.99, 1e-6)])
+def test_adam_update_is_bit_identical_to_out_of_place_steps(lr, beta1, beta2,
+                                                            eps):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(97)
+    m, v = np.zeros(97), np.zeros(97)
+    want, wm, wv = values.copy(), m.copy(), v.copy()
+    for t in range(1, 12):
+        grads = rng.standard_normal(97) * 10.0 ** rng.integers(-6, 3)
+        grads[t] = 0.0
+        kept = grads.copy()
+        kernels.adam_update(values, grads, m, v, t, lr, beta1, beta2, eps)
+        out_of_place_adam(want, grads, wm, wv, t, lr, beta1, beta2, eps)
+        assert np.array_equal(grads, kept)
+        assert np.array_equal(values, want)
+        assert np.array_equal(m, wm) and np.array_equal(v, wv)
+
+
 def test_ssim_uniform_identity_and_symmetry():
     rng = np.random.default_rng(1)
     a = rng.random((12, 12))

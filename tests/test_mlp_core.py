@@ -1,9 +1,10 @@
 """The numpy MLP core in classifier training and the KKT oracle.
 
 Cross-entropy GD, margin refinement and the residual oracle all run on
-``models.mlp_forward`` / ``mlp_backprop`` / ``mlp_param_grad``.  Each is
-checked here against the autodiff graph (``mlp_apply`` differentiated by
-``autodiff.grad``) on random specs: bias and bias-free, 2-4 layers.
+``models.BoundMlp``.  Each is checked here against the autodiff graph
+(``mlp_apply`` differentiated by ``autodiff.grad``) on random specs: bias
+and bias-free, 2-4 layers.  The refinement loop is also checked bit for
+bit against the out-of-place loop it replaced, kept here as the reference.
 """
 
 import numpy as np
@@ -12,11 +13,14 @@ import scipy.optimize
 import scipy.special
 
 import kktgen.autodiff as ad
+import kktgen.kernels as kernels
 import kktgen.kkt as kk
 import kktgen.training as tr
+from kktgen.datasets import LabeledDataset
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
-from kktgen.models import (MlpSpec, init_kaiming, make_leaves, mlp_apply,
-                           mlp_apply_np, spec_group_shapes)
+from kktgen.models import (BoundMlp, MlpSpec, init_kaiming, make_leaves,
+                           mlp_apply, mlp_apply_np, spec_group_shapes)
+from test_kernels import out_of_place_adam
 
 GRAD_RTOL = 1e-12
 ORACLE_TOL = 1e-10
@@ -70,7 +74,7 @@ def test_cross_entropy_gradient_matches_graph(seed, n_layers, bias):
     spec, params, x, labels = random_problem(seed, n_layers, bias)
     labels = np.random.default_rng(seed).integers(0, spec.out_dim,
                                                   size=labels.size)
-    loss, grad = tr._ce_loss_and_grad(spec, params, x, labels)
+    loss, grad = tr._ce_loss_and_grad(BoundMlp(spec, params), x, labels)
     logits = mlp_apply_np(spec, params, x)
     rows = np.arange(labels.size)
     want_loss = np.sum(scipy.special.logsumexp(logits, axis=1)
@@ -90,7 +94,8 @@ def test_cross_entropy_gradient_matches_graph(seed, n_layers, bias):
 @pytest.mark.parametrize("seed,n_layers",
                          [(s, n) for s, n, bias in SPECS if not bias])
 @pytest.mark.parametrize("temperature", [3.0, 400.0])
-def test_refinement_gradient_matches_graph(seed, n_layers, temperature):
+def test_refinement_gradient_matches_graph(seed, n_layers, temperature,
+                                           monkeypatch):
     """The ascent direction is the gradient of the softmin surrogate.
 
     With tau held fixed, d/dzeta of -(1/tau) log sum exp(-tau mhat) is
@@ -101,7 +106,7 @@ def test_refinement_gradient_matches_graph(seed, n_layers, temperature):
     rows = np.arange(labels.size)
     rival = np.ones((labels.size, spec.out_dim), dtype=bool)
     rival[rows, labels] = False
-    got = tr._margin_ascent_grad(spec, params, x, labels, rival,
+    got = first_ascent_direction(monkeypatch, spec, params, x, labels,
                                  temperature)
 
     logits = mlp_apply_np(spec, params, x)
@@ -129,6 +134,100 @@ def test_refinement_gradient_matches_graph(seed, n_layers, temperature):
 
     assert_rel(got, graph_gradient(spec, params, x, build), GRAD_RTOL,
                "refinement gradient")
+
+
+def first_ascent_direction(monkeypatch, spec, params, x, labels,
+                           temperature):
+    """The direction ``refine_margins`` ascends at ``params``: minus the
+    gradient it hands Adam in its first iteration, caught before any step."""
+    seen = []
+    monkeypatch.setattr(kernels, "adam_update",
+                        lambda values, grads, *rest: seen.append(-grads))
+    tr.refine_margins(
+        LabeledDataset(x, labels, num_classes=spec.out_dim), spec,
+        params.copy(), tr.ClassifierTrainConfig(
+            refine_temperatures=(temperature,), refine_iters=1,
+            refine_final_lrs=()))
+    assert len(seen) == 1
+    return seen[0]
+
+
+def reference_ascent_grad(spec, params, x, labels, rival, temperature):
+    """The out-of-place refinement gradient, one fresh forward, backprop
+    and parameter-gradient concatenation per call, in matmul form."""
+    deg = spec.n_layers
+    rows = np.arange(len(labels))
+    weights = [params.group(f"layer{l}.weight").reshape(spec.widths[l],
+                                                        spec.widths[l + 1])
+               for l in range(deg)]
+    rho = np.linalg.norm(params.values)
+    acts = [x]
+    logits = x
+    for l, w in enumerate(weights):
+        logits = logits @ w
+        if l < deg - 1:
+            logits = np.maximum(logits, 0.0)
+            acts.append(logits)
+    mm = logits[rows, labels][:, None] - logits
+    mhat = mm / rho ** deg
+    q_hat = np.where(rival, mhat, np.inf).min()
+    tau = temperature / max(q_hat, 1e-9)
+    z = np.where(rival, -tau * mhat, -np.inf)
+    w = np.exp(z - z.max())
+    w[~rival] = 0.0
+    w /= w.sum()
+    dlogits = -w
+    dlogits[rows, labels] += w.sum(axis=1)
+    parts = [None] * deg
+    delta = dlogits
+    for l in reversed(range(deg)):
+        parts[l] = (acts[l].T @ delta).reshape(-1)
+        cot = delta @ weights[l].T
+        if l > 0:
+            delta = cot * (acts[l] > 0.0)
+    return (np.concatenate(parts) / rho ** deg
+            - deg * (w * mm)[rival].sum() * params.values
+            / rho ** (deg + 2))
+
+
+def reference_refine(dataset, spec, params, config):
+    """The refinement loop on :func:`reference_ascent_grad` and
+    out-of-place Adam steps: the bit-level reference."""
+    n = dataset.size
+    rival = np.ones((n, spec.widths[-1]), dtype=bool)
+    rival[np.arange(n), dataset.labels] = False
+
+    def ascend(temperature, lr, moments):
+        for _ in range(config.refine_iters):
+            moments[2] += 1
+            out_of_place_adam(
+                params.values,
+                -reference_ascent_grad(spec, params, dataset.x,
+                                       dataset.labels, rival, temperature),
+                moments[0], moments[1], moments[2], lr)
+
+    annealing = [np.zeros(len(params)), np.zeros(len(params)), 0]
+    for temperature in config.refine_temperatures:
+        ascend(temperature, config.refine_lr, annealing)
+    for lr in config.refine_final_lrs:
+        ascend(config.refine_temperatures[-1], lr,
+               [np.zeros(len(params)), np.zeros(len(params)), 0])
+    return params
+
+
+@pytest.mark.parametrize("seed,n_layers,iters",
+                         # 4, 4, 4, 2, 2, 3 and 3 classes
+                         [(0, 2, 3), (2, 3, 5), (4, 4, 4), (11, 2, 7),
+                          (14, 3, 2), (6, 4, 6), (1, 3, 9)])
+def test_refine_margins_matches_reference_loop_bit_for_bit(seed, n_layers,
+                                                           iters):
+    spec, params, x, labels = random_problem(seed, n_layers, False)
+    data = LabeledDataset(x, labels, num_classes=spec.out_dim)
+    config = tr.ClassifierTrainConfig(refine_iters=iters)
+    got = tr.refine_margins(data, spec, params.copy(), config)
+    want = reference_refine(data, spec, params.copy(), config)
+    assert np.array_equal(got.values, want.values)
+    assert not np.array_equal(got.values, params.values)
 
 
 def per_pair_oracle(spec, zeta, profile, x, labels, alpha):

@@ -97,11 +97,12 @@ def logit_gradients(spec, params, x, c):
     The numpy core with a leading batch axis: each sample is its own
     one-row batch entry.
     """
-    out, cache = km.mlp_forward(spec, params, np.atleast_2d(x)[:, None, :])
+    x = np.atleast_2d(x)
+    net = km.BoundMlp(spec, params, batch=(len(x),))
+    out, acts = net.forward(x[:, None, :])
     dout = np.zeros_like(out)
     dout[..., c] = 1.0
-    deltas, _ = km.mlp_backprop(cache, dout)
-    return km.mlp_param_grad(spec, cache, deltas)
+    return net.param_grad(acts, net.backprop(acts, dout)).copy()
 
 
 def test_param_gradient_linear_case_is_input():
@@ -135,12 +136,41 @@ def test_param_gradient_matches_finite_difference():
                      - km.mlp_apply_np(spec, minus, xi)[2]) / (2 * step)
         assert np.max(np.abs(flat - fd)) < 1e-5
     # the batch axis gives each row's gradient; without it rows are summed
-    out, cache = km.mlp_forward(spec, pv, x)
+    net = km.BoundMlp(spec, pv)
+    out, acts = net.forward(x)
     dout = np.zeros_like(out)
     dout[:, 2] = 1.0
-    deltas, _ = km.mlp_backprop(cache, dout)
-    assert np.allclose(km.mlp_param_grad(spec, cache, deltas),
+    assert np.allclose(net.param_grad(acts, net.backprop(acts, dout)),
                        grads.sum(axis=0), rtol=1e-14, atol=1e-15)
+
+
+def test_binding_follows_in_place_parameter_updates():
+    """A binding keeps views, so in-place optimizer steps reach it."""
+    spec = MlpSpec((3, 5, 4, 2), (True, False, True))
+    pv = km.init_kaiming(spec, seed=3)
+    x = np.random.default_rng(4).standard_normal((6, 3))
+    net = km.BoundMlp(spec, pv)
+    before, acts = net.forward(x)
+    dout = np.ones_like(before)
+    grad_before = net.param_grad(acts, net.backprop(acts, dout)).copy()
+    pv.values *= 1.5
+    pv.values[-2:] += 0.25
+    pv.values -= 0.01 * grad_before
+    fresh = km.BoundMlp(spec, pv.copy())
+    got, acts = net.forward(x)
+    want, fresh_acts = fresh.forward(x)
+    assert np.array_equal(got, want) and not np.array_equal(got, before)
+    assert np.array_equal(
+        net.param_grad(acts, net.backprop(acts, dout)),
+        fresh.param_grad(fresh_acts, fresh.backprop(fresh_acts, dout)))
+    assert np.array_equal(got, km.mlp_apply_np(spec, pv, x))
+
+
+def test_binding_rejects_mismatched_parameters():
+    spec = MlpSpec((3, 4, 2), False)
+    other = km.init_kaiming(MlpSpec((3, 4, 2), True), seed=0)
+    with pytest.raises(ValueError, match="do not match the spec"):
+        km.BoundMlp(spec, other)
 
 
 def test_relu_net_positively_homogeneous_in_input():
