@@ -203,6 +203,10 @@ def cmd_train_generator(args):
     mult_spec = config.multiplier_spec(num_classes, out_dim,
                                        t_count if t_count > 1 else 1)
     gen_cfg = config.generator_train_config(seed=args.seed)
+    try:
+        gen_cfg.label_probs(num_classes)
+    except ValueError as exc:
+        raise ConfigError("generator_training", str(exc)) from None
     gen_path = os.path.join(out, args.name + ".ckpt")
     run_hash = _generator_run_hash(config, gen_cfg.seed)
     state = None
@@ -391,7 +395,8 @@ def build_parser():
                        help="train the generator against classifiers")
     p.add_argument("config")
     p.add_argument("checkpoints", nargs="+")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides [generator_training] seed")
     p.add_argument("--name", default="generator")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_train_generator)

@@ -264,8 +264,7 @@ class RunConfig:
         return MlpSpec(sec["widths"], sec["bias"])
 
     def classifier_train_config(self, seed=None):
-        return self._train_config(ClassifierTrainConfig,
-                                  self.section("classifier"), seed)
+        return self._train_config(ClassifierTrainConfig, "classifier", seed)
 
     def generator_spec(self, num_classes, out_dim, num_classifiers=1):
         sec = self.section("generator")
@@ -283,16 +282,23 @@ class RunConfig:
                               bias=sec["bias"])
 
     def generator_train_config(self, seed=None):
-        return self._train_config(GeneratorTrainConfig,
-                                  self.section("generator_training"), seed)
+        return self._train_config(GeneratorTrainConfig, "generator_training",
+                                  seed)
 
-    @staticmethod
-    def _train_config(cls, section, seed):
-        """``cls`` from its keys in ``section``, ``seed`` overriding."""
-        values = {f.name: section[f.name] for f in dataclasses.fields(cls)}
+    def _train_config(self, cls, section, seed):
+        """``cls`` from its keys in ``section``, ``seed`` overriding.
+
+        A value the dataclass rejects is a :class:`ConfigError` of the
+        section.
+        """
+        keys = self.section(section)
+        values = {f.name: keys[f.name] for f in dataclasses.fields(cls)}
         if seed is not None:
             values["seed"] = seed
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(section, str(exc)) from None
 
     def lambda_options(self):
         sec = self.section("lambda")

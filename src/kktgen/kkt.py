@@ -15,13 +15,16 @@ autodiff graphs, the reference, and in closed form with their gradients
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.optimize
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .homogeneity import lambda_bar
-from .models import BoundMlp, mlp_apply, mlp_apply_np, spec_group_shapes
+from .models import (BoundMlp, _matmul, mlp_apply, mlp_apply_np,
+                     spec_group_shapes)
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -52,11 +55,22 @@ def second_place_mask(logits, labels, tie_tol=DEFAULT_TIE_TOL):
         raise ValueError("second-place set needs at least two classes")
     if labels.shape != (m,) or np.any((labels < 0) | (labels >= num_classes)):
         raise ValueError("labels must be one in-range class per row")
-    rows = np.arange(m)
+    return _second_place(logits, _own_indices(labels, num_classes),
+                         tie_tol).astype(np.float64)
+
+
+def _own_indices(labels, num_classes):
+    """Flat indices of the (i, labels[i]) entries of an (M, C) array."""
+    return np.arange(labels.size) * num_classes + labels
+
+
+def _second_place(logits, own, tie_tol):
+    """:func:`second_place_mask` as booleans, for a validated batch given
+    by its flat own-class indices."""
     rivals = logits.copy()
-    rivals[rows, labels] = -np.inf
-    best = rivals.max(axis=1, keepdims=True)
-    return (rivals >= best - tie_tol).astype(np.float64)
+    rivals.put(own, -np.inf)
+    best = np.maximum.reduce(rivals, axis=1, keepdims=True)
+    return rivals >= best - tie_tol
 
 
 def _weighted_logit_sum(logits, labels, mu, num_classes):
@@ -123,27 +137,45 @@ def duality_loss(logits, labels, alpha, delta, tie_tol=DEFAULT_TIE_TOL):
     return ad.mul(ad.tsum(per_pair), ad.constant(1.0 / m))
 
 
-def _duality_grads(logits, labels, alpha, delta, tie_tol):
-    """Numpy L_dual with its gradients in the logits and in alpha."""
-    m = labels.size
-    rows = np.arange(m)
+def _duality_grads(logits, own, alpha, delta, tie_tol):
+    """Numpy L_dual with its gradients in the logits and in alpha.
+
+    ``own`` holds the flat indices of the true-class logits
+    (:func:`_own_indices`).
+    """
+    m = own.size
     threshold = np.exp(-alpha)
-    z = logits[rows, labels][:, None] - logits - threshold
-    mask = second_place_mask(logits, labels, tie_tol)
-    per_pair = mask * (np.maximum(z - delta, 0.0) - np.minimum(z, 0.0))
-    l_dual = float(np.sum(per_pair) * (1.0 / m))
+    z = logits.take(own)[:, None] - logits
+    z -= threshold
+    z_hi = z - delta
+    mask = _second_place(logits, own, tie_tol)
+    per_pair = mask * (np.maximum(z_hi, 0.0) - np.minimum(z, 0.0))
+    l_dual = float(np.add.reduce(per_pair, axis=None) * (1.0 / m))
     # ties get derivative 0 on both sides of the band, as in the graph
-    dz = mask * ((z - delta > 0.0) * 1.0 - (z < 0.0)) * (1.0 / m)
-    dlogits = -dz
-    dlogits[rows, labels] += dz.sum(axis=1)
-    return l_dual, dlogits, float(dz.sum() * threshold)
+    dz = mask * np.subtract(z_hi > 0.0, z < 0.0, dtype=np.float64)
+    dz *= 1.0 / m
+    dlogits = np.negative(dz)
+    dlogits.put(own, dlogits.take(own) + np.add.reduce(dz, axis=1))
+    return l_dual, dlogits, float(np.add.reduce(dz, axis=None) * threshold)
 
 
-def kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu, alpha,
-                   delta, beta, tie_tol=DEFAULT_TIE_TOL):
+def stationarity_target(params, lbar_weights, virtual_n):
+    """(1/N) Lbar zeta as one flat vector in group order.
+
+    The side of the stationarity condition that only the classifier and
+    alpha fix, so a training loop computes it once per alpha.
+    """
+    return np.concatenate([params.group(name)
+                           * (lbar_weights[name] / virtual_n)
+                           for name in params.groups])
+
+
+def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta,
+                   tie_tol=DEFAULT_TIE_TOL):
     """L_stat + beta * L_dual on a batch, with gradients in x, mu and alpha.
 
-    ``zeta`` is the classifier's :class:`models.BoundMlp`.  The
+    ``zeta`` is the classifier's :class:`models.BoundMlp` and ``target``
+    its :func:`stationarity_target`; ``labels`` must be in range.  The
     closed-form numpy counterpart of :func:`stationarity_loss_graph`
     plus :func:`duality_loss`, which stay the reference it is tested
     against.  With coefficient matrix ``coeff(mu)`` and S = sum coeff *
@@ -152,36 +184,36 @@ def kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu, alpha,
     V = -r / (M L_stat).  A tangent forward along V gives dL_stat/dcoeff,
     and injecting delta_l V_l^T at each layer input on a backprop that
     also carries the duality cotangent gives the x gradient (the ReLU
-    masks are locally constant).  ``lbar_weights`` is a constant, as in
-    the graph, so alpha's gradient comes from the duality threshold
-    alone.  Returns (l_stat, l_dual, dx, dmu, dalpha); dx and dalpha are
+    masks are locally constant).  The target is a constant, as in the
+    graph, so alpha's gradient comes from the duality threshold alone.
+    Returns (l_stat, l_dual, dx, dmu, dalpha); dx and dalpha are
     gradients of the weighted sum, dmu of L_stat.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     m = labels.size
-    rows = np.arange(m)
     logits, acts = zeta.forward(x)
+    own = _own_indices(labels, logits.shape[1])
     not_y = np.ones_like(mu)
-    not_y[rows, labels] = 0.0
+    not_y.put(own, 0.0)
     mu_rivals = mu * not_y
-    coeff = -mu_rivals
-    coeff[rows, labels] = mu_rivals.sum(axis=1)
+    coeff = np.negative(mu_rivals)
+    coeff.put(own, np.add.reduce(mu_rivals, axis=1))
     deltas = zeta.backprop(acts, coeff)
-    params = zeta.params
-    target = np.concatenate([params.group(name)
-                             * (lbar_weights[name] / virtual_n)
-                             for name in params.groups])
-    r = target - zeta.param_grad(acts, deltas) * (1.0 / m)
-    l_stat = float(np.sqrt(r @ r + NORM_EPS))
-    tangent = r * (-1.0 / (m * l_stat))
-    dcoeff = zeta.jvp(acts, tangent)
-    dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
-    l_dual, dlogits, dalpha = _duality_grads(logits, labels, alpha, delta,
+    g = zeta.param_grad(acts, deltas)
+    g *= 1.0 / m
+    r = np.subtract(target, g, out=g)
+    l_stat = math.sqrt(r.dot(r) + NORM_EPS)
+    np.multiply(r, -1.0 / (m * l_stat), out=zeta.tangent)
+    dcoeff = zeta.jvp(acts)
+    dmu = dcoeff.take(own)[:, None] - dcoeff
+    dmu *= not_y
+    l_dual, dlogits, dalpha = _duality_grads(logits, own, alpha, delta,
                                              tie_tol)
-    inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
-    dx = zeta.input_cotangent(zeta.backprop(acts, dlogits * beta, inject),
-                              inject)
+    dlogits *= beta
+    inject = [_matmul(d, v_t)
+              for d, v_t in zip(deltas, zeta.tangent_weights_t)]
+    dx = zeta.input_cotangent(zeta.backprop(acts, dlogits, inject), inject)
     return l_stat, l_dual, dx, dmu, dalpha * beta
 
 

@@ -9,6 +9,7 @@ forward is ``X @ W + b``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -291,8 +292,9 @@ class BoundMlp:
 
     Binding once builds what every pass needs: per-layer weight views
     (fan_in, fan_out) into ``params.values`` and their transposes, bias
-    views, and a flat gradient buffer with per-layer views that
-    :meth:`param_grad` fills.  The views stay valid as long as
+    views, a flat gradient buffer with per-layer views that
+    :meth:`param_grad` fills, and a flat ``tangent`` buffer with per-layer
+    views that :meth:`jvp` reads.  The views stay valid as long as
     ``params.values`` is updated in place, as every optimizer here does,
     so a training loop binds once before its first iteration.
 
@@ -330,6 +332,11 @@ class BoundMlp:
                              for w, shape, _ in self.layout]
         self.grad_biases = [None if b is None else self.grad[..., b]
                             for _, _, b in self.layout]
+        self.tangent = np.empty(len(params))
+        self.tangent_weights = self.weights_of(self.tangent)
+        self.tangent_weights_t = [w.T for w in self.tangent_weights]
+        self.tangent_biases = [None if b is None else self.tangent[b]
+                               for _, _, b in self.layout]
 
     def weights_of(self, flat):
         """Per-layer (fan_in, fan_out) weight views of a flat vector."""
@@ -395,39 +402,56 @@ class BoundMlp:
                 np.add.reduce(delta, axis=-2, out=gb)
         return self.grad
 
-    def jvp(self, acts, tangent):
-        """Output derivative along the flat parameter direction ``tangent``.
+    def jvp(self, acts):
+        """Output derivative along the parameter direction in ``tangent``.
 
         One tangent forward pass (Pearlmutter's R-operator) with the ReLU
-        masks of the forward that gave ``acts`` held fixed.
+        masks of the forward that gave ``acts`` held fixed.  The caller
+        fills the binding's flat ``tangent`` buffer first.
         """
         dz = None
-        for l, (a, w_dot, (_, _, b)) in enumerate(
-                zip(acts, self.weights_of(tangent), self.layout)):
+        for l, (a, w_dot, b_dot) in enumerate(
+                zip(acts, self.tangent_weights, self.tangent_biases)):
             if l == 0:
                 dz = _matmul(a, w_dot)
             else:
-                dz = (_matmul(dz * (a > 0.0), self.weights[l])
-                      + _matmul(a, w_dot))
-            if b is not None:
-                dz = dz + tangent[b]
+                np.multiply(dz, a > 0.0, out=dz)
+                dz = _matmul(dz, self.weights[l])
+                dz += _matmul(a, w_dot)
+            if b_dot is not None:
+                dz += b_dot
         return dz
 
 
-def condition(first, labels, t, spec):
+@functools.lru_cache(maxsize=32)
+def _one_hot_table(n):
+    """The read-only n x n identity: row k is the one-hot code of k."""
+    table = np.eye(n)
+    table.flags.writeable = False
+    return table
+
+
+def condition(first, labels, t, spec, out=None):
     """Network input [first, onehot(labels)(, onehot(t))] for a spec.
 
     The one conditional-input builder of the generator and multiplier
     networks.  ``t`` is one classifier index or one per row; it enters only
     when the spec conditions on the classifier, which then requires it.
+    ``out``, an (rows, input width) array, receives the input in place of
+    a new array, so a training loop can reuse one buffer per network.
     """
-    parts = [first, np.eye(spec.num_classes)[labels]]
-    if spec.conditions_on_classifier:
+    rows, d = first.shape
+    c = spec.num_classes
+    extra = spec.num_classifiers if spec.conditions_on_classifier else 0
+    if out is None:
+        out = np.empty((rows, d + c + extra))
+    out[:, :d] = first
+    _one_hot_table(c).take(labels, axis=0, out=out[:, d:d + c])
+    if extra:
         if t is None:
             raise ValueError("classifier index t required by this spec")
-        ts = np.broadcast_to(np.asarray(t, dtype=np.int64), labels.shape)
-        parts.append(np.eye(spec.num_classifiers)[ts])
-    return np.concatenate(parts, axis=1)
+        out[:, d + c:] = _one_hot_table(extra)[t]
+    return out
 
 
 def init_kaiming(spec, seed):

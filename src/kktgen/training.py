@@ -14,6 +14,7 @@ runs are bit-reproducible and resumable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .homogeneity import lambda_bar, verify_lambda, default_probe_samples
-from .kkt import kkt_loss_grads
+from .kkt import kkt_loss_grads, stationarity_target
 from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
                      init_kaiming, mlp_apply_np)
 
@@ -108,6 +109,13 @@ class GeneratorTrainConfig:
             raise ValueError("probe count must be >= 1")
         if self.init_output_scale <= 0:
             raise ValueError("init output scale must be positive")
+        if self.label_distribution:
+            p = np.asarray(self.label_distribution, dtype=np.float64)
+            if not (np.isfinite(p).all() and (p >= 0.0).all()
+                    and abs(p.sum() - 1.0) <= 1e-9):
+                raise ValueError("label distribution must be a finite, "
+                                 "nonnegative probability vector summing "
+                                 "to 1")
 
     def alpha_lr(self, t):
         """lr_alpha may be a scalar or one rate per classifier."""
@@ -118,11 +126,11 @@ class GeneratorTrainConfig:
     def label_probs(self, num_classes):
         if not self.label_distribution:
             return np.full(num_classes, 1.0 / num_classes)
-        p = np.asarray(self.label_distribution, dtype=np.float64)
-        if p.size != num_classes or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("label distribution must be a length-C "
-                             "probability vector")
-        return p
+        if len(self.label_distribution) != num_classes:
+            raise ValueError(f"label distribution must be a length-"
+                             f"{num_classes} probability vector, not "
+                             f"{len(self.label_distribution)} entries")
+        return np.asarray(self.label_distribution, dtype=np.float64)
 
 
 @dataclass
@@ -155,6 +163,24 @@ class Adam:
         self.t += 1
         kernels.adam_update(values, grads, self.m, self.v, self.t, self.lr,
                             self.beta1, self.beta2, self.eps)
+
+    def step_scalar(self, value, grad):
+        """One step of a size-1 Adam on a float; returns the new value.
+
+        The operations of :func:`kernels.adam_update`, in its order, on
+        Python floats: the same bits as :meth:`step` on size-1 arrays,
+        without the per-call cost of array operations.
+        """
+        self.t += 1
+        t = float(self.t)
+        b1, b2 = self.beta1, self.beta2
+        m = float(self.m[0]) * b1 + grad * (1.0 - b1)
+        v = float(self.v[0]) * b2 + grad * (1.0 - b2) * grad
+        self.m[0] = m
+        self.v[0] = v
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        return value - m / bc1 * self.lr / (math.sqrt(v / bc2) + self.eps)
 
     def state(self):
         return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t}
@@ -359,39 +385,42 @@ def _tv_value_grad(x, height, width):
     return float(value), grad.reshape(m, d) * (1.0 / m)
 
 
-def _classifier_step(classifier, zeta, gen, mult, state, t, labels, eps,
-                     config):
+def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
+                     config, gen_in=None, mult_in=None):
     """One classifier's loss terms and their closed-form gradients.
 
     ``zeta``, ``gen`` and ``mult`` are :class:`BoundMlp` bindings of the
-    classifier's, the generator's and the multiplier's parameters.  Runs
-    the generator, multiplier and classifier forwards once, takes
-    L_stat + beta L_dual and its x/mu/alpha gradients from
+    classifier's, the generator's and the multiplier's parameters, and
+    ``target`` is the classifier's :func:`kkt.stationarity_target` at
+    alpha_t.  Runs the generator, multiplier and classifier forwards
+    once, takes L_stat + beta L_dual and its x/mu/alpha gradients from
     :func:`kkt.kkt_loss_grads`, adds the TV term, then backpropagates
-    through the multiplier and the generator.  Returns
+    through the multiplier and the generator.  ``gen_in`` and
+    ``mult_in``, when given, are the buffers :func:`condition` writes the
+    two networks' inputs into.  Returns
     (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha); g_theta and
     g_eta are the bindings' gradient buffers.
     """
-    x, gen_acts = gen.forward(condition(eps, labels, t, gen.spec))
+    x, gen_acts = gen.forward(condition(eps, labels, t, gen.spec, gen_in))
     if not np.isfinite(x).all():
         raise TrainingAborted(
             f"non-finite generated sample at step {state.step}",
             state.step, state)
-    mu_pre, mult_acts = mult.forward(condition(x, labels, t, mult.spec))
-    alpha = float(state.alphas[t])
+    mu_pre, mult_acts = mult.forward(condition(x, labels, t, mult.spec,
+                                               mult_in))
     l_stat, l_dual, dx, dmu, g_alpha = kkt_loss_grads(
-        zeta, lambda_bar(classifier.profile, alpha), classifier.virtual_n,
-        x, labels, np.maximum(mu_pre, 0.0), alpha, float(state.deltas[t]),
-        config.beta)
+        zeta, target, x, labels, np.maximum(mu_pre, 0.0),
+        float(state.alphas[t]), float(state.deltas[t]), config.beta)
     total = l_stat + l_dual * config.beta
     l_tv = 0.0
     if config.tv_weight > 0:
         l_tv, dtv = _tv_value_grad(x, *config.tv_shape)
         total = total + l_tv * config.tv_weight
         dx = dx + dtv * config.tv_weight
-    mult_deltas = mult.backprop(mult_acts, dmu * (mu_pre > 0.0))
-    dcond = mult.input_cotangent(mult_deltas)
-    gen_deltas = gen.backprop(gen_acts, dx + dcond[:, :x.shape[1]])
+    dmu *= mu_pre > 0.0
+    mult_deltas = mult.backprop(mult_acts, dmu)
+    dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
+    gen_deltas = gen.backprop(gen_acts, dx)
     return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_acts, gen_deltas),
             mult.param_grad(mult_acts, mult_deltas), g_alpha)
 
@@ -462,8 +491,15 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             raise ValueError(
                 f"classifier {k} profile fails verification "
                 f"(deviation {dev:.3g} > {PROFILE_DEVIATION_LIMIT})")
+        # the step indexes the classifier's logits by the drawn labels
+        # unchecked
+        if cb.spec.widths[-1] != gen_spec.num_classes:
+            raise ValueError(
+                f"classifier {k} has {cb.spec.widths[-1]} classes, the "
+                f"generator spec {gen_spec.num_classes}")
     if gen_spec.num_classifiers != (t_count if t_count > 1 else 1):
         raise ValueError("generator spec does not match classifier count")
+    probs = config.label_probs(gen_spec.num_classes)
 
     if state is None:
         theta = init_kaiming(gen_spec.mlp(), _spawn_seed(config.seed, 1))
@@ -485,10 +521,20 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     if state.deltas is None:
         state.deltas = np.full(t_count, float(config.delta))
     offset = int(_step_rng(config.seed, 0, stream=7).integers(t_count))
-    probs = config.label_probs(gen_spec.num_classes)
+    # Generator.choice's draw: the searchsorted of uniforms in the cdf
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    m, noise_dim = config.batch_size, gen_spec.noise_dim
     zetas = [BoundMlp(cb.spec, cb.params) for cb in classifiers]
     gen = BoundMlp(gen_spec, state.gen_params)
     mult = BoundMlp(mult_spec, state.mult_params)
+    gen_in = np.empty((m, gen.mlp.in_dim))
+    mult_in = np.empty((m, mult.mlp.in_dim))
+    # per classifier: the alpha its stationarity target was computed at
+    target_alphas = [None] * t_count
+    targets = [None] * t_count
+    alpha_keys = [f"alpha_{t}" for t in range(t_count)]
+    theta, eta = state.gen_params.values, state.mult_params.values
 
     while state.step < config.steps:
         step = state.step
@@ -498,48 +544,49 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         else:
             active = [(offset + step) % t_count]
 
-        if not (np.isfinite(state.gen_params.values).all()
-                and np.isfinite(state.mult_params.values).all()):
+        if not (np.isfinite(theta).all() and np.isfinite(eta).all()):
             raise TrainingAborted(
                 f"non-finite generator or multiplier parameters at step "
                 f"{step}", step, state)
 
         total = 0.0
         g_theta = g_eta = 0.0
-        g_alphas = {}
-        parts = {"stat": 0.0, "dual": 0.0, "tv": 0.0}
+        g_alphas = []
+        l_stat = l_dual = l_tv = 0.0
         for t in active:
-            labels = rng.choice(gen_spec.num_classes,
-                                size=config.batch_size, p=probs)
-            eps = rng.standard_normal((config.batch_size,
-                                       gen_spec.noise_dim))
-            loss_t, l_stat, l_dual, l_tv, g_th, g_et, g_alphas[t] = \
-                _classifier_step(classifiers[t], zetas[t], gen, mult, state,
-                                 t, labels, eps, config)
+            labels = cdf.searchsorted(rng.random(m), side="right")
+            eps = rng.standard_normal((m, noise_dim))
+            alpha = float(state.alphas[t])
+            if target_alphas[t] != alpha:
+                cb = classifiers[t]
+                targets[t] = stationarity_target(
+                    cb.params, lambda_bar(cb.profile, alpha), cb.virtual_n)
+                target_alphas[t] = alpha
+            loss_t, stat_t, dual_t, tv_t, g_th, g_et, g_alpha = \
+                _classifier_step(zetas[t], targets[t], gen, mult, state, t,
+                                 labels, eps, config, gen_in, mult_in)
             total = total + loss_t
             g_theta = g_theta + g_th
             g_eta = g_eta + g_et
-            parts["stat"] += l_stat
-            parts["dual"] += l_dual
-            parts["tv"] += l_tv
+            g_alphas.append(g_alpha)
+            l_stat += stat_t
+            l_dual += dual_t
+            l_tv += tv_t
 
         if not np.isfinite(total):
             raise TrainingAborted(
                 f"non-finite loss at step {step}", step, state)
 
-        state.optimizers["theta"].step(state.gen_params.values, g_theta)
-        state.optimizers["eta"].step(state.mult_params.values, g_eta)
-        for t in active:
-            slot = state.alphas[t:t + 1]
-            state.optimizers["alpha"][t].step(slot,
-                                              np.array([g_alphas[t]]))
+        state.optimizers["theta"].step(theta, g_theta)
+        state.optimizers["eta"].step(eta, g_eta)
+        for t, g_alpha in zip(active, g_alphas):
+            state.alphas[t] = state.optimizers["alpha"][t].step_scalar(
+                float(state.alphas[t]), g_alpha)
 
         row = {"step": step, "t": active[0] if len(active) == 1 else -1,
-               "l_stat": parts["stat"], "l_dual": parts["dual"],
-               "tv": parts["tv"],
+               "l_stat": l_stat, "l_dual": l_dual, "tv": l_tv,
                "total": float(total)}
-        for t in range(t_count):
-            row[f"alpha_{t}"] = float(state.alphas[t])
+        row.update(zip(alpha_keys, state.alphas.tolist()))
         state.history.append(row)
         state.step += 1
         if callback is not None:

@@ -58,6 +58,48 @@ def test_bad_dataset_kind_is_usage_error(tmp_path, capsys):
     assert main(["train-classifier", str(cfg)]) == 2
 
 
+@pytest.fixture(scope="module")
+def profiled_classifier(tmp_path_factory):
+    """A fast classifier checkpoint with its scaling profile attached."""
+    tmp_path = tmp_path_factory.mktemp("profiled")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[experiment]\nname = demo\n"
+                   f"output_dir = {tmp_path / 'runs'}\n"
+                   + FAST_CLASSIFIER.format(steps=30))
+    clf = run_dir(tmp_path) / "classifier.ckpt"
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert main(["estimate-lambda", str(clf)]) == 0
+    return clf
+
+
+# a value the train-config dataclasses reject: (command, section, line)
+BAD_TRAIN_VALUES = [
+    ("train-classifier", "classifier", "learning_rate = -1"),
+    ("train-generator", "generator_training", "batch_size = 0"),
+    ("train-generator", "generator_training",
+     "label_distribution = 1.2,-0.1,-0.1"),
+    ("train-generator", "generator_training", "label_distribution = 0.5,0.5"),
+]
+
+
+@pytest.mark.parametrize("command,section,line", BAD_TRAIN_VALUES)
+def test_bad_train_value_is_usage_error(tmp_path, capsys, profiled_classifier,
+                                        command, section, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n"
+                   "[classifier]\nwidths = 2,8,3\nrefine_margins = false\n"
+                   f"[{section}]\n{line}\n")
+    argv = [command, str(cfg)]
+    if command == "train-generator":
+        argv.append(str(profiled_classifier))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith(f"error: bad config: {section}: ")
+    assert not list((tmp_path / "runs").rglob("*.ckpt"))
+
+
 def test_classifier_nonconvergence_is_numeric_error(tmp_path, capsys):
     cfg = tmp_path / "stall.cfg"
     cfg.write_text("[experiment]\nname = stall\n"
@@ -183,6 +225,30 @@ def test_generator_resume_matches_straight_run(workdir):
     assert np.array_equal(resumed.mult_params.values,
                           straight.mult_params.values)
     assert np.array_equal(resumed.alphas, straight.alphas)
+
+
+def test_config_seed_applies_unless_the_seed_flag_is_given(workdir):
+    tmp_path, cfg = workdir
+    out = run_dir(tmp_path)
+    assert main(["train-classifier", str(cfg)]) == 0
+    clf = out / "classifier.ckpt"
+    assert main(["estimate-lambda", str(clf)]) == 0
+    cfg5 = tmp_path / "seed5.cfg"
+    cfg5.write_text(cfg.read_text() + "seed = 5\n")  # [generator_training]
+
+    def run(name, config, *flags):
+        assert main(["train-generator", str(config), str(clf), "--name",
+                     name, *flags]) == 0
+        meta = ck.load_generator(out / f"{name}.ckpt")[3]
+        return (out / f"{name}_loss.csv").read_bytes(), meta["config_hash"]
+
+    from_config = run("a", cfg5)
+    from_flag = run("b", cfg, "--seed", "5")
+    default = run("c", cfg)
+    overridden = run("d", cfg5, "--seed", "0")
+    assert from_config == from_flag
+    assert default == overridden
+    assert from_config[0] != default[0]
 
 
 @pytest.mark.parametrize("change", ["config", "seed", "classifiers"])

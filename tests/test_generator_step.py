@@ -1,9 +1,12 @@
-"""The closed-form generator step against the autodiff graph.
+"""The closed-form generator step against the autodiff graph, and the
+step loop against the loop it replaced.
 
 The graph below is built only from the reference oracle functions
 (``mlp_apply``, ``stationarity_loss_graph``, ``duality_loss``, ``tv_loss``)
 and differentiated with ``autodiff.grad``; the numpy step must reproduce
-its loss and its theta, eta and alpha gradients.
+its loss and its theta, eta and alpha gradients.  ``reference_train``
+keeps the step loop as it was before its per-run set-up was hoisted out,
+and ``train_generator`` must match it bit for bit.
 """
 
 import numpy as np
@@ -130,8 +133,12 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
     for t in active:
         total, g_theta, g_eta, g_alpha = graph_step(
             bundles[t], gen_spec, mult_spec, state, t, labels, eps, config)
+        target = kk.stationarity_target(
+            bundles[t].params,
+            lambda_bar(bundles[t].profile, float(state.alphas[t])),
+            bundles[t].virtual_n)
         step = tr._classifier_step(
-            bundles[t], BoundMlp(bundles[t].spec, bundles[t].params),
+            BoundMlp(bundles[t].spec, bundles[t].params), target,
             BoundMlp(gen_spec, state.gen_params),
             BoundMlp(mult_spec, state.mult_params), state, t, labels, eps,
             config)
@@ -157,8 +164,8 @@ def test_tv_and_duality_gradients_at_ties_match_graph():
     # alpha = 0: margins 1.0 and 1.5 sit exactly on the band [1, 1.5]
     logits = np.array([[2.0, 1.0, 0.0], [0.0, 1.5, 0.0], [3.0, 0.0, 0.5]])
     labels = np.array([0, 1, 0])
-    l_dual, dlogits, dalpha = kk._duality_grads(logits, labels, 0.0, 0.5,
-                                                kk.DEFAULT_TIE_TOL)
+    l_dual, dlogits, dalpha = kk._duality_grads(
+        logits, kk._own_indices(labels, 3), 0.0, 0.5, kk.DEFAULT_TIE_TOL)
     logits_t, alpha_t = ad.tensor(logits), ad.tensor(0.0)
     ref = duality_loss(logits_t, labels, alpha_t, 0.5)
     g_logits, g_alpha = ad.grad(ref, [logits_t, alpha_t])
@@ -213,3 +220,240 @@ def test_non_finite_resume_exits_numeric(tmp_path, capsys):
     assert main(["train-generator", str(cfg), str(clf), "--resume"]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "non-finite" in err[0]
+
+
+# ---------------------------------------------------------------------------
+# the lean step loop against the loop it replaced, bit for bit
+
+
+def reference_duality_grads(logits, labels, alpha, delta):
+    m = labels.size
+    rows = np.arange(m)
+    threshold = np.exp(-alpha)
+    z = logits[rows, labels][:, None] - logits - threshold
+    rivals = logits.copy()
+    rivals[rows, labels] = -np.inf
+    best = rivals.max(axis=1, keepdims=True)
+    mask = (rivals >= best - kk.DEFAULT_TIE_TOL).astype(np.float64)
+    per_pair = mask * (np.maximum(z - delta, 0.0) - np.minimum(z, 0.0))
+    l_dual = float(np.sum(per_pair) * (1.0 / m))
+    dz = mask * ((z - delta > 0.0) * 1.0 - (z < 0.0)) * (1.0 / m)
+    dlogits = -dz
+    dlogits[rows, labels] += dz.sum(axis=1)
+    return l_dual, dlogits, float(dz.sum() * threshold)
+
+
+def reference_jvp(zeta, acts, tangent):
+    dz = None
+    for l, (a, w_dot, (_, _, b)) in enumerate(
+            zip(acts, zeta.weights_of(tangent), zeta.layout)):
+        if l == 0:
+            dz = a @ w_dot
+        else:
+            dz = (dz * (a > 0.0)) @ zeta.weights[l] + a @ w_dot
+        if b is not None:
+            dz = dz + tangent[b]
+    return dz
+
+
+def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
+                             alpha, delta, beta):
+    m = labels.size
+    rows = np.arange(m)
+    logits, acts = zeta.forward(x)
+    not_y = np.ones_like(mu)
+    not_y[rows, labels] = 0.0
+    mu_rivals = mu * not_y
+    coeff = -mu_rivals
+    coeff[rows, labels] = mu_rivals.sum(axis=1)
+    deltas = zeta.backprop(acts, coeff)
+    params = zeta.params
+    target = np.concatenate([params.group(name)
+                             * (lbar_weights[name] / virtual_n)
+                             for name in params.groups])
+    r = target - zeta.param_grad(acts, deltas) * (1.0 / m)
+    l_stat = float(np.sqrt(r @ r + kk.NORM_EPS))
+    tangent = r * (-1.0 / (m * l_stat))
+    dcoeff = reference_jvp(zeta, acts, tangent)
+    dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
+    l_dual, dlogits, dalpha = reference_duality_grads(logits, labels, alpha,
+                                                      delta)
+    inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
+    dx = zeta.input_cotangent(zeta.backprop(acts, dlogits * beta, inject),
+                              inject)
+    return l_stat, l_dual, dx, dmu, dalpha * beta
+
+
+def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
+                              eps, config):
+    x, gen_acts = gen.forward(condition(eps, labels, t, gen.spec))
+    mu_pre, mult_acts = mult.forward(condition(x, labels, t, mult.spec))
+    alpha = float(state.alphas[t])
+    l_stat, l_dual, dx, dmu, g_alpha = reference_kkt_loss_grads(
+        zeta, lambda_bar(classifier.profile, alpha), classifier.virtual_n,
+        x, labels, np.maximum(mu_pre, 0.0), alpha, float(state.deltas[t]),
+        config.beta)
+    total = l_stat + l_dual * config.beta
+    l_tv = 0.0
+    if config.tv_weight > 0:
+        l_tv, dtv = tr._tv_value_grad(x, *config.tv_shape)
+        total = total + l_tv * config.tv_weight
+        dx = dx + dtv * config.tv_weight
+    mult_deltas = mult.backprop(mult_acts, dmu * (mu_pre > 0.0))
+    dcond = mult.input_cotangent(mult_deltas)
+    gen_deltas = gen.backprop(gen_acts, dx + dcond[:, :x.shape[1]])
+    return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_acts, gen_deltas),
+            mult.param_grad(mult_acts, mult_deltas), g_alpha)
+
+
+def reference_train(classifiers, gen_spec, mult_spec, config, state):
+    """The step loop before the per-run set-up was hoisted out of it:
+    ``rng.choice`` labels, a fresh conditional input per call,
+    ``lambda_bar`` every step and the array Adam for alpha."""
+    t_count = len(classifiers)
+    offset = int(tr._step_rng(config.seed, 0, stream=7).integers(t_count))
+    probs = config.label_probs(gen_spec.num_classes)
+    zetas = [BoundMlp(cb.spec, cb.params) for cb in classifiers]
+    gen = BoundMlp(gen_spec, state.gen_params)
+    mult = BoundMlp(mult_spec, state.mult_params)
+    while state.step < config.steps:
+        step = state.step
+        rng = tr._step_rng(config.seed, step)
+        active = (list(range(t_count)) if config.full_sum
+                  else [(offset + step) % t_count])
+        total = 0.0
+        g_theta = g_eta = 0.0
+        g_alphas = {}
+        parts = {"stat": 0.0, "dual": 0.0, "tv": 0.0}
+        for t in active:
+            labels = rng.choice(gen_spec.num_classes,
+                                size=config.batch_size, p=probs)
+            eps = rng.standard_normal((config.batch_size,
+                                       gen_spec.noise_dim))
+            loss_t, l_stat, l_dual, l_tv, g_th, g_et, g_alphas[t] = \
+                reference_classifier_step(classifiers[t], zetas[t], gen,
+                                          mult, state, t, labels, eps,
+                                          config)
+            total = total + loss_t
+            g_theta = g_theta + g_th
+            g_eta = g_eta + g_et
+            parts["stat"] += l_stat
+            parts["dual"] += l_dual
+            parts["tv"] += l_tv
+        state.optimizers["theta"].step(state.gen_params.values, g_theta)
+        state.optimizers["eta"].step(state.mult_params.values, g_eta)
+        for t in active:
+            state.optimizers["alpha"][t].step(state.alphas[t:t + 1],
+                                              np.array([g_alphas[t]]))
+        row = {"step": step, "t": active[0] if len(active) == 1 else -1,
+               "l_stat": parts["stat"], "l_dual": parts["dual"],
+               "tv": parts["tv"], "total": float(total)}
+        for t in range(t_count):
+            row[f"alpha_{t}"] = float(state.alphas[t])
+        state.history.append(row)
+        state.step += 1
+    return state
+
+
+def homogeneous_bundle(widths, bias, seed, virtual_n=12):
+    """A random classifier with its exact scaling profile: weights scale
+    with 1/L, the bias of layer l with (l + 1)/L."""
+    spec = MlpSpec(widths, bias)
+    params = init_kaiming(spec, seed)
+    params.values[:] += 0.05 * np.random.default_rng(seed).standard_normal(
+        len(params))
+    depth = spec.n_layers
+    lambdas = {name: (1.0 / depth if name.endswith("weight")
+                      else (int(name[5:name.index(".")]) + 1) / depth)
+               for name in params.groups}
+    return tr.ClassifierBundle(spec, params,
+                               QuasiHomogeneousProfile(lambdas), virtual_n)
+
+
+def loop_setup(case):
+    """(bundles, gen_spec, mult_spec, config) of a named loop case."""
+    base = dict(batch_size=12, steps=24, seed=3)
+    dim, classes, t_count, bias = 2, 3, 1, False
+    if case == "T1":
+        pass
+    elif case in ("T2-round-robin", "T2-full-sum"):
+        t_count, bias = 2, True
+        base["full_sum"] = case == "T2-full-sum"
+    elif case == "tv":
+        dim, classes = 4, 2
+        base.update(tv_weight=0.05, tv_shape=(2, 2))
+    elif case == "labels-with-a-zero":
+        base["label_distribution"] = (0.5, 0.0, 0.5)
+    elif case == "lr-alpha":
+        t_count = 2
+        base.update(lr_alpha=(0.05, 0.0), full_sum=True)
+    bundles = [homogeneous_bundle((dim, 8, 6, classes), bias, 11 + k)
+               for k in range(t_count)]
+    gen_spec = GeneratorSpec(3, classes, (10, 8), dim,
+                             num_classifiers=t_count)
+    mult_spec = MultiplierSpec(dim, classes, (9,), num_classifiers=t_count)
+    return bundles, gen_spec, mult_spec, tr.GeneratorTrainConfig(**base)
+
+
+def fresh_state(bundles, gen_spec, mult_spec, config):
+    return tr.train_generator(bundles, gen_spec, mult_spec,
+                              tr.GeneratorTrainConfig(
+                                  **{**config.__dict__, "steps": 0}))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def assert_same_run(got, want):
+    assert [{k: bits(v) for k, v in row.items()} for row in got.history] \
+        == [{k: bits(v) for k, v in row.items()} for row in want.history]
+    assert np.array_equal(got.gen_params.values, want.gen_params.values)
+    assert np.array_equal(got.mult_params.values, want.mult_params.values)
+    assert got.alphas.tobytes() == want.alphas.tobytes()
+    adams = [("theta", got.optimizers["theta"], want.optimizers["theta"]),
+             ("eta", got.optimizers["eta"], want.optimizers["eta"])]
+    adams += [(f"alpha{t}", a, b) for t, (a, b) in enumerate(
+        zip(got.optimizers["alpha"], want.optimizers["alpha"]))]
+    for name, a, b in adams:
+        sa, sb = a.state(), b.state()
+        assert sa["t"] == sb["t"], name
+        assert sa["m"].tobytes() == sb["m"].tobytes(), name
+        assert sa["v"].tobytes() == sb["v"].tobytes(), name
+
+
+LOOP_CASES = ["T1", "T2-round-robin", "T2-full-sum", "tv",
+              "labels-with-a-zero", "lr-alpha"]
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_train_generator_matches_reference_loop_bit_for_bit(case):
+    bundles, gen_spec, mult_spec, config = loop_setup(case)
+    want = reference_train(bundles, gen_spec, mult_spec, config,
+                           fresh_state(bundles, gen_spec, mult_spec, config))
+    got = tr.train_generator(bundles, gen_spec, mult_spec, config,
+                             state=fresh_state(bundles, gen_spec, mult_spec,
+                                               config))
+    assert got.step == want.step == config.steps
+    assert_same_run(got, want)
+    if case == "lr-alpha":  # the target cache had to refresh every step
+        alphas = [row["alpha_0"] for row in got.history]
+        assert len(set(alphas)) == len(alphas)
+        assert len({row["alpha_1"] for row in got.history}) == 1
+
+
+@pytest.mark.parametrize("case", ["lr-alpha", "T2-round-robin", "tv"])
+def test_resume_through_checkpoint_rebuilds_the_step_state(tmp_path, case):
+    """k steps, a checkpoint, and a resume equal one uninterrupted run."""
+    bundles, gen_spec, mult_spec, config = loop_setup(case)
+    straight = tr.train_generator(bundles, gen_spec, mult_spec, config)
+    part = tr.train_generator(bundles, gen_spec, mult_spec,
+                              tr.GeneratorTrainConfig(
+                                  **{**config.__dict__, "steps": 9}))
+    path = tmp_path / "part.ckpt"
+    ck.save_generator(path, gen_spec, mult_spec, part)
+    _, _, loaded, _ = ck.load_generator(path, config=config)
+    loaded.history = list(part.history)
+    resumed = tr.train_generator(bundles, gen_spec, mult_spec, config,
+                                 state=loaded)
+    assert_same_run(resumed, straight)
