@@ -172,9 +172,10 @@ def load_generator(path, config=None):
     """Returns (gen_spec, mult_spec, state, meta).
 
     ``config`` (a GeneratorTrainConfig) is needed to rebuild optimizer
-    learning rates when the checkpoint is used to resume training.
+    learning rates when the checkpoint is used to resume training; a
+    checkpoint without its optimizer sections is then incomplete.
     """
-    from .training import Adam, GeneratorTrainState  # cycle-free at runtime
+    from .training import GeneratorTrainState  # cycle-free at runtime
 
     sections = read_sections(path)
     try:
@@ -190,21 +191,39 @@ def load_generator(path, config=None):
         state = GeneratorTrainState(gen_params, mult_params, alphas,
                                     deltas if deltas.size else None,
                                     step=int(meta.get("step", 0)))
-        if config is not None and "opt.theta" in sections:
-            optimizers = {
-                "theta": Adam(len(gen_params), config.lr_theta),
-                "eta": Adam(len(mult_params), config.lr_eta),
-                "alpha": [Adam(1, config.alpha_lr(t))
-                          for t in range(alphas.size)],
-            }
-            _adam_load(optimizers["theta"], sections["opt.theta"])
-            _adam_load(optimizers["eta"], sections["opt.eta"])
-            for t in range(alphas.size):
-                _adam_load(optimizers["alpha"][t],
-                           sections[f"opt.alpha{t}"])
-            state.optimizers = optimizers
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
     if meta.get("kind") != "generator":
         raise ValueError(f"{path}: not a generator checkpoint")
+    if config is not None:
+        state.optimizers = _load_optimizers(path, sections, config, state)
     return gen_spec, mult_spec, state, meta
+
+
+def _load_optimizers(path, sections, config, state):
+    """The Adam states a resume continues, rebuilt with ``config``'s
+    learning rates."""
+    from .training import Adam
+
+    names = {"theta": "opt.theta", "eta": "opt.eta"}
+    alpha_names = [f"opt.alpha{t}" for t in range(state.alphas.size)]
+    missing = [name for name in [*names.values(), *alpha_names]
+               if name not in sections]
+    if missing:
+        raise ValueError(f"{path}: incomplete generator checkpoint "
+                         f"(missing {', '.join(missing)}); it cannot "
+                         f"resume training")
+    optimizers = {
+        "theta": Adam(len(state.gen_params), config.lr_theta),
+        "eta": Adam(len(state.mult_params), config.lr_eta),
+        "alpha": [Adam(1, config.alpha_lr(t))
+                  for t in range(state.alphas.size)],
+    }
+    try:
+        for key, name in names.items():
+            _adam_load(optimizers[key], sections[name])
+        for adam, name in zip(optimizers["alpha"], alpha_names):
+            _adam_load(adam, sections[name])
+    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
+    return optimizers

@@ -19,6 +19,7 @@ from .config import ConfigError, RunConfig
 from .datasets import LabeledDataset, coverage_report, nearest_neighbor
 from .homogeneity import default_probe_samples, estimate_profile, \
     verify_lambda
+from .kernels import NnlsIterationLimit
 from .kkt import kkt_residual_oracle, margins_np
 from .svgplot import svg_image_grid, svg_scatter
 
@@ -35,6 +36,12 @@ class _Fail(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
+
+
+def _require(ok, message):
+    """A command-line value outside its range is a usage error."""
+    if not ok:
+        raise _Fail(EXIT_USAGE, message)
 
 
 def _load_config(path):
@@ -149,6 +156,11 @@ def cmd_train_classifier(args):
 
 
 def cmd_estimate_lambda(args):
+    _require(args.probes >= 1,
+             f"--probes must be at least 1, got {args.probes}")
+    _require(args.max_order in (1, 2),
+             f"--max-order must be 1 or 2, got {args.max_order}")
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     spec, params, _, _ = _load_classifier(args.checkpoint)
     profile, _ = estimate_profile(spec, params, k=args.probes,
                                   max_order=args.max_order,
@@ -183,6 +195,8 @@ def cmd_estimate_lambda(args):
 
 
 def cmd_train_generator(args):
+    _require(args.seed is None or args.seed >= 0,
+             f"--seed must be nonnegative, got {args.seed}")
     config = _load_config(args.config)
     out = _run_dir(config)
     datasets = config.dataset()
@@ -239,14 +253,20 @@ def _t_table(t_count, num_classes):
 
 
 def cmd_sample(args):
+    _require(args.per_class >= 0,
+             f"--per-class must be nonnegative, got {args.per_class}")
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     gen_spec, _, state, _ = _load_generator(args.checkpoint)
+    t_count = gen_spec.num_classifiers
+    _require(args.t is None or 0 <= args.t < t_count,
+             f"--t must be a classifier index in [0, {t_count}), "
+             f"got {args.t}")
     xs, ys, ts = [], [], []
     for y in range(gen_spec.num_classes):
         x, t_idx = tr.sample(
             gen_spec, state.gen_params, y, args.per_class,
             t=args.t, seed=args.seed,
-            t_table=_t_table(gen_spec.num_classifiers,
-                             gen_spec.num_classes))
+            t_table=_t_table(t_count, gen_spec.num_classes))
         xs.append(x)
         ys.extend([y] * args.per_class)
         ts.append(t_idx)
@@ -442,7 +462,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FloatingPointError, tr.ConvergenceError,
+    except (FloatingPointError, NnlsIterationLimit, tr.ConvergenceError,
             tr.TrainingAborted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import autodiff as ad
+from .kernels import nnls
 from .models import (ParameterVector, make_leaves, mlp_apply, mlp_apply_np,
                      spec_group_shapes)
 
@@ -227,7 +227,7 @@ def solve_lambda(system):
     ridge = np.sqrt(RIDGE) * scale
     a_aug = np.vstack([a, ridge * np.eye(a.shape[1])])
     b_aug = np.concatenate([b, np.zeros(a.shape[1])])
-    lam, _ = scipy.optimize.nnls(a_aug, b_aug)
+    lam, _ = nnls(a_aug, b_aug)
     residual = float(np.linalg.norm(a @ lam - b)
                      / (np.linalg.norm(b) + 1e-12))
     return QuasiHomogeneousProfile(

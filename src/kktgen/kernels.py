@@ -1,11 +1,14 @@
-"""Elementwise and windowed numpy kernels: the Adam update and uniform SSIM."""
+"""Numpy kernels: the Adam update, uniform SSIM and nonnegative least
+squares."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["adam_update", "ssim_uniform"]
+__all__ = ["NnlsIterationLimit", "adam_update", "nnls", "ssim_uniform"]
 
 
 def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
@@ -63,3 +66,98 @@ def ssim_uniform(a, b, window, c1, c2):
               / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
     mean = scores.mean(axis=(-2, -1))
     return float(mean) if b.ndim == 2 else mean
+
+
+class NnlsIterationLimit(RuntimeError):
+    """:func:`nnls` used up its iterations before the KKT conditions held."""
+
+
+# a column enters the passive set only if its component outside the span
+# of the passive columns, scaled by this factor, still changes the norm
+# of its component inside: Lawson & Hanson's test for near-dependence
+_INDEPENDENCE_FACTOR = 0.01
+
+
+def nnls(a, b, maxiter=None):
+    """min ||a x - b|| over x >= 0; returns ``(x, rnorm)``.
+
+    Lawson & Hanson's active-set method (*Solving Least Squares
+    Problems*, 1974, ch. 23), with the results of
+    ``scipy.optimize.nnls``.  A tall ``a`` is first reduced by one QR
+    factorization a = QR to the n-by-n problem ||R x - Q^T b||, which
+    has the same minimizer, so every passive-set solve factors columns
+    of the small R.  The column of largest positive dual enters the
+    passive set unless it is numerically dependent on the passive
+    columns or would enter with a coefficient <= 0; a rejected column
+    waits until the dual is next recomputed.  Every passive-set solve
+    after an entry counts as one iteration; :class:`NnlsIterationLimit`
+    is raised after ``maxiter`` of them (default 3n).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise ValueError("nnls expects an (m, n) matrix and an m-vector")
+    m, n = a.shape
+    if maxiter is None:
+        maxiter = 3 * n
+    if m > n:
+        # the R factor of [a | b] holds R, Q^T b and the norm of the
+        # part of b outside the range of a, so Q is never formed
+        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
+        a_red, b_red, outside = r[:n, :n], r[:n, n], abs(r[n, n])
+    else:
+        a_red, b_red, outside = a, b, 0.0
+
+    def factor(cols):
+        """R factor of [a_red[:, cols] | b_red], for a triangular solve."""
+        return np.linalg.qr(np.column_stack([a_red[:, cols], b_red]),
+                            mode="r")
+
+    def coefficients(r):
+        k = r.shape[1] - 1
+        return np.linalg.solve(r[:k, :k], r[:k, k])
+
+    x = np.zeros(n)
+    free = np.ones(n, dtype=bool)
+    passive = []  # in order of entry, so a new column is factored last
+    res = b_red
+    dual = a_red.T @ res
+    iters = 0
+    while len(passive) < min(m, n):
+        j = int(np.argmax(np.where(free, dual, 0.0)))
+        if not (free[j] and dual[j] > 0.0):
+            break
+        trial = passive + [j]
+        r = factor(trial)
+        k = len(trial)
+        inside = float(np.linalg.norm(r[:k - 1, k - 1]))
+        z = None
+        if inside + _INDEPENDENCE_FACTOR * abs(r[k - 1, k - 1]) > inside:
+            z = coefficients(r)
+        if z is None or not z[-1] > 0.0:
+            dual[j] = 0.0
+            continue
+        passive = trial
+        free[j] = False
+        while True:
+            iters += 1
+            if iters > maxiter:
+                raise NnlsIterationLimit(
+                    f"nnls: no solution within {maxiter} iterations")
+            blocked = np.flatnonzero(z <= 0.0)
+            if not blocked.size:
+                break
+            cols = np.array(passive)
+            now = x[cols]
+            ratios = now[blocked] / (now[blocked] - z[blocked])
+            stop = int(np.argmin(ratios))
+            x[cols] = now + ratios[stop] * (z - now)
+            x[cols[blocked[stop]]] = 0.0
+            free[cols] = x[cols] <= 0.0
+            x[free] = 0.0
+            passive = [i for i in passive if not free[i]]
+            z = coefficients(factor(passive))
+        x[passive] = z
+        res = b_red - a_red[:, passive] @ z
+        dual = a_red.T @ res
+    return x, math.hypot(float(np.linalg.norm(res)), outside)

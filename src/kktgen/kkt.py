@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.optimize
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .homogeneity import lambda_bar
+from .kernels import nnls
 from .models import (BoundMlp, _matmul, mlp_apply, mlp_apply_np,
                      spec_group_shapes)
 
@@ -259,7 +259,7 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
     dlogits[pair_rows, 0, labels[rows]] = 1.0
     dlogits[pair_rows, 0, classes] = -1.0
     g = net.param_grad(acts, net.backprop(acts, dlogits)).T
-    mu, _ = scipy.optimize.nnls(g, target)
+    mu, _ = nnls(g, target)
     residual = float(np.linalg.norm(target - g @ mu)
                      / (np.linalg.norm(target) + NORM_EPS))
     pairs = [(int(i), int(c)) for i, c in zip(rows, classes)]

@@ -70,6 +70,8 @@ class ClassifierTrainConfig:
             raise ValueError("extra epochs must be nonnegative")
         if self.refine_iters < 0:
             raise ValueError("refine iters must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ class GeneratorTrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.beta < 0:
@@ -604,6 +608,8 @@ def sample(gen_spec, gen_params, y, n, t=None, seed=0, t_table=None):
         raise ValueError("n must be nonnegative")
     if not 0 <= int(y) < gen_spec.num_classes:
         raise ValueError(f"label {y} out of range")
+    if t is not None and not 0 <= int(t) < gen_spec.num_classifiers:
+        raise ValueError(f"classifier index {t} out of range")
     rng = np.random.default_rng([int(seed), int(y)])
     multi = gen_spec.conditions_on_classifier
     if multi and t is None:

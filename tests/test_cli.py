@@ -1,14 +1,24 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import functools
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import kktgen
 import kktgen.checkpoint as ck
+import kktgen.homogeneity as hg
+import kktgen.kkt as kk
 import kktgen.training as tr
+from kktgen import kernels
 from kktgen.cli import main
 from kktgen.datasets import circle_dataset
+from kktgen.models import GeneratorSpec, MultiplierSpec, init_kaiming
 
 FAST_CLASSIFIER = """
 [classifier]
@@ -38,6 +48,17 @@ def workdir(tmp_path):
 
 def run_dir(tmp_path):
     return tmp_path / "runs" / "demo"
+
+
+def test_import_loads_no_scipy():
+    """Every command runs on numpy alone: scipy serves only the tests."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(kktgen.__file__))))
+    code = ("import sys, kktgen, kktgen.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_missing_config_is_usage_error(capsys):
@@ -79,6 +100,8 @@ BAD_TRAIN_VALUES = [
     ("train-generator", "generator_training",
      "label_distribution = 1.2,-0.1,-0.1"),
     ("train-generator", "generator_training", "label_distribution = 0.5,0.5"),
+    ("train-classifier", "classifier", "seed = -1"),
+    ("train-generator", "generator_training", "seed = -1"),
 ]
 
 
@@ -98,6 +121,86 @@ def test_bad_train_value_is_usage_error(tmp_path, capsys, profiled_classifier,
     assert len(err) == 1 and "Traceback" not in err[0]
     assert err[0].startswith(f"error: bad config: {section}: ")
     assert not list((tmp_path / "runs").rglob("*.ckpt"))
+
+
+@pytest.fixture(scope="module")
+def generators(tmp_path_factory):
+    """Untrained generator checkpoints for one and for two classifiers."""
+    tmp_path = tmp_path_factory.mktemp("generators")
+    paths = {}
+    for t_count in (1, 2):
+        gen_spec = GeneratorSpec(2, 3, (8,), 2, num_classifiers=t_count)
+        mult_spec = MultiplierSpec(2, 3, (8,), num_classifiers=t_count)
+        state = tr.GeneratorTrainState(init_kaiming(gen_spec.mlp(), 1),
+                                       init_kaiming(mult_spec.mlp(), 2),
+                                       np.zeros(t_count), np.ones(t_count))
+        paths[t_count] = tmp_path / f"generator_{t_count}.ckpt"
+        ck.save_generator(paths[t_count], gen_spec, mult_spec, state)
+    return paths
+
+
+# a command-line value out of range: (command, checkpoint, flag, value);
+# the checkpoint is the profiled classifier or the generator for that many
+# classifiers
+BAD_ARGUMENTS = [
+    ("estimate-lambda", "classifier", "--probes", "0"),
+    ("estimate-lambda", "classifier", "--probes", "-3"),
+    ("estimate-lambda", "classifier", "--max-order", "0"),
+    ("estimate-lambda", "classifier", "--max-order", "3"),
+    ("estimate-lambda", "classifier", "--seed", "-1"),
+    ("train-generator", "classifier", "--seed", "-1"),
+    ("sample", 1, "--per-class", "-1"),
+    ("sample", 1, "--seed", "-1"),
+    ("sample", 1, "--t", "3"),
+    ("sample", 1, "--t", "-1"),
+    ("sample", 2, "--t", "2"),
+    ("sample", 2, "--t", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,checkpoint,flag,value", BAD_ARGUMENTS)
+def test_bad_argument_is_usage_error(tmp_path, capsys, profiled_classifier,
+                                     generators, command, checkpoint, flag,
+                                     value):
+    path = (profiled_classifier if checkpoint == "classifier"
+            else generators[checkpoint])
+    out = tmp_path / "out.csv"
+    if command == "train-generator":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[experiment]\noutput_dir = {tmp_path}\n"
+                       + FAST_CLASSIFIER.format(steps=3))
+        argv = [command, str(cfg), str(path)]
+    else:
+        argv = [command, str(path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+    assert not out.exists() and not list(tmp_path.rglob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command", ["estimate-lambda", "evaluate"])
+def test_nnls_iteration_limit_is_numeric_error(tmp_path, capsys, monkeypatch,
+                                               profiled_classifier, command):
+    """Both NNLS solves, the profile's and the KKT oracle's, exit 4 when
+    the solver runs out of iterations."""
+    capped = functools.partial(kernels.nnls, maxiter=0)
+    monkeypatch.setattr(hg, "nnls", capped)
+    monkeypatch.setattr(kk, "nnls", capped)
+    clf = tmp_path / "classifier.ckpt"
+    shutil.copy(profiled_classifier, clf)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n")
+    samples = tmp_path / "s.csv"
+    samples.write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
+    argv = {"estimate-lambda": ["estimate-lambda", str(clf)],
+            "evaluate": ["evaluate", str(cfg), str(samples),
+                         "--classifier", str(clf)]}
+    capsys.readouterr()
+    assert main(argv[command]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "nnls" in err[0] and "iterations" in err[0]
+    assert clf.read_bytes() == profiled_classifier.read_bytes()
 
 
 def test_classifier_nonconvergence_is_numeric_error(tmp_path, capsys):
@@ -403,6 +506,31 @@ def test_truncated_generator_checkpoint_is_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(gen) in err[0]
     assert "truncated" in err[0] or "corrupt" in err[0]
+
+
+@pytest.mark.parametrize("missing", [("opt.theta",), ("opt.eta",),
+                                     ("opt.alpha0",),
+                                     ("opt.theta", "opt.eta", "opt.alpha0")])
+def test_resume_without_optimizer_state_is_usage_error(workdir, capsys,
+                                                       missing):
+    tmp_path, cfg = workdir
+    head = f"[experiment]\nname = demo\noutput_dir = {tmp_path / 'runs'}\n"
+    cfg.write_text(head + FAST_CLASSIFIER.format(steps=3))
+    clf = run_dir(tmp_path) / "classifier.ckpt"
+    gen = run_dir(tmp_path) / "generator.ckpt"
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert main(["estimate-lambda", str(clf)]) == 0
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    cfg.write_text(head + FAST_CLASSIFIER.format(steps=6))
+    sections = ck.read_sections(gen)
+    for name in missing:
+        del sections[name]
+    ck.write_sections(gen, sections)
+    capsys.readouterr()
+    assert main(["train-generator", str(cfg), str(clf), "--resume"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(gen) in err[0]
+    assert "incomplete" in err[0] and ", ".join(missing) in err[0]
 
 
 def test_plot_scatter_rejects_high_dim(tmp_path, capsys):

@@ -17,6 +17,7 @@ import kktgen.checkpoint as ck
 import kktgen.kkt as kk
 import kktgen.training as tr
 from kktgen.cli import main
+from kktgen.config import RunConfig
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.kkt import duality_loss, stationarity_loss_graph
 from kktgen.models import (BoundMlp, GeneratorSpec, MlpSpec, MultiplierSpec,
@@ -211,7 +212,10 @@ def test_non_finite_resume_exits_numeric(tmp_path, capsys):
     assert main(["estimate-lambda", str(clf)]) == 0
     assert main(["train-generator", str(cfg), str(clf)]) == 0
     gen = out / "generator.ckpt"
-    gen_spec, mult_spec, state, meta = ck.load_generator(gen)
+    # loaded with the run's config, so the re-saved checkpoint keeps the
+    # optimizer state a resume needs
+    run_config = RunConfig.from_file(cfg).generator_train_config()
+    gen_spec, mult_spec, state, meta = ck.load_generator(gen, run_config)
     state.gen_params.values[0] = np.nan
     ck.save_generator(gen, gen_spec, mult_spec, state,
                       config_hash=meta["config_hash"])

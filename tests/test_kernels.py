@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import kktgen.homogeneity as hg
+import kktgen.kkt as kk
 from kktgen import kernels
+from kktgen.config import RunConfig
+from kktgen.datasets import circle_dataset
+from kktgen.training import train_classifier
 
 
 def reference_adam(values, grads, m, v, t, lr, beta1, beta2, eps):
@@ -152,3 +158,112 @@ def test_ssim_uniform_matches_window_loop(shape, window):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     one = kernels.ssim_uniform(a, stack[0], window, c1, c2)
     assert isinstance(one, float) and one == got[0]
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares against scipy.optimize.nnls, the reference
+
+
+def ridge_rows(a, b):
+    """The rows :func:`homogeneity.solve_lambda` appends to its system."""
+    ridge = np.sqrt(hg.RIDGE) * np.max(np.abs(a))
+    return (np.vstack([a, ridge * np.eye(a.shape[1])]),
+            np.concatenate([b, np.zeros(a.shape[1])]))
+
+
+def nnls_case(name, seed):
+    """(a, b, unique): a problem of kind ``name``; ``unique`` says whether
+    its minimizer is unique, so that x can be compared."""
+    rng = np.random.default_rng(seed)
+    if name == "tall":
+        return rng.standard_normal((40, 10)), rng.standard_normal(40), True
+    if name == "wide":
+        return rng.standard_normal((8, 20)), rng.standard_normal(8), False
+    if name == "rank-deficient-ridge":
+        # rank 6 in 10 unknowns, consistent as a profile system is; the
+        # ridge rows select the minimum-norm point
+        a = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 10))
+        return (*ridge_rows(a, a @ np.abs(rng.standard_normal(10))), True)
+    if name == "negative-cone":
+        # a^T b < 0 for every column, so x = 0
+        return (np.abs(rng.standard_normal((30, 6))),
+                -np.abs(rng.standard_normal(30)), True)
+    if name == "zero-column":
+        a = rng.standard_normal((40, 10))
+        a[:, 3] = 0.0
+        return a, rng.standard_normal(40), True
+    raise ValueError(name)
+
+
+def assert_matches_scipy(a, b, unique):
+    """x to 1e-12 relative where the minimizer is unique; rnorm to 1e-12
+    of ||b||, since a small residual is known to no better than the
+    rounding of b itself."""
+    want_x, want_rnorm = scipy.optimize.nnls(a, b)
+    x, rnorm = kernels.nnls(a, b)
+    assert x.shape == want_x.shape and np.all(x >= 0.0)
+    if unique:
+        assert (np.max(np.abs(x - want_x))
+                <= 1e-12 * max(np.max(np.abs(want_x)), 1e-300))
+    assert abs(rnorm - want_rnorm) <= 1e-12 * np.linalg.norm(b)
+    assert abs(rnorm - np.linalg.norm(a @ x - b)) <= 1e-12 * np.linalg.norm(b)
+    again = kernels.nnls(a, b)
+    assert again[0].tobytes() == x.tobytes() and again[1] == rnorm
+    return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["tall", "wide", "rank-deficient-ridge",
+                                  "negative-cone", "zero-column"])
+def test_nnls_matches_scipy(name, seed):
+    x = assert_matches_scipy(*nnls_case(name, seed))
+    if name == "negative-cone":
+        assert not np.any(x)
+    if name == "zero-column":
+        assert x[3] == 0.0
+
+
+@pytest.fixture(scope="module")
+def circle_solves():
+    """(a, b) of both NNLS solves on the default circle classifier: the
+    profile system with its ridge rows, and the KKT oracle's margin
+    gradients against Lbar zeta."""
+    config = RunConfig.defaults()
+    circle = circle_dataset()
+    spec = config.classifier_spec()
+    params, _ = train_classifier(circle, spec,
+                                 config.classifier_train_config())
+    k, max_order, seed = config.lambda_options()
+    solves = []
+
+    def recording(a, b):
+        solves.append((a.copy(), b.copy()))
+        return kernels.nnls(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hg, "nnls", recording)
+        mp.setattr(kk, "nnls", recording)
+        profile, _ = hg.estimate_profile(spec, params, k=k,
+                                         max_order=max_order, seed=seed)
+        margins = kk.margins_np(spec, params, circle.x, circle.labels)
+        q = np.min(margins[margins != 0.0])
+        kk.kkt_residual_oracle(spec, params, profile, circle.x,
+                               circle.labels, float(-np.log(q)))
+    return dict(zip(["profile", "oracle"], solves))
+
+
+@pytest.mark.parametrize("which", ["profile", "oracle"])
+def test_nnls_matches_scipy_on_the_circle_classifier(circle_solves, which):
+    a, b = circle_solves[which]
+    x = assert_matches_scipy(a, b, unique=True)
+    assert np.count_nonzero(x) > 1
+
+
+def test_nnls_iteration_cap():
+    a, b, _ = nnls_case("tall", 0)
+    x, _ = kernels.nnls(a, b)
+    assert np.count_nonzero(x) > 1
+    with pytest.raises(kernels.NnlsIterationLimit, match="1 iterations"):
+        kernels.nnls(a, b, maxiter=1)
+    with pytest.raises(ValueError, match="m-vector"):
+        kernels.nnls(a, b[:-1])

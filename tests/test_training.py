@@ -321,5 +321,8 @@ def test_sample_multi_classifier_t_table():
     assert set(ts) == {0, 1}
     x_fixed, ts_fixed = tr.sample(gen_spec, theta, y=0, n=5, t=1)
     assert np.array_equal(ts_fixed, np.ones(5))
+    for t in (-1, 2):
+        with pytest.raises(ValueError, match="classifier index"):
+            tr.sample(gen_spec, theta, y=0, n=5, t=t)
     with pytest.raises(ValueError, match="no classifier index"):
         tr.sample(gen_spec, theta, y=1, n=5, t_table={0: {0}})
