@@ -195,8 +195,6 @@ def cmd_estimate_lambda(args):
 
 
 def cmd_train_generator(args):
-    _require(args.seed is None or args.seed >= 0,
-             f"--seed must be nonnegative, got {args.seed}")
     config = _load_config(args.config)
     out = _run_dir(config)
     datasets = config.dataset()

@@ -77,8 +77,11 @@ class NnlsIterationLimit(RuntimeError):
 # of its component inside: Lawson & Hanson's test for near-dependence
 _INDEPENDENCE_FACTOR = 0.01
 
+# the iteration cap per column, scipy's
+_ITERATIONS_PER_COLUMN = 3
 
-def nnls(a, b, maxiter=None):
+
+def nnls(a, b):
     """min ||a x - b|| over x >= 0; returns ``(x, rnorm)``.
 
     Lawson & Hanson's active-set method (*Solving Least Squares
@@ -91,15 +94,14 @@ def nnls(a, b, maxiter=None):
     columns or would enter with a coefficient <= 0; a rejected column
     waits until the dual is next recomputed.  Every passive-set solve
     after an entry counts as one iteration; :class:`NnlsIterationLimit`
-    is raised after ``maxiter`` of them (default 3n).
+    is raised after 3n of them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError("nnls expects an (m, n) matrix and an m-vector")
     m, n = a.shape
-    if maxiter is None:
-        maxiter = 3 * n
+    maxiter = _ITERATIONS_PER_COLUMN * n
     if m > n:
         # the R factor of [a | b] holds R, Q^T b and the norm of the
         # part of b outside the range of a, so Q is never formed

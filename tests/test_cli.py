@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
-import functools
 import os
 import shutil
 import subprocess
@@ -172,10 +171,14 @@ def test_bad_argument_is_usage_error(tmp_path, capsys, profiled_classifier,
         argv = [command, str(cfg), str(path)]
     else:
         argv = [command, str(path), "--out", str(out)]
+    # train-generator's --seed overrides the config's seed, which the
+    # train config checks
+    start = ("error: bad config: generator_training: seed "
+             if command == "train-generator" else f"error: {flag} ")
     capsys.readouterr()
     assert main(argv + [flag, value]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+    assert len(err) == 1 and err[0].startswith(start)
     assert not out.exists() and not list(tmp_path.rglob("*.ckpt"))
 
 
@@ -184,7 +187,10 @@ def test_nnls_iteration_limit_is_numeric_error(tmp_path, capsys, monkeypatch,
                                                profiled_classifier, command):
     """Both NNLS solves, the profile's and the KKT oracle's, exit 4 when
     the solver runs out of iterations."""
-    capped = functools.partial(kernels.nnls, maxiter=0)
+    def capped(a, b):
+        raise kernels.NnlsIterationLimit(
+            f"nnls: no solution within {3 * a.shape[1]} iterations")
+
     monkeypatch.setattr(hg, "nnls", capped)
     monkeypatch.setattr(kk, "nnls", capped)
     clf = tmp_path / "classifier.ckpt"
