@@ -13,7 +13,7 @@ from .datasets import (CoverageReport, LabeledDataset, circle_dataset,
                        coverage_report, nearest_neighbor, pattern_dataset,
                        split_dataset, ssim)
 from .homogeneity import (QuasiHomogeneousProfile, estimate_profile,
-                          lambda_bar, normalize, scale_params, solve_lambda,
+                          lambda_bar, scale_params, solve_lambda,
                           verify_lambda)
 from .kkt import (duality_loss, kkt_residual_oracle, margins_np,
                   second_place_set)
@@ -36,7 +36,7 @@ __all__ = [
     "circle_dataset", "coverage_report", "deserialize_params",
     "duality_loss", "estimate_profile", "init_kaiming",
     "kkt_residual_oracle", "lambda_bar", "margins_np", "nearest_neighbor",
-    "normalize", "pattern_dataset", "refine_margins", "sample",
+    "pattern_dataset", "refine_margins", "sample",
     "scale_params", "second_place_set", "serialize_params",
     "solve_lambda", "split_dataset", "ssim", "train_classifier",
     "train_generator", "verify_lambda",

@@ -157,8 +157,7 @@ def save_generator(path, gen_spec, mult_spec, state, config_hash="",
         "gen_params": serialize_params(gen_spec, state.gen_params),
         "mult_params": serialize_params(mult_spec, state.mult_params),
         "alphas": _floats_bytes(state.alphas),
-        "deltas": _floats_bytes(
-            state.deltas if state.deltas is not None else []),
+        "deltas": _floats_bytes(state.deltas),
     }
     if state.optimizers:
         sections["opt.theta"] = _adam_bytes(state.optimizers["theta"])
@@ -188,8 +187,10 @@ def load_generator(path, config=None):
         mult_params = deserialize_params(sections["mult_params"], mult_spec)
         alphas = _floats_from(sections["alphas"])
         deltas = _floats_from(sections["deltas"])
-        state = GeneratorTrainState(gen_params, mult_params, alphas,
-                                    deltas if deltas.size else None,
+        if not deltas.size or deltas.size != alphas.size:
+            raise ValueError(f"{deltas.size} deltas for {alphas.size} "
+                             f"alphas")
+        state = GeneratorTrainState(gen_params, mult_params, alphas, deltas,
                                     step=int(meta.get("step", 0)))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
@@ -216,8 +217,7 @@ def _load_optimizers(path, sections, config, state):
     optimizers = {
         "theta": Adam(len(state.gen_params), config.lr_theta),
         "eta": Adam(len(state.mult_params), config.lr_eta),
-        "alpha": [Adam(1, config.alpha_lr(t))
-                  for t in range(state.alphas.size)],
+        "alpha": [Adam(1, config.lr_alpha) for _ in alpha_names],
     }
     try:
         for key, name in names.items():

