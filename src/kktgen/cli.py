@@ -17,7 +17,9 @@ from . import checkpoint as ckpt
 from . import kkt
 from . import training as tr
 from .config import ConfigError, RunConfig
-from .datasets import LabeledDataset, coverage_report, nearest_neighbor
+from .datasets import (CsvError, LabeledDataset, coverage_report,
+                       integer_column, nearest_neighbor, read_csv,
+                       reject_rows)
 from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER,
                           default_probe_samples, estimate_profile,
                           scaling_deviations, verify_lambda)
@@ -30,6 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
+
+# rows formatted per write: bounds the Python numbers alive at once
+CSV_BLOCK_ROWS = 1024
 
 VERIFY_ALPHAS = (-1.0, -0.5, 0.1, 0.5, 1.0)
 VERIFY_DEVIATION_LIMIT = 1e-5
@@ -63,42 +68,46 @@ def _run_dir(config):
     return out
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Equal-length columns under one header line.  Each row is one
+    ``%`` template: ``%.17g`` for a float column, ``%s`` for any other."""
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%.17g" if c.dtype.kind == "f" else "%s"
+                        for c in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            rows = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist()
+                         for c in columns))
+            fh.write("".join([template % row for row in rows]))
 
 
-def _samples_csv(path, x, y, t):
-    dim = x.shape[1] if len(x) else 0
-    header = [f"x{i}" for i in range(dim)] + ["y", "t"]
-    rows = [[float(v) for v in xi] + [int(yi), int(ti)]
-            for xi, yi, ti in zip(x, y, t)]
-    _write_csv(path, header, rows)
+def _read_samples_csv(path, dataset):
+    """Coordinates and labels of a samples CSV (``x0..x{d-1},y,t``).
 
-
-def _read_samples_csv(path):
+    A file that is not one, or whose samples ``dataset`` cannot be
+    compared with, is a usage error naming the file and the row.
+    """
     if not os.path.exists(path):
         raise _Fail(EXIT_USAGE, f"samples file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise _Fail(EXIT_USAGE, f"{path}: empty samples file (no header)")
-    header = lines[0].split(",")
-    if len(header) < 3 or header[-2] != "y" or header[-1] != "t":
-        raise _Fail(EXIT_USAGE, f"{path}: expected columns x...,y,t")
-    xs, ys, ts = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        xs.append([float(v) for v in parts[:-2]])
-        ys.append(int(parts[-2]))
-        ts.append(int(parts[-1]))
-    dim = len(header) - 2
-    x = np.array(xs, dtype=np.float64).reshape(len(xs), dim)
-    return x, np.array(ys, dtype=int), np.array(ts, dtype=int)
+    try:
+        header, rows = read_csv(path)
+        if len(header) < 3 or header[-2:] != ["y", "t"]:
+            raise CsvError(path, "expected columns x...,y,t")
+        if len(header) - 2 != dataset.dim:
+            raise CsvError(path, f"has {len(header) - 2} coordinates, the "
+                           f"dataset {dataset.dim}")
+        x = np.ascontiguousarray(rows[:, :-2])
+        reject_rows(path, ~np.isfinite(x).all(axis=1),
+                    "has a coordinate that is not finite")
+        y = integer_column(path, rows[:, -2], "y")
+        integer_column(path, rows[:, -1], "t")
+        reject_rows(path, (y < 0) | (y >= dataset.num_classes),
+                    f"y is not a class of the dataset "
+                    f"(0 to {dataset.num_classes - 1})")
+    except (CsvError, OSError) as exc:
+        raise _Fail(EXIT_USAGE, str(exc)) from None
+    return x, y
 
 
 def _load_checkpoint(load, path, *args):
@@ -133,8 +142,8 @@ def _generator_run_hash(config, seed):
 
 def cmd_train_classifier(args):
     config = _load_config(args.config)
-    out = _run_dir(config)
     datasets = config.dataset()
+    out = _run_dir(config)
     spec = config.classifier_spec()
     for i, ds in enumerate(datasets):
         tag = f"_{i + 1}" if len(datasets) > 1 else ""
@@ -144,14 +153,15 @@ def cmd_train_classifier(args):
         except tr.ConvergenceError as exc:
             _write_csv(os.path.join(out, f"classifier{tag}_loss.csv"),
                        ["epoch", "cross_entropy"],
-                       list(enumerate(exc.trajectory)))
+                       [np.arange(len(exc.trajectory)), exc.trajectory])
             raise _Fail(EXIT_NUMERIC, f"classifier{tag}: {exc}")
         ckpt.save_classifier(
             os.path.join(out, f"classifier{tag}.ckpt"), spec, params,
             config_hash=config.hash(),
             extra={"dataset": ds.name, "final_loss": trajectory[-1]})
         _write_csv(os.path.join(out, f"classifier{tag}_loss.csv"),
-                   ["epoch", "cross_entropy"], list(enumerate(trajectory)))
+                   ["epoch", "cross_entropy"],
+                   [np.arange(len(trajectory)), trajectory])
         print(f"classifier{tag}: {len(trajectory)} GD epochs, "
               f"final loss {trajectory[-1]:.6g} -> "
               f"{os.path.join(out, f'classifier{tag}.ckpt')}")
@@ -173,12 +183,12 @@ def cmd_estimate_lambda(args):
         spec, params, profile, VERIFY_ALPHAS,
         default_probe_samples(spec, args.probes, seed=args.seed))
     worst = float(devs.max())
-    rows = [[alpha, i, float(d)]
-            for alpha, dev in zip(VERIFY_ALPHAS, devs)
-            for i, d in enumerate(dev)]
     csv_path = args.out or (os.path.splitext(args.checkpoint)[0]
                             + "_lambda_verify.csv")
-    _write_csv(csv_path, ["alpha", "input_id", "relative_deviation"], rows)
+    _write_csv(csv_path, ["alpha", "input_id", "relative_deviation"],
+               [np.repeat(VERIFY_ALPHAS, devs.shape[1]),
+                np.tile(np.arange(devs.shape[1]), len(VERIFY_ALPHAS)),
+                devs.ravel()])
     print(f"lambda profile attached (solver residual "
           f"{profile.residual:.3g}); "
           f"max scaling deviation {worst:.3g} -> {csv_path}")
@@ -191,8 +201,8 @@ def cmd_estimate_lambda(args):
 
 def cmd_train_generator(args):
     config = _load_config(args.config)
-    out = _run_dir(config)
     datasets = config.dataset()
+    out = _run_dir(config)
     bundles = []
     for i, path in enumerate(args.checkpoints):
         spec, params, profile, _ = _load_classifier(path)
@@ -236,7 +246,7 @@ def cmd_train_generator(args):
     header = ["step", "t", "l_stat", "l_dual", "tv", "total"] + \
         [f"alpha_{t}" for t in range(t_count)]
     _write_csv(os.path.join(out, args.name + "_loss.csv"), header,
-               [[row[k] for k in header] for row in state.history])
+               [[row[k] for row in state.history] for k in header])
     print(f"generator: {state.step} steps -> {gen_path}")
     return EXIT_OK
 
@@ -250,15 +260,13 @@ def cmd_sample(args):
     _require(args.t is None or 0 <= args.t < t_count,
              f"--t must be a classifier index in [0, {t_count}), "
              f"got {args.t}")
-    xs, ys, ts = [], [], []
-    for y in range(gen_spec.num_classes):
-        x, t_idx = tr.sample(gen_spec, state.gen_params, y, args.per_class,
-                             t=args.t, seed=args.seed)
-        xs.append(x)
-        ys.extend([y] * args.per_class)
-        ts.append(t_idx)
-    x = np.vstack(xs) if xs else np.zeros((0, gen_spec.out_dim))
-    _samples_csv(args.out, x, np.array(ys), np.concatenate(ts))
+    classes = range(gen_spec.num_classes)
+    xs, ts = zip(*(tr.sample(gen_spec, state.gen_params, y, args.per_class,
+                             t=args.t, seed=args.seed) for y in classes))
+    x = np.vstack(xs)
+    _write_csv(args.out, [f"x{i}" for i in range(x.shape[1])] + ["y", "t"],
+               [*x.T, np.repeat(classes, args.per_class),
+                np.concatenate(ts)])
     print(f"wrote {len(x)} samples -> {args.out}")
     return EXIT_OK
 
@@ -270,17 +278,19 @@ def cmd_evaluate(args):
         np.vstack([d.x for d in datasets]),
         np.concatenate([d.labels for d in datasets]),
         name="combined", num_classes=datasets[0].num_classes)
-    x, y, _ = _read_samples_csv(args.samples)
+    x, y = _read_samples_csv(args.samples, dataset)
+    if not len(x):
+        raise _Fail(EXIT_USAGE, f"{args.samples}: no samples to evaluate")
     spec = params = profile = None
     if args.classifier:
         spec, params, profile, _ = _load_classifier(args.classifier)
     report = coverage_report(x, y, dataset, spec, params)
     out = args.out or (os.path.splitext(args.samples)[0] + "_report.csv")
-    rows = [["mean_nn_distance", float(report.mean_nn_distance)],
-            ["label_agreement", float(report.label_agreement)]]
-    rows += [[f"point{i}_min_distance", float(d)]
-             for i, d in enumerate(report.per_point_min_distance)]
-    if spec is not None and profile is not None and len(x):
+    names = ["mean_nn_distance", "label_agreement"] + [
+        f"point{i}_min_distance" for i in range(dataset.size)]
+    values = [report.mean_nn_distance, report.label_agreement,
+              *report.per_point_min_distance.tolist()]
+    if spec is not None and profile is not None:
         margins = margins_np(spec, params, dataset.x, dataset.labels)
         rival = np.ones_like(margins, dtype=bool)
         rival[np.arange(dataset.size), dataset.labels] = False
@@ -293,8 +303,9 @@ def cmd_evaluate(args):
         residual, _ = kkt_residual_oracle(spec, params, profile,
                                           dataset.x, dataset.labels,
                                           float(-np.log(q)))
-        rows.append(["kkt_stationarity_residual", float(residual)])
-    _write_csv(out, ["metric", "value"], rows)
+        names.append("kkt_stationarity_residual")
+        values.append(float(residual))
+    _write_csv(out, ["metric", "value"], [names, values])
     print(f"mean nn distance {report.mean_nn_distance:.4f}, worst "
           f"per-point {report.per_point_min_distance.max():.4f}, "
           f"label agreement {report.label_agreement:.4f} -> {out}")
@@ -305,9 +316,9 @@ def cmd_plot(args):
     config = _load_config(args.config)
     datasets = config.dataset()
     dataset = datasets[0]
-    x, y, _ = _read_samples_csv(args.samples)
+    x, y = _read_samples_csv(args.samples, dataset)
     if args.mode == "scatter":
-        if dataset.dim != 2 or (len(x) and x.shape[1] != 2):
+        if dataset.dim != 2:
             raise _Fail(EXIT_USAGE,
                         "scatter plots need 2-d data; use --mode grid")
         svg = svg_scatter(dataset.x, dataset.labels, x, y,

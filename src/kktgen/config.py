@@ -243,8 +243,11 @@ class RunConfig:
             if not sec["csv_path"]:
                 raise ConfigError("dataset.csv_path",
                                   "required for kind = csv")
-            ds = dataset_from_csv(sec["csv_path"], name="csv",
-                                  num_classes=sec["num_classes"])
+            try:
+                ds = dataset_from_csv(sec["csv_path"], name="csv",
+                                      num_classes=sec["num_classes"])
+            except (OSError, ValueError) as exc:
+                raise ConfigError("dataset.csv_path", str(exc)) from None
         else:
             raise ConfigError("dataset.kind", f"unknown kind {kind!r}")
         split = sec["split"]

@@ -7,6 +7,7 @@ The 8x8 stripes-vs-checkerboard patterns stand in for image data.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from .models import mlp_apply_np
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+
+# bytes per temporary array of a blocked pass over samples
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -139,32 +143,67 @@ def ssim(a, b, window=8, k1=SSIM_K1, k2=SSIM_K2, data_range=1.0):
     return kernels.ssim_uniform(a, b, window, c1, c2)
 
 
+def _block_rows(row_bytes):
+    """Rows per block of a blocked pass whose temporaries take
+    ``row_bytes`` per row, so that each stays under ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _distance_blocks(samples, points):
+    """``(start, d)`` for blocks of samples, ``d[i, j]`` the euclidean
+    distance from sample ``start + i`` to point ``j``.
+
+    The operations are those of ``np.linalg.norm(points - s, axis=1)``
+    (``sqrt(add.reduce(diff * diff, axis=-1))``), so every distance has
+    the same bits; ``s - p`` is exactly ``-(p - s)``.
+    """
+    step = _block_rows(points.size * 8)
+    for start in range(0, samples.shape[0], step):
+        diff = samples[start:start + step, None, :] - points
+        diff *= diff
+        yield start, np.sqrt(np.add.reduce(diff, axis=-1))
+
+
+def _ssim_blocks(samples, dataset):
+    """``(start, scores)`` for blocks of samples, ``scores[i, j]`` the
+    SSIM of sample ``start + i`` against dataset image ``j``, one
+    :func:`kernels.ssim_uniform` call per block."""
+    side = int(round(np.sqrt(dataset.dim)))
+    if side * side != dataset.dim:
+        raise ValueError("ssim metric requires square image data")
+    images = dataset.x.reshape(dataset.size, side, side)
+    # ssim()'s constants at data_range 1
+    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
+    step = _block_rows(dataset.x.size * 8)
+    for start in range(0, samples.shape[0], step):
+        block = samples[start:start + step].reshape(-1, side, side)
+        yield start, kernels.ssim_uniform(block, images, min(8, side), c1,
+                                          c2)
+
+
 def nearest_neighbor(samples, dataset, metric="euclidean"):
     """Per-sample (index, score) of the closest dataset point.
 
     Euclidean minimizes distance; SSIM maximizes similarity.  Ties go to
-    the lowest index.
+    the lowest index.  Samples are scored a block at a time against the
+    whole dataset.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if dataset.size == 0:
         raise ValueError("dataset must be nonempty")
-    out = []
     if metric == "euclidean":
-        for s in samples:
-            d = np.linalg.norm(dataset.x - s, axis=1)
-            idx = int(np.argmin(d))
-            out.append((idx, float(d[idx])))
+        blocks, pick = _distance_blocks(samples, dataset.x), np.argmin
     elif metric == "ssim":
-        side = int(round(np.sqrt(dataset.dim)))
-        if side * side != dataset.dim:
-            raise ValueError("ssim metric requires square image data")
-        for s in samples:
-            scores = ssim(s, dataset.x, window=min(8, side))
-            idx = int(np.argmax(scores))
-            out.append((idx, float(scores[idx])))
+        blocks, pick = _ssim_blocks(samples, dataset), np.argmax
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    return out
+    idx = np.empty(samples.shape[0], dtype=np.intp)
+    best = np.empty(samples.shape[0])
+    for start, scores in blocks:
+        block = slice(start, start + scores.shape[0])
+        idx[block] = pick(scores, axis=1)
+        best[block] = scores[np.arange(scores.shape[0]), idx[block]]
+    return list(zip(idx.tolist(), best.tolist()))
 
 
 def coverage_report(samples, sample_labels, dataset, spec=None, zeta=None):
@@ -172,31 +211,107 @@ def coverage_report(samples, sample_labels, dataset, spec=None, zeta=None):
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[1] != dataset.dim:
         raise ValueError("dimension mismatch between samples and dataset")
-    nn = nearest_neighbor(samples, dataset)
-    mean_nn = float(np.mean([d for _, d in nn])) if len(nn) else 0.0
-    per_point = np.array([
-        float(np.min(np.linalg.norm(samples - p, axis=1)))
-        for p in dataset.x])
+    if samples.shape[0] == 0:
+        raise ValueError("coverage needs at least one sample")
+    nn = np.array(nearest_neighbor(samples, dataset))  # (n, 2)
+    mean_nn = float(np.mean(np.ascontiguousarray(nn[:, 1])))
+    per_point = np.full(dataset.size, np.inf)
+    for _, d in _distance_blocks(samples, dataset.x):
+        np.minimum(per_point, d.min(axis=0), out=per_point)
     if spec is not None and zeta is not None:
         pred = np.argmax(mlp_apply_np(spec, zeta, samples), axis=1)
-        agreement = float(np.mean(pred == np.asarray(sample_labels)))
     else:
-        agreement = 1.0 if samples.shape[0] == 0 else float(
-            np.mean(np.asarray(sample_labels)
-                    == dataset.labels[[i for i, _ in nn]]))
+        pred = dataset.labels[nn[:, 0].astype(np.intp)]
+    agreement = float(np.mean(pred == np.asarray(sample_labels)))
     return CoverageReport(mean_nn_distance=mean_nn,
                           per_point_min_distance=per_point,
                           label_agreement=agreement)
 
 
-def dataset_from_csv(path, name="", num_classes=0):
+class CsvError(ValueError):
+    """A CSV file that cannot be used; the message names the file, and
+    the data row (1-based, empty lines not counted) where there is one."""
+
+    def __init__(self, path, what, row=None):
+        where = f"{path}" if row is None else f"{path}, row {row}"
+        super().__init__(f"{where}: {what}")
+
+
+def reject_rows(path, bad, what):
+    """Raise :class:`CsvError` at the first row where ``bad`` is set."""
+    if bad.any():
+        raise CsvError(path, what, int(np.argmax(bad)) + 1)
+
+
+def integer_column(path, values, name):
+    """A float column as int64; a row whose value is not an integer is a
+    :class:`CsvError`."""
+    exact = (np.abs(values) < 2.0 ** 53) & (values == np.rint(values))
+    reject_rows(path, ~exact, f"{name} is not an integer")
+    return values.astype(np.int64)
+
+
+def _first_bad_row(path, width):
+    """(row, reason) of the first data row ``np.loadtxt`` rejects."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    body = lines[1:]
-    pts, labels = [], []
-    for ln in body:
-        parts = ln.split(",")
-        pts.append([float(v) for v in parts[:-1]])
-        labels.append(int(parts[-1]))
-    return LabeledDataset(np.array(pts), np.array(labels), name,
-                          num_classes)
+        lines = [ln for ln in fh.readlines()[1:] if ln.rstrip("\r\n")]
+    for row, line in enumerate(lines, start=1):
+        fields = line.count(",") + 1
+        if fields != width:
+            return row, f"has {fields} fields, the header {width}"
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return row, "has a field that is not a number"
+    return None, "is not a CSV file of numbers"
+
+
+def read_csv(path):
+    """Header names and float rows ``(n, len(header))`` of a CSV file.
+
+    The first line is the header; every further nonempty line is a row
+    of as many numbers as the header has names.  A file that breaks
+    this raises :class:`CsvError`; a missing file raises ``OSError``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not header:
+                raise CsvError(path, "empty file (no header line)")
+            names = header.split(",")
+            with warnings.catch_warnings():
+                # a header-only file is zero rows, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                      comments=None)
+                except ValueError:
+                    rows = None
+        if rows is None:
+            row, what = _first_bad_row(path, len(names))
+            raise CsvError(path, what, row)
+    except UnicodeDecodeError:
+        raise CsvError(path, "is not UTF-8 text") from None
+    if rows.size == 0:
+        return names, np.empty((0, len(names)))
+    if rows.shape[1] != len(names):
+        raise CsvError(path, f"has {rows.shape[1]} fields, the header "
+                       f"{len(names)}", 1)
+    return names, rows
+
+
+def dataset_from_csv(path, name="", num_classes=0):
+    """Points ``x0..x{d-1}`` and an integer label in the last column."""
+    names, rows = read_csv(path)
+    if len(names) < 2:
+        raise CsvError(path, "expected columns x0,...,label")
+    if rows.shape[0] == 0:
+        raise CsvError(path, "no data rows")
+    x, labels = rows[:, :-1], integer_column(path, rows[:, -1], "label")
+    reject_rows(path, ~np.isfinite(x).all(axis=1),
+                "has a coordinate that is not finite")
+    out_of_range = labels < 0
+    if num_classes:
+        out_of_range |= labels >= num_classes
+    reject_rows(path, out_of_range, "label out of range")
+    return LabeledDataset(x, labels, name, num_classes)

@@ -40,18 +40,24 @@ def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
 
 
 def ssim_uniform(a, b, window, c1, c2):
-    """Mean SSIM over all valid uniform windows of image ``a`` against ``b``.
+    """Mean SSIM over all valid uniform windows of images ``a`` against
+    images ``b``.
 
-    ``b`` is one 2-d image of ``a``'s shape, giving a float, or a stack
-    ``(k, h, w)`` of them, giving k scores.
+    ``a`` and ``b`` are each one 2-d image or a stack ``(k, h, w)`` of
+    them, all of one shape.  One image against one gives a float; the
+    scores of every pair otherwise have shape ``a``'s stack by ``b``'s:
+    ``(k_b,)``, ``(k_a,)`` or ``(k_a, k_b)``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim not in (2, 3) or b.shape[-2:] != a.shape:
-        raise ValueError("ssim_uniform expects a 2-d image and an "
-                         "equal-shape image or stack of images")
-    if window > min(a.shape):
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3) \
+            or b.shape[-2:] != a.shape[-2:]:
+        raise ValueError("ssim_uniform expects equal-shape 2-d images or "
+                         "stacks of them")
+    if window > min(a.shape[-2:]):
         raise ValueError("window larger than the image")
+    if a.ndim == 3 and b.ndim == 3:
+        a = a[:, None]
 
     def window_mean(img):
         return sliding_window_view(img, (window, window),
@@ -65,7 +71,7 @@ def ssim_uniform(a, b, window, c1, c2):
     scores = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
               / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
     mean = scores.mean(axis=(-2, -1))
-    return float(mean) if b.ndim == 2 else mean
+    return float(mean) if mean.ndim == 0 else mean
 
 
 class NnlsIterationLimit(RuntimeError):

@@ -13,7 +13,16 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
+_PALETTE = np.array(PALETTE)
+
 _MARGIN = 40.0
+
+# rows formatted per block: bounds the Python numbers alive at once
+_EMIT_ROWS = 1024
+
+# "#llllll" for each 8-bit gray level
+_GRAYS = np.array([f"#{level:02x}{level:02x}{level:02x}"
+                   for level in range(256)])
 
 
 def _fmt(value):
@@ -70,35 +79,40 @@ def svg_scatter(train_points=None, train_labels=None, samples=None,
                      f'text-anchor="middle">{title}</text>')
     if samples is not None and np.size(samples):
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        labels = (np.zeros(len(samples), dtype=int) if sample_labels is None
-                  else np.asarray(sample_labels, dtype=int))
-        for p, lab in zip(samples, labels):
-            cx, cy = sx(p[0]), sy(p[1])
-            color = PALETTE[int(lab) % len(PALETTE)]
-            parts.append(
-                f'<path d="M {_fmt(cx - 3)} {_fmt(cy - 3)} '
-                f'L {_fmt(cx + 3)} {_fmt(cy + 3)} '
-                f'M {_fmt(cx - 3)} {_fmt(cy + 3)} '
-                f'L {_fmt(cx + 3)} {_fmt(cy - 3)}" '
-                f'stroke="{color}" stroke-width="1" opacity="0.6"/>')
+        cx, cy = sx(samples[:, 0]), sy(samples[:, 1])
+        parts.extend(_emit(
+            '<path d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
+            'stroke="%s" stroke-width="1" opacity="0.6"/>',
+            cx - 3, cy - 3, cx + 3, cy + 3, cx - 3, cy + 3, cx + 3, cy - 3,
+            _colors(sample_labels, len(samples))))
     if train_points is not None and np.size(train_points):
         train_points = np.atleast_2d(
             np.asarray(train_points, dtype=np.float64))
-        labels = (np.zeros(len(train_points), dtype=int)
-                  if train_labels is None
-                  else np.asarray(train_labels, dtype=int))
-        for p, lab in zip(train_points, labels):
-            color = PALETTE[int(lab) % len(PALETTE)]
-            parts.append(
-                f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" '
-                f'r="5" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts.extend(_emit(
+            '<circle cx="%.2f" cy="%.2f" r="5" fill="none" stroke="%s" '
+            'stroke-width="2"/>', sx(train_points[:, 0]),
+            sy(train_points[:, 1]), _colors(train_labels, len(train_points))))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _gray(value):
-    level = int(round(255 * min(max(float(value), 0.0), 1.0)))
-    return f"#{level:02x}{level:02x}{level:02x}"
+def _colors(labels, n):
+    """Palette color of each of n labels (all class 0 when None)."""
+    labels = (np.zeros(n, dtype=int) if labels is None
+              else np.asarray(labels, dtype=int))
+    return _PALETTE[labels % len(PALETTE)]
+
+
+def _emit(template, *columns):
+    """``template % row`` for each row of the equal-length columns, a
+    block of ``_EMIT_ROWS`` rows at a time; ``%.2f`` formats as ``_fmt``
+    does."""
+    columns = [np.asarray(c) for c in columns]
+    lines = []
+    for start in range(0, len(columns[0]), _EMIT_ROWS):
+        rows = zip(*(c[start:start + _EMIT_ROWS].tolist() for c in columns))
+        lines += [template % row for row in rows]
+    return lines
 
 
 def svg_image_grid(images, neighbors=None, side=None, cell=48, columns=10,
@@ -139,19 +153,25 @@ def svg_image_grid(images, neighbors=None, side=None, cell=48, columns=10,
         parts.append(f'<text x="{_fmt(width / 2)}" y="14" font-size="12" '
                      f'text-anchor="middle">{title}</text>')
     y_base = 20 if title else 0
-    for i in range(n):
-        row, col = divmod(i, columns)
+    if n:
+        stack = images[:, None] if neighbors is None else np.stack(
+            [images, neighbors], axis=1)
+        if np.isnan(stack).any():
+            raise ValueError("image values must not be NaN")
+        row, col = np.divmod(np.arange(n), columns)
         x0 = pad + col * (cell + pad)
         y0 = y_base + pad + row * band * (cell + pad)
-        stack = [images[i]] if neighbors is None else [images[i],
-                                                       neighbors[i]]
-        for k, img in enumerate(stack):
-            yk = y0 + k * (cell + 2)
-            for r in range(side):
-                for c in range(side):
-                    parts.append(
-                        f'<rect x="{_fmt(x0 + c * px)}" '
-                        f'y="{_fmt(yk + r * px)}" width="{_fmt(px)}" '
-                        f'height="{_fmt(px)}" fill="{_gray(img[r, c])}"/>')
+        # (n, band, side, side) in the order the cells are drawn
+        yk = y0[:, None] + np.arange(band) * (cell + 2)
+        cells = np.arange(side) * px
+        x = np.broadcast_to(x0[:, None, None, None] + cells,
+                            (n, band, side, side))
+        y = np.broadcast_to(yk[:, :, None, None] + cells[:, None],
+                            (n, band, side, side))
+        level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp)
+        parts.extend(_emit(
+            f'<rect x="%.2f" y="%.2f" width="{_fmt(px)}" '
+            f'height="{_fmt(px)}" fill="%s"/>',
+            x.ravel(), y.ravel(), _GRAYS[level].ravel()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -19,8 +19,7 @@ import pytest
 import kktgen.autodiff as ad
 from kktgen.config import RunConfig
 from kktgen.datasets import circle_dataset, coverage_report, split_dataset
-from kktgen.homogeneity import (estimate_profile, lambda_bar, scale_params,
-                                verify_lambda)
+from kktgen.homogeneity import estimate_profile, scale_params, verify_lambda
 from kktgen.kkt import duality_loss, kkt_residual_oracle, margins_np
 from kktgen.models import (MlpSpec, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np, spec_group_shapes)

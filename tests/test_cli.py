@@ -570,12 +570,82 @@ def test_plot_empty_samples_draws_axes(workdir):
     assert text.startswith("<svg") and "<line" in text
 
 
-def test_malformed_samples_csv(workdir, capsys):
+# a samples file evaluate and plot cannot use, against the 2-d circle:
+# (id, file text, a fragment of the one error line)
+BAD_SAMPLES = [
+    ("no-y-t-columns", "a,b,c\n1,2,3\n", "y,t"),
+    ("empty-file", "", "no header"),
+    ("not-a-number", "x0,x1,y,t\n0.1,0.2,0,0\n0.3,abc,1,0\n", "row 2"),
+    ("too-few-fields", "x0,x1,y,t\n0.1,0.2,0,0\n0.3,1,0\n", "row 2"),
+    ("too-many-fields", "x0,x1,y,t\n0.1,0.2,0,0,0\n", "row 1"),
+    ("y-not-integer", "x0,x1,y,t\n0.1,0.2,0,0\n0.1,0.2,0.5,0\n", "row 2"),
+    ("t-not-integer", "x0,x1,y,t\n0.1,0.2,0,1.5\n", "row 1"),
+    ("y-not-a-class", "x0,x1,y,t\n0.1,0.2,0,0\n0.1,0.2,7,0\n", "row 2"),
+    ("y-negative", "x0,x1,y,t\n0.1,0.2,-1,0\n", "row 1"),
+    ("nan-coordinate", "x0,x1,y,t\n0.1,0.2,0,0\nnan,0.2,1,0\n", "row 2"),
+    ("inf-coordinate", "x0,x1,y,t\n0.1,-inf,0,0\n", "row 1"),
+    ("wrong-width", "x0,x1,x2,y,t\n0.1,0.2,0.3,0,0\n", "coordinates"),
+]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "plot"])
+@pytest.mark.parametrize("text,fragment", [
+    pytest.param(text, fragment, id=name)
+    for name, text, fragment in BAD_SAMPLES])
+def test_bad_samples_file_is_usage_error(workdir, capsys, command, text,
+                                         fragment):
     tmp_path, cfg = workdir
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
-    assert main(["evaluate", str(cfg), str(bad)]) == 2
-    assert "y,t" in capsys.readouterr().err
+    bad.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, str(cfg), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(bad) in err[0] and fragment in err[0]
+    assert not out.exists()
+
+
+def test_evaluate_of_no_samples_is_usage_error(workdir, capsys):
+    """A header-only file has nothing to evaluate (plot draws the axes,
+    see test_plot_empty_samples_draws_axes)."""
+    tmp_path, cfg = workdir
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x0,x1,y,t\n")
+    assert main(["evaluate", str(cfg), str(empty)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(empty) in err[0]
+
+
+# a [dataset] kind = csv file train-classifier cannot use: (id, file text
+# or None for no file)
+BAD_DATASET_CSV = [
+    ("missing-file", None),
+    ("empty-file", ""),
+    ("header-only", "x0,x1,y\n"),
+    ("not-a-number", "x0,x1,y\n0.1,0.2,0\n0.1,zero,1\n"),
+    ("too-few-fields", "x0,x1,y\n0.1,0.2,0\n0.1,1\n"),
+    ("label-not-integer", "x0,x1,y\n0.1,0.2,0.5\n"),
+    ("label-out-of-range", "x0,x1,y\n0.1,0.2,0\n0.3,0.4,2\n"),
+    ("nan-coordinate", "x0,x1,y\n0.1,nan,0\n"),
+    ("one-column", "y\n0\n"),
+]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(text, id=name) for name, text in BAD_DATASET_CSV])
+def test_bad_dataset_csv_is_config_error(tmp_path, capsys, text):
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n"
+                   f"[dataset]\nkind = csv\ncsv_path = {data}\n"
+                   "num_classes = 2\n")
+    assert main(["train-classifier", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "dataset.csv_path" in err[0] and str(data) in err[0]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_selftest():

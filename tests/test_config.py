@@ -1,6 +1,5 @@
 """Unit tests for the run-configuration format."""
 
-import numpy as np
 import pytest
 
 from kktgen.config import SCHEMA, ConfigError, RunConfig, parse_config_text

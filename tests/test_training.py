@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kktgen.training as tr
-from kktgen.datasets import LabeledDataset, circle_dataset, pattern_dataset
+from kktgen.datasets import LabeledDataset, pattern_dataset
 from kktgen.homogeneity import estimate_profile
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            init_kaiming, mlp_apply_np)
