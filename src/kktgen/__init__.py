@@ -11,12 +11,11 @@ pipeline and the `kktgen` command-line entry point.
 from .config import ConfigError, RunConfig
 from .datasets import (CoverageReport, LabeledDataset, circle_dataset,
                        coverage_report, nearest_neighbor, pattern_dataset,
-                       split_dataset, ssim)
+                       split_dataset)
 from .homogeneity import (QuasiHomogeneousProfile, estimate_profile,
                           lambda_bar, scale_params, solve_lambda,
                           verify_lambda)
-from .kkt import (duality_loss, kkt_residual_oracle, margins_np,
-                  second_place_set)
+from .kkt import kkt_residual_oracle, margins_np
 from .models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                      ParameterVector, deserialize_params, init_kaiming,
                      serialize_params)
@@ -34,10 +33,10 @@ __all__ = [
     "MlpSpec", "MultiplierSpec", "ParameterVector",
     "QuasiHomogeneousProfile", "RunConfig", "TrainingAborted",
     "circle_dataset", "coverage_report", "deserialize_params",
-    "duality_loss", "estimate_profile", "init_kaiming",
+    "estimate_profile", "init_kaiming",
     "kkt_residual_oracle", "lambda_bar", "margins_np", "nearest_neighbor",
     "pattern_dataset", "refine_margins", "sample",
-    "scale_params", "second_place_set", "serialize_params",
-    "solve_lambda", "split_dataset", "ssim", "train_classifier",
+    "scale_params", "serialize_params",
+    "solve_lambda", "split_dataset", "train_classifier",
     "train_generator", "verify_lambda",
 ]

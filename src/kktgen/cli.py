@@ -128,6 +128,16 @@ def _load_generator(path, config=None):
     return _load_checkpoint(ckpt.load_generator, path, config)
 
 
+def _evaluation_dataset(config):
+    """The data ``evaluate`` and ``plot`` compare samples with: the
+    config's dataset, the shards of a split config combined."""
+    datasets = config.dataset()
+    return datasets[0] if len(datasets) == 1 else LabeledDataset(
+        np.vstack([d.x for d in datasets]),
+        np.concatenate([d.labels for d in datasets]),
+        name="combined", num_classes=datasets[0].num_classes)
+
+
 def _generator_run_hash(config, seed):
     """Hash of a generator run's config, with the seed it runs with and
     without ``generator_training.steps``: a run resumed from its
@@ -175,13 +185,11 @@ def cmd_estimate_lambda(args):
              f"--max-order must be 1 or 2, got {args.max_order}")
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     spec, params, _, _ = _load_classifier(args.checkpoint)
-    profile, _ = estimate_profile(spec, params, k=args.probes,
-                                  max_order=args.max_order,
-                                  seed=args.seed)
+    profile, samples = estimate_profile(spec, params, k=args.probes,
+                                        max_order=args.max_order,
+                                        seed=args.seed)
     ckpt.attach_profile(args.checkpoint, profile)
-    devs = scaling_deviations(
-        spec, params, profile, VERIFY_ALPHAS,
-        default_probe_samples(spec, args.probes, seed=args.seed))
+    devs = scaling_deviations(spec, params, profile, VERIFY_ALPHAS, samples)
     worst = float(devs.max())
     csv_path = args.out or (os.path.splitext(args.checkpoint)[0]
                             + "_lambda_verify.csv")
@@ -215,10 +223,8 @@ def cmd_train_generator(args):
     t_count = len(bundles)
     num_classes = bundles[0].spec.widths[-1]
     out_dim = bundles[0].spec.widths[0]
-    gen_spec = config.generator_spec(num_classes, out_dim,
-                                     t_count if t_count > 1 else 1)
-    mult_spec = config.multiplier_spec(num_classes, out_dim,
-                                       t_count if t_count > 1 else 1)
+    gen_spec = config.generator_spec(num_classes, out_dim, t_count)
+    mult_spec = config.multiplier_spec(num_classes, out_dim, t_count)
     gen_cfg = config.generator_train_config(seed=args.seed)
     try:
         gen_cfg.label_probs(num_classes)
@@ -272,12 +278,7 @@ def cmd_sample(args):
 
 
 def cmd_evaluate(args):
-    config = _load_config(args.config)
-    datasets = config.dataset()
-    dataset = datasets[0] if len(datasets) == 1 else LabeledDataset(
-        np.vstack([d.x for d in datasets]),
-        np.concatenate([d.labels for d in datasets]),
-        name="combined", num_classes=datasets[0].num_classes)
+    dataset = _evaluation_dataset(_load_config(args.config))
     x, y = _read_samples_csv(args.samples, dataset)
     if not len(x):
         raise _Fail(EXIT_USAGE, f"{args.samples}: no samples to evaluate")
@@ -313,9 +314,7 @@ def cmd_evaluate(args):
 
 
 def cmd_plot(args):
-    config = _load_config(args.config)
-    datasets = config.dataset()
-    dataset = datasets[0]
+    dataset = _evaluation_dataset(_load_config(args.config))
     x, y = _read_samples_csv(args.samples, dataset)
     if args.mode == "scatter":
         if dataset.dim != 2:
@@ -343,7 +342,8 @@ def cmd_selftest(args):
     scaling profile, the step's duality loss and the Adam kernel."""
     failures = []
 
-    # double-backprop against the graph's own numeric forward
+    # the scaling profile of a net with zero biases, which only the
+    # second-order (Hessian-vector) rows pin, checked by direct rescaling
     spec = MlpSpec((2, 10, 1))
     params = init_kaiming(spec, 0)
     profile, _ = estimate_profile(spec, params, k=16)

@@ -179,10 +179,6 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             return RunConfig.from_text(fh.read())
 
-    @staticmethod
-    def defaults():
-        return RunConfig.from_text("")
-
     def get(self, section, key):
         for sec, items in self.values:
             if sec == section:

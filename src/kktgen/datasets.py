@@ -122,27 +122,6 @@ def pattern_dataset(kind="stripes-vs-checks-8x8", per_class=50,
                           name=kind, num_classes=2)
 
 
-def ssim(a, b, window=8, k1=SSIM_K1, k2=SSIM_K2, data_range=1.0):
-    """Single-scale SSIM with a uniform window; ssim(a, a) = 1.
-
-    ``a`` is one image, flat (square) or 2-d; ``b`` is one image of the
-    same shape, giving a float, or a stack of them, giving one score each.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[b.ndim - a.ndim:] != a.shape or b.ndim > a.ndim + 1:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        side = int(round(np.sqrt(a.size)))
-        if side * side != a.size:
-            raise ValueError("flat image length is not a perfect square")
-        a = a.reshape(side, side)
-        b = b.reshape(*b.shape[:-1], side, side)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
-    return kernels.ssim_uniform(a, b, window, c1, c2)
-
-
 def _block_rows(row_bytes):
     """Rows per block of a blocked pass whose temporaries take
     ``row_bytes`` per row, so that each stays under ``BLOCK_BYTES``."""
@@ -172,7 +151,7 @@ def _ssim_blocks(samples, dataset):
     if side * side != dataset.dim:
         raise ValueError("ssim metric requires square image data")
     images = dataset.x.reshape(dataset.size, side, side)
-    # ssim()'s constants at data_range 1
+    # the SSIM constants (K * data range)^2 at data range 1
     c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
     step = _block_rows(dataset.x.size * 8)
     for start in range(0, samples.shape[0], step):
@@ -213,15 +192,21 @@ def coverage_report(samples, sample_labels, dataset, spec=None, zeta=None):
         raise ValueError("dimension mismatch between samples and dataset")
     if samples.shape[0] == 0:
         raise ValueError("coverage needs at least one sample")
-    nn = np.array(nearest_neighbor(samples, dataset))  # (n, 2)
-    mean_nn = float(np.mean(np.ascontiguousarray(nn[:, 1])))
+    # each sample's nearest point and distance, and each point's nearest
+    # sample distance, from one pass over the distances
+    nn_idx = np.empty(samples.shape[0], dtype=np.intp)
+    nn_dist = np.empty(samples.shape[0])
     per_point = np.full(dataset.size, np.inf)
-    for _, d in _distance_blocks(samples, dataset.x):
+    for start, d in _distance_blocks(samples, dataset.x):
+        block = slice(start, start + d.shape[0])
+        nn_idx[block] = np.argmin(d, axis=1)
+        nn_dist[block] = d[np.arange(d.shape[0]), nn_idx[block]]
         np.minimum(per_point, d.min(axis=0), out=per_point)
+    mean_nn = float(np.mean(nn_dist))
     if spec is not None and zeta is not None:
         pred = np.argmax(mlp_apply_np(spec, zeta, samples), axis=1)
     else:
-        pred = dataset.labels[nn[:, 0].astype(np.intp)]
+        pred = dataset.labels[nn_idx]
     agreement = float(np.mean(pred == np.asarray(sample_labels)))
     return CoverageReport(mean_nn_distance=mean_nn,
                           per_point_min_distance=per_point,

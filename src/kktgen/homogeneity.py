@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .kernels import nnls
-from .models import make_leaves, mlp_apply, mlp_apply_np, spec_group_shapes
+from .models import BoundMlp, mlp_apply_np, row_gradients, spec_group_shapes
 
 MASK_REL_TOL = 1e-6
 RIDGE = 1e-12
@@ -91,9 +90,8 @@ def scale_params(params, profile, alpha):
 
 def default_probe_samples(spec, k=PROBE_COUNT, seed=0):
     """Standard-normal probe inputs in the classifier's input space."""
-    mlp = spec if hasattr(spec, "widths") else spec.mlp()
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((k, mlp.in_dim))
+    return rng.standard_normal((k, spec.mlp().in_dim))
 
 
 def build_derivative_equations(spec, params, samples,
@@ -107,8 +105,11 @@ def build_derivative_equations(spec, params, samples,
         sum_j lambda_j (zeta_j . grad2_{j,p} Phi) + lambda_{g(p)} grad_p Phi
             = grad_p Phi,
 
-    which stays linear in lambda.  Rows with a non-finite entry are left
-    out.
+    which stays linear in lambda, after each first-order row of the first
+    two samples.  Gradients come from one batched backprop per output,
+    second derivatives from Hessian-vector products.  Rows with a
+    non-finite entry are left out, and with a first-order row its
+    second-order rows.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
@@ -116,49 +117,40 @@ def build_derivative_equations(spec, params, samples,
     if max_order not in (1, 2):
         raise ValueError("max_order must be 1 or 2")
     names = [name for name, _ in spec_group_shapes(spec)]
-    n_out = (spec if hasattr(spec, "widths") else spec.mlp()).widths[-1]
-    rows, rhs = [], []
-
+    offsets = [params.groups[name][0] for name in names]
     # one probe coordinate per group: the largest-magnitude entry
-    probes = {}
-    for name in names:
-        g = params.group(name)
-        probes[name] = int(np.argmax(np.abs(g)))
-
-    for k, x in enumerate(samples):
-        leaves = make_leaves(spec, params)
-        x_leaf = ad.tensor(x)
-        logits = mlp_apply(spec, leaves, x_leaf)
-        for c in range(n_out):
-            target = ad.tsum(ad.slice_axis(logits, 0, c, c + 1))
-            cots = ad.grad(target, [leaves[n] for n in names])
-            coeff = np.array([float(np.sum(leaves[n].value * ct.value))
-                              for n, ct in zip(names, cots)])
-            b = float(target.value)
-            if not (np.all(np.isfinite(coeff)) and np.isfinite(b)):
-                continue
-            rows.append(coeff)
-            rhs.append(b)
-            if max_order == 2 and k < 2:
-                for p_name in names:
-                    p_idx = probes[p_name]
-                    flat_cot = ad.reshape(cots[names.index(p_name)],
-                                          (leaves[p_name].value.size,))
-                    s = ad.tsum(ad.slice_axis(flat_cot, 0, p_idx, p_idx + 1))
-                    second = ad.grad(s, [leaves[n] for n in names],
-                                     allow_unused=True)
-                    coeff2 = np.array(
-                        [float(np.sum(leaves[n].value * sc.value))
-                         for n, sc in zip(names, second)])
-                    s_val = float(s.value)
-                    coeff2[names.index(p_name)] += s_val
-                    if not (np.all(np.isfinite(coeff2))
-                            and np.isfinite(s_val)):
-                        continue
-                    rows.append(coeff2)
-                    rhs.append(s_val)
-
-    return DerivativeEquationSystem(matrix=np.array(rows), rhs=np.array(rhs),
+    probes = [offset + int(np.argmax(np.abs(params.group(name))))
+              for name, offset in zip(names, offsets)]
+    n_samples, n_out, n_groups = (samples.shape[0], spec.mlp().out_dim,
+                                  len(names))
+    n_second = min(2, n_samples) if max_order == 2 else 0
+    # [k, c, 0] is the first-order row of sample k and output c, and
+    # [k, c, 1 + j] the second-order row of group j's probe coordinate
+    rows = np.zeros((n_samples, n_out, 1 + n_groups, n_groups))
+    rhs = np.zeros((n_samples, n_out, 1 + n_groups))
+    net = BoundMlp(spec, params, batch=(n_second,))
+    _, acts = net.forward(samples[:n_second, None, :])
+    for c in range(n_out):
+        dout = np.zeros((n_samples, n_out))
+        dout[:, c] = 1.0
+        out, grads = row_gradients(spec, params, samples, dout)
+        rhs[:, c, 0] = out[:, c]
+        rhs[:n_second, c, 1:] = grads[:n_second, probes]
+        np.multiply(grads, params.values, out=grads)
+        rows[:, c, 0] = np.add.reduceat(grads, offsets, axis=1)
+        if not n_second:
+            continue
+        deltas = net.backprop(acts, dout[:n_second, None, :])
+        for j, p in enumerate(probes):
+            net.tangent.fill(0.0)
+            net.tangent[p] = 1.0
+            hv = np.multiply(net.hvp(acts, deltas), params.values)
+            rows[:n_second, c, 1 + j] = np.add.reduceat(hv, offsets, axis=1)
+            rows[:n_second, c, 1 + j, j] += rhs[:n_second, c, 1 + j]
+    keep = np.all(np.isfinite(rows), axis=-1) & np.isfinite(rhs)
+    keep[n_second:, :, 1:] = False
+    keep &= keep[:, :, :1]
+    return DerivativeEquationSystem(matrix=rows[keep], rhs=rhs[keep],
                                     group_names=names)
 
 

@@ -20,33 +20,20 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .homogeneity import lambda_bar
 from .kernels import nnls
-from .models import (BoundMlp, _matmul, mlp_apply, mlp_apply_np,
+from .models import (_matmul, mlp_apply, mlp_apply_np, row_gradients,
                      spec_group_shapes)
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
 
 
-def second_place_set(logits, y, tie_tol=DEFAULT_TIE_TOL):
-    """Rival classes within ``tie_tol`` of the best non-true logit."""
-    logits = np.asarray(logits, dtype=np.float64)
-    n = logits.size
-    if n < 2:
-        raise ValueError("second-place set needs at least two classes")
-    if not 0 <= y < n:
-        raise ValueError(f"label {y} out of range")
-    rivals = [c for c in range(n) if c != y]
-    best = max(logits[c] for c in rivals)
-    return {c for c in rivals if logits[c] >= best - tie_tol}
-
-
 def second_place_mask(logits, labels, tie_tol=DEFAULT_TIE_TOL):
     """(M, C) indicator of second-place sets for a batch of logits.
 
-    Row i marks the classes of ``second_place_set(logits[i], labels[i])``.
+    Row i marks the rival classes (c != labels[i]) whose logit lies
+    within ``tie_tol`` of the best rival logit of that row.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
@@ -97,7 +84,7 @@ def stationarity_loss_graph(spec, zeta_leaves, lbar_weights, virtual_n,
     if not np.all(np.isfinite(x.value)):
         bad = int(np.argwhere(~np.isfinite(x.value))[0][0])
         raise ValueError(f"non-finite generated sample at index {bad}")
-    mlp = spec if hasattr(spec, "widths") else spec.mlp()
+    mlp = spec.mlp()
     m = labels.size
     logits = mlp_apply(mlp, zeta_leaves, x)
     s = _weighted_logit_sum(logits, labels, mu, mlp.out_dim)
@@ -121,13 +108,13 @@ def duality_loss(logits, labels, alpha, delta, tie_tol=DEFAULT_TIE_TOL):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    logits_t = logits if isinstance(logits, Tensor) else ad.tensor(logits)
+    logits_t = logits if isinstance(logits, ad.Tensor) else ad.tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     m, num_classes = logits_t.value.shape
     onehot = ad.one_hot(labels, num_classes)
     phi_y = ad.tsum(ad.mul(logits_t, onehot), axis=1, keepdims=True)
     margins = ad.sub(phi_y, logits_t)
-    alpha_t = alpha if isinstance(alpha, Tensor) else ad.tensor(alpha)
+    alpha_t = alpha if isinstance(alpha, ad.Tensor) else ad.tensor(alpha)
     threshold = ad.exp(ad.neg(alpha_t))
     z = ad.sub(margins, threshold)
     upper = ad.maximum(ad.sub(z, ad.constant(delta)), 0.0)
@@ -236,7 +223,7 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
     skips the positive-margin check so the fit can serve as a control on
     shuffled labels, where stationarity should NOT be satisfiable.
     """
-    mlp = spec if hasattr(spec, "widths") else spec.mlp()
+    mlp = spec.mlp()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     logits = mlp_apply_np(mlp, zeta, x)
@@ -253,12 +240,11 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
         [lbar[name] * zeta.group(name) for name in zeta.groups])
     rows, classes = np.nonzero(mask)
     pair_rows = np.arange(rows.size)
-    net = BoundMlp(mlp, zeta, batch=(rows.size,))
-    _, acts = net.forward(x[rows][:, None, :])
-    dlogits = np.zeros((rows.size, 1, mlp.out_dim))
-    dlogits[pair_rows, 0, labels[rows]] = 1.0
-    dlogits[pair_rows, 0, classes] = -1.0
-    g = net.param_grad(acts, net.backprop(acts, dlogits)).T
+    dlogits = np.zeros((rows.size, mlp.out_dim))
+    dlogits[pair_rows, labels[rows]] = 1.0
+    dlogits[pair_rows, classes] = -1.0
+    _, g = row_gradients(mlp, zeta, x[rows], dlogits)
+    g = g.T
     mu, _ = nnls(g, target)
     residual = float(np.linalg.norm(target - g @ mu)
                      / (np.linalg.norm(target) + NORM_EPS))

@@ -65,6 +65,10 @@ class MlpSpec:
     def out_dim(self):
         return self.widths[-1]
 
+    def mlp(self):
+        """The MLP itself, as :meth:`GeneratorSpec.mlp` gives a generator's."""
+        return self
+
     def group_shapes(self):
         """Ordered (name, shape) pairs: layer-major, weight before bias."""
         out = []
@@ -200,14 +204,12 @@ class ParameterVector:
         if self.values.ndim != 1:
             raise ValueError("parameter values must be a flat vector")
         self.groups = dict(groups)  # name -> (offset, length)
-        covered = 0
         expected_offset = 0
         for name, (offset, length) in self.groups.items():
             if offset != expected_offset:
                 raise ValueError(f"group {name!r} breaks the partition")
             expected_offset += length
-            covered += length
-        if covered != self.values.size:
+        if expected_offset != self.values.size:
             raise ValueError("groups do not partition the parameter vector")
 
     @staticmethod
@@ -224,9 +226,6 @@ class ParameterVector:
         offset, length = self.groups[name]
         return self.values[offset:offset + length]
 
-    def group_names(self):
-        return list(self.groups)
-
     def copy(self):
         return ParameterVector(self.values.copy(), self.groups)
 
@@ -240,8 +239,7 @@ class ParameterVector:
 
 
 def spec_group_shapes(spec):
-    mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
-    return mlp.group_shapes()
+    return spec.mlp().group_shapes()
 
 
 def make_leaves(spec, params):
@@ -255,7 +253,7 @@ def make_leaves(spec, params):
 
 def mlp_apply(spec, leaves, x):
     """Forward pass through the MLP graph; x is (in_dim,) or (batch, in_dim)."""
-    mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
+    mlp = spec.mlp()
     got = x.value.shape[-1]
     if got != mlp.in_dim:
         raise ValueError(
@@ -305,7 +303,7 @@ class BoundMlp:
     """
 
     def __init__(self, spec, params, batch=()):
-        mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
+        mlp = spec.mlp()
         self.spec = spec
         self.mlp = mlp
         self.params = params
@@ -422,6 +420,48 @@ class BoundMlp:
                 dz += b_dot
         return dz
 
+    def hvp(self, acts, deltas):
+        """Tangent of :meth:`param_grad` along the direction in ``tangent``.
+
+        The Hessian-vector product of the scalar whose output cotangent
+        gave ``deltas`` (:meth:`backprop`), forward-over-reverse
+        (Pearlmutter) with the ReLU masks of ``acts`` held fixed: a
+        tangent forward keeps each layer's input tangent, and a backprop
+        of a zero cotangent with ``deltas[l] @ tangent_l^T`` injected at
+        each layer input gives the tangent deltas.  Returns the binding's
+        gradient buffer, which the next call overwrites.
+        """
+        a_dots = [None]  # input tangent of each layer; x has none
+        for l in range(1, len(acts)):
+            dz = _matmul(acts[l - 1], self.tangent_weights[l - 1])
+            if l > 1:
+                dz += _matmul(a_dots[-1], self.weights[l - 1])
+            if self.tangent_biases[l - 1] is not None:
+                dz += self.tangent_biases[l - 1]
+            a_dots.append(np.multiply(dz, acts[l] > 0.0, out=dz))
+        inject = [None] + [_matmul(d, w_dot_t) for d, w_dot_t in
+                           zip(deltas[1:], self.tangent_weights_t[1:])]
+        grad = self.param_grad(
+            acts, self.backprop(acts, np.zeros_like(deltas[-1]), inject))
+        for a_dot, delta, gw in zip(a_dots[1:], deltas[1:],
+                                    self.grad_weights[1:]):
+            gw += _matmul(a_dot.swapaxes(-1, -2), delta)
+        return grad
+
+
+def row_gradients(spec, params, x, dout):
+    """Outputs and per-row parameter gradients of a batch of inputs.
+
+    ``x`` is (rows, in_dim) and ``dout`` (rows, out_dim).  Returns the
+    (rows, out_dim) outputs Phi(x) and the (rows, n_params) gradients,
+    row r the gradient of dout[r] . Phi(x[r]), from one forward and one
+    backprop with the rows on the batch axis.
+    """
+    net = BoundMlp(spec, params, batch=(x.shape[0],))
+    out, acts = net.forward(x[:, None, :])
+    grads = net.param_grad(acts, net.backprop(acts, dout[:, None, :]))
+    return out[:, 0], grads
+
 
 @functools.lru_cache(maxsize=32)
 def _one_hot_table(n):
@@ -472,7 +512,7 @@ def init_kaiming(spec, seed):
 
 
 def serialize_params(spec, params):
-    mlp = spec if isinstance(spec, MlpSpec) else spec.mlp()
+    mlp = spec.mlp()
     blob = bytearray()
     blob += PARAM_MAGIC
     blob += struct.pack("<I", PARAM_VERSION)
@@ -509,9 +549,7 @@ def deserialize_params(blob, expected_spec=None):
         raise ValueError(f"unsupported parameter blob version {version}")
     (spec_hash, n_groups), pos = read_struct("<32sI", view, pos, what)
     if expected_spec is not None:
-        mlp = (expected_spec if isinstance(expected_spec, MlpSpec)
-               else expected_spec.mlp())
-        if mlp.hash() != spec_hash:
+        if expected_spec.mlp().hash() != spec_hash:
             raise ValueError("parameter blob does not match the given spec")
     groups = {}
     for _ in range(n_groups):

@@ -474,7 +474,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             raise ValueError(
                 f"classifier {k} has {cb.spec.widths[-1]} classes, the "
                 f"generator spec {gen_spec.num_classes}")
-    if gen_spec.num_classifiers != (t_count if t_count > 1 else 1):
+    if gen_spec.num_classifiers != t_count:
         raise ValueError("generator spec does not match classifier count")
     probs = config.label_probs(gen_spec.num_classes)
 

@@ -26,7 +26,7 @@ from kktgen.models import (MlpSpec, init_kaiming, make_leaves, mlp_apply,
 from kktgen.training import (ClassifierBundle, sample, train_classifier,
                              train_generator)
 
-CFG = RunConfig.defaults()
+CFG = RunConfig.from_text("")
 
 # Coverage thresholds: fraction of samples near data, worst per-point
 # coverage distance, and classification agreement with the conditioning

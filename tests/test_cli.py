@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kktgen
+import kktgen.autodiff as ad
 import kktgen.checkpoint as ck
 import kktgen.homogeneity as hg
 import kktgen.kkt as kk
@@ -292,6 +293,30 @@ def test_full_pipeline(workdir, capsys):
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
+def test_no_command_builds_an_autodiff_graph(tmp_path, monkeypatch):
+    """Every command runs on the numpy core: the autodiff graph serves
+    only as the tests' reference."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command constructed an autodiff.Tensor")
+
+    monkeypatch.setattr(ad.Tensor, "__init__", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[experiment]\nname = demo\n"
+                   f"output_dir = {tmp_path / 'runs'}\n"
+                   + FAST_CLASSIFIER.format(steps=3).replace(
+                       "refine_iters = 0", "refine_iters = 2"))
+    out = run_dir(tmp_path)
+    clf, gen = out / "classifier.ckpt", out / "generator.ckpt"
+    samples = out / "samples.csv"
+    for argv in (["train-classifier", cfg], ["estimate-lambda", clf],
+                 ["train-generator", cfg, clf],
+                 ["sample", gen, "--per-class", "3", "--out", samples],
+                 ["evaluate", cfg, samples, "--classifier", clf],
+                 ["plot", cfg, samples, "--out", out / "plot.svg"],
+                 ["selftest"]):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+
+
 def test_evaluate_training_points_have_zero_distance(workdir):
     tmp_path, cfg = workdir
     circle = circle_dataset()
@@ -568,6 +593,18 @@ def test_plot_empty_samples_draws_axes(workdir):
     assert main(["plot", str(cfg), str(samples), "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("<svg") and "<line" in text
+
+
+def test_plot_of_a_split_config_draws_every_shard(tmp_path):
+    """plot draws the data evaluate compares with: all 18 circle points
+    of the two arc shards, not the first shard's 9."""
+    cfg = tmp_path / "arc.cfg"
+    cfg.write_text("[dataset]\nsplit = arc\n")
+    samples = tmp_path / "empty.csv"
+    samples.write_text("x0,x1,y,t\n")
+    out = tmp_path / "arc.svg"
+    assert main(["plot", str(cfg), str(samples), "--out", str(out)]) == 0
+    assert out.read_text().count("<circle") == 18
 
 
 # a samples file evaluate and plot cannot use, against the 2-d circle:

@@ -8,7 +8,7 @@ from kktgen.training import ClassifierTrainConfig, GeneratorTrainConfig
 
 
 def test_defaults_complete():
-    cfg = RunConfig.defaults()
+    cfg = RunConfig.from_text("")
     assert cfg.get("experiment", "seeds") == (0, 10, 14)
     assert cfg.get("dataset", "kind") == "circle18"
     assert cfg.get("classifier", "widths") == (2, 16, 16, 3)
@@ -82,7 +82,7 @@ def test_canonical_text_roundtrip():
 
 
 def test_get_and_section_missing_keys():
-    cfg = RunConfig.defaults()
+    cfg = RunConfig.from_text("")
     with pytest.raises(KeyError):
         cfg.get("classifier", "nope")
     with pytest.raises(KeyError):
@@ -91,7 +91,7 @@ def test_get_and_section_missing_keys():
 
 
 def test_dataset_builder_circle_and_split():
-    cfg = RunConfig.defaults()
+    cfg = RunConfig.from_text("")
     (ds,) = cfg.dataset()
     assert ds.size == 18 and ds.num_classes == 3
     split = RunConfig.from_text("[dataset]\nsplit = arc\n")
@@ -119,7 +119,7 @@ def test_dataset_builder_pattern_and_csv(tmp_path):
 
 
 def test_spec_builders():
-    cfg = RunConfig.defaults()
+    cfg = RunConfig.from_text("")
     assert cfg.classifier_spec() == MlpSpec((2, 16, 16, 3), False)
     gen = cfg.generator_spec(num_classes=3, out_dim=2)
     assert gen == GeneratorSpec(4, 3, (32, 32), 2)
@@ -130,7 +130,7 @@ def test_spec_builders():
 
 
 def test_train_config_builders_and_seed_override():
-    cfg = RunConfig.defaults()
+    cfg = RunConfig.from_text("")
     ct = cfg.classifier_train_config()
     assert isinstance(ct, ClassifierTrainConfig)
     assert ct.seed == 0
@@ -145,7 +145,7 @@ def test_train_config_builders_and_seed_override():
 def test_schema_defaults_match_dataclass_defaults():
     """The config schema and the dataclasses must agree on defaults, so a
     blank config file means the same thing as the Python API."""
-    cfg = RunConfig.defaults()
+    cfg = RunConfig.from_text("")
     assert cfg.generator_train_config() == GeneratorTrainConfig()
     assert cfg.classifier_train_config() == ClassifierTrainConfig()
 

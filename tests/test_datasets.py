@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kktgen.datasets as ds
+import kktgen.kernels as kernels
 import kktgen.models as km
 from kktgen.datasets import LabeledDataset
 
@@ -70,14 +71,16 @@ def test_pattern_dataset():
 
 
 def test_ssim_metric_properties():
-    a = ds.pattern_dataset(per_class=1, jitter=0.0).x[0]
-    b = ds.pattern_dataset(per_class=1, jitter=0.0).x[1]
-    assert ds.ssim(a, a) == pytest.approx(1.0)
-    assert ds.ssim(a, b) < 0.5
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ds.ssim(np.zeros(64), np.zeros(32))
-    with pytest.raises(ValueError, match="perfect square"):
-        ds.ssim(np.zeros(5), np.zeros(5))
+    """The SSIM of the nearest-neighbour search, with the dataset's
+    constants: 1 for an image against itself, low for stripes against
+    checks; flat images that are not square are refused."""
+    a, b = ds.pattern_dataset(per_class=1, jitter=0.0).x.reshape(2, 8, 8)
+    c1, c2 = ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2
+    assert kernels.ssim_uniform(a, a, 8, c1, c2) == pytest.approx(1.0)
+    assert kernels.ssim_uniform(a, b, 8, c1, c2) < 0.5
+    data = LabeledDataset(np.zeros((2, 5)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="square image data"):
+        ds.nearest_neighbor(np.zeros((1, 5)), data, metric="ssim")
 
 
 def test_nearest_neighbor_euclidean():

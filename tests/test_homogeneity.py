@@ -1,12 +1,72 @@
-"""Unit tests for quasi-homogeneity profiles and scaling utilities."""
+"""Unit tests for quasi-homogeneity profiles and scaling utilities.
+
+The derivative-equation rows come from the numpy MLP core; the autodiff
+graph builder below is the reference they are checked against.
+"""
 
 import numpy as np
 import pytest
 
+import kktgen.autodiff as ad
 import kktgen.homogeneity as hg
 import kktgen.models as km
-from kktgen.homogeneity import QuasiHomogeneousProfile
-from kktgen.models import MlpSpec
+from kktgen.homogeneity import (DerivativeEquationSystem,
+                                QuasiHomogeneousProfile)
+from kktgen.models import MlpSpec, make_leaves, mlp_apply, spec_group_shapes
+
+ROW_RTOL = 1e-12
+
+
+def graph_derivative_equations(spec, params, samples, max_order=2):
+    """The rows of :func:`hg.build_derivative_equations`, one graph
+    backprop per (sample, output) and one double backprop per
+    second-order row."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    names = [name for name, _ in spec_group_shapes(spec)]
+    n_out = spec.mlp().widths[-1]
+    rows, rhs = [], []
+
+    # one probe coordinate per group: the largest-magnitude entry
+    probes = {}
+    for name in names:
+        g = params.group(name)
+        probes[name] = int(np.argmax(np.abs(g)))
+
+    for k, x in enumerate(samples):
+        leaves = make_leaves(spec, params)
+        x_leaf = ad.tensor(x)
+        logits = mlp_apply(spec, leaves, x_leaf)
+        for c in range(n_out):
+            target = ad.tsum(ad.slice_axis(logits, 0, c, c + 1))
+            cots = ad.grad(target, [leaves[n] for n in names])
+            coeff = np.array([float(np.sum(leaves[n].value * ct.value))
+                              for n, ct in zip(names, cots)])
+            b = float(target.value)
+            if not (np.all(np.isfinite(coeff)) and np.isfinite(b)):
+                continue
+            rows.append(coeff)
+            rhs.append(b)
+            if max_order == 2 and k < 2:
+                for p_name in names:
+                    p_idx = probes[p_name]
+                    flat_cot = ad.reshape(cots[names.index(p_name)],
+                                          (leaves[p_name].value.size,))
+                    s = ad.tsum(ad.slice_axis(flat_cot, 0, p_idx, p_idx + 1))
+                    second = ad.grad(s, [leaves[n] for n in names],
+                                     allow_unused=True)
+                    coeff2 = np.array(
+                        [float(np.sum(leaves[n].value * sc.value))
+                         for n, sc in zip(names, second)])
+                    s_val = float(s.value)
+                    coeff2[names.index(p_name)] += s_val
+                    if not (np.all(np.isfinite(coeff2))
+                            and np.isfinite(s_val)):
+                        continue
+                    rows.append(coeff2)
+                    rhs.append(s_val)
+
+    return DerivativeEquationSystem(matrix=np.array(rows), rhs=np.array(rhs),
+                                    group_names=names)
 
 
 def estimate(spec, params, k=16, max_order=2, seed=0):
@@ -150,3 +210,109 @@ def test_probe_samples_deterministic():
     b = hg.default_probe_samples(spec, k=4, seed=9)
     assert np.array_equal(a, b)
     assert a.shape == (4, 2)
+
+
+BIASES = ("none", "zero", "nonzero")
+
+
+def random_classifier(seed, n_layers, biases):
+    """A random spec and its Kaiming parameters; ``biases`` is "none"
+    (bias-free), "zero" (Kaiming's exactly-zero biases) or "nonzero"."""
+    rng = np.random.default_rng(seed)
+    widths = (int(rng.integers(2, 6)),
+              *rng.integers(4, 10, size=n_layers - 1),
+              int(rng.integers(1, 5)))
+    spec = MlpSpec(widths, biases != "none")
+    params = km.init_kaiming(spec, seed)
+    if biases == "nonzero":
+        params.values[:] += 0.1 * rng.standard_normal(len(params))
+    return spec, params
+
+
+def assert_rows_match(got, want):
+    assert got.group_names == want.group_names
+    assert got.matrix.shape == want.matrix.shape
+    assert got.rhs.shape == want.rhs.shape
+    scale = np.abs(want.matrix).max(axis=1)
+    assert np.all(np.abs(got.matrix - want.matrix).max(axis=1)
+                  <= ROW_RTOL * scale)
+    assert np.all(np.abs(got.rhs - want.rhs) <= ROW_RTOL * np.abs(want.rhs))
+
+
+@pytest.mark.parametrize("max_order", [1, 2])
+@pytest.mark.parametrize("k", [1, 32])
+@pytest.mark.parametrize("biases", BIASES)
+@pytest.mark.parametrize("n_layers", [2, 3, 4])
+def test_rows_match_graph_reference(n_layers, biases, k, max_order):
+    spec, params = random_classifier(
+        10 * n_layers + BIASES.index(biases), n_layers, biases)
+    samples = hg.default_probe_samples(spec, k=k, seed=n_layers)
+    got = hg.build_derivative_equations(spec, params, samples, max_order)
+    want = graph_derivative_equations(spec, params, samples, max_order)
+    assert_rows_match(got, want)
+
+
+def test_rows_with_a_non_finite_entry_are_left_out_as_in_the_graph():
+    """Outputs at probes 0 and 2 overflow: their first-order rows go, and
+    with probe 0's its second-order rows; probe 1 keeps all of its own."""
+    spec = MlpSpec((2, 6, 6, 3), True)
+    params = km.init_kaiming(spec, 0)
+    params.values[:] += 0.1 * np.random.default_rng(0).standard_normal(
+        len(params))
+    for name in params.groups:
+        if name.endswith(".weight"):
+            params.group(name)[:] *= 1e102
+    samples = hg.default_probe_samples(spec, k=4, seed=0)
+    samples[::2] *= 1e6
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = hg.build_derivative_equations(spec, params, samples)
+        want = graph_derivative_equations(spec, params, samples)
+    # of 4 * 3 first-order and 2 * 3 * 6 second-order rows
+    assert got.matrix.shape == (24, 6)
+    assert_rows_match(got, want)
+
+
+def graph_hvp(spec, params, x, dout, v):
+    """H v of S = sum(dout * Phi(x)) by double backprop through the graph."""
+    leaves = make_leaves(spec, params)
+    names = [name for name, _ in spec_group_shapes(spec)]
+    wrt = [leaves[n] for n in names]
+    logits = mlp_apply(spec, leaves, ad.tensor(x))
+    cots = ad.grad(ad.tsum(ad.mul(logits, ad.constant(dout))), wrt)
+    inner = None
+    for name, cot in zip(names, cots):
+        offset, length = params.groups[name]
+        term = ad.tsum(ad.mul(ad.reshape(cot, (length,)),
+                              ad.constant(v[offset:offset + length])))
+        inner = term if inner is None else ad.add(inner, term)
+    hv = ad.grad(inner, wrt, allow_unused=True)
+    return np.concatenate([h.value.reshape(-1) for h in hv])
+
+
+@pytest.mark.parametrize("biases", BIASES)
+@pytest.mark.parametrize("n_layers", [2, 3, 4])
+def test_hvp_matches_graph_double_backprop(n_layers, biases):
+    """Summed over the rows of an unbatched binding, and one per row of a
+    batched one."""
+    spec, params = random_classifier(
+        10 * n_layers + BIASES.index(biases), n_layers, biases)
+    rng = np.random.default_rng(n_layers)
+    x = rng.standard_normal((5, spec.in_dim))
+    dout = rng.standard_normal((5, spec.out_dim))
+    v = rng.standard_normal(len(params))
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= ROW_RTOL * np.max(np.abs(want))
+
+    net = km.BoundMlp(spec, params)
+    _, acts = net.forward(x)
+    net.tangent[:] = v
+    assert_close(net.hvp(acts, net.backprop(acts, dout)),
+                 graph_hvp(spec, params, x, dout, v))
+    net = km.BoundMlp(spec, params, batch=(5,))
+    _, acts = net.forward(x[:, None, :])
+    net.tangent[:] = v
+    got = net.hvp(acts, net.backprop(acts, dout[:, None, :]))
+    for r in range(5):
+        assert_close(got[r], graph_hvp(spec, params, x[r:r + 1],
+                                       dout[r:r + 1], v))

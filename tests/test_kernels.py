@@ -228,7 +228,7 @@ def circle_solves():
     """(a, b) of both NNLS solves on the default circle classifier: the
     profile system with its ridge rows, and the KKT oracle's margin
     gradients against Lbar zeta."""
-    config = RunConfig.defaults()
+    config = RunConfig.from_text("")
     circle = circle_dataset()
     spec = config.classifier_spec()
     params, _ = train_classifier(circle, spec,

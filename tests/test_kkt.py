@@ -26,15 +26,33 @@ def linear_pair_classifier(a=1.0):
     return spec, zeta, profile, x, labels
 
 
+def second_place_set(logits, y, tie_tol=kk.DEFAULT_TIE_TOL):
+    """Rival classes within ``tie_tol`` of the best non-true logit: the
+    per-row reference of ``second_place_mask``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    n = logits.size
+    if n < 2:
+        raise ValueError("second-place set needs at least two classes")
+    if not 0 <= y < n:
+        raise ValueError(f"label {y} out of range")
+    rivals = [c for c in range(n) if c != y]
+    best = max(logits[c] for c in rivals)
+    return {c for c in rivals if logits[c] >= best - tie_tol}
+
+
 def test_second_place_set_basic_and_ties():
     logits = np.array([5.0, 3.0, 3.0 - 1e-9, 1.0])
-    assert kk.second_place_set(logits, 0) == {1, 2}
-    assert kk.second_place_set(logits, 1) == {0}
-    assert kk.second_place_set(logits, 0, tie_tol=1e-12) == {1}
+    assert second_place_set(logits, 0) == {1, 2}
+    assert second_place_set(logits, 1) == {0}
+    assert second_place_set(logits, 0, tie_tol=1e-12) == {1}
+    assert np.array_equal(kk.second_place_mask(logits, np.array([0])),
+                          [[0, 1, 1, 0]])
+    assert np.array_equal(kk.second_place_mask(logits, np.array([0]), 1e-12),
+                          [[0, 1, 0, 0]])
     with pytest.raises(ValueError, match="at least two"):
-        kk.second_place_set(np.array([1.0]), 0)
-    with pytest.raises(ValueError, match="out of range"):
-        kk.second_place_set(logits, 4)
+        kk.second_place_mask(np.array([[1.0]]), np.array([0]))
+    with pytest.raises(ValueError, match="in-range"):
+        kk.second_place_mask(logits, np.array([4]))
 
 
 def test_second_place_mask_batch():
@@ -44,7 +62,7 @@ def test_second_place_mask_batch():
 
 
 def test_second_place_mask_matches_set_definition():
-    """Row-wise mask equals second_place_set on ties and tie_tol gaps."""
+    """Row-wise mask equals the reference set on ties and tie_tol gaps."""
     rng = np.random.default_rng(0)
     tol = kk.DEFAULT_TIE_TOL
     logits = rng.standard_normal((300, 4))
@@ -61,7 +79,7 @@ def test_second_place_mask_matches_set_definition():
         mask = kk.second_place_mask(logits, labels, tie_tol)
         want = np.zeros_like(logits)
         for i, (row, y) in enumerate(zip(logits, labels)):
-            want[i, list(kk.second_place_set(row, int(y), tie_tol))] = 1.0
+            want[i, list(second_place_set(row, int(y), tie_tol))] = 1.0
         assert np.array_equal(mask, want)
     with pytest.raises(ValueError, match="in-range"):
         kk.second_place_mask(logits[:2], np.array([0, 4]))

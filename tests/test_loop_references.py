@@ -9,7 +9,7 @@ index and score must be equal, and every text equal byte for byte.
 import numpy as np
 import pytest
 
-from kktgen import cli
+from kktgen import cli, kernels
 from kktgen import datasets as ds
 from kktgen.svgplot import PALETTE, _axis_bounds, svg_image_grid, svg_scatter
 
@@ -28,7 +28,9 @@ def loop_nearest_neighbor(samples, dataset, metric="euclidean"):
     else:
         side = int(round(np.sqrt(dataset.dim)))
         for s in samples:
-            scores = ds.ssim(s, dataset.x, window=min(8, side))
+            scores = kernels.ssim_uniform(
+                s.reshape(side, side), dataset.x.reshape(-1, side, side),
+                min(8, side), ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2)
             idx = int(np.argmax(scores))
             out.append((idx, float(scores[idx])))
     return out

@@ -21,6 +21,7 @@ from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.models import (BoundMlp, MlpSpec, init_kaiming, make_leaves,
                            mlp_apply, mlp_apply_np, spec_group_shapes)
 from test_kernels import out_of_place_adam
+from test_kkt import second_place_set
 
 GRAD_RTOL = 1e-12
 ORACLE_TOL = 1e-10
@@ -247,7 +248,7 @@ def per_pair_oracle(spec, zeta, profile, x, labels, alpha):
     pairs, columns = [], []
     for i, (xi, y) in enumerate(zip(x, labels)):
         gy = logit_gradient(xi, int(y))
-        for c in sorted(kk.second_place_set(logits[i], int(y))):
+        for c in sorted(second_place_set(logits[i], int(y))):
             pairs.append((i, c))
             columns.append(gy - logit_gradient(xi, c))
     g = np.array(columns).T
