@@ -187,9 +187,9 @@ def load_generator(path, config=None):
         mult_params = deserialize_params(sections["mult_params"], mult_spec)
         alphas = _floats_from(sections["alphas"])
         deltas = _floats_from(sections["deltas"])
-        if not deltas.size or deltas.size != alphas.size:
-            raise ValueError(f"{deltas.size} deltas for {alphas.size} "
-                             f"alphas")
+        if not deltas.size == alphas.size == gen_spec.num_classifiers:
+            raise ValueError(f"{deltas.size} deltas for {alphas.size} alphas"
+                             f" of {gen_spec.num_classifiers} classifiers")
         state = GeneratorTrainState(gen_params, mult_params, alphas, deltas,
                                     step=int(meta.get("step", 0)))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:

@@ -1,8 +1,9 @@
 """Command-line surface: train, estimate, sample, evaluate, plot.
 
 Exit codes: 0 success, 2 usage/config error, 3 verification failure,
-4 numeric failure.  Every command is batch-oriented and idempotent for a
-fixed config, seed and output directory.
+4 numeric failure; ``main`` maps each failure to its code by the type of
+the exception (``EXIT_CODES``).  Every command is batch-oriented and
+idempotent for a fixed config, seed and output directory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .config import ConfigError, RunConfig
 from .datasets import (CsvError, LabeledDataset, coverage_report,
                        integer_column, nearest_neighbor, read_csv,
                        reject_rows)
-from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER,
+from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER, VERIFY_ALPHAS,
+                          VERIFY_DEVIATION_LIMIT, VerificationError,
                           default_probe_samples, estimate_profile,
                           scaling_deviations, verify_lambda)
 from .kernels import NnlsIterationLimit, adam_update
@@ -33,32 +35,36 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
+# the exit code of a failed command: that of the first type its exception
+# is an instance of (VerificationError and LinAlgError are ValueErrors).
+# Any other exception is a fault of the program and keeps its traceback.
+EXIT_CODES = {VerificationError: EXIT_VERIFY,
+              NnlsIterationLimit: EXIT_NUMERIC,
+              tr.ConvergenceError: EXIT_NUMERIC,
+              tr.TrainingAborted: EXIT_NUMERIC,
+              np.linalg.LinAlgError: EXIT_NUMERIC,
+              ValueError: EXIT_USAGE,
+              OSError: EXIT_USAGE}
+
 # rows formatted per write: bounds the Python numbers alive at once
 CSV_BLOCK_ROWS = 1024
-
-VERIFY_ALPHAS = (-1.0, -0.5, 0.1, 0.5, 1.0)
-VERIFY_DEVIATION_LIMIT = 1e-5
-
-
-class _Fail(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
 
 
 def _require(ok, message):
     """A command-line value outside its range is a usage error."""
     if not ok:
-        raise _Fail(EXIT_USAGE, message)
+        raise ValueError(message)
+
+
+def _existing(path, what="checkpoint"):
+    """``path``; a missing file is a usage error naming what it holds."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return path
 
 
 def _load_config(path):
-    if not os.path.exists(path):
-        raise _Fail(EXIT_USAGE, f"config file not found: {path}")
-    try:
-        return RunConfig.from_file(path)
-    except ConfigError as exc:
-        raise _Fail(EXIT_USAGE, f"bad config: {exc}")
+    return RunConfig.from_file(_existing(path, "config file"))
 
 
 def _run_dir(config):
@@ -86,46 +92,23 @@ def _read_samples_csv(path, dataset):
     """Coordinates and labels of a samples CSV (``x0..x{d-1},y,t``).
 
     A file that is not one, or whose samples ``dataset`` cannot be
-    compared with, is a usage error naming the file and the row.
+    compared with, is a :class:`CsvError` naming the file and the row.
     """
-    if not os.path.exists(path):
-        raise _Fail(EXIT_USAGE, f"samples file not found: {path}")
-    try:
-        header, rows = read_csv(path)
-        if len(header) < 3 or header[-2:] != ["y", "t"]:
-            raise CsvError(path, "expected columns x...,y,t")
-        if len(header) - 2 != dataset.dim:
-            raise CsvError(path, f"has {len(header) - 2} coordinates, the "
-                           f"dataset {dataset.dim}")
-        x = np.ascontiguousarray(rows[:, :-2])
-        reject_rows(path, ~np.isfinite(x).all(axis=1),
-                    "has a coordinate that is not finite")
-        y = integer_column(path, rows[:, -2], "y")
-        integer_column(path, rows[:, -1], "t")
-        reject_rows(path, (y < 0) | (y >= dataset.num_classes),
-                    f"y is not a class of the dataset "
-                    f"(0 to {dataset.num_classes - 1})")
-    except (CsvError, OSError) as exc:
-        raise _Fail(EXIT_USAGE, str(exc)) from None
+    header, rows = read_csv(_existing(path, "samples file"))
+    if len(header) < 3 or header[-2:] != ["y", "t"]:
+        raise CsvError(path, "expected columns x...,y,t")
+    if len(header) - 2 != dataset.dim:
+        raise CsvError(path, f"has {len(header) - 2} coordinates, the "
+                       f"dataset {dataset.dim}")
+    x = np.ascontiguousarray(rows[:, :-2])
+    reject_rows(path, ~np.isfinite(x).all(axis=1),
+                "has a coordinate that is not finite")
+    y = integer_column(path, rows[:, -2], "y")
+    integer_column(path, rows[:, -1], "t")
+    reject_rows(path, (y < 0) | (y >= dataset.num_classes),
+                f"y is not a class of the dataset "
+                f"(0 to {dataset.num_classes - 1})")
     return x, y
-
-
-def _load_checkpoint(load, path, *args):
-    """``load(path, *args)``; a missing or corrupt file is a usage error."""
-    if not os.path.exists(path):
-        raise _Fail(EXIT_USAGE, f"checkpoint not found: {path}")
-    try:
-        return load(path, *args)
-    except ValueError as exc:
-        raise _Fail(EXIT_USAGE, str(exc))
-
-
-def _load_classifier(path):
-    return _load_checkpoint(ckpt.load_classifier, path)
-
-
-def _load_generator(path, config=None):
-    return _load_checkpoint(ckpt.load_generator, path, config)
 
 
 def _evaluation_dataset(config):
@@ -164,7 +147,8 @@ def cmd_train_classifier(args):
             _write_csv(os.path.join(out, f"classifier{tag}_loss.csv"),
                        ["epoch", "cross_entropy"],
                        [np.arange(len(exc.trajectory)), exc.trajectory])
-            raise _Fail(EXIT_NUMERIC, f"classifier{tag}: {exc}")
+            raise tr.ConvergenceError(f"classifier{tag}: {exc}",
+                                      exc.trajectory) from None
         ckpt.save_classifier(
             os.path.join(out, f"classifier{tag}.ckpt"), spec, params,
             config_hash=config.hash(),
@@ -184,11 +168,10 @@ def cmd_estimate_lambda(args):
     _require(args.max_order in (1, 2),
              f"--max-order must be 1 or 2, got {args.max_order}")
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
-    spec, params, _, _ = _load_classifier(args.checkpoint)
+    spec, params, _, _ = ckpt.load_classifier(_existing(args.checkpoint))
     profile, samples = estimate_profile(spec, params, k=args.probes,
                                         max_order=args.max_order,
                                         seed=args.seed)
-    ckpt.attach_profile(args.checkpoint, profile)
     devs = scaling_deviations(spec, params, profile, VERIFY_ALPHAS, samples)
     worst = float(devs.max())
     csv_path = args.out or (os.path.splitext(args.checkpoint)[0]
@@ -197,6 +180,8 @@ def cmd_estimate_lambda(args):
                [np.repeat(VERIFY_ALPHAS, devs.shape[1]),
                 np.tile(np.arange(devs.shape[1]), len(VERIFY_ALPHAS)),
                 devs.ravel()])
+    # after the one write that can fail on the --out path
+    ckpt.attach_profile(args.checkpoint, profile)
     print(f"lambda profile attached (solver residual "
           f"{profile.residual:.3g}); "
           f"max scaling deviation {worst:.3g} -> {csv_path}")
@@ -213,11 +198,10 @@ def cmd_train_generator(args):
     out = _run_dir(config)
     bundles = []
     for i, path in enumerate(args.checkpoints):
-        spec, params, profile, _ = _load_classifier(path)
+        spec, params, profile, _ = ckpt.load_classifier(_existing(path))
         if profile is None:
-            raise _Fail(EXIT_USAGE,
-                        f"{path}: no scaling profile; run "
-                        f"'kktgen estimate-lambda {path}' first")
+            raise ValueError(f"{path}: no scaling profile; run "
+                             f"'kktgen estimate-lambda {path}' first")
         ds = datasets[i] if i < len(datasets) else datasets[0]
         bundles.append(tr.ClassifierBundle(spec, params, profile, ds.size))
     t_count = len(bundles)
@@ -226,27 +210,25 @@ def cmd_train_generator(args):
     gen_spec = config.generator_spec(num_classes, out_dim, t_count)
     mult_spec = config.multiplier_spec(num_classes, out_dim, t_count)
     gen_cfg = config.generator_train_config(seed=args.seed)
-    try:
-        gen_cfg.label_probs(num_classes)
-    except ValueError as exc:
-        raise ConfigError("generator_training", str(exc)) from None
+    labels = gen_cfg.label_distribution
+    if labels and len(labels) != num_classes:
+        raise ConfigError("generator_training",
+                          f"label distribution has {len(labels)} entries, "
+                          f"the classifiers {num_classes} classes")
     gen_path = os.path.join(out, args.name + ".ckpt")
     run_hash = _generator_run_hash(config, gen_cfg.seed)
     state = None
     if args.resume and os.path.exists(gen_path):
-        saved_gen, saved_mult, state, meta = _load_generator(gen_path,
-                                                             gen_cfg)
+        saved_gen, saved_mult, state, meta = ckpt.load_generator(gen_path,
+                                                                 gen_cfg)
         if (meta.get("config_hash") != run_hash
                 or (saved_gen, saved_mult) != (gen_spec, mult_spec)):
-            raise _Fail(EXIT_USAGE,
-                        f"{gen_path} was written by a run with another "
-                        f"configuration, seed or classifier count; only "
-                        f"generator_training.steps may change on --resume")
-    try:
-        state = tr.train_generator(bundles, gen_spec, mult_spec, gen_cfg,
-                                   state=state)
-    except tr.TrainingAborted as exc:
-        raise _Fail(EXIT_NUMERIC, str(exc))
+            raise ValueError(f"{gen_path} was written by a run with another "
+                             f"configuration, seed or classifier count; "
+                             f"only generator_training.steps may change on "
+                             f"--resume")
+    state = tr.train_generator(bundles, gen_spec, mult_spec, gen_cfg,
+                               state=state)
     ckpt.save_generator(gen_path, gen_spec, mult_spec, state,
                         config_hash=run_hash)
     header = ["step", "t", "l_stat", "l_dual", "tv", "total"] + \
@@ -261,7 +243,7 @@ def cmd_sample(args):
     _require(args.per_class >= 0,
              f"--per-class must be nonnegative, got {args.per_class}")
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
-    gen_spec, _, state, _ = _load_generator(args.checkpoint)
+    gen_spec, _, state, _ = ckpt.load_generator(_existing(args.checkpoint))
     t_count = gen_spec.num_classifiers
     _require(args.t is None or 0 <= args.t < t_count,
              f"--t must be a classifier index in [0, {t_count}), "
@@ -281,10 +263,16 @@ def cmd_evaluate(args):
     dataset = _evaluation_dataset(_load_config(args.config))
     x, y = _read_samples_csv(args.samples, dataset)
     if not len(x):
-        raise _Fail(EXIT_USAGE, f"{args.samples}: no samples to evaluate")
+        raise ValueError(f"{args.samples}: no samples to evaluate")
     spec = params = profile = None
     if args.classifier:
-        spec, params, profile, _ = _load_classifier(args.classifier)
+        spec, params, profile, _ = ckpt.load_classifier(
+            _existing(args.classifier))
+        widths = spec.widths[0], spec.widths[-1]
+        if widths != (dataset.dim, dataset.num_classes):
+            raise ValueError(f"{args.classifier} maps {widths[0]} inputs to "
+                             f"{widths[1]} classes, the evaluation data "
+                             f"have {dataset.dim} and {dataset.num_classes}")
     report = coverage_report(x, y, dataset, spec, params)
     out = args.out or (os.path.splitext(args.samples)[0] + "_report.csv")
     names = ["mean_nn_distance", "label_agreement"] + [
@@ -297,10 +285,10 @@ def cmd_evaluate(args):
         rival[np.arange(dataset.size), dataset.labels] = False
         q = float(np.where(rival, margins, np.inf).min())
         if not q > 0.0:
-            raise _Fail(EXIT_VERIFY,
-                        f"{args.classifier} does not separate the "
-                        f"evaluation data (minimum margin {q:.6g}); the "
-                        f"KKT residual needs a separating classifier")
+            raise VerificationError(
+                f"{args.classifier} does not separate the evaluation data "
+                f"(minimum margin {q:.6g}); the KKT residual needs a "
+                f"separating classifier")
         residual, _ = kkt_residual_oracle(spec, params, profile,
                                           dataset.x, dataset.labels,
                                           float(-np.log(q)))
@@ -318,8 +306,7 @@ def cmd_plot(args):
     x, y = _read_samples_csv(args.samples, dataset)
     if args.mode == "scatter":
         if dataset.dim != 2:
-            raise _Fail(EXIT_USAGE,
-                        "scatter plots need 2-d data; use --mode grid")
+            raise ValueError("scatter plots need 2-d data; use --mode grid")
         svg = svg_scatter(dataset.x, dataset.labels, x, y,
                           title=args.title)
     else:
@@ -347,7 +334,7 @@ def cmd_selftest(args):
     spec = MlpSpec((2, 10, 1))
     params = init_kaiming(spec, 0)
     profile, _ = estimate_profile(spec, params, k=16)
-    dev = verify_lambda(spec, params, profile, list(VERIFY_ALPHAS),
+    dev = verify_lambda(spec, params, profile, VERIFY_ALPHAS,
                         default_probe_samples(spec, 16, seed=1))
     if dev > VERIFY_DEVIATION_LIMIT:
         failures.append(f"lambda estimation deviation {dev:.3g}")
@@ -447,20 +434,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Fail as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ConfigError as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FloatingPointError, NnlsIterationLimit, tr.ConvergenceError,
-            tr.TrainingAborted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

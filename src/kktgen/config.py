@@ -33,7 +33,7 @@ class ConfigError(ValueError):
     """Invalid configuration; ``field`` names the offending entry."""
 
     def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"bad config: {field}: {message}")
         self.field = field
 
 

@@ -25,6 +25,15 @@ RIDGE = 1e-12
 # order of the identity rows
 PROBE_COUNT = 32
 PROBE_MAX_ORDER = 2
+# the check of a profile by direct rescaling, wherever one is checked: the
+# alpha grid and the largest relative deviation a profile may show on it
+VERIFY_ALPHAS = (-1.0, -0.5, 0.1, 0.5, 1.0)
+VERIFY_DEVIATION_LIMIT = 1e-5
+
+
+class VerificationError(ValueError):
+    """A premise of the method failed its check: a profile does not
+    rescale its classifier, or a classifier does not separate its data."""
 
 
 @dataclass

@@ -98,9 +98,11 @@ def nnls(a, b):
     of the small R.  The column of largest positive dual enters the
     passive set unless it is numerically dependent on the passive
     columns or would enter with a coefficient <= 0; a rejected column
-    waits until the dual is next recomputed.  Every passive-set solve
-    after an entry counts as one iteration; :class:`NnlsIterationLimit`
-    is raised after 3n of them.
+    waits until the dual is next recomputed.  Each entry lowers the
+    residual in exact arithmetic; the solve ends at one that does not,
+    which fits only rounding error, with the solution before it.  Every
+    passive-set solve after an entry counts as one iteration;
+    :class:`NnlsIterationLimit` is raised after 3n of them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -147,6 +149,7 @@ def nnls(a, b):
             continue
         passive = trial
         free[j] = False
+        x_before, res_before = x.copy(), res
         while True:
             iters += 1
             if iters > maxiter:
@@ -167,5 +170,8 @@ def nnls(a, b):
             z = coefficients(factor(passive))
         x[passive] = z
         res = b_red - a_red[:, passive] @ z
+        if not np.linalg.norm(res) < np.linalg.norm(res_before):
+            x, res = x_before, res_before
+            break
         dual = a_red.T @ res
     return x, math.hypot(float(np.linalg.norm(res)), outside)

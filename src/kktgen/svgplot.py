@@ -24,6 +24,9 @@ _EMIT_ROWS = 1024
 _GRAYS = np.array([f"#{level:02x}{level:02x}{level:02x}"
                    for level in range(256)])
 
+# a title as SVG character data
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 def _fmt(value):
     return f"{float(value):.2f}"
@@ -76,7 +79,8 @@ def svg_scatter(train_points=None, train_labels=None, samples=None,
     ]
     if title:
         parts.append(f'<text x="{_fmt(size / 2)}" y="20" font-size="14" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">'
+                     f'{title.translate(_ESCAPES)}</text>')
     if samples is not None and np.size(samples):
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         cx, cy = sx(samples[:, 0]), sy(samples[:, 1])
@@ -151,7 +155,8 @@ def svg_image_grid(images, neighbors=None, side=None, cell=48, columns=10,
     ]
     if title:
         parts.append(f'<text x="{_fmt(width / 2)}" y="14" font-size="12" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">'
+                     f'{title.translate(_ESCAPES)}</text>')
     y_base = 20 if title else 0
     if n:
         stack = images[:, None] if neighbors is None else np.stack(

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .homogeneity import lambda_bar, verify_lambda, default_probe_samples
+from .homogeneity import (VERIFY_ALPHAS, VERIFY_DEVIATION_LIMIT,
+                          VerificationError, default_probe_samples,
+                          lambda_bar, verify_lambda)
 from .kkt import kkt_loss_grads, stationarity_target
 from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
                      init_kaiming, mlp_apply_np)
-
-PROFILE_DEVIATION_LIMIT = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -461,13 +461,12 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     if t_count < 1:
         raise ValueError("at least one classifier is required")
     for k, cb in enumerate(classifiers):
-        dev = verify_lambda(cb.spec, cb.params, cb.profile,
-                            [-0.5, 0.5], default_probe_samples(cb.spec, 8,
-                                                               seed=k))
-        if dev > PROFILE_DEVIATION_LIMIT:
-            raise ValueError(
+        dev = verify_lambda(cb.spec, cb.params, cb.profile, VERIFY_ALPHAS,
+                            default_probe_samples(cb.spec, 8, seed=k))
+        if dev > VERIFY_DEVIATION_LIMIT:
+            raise VerificationError(
                 f"classifier {k} profile fails verification "
-                f"(deviation {dev:.3g} > {PROFILE_DEVIATION_LIMIT})")
+                f"(deviation {dev:.3g} > {VERIFY_DEVIATION_LIMIT})")
         # the step indexes the classifier's logits by the drawn labels
         # unchecked
         if cb.spec.widths[-1] != gen_spec.num_classes:

@@ -18,7 +18,7 @@ import kktgen.training as tr
 from kktgen import kernels
 from kktgen.cli import main
 from kktgen.datasets import circle_dataset
-from kktgen.models import GeneratorSpec, MultiplierSpec, init_kaiming
+from kktgen.models import GeneratorSpec, MlpSpec, MultiplierSpec, init_kaiming
 
 FAST_CLASSIFIER = """
 [classifier]
@@ -59,11 +59,6 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_missing_config_is_usage_error(capsys):
-    assert main(["train-classifier", "/nonexistent.cfg"]) == 2
-    assert "not found" in capsys.readouterr().err
 
 
 def test_bad_config_key_is_usage_error(tmp_path, capsys):
@@ -214,15 +209,118 @@ def test_nnls_iteration_limit_is_numeric_error(tmp_path, capsys, monkeypatch,
     assert clf.read_bytes() == profiled_classifier.read_bytes()
 
 
-def test_classifier_nonconvergence_is_numeric_error(tmp_path, capsys):
-    cfg = tmp_path / "stall.cfg"
-    cfg.write_text("[experiment]\nname = stall\n"
-                   f"output_dir = {tmp_path / 'runs'}\n"
-                   "[classifier]\nwidths = 2,8,3\nmax_epochs = 3\n"
-                   "refine_iters = 0\n")
-    assert main(["train-classifier", str(cfg)]) == 4
-    # the partial loss trajectory is still recorded
-    assert (tmp_path / "runs" / "stall" / "classifier_loss.csv").exists()
+def profiled_checkpoint(path, widths, lambdas=None):
+    """A bias-free classifier checkpoint with a scaling profile: the
+    estimated one, or ``lambdas`` for every group."""
+    spec = MlpSpec(widths, False)
+    params = init_kaiming(spec, 0)
+    profile = (hg.estimate_profile(spec, params)[0] if lambdas is None
+               else hg.QuasiHomogeneousProfile(
+                   dict.fromkeys(params.groups, lambdas)))
+    ck.save_classifier(path, spec, params, profile=profile)
+
+
+@pytest.fixture(scope="module")
+def failure_inputs(tmp_path_factory):
+    """The directory the bad inputs of FAILURES live in."""
+    d = tmp_path_factory.mktemp("failures")
+    head = f"[experiment]\nname = demo\noutput_dir = {d / 'runs'}\n"
+    full_sum = FAST_CLASSIFIER + "full_sum = true\n"
+    (d / "run.cfg").write_text(head + full_sum.format(steps=3))
+    (d / "run6.cfg").write_text(head + full_sum.format(steps=6))
+    (d / "stall.cfg").write_text(
+        f"[experiment]\nname = stall\noutput_dir = {d / 'runs'}\n"
+        "[classifier]\nwidths = 2,8,3\nmax_epochs = 3\nrefine_iters = 0\n")
+    (d / "arc.cfg").write_text(
+        f"[experiment]\nname = arc\noutput_dir = {d / 'runs'}\n"
+        "[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 0\n")
+    (d / "latin1.cfg").write_bytes(b"[experiment]\nname = caf\xe9\n")
+    (d / "s.csv").write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
+    profiled_checkpoint(d / "clf.ckpt", (2, 8, 3))
+    profiled_checkpoint(d / "three_inputs.ckpt", (3, 8, 3))
+    profiled_checkpoint(d / "two_classes.ckpt", (2, 8, 2))
+    profiled_checkpoint(d / "bad_profile.ckpt", (2, 8, 3), lambdas=1.0)
+    spec = MlpSpec((2, 8, 3), False)
+    ck.save_classifier(d / "no_profile.ckpt", spec, init_kaiming(spec, 0))
+    # a run of two classifiers, and its checkpoint cut to one alpha
+    clf = str(d / "clf.ckpt")
+    assert main(["train-generator", str(d / "run.cfg"), clf, clf,
+                 "--name", "two"]) == 0
+    sections = ck.read_sections(d / "runs" / "demo" / "two.ckpt")
+    for name in ("alphas", "deltas"):
+        sections[name] = sections[name][:8]
+    ck.write_sections(d / "runs" / "demo" / "cut.ckpt", sections)
+    # a shard classifier does not separate the combined arc-split data
+    assert main(["train-classifier", str(d / "arc.cfg")]) == 0
+    assert main(["estimate-lambda",
+                 str(d / "runs" / "arc" / "classifier_1.ckpt")]) == 0
+    return d
+
+
+# a command on a bad input: (id, argv in the directory {d}, exit code, a
+# fragment of the one error line, a file the failed command leaves)
+FAILURES = [
+    ("missing-config", "train-classifier {d}/none.cfg", 2,
+     "config file not found", None),
+    ("config-is-a-directory", "train-classifier {d}", 2, "Is a directory",
+     None),
+    ("config-not-utf8", "train-classifier {d}/latin1.cfg", 2, "utf-8", None),
+    ("missing-samples", "evaluate {d}/run.cfg {d}/none.csv", 2,
+     "samples file not found", None),
+    ("missing-checkpoint", "sample {d}/none.ckpt", 2, "checkpoint not found",
+     None),
+    ("classifier-does-not-converge", "train-classifier {d}/stall.cfg", 4,
+     "classifier: ", "runs/stall/classifier_loss.csv"),
+    ("profile-fails-verification",
+     "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
+     "fails verification", None),
+    ("classifiers-differ-in-classes",
+     "train-generator {d}/run.cfg {d}/clf.ckpt {d}/two_classes.ckpt", 2,
+     "2 classes", None),
+    ("resume-of-a-cut-checkpoint", "train-generator {d}/run6.cfg "
+     "{d}/clf.ckpt {d}/clf.ckpt --name cut --resume", 2,
+     "1 deltas for 1 alphas", None),
+    ("sample-out-in-missing-directory",
+     "sample {d}/runs/demo/two.ckpt --out {d}/none/s.csv", 2,
+     "No such file", None),
+    ("estimate-lambda-out-in-missing-directory",
+     "estimate-lambda {d}/no_profile.ckpt --out {d}/none/v.csv", 2,
+     "No such file", None),
+    ("evaluate-out-in-missing-directory",
+     "evaluate {d}/run.cfg {d}/s.csv --out {d}/none/r.csv", 2,
+     "No such file", None),
+    ("evaluate-classifier-of-other-inputs",
+     "evaluate {d}/run.cfg {d}/s.csv --classifier {d}/three_inputs.ckpt", 2,
+     "maps 3 inputs", None),
+    ("evaluate-classifier-of-fewer-classes",
+     "evaluate {d}/run.cfg {d}/s.csv --classifier {d}/two_classes.ckpt", 2,
+     "to 2 classes", None),
+    ("evaluate-classifier-does-not-separate", "evaluate {d}/arc.cfg "
+     "{d}/s.csv --classifier {d}/runs/arc/classifier_1.ckpt", 3,
+     "does not separate", None),
+    ("plot-grid-of-points",
+     "plot {d}/run.cfg {d}/s.csv --mode grid --out {d}/p.svg", 2,
+     "square image", None),
+]
+
+
+@pytest.mark.parametrize("argv,code,fragment,leaves", [
+    pytest.param(*row[1:], id=row[0]) for row in FAILURES])
+def test_failing_command_exits_with_one_error_line(
+        failure_inputs, capsys, argv, code, fragment, leaves):
+    """Each bad input ends in its exit code and one error line, with no
+    traceback and no checkpoint written."""
+    d = failure_inputs
+    checkpoints = {p: p.read_bytes() for p in d.rglob("*.ckpt")}
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(d=d) for a in argv.split()]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert fragment in err[0] and "Traceback" not in err[0]
+    assert {p: p.read_bytes() for p in d.rglob("*.ckpt")} == checkpoints
+    assert leaves is None or (d / leaves).exists()
 
 
 def test_full_pipeline(workdir, capsys):
@@ -417,30 +515,6 @@ def test_resume_refuses_a_checkpoint_of_another_run(workdir, capsys,
     assert (out / "generator.ckpt").read_bytes() == before
 
 
-def test_evaluate_non_separating_classifier_is_verify_error(tmp_path,
-                                                            capsys):
-    """A shard classifier does not separate the combined arc-split data."""
-    cfg = tmp_path / "arc.cfg"
-    cfg.write_text("[experiment]\nname = arc\n"
-                   f"output_dir = {tmp_path / 'runs'}\n"
-                   "[dataset]\nsplit = arc\n"
-                   "[classifier]\nrefine_iters = 0\n")
-    out = tmp_path / "runs" / "arc"
-    assert main(["train-classifier", str(cfg)]) == 0
-    clf = out / "classifier_1.ckpt"
-    assert main(["estimate-lambda", str(clf)]) == 0
-    samples = tmp_path / "s.csv"
-    samples.write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["evaluate", str(cfg), str(samples), "--classifier",
-                     str(clf)])
-    assert code == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "does not separate" in err[0]
-
-
 # (section container cut, parameter blob cut) in bytes: a cut in the
 # container's version, section count and first name length, then cuts in
 # the parameter blob's version, group count and group table
@@ -453,8 +527,6 @@ TRUNCATIONS = [(6, None), (10, None), (13, None),
 def test_truncated_classifier_header_is_usage_error(tmp_path, capsys,
                                                     command, container_cut,
                                                     blob_cut):
-    from kktgen.models import MlpSpec, init_kaiming
-
     spec = MlpSpec((2, 8, 3), False)
     clf = tmp_path / "classifier.ckpt"
     ck.save_classifier(clf, spec, init_kaiming(spec, 0))
@@ -473,24 +545,11 @@ def test_truncated_classifier_header_is_usage_error(tmp_path, capsys,
     assert len(err) == 1 and "truncated at byte" in err[0]
 
 
-def test_sample_from_missing_checkpoint_fails(tmp_path, capsys):
-    assert main(["sample", str(tmp_path / "none.ckpt")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "checkpoint not found" in err[0]
-
-
 def small_generator_run(tmp_path):
     """A classifier checkpoint with a profile, a config and the generator
     checkpoint a resume of that config reads, with optimizer state."""
-    from kktgen.homogeneity import estimate_profile
-    from kktgen.models import GeneratorSpec, MlpSpec, MultiplierSpec, \
-        init_kaiming
-
-    spec = MlpSpec((2, 8, 3), False)
-    params = init_kaiming(spec, 0)
     clf = tmp_path / "classifier.ckpt"
-    ck.save_classifier(clf, spec, params,
-                       profile=estimate_profile(spec, params)[0])
+    profiled_checkpoint(clf, (2, 8, 3))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n")
     gen_spec = GeneratorSpec(2, 3, (8,), 2)

@@ -223,6 +223,39 @@ def test_nnls_matches_scipy(name, seed):
         assert x[3] == 0.0
 
 
+def dependent_columns(kind, seed):
+    """(a, b): independent columns and twice as many more, each a copy
+    of one (``repeated``), a positive multiple of one (``scaled``) or a
+    nonnegative combination of several (``conic``), in shuffled order;
+    b is a nonnegative combination of the columns."""
+    rng = np.random.default_rng(seed)
+    m, base = rng.choice([(40, 12), (120, 16), (30, 20)])
+    g = rng.standard_normal((m, base))
+    pick = rng.integers(base, size=2 * base)
+    if kind == "repeated":
+        extra = g[:, pick]
+    elif kind == "scaled":
+        extra = g[:, pick] * rng.uniform(0.1, 10.0, 2 * base)
+    else:
+        extra = g @ (rng.random((base, 2 * base)) < 0.3)
+    a = np.column_stack([g, extra])[:, rng.permutation(3 * base)]
+    return a, a @ (rng.random(3 * base) < 0.5)
+
+
+# seeds 22, 96 and 108 cycle through columns dependent to rounding unless
+# an entry that does not lower the residual ends the solve
+@pytest.mark.parametrize("kind,seed", [
+    ("repeated", 0), ("repeated", 22), ("scaled", 0), ("scaled", 96),
+    ("conic", 0), ("conic", 108)])
+def test_nnls_matches_scipy_on_dependent_columns(kind, seed):
+    a, b = dependent_columns(kind, seed)
+    x = assert_matches_scipy(a, b, unique=False)
+    # x is not unique, but the fit a x, the projection of b onto the cone
+    # of the columns, is
+    want_x, _ = scipy.optimize.nnls(a, b)
+    assert np.linalg.norm(a @ x - a @ want_x) <= 1e-12 * np.linalg.norm(b)
+
+
 @pytest.fixture(scope="module")
 def circle_solves():
     """(a, b) of both NNLS solves on the default circle classifier: the

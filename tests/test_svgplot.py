@@ -1,9 +1,14 @@
 """Unit tests for the dependency-free SVG plotting helpers."""
 
+from xml.etree import ElementTree
+
 import numpy as np
+import pytest
 
 from kktgen.datasets import circle_dataset, pattern_dataset
 from kktgen.svgplot import PALETTE, svg_image_grid, svg_scatter
+
+SVG_NS = "http://www.w3.org/2000/svg"
 
 
 def well_formed(svg):
@@ -70,3 +75,15 @@ def test_image_grid_clips_values():
     svg = svg_image_grid(img, side=2)
     assert "#000000" in svg  # clipped low
     assert "#ffffff" in svg  # clipped high
+
+
+@pytest.mark.parametrize("mode", ["scatter", "grid"])
+def test_title_is_escaped(mode):
+    title = "a<b&c>d"
+    if mode == "scatter":
+        circle = circle_dataset()
+        svg = svg_scatter(circle.x, circle.labels, title=title)
+    else:
+        svg = svg_image_grid(pattern_dataset(per_class=1).x, title=title)
+    root = ElementTree.fromstring(svg)
+    assert title in [t.text for t in root.iter(f"{{{SVG_NS}}}text")]
