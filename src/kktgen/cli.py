@@ -9,6 +9,7 @@ idempotent for a fixed config, seed and output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -310,9 +311,12 @@ def cmd_plot(args):
         svg = svg_scatter(dataset.x, dataset.labels, x, y,
                           title=args.title)
     else:
+        side = math.isqrt(dataset.dim)
+        if side * side != dataset.dim:
+            raise ValueError("grid plots need square image data; use "
+                             "--mode scatter")
         if not len(x):
-            svg = svg_image_grid(np.zeros((0, dataset.dim)),
-                                 side=int(round(np.sqrt(dataset.dim))),
+            svg = svg_image_grid(np.zeros((0, dataset.dim)), side=side,
                                  title=args.title)
         else:
             nn = nearest_neighbor(x, dataset, metric="ssim")

@@ -177,7 +177,11 @@ class RunConfig:
     @staticmethod
     def from_file(path):
         with open(path, encoding="utf-8") as fh:
-            return RunConfig.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: is not UTF-8 text") from None
+        return RunConfig.from_text(text)
 
     def get(self, section, key):
         for sec, items in self.values:

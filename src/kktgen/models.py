@@ -269,6 +269,12 @@ def mlp_apply(spec, leaves, x):
     return h
 
 
+# 0 as a read-only 0-d array: a ufunc takes it with less per-call work
+# than the Python float 0.0 (no scalar promotion), for the same bits
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 def _matmul(a, b, out=None):
     """``a @ b``, into ``out`` when given.
 
@@ -360,7 +366,7 @@ class BoundMlp:
             if b is not None:
                 h += b
             if l < last:
-                np.maximum(h, 0.0, out=h)
+                np.maximum(h, _ZERO, out=h)
                 acts.append(h)
         return h, acts
 
@@ -377,7 +383,7 @@ class BoundMlp:
             cot = _matmul(delta, self.weights_t[l])
             if inject is not None:
                 cot += inject[l]
-            delta = deltas[l - 1] = np.multiply(cot, acts[l] > 0.0, out=cot)
+            delta = deltas[l - 1] = np.multiply(cot, acts[l] > _ZERO, out=cot)
         return deltas
 
     def input_cotangent(self, deltas, inject=None):
@@ -413,7 +419,7 @@ class BoundMlp:
             if l == 0:
                 dz = _matmul(a, w_dot)
             else:
-                np.multiply(dz, a > 0.0, out=dz)
+                np.multiply(dz, a > _ZERO, out=dz)
                 dz = _matmul(dz, self.weights[l])
                 dz += _matmul(a, w_dot)
             if b_dot is not None:
@@ -438,7 +444,7 @@ class BoundMlp:
                 dz += _matmul(a_dots[-1], self.weights[l - 1])
             if self.tangent_biases[l - 1] is not None:
                 dz += self.tangent_biases[l - 1]
-            a_dots.append(np.multiply(dz, acts[l] > 0.0, out=dz))
+            a_dots.append(np.multiply(dz, acts[l] > _ZERO, out=dz))
         inject = [None] + [_matmul(d, w_dot_t) for d, w_dot_t in
                            zip(deltas[1:], self.tangent_weights_t[1:])]
         grad = self.param_grad(

@@ -83,12 +83,8 @@ def svg_scatter(train_points=None, train_labels=None, samples=None,
                      f'{title.translate(_ESCAPES)}</text>')
     if samples is not None and np.size(samples):
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        cx, cy = sx(samples[:, 0]), sy(samples[:, 1])
-        parts.extend(_emit(
-            '<path d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
-            'stroke="%s" stroke-width="1" opacity="0.6"/>',
-            cx - 3, cy - 3, cx + 3, cy + 3, cx - 3, cy + 3, cx + 3, cy - 3,
-            _colors(sample_labels, len(samples))))
+        parts.extend(_emit_crosses(sx(samples[:, 0]), sy(samples[:, 1]),
+                                   _colors(sample_labels, len(samples))))
     if train_points is not None and np.size(train_points):
         train_points = np.atleast_2d(
             np.asarray(train_points, dtype=np.float64))
@@ -116,6 +112,24 @@ def _emit(template, *columns):
     for start in range(0, len(columns[0]), _EMIT_ROWS):
         rows = zip(*(c[start:start + _EMIT_ROWS].tolist() for c in columns))
         lines += [template % row for row in rows]
+    return lines
+
+
+def _emit_crosses(cx, cy, colors):
+    """One path per cross centred on (cx, cy), arms 3 long, a block of
+    ``_EMIT_ROWS`` at a time.  Each of a cross's four distinct
+    coordinates (cx - 3, cy - 3, cx + 3, cy + 3) is formatted once, as
+    ``_fmt`` does, and used twice."""
+    corners = (cx - 3, cy - 3, cx + 3, cy + 3)
+    lines = []
+    for start in range(0, len(cx), _EMIT_ROWS):
+        block = slice(start, start + _EMIT_ROWS)
+        x0, y0, x1, y1 = (["%.2f" % v for v in c[block].tolist()]
+                          for c in corners)
+        lines += [f'<path d="M {a} {b} L {c} {d} M {a} {d} L {c} {b}" '
+                  f'stroke="{k}" stroke-width="1" opacity="0.6"/>'
+                  for a, b, c, d, k in zip(x0, y0, x1, y1,
+                                           colors[block].tolist())]
     return lines
 
 

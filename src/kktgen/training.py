@@ -231,10 +231,19 @@ def refine_margins(dataset, spec, params, config):
     biases the parameter norm is not a pure scale direction.
 
     Each iteration takes the zeta gradient of the surrogate
-    -(1/tau) log sum exp(-tau mhat) over the rival pairs, with
-    mhat = (Phi_y - Phi_c) / ||zeta||^L and tau = temperature / min mhat
-    held fixed: the softmin weights W backpropagated as the logit
-    cotangent of sum W (Phi_y - Phi_c), plus the norm term.
+    -(1/tau) log sum exp(-tau mhat) over the n(C-1) rival pairs, with
+    mhat = m / ||zeta||^L, m = Phi_y - Phi_c and tau = temperature /
+    min mhat held fixed.  The rival margins m are one vector.
+    ||zeta||^L cancels in the exponent: the unnormalized softmin weights
+    are w = exp(c (m_min - m)) with c = temperature / max(m_min,
+    1e-9 ||zeta||^L), which is -tau mhat less its maximum.  The logit
+    cotangent is built pre-scaled by 1 / (sum w ||zeta||^L) and with the
+    sign Adam descends, so the backprop gives Adam's input but for the
+    norm term L (sum w m) / (sum w ||zeta||^(L+2)) zeta, one
+    multiply-add.  Every buffer is bound once per call.  On the default
+    circle classifier an iteration makes 47 numpy calls: 6 in the
+    forward, 12 in the backprop and parameter gradient, 14 in the Adam
+    step and 15 on the margin vector and the norm term.
     """
     if any(spec.bias):
         raise ValueError("margin refinement requires a bias-free spec")
@@ -243,41 +252,59 @@ def refine_margins(dataset, spec, params, config):
     x = dataset.x
     deg = spec.n_layers
     n, num_classes = dataset.size, spec.widths[-1]
-    # flat (i, y_i) indices, and the flat rival pairs (i, c != y_i)
+    # flat (i, y_i) indices, and the flat rival pairs (i, c != y_i) in
+    # row order, C - 1 of them per row
     own = np.arange(n) * num_classes + dataset.labels
-    own_col = own[:, None]
     rival = np.ones(n * num_classes, dtype=bool)
     rival[own] = False
     rivals = np.flatnonzero(rival)
-    inf, neg_inf = np.full(n, np.inf), np.full(n, -np.inf)
+    pairs = np.stack([own.repeat(num_classes - 1), rivals])
+    gathered = np.empty(pairs.shape)  # (Phi_y, Phi_c) per rival pair
+    phi_own, phi_rival = gathered
+    # row 0 holds the margins m, row 1 ones: one product gives
+    # (sum w m, sum w)
+    margins_ones = np.ones(pairs.shape)
+    m = margins_ones[0]
+    w = np.empty(rivals.size)
+    sums = np.empty(2)
+    # the cotangent's rival entries, then its own-class entries, in the
+    # order of ``cot_index``
+    cot_index = np.concatenate([rivals, own])
+    cot = np.empty(cot_index.size)
+    cot_rival, cot_own = cot[:rivals.size], cot[rivals.size:]
+    cot_rival_rows = cot_rival.reshape(n, num_classes - 1)
+    minus_ones = np.full(num_classes - 1, -1.0)
+    dlogits = np.empty((n, num_classes))
     norm_term = np.empty_like(values)
+    # the per-iteration scalars, as 0-d arrays: a ufunc takes one with
+    # less per-call work than a Python float, for the same bits
+    shift, rate, cot_scale, norm_coef = (np.empty(()) for _ in range(4))
 
     def ascend(temperature, adam):
         for _ in range(config.refine_iters):
-            rho = np.sqrt(values.dot(values))  # np.linalg.norm's bits
+            rho = math.sqrt(values.dot(values))  # np.linalg.norm's bits
             scale = rho ** deg
             logits, acts = net.forward(x)
-            mm = logits.take(own_col) - logits
-            mhat = mm / scale
-            mhat.put(own, inf)
-            tau = temperature / max(np.minimum.reduce(mhat, axis=None),
-                                    1e-9)
-            z = np.multiply(mhat, -tau, out=mhat)
-            z.put(own, neg_inf)
-            z -= np.maximum.reduce(z, axis=None)
-            w = np.exp(z, out=z)  # exactly 0 on the own-class entries
-            w /= np.add.reduce(w, axis=None)
-            # the own-class entry of -w is exactly (-)0, so put, not add
-            dlogits = np.negative(w)
-            dlogits.put(own, np.add.reduce(w, axis=1))
+            # the indices are in range; "clip" only skips a buffered copy
+            logits.take(pairs, out=gathered, mode="clip")
+            np.subtract(phi_own, phi_rival, out=m)
+            m_min = m.item(m.argmin())
+            shift[()] = m_min
+            rate[()] = temperature / max(m_min, 1e-9 * scale)
+            np.subtract(shift, m, out=w)
+            np.multiply(w, rate, out=w)
+            np.exp(w, out=w)
+            margins_ones.dot(w, out=sums)
+            margin_sum, w_sum = sums.tolist()
+            cot_scale[()] = 1.0 / (w_sum * scale)
+            np.multiply(w, cot_scale, out=cot_rival)
+            cot_rival_rows.dot(minus_ones, out=cot_own)
+            dlogits.put(cot_index, cot)
             grad = net.param_grad(acts, net.backprop(acts, dlogits))
-            margin_sum = np.add.reduce(
-                np.multiply(w, mm, out=mm).take(rivals))
-            grad /= scale
-            np.multiply(values, deg * margin_sum, out=norm_term)
-            np.divide(norm_term, rho ** (deg + 2), out=norm_term)
-            grad -= norm_term
-            adam.step(values, np.negative(grad, out=grad))
+            norm_coef[()] = deg * margin_sum / (w_sum * rho ** (deg + 2))
+            np.multiply(values, norm_coef, out=norm_term)
+            grad += norm_term
+            adam.step(values, grad)
 
     # the annealing stages share one Adam; each polish stage starts afresh
     annealing = Adam(len(params), config.refine_lr)

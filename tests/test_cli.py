@@ -236,6 +236,7 @@ def failure_inputs(tmp_path_factory):
         "[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 0\n")
     (d / "latin1.cfg").write_bytes(b"[experiment]\nname = caf\xe9\n")
     (d / "s.csv").write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
+    (d / "empty.csv").write_text("x0,x1,y,t\n")
     profiled_checkpoint(d / "clf.ckpt", (2, 8, 3))
     profiled_checkpoint(d / "three_inputs.ckpt", (3, 8, 3))
     profiled_checkpoint(d / "two_classes.ckpt", (2, 8, 2))
@@ -264,7 +265,8 @@ FAILURES = [
      "config file not found", None),
     ("config-is-a-directory", "train-classifier {d}", 2, "Is a directory",
      None),
-    ("config-not-utf8", "train-classifier {d}/latin1.cfg", 2, "utf-8", None),
+    ("config-not-utf8", "train-classifier {d}/latin1.cfg", 2,
+     "latin1.cfg: is not UTF-8 text", None),
     ("missing-samples", "evaluate {d}/run.cfg {d}/none.csv", 2,
      "samples file not found", None),
     ("missing-checkpoint", "sample {d}/none.ckpt", 2, "checkpoint not found",
@@ -300,6 +302,9 @@ FAILURES = [
      "does not separate", None),
     ("plot-grid-of-points",
      "plot {d}/run.cfg {d}/s.csv --mode grid --out {d}/p.svg", 2,
+     "square image", None),
+    ("plot-grid-of-no-points",
+     "plot {d}/run.cfg {d}/empty.csv --mode grid --out {d}/p.svg", 2,
      "square image", None),
 ]
 

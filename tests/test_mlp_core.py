@@ -4,7 +4,9 @@ Cross-entropy GD, margin refinement and the residual oracle all run on
 ``models.BoundMlp``.  Each is checked here against the autodiff graph
 (``mlp_apply`` differentiated by ``autodiff.grad``) on random specs: bias
 and bias-free, 2-4 layers.  The refinement loop is also checked bit for
-bit against the out-of-place loop it replaced, kept here as the reference.
+bit against an out-of-place loop in its own arithmetic order, and
+against the loop before its rival-pair form to 1e-10 of the largest
+parameter displacement.
 """
 
 import numpy as np
@@ -153,15 +155,13 @@ def first_ascent_direction(monkeypatch, spec, params, x, labels,
     return seen[0]
 
 
-def reference_ascent_grad(spec, params, x, labels, rival, temperature):
-    """The out-of-place refinement gradient, one fresh forward, backprop
-    and parameter-gradient concatenation per call, in matmul form."""
+def forward_and_backprop(spec, params, x):
+    """A fresh forward in matmul form; returns (logits, pullback), where
+    pullback(dlogits) is the flat parameter gradient of sum dlogits Phi."""
     deg = spec.n_layers
-    rows = np.arange(len(labels))
     weights = [params.group(f"layer{l}.weight").reshape(spec.widths[l],
                                                         spec.widths[l + 1])
                for l in range(deg)]
-    rho = np.linalg.norm(params.values)
     acts = [x]
     logits = x
     for l, w in enumerate(weights):
@@ -169,6 +169,29 @@ def reference_ascent_grad(spec, params, x, labels, rival, temperature):
         if l < deg - 1:
             logits = np.maximum(logits, 0.0)
             acts.append(logits)
+
+    def pullback(dlogits):
+        parts = [None] * deg
+        delta = dlogits
+        for l in reversed(range(deg)):
+            parts[l] = (acts[l].T @ delta).reshape(-1)
+            cot = delta @ weights[l].T
+            if l > 0:
+                delta = cot * (acts[l] > 0.0)
+        return np.concatenate(parts)
+
+    return logits, pullback
+
+
+def previous_ascent_grad(spec, params, x, labels, rival, temperature):
+    """The ascent direction in the arithmetic of the loop before the
+    rival-pair form: the (n, C) margins over ||zeta||^L with the
+    own-class entries masked, tau from their minimum, the normalized
+    weights, and the cotangent and norm term divided by ||zeta||^L."""
+    deg = spec.n_layers
+    rows = np.arange(len(labels))
+    rho = np.linalg.norm(params.values)
+    logits, pullback = forward_and_backprop(spec, params, x)
     mm = logits[rows, labels][:, None] - logits
     mhat = mm / rho ** deg
     q_hat = np.where(rival, mhat, np.inf).min()
@@ -179,21 +202,40 @@ def reference_ascent_grad(spec, params, x, labels, rival, temperature):
     w /= w.sum()
     dlogits = -w
     dlogits[rows, labels] += w.sum(axis=1)
-    parts = [None] * deg
-    delta = dlogits
-    for l in reversed(range(deg)):
-        parts[l] = (acts[l].T @ delta).reshape(-1)
-        cot = delta @ weights[l].T
-        if l > 0:
-            delta = cot * (acts[l] > 0.0)
-    return (np.concatenate(parts) / rho ** deg
+    return (pullback(dlogits) / rho ** deg
             - deg * (w * mm)[rival].sum() * params.values
             / rho ** (deg + 2))
 
 
-def reference_refine(dataset, spec, params, config):
-    """The refinement loop on :func:`reference_ascent_grad` and
-    out-of-place Adam steps: the bit-level reference."""
+def reference_descent_grad(spec, params, x, labels, rival, temperature):
+    """The gradient ``refine_margins`` hands Adam, out of place, in the
+    loop's arithmetic order: the rival margins m as one row-order vector,
+    w = exp(c (m_min - m)) with c = temperature / max(m_min,
+    1e-9 ||zeta||^L), (sum w m, sum w) as one product, and the logit
+    cotangent pre-scaled by 1 / (sum w ||zeta||^L)."""
+    deg = spec.n_layers
+    n, num_classes = rival.shape
+    rows = np.arange(n)
+    rho = float(np.linalg.norm(params.values))
+    logits, pullback = forward_and_backprop(spec, params, x)
+    m = (logits[rows, labels][:, None] - logits)[rival]
+    m_min = float(m.min())
+    c = temperature / max(m_min, 1e-9 * rho ** deg)
+    w = np.exp((m_min - m) * c)
+    margin_sum, w_sum = np.stack([m, np.ones_like(m)]).dot(w).tolist()
+    cot_rival = w * (1.0 / (w_sum * rho ** deg))
+    dlogits = np.zeros((n, num_classes))
+    dlogits[rival] = cot_rival
+    dlogits[rows, labels] = cot_rival.reshape(n, num_classes - 1).dot(
+        np.full(num_classes - 1, -1.0))
+    return (pullback(dlogits)
+            + deg * margin_sum / (w_sum * rho ** (deg + 2)) * params.values)
+
+
+def reference_refine(dataset, spec, params, config,
+                     descent_grad=reference_descent_grad):
+    """The refinement loop on ``descent_grad`` and out-of-place Adam
+    steps: the bit-level reference."""
     n = dataset.size
     rival = np.ones((n, spec.widths[-1]), dtype=bool)
     rival[np.arange(n), dataset.labels] = False
@@ -203,8 +245,8 @@ def reference_refine(dataset, spec, params, config):
             moments[2] += 1
             out_of_place_adam(
                 params.values,
-                -reference_ascent_grad(spec, params, dataset.x,
-                                       dataset.labels, rival, temperature),
+                descent_grad(spec, params, dataset.x, dataset.labels, rival,
+                             temperature),
                 moments[0], moments[1], moments[2], lr)
 
     annealing = [np.zeros(len(params)), np.zeros(len(params)), 0]
@@ -216,10 +258,16 @@ def reference_refine(dataset, spec, params, config):
     return params
 
 
-@pytest.mark.parametrize("seed,n_layers,iters",
-                         # 4, 4, 4, 2, 2, 3 and 3 classes
-                         [(0, 2, 3), (2, 3, 5), (4, 4, 4), (11, 2, 7),
-                          (14, 3, 2), (6, 4, 6), (1, 3, 9)])
+REFINE_CASES = [
+    # seed, layers, iterations per stage; 4, 4, 4, 2, 2, 3 and 3 classes
+    (0, 2, 3), (2, 3, 5), (4, 4, 4), (11, 2, 7), (14, 3, 2), (6, 4, 6),
+    (1, 3, 9)]
+# the rival-pair loop reorders the arithmetic of the loop before it;
+# relative to the largest parameter displacement
+PREVIOUS_LOOP_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("seed,n_layers,iters", REFINE_CASES)
 def test_refine_margins_matches_reference_loop_bit_for_bit(seed, n_layers,
                                                            iters):
     spec, params, x, labels = random_problem(seed, n_layers, False)
@@ -227,6 +275,37 @@ def test_refine_margins_matches_reference_loop_bit_for_bit(seed, n_layers,
     config = tr.ClassifierTrainConfig(refine_iters=iters)
     got = tr.refine_margins(data, spec, params.copy(), config)
     want = reference_refine(data, spec, params.copy(), config)
+    assert np.array_equal(got.values, want.values)
+    assert not np.array_equal(got.values, params.values)
+
+
+@pytest.mark.parametrize("seed,n_layers,iters", REFINE_CASES)
+def test_refine_margins_matches_previous_loop(seed, n_layers, iters):
+    spec, params, x, labels = random_problem(seed, n_layers, False)
+    data = LabeledDataset(x, labels, num_classes=spec.out_dim)
+    config = tr.ClassifierTrainConfig(refine_iters=iters)
+    got = tr.refine_margins(data, spec, params.copy(), config)
+    want = reference_refine(data, spec, params.copy(), config,
+                            lambda *args: -previous_ascent_grad(*args))
+    assert_rel(got.values - params.values, want.values - params.values,
+               PREVIOUS_LOOP_RTOL, "refined parameters")
+
+
+@pytest.mark.parametrize("seed,n_layers", [(0, 2), (2, 3), (4, 4)])
+def test_refine_margins_floor_on_a_nonpositive_minimum_margin(seed,
+                                                              n_layers):
+    """With one label flipped the minimum margin is negative, so the
+    softmin scale takes its 1e-9 ||zeta||^L floor."""
+    spec, params, x, labels = random_problem(seed, n_layers, False)
+    labels = labels.copy()
+    labels[0] = (labels[0] + 1) % spec.out_dim
+    logits = mlp_apply_np(spec, params, x)
+    assert logits[0, labels[0]] - logits[0].max() < 0.0
+    data = LabeledDataset(x, labels, num_classes=spec.out_dim)
+    config = tr.ClassifierTrainConfig(refine_iters=3)
+    got = tr.refine_margins(data, spec, params.copy(), config)
+    want = reference_refine(data, spec, params.copy(), config)
+    assert np.isfinite(got.values).all()
     assert np.array_equal(got.values, want.values)
     assert not np.array_equal(got.values, params.values)
 
