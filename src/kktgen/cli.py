@@ -204,7 +204,8 @@ def cmd_train_generator(args):
             raise ValueError(f"{path}: no scaling profile; run "
                              f"'kktgen estimate-lambda {path}' first")
         ds = datasets[i] if i < len(datasets) else datasets[0]
-        bundles.append(tr.ClassifierBundle(spec, params, profile, ds.size))
+        bundles.append(tr.ClassifierBundle(spec, params, profile, ds.size,
+                                           path))
     t_count = len(bundles)
     num_classes = bundles[0].spec.widths[-1]
     out_dim = bundles[0].spec.widths[0]

@@ -138,7 +138,7 @@ def build_derivative_equations(spec, params, samples,
     rows = np.zeros((n_samples, n_out, 1 + n_groups, n_groups))
     rhs = np.zeros((n_samples, n_out, 1 + n_groups))
     net = BoundMlp(spec, params, batch=(n_second,))
-    _, acts = net.forward(samples[:n_second, None, :])
+    net.forward(samples[:n_second, None, :])
     for c in range(n_out):
         dout = np.zeros((n_samples, n_out))
         dout[:, c] = 1.0
@@ -149,11 +149,11 @@ def build_derivative_equations(spec, params, samples,
         rows[:, c, 0] = np.add.reduceat(grads, offsets, axis=1)
         if not n_second:
             continue
-        deltas = net.backprop(acts, dout[:n_second, None, :])
+        deltas = net.backprop(dout[:n_second, None, :])
         for j, p in enumerate(probes):
             net.tangent.fill(0.0)
             net.tangent[p] = 1.0
-            hv = np.multiply(net.hvp(acts, deltas), params.values)
+            hv = np.multiply(net.hvp(deltas), params.values)
             rows[:n_second, c, 1 + j] = np.add.reduceat(hv, offsets, axis=1)
             rows[:n_second, c, 1 + j, j] += rhs[:n_second, c, 1 + j]
     keep = np.all(np.isfinite(rows), axis=-1) & np.isfinite(rhs)

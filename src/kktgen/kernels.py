@@ -8,7 +8,35 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["NnlsIterationLimit", "adam_update", "nnls", "ssim_uniform"]
+__all__ = ["AdamOperands", "NnlsIterationLimit", "adam_update", "nnls",
+           "ssim_uniform"]
+
+
+def _operand(value):
+    """A read-only 0-d float64 array: a ufunc takes one with less per-call
+    work than a Python float, for the same bits."""
+    operand = np.array(value, dtype=np.float64)
+    operand.flags.writeable = False
+    return operand
+
+
+class AdamOperands:
+    """What :func:`adam_update` needs besides the arrays it updates,
+    bound once for many steps on vectors of one size.
+
+    The constants beta1, 1 - beta1, beta2, 1 - beta2, lr and eps are
+    read-only 0-d arrays, the bias corrections 1 - beta^t are 0-d arrays
+    that each step rewrites, and two scratch vectors hold the
+    intermediates, so a step converts no Python float and allocates
+    nothing.
+    """
+
+    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.betas = (beta1, beta2)  # Python floats, raised to the power t
+        self.bound = (*(_operand(c) for c in (beta1, 1.0 - beta1, beta2,
+                                              1.0 - beta2, lr, eps)),
+                      np.empty(()), np.empty(()), np.empty(size),
+                      np.empty(size))
 
 
 def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
@@ -19,21 +47,28 @@ def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
     operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
     and ``values -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order,
     so the result is bit-identical to the out-of-place expressions.
+    ``lr`` is the learning rate, or an :class:`AdamOperands` that binds
+    it with the other constants for every step of a training loop; the
+    betas and eps given here are then unused.
     """
+    ops = lr if isinstance(lr, AdamOperands) else AdamOperands(
+        values.size, lr, beta1, beta2, eps)
+    beta1, beta2 = ops.betas
+    b1, c1, b2, c2, lr, eps, bc1, bc2, step, update = ops.bound
     t = float(t)
-    m *= beta1
-    step = np.multiply(grads, 1.0 - beta1)
+    bc1[()] = 1.0 - beta1 ** t
+    bc2[()] = 1.0 - beta2 ** t
+    m *= b1
+    np.multiply(grads, c1, out=step)
     m += step
-    np.multiply(grads, 1.0 - beta2, out=step)
+    np.multiply(grads, c2, out=step)
     step *= grads
-    v *= beta2
+    v *= b2
     v += step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
     np.divide(v, bc2, out=step)
     np.sqrt(step, out=step)
     step += eps
-    update = np.divide(m, bc1)
+    np.divide(m, bc1, out=update)
     update *= lr
     update /= step
     values -= update

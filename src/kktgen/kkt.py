@@ -22,8 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .homogeneity import lambda_bar
 from .kernels import nnls
-from .models import (_matmul, mlp_apply, mlp_apply_np, row_gradients,
-                     spec_group_shapes)
+from .models import mlp_apply, mlp_apply_np, row_gradients, spec_group_shapes
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -174,33 +173,34 @@ def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta,
     masks are locally constant).  The target is a constant, as in the
     graph, so alpha's gradient comes from the duality threshold alone.
     Returns (l_stat, l_dual, dx, dmu, dalpha); dx and dalpha are
-    gradients of the weighted sum, dmu of L_stat.
+    gradients of the weighted sum, dmu of L_stat.  dx is ``zeta``'s
+    input-cotangent buffer, which the next call overwrites.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     m = labels.size
-    logits, acts = zeta.forward(x)
+    logits = zeta.forward(x)
     own = _own_indices(labels, logits.shape[1])
     not_y = np.ones_like(mu)
     not_y.put(own, 0.0)
     mu_rivals = mu * not_y
     coeff = np.negative(mu_rivals)
     coeff.put(own, np.add.reduce(mu_rivals, axis=1))
-    deltas = zeta.backprop(acts, coeff)
-    g = zeta.param_grad(acts, deltas)
+    deltas = zeta.backprop(coeff)
+    g = zeta.param_grad(deltas)
     g *= 1.0 / m
     r = np.subtract(target, g, out=g)
     l_stat = math.sqrt(r.dot(r) + NORM_EPS)
     np.multiply(r, -1.0 / (m * l_stat), out=zeta.tangent)
-    dcoeff = zeta.jvp(acts)
+    dcoeff = zeta.jvp()
     dmu = dcoeff.take(own)[:, None] - dcoeff
     dmu *= not_y
     l_dual, dlogits, dalpha = _duality_grads(logits, own, alpha, delta,
                                              tie_tol)
     dlogits *= beta
-    inject = [_matmul(d, v_t)
-              for d, v_t in zip(deltas, zeta.tangent_weights_t)]
-    dx = zeta.input_cotangent(zeta.backprop(acts, dlogits, inject), inject)
+    # the second backprop overwrites ``deltas``, which inject is made of
+    inject = zeta.tangent_inject(deltas)
+    dx = zeta.input_cotangent(zeta.backprop(dlogits, inject), inject)
     return l_stat, l_dual, dx, dmu, dalpha * beta
 
 

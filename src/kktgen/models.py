@@ -275,20 +275,12 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-def _matmul(a, b, out=None):
-    """``a @ b``, into ``out`` when given.
-
-    On 2-d operands ``ndarray.dot`` gives the same bits as matmul at a
-    lower cost per call; matmul broadcasts any leading batch axes.
-    """
-    if a.ndim == 2:
-        return a.dot(b, out)
-    return np.matmul(a, b, out=out)
-
-
 def mlp_apply_np(spec, params, x):
-    """Pure-numpy forward, the fast path for training and evaluation."""
-    return BoundMlp(spec, params).forward(x)[0]
+    """Pure-numpy forward, the fast path for training and evaluation.
+
+    It binds afresh on every call, so each call returns a new array.
+    """
+    return BoundMlp(spec, params).forward(x)
 
 
 class BoundMlp:
@@ -301,6 +293,19 @@ class BoundMlp:
     views that :meth:`jvp` reads.  The views stay valid as long as
     ``params.values`` is updated in place, as every optimizer here does,
     so a training loop binds once before its first iteration.
+
+    The first forward on an input array binds the array too: it
+    allocates each layer's output, and the first pass after it the
+    ReLU-mask, cotangent and tangent buffers and the transposed views of
+    the layer inputs.  Later forwards on the same array object reuse
+    them, so a loop that writes each step's input into one buffer
+    allocates nothing per step; another array binds anew.  Every pass
+    acts on the latest forward and writes into these buffers: what a
+    pass returns is valid until the next call of that pass, and a
+    forward's outputs (its return value and ``acts``, the input of each
+    layer) until the next forward on the same binding.  :meth:`hvp`
+    keeps its own cotangents apart, so the ``deltas`` it is given
+    survive it.
 
     ``batch`` is a leading batch shape: inputs ``(*batch, rows, in_dim)``
     then give one flat gradient per batch entry, ``(*batch, n_params)``,
@@ -341,117 +346,199 @@ class BoundMlp:
         self.tangent_weights_t = [w.T for w in self.tangent_weights]
         self.tangent_biases = [None if b is None else self.tangent[b]
                                for _, _, b in self.layout]
+        self._x = None  # the input array the buffers are bound to
 
     def weights_of(self, flat):
         """Per-layer (fan_in, fan_out) weight views of a flat vector."""
         return [flat[w].reshape(shape) for w, shape, _ in self.layout]
 
-    def forward(self, x):
-        """Returns (output, acts); ``acts[l]`` is the input of layer l.
-
-        A hidden ReLU is active exactly where its output is positive, so
-        the masks need not be kept.
-        """
-        x = np.asarray(x, dtype=np.float64)
+    def _bind_input(self, x):
+        """Allocates the layer outputs for inputs shaped like ``x``; the
+        first pass after the forward allocates the rest."""
         if x.shape[-1] != self.mlp.in_dim:
             raise ValueError(
                 f"input dimension {x.shape[-1]} does not match spec input "
                 f"{self.mlp.in_dim}"
             )
-        last = self.mlp.n_layers - 1
-        acts = [x]
-        h = x
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = _matmul(h, w)
+        # ndarray.dot gives the same bits as matmul on 2-d operands at a
+        # lower cost per call; matmul broadcasts leading batch axes
+        self._mm = np.ndarray.dot if x.ndim == 2 else np.matmul
+        outs = self._like(x, self.mlp.widths[1:])
+        self.acts = [x, *outs[:-1]]
+        last = len(outs) - 1
+        self._forward_steps = [(a, w, b, h, l < last) for l, (a, w, b, h) in
+                               enumerate(zip(self.acts, self.weights,
+                                             self.biases, outs))]
+        self._mask_steps = None
+        self._x = x
+
+    @staticmethod
+    def _like(x, widths, dtype=np.float64):
+        """One buffer per width, shaped like ``x`` but for its last axis."""
+        return [np.empty((*x.shape[:-1], w), dtype) for w in widths]
+
+    def _bind_passes(self):
+        """Allocates the buffers of the passes after a forward."""
+        x, acts, widths = self._x, self.acts, self.mlp.widths
+        hidden = widths[1:-1]
+        self._acts_t = [a.swapaxes(-1, -2) for a in acts]
+        # mask l is 1.0 where the input of layer l + 1 is positive, else
+        # 0.0: a float factor gives the bits of a boolean one at less cost
+        masks = self._like(x, hidden)
+        self._mask_steps = list(zip(acts[1:], self._like(x, hidden, bool),
+                                    masks))
+        # deltas[l - 1] is layer l's input cotangent, then its
+        # pre-activation cotangent; the last entry is the caller's
+        self._deltas = [*self._like(x, hidden), None]
+        self._hvp_deltas = [*self._like(x, hidden), None]
+        self._backprop_steps = [(l, self.weights_t[l], masks[l - 1])
+                                for l in range(len(acts) - 1, 0, -1)]
+        tangents = self._like(x, widths[1:])
+        self._tangents_t = [a.swapaxes(-1, -2) for a in tangents[:-1]]
+        self._jvp_steps = list(zip(acts, self.weights, self.tangent_weights,
+                                   self.tangent_biases, [None, *masks],
+                                   tangents, self._like(x, widths[1:])))
+        self._inject = self._like(x, widths[:-1])
+        self._input_cot = np.empty(x.shape)
+        self._zero_out = np.zeros((*x.shape[:-1], widths[-1]))
+        # hvp's second weight-gradient term, before it is added
+        self._grad_terms = [np.empty_like(gw) for gw in self.grad_weights]
+
+    def forward(self, x):
+        """The output of the MLP at ``x``; ``acts[l]`` is layer l's input.
+
+        A hidden ReLU is active exactly where its output is positive, so
+        the first pass that needs the masks makes them from ``acts``.
+        """
+        if x is not self._x:
+            self._bind_input(np.asarray(x, dtype=np.float64))
+        mm = self._mm
+        for a, w, b, h, hidden in self._forward_steps:
+            mm(a, w, h)
             if b is not None:
                 h += b
-            if l < last:
+            if hidden:
                 np.maximum(h, _ZERO, out=h)
-                acts.append(h)
-        return h, acts
+        self._masked = False
+        return h
 
-    def backprop(self, acts, dout, inject=None):
+    def _relu_masks(self):
+        """The float ReLU masks of the latest forward, made once for all
+        the passes that follow it."""
+        if self._mask_steps is None:
+            self._bind_passes()
+        for a, active, mask in self._mask_steps:
+            np.greater(a, _ZERO, out=active)
+            np.copyto(mask, active)
+        self._masked = True
+
+    def backprop(self, dout, inject=None):
         """Pre-activation cotangents ``deltas[l]`` from the output's ``dout``.
 
         ``inject[l]``, when given, is an extra cotangent added at the input
         of layer l; ``inject[0]`` lands on x and is taken by
         :meth:`input_cotangent`, which this pass does not compute.
         """
-        deltas = [None] * len(acts)
-        delta = deltas[-1] = dout
-        for l in range(len(acts) - 1, 0, -1):
-            cot = _matmul(delta, self.weights_t[l])
+        if not self._masked:
+            self._relu_masks()
+        return self._backprop(dout, inject, self._deltas)
+
+    def _backprop(self, dout, inject, deltas):
+        """:meth:`backprop` into the buffers ``deltas``, once the masks
+        are made."""
+        mm = self._mm
+        delta = dout
+        for l, w_t, mask in self._backprop_steps:
+            cot = deltas[l - 1]
+            mm(delta, w_t, cot)
             if inject is not None:
                 cot += inject[l]
-            delta = deltas[l - 1] = np.multiply(cot, acts[l] > _ZERO, out=cot)
+            np.multiply(cot, mask, out=cot)
+            delta = cot
+        deltas[-1] = dout
         return deltas
 
     def input_cotangent(self, deltas, inject=None):
         """Cotangent of the input x, plus ``inject[0]`` when given."""
-        cot = _matmul(deltas[0], self.weights_t[0])
+        cot = self._input_cot
+        self._mm(deltas[0], self.weights_t[0], cot)
         if inject is not None:
             cot += inject[0]
         return cot
 
-    def param_grad(self, acts, deltas):
+    def param_grad(self, deltas):
         """Flat parameter gradient (group order) from :meth:`backprop`.
 
         Returns the binding's gradient buffer, which the next call
         overwrites.
         """
-        for a, delta, gw, gb in zip(acts, deltas, self.grad_weights,
-                                    self.grad_biases):
-            _matmul(a.swapaxes(-1, -2), delta, gw)
+        mm = self._mm
+        for a_t, delta, gw, gb in zip(self._acts_t, deltas, self.grad_weights,
+                                      self.grad_biases):
+            mm(a_t, delta, gw)
             if gb is not None:
                 np.add.reduce(delta, axis=-2, out=gb)
         return self.grad
 
-    def jvp(self, acts):
+    def jvp(self):
         """Output derivative along the parameter direction in ``tangent``.
 
         One tangent forward pass (Pearlmutter's R-operator) with the ReLU
-        masks of the forward that gave ``acts`` held fixed.  The caller
-        fills the binding's flat ``tangent`` buffer first.
+        masks of the latest forward held fixed.  The caller fills the
+        binding's flat ``tangent`` buffer first.  Each hidden layer's
+        input tangent is left in a buffer of its own, for :meth:`hvp`.
         """
+        if not self._masked:
+            self._relu_masks()
+        mm = self._mm
         dz = None
-        for l, (a, w_dot, b_dot) in enumerate(
-                zip(acts, self.tangent_weights, self.tangent_biases)):
-            if l == 0:
-                dz = _matmul(a, w_dot)
+        for a, w, w_dot, b_dot, mask, out, term in self._jvp_steps:
+            if dz is None:
+                mm(a, w_dot, out)
             else:
-                np.multiply(dz, a > _ZERO, out=dz)
-                dz = _matmul(dz, self.weights[l])
-                dz += _matmul(a, w_dot)
+                np.multiply(dz, mask, out=dz)
+                mm(dz, w, out)
+                mm(a, w_dot, term)
+                out += term
             if b_dot is not None:
-                dz += b_dot
+                out += b_dot
+            dz = out
         return dz
 
-    def hvp(self, acts, deltas):
+    def tangent_inject(self, deltas):
+        """``deltas[l] @ tangent_l^T`` for every layer l: the cotangent at
+        each layer input that the parameter tangent adds to the gradient
+        of the scalar whose output cotangent gave ``deltas``.
+
+        Backprop takes it as ``inject``; returns the binding's buffers.
+        """
+        mm = self._mm
+        for delta, v_t, out in zip(deltas, self.tangent_weights_t,
+                                   self._inject):
+            mm(delta, v_t, out)
+        return self._inject
+
+    def hvp(self, deltas):
         """Tangent of :meth:`param_grad` along the direction in ``tangent``.
 
         The Hessian-vector product of the scalar whose output cotangent
         gave ``deltas`` (:meth:`backprop`), forward-over-reverse
-        (Pearlmutter) with the ReLU masks of ``acts`` held fixed: a
-        tangent forward keeps each layer's input tangent, and a backprop
-        of a zero cotangent with ``deltas[l] @ tangent_l^T`` injected at
-        each layer input gives the tangent deltas.  Returns the binding's
+        (Pearlmutter) with the ReLU masks of the latest forward held
+        fixed: a tangent forward (:meth:`jvp`) gives each layer's input
+        tangent, and a backprop of a zero cotangent with ``deltas[l] @
+        tangent_l^T`` injected at each layer input gives the tangent
+        deltas, into buffers apart from ``deltas``.  Returns the binding's
         gradient buffer, which the next call overwrites.
         """
-        a_dots = [None]  # input tangent of each layer; x has none
-        for l in range(1, len(acts)):
-            dz = _matmul(acts[l - 1], self.tangent_weights[l - 1])
-            if l > 1:
-                dz += _matmul(a_dots[-1], self.weights[l - 1])
-            if self.tangent_biases[l - 1] is not None:
-                dz += self.tangent_biases[l - 1]
-            a_dots.append(np.multiply(dz, acts[l] > _ZERO, out=dz))
-        inject = [None] + [_matmul(d, w_dot_t) for d, w_dot_t in
-                           zip(deltas[1:], self.tangent_weights_t[1:])]
-        grad = self.param_grad(
-            acts, self.backprop(acts, np.zeros_like(deltas[-1]), inject))
-        for a_dot, delta, gw in zip(a_dots[1:], deltas[1:],
-                                    self.grad_weights[1:]):
-            gw += _matmul(a_dot.swapaxes(-1, -2), delta)
+        self.jvp()
+        grad = self.param_grad(self._backprop(
+            self._zero_out, self.tangent_inject(deltas), self._hvp_deltas))
+        mm = self._mm
+        for a_dot_t, delta, gw, term in zip(self._tangents_t, deltas[1:],
+                                            self.grad_weights[1:],
+                                            self._grad_terms[1:]):
+            mm(a_dot_t, delta, term)
+            gw += term
         return grad
 
 
@@ -464,8 +551,8 @@ def row_gradients(spec, params, x, dout):
     backprop with the rows on the batch axis.
     """
     net = BoundMlp(spec, params, batch=(x.shape[0],))
-    out, acts = net.forward(x[:, None, :])
-    grads = net.param_grad(acts, net.backprop(acts, dout[:, None, :]))
+    out = net.forward(x[:, None, :])
+    grads = net.param_grad(net.backprop(dout[:, None, :]))
     return out[:, 0], grads
 
 

@@ -133,12 +133,17 @@ class GeneratorTrainConfig:
 
 @dataclass
 class ClassifierBundle:
-    """A pre-trained classifier with its scaling profile."""
+    """A pre-trained classifier with its scaling profile.
+
+    ``name`` stands for it in error messages, such as the checkpoint it
+    was read from; by default it is "classifier k", its position.
+    """
 
     spec: MlpSpec
     params: ParameterVector
     profile: object
     virtual_n: int
+    name: str = ""
 
     def __post_init__(self):
         if self.virtual_n < 1:
@@ -146,7 +151,12 @@ class ClassifierBundle:
 
 
 class Adam:
-    """Adam over a flat parameter array, backed by the fused kernel."""
+    """Adam over a flat parameter array, backed by the in-place kernel.
+
+    Its constants, bias corrections and scratch vectors are bound once,
+    as :class:`kernels.AdamOperands`, and every step hands them to one
+    :func:`kernels.adam_update` call.
+    """
 
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -156,11 +166,12 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self.operands = kernels.AdamOperands(size, lr, beta1, beta2, eps)
 
     def step(self, values, grads):
         self.t += 1
-        kernels.adam_update(values, grads, self.m, self.v, self.t, self.lr,
-                            self.beta1, self.beta2, self.eps)
+        kernels.adam_update(values, grads, self.m, self.v, self.t,
+                            self.operands)
 
     def step_scalar(self, value, grad):
         """One step of a size-1 Adam on a float; returns the new value.
@@ -209,14 +220,14 @@ def _ce_loss_and_grad(net, x, labels):
 
     ``net`` is a :class:`BoundMlp`; the gradient is its buffer.
     """
-    logits, acts = net.forward(x)
+    logits = net.forward(x)
     shift = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shift).sum(axis=1))
     n = len(labels)
     loss = float(np.sum(logz - shift[np.arange(n), labels]))
     dlogits = np.exp(shift) / np.exp(logz)[:, None]
     dlogits[np.arange(n), labels] -= 1.0
-    return loss, net.param_grad(acts, net.backprop(acts, dlogits))
+    return loss, net.param_grad(net.backprop(dlogits))
 
 
 def refine_margins(dataset, spec, params, config):
@@ -240,10 +251,12 @@ def refine_margins(dataset, spec, params, config):
     cotangent is built pre-scaled by 1 / (sum w ||zeta||^L) and with the
     sign Adam descends, so the backprop gives Adam's input but for the
     norm term L (sum w m) / (sum w ||zeta||^(L+2)) zeta, one
-    multiply-add.  Every buffer is bound once per call.  On the default
-    circle classifier an iteration makes 47 numpy calls: 6 in the
-    forward, 12 in the backprop and parameter gradient, 14 in the Adam
-    step and 15 on the margin vector and the norm term.
+    multiply-add.  Every buffer is bound once per call, the network's
+    and Adam's included (:class:`models.BoundMlp`, :class:`Adam`).  On
+    the default circle classifier an iteration makes 45 numpy calls: 5
+    in the forward, 4 for the ReLU masks, 7 in the backprop and
+    parameter gradient, 14 in the Adam step and 15 on the margin vector
+    and the norm term.
     """
     if any(spec.bias):
         raise ValueError("margin refinement requires a bias-free spec")
@@ -284,7 +297,7 @@ def refine_margins(dataset, spec, params, config):
         for _ in range(config.refine_iters):
             rho = math.sqrt(values.dot(values))  # np.linalg.norm's bits
             scale = rho ** deg
-            logits, acts = net.forward(x)
+            logits = net.forward(x)
             # the indices are in range; "clip" only skips a buffered copy
             logits.take(pairs, out=gathered, mode="clip")
             np.subtract(phi_own, phi_rival, out=m)
@@ -300,7 +313,7 @@ def refine_margins(dataset, spec, params, config):
             np.multiply(w, cot_scale, out=cot_rival)
             cot_rival_rows.dot(minus_ones, out=cot_own)
             dlogits.put(cot_index, cot)
-            grad = net.param_grad(acts, net.backprop(acts, dlogits))
+            grad = net.param_grad(net.backprop(dlogits))
             norm_coef[()] = deg * margin_sum / (w_sum * rho ** (deg + 2))
             np.multiply(values, norm_coef, out=norm_term)
             grad += norm_term
@@ -421,13 +434,12 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
     (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha); g_theta and
     g_eta are the bindings' gradient buffers.
     """
-    x, gen_acts = gen.forward(condition(eps, labels, t, gen.spec, gen_in))
+    x = gen.forward(condition(eps, labels, t, gen.spec, gen_in))
     if not np.isfinite(x).all():
         raise TrainingAborted(
             f"non-finite generated sample at step {state.step}",
             state.step, state)
-    mu_pre, mult_acts = mult.forward(condition(x, labels, t, mult.spec,
-                                               mult_in))
+    mu_pre = mult.forward(condition(x, labels, t, mult.spec, mult_in))
     l_stat, l_dual, dx, dmu, g_alpha = kkt_loss_grads(
         zeta, target, x, labels, np.maximum(mu_pre, 0.0),
         float(state.alphas[t]), float(state.deltas[t]), config.beta)
@@ -438,11 +450,10 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
         total = total + l_tv * config.tv_weight
         dx = dx + dtv * config.tv_weight
     dmu *= mu_pre > 0.0
-    mult_deltas = mult.backprop(mult_acts, dmu)
+    mult_deltas = mult.backprop(dmu)
     dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
-    gen_deltas = gen.backprop(gen_acts, dx)
-    return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_acts, gen_deltas),
-            mult.param_grad(mult_acts, mult_deltas), g_alpha)
+    return (total, l_stat, l_dual, l_tv, gen.param_grad(gen.backprop(dx)),
+            mult.param_grad(mult_deltas), g_alpha)
 
 
 def probe_peak_margin(classifier, config, t):
@@ -488,18 +499,19 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     if t_count < 1:
         raise ValueError("at least one classifier is required")
     for k, cb in enumerate(classifiers):
+        name = cb.name or f"classifier {k}"
         dev = verify_lambda(cb.spec, cb.params, cb.profile, VERIFY_ALPHAS,
                             default_probe_samples(cb.spec, 8, seed=k))
         if dev > VERIFY_DEVIATION_LIMIT:
             raise VerificationError(
-                f"classifier {k} profile fails verification "
+                f"{name}: profile fails verification "
                 f"(deviation {dev:.3g} > {VERIFY_DEVIATION_LIMIT})")
         # the step indexes the classifier's logits by the drawn labels
         # unchecked
         if cb.spec.widths[-1] != gen_spec.num_classes:
             raise ValueError(
-                f"classifier {k} has {cb.spec.widths[-1]} classes, the "
-                f"generator spec {gen_spec.num_classes}")
+                f"{name} has {cb.spec.widths[-1]} classes, the generator "
+                f"spec {gen_spec.num_classes}")
     if gen_spec.num_classifiers != t_count:
         raise ValueError("generator spec does not match classifier count")
     probs = config.label_probs(gen_spec.num_classes)

@@ -275,7 +275,7 @@ FAILURES = [
      "classifier: ", "runs/stall/classifier_loss.csv"),
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
-     "fails verification", None),
+     "bad_profile.ckpt: profile fails verification", None),
     ("classifiers-differ-in-classes",
      "train-generator {d}/run.cfg {d}/clf.ckpt {d}/two_classes.ckpt", 2,
      "2 classes", None),

@@ -264,34 +264,33 @@ def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
                              alpha, delta, beta):
     m = labels.size
     rows = np.arange(m)
-    logits, acts = zeta.forward(x)
+    logits = zeta.forward(x)
     not_y = np.ones_like(mu)
     not_y[rows, labels] = 0.0
     mu_rivals = mu * not_y
     coeff = -mu_rivals
     coeff[rows, labels] = mu_rivals.sum(axis=1)
-    deltas = zeta.backprop(acts, coeff)
+    deltas = zeta.backprop(coeff)
     params = zeta.params
     target = np.concatenate([params.group(name)
                              * (lbar_weights[name] / virtual_n)
                              for name in params.groups])
-    r = target - zeta.param_grad(acts, deltas) * (1.0 / m)
+    r = target - zeta.param_grad(deltas) * (1.0 / m)
     l_stat = float(np.sqrt(r @ r + kk.NORM_EPS))
     tangent = r * (-1.0 / (m * l_stat))
-    dcoeff = reference_jvp(zeta, acts, tangent)
+    dcoeff = reference_jvp(zeta, zeta.acts, tangent)
     dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
     l_dual, dlogits, dalpha = reference_duality_grads(logits, labels, alpha,
                                                       delta)
     inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
-    dx = zeta.input_cotangent(zeta.backprop(acts, dlogits * beta, inject),
-                              inject)
+    dx = zeta.input_cotangent(zeta.backprop(dlogits * beta, inject), inject)
     return l_stat, l_dual, dx, dmu, dalpha * beta
 
 
 def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
                               eps, config):
-    x, gen_acts = gen.forward(condition(eps, labels, t, gen.spec))
-    mu_pre, mult_acts = mult.forward(condition(x, labels, t, mult.spec))
+    x = gen.forward(condition(eps, labels, t, gen.spec))
+    mu_pre = mult.forward(condition(x, labels, t, mult.spec))
     alpha = float(state.alphas[t])
     l_stat, l_dual, dx, dmu, g_alpha = reference_kkt_loss_grads(
         zeta, lambda_bar(classifier.profile, alpha), classifier.virtual_n,
@@ -303,11 +302,11 @@ def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
         l_tv, dtv = tr._tv_value_grad(x, *config.tv_shape)
         total = total + l_tv * config.tv_weight
         dx = dx + dtv * config.tv_weight
-    mult_deltas = mult.backprop(mult_acts, dmu * (mu_pre > 0.0))
+    mult_deltas = mult.backprop(dmu * (mu_pre > 0.0))
     dcond = mult.input_cotangent(mult_deltas)
-    gen_deltas = gen.backprop(gen_acts, dx + dcond[:, :x.shape[1]])
-    return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_acts, gen_deltas),
-            mult.param_grad(mult_acts, mult_deltas), g_alpha)
+    gen_deltas = gen.backprop(dx + dcond[:, :x.shape[1]])
+    return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_deltas),
+            mult.param_grad(mult_deltas), g_alpha)
 
 
 def reference_train(classifiers, gen_spec, mult_spec, config, state):

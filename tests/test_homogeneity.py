@@ -305,14 +305,14 @@ def test_hvp_matches_graph_double_backprop(n_layers, biases):
         assert np.max(np.abs(got - want)) <= ROW_RTOL * np.max(np.abs(want))
 
     net = km.BoundMlp(spec, params)
-    _, acts = net.forward(x)
+    net.forward(x)
     net.tangent[:] = v
-    assert_close(net.hvp(acts, net.backprop(acts, dout)),
+    assert_close(net.hvp(net.backprop(dout)),
                  graph_hvp(spec, params, x, dout, v))
     net = km.BoundMlp(spec, params, batch=(5,))
-    _, acts = net.forward(x[:, None, :])
+    net.forward(x[:, None, :])
     net.tangent[:] = v
-    got = net.hvp(acts, net.backprop(acts, dout[:, None, :]))
+    got = net.hvp(net.backprop(dout[:, None, :]))
     for r in range(5):
         assert_close(got[r], graph_hvp(spec, params, x[r:r + 1],
                                        dout[r:r + 1], v))

@@ -66,6 +66,39 @@ def test_adam_update_is_bit_identical_to_out_of_place_steps(lr, beta1, beta2,
         assert np.array_equal(m, wm) and np.array_equal(v, wv)
 
 
+# every (lr, beta1, beta2, eps) the kernel tests above run
+ADAM_CASES = [(1e-2, 0.9, 0.999, 1e-8), (3e-4, 0.8, 0.99, 1e-6),
+              (0.0, 0.9, 0.999, 1e-8), (1e-3, 0.9, 0.999, 1e-8),
+              (0.05, 0.9, 0.999, 1e-8)]
+
+
+@pytest.mark.parametrize("size", [1, 336, 3136])
+@pytest.mark.parametrize("lr,beta1,beta2,eps", ADAM_CASES)
+def test_bound_adam_operands_match_out_of_place_steps(size, lr, beta1, beta2,
+                                                      eps):
+    """100 steps with :class:`kernels.AdamOperands`, as ``training.Adam``
+    hands them to the kernel, against the out-of-place formula."""
+    from kktgen.training import Adam
+
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size)
+    m, v = np.zeros(size), np.zeros(size)
+    want, wm, wv = values.copy(), m.copy(), v.copy()
+    operands = kernels.AdamOperands(size, lr, beta1, beta2, eps)
+    adam, adam_values = Adam(size, lr, beta1, beta2, eps), values.copy()
+    for t in range(1, 101):
+        grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
+        grads[t % size] = 0.0
+        kept = grads.copy()
+        kernels.adam_update(values, grads, m, v, t, operands)
+        adam.step(adam_values, grads)
+        out_of_place_adam(want, grads, wm, wv, t, lr, beta1, beta2, eps)
+        assert grads.tobytes() == kept.tobytes()
+        assert values.tobytes() == adam_values.tobytes() == want.tobytes()
+        assert m.tobytes() == adam.m.tobytes() == wm.tobytes()
+        assert v.tobytes() == adam.v.tobytes() == wv.tobytes()
+
+
 @pytest.mark.parametrize("lr", [0.0, 1e-3, 0.05])
 def test_scalar_adam_step_is_bit_identical_to_the_kernel(lr):
     """``Adam.step_scalar`` against ``adam_update`` on size-1 arrays, with

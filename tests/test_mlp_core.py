@@ -354,3 +354,132 @@ def test_oracle_matches_per_pair_graph(seed, n_layers, bias):
     want = np.array(list(want_mu.values()))
     assert np.max(np.abs(got - want)) <= ORACLE_TOL * max(1.0,
                                                           np.max(want))
+
+
+# ---------------------------------------------------------------------------
+# the buffers a binding reuses
+
+
+def bound_passes(net, x, dout, v):
+    """Every pass of one binding at x, copied out of its buffers."""
+    out = net.forward(x).copy()
+    deltas = net.backprop(dout)
+    grad = net.param_grad(deltas).copy()
+    cot = net.input_cotangent(deltas).copy()
+    net.tangent[:] = v
+    jvp = net.jvp().copy()
+    return out, grad, cot, jvp, net.hvp(deltas).copy()
+
+
+@pytest.mark.parametrize("seed,n_layers,bias", SPECS)
+def test_binding_fed_two_row_counts_matches_fresh_bindings(seed, n_layers,
+                                                           bias):
+    spec, params, x, _ = random_problem(seed, n_layers, bias)
+    rng = np.random.default_rng(seed)
+    inputs = [x[:5], x[5:14]]
+    douts = [rng.standard_normal((len(a), spec.out_dim)) for a in inputs]
+    v = rng.standard_normal(len(params))
+    net = BoundMlp(spec, params)
+    for k in (0, 1, 0, 1):
+        got = bound_passes(net, inputs[k], douts[k], v)
+        want = bound_passes(BoundMlp(spec, params), inputs[k], douts[k], v)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def reference_hvp(net, x, dout, v):
+    """(hvp, deltas) out of place, in the arithmetic of the core before
+    its buffers were bound: boolean ReLU masks, and each hidden input
+    tangent as acts @ v_w + a_dot @ w."""
+    ws = net.weights_of(net.params.values)
+    vs = net.weights_of(v)
+    bs = [None if b is None else net.params.values[b] for _, _, b in
+          net.layout]
+    vbs = [None if b is None else v[b] for _, _, b in net.layout]
+    acts = [x]
+    h = x
+    for l, (w, b) in enumerate(zip(ws, bs)):
+        h = h @ w
+        if b is not None:
+            h = h + b
+        if l < len(ws) - 1:
+            h = np.maximum(h, 0.0)
+            acts.append(h)
+
+    def backprop(delta, inject):
+        deltas = [None] * len(acts)
+        deltas[-1] = delta
+        for l in range(len(acts) - 1, 0, -1):
+            cot = delta @ ws[l].T
+            if inject is not None:
+                cot = cot + inject[l]
+            delta = deltas[l - 1] = cot * (acts[l] > 0.0)
+        return deltas
+
+    deltas = backprop(dout, None)
+    a_dots = [None]
+    for l in range(1, len(acts)):
+        dz = acts[l - 1] @ vs[l - 1]
+        if l > 1:
+            dz = dz + a_dots[-1] @ ws[l - 1]
+        if vbs[l - 1] is not None:
+            dz = dz + vbs[l - 1]
+        a_dots.append(dz * (acts[l] > 0.0))
+    inject = [None] + [d @ v_w.T for d, v_w in zip(deltas[1:], vs[1:])]
+    tangent_deltas = backprop(np.zeros_like(dout), inject)
+    parts = []
+    for l, (a, d, b) in enumerate(zip(acts, tangent_deltas, bs)):
+        gw = a.T @ d
+        if l > 0:
+            gw = gw + a_dots[l].T @ deltas[l]
+        parts.append(gw.reshape(-1))
+        if b is not None:
+            parts.append(d.sum(axis=0))
+    return np.concatenate(parts), deltas
+
+
+@pytest.mark.parametrize("seed,n_layers,bias", SPECS)
+def test_hvp_keeps_the_deltas_it_is_given(seed, n_layers, bias):
+    spec, params, x, _ = random_problem(seed, n_layers, bias)
+    rng = np.random.default_rng(seed + 7)
+    dout = rng.standard_normal((len(x), spec.out_dim))
+    v = rng.standard_normal(len(params))
+    net = BoundMlp(spec, params)
+    net.forward(x)
+    deltas = net.backprop(dout)
+    kept = [d.copy() for d in deltas]
+    net.tangent[:] = v
+    got = net.hvp(deltas)
+    want, want_deltas = reference_hvp(net, x, dout, v)
+    for d, k, w in zip(deltas, kept, want_deltas):
+        assert d.tobytes() == k.tobytes() == w.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed,n_layers,bias", SPECS)
+def test_kkt_loss_grads_twice_on_the_same_binding(seed, n_layers, bias):
+    """The second call overwrites the buffers the first one returned (its
+    x gradient), so the first results are copied before it."""
+    spec, params, x, labels = random_problem(seed, n_layers, bias)
+    rng = np.random.default_rng(seed + 3)
+    target = kk.stationarity_target(
+        params, {name: 0.5 for name in params.groups}, 2 * len(x))
+    mu = np.maximum(rng.standard_normal((len(x), spec.out_dim)), 0.0)
+    zeta = BoundMlp(spec, params)
+
+    def losses(net):
+        return [np.array(r) for r in kk.kkt_loss_grads(
+            net, target, x, labels, mu, 0.3, 0.5, 3.0)]
+
+    first = losses(zeta)
+    for want in (losses(zeta), losses(BoundMlp(spec, params))):
+        for got, w in zip(first, want):
+            assert got.tobytes() == w.tobytes()
+
+
+def test_mlp_apply_np_returns_a_new_array_per_call():
+    spec, params, x, _ = random_problem(0, 3, True)
+    first = mlp_apply_np(spec, params, x)
+    second = mlp_apply_np(spec, params, x)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)

@@ -99,10 +99,10 @@ def logit_gradients(spec, params, x, c):
     """
     x = np.atleast_2d(x)
     net = km.BoundMlp(spec, params, batch=(len(x),))
-    out, acts = net.forward(x[:, None, :])
+    out = net.forward(x[:, None, :])
     dout = np.zeros_like(out)
     dout[..., c] = 1.0
-    return net.param_grad(acts, net.backprop(acts, dout)).copy()
+    return net.param_grad(net.backprop(dout)).copy()
 
 
 def test_param_gradient_linear_case_is_input():
@@ -137,10 +137,10 @@ def test_param_gradient_matches_finite_difference():
         assert np.max(np.abs(flat - fd)) < 1e-5
     # the batch axis gives each row's gradient; without it rows are summed
     net = km.BoundMlp(spec, pv)
-    out, acts = net.forward(x)
+    out = net.forward(x)
     dout = np.zeros_like(out)
     dout[:, 2] = 1.0
-    assert np.allclose(net.param_grad(acts, net.backprop(acts, dout)),
+    assert np.allclose(net.param_grad(net.backprop(dout)),
                        grads.sum(axis=0), rtol=1e-14, atol=1e-15)
 
 
@@ -150,19 +150,18 @@ def test_binding_follows_in_place_parameter_updates():
     pv = km.init_kaiming(spec, seed=3)
     x = np.random.default_rng(4).standard_normal((6, 3))
     net = km.BoundMlp(spec, pv)
-    before, acts = net.forward(x)
+    before = net.forward(x).copy()
     dout = np.ones_like(before)
-    grad_before = net.param_grad(acts, net.backprop(acts, dout)).copy()
+    grad_before = net.param_grad(net.backprop(dout)).copy()
     pv.values *= 1.5
     pv.values[-2:] += 0.25
     pv.values -= 0.01 * grad_before
     fresh = km.BoundMlp(spec, pv.copy())
-    got, acts = net.forward(x)
-    want, fresh_acts = fresh.forward(x)
+    got = net.forward(x)
+    want = fresh.forward(x)
     assert np.array_equal(got, want) and not np.array_equal(got, before)
-    assert np.array_equal(
-        net.param_grad(acts, net.backprop(acts, dout)),
-        fresh.param_grad(fresh_acts, fresh.backprop(fresh_acts, dout)))
+    assert np.array_equal(net.param_grad(net.backprop(dout)),
+                          fresh.param_grad(fresh.backprop(dout)))
     assert np.array_equal(got, km.mlp_apply_np(spec, pv, x))
 
 
