@@ -38,12 +38,10 @@ __all__ = [
     "maximum",
     "minimum",
     "tsum",
-    "tmean",
     "concat",
     "slice_axis",
     "one_hot",
     "grad",
-    "finite_difference_check",
 ]
 
 
@@ -317,11 +315,6 @@ def _unbroadcast_exact(g, shape):
     return out
 
 
-def tmean(a, axis=None, keepdims=False):
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n))
-
-
 def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
     value = np.concatenate([t.value for t in tensors], axis=axis)
@@ -435,28 +428,3 @@ def grad(root, wrt, allow_unused=False):
         out.append(cot)
     return out
 
-
-def finite_difference_check(fn, point, step=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``fn`` maps a leaf tensor to a scalar tensor.  The analytic gradient is
-    obtained with :func:`grad`; each coordinate is then perturbed by
-    ``±step`` for the central difference.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = tensor(np.asarray(point, dtype=np.float64))
-    analytic = grad(fn(x), [x])[0].value
-    numeric = np.zeros_like(x.value)
-    flat = x.value.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = float(fn(tensor(x.value)).value)
-        flat[i] = orig - step
-        lo = float(fn(tensor(x.value)).value)
-        flat[i] = orig
-        nflat[i] = (hi - lo) / (2.0 * step)
-    denom = np.abs(analytic) + 1e-12
-    return float(np.max(np.abs(analytic - numeric) / denom))

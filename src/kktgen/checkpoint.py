@@ -3,8 +3,8 @@
 Layout (all little-endian): magic ``KGCK``, version u32, section count
 u32, then per section a u16 name length, the UTF-8 name, a u64 payload
 length and the raw payload.  Sections hold parameter blobs (models
-module format), JSON metadata, optimizer moments and counters, so a
-generator run can resume bit-exactly.
+module format), JSON metadata, optimizer moments and counters and the
+loss history, so a generator run can resume bit-exactly.
 """
 
 from __future__ import annotations
@@ -158,6 +158,9 @@ def save_generator(path, gen_spec, mult_spec, state, config_hash="",
         "mult_params": serialize_params(mult_spec, state.mult_params),
         "alphas": _floats_bytes(state.alphas),
         "deltas": _floats_bytes(state.deltas),
+        # one row of floats per step, in the order of the row's keys
+        "history": _floats_bytes([list(row.values())
+                                  for row in state.history]),
     }
     if state.optimizers:
         sections["opt.theta"] = _adam_bytes(state.optimizers["theta"])
@@ -171,10 +174,13 @@ def load_generator(path, config=None):
     """Returns (gen_spec, mult_spec, state, meta).
 
     ``config`` (a GeneratorTrainConfig) is needed to rebuild optimizer
-    learning rates when the checkpoint is used to resume training; a
-    checkpoint without its optimizer sections is then incomplete.
+    learning rates when the checkpoint is used to resume training; the
+    state then carries its optimizers and its loss history, and a
+    checkpoint without their sections is incomplete.
     """
-    from .training import GeneratorTrainState  # cycle-free at runtime
+    # cycle-free at runtime
+    from .training import (GeneratorTrainState, generator_optimizers,
+                           history_keys)
 
     sections = read_sections(path)
     try:
@@ -196,34 +202,31 @@ def load_generator(path, config=None):
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
     if meta.get("kind") != "generator":
         raise ValueError(f"{path}: not a generator checkpoint")
-    if config is not None:
-        state.optimizers = _load_optimizers(path, sections, config, state)
-    return gen_spec, mult_spec, state, meta
-
-
-def _load_optimizers(path, sections, config, state):
-    """The Adam states a resume continues, rebuilt with ``config``'s
-    learning rates."""
-    from .training import Adam
-
+    if config is None:
+        return gen_spec, mult_spec, state, meta
     names = {"theta": "opt.theta", "eta": "opt.eta"}
     alpha_names = [f"opt.alpha{t}" for t in range(state.alphas.size)]
-    missing = [name for name in [*names.values(), *alpha_names]
+    missing = [name for name in [*names.values(), *alpha_names, "history"]
                if name not in sections]
     if missing:
         raise ValueError(f"{path}: incomplete generator checkpoint "
                          f"(missing {', '.join(missing)}); it cannot "
                          f"resume training")
-    optimizers = {
-        "theta": Adam(len(state.gen_params), config.lr_theta),
-        "eta": Adam(len(state.mult_params), config.lr_eta),
-        "alpha": [Adam(1, config.lr_alpha) for _ in alpha_names],
-    }
+    state.optimizers = generator_optimizers(state, config)
+    keys = history_keys(state.alphas.size)
     try:
         for key, name in names.items():
-            _adam_load(optimizers[key], sections[name])
-        for adam, name in zip(optimizers["alpha"], alpha_names):
+            _adam_load(state.optimizers[key], sections[name])
+        for adam, name in zip(state.optimizers["alpha"], alpha_names):
             _adam_load(adam, sections[name])
+        table = _floats_from(sections["history"])
+        if table.size != state.step * len(keys):
+            raise ValueError(f"{table.size} history values for "
+                             f"{state.step} steps of {len(keys)} columns")
+        state.history = [dict(zip(keys, [int(row[0]), int(row[1]),
+                                         *row[2:]]))
+                         for row in table.reshape(state.step,
+                                                  len(keys)).tolist()]
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
-    return optimizers
+    return gen_spec, mult_spec, state, meta

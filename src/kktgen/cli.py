@@ -26,7 +26,7 @@ from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER, VERIFY_ALPHAS,
                           VERIFY_DEVIATION_LIMIT, VerificationError,
                           default_probe_samples, estimate_profile,
                           scaling_deviations, verify_lambda)
-from .kernels import NnlsIterationLimit, adam_update
+from .kernels import Adam, NnlsIterationLimit
 from .kkt import kkt_residual_oracle, margins_np
 from .models import MlpSpec, init_kaiming
 from .svgplot import svg_image_grid, svg_scatter
@@ -217,6 +217,11 @@ def cmd_train_generator(args):
         raise ConfigError("generator_training",
                           f"label distribution has {len(labels)} entries, "
                           f"the classifiers {num_classes} classes")
+    if gen_cfg.tv_weight > 0 and math.prod(gen_cfg.tv_shape) != out_dim:
+        raise ConfigError("generator_training",
+                          f"tv shape {gen_cfg.tv_shape[0]}x"
+                          f"{gen_cfg.tv_shape[1]} does not hold the "
+                          f"{out_dim} inputs of the classifiers")
     gen_path = os.path.join(out, args.name + ".ckpt")
     run_hash = _generator_run_hash(config, gen_cfg.seed)
     state = None
@@ -233,8 +238,7 @@ def cmd_train_generator(args):
                                state=state)
     ckpt.save_generator(gen_path, gen_spec, mult_spec, state,
                         config_hash=run_hash)
-    header = ["step", "t", "l_stat", "l_dual", "tv", "total"] + \
-        [f"alpha_{t}" for t in range(t_count)]
+    header = tr.history_keys(t_count)
     _write_csv(os.path.join(out, args.name + "_loss.csv"), header,
                [[row[k] for row in state.history] for k in header])
     print(f"generator: {state.step} steps -> {gen_path}")
@@ -316,13 +320,11 @@ def cmd_plot(args):
         if side * side != dataset.dim:
             raise ValueError("grid plots need square image data; use "
                              "--mode scatter")
-        if not len(x):
-            svg = svg_image_grid(np.zeros((0, dataset.dim)), side=side,
-                                 title=args.title)
-        else:
-            nn = nearest_neighbor(x, dataset, metric="ssim")
+        neighbors = None
+        if len(x):
+            nn = nearest_neighbor(x, dataset)
             neighbors = dataset.x[[i for i, _ in nn]]
-            svg = svg_image_grid(x, neighbors, title=args.title)
+        svg = svg_image_grid(x, side, neighbors, title=args.title)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.out}")
@@ -356,12 +358,11 @@ def cmd_selftest(args):
             failures.append(f"duality loss at margin {margin}: "
                             f"{val} != {want}")
 
-    # adam kernel vs reference formula
+    # the first Adam step against the reference formula: a step of lr
+    # against the sign of the gradient
     vals = np.array([1.0, -2.0])
     grads = np.array([0.5, 0.25])
-    m = np.zeros(2)
-    v = np.zeros(2)
-    adam_update(vals, grads, m, v, 1, 0.1)
+    Adam(2, 0.1).step(vals, grads)
     ref = np.array([1.0, -2.0]) - 0.1 * grads / (np.abs(grads) + 1e-8)
     if not np.allclose(vals, ref, atol=1e-9):
         failures.append("adam kernel mismatch")

@@ -160,27 +160,20 @@ def _ssim_blocks(samples, dataset):
                                           c2)
 
 
-def nearest_neighbor(samples, dataset, metric="euclidean"):
-    """Per-sample (index, score) of the closest dataset point.
+def nearest_neighbor(samples, dataset):
+    """Per-sample (index, SSIM) of the most similar dataset image.
 
-    Euclidean minimizes distance; SSIM maximizes similarity.  Ties go to
-    the lowest index.  Samples are scored a block at a time against the
-    whole dataset.
+    Ties go to the lowest index.  Samples are scored a block at a time
+    against the whole dataset.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if dataset.size == 0:
         raise ValueError("dataset must be nonempty")
-    if metric == "euclidean":
-        blocks, pick = _distance_blocks(samples, dataset.x), np.argmin
-    elif metric == "ssim":
-        blocks, pick = _ssim_blocks(samples, dataset), np.argmax
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
     idx = np.empty(samples.shape[0], dtype=np.intp)
     best = np.empty(samples.shape[0])
-    for start, scores in blocks:
+    for start, scores in _ssim_blocks(samples, dataset):
         block = slice(start, start + scores.shape[0])
-        idx[block] = pick(scores, axis=1)
+        idx[block] = np.argmax(scores, axis=1)
         best[block] = scores[np.arange(scores.shape[0]), idx[block]]
     return list(zip(idx.tolist(), best.tolist()))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import nnls
-from .models import BoundMlp, mlp_apply_np, row_gradients, spec_group_shapes
+from .models import BoundMlp, mlp_apply_np, row_gradients
 
 MASK_REL_TOL = 1e-6
 RIDGE = 1e-12
@@ -125,7 +125,7 @@ def build_derivative_equations(spec, params, samples,
         raise ValueError("at least one probe sample is required")
     if max_order not in (1, 2):
         raise ValueError("max_order must be 1 or 2")
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
     offsets = [params.groups[name][0] for name in names]
     # one probe coordinate per group: the largest-magnitude entry
     probes = [offset + int(np.argmax(np.abs(params.group(name))))

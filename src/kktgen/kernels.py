@@ -8,7 +8,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["AdamOperands", "NnlsIterationLimit", "adam_update", "nnls",
+__all__ = ["Adam", "NnlsIterationLimit", "adam_update", "nnls",
            "ssim_uniform"]
 
 
@@ -20,9 +20,10 @@ def _operand(value):
     return operand
 
 
-class AdamOperands:
-    """What :func:`adam_update` needs besides the arrays it updates,
-    bound once for many steps on vectors of one size.
+class Adam:
+    """Adam over a flat parameter array of one size: its moments ``m``
+    and ``v``, its step count ``t``, and what :func:`adam_update` needs
+    besides the arrays it updates, bound once for every step.
 
     The constants beta1, 1 - beta1, beta2, 1 - beta2, lr and eps are
     read-only 0-d arrays, the bias corrections 1 - beta^t are 0-d arrays
@@ -32,32 +33,64 @@ class AdamOperands:
     """
 
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.betas = (beta1, beta2)  # Python floats, raised to the power t
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
         self.bound = (*(_operand(c) for c in (beta1, 1.0 - beta1, beta2,
                                               1.0 - beta2, lr, eps)),
                       np.empty(()), np.empty(()), np.empty(size),
                       np.empty(size))
 
+    def step(self, values, grads):
+        self.t += 1
+        adam_update(values, grads, self)
 
-def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
-                eps=1e-8):
-    """One in-place Adam step with bias correction; t is 1-based.
+    def step_scalar(self, value, grad):
+        """One step of a size-1 Adam on a float; returns the new value.
 
-    ``m``, ``v`` and ``values`` are updated in their own storage, with the
-    operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
-    and ``values -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order,
-    so the result is bit-identical to the out-of-place expressions.
-    ``lr`` is the learning rate, or an :class:`AdamOperands` that binds
-    it with the other constants for every step of a training loop; the
-    betas and eps given here are then unused.
+        The operations of :func:`adam_update`, in its order, on Python
+        floats: the same bits as :meth:`step` on size-1 arrays, without
+        the per-call cost of array operations.
+        """
+        self.t += 1
+        t = float(self.t)
+        b1, b2 = self.beta1, self.beta2
+        m = float(self.m[0]) * b1 + grad * (1.0 - b1)
+        v = float(self.v[0]) * b2 + grad * (1.0 - b2) * grad
+        self.m[0] = m
+        self.v[0] = v
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        return value - m / bc1 * self.lr / (math.sqrt(v / bc2) + self.eps)
+
+    def state(self):
+        return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t}
+
+    def load_state(self, state):
+        self.m[:] = state["m"]
+        self.v[:] = state["v"]
+        self.t = int(state["t"])
+
+
+def adam_update(values, grads, adam):
+    """One in-place Adam step of :class:`Adam` ``adam`` at its step count
+    ``adam.t`` (1-based), with bias correction.
+
+    ``adam.m``, ``adam.v`` and ``values`` are updated in their own
+    storage, with the operations of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g`` and
+    ``values -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order, so
+    the result is bit-identical to the out-of-place expressions.
     """
-    ops = lr if isinstance(lr, AdamOperands) else AdamOperands(
-        values.size, lr, beta1, beta2, eps)
-    beta1, beta2 = ops.betas
-    b1, c1, b2, c2, lr, eps, bc1, bc2, step, update = ops.bound
-    t = float(t)
-    bc1[()] = 1.0 - beta1 ** t
-    bc2[()] = 1.0 - beta2 ** t
+    b1, c1, b2, c2, lr, eps, bc1, bc2, step, update = adam.bound
+    m, v = adam.m, adam.v
+    t = float(adam.t)
+    bc1[()] = 1.0 - adam.beta1 ** t
+    bc2[()] = 1.0 - adam.beta2 ** t
     m *= b1
     np.multiply(grads, c1, out=step)
     m += step
@@ -75,24 +108,20 @@ def adam_update(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
 
 
 def ssim_uniform(a, b, window, c1, c2):
-    """Mean SSIM over all valid uniform windows of images ``a`` against
-    images ``b``.
+    """Mean SSIM over all valid uniform windows of each image of stack
+    ``a`` against each image of stack ``b``.
 
-    ``a`` and ``b`` are each one 2-d image or a stack ``(k, h, w)`` of
-    them, all of one shape.  One image against one gives a float; the
-    scores of every pair otherwise have shape ``a``'s stack by ``b``'s:
-    ``(k_b,)``, ``(k_a,)`` or ``(k_a, k_b)``.
+    ``a`` and ``b`` are stacks ``(k, h, w)`` of images of one shape; the
+    scores have shape ``(k_a, k_b)``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3) \
-            or b.shape[-2:] != a.shape[-2:]:
-        raise ValueError("ssim_uniform expects equal-shape 2-d images or "
-                         "stacks of them")
-    if window > min(a.shape[-2:]):
+    if a.ndim != 3 or b.ndim != 3 or b.shape[1:] != a.shape[1:]:
+        raise ValueError("ssim_uniform expects two stacks of equal-shape "
+                         "2-d images")
+    if window > min(a.shape[1:]):
         raise ValueError("window larger than the image")
-    if a.ndim == 3 and b.ndim == 3:
-        a = a[:, None]
+    a = a[:, None]
 
     def window_mean(img):
         return sliding_window_view(img, (window, window),
@@ -105,8 +134,7 @@ def ssim_uniform(a, b, window, c1, c2):
     cov = window_mean(a * b) - mu_a * mu_b
     scores = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
               / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
-    mean = scores.mean(axis=(-2, -1))
-    return float(mean) if mean.ndim == 0 else mean
+    return scores.mean(axis=(-2, -1))
 
 
 class NnlsIterationLimit(RuntimeError):

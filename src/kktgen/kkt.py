@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .homogeneity import lambda_bar
 from .kernels import nnls
-from .models import mlp_apply, mlp_apply_np, row_gradients, spec_group_shapes
+from .models import mlp_apply, mlp_apply_np, row_gradients
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -87,7 +87,7 @@ def stationarity_loss_graph(spec, zeta_leaves, lbar_weights, virtual_n,
     m = labels.size
     logits = mlp_apply(mlp, zeta_leaves, x)
     s = _weighted_logit_sum(logits, labels, mu, mlp.out_dim)
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
     grads = ad.grad(s, [zeta_leaves[n] for n in names], allow_unused=True)
     sq = None
     for name, g in zip(names, grads):
@@ -212,32 +212,24 @@ def margins_np(spec, zeta, x, labels):
 
 
 def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
-                        tie_tol=DEFAULT_TIE_TOL, require_separation=True):
+                        tie_tol=DEFAULT_TIE_TOL):
     """Fit nonnegative multipliers on labeled data; report the residual.
 
     Multipliers are restricted to second-place (i, c) pairs.  Returns the
     normalized residual ||Lbar zeta - G mu|| / ||Lbar zeta|| and the fitted
     mu as {(i, c): value}.  Column (i, c) of G is the margin gradient
     grad_zeta (Phi_{y_i} - Phi_c)(x_i); all columns come from one forward
-    and one backprop over the pair rows.  ``require_separation=False``
-    skips the positive-margin check so the fit can serve as a control on
-    shuffled labels, where stationarity should NOT be satisfiable.
+    and one backprop over the pair rows.  The fit does not check that the
+    classifier separates the data, the premise of the max-margin
+    conditions: on shuffled labels it serves as a control, where
+    stationarity should NOT be satisfiable.
     """
     mlp = spec.mlp()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     logits = mlp_apply_np(mlp, zeta, x)
     mask = second_place_mask(logits, labels, tie_tol)
-    if require_separation:
-        rival = np.ones_like(logits, dtype=bool)
-        rival[np.arange(len(labels)), labels] = False
-        margins = logits[np.arange(len(labels)), labels][:, None] - logits
-        if np.min(margins[rival]) <= 0.0:
-            raise ValueError("classifier does not separate the data; the "
-                             "max-margin conditions do not apply")
-    lbar = lambda_bar(profile, alpha)
-    target = np.concatenate(
-        [lbar[name] * zeta.group(name) for name in zeta.groups])
+    target = stationarity_target(zeta, lambda_bar(profile, alpha), 1)
     rows, classes = np.nonzero(mask)
     pair_rows = np.arange(rows.size)
     dlogits = np.zeros((rows.size, mlp.out_dim))

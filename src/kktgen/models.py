@@ -216,7 +216,7 @@ class ParameterVector:
     def zeros_for(spec):
         groups = {}
         offset = 0
-        for name, shape in spec_group_shapes(spec):
+        for name, shape in spec.mlp().group_shapes():
             length = int(np.prod(shape))
             groups[name] = (offset, length)
             offset += length
@@ -238,14 +238,10 @@ class ParameterVector:
                 and np.array_equal(self.values, other.values))
 
 
-def spec_group_shapes(spec):
-    return spec.mlp().group_shapes()
-
-
 def make_leaves(spec, params):
     """Autodiff leaf tensors for each parameter group, reshaped per layer."""
     leaves = {}
-    for name, shape in spec_group_shapes(spec):
+    for name, shape in spec.mlp().group_shapes():
         leaves[name] = ad.tensor(params.group(name).reshape(shape),
                                  name=name)
     return leaves
@@ -591,7 +587,7 @@ def init_kaiming(spec, seed):
     """Kaiming-normal weights (std sqrt(2 / fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
     pv = ParameterVector.zeros_for(spec)
-    for name, shape in spec_group_shapes(spec):
+    for name, shape in spec.mlp().group_shapes():
         if name.endswith(".weight"):
             fan_in = shape[0]
             std = np.sqrt(2.0 / fan_in)

@@ -33,11 +33,9 @@ def _fmt(value):
 
 
 def _axis_bounds(arrays):
-    pts = [np.atleast_2d(np.asarray(a, dtype=np.float64))
-           for a in arrays if a is not None and np.size(a)]
-    if not pts:
+    allpts = np.vstack(arrays)
+    if not len(allpts):
         return -1.0, 1.0, -1.0, 1.0
-    allpts = np.vstack(pts)
     x_lo, y_lo = allpts.min(axis=0)
     x_hi, y_hi = allpts.max(axis=0)
     pad_x = 0.1 * max(x_hi - x_lo, 1e-9)
@@ -45,9 +43,15 @@ def _axis_bounds(arrays):
     return x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y
 
 
-def svg_scatter(train_points=None, train_labels=None, samples=None,
-                sample_labels=None, size=480, title=""):
-    """Scatter SVG: dataset points as circles, generated as crosses."""
+def svg_scatter(train_points, train_labels, samples, sample_labels,
+                size=480, title=""):
+    """Scatter SVG: dataset points as circles, generated as crosses.
+
+    The points are ``(n, 2)`` arrays, either of them possibly empty, each
+    with an array of its class labels.
+    """
+    train_points = np.asarray(train_points, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     x_lo, x_hi, y_lo, y_hi = _axis_bounds([train_points, samples])
     span = size - 2 * _MARGIN
 
@@ -81,26 +85,19 @@ def svg_scatter(train_points=None, train_labels=None, samples=None,
         parts.append(f'<text x="{_fmt(size / 2)}" y="20" font-size="14" '
                      f'text-anchor="middle">'
                      f'{title.translate(_ESCAPES)}</text>')
-    if samples is not None and np.size(samples):
-        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        parts.extend(_emit_crosses(sx(samples[:, 0]), sy(samples[:, 1]),
-                                   _colors(sample_labels, len(samples))))
-    if train_points is not None and np.size(train_points):
-        train_points = np.atleast_2d(
-            np.asarray(train_points, dtype=np.float64))
-        parts.extend(_emit(
-            '<circle cx="%.2f" cy="%.2f" r="5" fill="none" stroke="%s" '
-            'stroke-width="2"/>', sx(train_points[:, 0]),
-            sy(train_points[:, 1]), _colors(train_labels, len(train_points))))
+    parts.extend(_emit_crosses(sx(samples[:, 0]), sy(samples[:, 1]),
+                               _colors(sample_labels)))
+    parts.extend(_emit(
+        '<circle cx="%.2f" cy="%.2f" r="5" fill="none" stroke="%s" '
+        'stroke-width="2"/>', sx(train_points[:, 0]),
+        sy(train_points[:, 1]), _colors(train_labels)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _colors(labels, n):
-    """Palette color of each of n labels (all class 0 when None)."""
-    labels = (np.zeros(n, dtype=int) if labels is None
-              else np.asarray(labels, dtype=int))
-    return _PALETTE[labels % len(PALETTE)]
+def _colors(labels):
+    """Palette color of each label."""
+    return _PALETTE[np.asarray(labels, dtype=int) % len(PALETTE)]
 
 
 def _emit(template, *columns):
@@ -133,22 +130,14 @@ def _emit_crosses(cx, cy, colors):
     return lines
 
 
-def svg_image_grid(images, neighbors=None, side=None, cell=48, columns=10,
+def svg_image_grid(images, side, neighbors=None, cell=48, columns=10,
                    title=""):
     """Grid of grayscale images; ``neighbors`` renders beneath each image.
 
-    ``images`` is (n, side*side) or (n, side, side); values clipped to
+    ``images`` is (n, side*side), flat square images; values clipped to
     [0, 1].
     """
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 2 and side is None:
-        side = int(round(np.sqrt(images.shape[1])))
-        if side * side != images.shape[1]:
-            raise ValueError("cannot infer square image side")
-    if images.ndim == 3:
-        side = images.shape[1]
-    images = images.reshape(len(images), side, side) if len(images) else \
-        images.reshape(0, side or 1, side or 1)
+    images = np.asarray(images, dtype=np.float64).reshape(-1, side, side)
     if neighbors is not None:
         neighbors = np.asarray(neighbors,
                                dtype=np.float64).reshape(len(images), side,
@@ -161,7 +150,7 @@ def svg_image_grid(images, neighbors=None, side=None, cell=48, columns=10,
     width = columns * (cell + pad) + pad
     height = max(rows * band * (cell + pad) + pad + (20 if title else 0),
                  cell)
-    px = cell / side if side else cell
+    px = cell / side
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -19,14 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from . import kernels
 from .homogeneity import (VERIFY_ALPHAS, VERIFY_DEVIATION_LIMIT,
                           VerificationError, default_probe_samples,
                           lambda_bar, verify_lambda)
+from .kernels import Adam
 from .kkt import kkt_loss_grads, stationarity_target
 from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
                      init_kaiming, mlp_apply_np)
+
+
+# classifier GD checks for a plateau every this many epochs, on the
+# loss's rate of fall over the last this many
+PLATEAU_WINDOW = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -113,6 +117,10 @@ class GeneratorTrainConfig:
             raise ValueError("probe count must be >= 1")
         if self.init_output_scale <= 0:
             raise ValueError("init output scale must be positive")
+        if self.tv_weight > 0 and not (len(self.tv_shape) == 2
+                                       and min(self.tv_shape) > 0):
+            raise ValueError("tv weight > 0 needs a tv shape of two "
+                             "positive entries height,width")
         if self.label_distribution:
             p = np.asarray(self.label_distribution, dtype=np.float64)
             if not (np.isfinite(p).all() and (p >= 0.0).all()
@@ -150,56 +158,6 @@ class ClassifierBundle:
             raise ValueError("virtual dataset size must be >= 1")
 
 
-class Adam:
-    """Adam over a flat parameter array, backed by the in-place kernel.
-
-    Its constants, bias corrections and scratch vectors are bound once,
-    as :class:`kernels.AdamOperands`, and every step hands them to one
-    :func:`kernels.adam_update` call.
-    """
-
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-        self.operands = kernels.AdamOperands(size, lr, beta1, beta2, eps)
-
-    def step(self, values, grads):
-        self.t += 1
-        kernels.adam_update(values, grads, self.m, self.v, self.t,
-                            self.operands)
-
-    def step_scalar(self, value, grad):
-        """One step of a size-1 Adam on a float; returns the new value.
-
-        The operations of :func:`kernels.adam_update`, in its order, on
-        Python floats: the same bits as :meth:`step` on size-1 arrays,
-        without the per-call cost of array operations.
-        """
-        self.t += 1
-        t = float(self.t)
-        b1, b2 = self.beta1, self.beta2
-        m = float(self.m[0]) * b1 + grad * (1.0 - b1)
-        v = float(self.v[0]) * b2 + grad * (1.0 - b2) * grad
-        self.m[0] = m
-        self.v[0] = v
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
-        return value - m / bc1 * self.lr / (math.sqrt(v / bc2) + self.eps)
-
-    def state(self):
-        return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t}
-
-    def load_state(self, state):
-        self.m[:] = state["m"]
-        self.v[:] = state["v"]
-        self.t = int(state["t"])
-
-
 @dataclass
 class GeneratorTrainState:
     gen_params: ParameterVector
@@ -207,8 +165,25 @@ class GeneratorTrainState:
     alphas: np.ndarray  # one trainable alpha per classifier
     deltas: np.ndarray  # duality band width per classifier
     step: int = 0
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)  # one row per step
     optimizers: dict = field(default_factory=dict)
+
+
+def history_keys(t_count):
+    """The keys of a row of :attr:`GeneratorTrainState.history`, in
+    order: the columns of the loss CSV.  ``step`` and ``t`` are ints, the
+    rest floats."""
+    return ["step", "t", "l_stat", "l_dual", "tv", "total",
+            *(f"alpha_{t}" for t in range(t_count))]
+
+
+def generator_optimizers(state, config):
+    """Fresh Adam states for ``state``'s theta and eta and one per
+    alpha, so the alpha trajectories stay independent, at ``config``'s
+    learning rates."""
+    return {"theta": Adam(len(state.gen_params), config.lr_theta),
+            "eta": Adam(len(state.mult_params), config.lr_eta),
+            "alpha": [Adam(1, config.lr_alpha) for _ in state.alphas]}
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +227,9 @@ def refine_margins(dataset, spec, params, config):
     sign Adam descends, so the backprop gives Adam's input but for the
     norm term L (sum w m) / (sum w ||zeta||^(L+2)) zeta, one
     multiply-add.  Every buffer is bound once per call, the network's
-    and Adam's included (:class:`models.BoundMlp`, :class:`Adam`).  On
-    the default circle classifier an iteration makes 45 numpy calls: 5
-    in the forward, 4 for the ReLU masks, 7 in the backprop and
+    and Adam's included (:class:`models.BoundMlp`, :class:`kernels.Adam`).
+    On the default circle classifier an iteration makes 45 numpy calls:
+    5 in the forward, 4 for the ReLU masks, 7 in the backprop and
     parameter gradient, 14 in the Adam step and 15 on the margin vector
     and the norm term.
     """
@@ -339,8 +314,10 @@ def train_classifier(dataset, spec, config):
     ``refine_iters`` steps per stage).  Returns (params, trajectory)
     where the trajectory is the cross-entropy history of the GD phase.  Raises
     :class:`ConvergenceError` (carrying the trajectory) if the threshold
-    is never reached, or as soon as the gradient is exactly zero before
-    it is.
+    is never reached, as soon as the gradient is exactly zero before it
+    is, or on a plateau: every ``PLATEAU_WINDOW`` epochs, if the loss
+    did not fall over the last ``PLATEAU_WINDOW``, or would not reach
+    the threshold within the epochs left at its rate of fall over them.
     """
     params = init_kaiming(spec, config.seed)
     net = BoundMlp(spec, params)
@@ -362,6 +339,18 @@ def train_classifier(dataset, spec, config):
                 f"gradient is exactly zero at epoch {epoch} with loss "
                 f"{loss:.6g} above threshold {threshold:.6g} (every ReLU "
                 f"dead?); gradient descent cannot move", trajectory)
+        if (converged_at is None and epoch
+                and epoch % PLATEAU_WINDOW == 0):
+            rate = (trajectory[epoch - PLATEAU_WINDOW] - loss) \
+                / PLATEAU_WINDOW
+            left = config.max_epochs - epoch
+            if not rate > 0.0 or (loss - threshold) / rate > left:
+                raise ConvergenceError(
+                    f"loss plateau: {loss:.6g} at epoch {epoch}, down "
+                    f"{rate:.3g} per epoch over the last {PLATEAU_WINDOW};"
+                    f" at that rate it would not drop below threshold "
+                    f"{threshold:.6g} within the {left} epochs left",
+                    trajectory)
         params.values -= config.learning_rate * grad
         epoch += 1
     if converged_at is None:
@@ -382,26 +371,9 @@ def _step_rng(seed, step, stream=0):
     return np.random.default_rng([int(seed), int(stream), int(step)])
 
 
-def tv_loss(x, height, width):
-    """Mean anisotropic total variation of a batch of flat images.
-
-    Graph form, the reference for :func:`_tv_value_grad`.
-    """
-    x_t = x if isinstance(x, ad.Tensor) else ad.tensor(np.atleast_2d(x))
-    m, d = x_t.value.shape
-    if d != height * width:
-        raise ValueError(f"flat dimension {d} != {height}x{width}")
-    imgs = ad.reshape(x_t, (m, height, width))
-    down = ad.absval(ad.sub(ad.slice_axis(imgs, 1, 1, height),
-                            ad.slice_axis(imgs, 1, 0, height - 1)))
-    right = ad.absval(ad.sub(ad.slice_axis(imgs, 2, 1, width),
-                             ad.slice_axis(imgs, 2, 0, width - 1)))
-    return ad.mul(ad.add(ad.tsum(down), ad.tsum(right)),
-                  ad.constant(1.0 / m))
-
-
 def _tv_value_grad(x, height, width):
-    """:func:`tv_loss` and its x gradient in numpy (|.|' = 0 at ties)."""
+    """Mean anisotropic total variation of a batch of flat images and
+    its x gradient (|.|' = 0 at ties)."""
     m, d = x.shape
     if d != height * width:
         raise ValueError(f"flat dimension {d} != {height}x{width}")
@@ -527,12 +499,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         alphas = np.array([b[0] for b in bands])
         deltas = np.array([b[1] for b in bands])
         state = GeneratorTrainState(theta, eta, alphas, deltas)
-        state.optimizers = {
-            "theta": Adam(len(theta), config.lr_theta),
-            "eta": Adam(len(eta), config.lr_eta),
-            # one optimizer per alpha so the trajectories stay independent
-            "alpha": [Adam(1, config.lr_alpha) for _ in range(t_count)],
-        }
+        state.optimizers = generator_optimizers(state, config)
     offset = int(_step_rng(config.seed, 0, stream=7).integers(t_count))
     # Generator.choice's draw: the searchsorted of uniforms in the cdf
     cdf = probs.cumsum()
@@ -546,7 +513,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     # per classifier: the alpha its stationarity target was computed at
     target_alphas = [None] * t_count
     targets = [None] * t_count
-    alpha_keys = [f"alpha_{t}" for t in range(t_count)]
+    keys = history_keys(t_count)
     theta, eta = state.gen_params.values, state.mult_params.values
 
     while state.step < config.steps:
@@ -596,11 +563,9 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             state.alphas[t] = state.optimizers["alpha"][t].step_scalar(
                 float(state.alphas[t]), g_alpha)
 
-        row = {"step": step, "t": active[0] if len(active) == 1 else -1,
-               "l_stat": l_stat, "l_dual": l_dual, "tv": l_tv,
-               "total": float(total)}
-        row.update(zip(alpha_keys, state.alphas.tolist()))
-        state.history.append(row)
+        state.history.append(dict(zip(keys, [
+            step, active[0] if len(active) == 1 else -1, l_stat, l_dual,
+            l_tv, float(total), *state.alphas.tolist()])))
         state.step += 1
         if callback is not None:
             callback(state)

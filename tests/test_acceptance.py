@@ -22,9 +22,10 @@ from kktgen.datasets import circle_dataset, coverage_report, split_dataset
 from kktgen.homogeneity import estimate_profile, scale_params, verify_lambda
 from kktgen.kkt import duality_loss, kkt_residual_oracle, margins_np
 from kktgen.models import (MlpSpec, init_kaiming, make_leaves, mlp_apply,
-                           mlp_apply_np, spec_group_shapes)
+                           mlp_apply_np)
 from kktgen.training import (ClassifierBundle, sample, train_classifier,
                              train_generator)
+from graph_reference import finite_difference_check
 
 CFG = RunConfig.from_text("")
 
@@ -132,7 +133,7 @@ def test_groupwise_gradient_scaling_identity():
     profile, _ = estimate_profile(spec, params, k=32, max_order=2)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(2)
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
 
     def logit0_gradient(p):
         """Flat gradient of logit 0 at x in the parameters, by autodiff."""
@@ -146,7 +147,7 @@ def test_groupwise_gradient_scaling_identity():
     for alpha in (-1.0, -0.5, 0.1, 0.5, 1.0):
         scaled = logit0_gradient(scale_params(params, profile, alpha))
         offset = 0
-        for name, shape in spec_group_shapes(spec):
+        for name, shape in spec.mlp().group_shapes():
             n = int(np.prod(shape))
             lam = profile.lambdas[name]
             want = np.exp(alpha * (1.0 - lam)) * base[offset:offset + n]
@@ -164,10 +165,10 @@ def test_double_backprop_matches_finite_differences():
     start = time.monotonic()
     spec = MlpSpec((2, 8, 8, 3), bias=True)
     params = init_kaiming(spec, seed=3)
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
     rng = np.random.default_rng(17)
     v = {name: rng.standard_normal(shape)
-         for name, shape in spec_group_shapes(spec)}
+         for name, shape in spec.mlp().group_shapes()}
 
     def vjp_scalar(x_leaf):
         """v . grad_zeta Phi_0(x; zeta), differentiable in x."""
@@ -198,7 +199,7 @@ def test_double_backprop_matches_finite_differences():
         x = rng.standard_normal(2)
         if kink_distance(x) < 1e-3:  # FD step must not cross a ReLU kink
             continue
-        err = ad.finite_difference_check(vjp_scalar, x, step=1e-5)
+        err = finite_difference_check(vjp_scalar, x, step=1e-5)
         assert err < 1e-4
         checked += 1
     assert time.monotonic() - start < 30.0
@@ -233,8 +234,7 @@ def test_kkt_oracle_beats_permuted_controls(circle, classifier):
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(circle.labels)
         control, _ = kkt_residual_oracle(spec, params, profile, circle.x,
-                                         perm, alpha,
-                                         require_separation=False)
+                                         perm, alpha)
         controls.append(control)
     assert residual <= 0.3 * np.median(controls)
 

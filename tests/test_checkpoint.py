@@ -8,7 +8,8 @@ import kktgen.training as tr
 from kktgen.homogeneity import QuasiHomogeneousProfile
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            init_kaiming)
-from kktgen.training import Adam, GeneratorTrainConfig, GeneratorTrainState
+from kktgen.kernels import Adam
+from kktgen.training import GeneratorTrainConfig, GeneratorTrainState
 
 
 def test_sections_roundtrip(tmp_path):
@@ -121,12 +122,22 @@ def test_classifier_kind_check(tmp_path):
         ck.load_classifier(path)
 
 
+def history_rows(steps, t_count, seed=6):
+    """A loss history of ``steps`` rows with random losses."""
+    rng = np.random.default_rng(seed)
+    keys = tr.history_keys(t_count)
+    return [dict(zip(keys, [step, step % t_count,
+                            *rng.standard_normal(len(keys) - 2).tolist()]))
+            for step in range(steps)]
+
+
 def make_gen_state(gen_spec, mult_spec, with_opt=True):
     theta = init_kaiming(gen_spec, 0)
     eta = init_kaiming(mult_spec, 1)
     state = GeneratorTrainState(theta, eta, np.array([0.5, 0.7]),
                                 np.array([0.1, 0.2]), step=17)
     if with_opt:
+        state.history = history_rows(17, 2)
         opt = {
             "theta": Adam(len(theta), 1e-4),
             "eta": Adam(len(eta), 1e-3),
@@ -160,6 +171,9 @@ def test_generator_roundtrip_with_optimizers(tmp_path):
         assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
         assert a.t == b.t and a.lr == b.lr
     assert state2.optimizers["alpha"][1].t == 17
+    assert state2.history == state.history
+    assert [[type(v) for v in row.values()] for row in state2.history] \
+        == [[int, int] + [float] * 6] * 17
 
 
 def test_generator_load_without_config_skips_optimizers(tmp_path):

@@ -99,6 +99,7 @@ BAD_TRAIN_VALUES = [
     ("train-generator", "generator_training", "seed = -1"),
     ("train-generator", "generator_training", "margin_band ="),
     ("train-generator", "generator_training", "margin_band = 0.5"),
+    ("train-generator", "generator_training", "tv_weight = 0.01"),
 ]
 
 
@@ -228,9 +229,15 @@ def failure_inputs(tmp_path_factory):
     full_sum = FAST_CLASSIFIER + "full_sum = true\n"
     (d / "run.cfg").write_text(head + full_sum.format(steps=3))
     (d / "run6.cfg").write_text(head + full_sum.format(steps=6))
+    (d / "tv.cfg").write_text(head + FAST_CLASSIFIER.format(steps=3)
+                              + "tv_weight = 0.01\ntv_shape = 1,1\n")
     (d / "stall.cfg").write_text(
         f"[experiment]\nname = stall\noutput_dir = {d / 'runs'}\n"
         "[classifier]\nwidths = 2,8,3\nmax_epochs = 3\nrefine_iters = 0\n")
+    (d / "plateau.cfg").write_text(
+        f"[experiment]\nname = plateau\noutput_dir = {d / 'runs'}\n"
+        "[dataset]\nsplit = arc\n[classifier]\nwidths = 2,8,3\n"
+        "refine_iters = 0\n")
     (d / "arc.cfg").write_text(
         f"[experiment]\nname = arc\noutput_dir = {d / 'runs'}\n"
         "[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 0\n")
@@ -273,6 +280,11 @@ FAILURES = [
      None),
     ("classifier-does-not-converge", "train-classifier {d}/stall.cfg", 4,
      "classifier: ", "runs/stall/classifier_loss.csv"),
+    ("classifier-on-a-loss-plateau", "train-classifier {d}/plateau.cfg", 4,
+     "classifier_1: loss plateau", "runs/plateau/classifier_1_loss.csv"),
+    ("tv-shape-of-other-dimension",
+     "train-generator {d}/tv.cfg {d}/clf.ckpt", 2,
+     "bad config: generator_training: tv shape 1x1", None),
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
      "bad_profile.ckpt: profile fails verification", None),
@@ -468,6 +480,26 @@ def test_generator_resume_matches_straight_run(workdir):
     assert np.array_equal(resumed.alphas, straight.alphas)
 
 
+def test_resume_keeps_the_loss_history(tmp_path):
+    """A 3-step run resumed to 6 steps writes the loss CSV of a straight
+    6-step run, byte for byte."""
+    clf = tmp_path / "classifier.ckpt"
+    profiled_checkpoint(clf, (2, 8, 3))
+    written = {}
+    for name, runs in (("resumed", (3, 6)), ("straight", (6,))):
+        for steps in runs:
+            cfg = tmp_path / f"{name}{steps}.cfg"
+            cfg.write_text(f"[experiment]\nname = {name}\n"
+                           f"output_dir = {tmp_path / 'runs'}\n"
+                           + FAST_CLASSIFIER.format(steps=steps))
+            assert main(["train-generator", str(cfg), str(clf),
+                         "--resume"]) == 0
+        written[name] = (tmp_path / "runs" / name
+                         / "generator_loss.csv").read_bytes()
+    assert written["resumed"].count(b"\n") == 1 + 6
+    assert written["resumed"] == written["straight"]
+
+
 def test_config_seed_applies_unless_the_seed_flag_is_given(workdir):
     tmp_path, cfg = workdir
     out = run_dir(tmp_path)
@@ -563,9 +595,11 @@ def small_generator_run(tmp_path):
     eta = init_kaiming(mult_spec.mlp(), 2)
     state = tr.GeneratorTrainState(theta, eta, np.zeros(1), np.ones(1),
                                    step=3)
-    state.optimizers = {"theta": tr.Adam(len(theta), 1e-3),
-                        "eta": tr.Adam(len(eta), 1e-3),
-                        "alpha": [tr.Adam(1, 0.0)]}
+    state.optimizers = {"theta": kernels.Adam(len(theta), 1e-3),
+                        "eta": kernels.Adam(len(eta), 1e-3),
+                        "alpha": [kernels.Adam(1, 0.0)]}
+    state.history = [dict(zip(tr.history_keys(1), [step, 0] + [0.5] * 5))
+                     for step in range(3)]
     gen = tmp_path / "runs" / "experiment" / "generator.ckpt"
     gen.parent.mkdir(parents=True)
     ck.save_generator(gen, gen_spec, mult_spec, state)
@@ -574,12 +608,13 @@ def small_generator_run(tmp_path):
 
 # generator-checkpoint cuts: (section, cut) in bytes, None for the whole
 # container; the parameter-blob cuts are those of TRUNCATIONS, a cut
-# optimizer section has lost its separator, and an emptied deltas section
-# no longer has one band width per alpha
+# optimizer section has lost its separator, an emptied deltas section
+# no longer has one band width per alpha, and a cut history no longer
+# has one row per step
 GENERATOR_TRUNCATIONS = [(None, 6), (None, 10), (None, 13), (None, 300),
                          ("gen_params", 6), ("gen_params", 42),
                          ("gen_params", 50), ("mult_params", 42),
-                         ("opt.theta", 3), ("deltas", 0)]
+                         ("opt.theta", 3), ("deltas", 0), ("history", 8)]
 
 
 @pytest.mark.parametrize("section,cut", GENERATOR_TRUNCATIONS)
@@ -598,8 +633,8 @@ def test_truncated_generator_checkpoint_is_usage_error(tmp_path, capsys,
                        str(tmp_path / "s.csv")],
             "train-generator": ["train-generator", str(cfg), str(clf),
                                 "--resume"]}
-    if command == "sample" and section == "opt.theta":
-        # sampling reads no optimizer state
+    if command == "sample" and section in ("opt.theta", "history"):
+        # sampling reads no optimizer state and no history
         assert main(argv[command]) == 0
         return
     assert main(argv[command]) == 2
@@ -610,7 +645,8 @@ def test_truncated_generator_checkpoint_is_usage_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("missing", [("opt.theta",), ("opt.eta",),
                                      ("opt.alpha0",),
-                                     ("opt.theta", "opt.eta", "opt.alpha0")])
+                                     ("opt.theta", "opt.eta", "opt.alpha0"),
+                                     ("history",)])
 def test_resume_without_optimizer_state_is_usage_error(workdir, capsys,
                                                        missing):
     tmp_path, cfg = workdir

@@ -169,6 +169,11 @@ KIND_OF = {"csv_path": "csv", "num_classes": "csv",
            "pattern_jitter": "stripes-vs-checks-8x8",
            "pattern_seed": "stripes-vs-checks-8x8"}
 
+# keys whose changed value is valid only with another key set: a tv
+# weight needs a tv shape
+NEEDS = {("generator_training", "tv_weight"):
+         {("generator_training", "tv_shape"): "8,8"}}
+
 
 def changed_value(section, key):
     if (section, key) in CHANGED:
@@ -208,7 +213,7 @@ def test_every_key_reaches_a_builder(tmp_path):
         if section in RECORD_ONLY:
             continue
         for key in keys:
-            base = {}
+            base = dict(NEEDS.get((section, key), {}))
             if section == "dataset" and key in KIND_OF:
                 base = {("dataset", "kind"): KIND_OF[key],
                         ("dataset", "csv_path"): str(csv)}

@@ -74,32 +74,36 @@ def test_ssim_metric_properties():
     """The SSIM of the nearest-neighbour search, with the dataset's
     constants: 1 for an image against itself, low for stripes against
     checks; flat images that are not square are refused."""
-    a, b = ds.pattern_dataset(per_class=1, jitter=0.0).x.reshape(2, 8, 8)
+    a, b = ds.pattern_dataset(per_class=1,
+                              jitter=0.0).x.reshape(2, 1, 8, 8)
     c1, c2 = ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2
     assert kernels.ssim_uniform(a, a, 8, c1, c2) == pytest.approx(1.0)
     assert kernels.ssim_uniform(a, b, 8, c1, c2) < 0.5
     data = LabeledDataset(np.zeros((2, 5)), np.array([0, 1]))
     with pytest.raises(ValueError, match="square image data"):
-        ds.nearest_neighbor(np.zeros((1, 5)), data, metric="ssim")
+        ds.nearest_neighbor(np.zeros((1, 5)), data)
 
 
 def test_nearest_neighbor_euclidean():
+    """The Euclidean nearest neighbour of ``coverage_report``: each
+    sample's distance to its nearest point, and that point's label."""
     data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 0.0]]),
                           np.array([0, 1]))
-    nn = ds.nearest_neighbor(np.array([[0.1, 0.0], [0.9, 0.0]]), data)
-    assert nn[0] == (0, pytest.approx(0.1))
-    assert nn[1] == (1, pytest.approx(0.1))
+    report = ds.coverage_report(np.array([[0.1, 0.0], [0.9, 0.0]]),
+                                np.array([0, 1]), data)
+    assert report.mean_nn_distance == pytest.approx(0.1)
+    assert report.label_agreement == 1.0
     # ties go to the lowest index
-    tie = ds.nearest_neighbor(np.array([[0.5, 0.0]]), data)
-    assert tie[0][0] == 0
+    for label, agreement in ((0, 1.0), (1, 0.0)):
+        tie = ds.coverage_report(np.array([[0.5, 0.0]]), np.array([label]),
+                                 data)
+        assert tie.label_agreement == agreement
 
 
 def test_nearest_neighbor_ssim():
     data = ds.pattern_dataset(per_class=1, jitter=0.0)
-    nn = ds.nearest_neighbor(data.x[:1], data, metric="ssim")
+    nn = ds.nearest_neighbor(data.x[:1], data)
     assert nn[0][0] == 0 and nn[0][1] == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="unknown metric"):
-        ds.nearest_neighbor(data.x[:1], data, metric="bogus")
 
 
 def test_coverage_report_perfect_coverage():

@@ -12,7 +12,7 @@ import kktgen.homogeneity as hg
 import kktgen.models as km
 from kktgen.homogeneity import (DerivativeEquationSystem,
                                 QuasiHomogeneousProfile)
-from kktgen.models import MlpSpec, make_leaves, mlp_apply, spec_group_shapes
+from kktgen.models import MlpSpec, make_leaves, mlp_apply
 
 ROW_RTOL = 1e-12
 
@@ -22,7 +22,7 @@ def graph_derivative_equations(spec, params, samples, max_order=2):
     backprop per (sample, output) and one double backprop per
     second-order row."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
     n_out = spec.mlp().widths[-1]
     rows, rhs = [], []
 
@@ -275,7 +275,7 @@ def test_rows_with_a_non_finite_entry_are_left_out_as_in_the_graph():
 def graph_hvp(spec, params, x, dout, v):
     """H v of S = sum(dout * Phi(x)) by double backprop through the graph."""
     leaves = make_leaves(spec, params)
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
     wrt = [leaves[n] for n in names]
     logits = mlp_apply(spec, leaves, ad.tensor(x))
     cots = ad.grad(ad.tsum(ad.mul(logits, ad.constant(dout))), wrt)

@@ -1,20 +1,34 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no public name of the
+package exists only for the tests.
 
 The project runs no linter, so this scans each source and test file's
 top-level imports with ``ast``: a name an import binds must appear as a
 name somewhere in the file, or in its ``__all__``.  ``__future__``
-imports are skipped.
+imports are skipped.  Every public top-level function and class of
+``src/kktgen`` must be used by the package's own code (its re-export in
+``__init__.py`` does not count) or be named in ``pipebench/``.  The
+graph operations of ``autodiff`` are exempt where the tests' graph
+references (``tests/graph_reference.py``) use them: autodiff is the
+reference engine.
 """
 
 import ast
 import glob
 import os
+import re
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FILES = sorted(glob.glob(os.path.join(ROOT, "src", "kktgen", "*.py"))
-               + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "kktgen", "*.py")))
+FILES = SOURCES + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
+
+# public names only the benchmark's graph checks (pipebench/checks.py)
+# use; they leave the package with the rest of the graph engine once the
+# benchmark no longer reaches them (ROADMAP: "Autodiff leaves the
+# package")
+PIPEBENCH_ONLY = {"models.make_leaves", "kkt.stationarity_loss_graph",
+                  "kkt.duality_loss"}
 
 
 def unused_imports(source):
@@ -52,3 +66,69 @@ def test_scan_finds_an_unused_import():
               "import numpy as np\nfrom a import b, c\n"
               "__all__ = ['c']\nnp.zeros(1)\n")
     assert unused_imports(source) == [(2, "os"), (4, "b")]
+
+
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def referenced_names(tree):
+    """Names a module reads: loaded names, attributes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def public_names_without_use(modules, bench_text, reference_names):
+    """(unused, bench_only) for ``modules``, {module name: source}:
+    the public top-level functions and classes no module reads, and,
+    as ``module.name``, those of them only ``bench_text`` names.  An
+    autodiff name in ``reference_names`` counts as used."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = set().union(*(referenced_names(tree)
+                         for name, tree in trees.items()
+                         if name != "__init__"))
+    unused, bench_only = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in used
+                    or (module == "autodiff"
+                        and node.name in reference_names)):
+                continue
+            if re.search(rf"\b{node.name}\b", bench_text):
+                bench_only.add(f"{module}.{node.name}")
+            else:
+                unused.append(f"{module}.{node.name}")
+    return unused, bench_only
+
+
+def test_no_public_name_exists_only_for_the_tests():
+    modules = {os.path.basename(path)[:-3]: read(path) for path in SOURCES}
+    bench = "".join(read(path) for path in sorted(
+        glob.glob(os.path.join(ROOT, "pipebench", "*.py"))))
+    reference = referenced_names(ast.parse(read(
+        os.path.join(ROOT, "tests", "graph_reference.py"))))
+    unused, bench_only = public_names_without_use(modules, bench,
+                                                  reference)
+    assert not unused, ", ".join(unused)
+    assert bench_only == PIPEBENCH_ONLY
+
+
+def test_scan_finds_a_name_only_the_tests_use():
+    modules = {
+        "__init__": "from .a import f, g, h, k\n",
+        "a": "def f():\n    return g()\ndef g():\n    pass\n"
+             "def h():\n    pass\nclass K:\n    pass\n"
+             "def _p():\n    pass\n",
+        "autodiff": "def op():\n    pass\ndef helper():\n    pass\n",
+    }
+    assert public_names_without_use(modules, "a.h()", {"op"}) == (
+        ["a.f", "a.K", "autodiff.helper"], {"a.h"})

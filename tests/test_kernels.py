@@ -23,17 +23,17 @@ def reference_adam(values, grads, m, v, t, lr, beta1, beta2, eps):
 def test_adam_update_matches_reference():
     rng = np.random.default_rng(0)
     values = rng.standard_normal(64)
-    m = np.zeros(64)
-    v = np.zeros(64)
+    adam = kernels.Adam(64, 1e-2)
     want = values.copy()
-    wm, wv = m.copy(), v.copy()
+    wm, wv = np.zeros(64), np.zeros(64)
     for t in range(1, 6):
         grads = rng.standard_normal(64)
-        kernels.adam_update(values, grads, m, v, t, 1e-2)
+        adam.t = t
+        kernels.adam_update(values, grads, adam)
         want, wm, wv = reference_adam(want, grads, wm, wv, t, 1e-2, 0.9,
                                       0.999, 1e-8)
     assert np.allclose(values, want, rtol=1e-12, atol=1e-15)
-    assert np.allclose(m, wm) and np.allclose(v, wv)
+    assert np.allclose(adam.m, wm) and np.allclose(adam.v, wv)
 
 
 def out_of_place_adam(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
@@ -53,17 +53,18 @@ def test_adam_update_is_bit_identical_to_out_of_place_steps(lr, beta1, beta2,
                                                             eps):
     rng = np.random.default_rng(3)
     values = rng.standard_normal(97)
-    m, v = np.zeros(97), np.zeros(97)
-    want, wm, wv = values.copy(), m.copy(), v.copy()
+    adam = kernels.Adam(97, lr, beta1, beta2, eps)
+    want, wm, wv = values.copy(), np.zeros(97), np.zeros(97)
     for t in range(1, 12):
         grads = rng.standard_normal(97) * 10.0 ** rng.integers(-6, 3)
         grads[t] = 0.0
         kept = grads.copy()
-        kernels.adam_update(values, grads, m, v, t, lr, beta1, beta2, eps)
+        adam.step(values, grads)
         out_of_place_adam(want, grads, wm, wv, t, lr, beta1, beta2, eps)
+        assert adam.t == t
         assert np.array_equal(grads, kept)
         assert np.array_equal(values, want)
-        assert np.array_equal(m, wm) and np.array_equal(v, wv)
+        assert np.array_equal(adam.m, wm) and np.array_equal(adam.v, wv)
 
 
 # every (lr, beta1, beta2, eps) the kernel tests above run
@@ -76,27 +77,22 @@ ADAM_CASES = [(1e-2, 0.9, 0.999, 1e-8), (3e-4, 0.8, 0.99, 1e-6),
 @pytest.mark.parametrize("lr,beta1,beta2,eps", ADAM_CASES)
 def test_bound_adam_operands_match_out_of_place_steps(size, lr, beta1, beta2,
                                                       eps):
-    """100 steps with :class:`kernels.AdamOperands`, as ``training.Adam``
-    hands them to the kernel, against the out-of-place formula."""
-    from kktgen.training import Adam
-
+    """100 steps of :class:`kernels.Adam`, on the operands and scratch
+    vectors it binds once, against the out-of-place formula."""
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size)
-    m, v = np.zeros(size), np.zeros(size)
-    want, wm, wv = values.copy(), m.copy(), v.copy()
-    operands = kernels.AdamOperands(size, lr, beta1, beta2, eps)
-    adam, adam_values = Adam(size, lr, beta1, beta2, eps), values.copy()
+    want, wm, wv = values.copy(), np.zeros(size), np.zeros(size)
+    adam = kernels.Adam(size, lr, beta1, beta2, eps)
     for t in range(1, 101):
         grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
         grads[t % size] = 0.0
         kept = grads.copy()
-        kernels.adam_update(values, grads, m, v, t, operands)
-        adam.step(adam_values, grads)
+        adam.step(values, grads)
         out_of_place_adam(want, grads, wm, wv, t, lr, beta1, beta2, eps)
         assert grads.tobytes() == kept.tobytes()
-        assert values.tobytes() == adam_values.tobytes() == want.tobytes()
-        assert m.tobytes() == adam.m.tobytes() == wm.tobytes()
-        assert v.tobytes() == adam.v.tobytes() == wv.tobytes()
+        assert values.tobytes() == want.tobytes()
+        assert adam.m.tobytes() == wm.tobytes()
+        assert adam.v.tobytes() == wv.tobytes()
 
 
 @pytest.mark.parametrize("lr", [0.0, 1e-3, 0.05])
@@ -105,7 +101,7 @@ def test_scalar_adam_step_is_bit_identical_to_the_kernel(lr):
     gradients of either sign from 1e-8 to 1e3, and a state that a
     checkpoint of either carries over to the other."""
     from kktgen import checkpoint
-    from kktgen.training import Adam
+    from kktgen.kernels import Adam
 
     rng = np.random.default_rng(7)
     grads = (rng.choice([-1.0, 1.0], 5000)
@@ -136,8 +132,8 @@ def test_scalar_adam_step_is_bit_identical_to_the_kernel(lr):
 
 def test_ssim_uniform_identity_and_symmetry():
     rng = np.random.default_rng(1)
-    a = rng.random((12, 12))
-    b = rng.random((12, 12))
+    a = rng.random((1, 12, 12))
+    b = rng.random((1, 12, 12))
     c1, c2 = 1e-4, 9e-4
     assert kernels.ssim_uniform(a, a, 8, c1, c2) == pytest.approx(1.0)
     assert kernels.ssim_uniform(a, b, 8, c1, c2) == pytest.approx(
@@ -146,15 +142,14 @@ def test_ssim_uniform_identity_and_symmetry():
 
 
 def test_ssim_uniform_validation():
-    with pytest.raises(ValueError, match="equal-shape"):
-        kernels.ssim_uniform(np.zeros((4, 4)), np.zeros((5, 5)), 2, 1e-4,
-                             9e-4)
-    with pytest.raises(ValueError, match="equal-shape"):
-        kernels.ssim_uniform(np.zeros((4, 4)), np.zeros((2, 3, 4, 4)), 2,
-                             1e-4, 9e-4)
+    """Two stacks of images of one shape, and a window that fits."""
+    for a, b in [((1, 4, 4), (1, 5, 5)), ((1, 4, 4), (2, 3, 4, 4)),
+                 ((4, 4), (1, 4, 4)), ((4, 4), (4, 4))]:
+        with pytest.raises(ValueError, match="equal-shape"):
+            kernels.ssim_uniform(np.zeros(a), np.zeros(b), 2, 1e-4, 9e-4)
     with pytest.raises(ValueError, match="window"):
-        kernels.ssim_uniform(np.zeros((4, 4)), np.zeros((4, 4)), 8, 1e-4,
-                             9e-4)
+        kernels.ssim_uniform(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), 8,
+                             1e-4, 9e-4)
 
 
 def loop_ssim(a, b, window, c1, c2):
@@ -179,18 +174,18 @@ def loop_ssim(a, b, window, c1, c2):
 @pytest.mark.parametrize("shape,window", [((8, 8), 8), ((8, 8), 3),
                                           ((12, 9), 4), ((5, 5), 1)])
 def test_ssim_uniform_matches_window_loop(shape, window):
-    """Vectorized windows, one image or a stack, against the loop."""
+    """Vectorized windows and pairs of two stacks against the loop."""
     rng = np.random.default_rng(sum(shape) + window)
-    a = rng.random(shape)
+    a = rng.random((2, *shape))
     stack = rng.random((6, *shape))
-    stack[2] = a
+    stack[2] = a[0]
     c1, c2 = 1e-4, 9e-4
     got = kernels.ssim_uniform(a, stack, window, c1, c2)
-    want = np.array([loop_ssim(a, b, window, c1, c2) for b in stack])
-    assert got.shape == (6,)
+    want = np.array([[loop_ssim(x, b, window, c1, c2) for b in stack]
+                     for x in a])
+    assert got.shape == (2, 6)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    one = kernels.ssim_uniform(a, stack[0], window, c1, c2)
-    assert isinstance(one, float) and one == got[0]
+    assert got[0, 2] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,12 @@ def test_kkt_residual_oracle_exact_point():
     assert all(v >= 0 for v in mu.values())
 
 
-def test_kkt_residual_oracle_separation_check():
+def test_kkt_residual_oracle_fits_flipped_labels():
+    """The oracle only fits: on labels the classifier does not separate
+    it reports a residual, a control, and ``evaluate`` checks the
+    premise before it calls the oracle."""
     spec, zeta, profile, x, labels = linear_pair_classifier()
     flipped = labels[::-1].copy()
-    with pytest.raises(ValueError, match="does not separate"):
-        kk.kkt_residual_oracle(spec, zeta, profile, x, flipped, alpha=0.0)
     residual, _ = kk.kkt_residual_oracle(spec, zeta, profile, x, flipped,
-                                         alpha=0.0,
-                                         require_separation=False)
+                                         alpha=0.0)
     assert residual > 0.5  # flipped labels cannot satisfy stationarity

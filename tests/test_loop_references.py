@@ -1,7 +1,8 @@
 """The post-training stage against the per-sample loops it replaced.
 
-``nearest_neighbor``, the per-point minimum of ``coverage_report``, the
-CSV writer and reader and the two SVG emitters work on whole arrays.
+``nearest_neighbor``, the Euclidean nearest neighbours and the per-point
+minimum of ``coverage_report``, the CSV writer and reader and the two
+SVG emitters work on whole arrays.
 The loops below are the code they replaced, kept as references: every
 index and score must be equal, and every text equal byte for byte.
 """
@@ -29,8 +30,8 @@ def loop_nearest_neighbor(samples, dataset, metric="euclidean"):
         side = int(round(np.sqrt(dataset.dim)))
         for s in samples:
             scores = kernels.ssim_uniform(
-                s.reshape(side, side), dataset.x.reshape(-1, side, side),
-                min(8, side), ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2)
+                s.reshape(1, side, side), dataset.x.reshape(-1, side, side),
+                min(8, side), ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2)[0]
             idx = int(np.argmax(scores))
             out.append((idx, float(scores[idx])))
     return out
@@ -214,6 +215,17 @@ def small_blocks(monkeypatch, rows):
     monkeypatch.setattr(ds, "_block_rows", lambda row_bytes: rows)
 
 
+def assert_coverage_finds_nearest(samples, data):
+    """``coverage_report``'s Euclidean nearest neighbours against the
+    loop's: the mean distance, and with every point labelled by its own
+    index, agreement 1 for the loop's indices as sample labels."""
+    nn = loop_nearest_neighbor(samples, data)
+    indexed = ds.LabeledDataset(data.x, np.arange(data.size))
+    report = ds.coverage_report(samples, [i for i, _ in nn], indexed)
+    assert report.label_agreement == 1.0
+    assert report.mean_nn_distance == float(np.mean([d for _, d in nn]))
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -221,19 +233,21 @@ def small_blocks(monkeypatch, rows):
 @pytest.mark.parametrize("n", [0, 1, 7, 8000])
 @pytest.mark.parametrize("block", [None, 3])
 def test_nearest_neighbor_euclidean_matches_loop(monkeypatch, n, block):
-    """8000 circle samples fill more than two default blocks."""
+    """The Euclidean search of ``coverage_report``; 8000 circle samples
+    fill more than two default blocks."""
     assert 8000 > 2 * ds._block_rows(ds.circle_dataset().x.size * 8)
     rng = np.random.default_rng(n)
     lattice, samples = with_ties(rng, n)
     if block:
         small_blocks(monkeypatch, block)
+    if not n:
+        with pytest.raises(ValueError, match="at least one sample"):
+            ds.coverage_report(samples, np.zeros(0), lattice)
+        return
     for data in (lattice, ds.circle_dataset()):
-        got = ds.nearest_neighbor(samples, data)
-        assert got == loop_nearest_neighbor(samples, data)
-        assert all(type(i) is int and type(d) is float for i, d in got)
-    if n:
-        # (0.5, 0.5) ties lattice points 4, 5, 7 and 8: the lowest wins
-        assert ds.nearest_neighbor(samples[:1], lattice)[0][0] == 4
+        assert_coverage_finds_nearest(samples, data)
+    # (0.5, 0.5) ties lattice points 4, 5, 7 and 8: the lowest wins
+    assert loop_nearest_neighbor(samples[:1], lattice)[0][0] == 4
 
 
 def test_nearest_neighbor_64d_matches_loop(monkeypatch):
@@ -243,8 +257,7 @@ def test_nearest_neighbor_64d_matches_loop(monkeypatch):
     samples[:5] = data.x[:5]
     samples[5, :] = -0.0
     small_blocks(monkeypatch, 4)
-    assert ds.nearest_neighbor(samples, data) == loop_nearest_neighbor(
-        samples, data)
+    assert_coverage_finds_nearest(samples, data)
 
 
 @pytest.mark.parametrize("side", [8, 10])
@@ -263,8 +276,9 @@ def test_nearest_neighbor_ssim_matches_loop(monkeypatch, side, block):
     samples[:3] = data.x[[0, 3, 7]]
     if block:
         small_blocks(monkeypatch, block)
-    got = ds.nearest_neighbor(samples, data, metric="ssim")
+    got = ds.nearest_neighbor(samples, data)
     assert got == loop_nearest_neighbor(samples, data, metric="ssim")
+    assert all(type(i) is int and type(d) is float for i, d in got)
     assert got[0][0] == 0
 
 
@@ -380,9 +394,10 @@ def test_svg_scatter_matches_loop(n):
     circle = ds.circle_dataset()
     samples = scatter_inputs(rng, n) if n else np.zeros((0, 2))
     labels = rng.integers(-2, 14, n)  # negative and past the palette
+    none = np.zeros((0, 2)), np.zeros(0, dtype=int)
     for args in [(circle.x * 5, circle.labels, samples, labels),
-                 (None, None, samples, None),
-                 (circle.x, None, None, None)]:
+                 (*none, samples, np.zeros(n, dtype=int)),
+                 (circle.x, np.zeros(circle.size, dtype=int), *none)]:
         got = svg_scatter(*args, title="t")
         assert got == loop_svg_scatter(*args, title="t")
 
@@ -397,8 +412,10 @@ def test_svg_scatter_crosses_hit_decimal_halves():
     ties = [v for v in np.concatenate([cx - 3, cx + 3]).tolist()
             if (Fraction(v) * 100).denominator == 2]
     assert ties
-    assert svg_scatter(None, None, samples) == loop_svg_scatter(
-        None, None, samples)
+    labels = np.zeros(len(samples), dtype=int)
+    none = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    assert svg_scatter(*none, samples, labels) == loop_svg_scatter(
+        *none, samples, labels)
 
 
 def gray_halves():
@@ -423,10 +440,11 @@ def test_svg_image_grid_matches_loop(n, cell):
     neighbors = rng.random((n, 64))
     for kwargs in [{}, {"neighbors": neighbors}, {"title": "grid"},
                    {"columns": 4, "neighbors": neighbors}]:
-        got = svg_image_grid(images, cell=cell, **kwargs)
-        assert got == loop_svg_image_grid(images, cell=cell, **kwargs)
+        got = svg_image_grid(images, 8, cell=cell, **kwargs)
+        assert got == loop_svg_image_grid(images, side=8, cell=cell,
+                                          **kwargs)
 
 
 def test_svg_image_grid_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
-        svg_image_grid(np.full((1, 64), np.nan))
+        svg_image_grid(np.full((1, 64), np.nan), 8)

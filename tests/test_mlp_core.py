@@ -21,7 +21,7 @@ import kktgen.training as tr
 from kktgen.datasets import LabeledDataset
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.models import (BoundMlp, MlpSpec, init_kaiming, make_leaves,
-                           mlp_apply, mlp_apply_np, spec_group_shapes)
+                           mlp_apply, mlp_apply_np)
 from test_kernels import out_of_place_adam
 from test_kkt import second_place_set
 
@@ -61,7 +61,7 @@ def graph_gradient(spec, params, x, build):
     """Flat parameter gradient of the graph scalar ``build(leaves, logits)``
     with logits = Phi(x)."""
     leaves = make_leaves(spec, params)
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
     root = build(leaves, mlp_apply(spec, leaves, ad.tensor(x)))
     grads = ad.grad(root, [leaves[n] for n in names])
     return np.concatenate([g.value.reshape(-1) for g in grads])
@@ -312,7 +312,7 @@ def test_refine_margins_floor_on_a_nonpositive_minimum_margin(seed,
 
 def per_pair_oracle(spec, zeta, profile, x, labels, alpha):
     """The oracle as one autodiff graph per (sample, class): the reference."""
-    names = [name for name, _ in spec_group_shapes(spec)]
+    names = [name for name, _ in spec.mlp().group_shapes()]
 
     def logit_gradient(xi, c):
         leaves = make_leaves(spec, zeta)

@@ -10,6 +10,9 @@ from kktgen.svgplot import PALETTE, svg_image_grid, svg_scatter
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
+# no points and no labels, for either side of a scatter
+NONE = np.zeros((0, 2)), np.zeros(0, dtype=int)
+
 
 def well_formed(svg):
     return (svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -38,7 +41,7 @@ def test_scatter_deterministic():
 
 
 def test_scatter_empty_inputs_still_draw_axes():
-    svg = svg_scatter(None, None, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    svg = svg_scatter(*NONE, *NONE)
     assert well_formed(svg)
     assert svg.count("<line") == 2  # the two axes
     assert "<circle" not in svg and "<path" not in svg
@@ -46,14 +49,14 @@ def test_scatter_empty_inputs_still_draw_axes():
 
 def test_scatter_samples_only():
     samples = np.array([[0.0, 0.0], [1.0, 1.0]])
-    svg = svg_scatter(samples=samples, sample_labels=np.array([0, 1]))
+    svg = svg_scatter(*NONE, samples, np.array([0, 1]))
     assert well_formed(svg)
     assert svg.count("<path") == 2
 
 
 def test_image_grid_renders_cells():
     data = pattern_dataset(per_class=2, jitter=0.0)
-    svg = svg_image_grid(data.x, title="patterns")
+    svg = svg_image_grid(data.x, 8, title="patterns")
     assert well_formed(svg)
     assert svg.count("<rect") == 1 + 4 * 64  # background + 4 images
     assert ">patterns</text>" in svg
@@ -61,18 +64,18 @@ def test_image_grid_renders_cells():
 
 def test_image_grid_with_neighbors_doubles_cells():
     data = pattern_dataset(per_class=1, jitter=0.0)
-    svg = svg_image_grid(data.x, neighbors=data.x[::-1])
+    svg = svg_image_grid(data.x, 8, neighbors=data.x[::-1])
     assert svg.count("<rect") == 1 + 2 * 2 * 64
 
 
 def test_image_grid_empty():
-    svg = svg_image_grid(np.zeros((0, 64)), side=8)
+    svg = svg_image_grid(np.zeros((0, 64)), 8)
     assert well_formed(svg)
 
 
 def test_image_grid_clips_values():
     img = np.array([[-1.0, 0.5, 2.0, 0.0]])
-    svg = svg_image_grid(img, side=2)
+    svg = svg_image_grid(img, 2)
     assert "#000000" in svg  # clipped low
     assert "#ffffff" in svg  # clipped high
 
@@ -82,8 +85,9 @@ def test_title_is_escaped(mode):
     title = "a<b&c>d"
     if mode == "scatter":
         circle = circle_dataset()
-        svg = svg_scatter(circle.x, circle.labels, title=title)
+        svg = svg_scatter(circle.x, circle.labels, *NONE, title=title)
     else:
-        svg = svg_image_grid(pattern_dataset(per_class=1).x, title=title)
+        svg = svg_image_grid(pattern_dataset(per_class=1).x, 8,
+                             title=title)
     root = ElementTree.fromstring(svg)
     assert title in [t.text for t in root.iter(f"{{{SVG_NS}}}text")]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import kktgen.training as tr
-from kktgen.datasets import LabeledDataset, pattern_dataset
+from kktgen.datasets import (LabeledDataset, circle_dataset,
+                             pattern_dataset, split_dataset)
 from kktgen.homogeneity import estimate_profile
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            init_kaiming, mlp_apply_np)
 from kktgen.training import (ClassifierBundle, ClassifierTrainConfig,
                              ConvergenceError, GeneratorTrainConfig)
+from graph_reference import tv_loss
 
 
 def tiny_dataset():
@@ -81,6 +83,19 @@ def test_train_classifier_stops_at_zero_gradient():
     assert trajectory[-1] == pytest.approx(data.size * np.log(2.0))
 
 
+def test_train_classifier_stops_on_a_loss_plateau():
+    """A bias-free (2,8,3) net on arc shard 0 sits near 3 log 3 and
+    would run all 200 000 epochs; at its rate of fall it cannot reach
+    the threshold, which the plateau stop sees at a window's end."""
+    shard, _ = split_dataset(circle_dataset(), "arc")
+    with pytest.raises(ConvergenceError, match="loss plateau") as err:
+        tr.train_classifier(shard, MlpSpec((2, 8, 3), False),
+                            ClassifierTrainConfig())
+    trajectory = err.value.trajectory
+    assert len(trajectory) <= 5000
+    assert (len(trajectory) - 1) % tr.PLATEAU_WINDOW == 0
+
+
 def test_extra_epochs_keep_shrinking_loss():
     data = tiny_dataset()
     spec = MlpSpec((2, 8, 2), False)
@@ -133,6 +148,10 @@ def test_generator_config_validation():
         GeneratorTrainConfig(init_output_scale=0.0)
     with pytest.raises(ValueError, match="lr alpha"):
         GeneratorTrainConfig(lr_alpha=(1e-2, 0.0))
+    for shape in ((), (8,), (8, 0), (2, 4, 8)):
+        with pytest.raises(ValueError, match="tv weight"):
+            GeneratorTrainConfig(tv_weight=0.01, tv_shape=shape)
+    GeneratorTrainConfig(tv_shape=(8,))  # unused without a tv weight
 
 
 def test_label_probs():
@@ -263,10 +282,10 @@ def test_multi_classifier_round_robin_and_full_sum():
 
 def test_tv_loss_value_and_validation():
     x = np.array([[0.0, 1.0, 1.0, 0.0]])  # 2x2 checkerboard
-    loss = tr.tv_loss(x, 2, 2)
+    loss = tv_loss(x, 2, 2)
     assert loss.item() == pytest.approx(4.0)
     with pytest.raises(ValueError, match="flat dimension"):
-        tr.tv_loss(x, 3, 3)
+        tv_loss(x, 3, 3)
 
 
 def test_tv_loss_known_value():
@@ -277,14 +296,14 @@ def test_tv_loss_known_value():
              (np.vstack([checker, np.ones((1, 4))]), 2, 2, 2.0),
              (np.zeros((3, 16)), 4, 4, 0.0)]
     for x, h, w, want in cases:
-        assert tr.tv_loss(x, h, w).item() == want
+        assert tv_loss(x, h, w).item() == want
         assert tr._tv_value_grad(x, h, w)[0] == want
 
 
 def test_tv_loss_shape_check():
     for x, h, w in [(np.zeros((2, 16)), 4, 3), (np.zeros((2, 12)), 4, 4)]:
         with pytest.raises(ValueError, match="flat dimension"):
-            tr.tv_loss(x, h, w)
+            tv_loss(x, h, w)
         with pytest.raises(ValueError, match="flat dimension"):
             tr._tv_value_grad(x, h, w)
 
