@@ -18,6 +18,7 @@ import numpy as np
 from .homogeneity import QuasiHomogeneousProfile
 from .models import (deserialize_params, read_struct, serialize_params,
                      spec_from_json)
+from .training import GeneratorTrainState, generator_optimizers, history_keys
 
 CHECKPOINT_MAGIC = b"KGCK"
 CHECKPOINT_VERSION = 1
@@ -95,38 +96,47 @@ def _adam_load(adam, payload):
     meta = json.loads(head.decode("utf-8"))
     mv = _floats_from(raw)
     half = mv.size // 2
-    adam.load_state({"m": mv[:half], "v": mv[half:], "t": meta["t"]})
+    adam.m[:], adam.v[:] = mv[:half], mv[half:]
+    adam.t = int(meta["t"])
+
+
+def _read_checkpoint(path, kind):
+    """The sections and the ``meta`` dict of a checkpoint of ``kind``
+    ("classifier" or "generator"), whose kind is checked before any other
+    section is read."""
+    sections = read_sections(path)
+    try:
+        meta = json.loads(sections["meta"].decode("utf-8"))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: corrupt {kind} checkpoint ({exc})")
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} checkpoint")
+    return sections, meta
 
 
 # ---------------------------------------------------------------------------
 # classifier checkpoints
 
 
-def save_classifier(path, spec, params, config_hash="", profile=None,
-                    extra=None):
-    sections = {
+def save_classifier(path, spec, params, config_hash="", extra=None):
+    """A classifier checkpoint; :func:`attach_profile` adds the profile."""
+    write_sections(path, {
         "meta": _json_bytes({"kind": "classifier",
                              "config_hash": config_hash,
                              **(extra or {})}),
         "spec": _json_bytes(spec.to_json()),
         "params": serialize_params(spec, params),
-    }
-    if profile is not None:
-        sections["profile"] = _json_bytes(profile.to_json())
-    write_sections(path, sections)
+    })
 
 
 def load_classifier(path):
     """Returns (spec, params, profile-or-None, meta dict)."""
-    sections = read_sections(path)
+    sections, meta = _read_checkpoint(path, "classifier")
     try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
         spec = spec_from_json(json.loads(sections["spec"].decode("utf-8")))
         params = deserialize_params(sections["params"], spec)
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt classifier checkpoint ({exc})")
-    if meta.get("kind") != "classifier":
-        raise ValueError(f"{path}: not a classifier checkpoint")
     profile = None
     if "profile" in sections:
         profile = QuasiHomogeneousProfile.from_json(
@@ -145,13 +155,11 @@ def attach_profile(path, profile):
 # generator checkpoints
 
 
-def save_generator(path, gen_spec, mult_spec, state, config_hash="",
-                   extra=None):
+def save_generator(path, gen_spec, mult_spec, state, config_hash=""):
     sections = {
         "meta": _json_bytes({"kind": "generator",
                              "config_hash": config_hash,
-                             "step": state.step,
-                             **(extra or {})}),
+                             "step": state.step}),
         "gen_spec": _json_bytes(gen_spec.to_json()),
         "mult_spec": _json_bytes(mult_spec.to_json()),
         "gen_params": serialize_params(gen_spec, state.gen_params),
@@ -178,13 +186,8 @@ def load_generator(path, config=None):
     state then carries its optimizers and its loss history, and a
     checkpoint without their sections is incomplete.
     """
-    # cycle-free at runtime
-    from .training import (GeneratorTrainState, generator_optimizers,
-                           history_keys)
-
-    sections = read_sections(path)
+    sections, meta = _read_checkpoint(path, "generator")
     try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
         gen_spec = spec_from_json(
             json.loads(sections["gen_spec"].decode("utf-8")))
         mult_spec = spec_from_json(
@@ -200,8 +203,6 @@ def load_generator(path, config=None):
                                     step=int(meta.get("step", 0)))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
-    if meta.get("kind") != "generator":
-        raise ValueError(f"{path}: not a generator checkpoint")
     if config is None:
         return gen_spec, mult_spec, state, meta
     names = {"theta": "opt.theta", "eta": "opt.eta"}

@@ -20,8 +20,8 @@ from . import kkt
 from . import training as tr
 from .config import ConfigError, RunConfig
 from .datasets import (CsvError, LabeledDataset, coverage_report,
-                       integer_column, nearest_neighbor, read_csv,
-                       reject_rows)
+                       format_rows, integer_column, nearest_neighbor,
+                       read_csv, reject_rows)
 from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER, VERIFY_ALPHAS,
                           VERIFY_DEVIATION_LIMIT, VerificationError,
                           default_probe_samples, estimate_profile,
@@ -46,9 +46,6 @@ EXIT_CODES = {VerificationError: EXIT_VERIFY,
               np.linalg.LinAlgError: EXIT_NUMERIC,
               ValueError: EXIT_USAGE,
               OSError: EXIT_USAGE}
-
-# rows formatted per write: bounds the Python numbers alive at once
-CSV_BLOCK_ROWS = 1024
 
 
 def _require(ok, message):
@@ -83,10 +80,8 @@ def _write_csv(path, header, columns):
                         for c in columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            rows = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist()
-                         for c in columns))
-            fh.write("".join([template % row for row in rows]))
+        for lines in format_rows(template, columns):
+            fh.write("".join(lines))
 
 
 def _read_samples_csv(path, dataset):
@@ -320,10 +315,7 @@ def cmd_plot(args):
         if side * side != dataset.dim:
             raise ValueError("grid plots need square image data; use "
                              "--mode scatter")
-        neighbors = None
-        if len(x):
-            nn = nearest_neighbor(x, dataset)
-            neighbors = dataset.x[[i for i, _ in nn]]
+        neighbors = dataset.x[[i for i, _ in nearest_neighbor(x, dataset)]]
         svg = svg_image_grid(x, side, neighbors, title=args.title)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -352,8 +344,7 @@ def cmd_selftest(args):
                          (np.exp(0.0) + 0.05, 0.0),
                          (np.exp(0.0) + 0.1 + 0.2, 0.2)):
         val, _, _ = kkt._duality_grads(np.array([[margin, 0.0]]),
-                                       np.array([0]), 0.0, 0.1,
-                                       kkt.DEFAULT_TIE_TOL)
+                                       np.array([0]), 0.0, 0.1)
         if abs(val - want) > 1e-12:
             failures.append(f"duality loss at margin {margin}: "
                             f"{val} != {want}")

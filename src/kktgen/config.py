@@ -236,16 +236,15 @@ class RunConfig:
         if kind == "circle18":
             ds = circle_dataset()
         elif kind == "stripes-vs-checks-8x8":
-            ds = pattern_dataset(kind, per_class=sec["pattern_per_class"],
-                                 jitter=sec["pattern_jitter"],
-                                 seed=sec["pattern_seed"])
+            ds = pattern_dataset(sec["pattern_per_class"],
+                                 sec["pattern_jitter"], sec["pattern_seed"])
         elif kind == "csv":
             if not sec["csv_path"]:
                 raise ConfigError("dataset.csv_path",
                                   "required for kind = csv")
             try:
-                ds = dataset_from_csv(sec["csv_path"], name="csv",
-                                      num_classes=sec["num_classes"])
+                ds = dataset_from_csv(sec["csv_path"], "csv",
+                                      sec["num_classes"])
             except (OSError, ValueError) as exc:
                 raise ConfigError("dataset.csv_path", str(exc)) from None
         else:
@@ -261,10 +260,10 @@ class RunConfig:
         sec = self.section("classifier")
         return MlpSpec(sec["widths"], sec["bias"])
 
-    def classifier_train_config(self, seed=None):
-        return self._train_config(ClassifierTrainConfig, "classifier", seed)
+    def classifier_train_config(self):
+        return self._train_config(ClassifierTrainConfig, "classifier", None)
 
-    def generator_spec(self, num_classes, out_dim, num_classifiers=1):
+    def generator_spec(self, num_classes, out_dim, num_classifiers):
         sec = self.section("generator")
         return GeneratorSpec(noise_dim=sec["noise_dim"],
                              num_classes=num_classes,
@@ -272,7 +271,7 @@ class RunConfig:
                              num_classifiers=num_classifiers,
                              bias=sec["bias"])
 
-    def multiplier_spec(self, num_classes, in_dim, num_classifiers=1):
+    def multiplier_spec(self, num_classes, in_dim, num_classifiers):
         sec = self.section("multiplier")
         return MultiplierSpec(in_dim=in_dim, num_classes=num_classes,
                               hidden=sec["hidden"],

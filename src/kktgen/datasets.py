@@ -21,6 +21,9 @@ SSIM_K2 = 0.03
 # bytes per temporary array of a blocked pass over samples
 BLOCK_BYTES = 1 << 20
 
+# rows formatted per block of text: bounds the Python numbers alive at once
+FORMAT_BLOCK_ROWS = 1024
+
 
 @dataclass
 class LabeledDataset:
@@ -48,9 +51,9 @@ class LabeledDataset:
     def dim(self):
         return self.x.shape[1]
 
-    def subset(self, idx, name=None):
-        return LabeledDataset(self.x[idx], self.labels[idx],
-                              name or self.name, self.num_classes)
+    def subset(self, idx, name):
+        return LabeledDataset(self.x[idx], self.labels[idx], name,
+                              self.num_classes)
 
 
 @dataclass
@@ -74,7 +77,7 @@ def circle_dataset():
     return LabeledDataset(x, labels, name="circle18", num_classes=3)
 
 
-def split_dataset(dataset, mode="alternating"):
+def split_dataset(dataset, mode):
     """Split each class in half into two balanced datasets.
 
     ``alternating`` interleaves by index within each class; ``arc`` gives
@@ -99,12 +102,9 @@ def split_dataset(dataset, mode="alternating"):
             dataset.subset(idx_b, dataset.name + "_split2"))
 
 
-def pattern_dataset(kind="stripes-vs-checks-8x8", per_class=50,
-                    jitter=0.02, seed=0):
+def pattern_dataset(per_class, jitter, seed):
     """8x8 binary patterns: horizontal stripes (class 0) vs checkerboard
     (class 1), with seeded bit-flip jitter."""
-    if kind != "stripes-vs-checks-8x8":
-        raise ValueError(f"unknown pattern kind {kind!r}")
     rows, cols = np.indices((8, 8))
     stripes = (rows % 2 == 0).astype(np.float64)
     checks = ((rows + cols) % 2 == 0).astype(np.float64)
@@ -119,7 +119,7 @@ def pattern_dataset(kind="stripes-vs-checks-8x8", per_class=50,
             samples.append(img.reshape(-1))
             labels.append(label)
     return LabeledDataset(np.array(samples), np.array(labels),
-                          name=kind, num_classes=2)
+                          name="stripes-vs-checks-8x8", num_classes=2)
 
 
 def _block_rows(row_bytes):
@@ -178,8 +178,9 @@ def nearest_neighbor(samples, dataset):
     return list(zip(idx.tolist(), best.tolist()))
 
 
-def coverage_report(samples, sample_labels, dataset, spec=None, zeta=None):
-    """Coverage summary; label agreement uses the classifier when given."""
+def coverage_report(samples, sample_labels, dataset, spec, zeta):
+    """Coverage summary; label agreement uses the classifier when given
+    (``spec`` and ``zeta`` not None), else the nearest point's label."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[1] != dataset.dim:
         raise ValueError("dimension mismatch between samples and dataset")
@@ -227,6 +228,17 @@ def integer_column(path, values, name):
     exact = (np.abs(values) < 2.0 ** 53) & (values == np.rint(values))
     reject_rows(path, ~exact, f"{name} is not an integer")
     return values.astype(np.int64)
+
+
+def format_rows(template, columns):
+    """``template % row`` for each row of the equal-length columns, one
+    list of lines per block of ``FORMAT_BLOCK_ROWS`` rows: the text of
+    the CSV files and of the SVG elements."""
+    columns = [np.asarray(c) for c in columns]
+    for start in range(0, len(columns[0]), FORMAT_BLOCK_ROWS):
+        rows = zip(*(c[start:start + FORMAT_BLOCK_ROWS].tolist()
+                     for c in columns))
+        yield [template % row for row in rows]
 
 
 def _first_bad_row(path, width):
@@ -278,8 +290,9 @@ def read_csv(path):
     return names, rows
 
 
-def dataset_from_csv(path, name="", num_classes=0):
-    """Points ``x0..x{d-1}`` and an integer label in the last column."""
+def dataset_from_csv(path, name, num_classes):
+    """Points ``x0..x{d-1}`` and an integer label in the last column;
+    ``num_classes`` 0 counts the classes from the labels."""
     names, rows = read_csv(path)
     if len(names) < 2:
         raise CsvError(path, "expected columns x0,...,label")

@@ -97,14 +97,13 @@ def scale_params(params, profile, alpha):
     return out
 
 
-def default_probe_samples(spec, k=PROBE_COUNT, seed=0):
+def default_probe_samples(spec, k, seed):
     """Standard-normal probe inputs in the classifier's input space."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((k, spec.mlp().in_dim))
 
 
-def build_derivative_equations(spec, params, samples,
-                               max_order=PROBE_MAX_ORDER):
+def build_derivative_equations(spec, params, samples, max_order):
     """Assemble the linear system in the per-group lambdas.
 
     First-order rows encode the derivative identity per (sample, output).

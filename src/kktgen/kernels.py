@@ -8,16 +8,23 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Adam", "NnlsIterationLimit", "adam_update", "nnls",
+__all__ = ["Adam", "NnlsIterationLimit", "adam_update", "nnls", "operand",
            "ssim_uniform"]
 
 
-def _operand(value):
+def operand(value):
     """A read-only 0-d float64 array: a ufunc takes one with less per-call
     work than a Python float, for the same bits."""
-    operand = np.array(value, dtype=np.float64)
-    operand.flags.writeable = False
-    return operand
+    scalar = np.array(value, dtype=np.float64)
+    scalar.flags.writeable = False
+    return scalar
+
+
+# Adam's moment decay rates and its denominator offset, those of every
+# optimizer the program runs
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
@@ -32,16 +39,13 @@ class Adam:
     nothing.
     """
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self.bound = (*(_operand(c) for c in (beta1, 1.0 - beta1, beta2,
-                                              1.0 - beta2, lr, eps)),
+        self.bound = (*(operand(c) for c in (BETA1, 1.0 - BETA1, BETA2,
+                                             1.0 - BETA2, lr, EPS)),
                       np.empty(()), np.empty(()), np.empty(size),
                       np.empty(size))
 
@@ -58,22 +62,13 @@ class Adam:
         """
         self.t += 1
         t = float(self.t)
-        b1, b2 = self.beta1, self.beta2
-        m = float(self.m[0]) * b1 + grad * (1.0 - b1)
-        v = float(self.v[0]) * b2 + grad * (1.0 - b2) * grad
+        m = float(self.m[0]) * BETA1 + grad * (1.0 - BETA1)
+        v = float(self.v[0]) * BETA2 + grad * (1.0 - BETA2) * grad
         self.m[0] = m
         self.v[0] = v
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
-        return value - m / bc1 * self.lr / (math.sqrt(v / bc2) + self.eps)
-
-    def state(self):
-        return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t}
-
-    def load_state(self, state):
-        self.m[:] = state["m"]
-        self.v[:] = state["v"]
-        self.t = int(state["t"])
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        return value - m / bc1 * self.lr / (math.sqrt(v / bc2) + EPS)
 
 
 def adam_update(values, grads, adam):
@@ -89,8 +84,8 @@ def adam_update(values, grads, adam):
     b1, c1, b2, c2, lr, eps, bc1, bc2, step, update = adam.bound
     m, v = adam.m, adam.v
     t = float(adam.t)
-    bc1[()] = 1.0 - adam.beta1 ** t
-    bc2[()] = 1.0 - adam.beta2 ** t
+    bc1[()] = 1.0 - BETA1 ** t
+    bc2[()] = 1.0 - BETA2 ** t
     m *= b1
     np.multiply(grads, c1, out=step)
     m += step

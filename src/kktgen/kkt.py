@@ -28,11 +28,11 @@ DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
 
 
-def second_place_mask(logits, labels, tie_tol=DEFAULT_TIE_TOL):
+def second_place_mask(logits, labels):
     """(M, C) indicator of second-place sets for a batch of logits.
 
     Row i marks the rival classes (c != labels[i]) whose logit lies
-    within ``tie_tol`` of the best rival logit of that row.
+    within ``DEFAULT_TIE_TOL`` of the best rival logit of that row.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
@@ -41,8 +41,8 @@ def second_place_mask(logits, labels, tie_tol=DEFAULT_TIE_TOL):
         raise ValueError("second-place set needs at least two classes")
     if labels.shape != (m,) or np.any((labels < 0) | (labels >= num_classes)):
         raise ValueError("labels must be one in-range class per row")
-    return _second_place(logits, _own_indices(labels, num_classes),
-                         tie_tol).astype(np.float64)
+    return _second_place(logits, _own_indices(labels, num_classes)
+                         ).astype(np.float64)
 
 
 def _own_indices(labels, num_classes):
@@ -50,13 +50,13 @@ def _own_indices(labels, num_classes):
     return np.arange(labels.size) * num_classes + labels
 
 
-def _second_place(logits, own, tie_tol):
+def _second_place(logits, own):
     """:func:`second_place_mask` as booleans, for a validated batch given
     by its flat own-class indices."""
     rivals = logits.copy()
     rivals.put(own, -np.inf)
     best = np.maximum.reduce(rivals, axis=1, keepdims=True)
-    return rivals >= best - tie_tol
+    return rivals >= best - DEFAULT_TIE_TOL
 
 
 def _weighted_logit_sum(logits, labels, mu, num_classes):
@@ -99,7 +99,7 @@ def stationarity_loss_graph(spec, zeta_leaves, lbar_weights, virtual_n,
     return ad.sqrt(ad.add(sq, ad.constant(NORM_EPS))), logits
 
 
-def duality_loss(logits, labels, alpha, delta, tie_tol=DEFAULT_TIE_TOL):
+def duality_loss(logits, labels, alpha, delta):
     """U-shaped margin penalty over second-place pairs; a graph scalar.
 
     Zero exactly when every counted margin lies in
@@ -118,12 +118,12 @@ def duality_loss(logits, labels, alpha, delta, tie_tol=DEFAULT_TIE_TOL):
     z = ad.sub(margins, threshold)
     upper = ad.maximum(ad.sub(z, ad.constant(delta)), 0.0)
     lower = ad.minimum(z, 0.0)
-    mask = ad.constant(second_place_mask(logits_t.value, labels, tie_tol))
+    mask = ad.constant(second_place_mask(logits_t.value, labels))
     per_pair = ad.mul(mask, ad.sub(upper, lower))
     return ad.mul(ad.tsum(per_pair), ad.constant(1.0 / m))
 
 
-def _duality_grads(logits, own, alpha, delta, tie_tol):
+def _duality_grads(logits, own, alpha, delta):
     """Numpy L_dual with its gradients in the logits and in alpha.
 
     ``own`` holds the flat indices of the true-class logits
@@ -134,7 +134,7 @@ def _duality_grads(logits, own, alpha, delta, tie_tol):
     z = logits.take(own)[:, None] - logits
     z -= threshold
     z_hi = z - delta
-    mask = _second_place(logits, own, tie_tol)
+    mask = _second_place(logits, own)
     per_pair = mask * (np.maximum(z_hi, 0.0) - np.minimum(z, 0.0))
     l_dual = float(np.add.reduce(per_pair, axis=None) * (1.0 / m))
     # ties get derivative 0 on both sides of the band, as in the graph
@@ -156,8 +156,7 @@ def stationarity_target(params, lbar_weights, virtual_n):
                            for name in params.groups])
 
 
-def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta,
-                   tie_tol=DEFAULT_TIE_TOL):
+def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta):
     """L_stat + beta * L_dual on a batch, with gradients in x, mu and alpha.
 
     ``zeta`` is the classifier's :class:`models.BoundMlp` and ``target``
@@ -195,8 +194,7 @@ def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta,
     dcoeff = zeta.jvp()
     dmu = dcoeff.take(own)[:, None] - dcoeff
     dmu *= not_y
-    l_dual, dlogits, dalpha = _duality_grads(logits, own, alpha, delta,
-                                             tie_tol)
+    l_dual, dlogits, dalpha = _duality_grads(logits, own, alpha, delta)
     dlogits *= beta
     # the second backprop overwrites ``deltas``, which inject is made of
     inject = zeta.tangent_inject(deltas)
@@ -211,8 +209,7 @@ def margins_np(spec, zeta, x, labels):
     return phi_y - logits
 
 
-def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
-                        tie_tol=DEFAULT_TIE_TOL):
+def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha):
     """Fit nonnegative multipliers on labeled data; report the residual.
 
     Multipliers are restricted to second-place (i, c) pairs.  Returns the
@@ -228,7 +225,7 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha,
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     logits = mlp_apply_np(mlp, zeta, x)
-    mask = second_place_mask(logits, labels, tie_tol)
+    mask = second_place_mask(logits, labels)
     target = stationarity_target(zeta, lambda_bar(profile, alpha), 1)
     rows, classes = np.nonzero(mask)
     pair_rows = np.arange(rows.size)

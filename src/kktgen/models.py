@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .kernels import operand
 
 PARAM_MAGIC = b"KGPV"
 PARAM_VERSION = 1
@@ -265,10 +266,7 @@ def mlp_apply(spec, leaves, x):
     return h
 
 
-# 0 as a read-only 0-d array: a ufunc takes it with less per-call work
-# than the Python float 0.0 (no scalar promotion), for the same bits
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
+_ZERO = operand(0.0)
 
 
 def mlp_apply_np(spec, params, x):
@@ -628,7 +626,9 @@ def read_struct(fmt, view, pos, what):
     return struct.unpack_from(fmt, view, pos), end
 
 
-def deserialize_params(blob, expected_spec=None):
+def deserialize_params(blob, spec):
+    """The :class:`ParameterVector` of a blob :func:`serialize_params`
+    wrote for ``spec``; a blob of another architecture is refused."""
     view = memoryview(blob)
     what = "parameter blob"
     if bytes(view[:4]) != PARAM_MAGIC:
@@ -637,9 +637,8 @@ def deserialize_params(blob, expected_spec=None):
     if version != PARAM_VERSION:
         raise ValueError(f"unsupported parameter blob version {version}")
     (spec_hash, n_groups), pos = read_struct("<32sI", view, pos, what)
-    if expected_spec is not None:
-        if expected_spec.mlp().hash() != spec_hash:
-            raise ValueError("parameter blob does not match the given spec")
+    if spec.mlp().hash() != spec_hash:
+        raise ValueError("parameter blob does not match the given spec")
     groups = {}
     for _ in range(n_groups):
         (name_len,), pos = read_struct("<H", view, pos, what)

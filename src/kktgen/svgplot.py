@@ -3,12 +3,16 @@
 No plotting dependency: the output is deterministic text, so plots can
 be diffed and golden-tested.  Training points are circles colored by
 class, generated points are crosses; image grids render 8-bit grayscale
-cells with optional nearest-neighbor rows beneath.
+cells, each image above its nearest dataset image.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+
+from .datasets import FORMAT_BLOCK_ROWS, format_rows
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -17,8 +21,11 @@ _PALETTE = np.array(PALETTE)
 
 _MARGIN = 40.0
 
-# rows formatted per block: bounds the Python numbers alive at once
-_EMIT_ROWS = 1024
+# the side of a scatter plot, and the side and the number per row of a
+# grid's image cells
+_SIZE = 480
+_CELL = 48
+_COLUMNS = 10
 
 # "#llllll" for each 8-bit gray level
 _GRAYS = np.array([f"#{level:02x}{level:02x}{level:02x}"
@@ -44,7 +51,7 @@ def _axis_bounds(arrays):
 
 
 def svg_scatter(train_points, train_labels, samples, sample_labels,
-                size=480, title=""):
+                title=""):
     """Scatter SVG: dataset points as circles, generated as crosses.
 
     The points are ``(n, 2)`` arrays, either of them possibly empty, each
@@ -53,6 +60,7 @@ def svg_scatter(train_points, train_labels, samples, sample_labels,
     train_points = np.asarray(train_points, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
     x_lo, x_hi, y_lo, y_hi = _axis_bounds([train_points, samples])
+    size = _SIZE
     span = size - 2 * _MARGIN
 
     def sx(x):
@@ -87,10 +95,11 @@ def svg_scatter(train_points, train_labels, samples, sample_labels,
                      f'{title.translate(_ESCAPES)}</text>')
     parts.extend(_emit_crosses(sx(samples[:, 0]), sy(samples[:, 1]),
                                _colors(sample_labels)))
-    parts.extend(_emit(
+    parts.extend(chain.from_iterable(format_rows(
         '<circle cx="%.2f" cy="%.2f" r="5" fill="none" stroke="%s" '
-        'stroke-width="2"/>', sx(train_points[:, 0]),
-        sy(train_points[:, 1]), _colors(train_labels)))
+        'stroke-width="2"/>', [sx(train_points[:, 0]),
+                               sy(train_points[:, 1]),
+                               _colors(train_labels)])))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -100,27 +109,15 @@ def _colors(labels):
     return _PALETTE[np.asarray(labels, dtype=int) % len(PALETTE)]
 
 
-def _emit(template, *columns):
-    """``template % row`` for each row of the equal-length columns, a
-    block of ``_EMIT_ROWS`` rows at a time; ``%.2f`` formats as ``_fmt``
-    does."""
-    columns = [np.asarray(c) for c in columns]
-    lines = []
-    for start in range(0, len(columns[0]), _EMIT_ROWS):
-        rows = zip(*(c[start:start + _EMIT_ROWS].tolist() for c in columns))
-        lines += [template % row for row in rows]
-    return lines
-
-
 def _emit_crosses(cx, cy, colors):
     """One path per cross centred on (cx, cy), arms 3 long, a block of
-    ``_EMIT_ROWS`` at a time.  Each of a cross's four distinct
+    ``FORMAT_BLOCK_ROWS`` at a time.  Each of a cross's four distinct
     coordinates (cx - 3, cy - 3, cx + 3, cy + 3) is formatted once, as
     ``_fmt`` does, and used twice."""
     corners = (cx - 3, cy - 3, cx + 3, cy + 3)
     lines = []
-    for start in range(0, len(cx), _EMIT_ROWS):
-        block = slice(start, start + _EMIT_ROWS)
+    for start in range(0, len(cx), FORMAT_BLOCK_ROWS):
+        block = slice(start, start + FORMAT_BLOCK_ROWS)
         x0, y0, x1, y1 = (["%.2f" % v for v in c[block].tolist()]
                           for c in corners)
         lines += [f'<path d="M {a} {b} L {c} {d} M {a} {d} L {c} {b}" '
@@ -130,27 +127,24 @@ def _emit_crosses(cx, cy, colors):
     return lines
 
 
-def svg_image_grid(images, side, neighbors=None, cell=48, columns=10,
-                   title=""):
+def svg_image_grid(images, side, neighbors, title=""):
     """Grid of grayscale images; ``neighbors`` renders beneath each image.
 
-    ``images`` is (n, side*side), flat square images; values clipped to
-    [0, 1].
+    ``images`` and ``neighbors`` are (n, side*side), flat square images;
+    values clipped to [0, 1].
     """
     images = np.asarray(images, dtype=np.float64).reshape(-1, side, side)
-    if neighbors is not None:
-        neighbors = np.asarray(neighbors,
-                               dtype=np.float64).reshape(len(images), side,
-                                                         side)
+    neighbors = np.asarray(neighbors,
+                           dtype=np.float64).reshape(len(images), side, side)
     n = len(images)
-    columns = max(1, min(columns, max(n, 1)))
-    rows = (n + columns - 1) // columns if n else 0
-    band = 2 if neighbors is not None else 1
+    columns = min(_COLUMNS, max(n, 1))
+    rows = (n + columns - 1) // columns
+    band = 2  # an image and its neighbour
     pad = 8
-    width = columns * (cell + pad) + pad
-    height = max(rows * band * (cell + pad) + pad + (20 if title else 0),
-                 cell)
-    px = cell / side
+    width = columns * (_CELL + pad) + pad
+    height = max(rows * band * (_CELL + pad) + pad + (20 if title else 0),
+                 _CELL)
+    px = _CELL / side
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -161,25 +155,23 @@ def svg_image_grid(images, side, neighbors=None, cell=48, columns=10,
                      f'text-anchor="middle">'
                      f'{title.translate(_ESCAPES)}</text>')
     y_base = 20 if title else 0
-    if n:
-        stack = images[:, None] if neighbors is None else np.stack(
-            [images, neighbors], axis=1)
-        if np.isnan(stack).any():
-            raise ValueError("image values must not be NaN")
-        row, col = np.divmod(np.arange(n), columns)
-        x0 = pad + col * (cell + pad)
-        y0 = y_base + pad + row * band * (cell + pad)
-        # (n, band, side, side) in the order the cells are drawn
-        yk = y0[:, None] + np.arange(band) * (cell + 2)
-        cells = np.arange(side) * px
-        x = np.broadcast_to(x0[:, None, None, None] + cells,
-                            (n, band, side, side))
-        y = np.broadcast_to(yk[:, :, None, None] + cells[:, None],
-                            (n, band, side, side))
-        level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp)
-        parts.extend(_emit(
-            f'<rect x="%.2f" y="%.2f" width="{_fmt(px)}" '
-            f'height="{_fmt(px)}" fill="%s"/>',
-            x.ravel(), y.ravel(), _GRAYS[level].ravel()))
+    stack = np.stack([images, neighbors], axis=1)
+    if np.isnan(stack).any():
+        raise ValueError("image values must not be NaN")
+    row, col = np.divmod(np.arange(n), columns)
+    x0 = pad + col * (_CELL + pad)
+    y0 = y_base + pad + row * band * (_CELL + pad)
+    # (n, band, side, side) in the order the cells are drawn
+    yk = y0[:, None] + np.arange(band) * (_CELL + 2)
+    cells = np.arange(side) * px
+    x = np.broadcast_to(x0[:, None, None, None] + cells,
+                        (n, band, side, side))
+    y = np.broadcast_to(yk[:, :, None, None] + cells[:, None],
+                        (n, band, side, side))
+    level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp)
+    parts.extend(chain.from_iterable(format_rows(
+        f'<rect x="%.2f" y="%.2f" width="{_fmt(px)}" '
+        f'height="{_fmt(px)}" fill="%s"/>',
+        [x.ravel(), y.ravel(), _GRAYS[level].ravel()])))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

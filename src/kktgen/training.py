@@ -70,12 +70,22 @@ class ClassifierTrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.max_epochs < 1:
+            raise ValueError("max epochs must be >= 1")
         if self.extra_epochs < 0:
             raise ValueError("extra epochs must be nonnegative")
         if self.refine_iters < 0:
             raise ValueError("refine iters must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not (self.refine_temperatures
+                and all(t > 0 for t in self.refine_temperatures)):
+            raise ValueError("refine temperatures must be one or more "
+                             "positive values")
+        if not self.refine_lr >= 0:
+            raise ValueError("refine lr must be nonnegative")
+        if not all(lr >= 0 for lr in self.refine_final_lrs):
+            raise ValueError("refine final lrs must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,10 @@ class GeneratorTrainConfig:
             raise ValueError("beta must be nonnegative")
         if not isinstance(self.lr_alpha, (int, float)):
             raise ValueError("lr alpha must be one rate for every alpha")
+        for key in ("lr_theta", "lr_eta", "lr_alpha", "steps", "tv_weight"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key.replace('_', ' ')} must be "
+                                 f"nonnegative")
         if len(self.margin_band) != 2:
             raise ValueError(f"margin band must be two entries lo,hi, not "
                              f"{len(self.margin_band)}")
@@ -298,10 +312,8 @@ def refine_margins(dataset, spec, params, config):
     annealing = Adam(len(params), config.refine_lr)
     for temperature in config.refine_temperatures:
         ascend(temperature, annealing)
-    final_t = (config.refine_temperatures[-1]
-               if config.refine_temperatures else 400.0)
     for lr in config.refine_final_lrs:
-        ascend(final_t, Adam(len(params), lr))
+        ascend(config.refine_temperatures[-1], Adam(len(params), lr))
     return params
 
 
@@ -391,7 +403,7 @@ def _tv_value_grad(x, height, width):
 
 
 def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
-                     config, gen_in=None, mult_in=None):
+                     config, gen_in, mult_in):
     """One classifier's loss terms and their closed-form gradients.
 
     ``zeta``, ``gen`` and ``mult`` are :class:`BoundMlp` bindings of the
@@ -401,8 +413,8 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
     once, takes L_stat + beta L_dual and its x/mu/alpha gradients from
     :func:`kkt.kkt_loss_grads`, adds the TV term, then backpropagates
     through the multiplier and the generator.  ``gen_in`` and
-    ``mult_in``, when given, are the buffers :func:`condition` writes the
-    two networks' inputs into.  Returns
+    ``mult_in`` are the buffers :func:`condition` writes the two
+    networks' inputs into.  Returns
     (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha); g_theta and
     g_eta are the bindings' gradient buffers.
     """
@@ -590,8 +602,6 @@ def sample(gen_spec, gen_params, y, n, t=None, seed=0):
     else:
         ts = np.full(n, int(t) if t is not None else 0)
     eps = rng.standard_normal((n, gen_spec.noise_dim))
-    if not n:
-        return np.zeros((0, gen_spec.out_dim)), ts
     return mlp_apply_np(gen_spec, gen_params,
                         condition(eps, np.full(n, int(y)), ts,
                                    gen_spec)), ts

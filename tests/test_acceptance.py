@@ -91,8 +91,8 @@ def generator_runs(circle, classifier):
     """The pinned seed triple of default 20k-step generator runs."""
     spec, params, _, profile = classifier
     bundle = ClassifierBundle(spec, params, profile, circle.size)
-    gen_spec = CFG.generator_spec(circle.num_classes, circle.dim)
-    mult_spec = CFG.multiplier_spec(circle.num_classes, circle.dim)
+    gen_spec = CFG.generator_spec(circle.num_classes, circle.dim, 1)
+    mult_spec = CFG.multiplier_spec(circle.num_classes, circle.dim, 1)
     runs = {}
     for seed in CFG.get("experiment", "seeds"):
         state = train_generator([bundle], gen_spec, mult_spec,

@@ -70,7 +70,8 @@ def test_classifier_roundtrip(tmp_path):
         {name: 0.5 for name in params.groups}, residual=1e-9)
     path = tmp_path / "clf.ckpt"
     ck.save_classifier(path, spec, params, config_hash="abc",
-                       profile=profile, extra={"note": "x"})
+                       extra={"note": "x"})
+    ck.attach_profile(path, profile)
     spec2, params2, profile2, meta = ck.load_classifier(path)
     assert spec2 == spec
     assert params2 == params
@@ -118,8 +119,17 @@ def test_classifier_kind_check(tmp_path):
                                 np.array([0.5]), np.array([0.1]))
     path = tmp_path / "gen.ckpt"
     ck.save_generator(path, gen_spec, mult_spec, state)
-    with pytest.raises(ValueError, match="corrupt classifier"):
+    with pytest.raises(ValueError, match="not a classifier checkpoint"):
         ck.load_classifier(path)
+
+
+def test_generator_kind_check(tmp_path):
+    spec = MlpSpec((2, 8, 3), False)
+    path = tmp_path / "clf.ckpt"
+    ck.save_classifier(path, spec, init_kaiming(spec, seed=0))
+    for config in (None, GeneratorTrainConfig()):
+        with pytest.raises(ValueError, match="not a generator checkpoint"):
+            ck.load_generator(path, config)
 
 
 def history_rows(steps, t_count, seed=6):

@@ -100,6 +100,16 @@ BAD_TRAIN_VALUES = [
     ("train-generator", "generator_training", "margin_band ="),
     ("train-generator", "generator_training", "margin_band = 0.5"),
     ("train-generator", "generator_training", "tv_weight = 0.01"),
+    ("train-classifier", "classifier", "max_epochs = 0"),
+    ("train-classifier", "classifier", "refine_temperatures ="),
+    ("train-classifier", "classifier", "refine_temperatures = 3,-1"),
+    ("train-classifier", "classifier", "refine_lr = -0.001"),
+    ("train-classifier", "classifier", "refine_final_lrs = 0.0003,-0.0001"),
+    ("train-generator", "generator_training", "tv_weight = -1"),
+    ("train-generator", "generator_training", "lr_theta = -0.0001"),
+    ("train-generator", "generator_training", "lr_eta = -0.001"),
+    ("train-generator", "generator_training", "lr_alpha = -0.01"),
+    ("train-generator", "generator_training", "steps = -1"),
 ]
 
 
@@ -218,7 +228,8 @@ def profiled_checkpoint(path, widths, lambdas=None):
     profile = (hg.estimate_profile(spec, params)[0] if lambdas is None
                else hg.QuasiHomogeneousProfile(
                    dict.fromkeys(params.groups, lambdas)))
-    ck.save_classifier(path, spec, params, profile=profile)
+    ck.save_classifier(path, spec, params)
+    ck.attach_profile(path, profile)
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +299,9 @@ FAILURES = [
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
      "bad_profile.ckpt: profile fails verification", None),
+    ("generator-checkpoint-as-classifier",
+     "train-generator {d}/run.cfg {d}/runs/demo/two.ckpt", 2,
+     "two.ckpt: not a classifier checkpoint", None),
     ("classifiers-differ-in-classes",
      "train-generator {d}/run.cfg {d}/clf.ckpt {d}/two_classes.ckpt", 2,
      "2 classes", None),

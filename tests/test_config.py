@@ -1,8 +1,11 @@
 """Unit tests for the run-configuration format."""
 
+import inspect
+
 import pytest
 
 from kktgen.config import SCHEMA, ConfigError, RunConfig, parse_config_text
+from kktgen.datasets import dataset_from_csv, pattern_dataset, split_dataset
 from kktgen.models import GeneratorSpec, MlpSpec
 from kktgen.training import ClassifierTrainConfig, GeneratorTrainConfig
 
@@ -121,11 +124,11 @@ def test_dataset_builder_pattern_and_csv(tmp_path):
 def test_spec_builders():
     cfg = RunConfig.from_text("")
     assert cfg.classifier_spec() == MlpSpec((2, 16, 16, 3), False)
-    gen = cfg.generator_spec(num_classes=3, out_dim=2)
+    gen = cfg.generator_spec(num_classes=3, out_dim=2, num_classifiers=1)
     assert gen == GeneratorSpec(4, 3, (32, 32), 2)
     two = cfg.generator_spec(3, 2, num_classifiers=2)
     assert two.num_classifiers == 2
-    mult = cfg.multiplier_spec(num_classes=3, in_dim=2)
+    mult = cfg.multiplier_spec(num_classes=3, in_dim=2, num_classifiers=1)
     assert mult.in_dim == 2 and mult.hidden == (32, 32)
 
 
@@ -134,7 +137,6 @@ def test_train_config_builders_and_seed_override():
     ct = cfg.classifier_train_config()
     assert isinstance(ct, ClassifierTrainConfig)
     assert ct.seed == 0
-    assert cfg.classifier_train_config(seed=9).seed == 9
     gt = cfg.generator_train_config(seed=4)
     assert isinstance(gt, GeneratorTrainConfig)
     assert gt.seed == 4
@@ -148,6 +150,20 @@ def test_schema_defaults_match_dataclass_defaults():
     cfg = RunConfig.from_text("")
     assert cfg.generator_train_config() == GeneratorTrainConfig()
     assert cfg.classifier_train_config() == ClassifierTrainConfig()
+
+
+# The builders RunConfig calls: SCHEMA supplies the arguments of the
+# dataset builders, the command the counts the two specs take, so a
+# default of their own would declare a value a second time.
+SCHEMA_BUILDERS = [pattern_dataset, split_dataset, dataset_from_csv,
+                   RunConfig.generator_spec, RunConfig.multiplier_spec]
+
+
+@pytest.mark.parametrize("builder", SCHEMA_BUILDERS,
+                         ids=lambda f: f.__name__)
+def test_schema_builders_declare_no_defaults(builder):
+    params = inspect.signature(builder).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == []
 
 
 # Keys no builder reads: they name the run and its evaluation.
@@ -199,7 +215,7 @@ def built(entries):
     datasets = [(d.name, d.num_classes, d.x.tobytes(), d.labels.tobytes())
                 for d in cfg.dataset()]
     return (datasets, cfg.classifier_spec(), cfg.classifier_train_config(),
-            cfg.generator_spec(3, 2), cfg.multiplier_spec(3, 2),
+            cfg.generator_spec(3, 2, 1), cfg.multiplier_spec(3, 2, 1),
             cfg.generator_train_config())
 
 

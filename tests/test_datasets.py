@@ -49,33 +49,30 @@ def test_split_validation():
     circle = ds.circle_dataset()
     with pytest.raises(ValueError, match="unknown split mode"):
         ds.split_dataset(circle, mode="bogus")
-    odd = circle.subset(np.arange(17))
+    odd = circle.subset(np.arange(17), "odd")
     with pytest.raises(ValueError, match="odd size"):
-        ds.split_dataset(odd)
+        ds.split_dataset(odd, "alternating")
 
 
 def test_pattern_dataset():
-    data = ds.pattern_dataset(per_class=10, jitter=0.0, seed=0)
+    data = ds.pattern_dataset(10, 0.0, 0)
     assert data.size == 20 and data.dim == 64
     stripes = data.x[0].reshape(8, 8)
     assert np.array_equal(stripes[0], np.ones(8))
     assert np.array_equal(stripes[1], np.zeros(8))
     checks = data.x[10].reshape(8, 8)
     assert checks[0, 0] == 1.0 and checks[0, 1] == 0.0
-    jit_a = ds.pattern_dataset(per_class=10, jitter=0.1, seed=4)
-    jit_b = ds.pattern_dataset(per_class=10, jitter=0.1, seed=4)
+    jit_a = ds.pattern_dataset(10, 0.1, 4)
+    jit_b = ds.pattern_dataset(10, 0.1, 4)
     assert np.array_equal(jit_a.x, jit_b.x)
     assert not np.array_equal(jit_a.x, data.x)
-    with pytest.raises(ValueError, match="unknown pattern kind"):
-        ds.pattern_dataset(kind="bogus")
 
 
 def test_ssim_metric_properties():
     """The SSIM of the nearest-neighbour search, with the dataset's
     constants: 1 for an image against itself, low for stripes against
     checks; flat images that are not square are refused."""
-    a, b = ds.pattern_dataset(per_class=1,
-                              jitter=0.0).x.reshape(2, 1, 8, 8)
+    a, b = ds.pattern_dataset(1, 0.0, 0).x.reshape(2, 1, 8, 8)
     c1, c2 = ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2
     assert kernels.ssim_uniform(a, a, 8, c1, c2) == pytest.approx(1.0)
     assert kernels.ssim_uniform(a, b, 8, c1, c2) < 0.5
@@ -90,25 +87,25 @@ def test_nearest_neighbor_euclidean():
     data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 0.0]]),
                           np.array([0, 1]))
     report = ds.coverage_report(np.array([[0.1, 0.0], [0.9, 0.0]]),
-                                np.array([0, 1]), data)
+                                np.array([0, 1]), data, None, None)
     assert report.mean_nn_distance == pytest.approx(0.1)
     assert report.label_agreement == 1.0
     # ties go to the lowest index
     for label, agreement in ((0, 1.0), (1, 0.0)):
         tie = ds.coverage_report(np.array([[0.5, 0.0]]), np.array([label]),
-                                 data)
+                                 data, None, None)
         assert tie.label_agreement == agreement
 
 
 def test_nearest_neighbor_ssim():
-    data = ds.pattern_dataset(per_class=1, jitter=0.0)
+    data = ds.pattern_dataset(1, 0.0, 0)
     nn = ds.nearest_neighbor(data.x[:1], data)
     assert nn[0][0] == 0 and nn[0][1] == pytest.approx(1.0)
 
 
 def test_coverage_report_perfect_coverage():
     circle = ds.circle_dataset()
-    report = ds.coverage_report(circle.x, circle.labels, circle)
+    report = ds.coverage_report(circle.x, circle.labels, circle, None, None)
     assert report.mean_nn_distance == 0.0
     assert np.array_equal(report.per_point_min_distance, np.zeros(18))
     assert report.label_agreement == 1.0
@@ -131,7 +128,8 @@ def test_coverage_report_with_classifier():
 def test_coverage_report_dimension_check():
     circle = ds.circle_dataset()
     with pytest.raises(ValueError, match="dimension mismatch"):
-        ds.coverage_report(np.zeros((2, 3)), np.zeros(2), circle)
+        ds.coverage_report(np.zeros((2, 3)), np.zeros(2), circle, None,
+                           None)
 
 
 def test_csv_roundtrip_exact(tmp_path):

@@ -139,11 +139,13 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
             bundles[t].params,
             lambda_bar(bundles[t].profile, float(state.alphas[t])),
             bundles[t].virtual_n)
+        gen = BoundMlp(gen_spec, state.gen_params)
+        mult = BoundMlp(mult_spec, state.mult_params)
         step = tr._classifier_step(
-            BoundMlp(bundles[t].spec, bundles[t].params), target,
-            BoundMlp(gen_spec, state.gen_params),
-            BoundMlp(mult_spec, state.mult_params), state, t, labels, eps,
-            config)
+            BoundMlp(bundles[t].spec, bundles[t].params), target, gen, mult,
+            state, t, labels, eps, config,
+            np.empty((BATCH, gen.mlp.in_dim)),
+            np.empty((BATCH, mult.mlp.in_dim)))
         want = [want[0] + total, want[1] + g_theta, want[2] + g_eta]
         got = [got[0] + step[0], got[1] + step[4], got[2] + step[5]]
         assert g_alpha != 0.0
@@ -167,7 +169,7 @@ def test_tv_and_duality_gradients_at_ties_match_graph():
     logits = np.array([[2.0, 1.0, 0.0], [0.0, 1.5, 0.0], [3.0, 0.0, 0.5]])
     labels = np.array([0, 1, 0])
     l_dual, dlogits, dalpha = kk._duality_grads(
-        logits, kk._own_indices(labels, 3), 0.0, 0.5, kk.DEFAULT_TIE_TOL)
+        logits, kk._own_indices(labels, 3), 0.0, 0.5)
     logits_t, alpha_t = ad.tensor(logits), ad.tensor(0.0)
     ref = duality_loss(logits_t, labels, alpha_t, 0.5)
     g_logits, g_alpha = ad.grad(ref, [logits_t, alpha_t])
@@ -420,10 +422,9 @@ def assert_same_run(got, want):
     adams += [(f"alpha{t}", a, b) for t, (a, b) in enumerate(
         zip(got.optimizers["alpha"], want.optimizers["alpha"]))]
     for name, a, b in adams:
-        sa, sb = a.state(), b.state()
-        assert sa["t"] == sb["t"], name
-        assert sa["m"].tobytes() == sb["m"].tobytes(), name
-        assert sa["v"].tobytes() == sb["v"].tobytes(), name
+        assert a.t == b.t, name
+        assert a.m.tobytes() == b.m.tobytes(), name
+        assert a.v.tobytes() == b.v.tobytes(), name
 
 
 LOOP_CASES = ["T1", "T2-round-robin", "T2-full-sum", "tv",

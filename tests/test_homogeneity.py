@@ -198,7 +198,7 @@ def test_build_equations_validation():
     spec = MlpSpec((2, 3), False)
     params = km.init_kaiming(spec, seed=0)
     with pytest.raises(ValueError, match="at least one probe"):
-        hg.build_derivative_equations(spec, params, np.zeros((0, 2)))
+        hg.build_derivative_equations(spec, params, np.zeros((0, 2)), 2)
     with pytest.raises(ValueError, match="max_order"):
         hg.build_derivative_equations(spec, params, np.ones((1, 2)),
                                       max_order=3)
@@ -265,7 +265,7 @@ def test_rows_with_a_non_finite_entry_are_left_out_as_in_the_graph():
     samples = hg.default_probe_samples(spec, k=4, seed=0)
     samples[::2] *= 1e6
     with np.errstate(over="ignore", invalid="ignore"):
-        got = hg.build_derivative_equations(spec, params, samples)
+        got = hg.build_derivative_equations(spec, params, samples, 2)
         want = graph_derivative_equations(spec, params, samples)
     # of 4 * 3 first-order and 2 * 3 * 6 second-order rows
     assert got.matrix.shape == (24, 6)

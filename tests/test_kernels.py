@@ -47,13 +47,14 @@ def out_of_place_adam(values, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
     values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-@pytest.mark.parametrize("lr,beta1,beta2,eps",
-                         [(1e-2, 0.9, 0.999, 1e-8), (3e-4, 0.8, 0.99, 1e-6)])
+# (lr, beta1, beta2, eps): the betas and eps are the kernel's constants,
+# which the out-of-place reference takes as arguments
+@pytest.mark.parametrize("lr,beta1,beta2,eps", [(1e-2, 0.9, 0.999, 1e-8)])
 def test_adam_update_is_bit_identical_to_out_of_place_steps(lr, beta1, beta2,
                                                             eps):
     rng = np.random.default_rng(3)
     values = rng.standard_normal(97)
-    adam = kernels.Adam(97, lr, beta1, beta2, eps)
+    adam = kernels.Adam(97, lr)
     want, wm, wv = values.copy(), np.zeros(97), np.zeros(97)
     for t in range(1, 12):
         grads = rng.standard_normal(97) * 10.0 ** rng.integers(-6, 3)
@@ -67,10 +68,8 @@ def test_adam_update_is_bit_identical_to_out_of_place_steps(lr, beta1, beta2,
         assert np.array_equal(adam.m, wm) and np.array_equal(adam.v, wv)
 
 
-# every (lr, beta1, beta2, eps) the kernel tests above run
-ADAM_CASES = [(1e-2, 0.9, 0.999, 1e-8), (3e-4, 0.8, 0.99, 1e-6),
-              (0.0, 0.9, 0.999, 1e-8), (1e-3, 0.9, 0.999, 1e-8),
-              (0.05, 0.9, 0.999, 1e-8)]
+# every lr the kernel tests above run, with the kernel's constants
+ADAM_CASES = [(lr, 0.9, 0.999, 1e-8) for lr in (1e-2, 0.0, 1e-3, 0.05)]
 
 
 @pytest.mark.parametrize("size", [1, 336, 3136])
@@ -82,7 +81,7 @@ def test_bound_adam_operands_match_out_of_place_steps(size, lr, beta1, beta2,
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size)
     want, wm, wv = values.copy(), np.zeros(size), np.zeros(size)
-    adam = kernels.Adam(size, lr, beta1, beta2, eps)
+    adam = kernels.Adam(size, lr)
     for t in range(1, 101):
         grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
         grads[t % size] = 0.0
@@ -116,9 +115,7 @@ def test_scalar_adam_step_is_bit_identical_to_the_kernel(lr):
         assert scalar.m.tobytes() == kernel.m.tobytes()
         assert scalar.v.tobytes() == kernel.v.tobytes()
     assert scalar.t == kernel.t == 5000
-    state = scalar.state()
-    assert state["m"].shape == state["v"].shape == (1,)
-    assert isinstance(state["t"], int)
+    assert scalar.m.shape == scalar.v.shape == (1,)
     # a checkpoint section written by the array Adam resumes the scalar one
     section = checkpoint._adam_bytes(kernel)
     assert checkpoint._adam_bytes(scalar) == section

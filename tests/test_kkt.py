@@ -26,9 +26,9 @@ def linear_pair_classifier(a=1.0):
     return spec, zeta, profile, x, labels
 
 
-def second_place_set(logits, y, tie_tol=kk.DEFAULT_TIE_TOL):
-    """Rival classes within ``tie_tol`` of the best non-true logit: the
-    per-row reference of ``second_place_mask``."""
+def second_place_set(logits, y):
+    """Rival classes within the tie tolerance of the best non-true logit:
+    the per-row reference of ``second_place_mask``."""
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.size
     if n < 2:
@@ -37,18 +37,15 @@ def second_place_set(logits, y, tie_tol=kk.DEFAULT_TIE_TOL):
         raise ValueError(f"label {y} out of range")
     rivals = [c for c in range(n) if c != y]
     best = max(logits[c] for c in rivals)
-    return {c for c in rivals if logits[c] >= best - tie_tol}
+    return {c for c in rivals if logits[c] >= best - kk.DEFAULT_TIE_TOL}
 
 
 def test_second_place_set_basic_and_ties():
     logits = np.array([5.0, 3.0, 3.0 - 1e-9, 1.0])
     assert second_place_set(logits, 0) == {1, 2}
     assert second_place_set(logits, 1) == {0}
-    assert second_place_set(logits, 0, tie_tol=1e-12) == {1}
     assert np.array_equal(kk.second_place_mask(logits, np.array([0])),
                           [[0, 1, 1, 0]])
-    assert np.array_equal(kk.second_place_mask(logits, np.array([0]), 1e-12),
-                          [[0, 1, 0, 0]])
     with pytest.raises(ValueError, match="at least two"):
         kk.second_place_mask(np.array([[1.0]]), np.array([0]))
     with pytest.raises(ValueError, match="in-range"):
@@ -62,25 +59,25 @@ def test_second_place_mask_batch():
 
 
 def test_second_place_mask_matches_set_definition():
-    """Row-wise mask equals the reference set on ties and tie_tol gaps."""
+    """Row-wise mask equals the reference set on ties and gaps of
+    exactly the tie tolerance."""
     rng = np.random.default_rng(0)
     tol = kk.DEFAULT_TIE_TOL
     logits = rng.standard_normal((300, 4))
     labels = rng.integers(0, 4, size=300)
     rows = np.arange(300)
-    for i in range(0, 300, 3):  # exact ties, gaps of exactly tie_tol
+    for i in range(0, 300, 3):  # exact ties, gaps of exactly tol
         rivals = [c for c in range(4) if c != labels[i]]
         best = max(logits[i, c] for c in rivals)
         logits[i, rivals[0]] = best
         logits[i, rivals[1]] = best - tol if i % 2 else best
         logits[i, rivals[2]] = np.nextafter(best - tol, -np.inf)
     logits[rows[::7], labels[::7]] = logits[rows[::7]].max(axis=1)
-    for tie_tol in (tol, 0.0, 0.5):
-        mask = kk.second_place_mask(logits, labels, tie_tol)
-        want = np.zeros_like(logits)
-        for i, (row, y) in enumerate(zip(logits, labels)):
-            want[i, list(second_place_set(row, int(y), tie_tol))] = 1.0
-        assert np.array_equal(mask, want)
+    mask = kk.second_place_mask(logits, labels)
+    want = np.zeros_like(logits)
+    for i, (row, y) in enumerate(zip(logits, labels)):
+        want[i, list(second_place_set(row, int(y)))] = 1.0
+    assert np.array_equal(mask, want)
     with pytest.raises(ValueError, match="in-range"):
         kk.second_place_mask(logits[:2], np.array([0, 4]))
 

@@ -221,7 +221,8 @@ def assert_coverage_finds_nearest(samples, data):
     index, agreement 1 for the loop's indices as sample labels."""
     nn = loop_nearest_neighbor(samples, data)
     indexed = ds.LabeledDataset(data.x, np.arange(data.size))
-    report = ds.coverage_report(samples, [i for i, _ in nn], indexed)
+    report = ds.coverage_report(samples, [i for i, _ in nn], indexed, None,
+                                None)
     assert report.label_agreement == 1.0
     assert report.mean_nn_distance == float(np.mean([d for _, d in nn]))
 
@@ -242,7 +243,7 @@ def test_nearest_neighbor_euclidean_matches_loop(monkeypatch, n, block):
         small_blocks(monkeypatch, block)
     if not n:
         with pytest.raises(ValueError, match="at least one sample"):
-            ds.coverage_report(samples, np.zeros(0), lattice)
+            ds.coverage_report(samples, np.zeros(0), lattice, None, None)
         return
     for data in (lattice, ds.circle_dataset()):
         assert_coverage_finds_nearest(samples, data)
@@ -252,7 +253,7 @@ def test_nearest_neighbor_euclidean_matches_loop(monkeypatch, n, block):
 
 def test_nearest_neighbor_64d_matches_loop(monkeypatch):
     rng = np.random.default_rng(64)
-    data = ds.pattern_dataset(per_class=20, jitter=0.05, seed=3)
+    data = ds.pattern_dataset(20, 0.05, 3)
     samples = rng.random((45, 64))
     samples[:5] = data.x[:5]
     samples[5, :] = -0.0
@@ -267,7 +268,7 @@ def test_nearest_neighbor_ssim_matches_loop(monkeypatch, side, block):
     jitter-free patterns hold equal images, so scores tie."""
     rng = np.random.default_rng(side)
     if side == 8:
-        data = ds.pattern_dataset(per_class=6, jitter=0.0)
+        data = ds.pattern_dataset(6, 0.0, 0)
     else:
         x = rng.random((12, side * side))
         x[7] = x[3]
@@ -292,7 +293,7 @@ def test_coverage_report_per_point_minimum_matches_loop(monkeypatch, n,
     if block:
         small_blocks(monkeypatch, block)
     for data in (lattice, ds.circle_dataset()):
-        report = ds.coverage_report(samples, labels, data)
+        report = ds.coverage_report(samples, labels, data, None, None)
         want = loop_per_point_min(samples, data)
         assert report.per_point_min_distance.tobytes() == want.tobytes()
         nn = loop_nearest_neighbor(samples, data)
@@ -303,7 +304,8 @@ def test_coverage_report_per_point_minimum_matches_loop(monkeypatch, n,
 
 def test_coverage_report_needs_samples():
     with pytest.raises(ValueError, match="at least one sample"):
-        ds.coverage_report(np.zeros((0, 2)), np.zeros(0), ds.circle_dataset())
+        ds.coverage_report(np.zeros((0, 2)), np.zeros(0), ds.circle_dataset(),
+                           None, None)
 
 
 def test_block_rows_keep_temporaries_under_the_cap():
@@ -425,10 +427,9 @@ def gray_halves():
 
 
 @pytest.mark.parametrize("n", [0, 1, 13])
-@pytest.mark.parametrize("cell", [48, 3])
+# the grid's cell size, which the loop reference takes as an argument
+@pytest.mark.parametrize("cell", [48])
 def test_svg_image_grid_matches_loop(n, cell):
-    """cell 3 on 8x8 images puts every other cell at an exact ``%.2f``
-    half (multiples of 0.375)."""
     rng = np.random.default_rng(n + cell)
     images = rng.random((n, 64)) * 1.4 - 0.2
     halves = gray_halves()
@@ -438,13 +439,22 @@ def test_svg_image_grid_matches_loop(n, cell):
     flat[halves.size:halves.size + 4] = [-0.0, 5e-324, np.inf, -np.inf][
         :max(0, min(4, flat.size - halves.size))]
     neighbors = rng.random((n, 64))
-    for kwargs in [{}, {"neighbors": neighbors}, {"title": "grid"},
-                   {"columns": 4, "neighbors": neighbors}]:
-        got = svg_image_grid(images, 8, cell=cell, **kwargs)
+    for kwargs in [{"neighbors": neighbors},
+                   {"neighbors": neighbors, "title": "grid"}]:
+        got = svg_image_grid(images, 8, **kwargs)
         assert got == loop_svg_image_grid(images, side=8, cell=cell,
                                           **kwargs)
 
 
+def test_svg_image_grid_cells_at_decimal_halves_match_loop():
+    """128x128 images in 48-unit cells put every other pixel at an exact
+    ``%.2f`` half (multiples of 0.375)."""
+    rng = np.random.default_rng(128)
+    images, neighbors = rng.random((2, 2, 128 * 128))
+    assert svg_image_grid(images, 128, neighbors) == loop_svg_image_grid(
+        images, neighbors=neighbors, side=128)
+
+
 def test_svg_image_grid_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
-        svg_image_grid(np.full((1, 64), np.nan), 8)
+        svg_image_grid(np.full((1, 64), np.nan), 8, np.zeros((1, 64)))

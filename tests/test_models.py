@@ -258,7 +258,7 @@ def test_serialize_roundtrip_bit_exact():
     pv = km.init_kaiming(spec, seed=3)
     pv.values[0] = np.nextafter(1.0, 2.0)  # exercise full precision
     blob = km.serialize_params(spec, pv)
-    back = km.deserialize_params(blob, expected_spec=spec)
+    back = km.deserialize_params(blob, spec)
     assert back == pv
 
 
@@ -267,13 +267,13 @@ def test_deserialize_rejects_bad_blobs():
     pv = ParameterVector.zeros_for(spec)
     blob = km.serialize_params(spec, pv)
     with pytest.raises(ValueError, match="magic"):
-        km.deserialize_params(b"XXXX" + blob[4:])
+        km.deserialize_params(b"XXXX" + blob[4:], spec)
     with pytest.raises(ValueError, match="does not match"):
-        km.deserialize_params(blob, expected_spec=MlpSpec((2, 3), True))
+        km.deserialize_params(blob, MlpSpec((2, 3), True))
     # a cut anywhere in the header: version, hash, group table, count
     for cut in (6, 20, 41, 45, 50, 70, 80):
         with pytest.raises(ValueError, match="truncated"):
-            km.deserialize_params(blob[:cut])
+            km.deserialize_params(blob[:cut], spec)
 
 
 def test_spec_from_json_dispatch():

@@ -55,27 +55,28 @@ def test_scatter_samples_only():
 
 
 def test_image_grid_renders_cells():
-    data = pattern_dataset(per_class=2, jitter=0.0)
-    svg = svg_image_grid(data.x, 8, title="patterns")
+    data = pattern_dataset(2, 0.0, 0)
+    svg = svg_image_grid(data.x, 8, data.x, title="patterns")
     assert well_formed(svg)
-    assert svg.count("<rect") == 1 + 4 * 64  # background + 4 images
+    # background + 4 images and their neighbours
+    assert svg.count("<rect") == 1 + 2 * 4 * 64
     assert ">patterns</text>" in svg
 
 
 def test_image_grid_with_neighbors_doubles_cells():
-    data = pattern_dataset(per_class=1, jitter=0.0)
+    data = pattern_dataset(1, 0.0, 0)
     svg = svg_image_grid(data.x, 8, neighbors=data.x[::-1])
     assert svg.count("<rect") == 1 + 2 * 2 * 64
 
 
 def test_image_grid_empty():
-    svg = svg_image_grid(np.zeros((0, 64)), 8)
+    svg = svg_image_grid(np.zeros((0, 64)), 8, np.zeros((0, 64)))
     assert well_formed(svg)
 
 
 def test_image_grid_clips_values():
     img = np.array([[-1.0, 0.5, 2.0, 0.0]])
-    svg = svg_image_grid(img, 2)
+    svg = svg_image_grid(img, 2, img)
     assert "#000000" in svg  # clipped low
     assert "#ffffff" in svg  # clipped high
 
@@ -87,7 +88,7 @@ def test_title_is_escaped(mode):
         circle = circle_dataset()
         svg = svg_scatter(circle.x, circle.labels, *NONE, title=title)
     else:
-        svg = svg_image_grid(pattern_dataset(per_class=1).x, 8,
-                             title=title)
+        images = pattern_dataset(1, 0.02, 0).x
+        svg = svg_image_grid(images, 8, images, title=title)
     root = ElementTree.fromstring(svg)
     assert title in [t.text for t in root.iter(f"{{{SVG_NS}}}text")]

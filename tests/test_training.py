@@ -73,7 +73,7 @@ def test_train_classifier_convergence_error_carries_trajectory():
 
 def test_train_classifier_stops_at_zero_gradient():
     """Diverging GD kills every ReLU; the fixed point ends training."""
-    data = pattern_dataset()
+    data = pattern_dataset(50, 0.02, 0)
     spec = MlpSpec((64, 32, 32, 2), False)
     with pytest.raises(ConvergenceError, match="exactly zero") as err:
         tr.train_classifier(data, spec,
