@@ -135,12 +135,12 @@ def load_classifier(path):
     try:
         spec = spec_from_json(json.loads(sections["spec"].decode("utf-8")))
         params = deserialize_params(sections["params"], spec)
+        profile = None
+        if "profile" in sections:
+            profile = QuasiHomogeneousProfile.from_json(
+                json.loads(sections["profile"].decode("utf-8")))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt classifier checkpoint ({exc})")
-    profile = None
-    if "profile" in sections:
-        profile = QuasiHomogeneousProfile.from_json(
-            json.loads(sections["profile"].decode("utf-8")))
     return spec, params, profile, meta
 
 

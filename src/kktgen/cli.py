@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import kkt
 from . import training as tr
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .datasets import (CsvError, LabeledDataset, coverage_report,
                        format_rows, integer_column, nearest_neighbor,
                        read_csv, reject_rows)
@@ -207,16 +207,6 @@ def cmd_train_generator(args):
     gen_spec = config.generator_spec(num_classes, out_dim, t_count)
     mult_spec = config.multiplier_spec(num_classes, out_dim, t_count)
     gen_cfg = config.generator_train_config(seed=args.seed)
-    labels = gen_cfg.label_distribution
-    if labels and len(labels) != num_classes:
-        raise ConfigError("generator_training",
-                          f"label distribution has {len(labels)} entries, "
-                          f"the classifiers {num_classes} classes")
-    if gen_cfg.tv_weight > 0 and math.prod(gen_cfg.tv_shape) != out_dim:
-        raise ConfigError("generator_training",
-                          f"tv shape {gen_cfg.tv_shape[0]}x"
-                          f"{gen_cfg.tv_shape[1]} does not hold the "
-                          f"{out_dim} inputs of the classifiers")
     gen_path = os.path.join(out, args.name + ".ckpt")
     run_hash = _generator_run_hash(config, gen_cfg.seed)
     state = None

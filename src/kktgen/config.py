@@ -23,8 +23,7 @@ import dataclasses
 import hashlib
 import typing
 
-from .datasets import (circle_dataset, dataset_from_csv, pattern_dataset,
-                       split_dataset)
+from .datasets import BUILTIN_DATASETS, dataset_from_csv, split_dataset
 from .models import GeneratorSpec, MlpSpec, MultiplierSpec
 from .training import ClassifierTrainConfig, GeneratorTrainConfig
 
@@ -94,9 +93,6 @@ SCHEMA = {
         "csv_path": ("str", ""),
         "num_classes": ("int", 0),
         "split": ("str", "none"),  # none | alternating | arc
-        "pattern_per_class": ("int", 50),
-        "pattern_jitter": ("float", 0.02),
-        "pattern_seed": ("int", 0),
     },
     "classifier": {
         "widths": ("ints", (2, 16, 16, 3)),
@@ -233,11 +229,8 @@ class RunConfig:
     def dataset(self):
         sec = self.section("dataset")
         kind = sec["kind"]
-        if kind == "circle18":
-            ds = circle_dataset()
-        elif kind == "stripes-vs-checks-8x8":
-            ds = pattern_dataset(sec["pattern_per_class"],
-                                 sec["pattern_jitter"], sec["pattern_seed"])
+        if kind in BUILTIN_DATASETS:
+            ds = dataclasses.replace(BUILTIN_DATASETS[kind](), name=kind)
         elif kind == "csv":
             if not sec["csv_path"]:
                 raise ConfigError("dataset.csv_path",

@@ -24,6 +24,11 @@ BLOCK_BYTES = 1 << 20
 # rows formatted per block of text: bounds the Python numbers alive at once
 FORMAT_BLOCK_ROWS = 1024
 
+# the 8x8 patterns: images per class, pixel flip chance, seed of the flips
+PATTERN_PER_CLASS = 50
+PATTERN_JITTER = 0.02
+PATTERN_SEED = 0
+
 
 @dataclass
 class LabeledDataset:
@@ -74,7 +79,7 @@ def circle_dataset():
     angles = 2.0 * np.pi * np.arange(18) / 18.0
     x = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     labels = np.repeat(np.arange(3), 6)
-    return LabeledDataset(x, labels, name="circle18", num_classes=3)
+    return LabeledDataset(x, labels, num_classes=3)
 
 
 def split_dataset(dataset, mode):
@@ -102,24 +107,28 @@ def split_dataset(dataset, mode):
             dataset.subset(idx_b, dataset.name + "_split2"))
 
 
-def pattern_dataset(per_class, jitter, seed):
+def pattern_dataset():
     """8x8 binary patterns: horizontal stripes (class 0) vs checkerboard
     (class 1), with seeded bit-flip jitter."""
     rows, cols = np.indices((8, 8))
     stripes = (rows % 2 == 0).astype(np.float64)
     checks = ((rows + cols) % 2 == 0).astype(np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PATTERN_SEED)
     samples, labels = [], []
     for label, base in enumerate((stripes, checks)):
-        for _ in range(per_class):
+        for _ in range(PATTERN_PER_CLASS):
             img = base.copy()
-            if jitter > 0:
-                flips = rng.random((8, 8)) < jitter
-                img[flips] = 1.0 - img[flips]
+            flips = rng.random((8, 8)) < PATTERN_JITTER
+            img[flips] = 1.0 - img[flips]
             samples.append(img.reshape(-1))
             labels.append(label)
     return LabeledDataset(np.array(samples), np.array(labels),
-                          name="stripes-vs-checks-8x8", num_classes=2)
+                          num_classes=2)
+
+
+# the built-in datasets by config kind, which is also the dataset's name
+BUILTIN_DATASETS = {"circle18": circle_dataset,
+                    "stripes-vs-checks-8x8": pattern_dataset}
 
 
 def _block_rows(row_bytes):

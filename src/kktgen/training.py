@@ -32,6 +32,16 @@ from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
 # loss's rate of fall over the last this many
 PLATEAU_WINDOW = 1000
 
+# margin refinement anneals through these softmin temperatures with one
+# Adam, then polishes at the last one with a fresh Adam per final rate
+REFINE_TEMPERATURES = (3.0, 6.0, 12.0, 25.0, 50.0, 100.0, 200.0, 400.0)
+REFINE_LR = 1e-3
+REFINE_FINAL_LRS = (3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
+# random unit inputs the duality band probes the peak margin on
+MARGIN_PROBES = 256
+# the generator's output layer at init is Kaiming's times this
+INIT_OUTPUT_SCALE = 2.0
+
 
 class ConvergenceError(RuntimeError):
     """Classifier training failed to reach the loss threshold."""
@@ -56,36 +66,19 @@ class ClassifierTrainConfig:
     max_epochs: int = 200_000
     extra_epochs: int = 0
     seed: int = 0
-    # Margin refinement: after GD convergence, ascend the normalized
-    # minimum margin (softmin surrogate with annealed temperature) so the
-    # classifier parameters actually satisfy the max-margin KKT conditions
-    # instead of merely drifting toward them.  Bias-free specs only;
-    # refine_iters = 0 skips it.
-    refine_temperatures: tuple[float, ...] = (3.0, 6.0, 12.0, 25.0, 50.0,
-                                              100.0, 200.0, 400.0)
+    # iterations per stage of refine_margins (bias-free specs); 0 skips it
     refine_iters: int = 6000
-    refine_lr: float = 1e-3
-    refine_final_lrs: tuple[float, ...] = (3e-4, 1e-4, 3e-5, 1e-5, 3e-6)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # each range check is "not <in range>", which NaN fails too
+        if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
-        if self.max_epochs < 1:
+        if not self.max_epochs >= 1:
             raise ValueError("max epochs must be >= 1")
-        if self.extra_epochs < 0:
-            raise ValueError("extra epochs must be nonnegative")
-        if self.refine_iters < 0:
-            raise ValueError("refine iters must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not (self.refine_temperatures
-                and all(t > 0 for t in self.refine_temperatures)):
-            raise ValueError("refine temperatures must be one or more "
-                             "positive values")
-        if not self.refine_lr >= 0:
-            raise ValueError("refine lr must be nonnegative")
-        if not all(lr >= 0 for lr in self.refine_final_lrs):
-            raise ValueError("refine final lrs must be nonnegative")
+        for key in ("extra_epochs", "refine_iters", "seed"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key.replace('_', ' ')} must be "
+                                 f"nonnegative")
 
 
 @dataclass(frozen=True)
@@ -105,19 +98,15 @@ class GeneratorTrainConfig:
     # probed on random unit directions: e^{-alpha} = lo * peak and
     # e^{-alpha} + delta = hi * peak.
     margin_band: tuple[float, ...] = (0.677, 1.03)
-    probe_count: int = 256
-    init_output_scale: float = 2.0  # generator output layer at init
 
     def __post_init__(self):
-        if self.batch_size < 1:
+        # each range check is "not <in range>", which NaN fails too
+        if not self.batch_size >= 1:
             raise ValueError("batch size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
         if not isinstance(self.lr_alpha, (int, float)):
             raise ValueError("lr alpha must be one rate for every alpha")
-        for key in ("lr_theta", "lr_eta", "lr_alpha", "steps", "tv_weight"):
+        for key in ("seed", "beta", "lr_theta", "lr_eta", "lr_alpha",
+                    "steps", "tv_weight"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key.replace('_', ' ')} must be "
                                  f"nonnegative")
@@ -127,10 +116,6 @@ class GeneratorTrainConfig:
         lo, hi = self.margin_band
         if not 0.0 < lo < hi:
             raise ValueError("margin band must satisfy 0 < lo < hi")
-        if self.probe_count < 1:
-            raise ValueError("probe count must be >= 1")
-        if self.init_output_scale <= 0:
-            raise ValueError("init output scale must be positive")
         if self.tv_weight > 0 and not (len(self.tv_shape) == 2
                                        and min(self.tv_shape) > 0):
             raise ValueError("tv weight > 0 needs a tv shape of two "
@@ -223,12 +208,13 @@ def refine_margins(dataset, spec, params, config):
     """Ascend the scale-normalized minimum margin in place.
 
     Maximizes softmin_{i,c} (Phi_y - Phi_c) / ||zeta||^L with the softmin
-    temperature annealed upward (``refine_temperatures``, relative to the
+    temperature annealed upward (``REFINE_TEMPERATURES``, relative to the
     current minimum), then re-polishes at the final temperature with
-    decreasing Adam rates.  At convergence the survivors of the softmin
-    are the binding max-margin constraints, which is what makes the
-    NNLS-fitted KKT multipliers consistent.  Bias-free specs only: with
-    biases the parameter norm is not a pure scale direction.
+    decreasing Adam rates (``REFINE_FINAL_LRS``).  At convergence the
+    survivors of the softmin are the binding max-margin constraints,
+    which is what makes the NNLS-fitted KKT multipliers consistent.
+    Bias-free specs only: with biases the parameter norm is not a pure
+    scale direction.
 
     Each iteration takes the zeta gradient of the surrogate
     -(1/tau) log sum exp(-tau mhat) over the n(C-1) rival pairs, with
@@ -309,11 +295,11 @@ def refine_margins(dataset, spec, params, config):
             adam.step(values, grad)
 
     # the annealing stages share one Adam; each polish stage starts afresh
-    annealing = Adam(len(params), config.refine_lr)
-    for temperature in config.refine_temperatures:
+    annealing = Adam(len(params), REFINE_LR)
+    for temperature in REFINE_TEMPERATURES:
         ascend(temperature, annealing)
-    for lr in config.refine_final_lrs:
-        ascend(config.refine_temperatures[-1], Adam(len(params), lr))
+    for lr in REFINE_FINAL_LRS:
+        ascend(REFINE_TEMPERATURES[-1], Adam(len(params), lr))
     return params
 
 
@@ -387,8 +373,6 @@ def _tv_value_grad(x, height, width):
     """Mean anisotropic total variation of a batch of flat images and
     its x gradient (|.|' = 0 at ties)."""
     m, d = x.shape
-    if d != height * width:
-        raise ValueError(f"flat dimension {d} != {height}x{width}")
     imgs = x.reshape(m, height, width)
     down = imgs[:, 1:, :] - imgs[:, :-1, :]
     right = imgs[:, :, 1:] - imgs[:, :, :-1]
@@ -450,7 +434,7 @@ def probe_peak_margin(classifier, config, t):
     """
     d = classifier.spec.widths[0]
     rng = _step_rng(config.seed, t, stream=9)
-    u = rng.standard_normal((config.probe_count, d))
+    u = rng.standard_normal((MARGIN_PROBES, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     logits = mlp_apply_np(classifier.spec, classifier.params, u)
     top2 = np.sort(logits, axis=1)
@@ -482,6 +466,13 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     t_count = len(classifiers)
     if t_count < 1:
         raise ValueError("at least one classifier is required")
+    # the config against the specs, before any profile is verified
+    probs = config.label_probs(gen_spec.num_classes)
+    if config.tv_weight > 0 and math.prod(config.tv_shape) != \
+            gen_spec.out_dim:
+        raise ValueError(f"tv shape {config.tv_shape[0]}x"
+                         f"{config.tv_shape[1]} does not hold the "
+                         f"generator's {gen_spec.out_dim} outputs")
     for k, cb in enumerate(classifiers):
         name = cb.name or f"classifier {k}"
         dev = verify_lambda(cb.spec, cb.params, cb.profile, VERIFY_ALPHAS,
@@ -498,13 +489,12 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
                 f"spec {gen_spec.num_classes}")
     if gen_spec.num_classifiers != t_count:
         raise ValueError("generator spec does not match classifier count")
-    probs = config.label_probs(gen_spec.num_classes)
 
     if state is None:
         theta = init_kaiming(gen_spec.mlp(), _spawn_seed(config.seed, 1))
         gen_mlp = gen_spec.mlp()
         theta.group(f"layer{gen_mlp.n_layers - 1}.weight")[:] *= \
-            config.init_output_scale
+            INIT_OUTPUT_SCALE
         eta = init_kaiming(mult_spec.mlp(), _spawn_seed(config.seed, 2))
         bands = [duality_band(classifiers[t], config, t)
                  for t in range(t_count)]

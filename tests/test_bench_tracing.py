@@ -68,7 +68,7 @@ def test_tracer_counts_refinement_iterations_and_gd_epochs(tracing, iters):
     ``refine_iters`` steps each; every step is one ``kernels.adam_update``
     call, which is what ``training.refine_iters`` counts."""
     config = training.ClassifierTrainConfig(refine_iters=iters)
-    stages = len(config.refine_temperatures) + len(config.refine_final_lrs)
+    stages = len(training.REFINE_TEMPERATURES) + len(training.REFINE_FINAL_LRS)
     assert stages == 13
     with tracing.Tracer() as tracer:
         _, trajectory = training.train_classifier(

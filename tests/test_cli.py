@@ -91,20 +91,17 @@ def profiled_classifier(tmp_path_factory):
 # a value the train-config dataclasses reject: (command, section, line)
 BAD_TRAIN_VALUES = [
     ("train-classifier", "classifier", "learning_rate = -1"),
+    ("train-classifier", "classifier", "learning_rate = nan"),
+    ("train-generator", "generator_training", "beta = nan"),
     ("train-generator", "generator_training", "batch_size = 0"),
     ("train-generator", "generator_training",
      "label_distribution = 1.2,-0.1,-0.1"),
-    ("train-generator", "generator_training", "label_distribution = 0.5,0.5"),
     ("train-classifier", "classifier", "seed = -1"),
     ("train-generator", "generator_training", "seed = -1"),
     ("train-generator", "generator_training", "margin_band ="),
     ("train-generator", "generator_training", "margin_band = 0.5"),
     ("train-generator", "generator_training", "tv_weight = 0.01"),
     ("train-classifier", "classifier", "max_epochs = 0"),
-    ("train-classifier", "classifier", "refine_temperatures ="),
-    ("train-classifier", "classifier", "refine_temperatures = 3,-1"),
-    ("train-classifier", "classifier", "refine_lr = -0.001"),
-    ("train-classifier", "classifier", "refine_final_lrs = 0.0003,-0.0001"),
     ("train-generator", "generator_training", "tv_weight = -1"),
     ("train-generator", "generator_training", "lr_theta = -0.0001"),
     ("train-generator", "generator_training", "lr_eta = -0.001"),
@@ -242,6 +239,8 @@ def failure_inputs(tmp_path_factory):
     (d / "run6.cfg").write_text(head + full_sum.format(steps=6))
     (d / "tv.cfg").write_text(head + FAST_CLASSIFIER.format(steps=3)
                               + "tv_weight = 0.01\ntv_shape = 1,1\n")
+    (d / "labels.cfg").write_text(head + FAST_CLASSIFIER.format(steps=3)
+                                  + "label_distribution = 0.5,0.5\n")
     (d / "stall.cfg").write_text(
         f"[experiment]\nname = stall\noutput_dir = {d / 'runs'}\n"
         "[classifier]\nwidths = 2,8,3\nmax_epochs = 3\nrefine_iters = 0\n")
@@ -261,6 +260,9 @@ def failure_inputs(tmp_path_factory):
     profiled_checkpoint(d / "bad_profile.ckpt", (2, 8, 3), lambdas=1.0)
     spec = MlpSpec((2, 8, 3), False)
     ck.save_classifier(d / "no_profile.ckpt", spec, init_kaiming(spec, 0))
+    sections = ck.read_sections(d / "clf.ckpt")
+    sections["profile"] = b"{}"
+    ck.write_sections(d / "empty_profile.ckpt", sections)
     # a run of two classifiers, and its checkpoint cut to one alpha
     clf = str(d / "clf.ckpt")
     assert main(["train-generator", str(d / "run.cfg"), clf, clf,
@@ -293,9 +295,17 @@ FAILURES = [
      "classifier: ", "runs/stall/classifier_loss.csv"),
     ("classifier-on-a-loss-plateau", "train-classifier {d}/plateau.cfg", 4,
      "classifier_1: loss plateau", "runs/plateau/classifier_1_loss.csv"),
+    # the tv shape and the label distribution are checked before the
+    # profile, which fails verification (exit 3)
     ("tv-shape-of-other-dimension",
-     "train-generator {d}/tv.cfg {d}/clf.ckpt", 2,
-     "bad config: generator_training: tv shape 1x1", None),
+     "train-generator {d}/tv.cfg {d}/bad_profile.ckpt", 2,
+     "tv shape 1x1 does not hold the generator's 2 outputs", None),
+    ("label-distribution-of-other-length",
+     "train-generator {d}/labels.cfg {d}/bad_profile.ckpt", 2,
+     "label distribution must be a length-3 probability vector", None),
+    ("profile-section-not-a-profile",
+     "train-generator {d}/run.cfg {d}/empty_profile.ckpt", 2,
+     "empty_profile.ckpt: corrupt classifier checkpoint", None),
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
      "bad_profile.ckpt: profile fails verification", None),
@@ -685,8 +695,7 @@ def test_resume_without_optimizer_state_is_usage_error(workdir, capsys,
 
 def test_plot_scatter_rejects_high_dim(tmp_path, capsys):
     cfg = tmp_path / "pat.cfg"
-    cfg.write_text("[dataset]\nkind = stripes-vs-checks-8x8\n"
-                   "pattern_per_class = 2\n")
+    cfg.write_text("[dataset]\nkind = stripes-vs-checks-8x8\n")
     samples = tmp_path / "s.csv"
     header = ",".join([f"x{i}" for i in range(64)] + ["y", "t"])
     row = ",".join(["0.5"] * 64 + ["0", "0"])

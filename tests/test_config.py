@@ -1,11 +1,13 @@
 """Unit tests for the run-configuration format."""
 
+import ast
 import inspect
+import os
 
 import pytest
 
 from kktgen.config import SCHEMA, ConfigError, RunConfig, parse_config_text
-from kktgen.datasets import dataset_from_csv, pattern_dataset, split_dataset
+from kktgen.datasets import BUILTIN_DATASETS, dataset_from_csv, split_dataset
 from kktgen.models import GeneratorSpec, MlpSpec
 from kktgen.training import ClassifierTrainConfig, GeneratorTrainConfig
 
@@ -105,10 +107,12 @@ def test_dataset_builder_circle_and_split():
 
 
 def test_dataset_builder_pattern_and_csv(tmp_path):
-    cfg = RunConfig.from_text(
-        "[dataset]\nkind = stripes-vs-checks-8x8\npattern_per_class = 5\n")
+    cfg = RunConfig.from_text("[dataset]\nkind = stripes-vs-checks-8x8\n")
     (ds,) = cfg.dataset()
-    assert ds.size == 10 and ds.dim == 64
+    assert ds.size == 100 and ds.dim == 64
+    # a built-in dataset is named by its kind
+    assert ds.name == "stripes-vs-checks-8x8"
+    assert RunConfig.from_text("").dataset()[0].name == "circle18"
     with pytest.raises(ConfigError, match="csv_path"):
         RunConfig.from_text("[dataset]\nkind = csv\n").dataset()
     path = tmp_path / "points.csv"
@@ -153,10 +157,12 @@ def test_schema_defaults_match_dataclass_defaults():
 
 
 # The builders RunConfig calls: SCHEMA supplies the arguments of the
-# dataset builders, the command the counts the two specs take, so a
-# default of their own would declare a value a second time.
-SCHEMA_BUILDERS = [pattern_dataset, split_dataset, dataset_from_csv,
-                   RunConfig.generator_spec, RunConfig.multiplier_spec]
+# dataset builders (the built-in ones take none), the command the counts
+# the two specs take, so a default of their own would declare a value a
+# second time.
+SCHEMA_BUILDERS = [*BUILTIN_DATASETS.values(), split_dataset,
+                   dataset_from_csv, RunConfig.generator_spec,
+                   RunConfig.multiplier_spec]
 
 
 @pytest.mark.parametrize("builder", SCHEMA_BUILDERS,
@@ -180,10 +186,7 @@ CHANGED = {("dataset", "kind"): "stripes-vs-checks-8x8",
            ("generator_training", "margin_band"): "0.5,1"}
 
 # dataset keys read only under another dataset kind
-KIND_OF = {"csv_path": "csv", "num_classes": "csv",
-           "pattern_per_class": "stripes-vs-checks-8x8",
-           "pattern_jitter": "stripes-vs-checks-8x8",
-           "pattern_seed": "stripes-vs-checks-8x8"}
+KIND_OF = {"csv_path": "csv", "num_classes": "csv"}
 
 # keys whose changed value is valid only with another key set: a tv
 # weight needs a tv shape
@@ -242,44 +245,125 @@ def test_every_key_reaches_a_builder(tmp_path):
 # Canonical hashes of the blank config and of the benchmark's three
 # workload configs under a fixed [experiment] header: the schema takes the
 # train-config defaults from the dataclasses, and their rendering must
-# not move.  Each row also pins the digest of the schema before
-# classifier.refine_margins, generator_training.delta and the [lambda]
-# section were deleted; the same values plus those keys at their old
-# defaults must still hash to it, so the digests moved only by the
-# deletion.
+# not move.  The digest of each config moved only by deleting keys: the
+# same values plus the keys that became module constants (MADE_CONSTANT)
+# at their old values must still hash to the digest before that, and
+# plus the keys deleted before (classifier.refine_margins,
+# generator_training.delta and the [lambda] section) to the digest
+# before those went.
 PINNED = [
     ("", "b896024511d5fa2e69e9caa840de811c83f344200620f8b550fbff0c19e001c7",
-     "4080f22d1553c0128c36646b8ada3e39f745bd618d52a5ad99edf084b00da081"),
+     "4080f22d1553c0128c36646b8ada3e39f745bd618d52a5ad99edf084b00da081",
+     "8df0cf78fb60c24cbf3f35ec96e5d8596ca3eba1929f3f51d0d43c03f74fd318"),
     ("[generator_training]\nsteps = 2000\n",
      "db715cb81d1d157b6d1945740f8c1add87fd5c9a31fc09ae89b6ce818dd0241d",
-     "336ffc398f69d22e52788844a3eeee7e138cc73f0c887ab983a419691b367a17"),
+     "336ffc398f69d22e52788844a3eeee7e138cc73f0c887ab983a419691b367a17",
+     "79cf3d5fe8fdece2e7ecd146752ca338b9592d823e605d46323f9685d8360ad9"),
     ("[dataset]\nkind = stripes-vs-checks-8x8\n"
      "[classifier]\nwidths = 64,32,32,2\nlearning_rate = 0.001\n"
      "refine_iters = 1000\n"
      "[generator_training]\nsteps = 2000\ntv_weight = 0.01\n"
      "tv_shape = 8,8\n",
      "552203816bae1ac5e5e93204d47d97311cc839c3b6014d71d50c5cded50fde5e",
-     "0ed5521a250f5f9b220e72b0655efcdc964549c0a18d7386880ae9ba5aa34786"),
+     "0ed5521a250f5f9b220e72b0655efcdc964549c0a18d7386880ae9ba5aa34786",
+     "bdaf903b06a7ad36a9635a4c99c94a943a3ba8df2afa001302776759f86111f2"),
     ("[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 2000\n"
      "[generator_training]\nsteps = 1500\nfull_sum = true\n",
      "ed6ada6bbcd9ce9d9a0024bc1089e34dbd9dea63aaaf2a9d096591a219a382c8",
-     "daef36abcac15ce44e4ee36f355ac1bcdeb0b93ac1bd4fb66c3c15a4511db1f6"),
+     "daef36abcac15ce44e4ee36f355ac1bcdeb0b93ac1bd4fb66c3c15a4511db1f6",
+     "8154635502ea80cde96f4482fd7c22385951606f39610c78d87aa68f35a4117e"),
 ]
+
+MADE_CONSTANT = {
+    "classifier": {"refine_temperatures": (3.0, 6.0, 12.0, 25.0, 50.0,
+                                           100.0, 200.0, 400.0),
+                   "refine_lr": 1e-3,
+                   "refine_final_lrs": (3e-4, 1e-4, 3e-5, 1e-5, 3e-6)},
+    "dataset": {"pattern_per_class": 50, "pattern_jitter": 0.02,
+                "pattern_seed": 0},
+    "generator_training": {"probe_count": 256, "init_output_scale": 2.0}}
 
 DELETED_KEYS = {"classifier": {"refine_margins": True},
                 "generator_training": {"delta": 0.05},
                 "lambda": {"max_order": 2, "probes": 32, "seed": 0}}
 
 
-@pytest.mark.parametrize("text,earlier_digest,digest", PINNED)
-def test_config_hashes_are_pinned(text, earlier_digest, digest):
+def with_keys(cfg, keys):
+    """``cfg`` with the {section: {key: value}} ``keys`` added."""
+    sections = {section: dict(items) for section, items in cfg.values}
+    for section, values in keys.items():
+        sections.setdefault(section, {}).update(values)
+    return RunConfig(tuple((section, tuple(sorted(items.items())))
+                           for section, items in sorted(sections.items())))
+
+
+@pytest.mark.parametrize(
+    "text,digest_before_deletions,digest_before_constants,digest", PINNED)
+def test_config_hashes_are_pinned(text, digest_before_deletions,
+                                  digest_before_constants, digest):
     if text:
         text = "[experiment]\nname = exp\noutput_dir = runs\n" + text
     cfg = RunConfig.from_text(text)
     assert cfg.hash() == digest
-    sections = {section: dict(items) for section, items in cfg.values}
-    for section, keys in DELETED_KEYS.items():
-        sections.setdefault(section, {}).update(keys)
-    earlier = RunConfig(tuple((section, tuple(sorted(items.items())))
-                              for section, items in sorted(sections.items())))
-    assert earlier.hash() == earlier_digest
+    cfg = with_keys(cfg, MADE_CONSTANT)
+    assert cfg.hash() == digest_before_constants
+    assert with_keys(cfg, DELETED_KEYS).hash() == digest_before_deletions
+
+
+# Keys no workload of the benchmark sets, each with the reason it stays a
+# key; a key without one becomes a module constant.
+KEPT_KEYS = {
+    ("experiment", "seeds"): "the seeds of the acceptance runs",
+    ("experiment", "eval_samples_per_class"): "the acceptance runs' samples",
+    ("experiment", "eval_seed_offset"): "the acceptance runs' sample seeds",
+    ("dataset", "csv_path"): "the data of kind = csv",
+    ("dataset", "num_classes"): "the class count of kind = csv",
+    ("classifier", "bias"): "the architecture",
+    ("classifier", "max_epochs"): "the runtime bound",
+    ("classifier", "extra_epochs"): "the only margin growth for a "
+                                    "classifier with biases",
+    ("classifier", "seed"): "a seed",
+    ("generator", "noise_dim"): "the architecture",
+    ("generator", "hidden"): "the architecture",
+    ("generator", "bias"): "the architecture",
+    ("multiplier", "hidden"): "the architecture",
+    ("multiplier", "bias"): "the architecture",
+    ("generator_training", "batch_size"): "the paper's M",
+    ("generator_training", "beta"): "the paper's beta",
+    ("generator_training", "lr_theta"): "the paper's learning rates",
+    ("generator_training", "lr_eta"): "the paper's learning rates",
+    ("generator_training", "lr_alpha"): "ROADMAP item 9 measures rates",
+    ("generator_training", "margin_band"): "ROADMAP item 8 tries bands",
+    ("generator_training", "label_distribution"): "the class prior",
+    ("generator_training", "seed"): "a seed",
+}
+
+BENCH_RUN = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "pipebench", "run.py")
+
+
+def workload_keys():
+    """(section, key) of every key the benchmark's workload configs set:
+    the string literals of ``pipebench/run.py`` that begin with a section
+    header, read from its source (importing it sets environment
+    variables)."""
+    with open(BENCH_RUN, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {(section, key)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.lstrip().startswith("[")
+            for section, keys in parse_config_text(node.value).items()
+            for key in keys}
+
+
+def test_every_key_is_set_by_a_workload_or_kept_for_a_reason():
+    """A key no run varies is a constant, not an option."""
+    set_by_workloads = workload_keys()
+    assert ("dataset", "kind") in set_by_workloads
+    keys = {(section, key) for section, keys in SCHEMA.items()
+            for key in keys}
+    assert sorted(keys - set_by_workloads - KEPT_KEYS.keys()) == []
+    # a kept key a workload now sets, or that is gone, leaves the table
+    assert sorted(KEPT_KEYS.keys() & set_by_workloads) == []
+    assert sorted(KEPT_KEYS.keys() - keys) == []

@@ -54,25 +54,25 @@ def test_split_validation():
         ds.split_dataset(odd, "alternating")
 
 
-def test_pattern_dataset():
-    data = ds.pattern_dataset(10, 0.0, 0)
+def test_pattern_dataset(patterns):
+    data = patterns(10, 0.0, 0)
     assert data.size == 20 and data.dim == 64
     stripes = data.x[0].reshape(8, 8)
     assert np.array_equal(stripes[0], np.ones(8))
     assert np.array_equal(stripes[1], np.zeros(8))
     checks = data.x[10].reshape(8, 8)
     assert checks[0, 0] == 1.0 and checks[0, 1] == 0.0
-    jit_a = ds.pattern_dataset(10, 0.1, 4)
-    jit_b = ds.pattern_dataset(10, 0.1, 4)
+    jit_a = patterns(10, 0.1, 4)
+    jit_b = patterns(10, 0.1, 4)
     assert np.array_equal(jit_a.x, jit_b.x)
     assert not np.array_equal(jit_a.x, data.x)
 
 
-def test_ssim_metric_properties():
+def test_ssim_metric_properties(patterns):
     """The SSIM of the nearest-neighbour search, with the dataset's
     constants: 1 for an image against itself, low for stripes against
     checks; flat images that are not square are refused."""
-    a, b = ds.pattern_dataset(1, 0.0, 0).x.reshape(2, 1, 8, 8)
+    a, b = patterns(1, 0.0, 0).x.reshape(2, 1, 8, 8)
     c1, c2 = ds.SSIM_K1 ** 2, ds.SSIM_K2 ** 2
     assert kernels.ssim_uniform(a, a, 8, c1, c2) == pytest.approx(1.0)
     assert kernels.ssim_uniform(a, b, 8, c1, c2) < 0.5
@@ -97,8 +97,8 @@ def test_nearest_neighbor_euclidean():
         assert tie.label_agreement == agreement
 
 
-def test_nearest_neighbor_ssim():
-    data = ds.pattern_dataset(1, 0.0, 0)
+def test_nearest_neighbor_ssim(patterns):
+    data = patterns(1, 0.0, 0)
     nn = ds.nearest_neighbor(data.x[:1], data)
     assert nn[0][0] == 0 and nn[0][1] == pytest.approx(1.0)
 

@@ -251,9 +251,9 @@ def test_nearest_neighbor_euclidean_matches_loop(monkeypatch, n, block):
     assert loop_nearest_neighbor(samples[:1], lattice)[0][0] == 4
 
 
-def test_nearest_neighbor_64d_matches_loop(monkeypatch):
+def test_nearest_neighbor_64d_matches_loop(monkeypatch, patterns):
     rng = np.random.default_rng(64)
-    data = ds.pattern_dataset(20, 0.05, 3)
+    data = patterns(20, 0.05, 3)
     samples = rng.random((45, 64))
     samples[:5] = data.x[:5]
     samples[5, :] = -0.0
@@ -263,12 +263,13 @@ def test_nearest_neighbor_64d_matches_loop(monkeypatch):
 
 @pytest.mark.parametrize("side", [8, 10])
 @pytest.mark.parametrize("block", [None, 4])
-def test_nearest_neighbor_ssim_matches_loop(monkeypatch, side, block):
+def test_nearest_neighbor_ssim_matches_loop(monkeypatch, patterns, side,
+                                           block):
     """64-d (one 8x8 window) and 100-d (9 windows of 8x8) stacks; the
     jitter-free patterns hold equal images, so scores tie."""
     rng = np.random.default_rng(side)
     if side == 8:
-        data = ds.pattern_dataset(6, 0.0, 0)
+        data = patterns(6, 0.0, 0)
     else:
         x = rng.random((12, side * side))
         x[7] = x[3]

@@ -146,11 +146,11 @@ def first_ascent_direction(monkeypatch, spec, params, x, labels,
     seen = []
     monkeypatch.setattr(kernels, "adam_update",
                         lambda values, grads, *rest: seen.append(-grads))
+    monkeypatch.setattr(tr, "REFINE_TEMPERATURES", (temperature,))
+    monkeypatch.setattr(tr, "REFINE_FINAL_LRS", ())
     tr.refine_margins(
         LabeledDataset(x, labels, num_classes=spec.out_dim), spec,
-        params.copy(), tr.ClassifierTrainConfig(
-            refine_temperatures=(temperature,), refine_iters=1,
-            refine_final_lrs=()))
+        params.copy(), tr.ClassifierTrainConfig(refine_iters=1))
     assert len(seen) == 1
     return seen[0]
 
@@ -250,10 +250,10 @@ def reference_refine(dataset, spec, params, config,
                 moments[0], moments[1], moments[2], lr)
 
     annealing = [np.zeros(len(params)), np.zeros(len(params)), 0]
-    for temperature in config.refine_temperatures:
-        ascend(temperature, config.refine_lr, annealing)
-    for lr in config.refine_final_lrs:
-        ascend(config.refine_temperatures[-1], lr,
+    for temperature in tr.REFINE_TEMPERATURES:
+        ascend(temperature, tr.REFINE_LR, annealing)
+    for lr in tr.REFINE_FINAL_LRS:
+        ascend(tr.REFINE_TEMPERATURES[-1], lr,
                [np.zeros(len(params)), np.zeros(len(params)), 0])
     return params
 

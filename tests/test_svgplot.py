@@ -5,7 +5,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from kktgen.datasets import circle_dataset, pattern_dataset
+from kktgen.datasets import circle_dataset
 from kktgen.svgplot import PALETTE, svg_image_grid, svg_scatter
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -54,8 +54,8 @@ def test_scatter_samples_only():
     assert svg.count("<path") == 2
 
 
-def test_image_grid_renders_cells():
-    data = pattern_dataset(2, 0.0, 0)
+def test_image_grid_renders_cells(patterns):
+    data = patterns(2, 0.0, 0)
     svg = svg_image_grid(data.x, 8, data.x, title="patterns")
     assert well_formed(svg)
     # background + 4 images and their neighbours
@@ -63,8 +63,8 @@ def test_image_grid_renders_cells():
     assert ">patterns</text>" in svg
 
 
-def test_image_grid_with_neighbors_doubles_cells():
-    data = pattern_dataset(1, 0.0, 0)
+def test_image_grid_with_neighbors_doubles_cells(patterns):
+    data = patterns(1, 0.0, 0)
     svg = svg_image_grid(data.x, 8, neighbors=data.x[::-1])
     assert svg.count("<rect") == 1 + 2 * 2 * 64
 
@@ -82,13 +82,13 @@ def test_image_grid_clips_values():
 
 
 @pytest.mark.parametrize("mode", ["scatter", "grid"])
-def test_title_is_escaped(mode):
+def test_title_is_escaped(patterns, mode):
     title = "a<b&c>d"
     if mode == "scatter":
         circle = circle_dataset()
         svg = svg_scatter(circle.x, circle.labels, *NONE, title=title)
     else:
-        images = pattern_dataset(1, 0.02, 0).x
+        images = patterns(1, 0.02, 0).x
         svg = svg_image_grid(images, 8, images, title=title)
     root = ElementTree.fromstring(svg)
     assert title in [t.text for t in root.iter(f"{{{SVG_NS}}}text")]

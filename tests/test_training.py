@@ -6,7 +6,7 @@ import pytest
 import kktgen.training as tr
 from kktgen.datasets import (LabeledDataset, circle_dataset,
                              pattern_dataset, split_dataset)
-from kktgen.homogeneity import estimate_profile
+from kktgen.homogeneity import QuasiHomogeneousProfile, estimate_profile
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            init_kaiming, mlp_apply_np)
 from kktgen.training import (ClassifierBundle, ClassifierTrainConfig,
@@ -73,7 +73,7 @@ def test_train_classifier_convergence_error_carries_trajectory():
 
 def test_train_classifier_stops_at_zero_gradient():
     """Diverging GD kills every ReLU; the fixed point ends training."""
-    data = pattern_dataset(50, 0.02, 0)
+    data = pattern_dataset()
     spec = MlpSpec((64, 32, 32, 2), False)
     with pytest.raises(ConvergenceError, match="exactly zero") as err:
         tr.train_classifier(data, spec,
@@ -117,7 +117,7 @@ def test_refine_margins_requires_bias_free():
                           ClassifierTrainConfig())
 
 
-def test_refine_margins_improves_normalized_min_margin():
+def test_refine_margins_improves_normalized_min_margin(monkeypatch):
     data = tiny_dataset()
     spec = MlpSpec((2, 8, 2), False)
     config = ClassifierTrainConfig(refine_iters=0)
@@ -131,10 +131,10 @@ def test_refine_margins_improves_normalized_min_margin():
         return mm[rival].min() / np.linalg.norm(p.values) ** spec.n_layers
 
     before = norm_min_margin(params)
-    short = ClassifierTrainConfig(refine_temperatures=(3.0, 10.0),
-                                  refine_iters=300,
-                                  refine_final_lrs=(1e-4,))
-    tr.refine_margins(data, spec, params, short)
+    monkeypatch.setattr(tr, "REFINE_TEMPERATURES", (3.0, 10.0))
+    monkeypatch.setattr(tr, "REFINE_FINAL_LRS", (1e-4,))
+    tr.refine_margins(data, spec, params,
+                      ClassifierTrainConfig(refine_iters=300))
     assert norm_min_margin(params) > before
 
 
@@ -144,8 +144,6 @@ def test_generator_config_validation():
     for band in ((0.9, 0.5), (), (0.5,), (0.2, 0.5, 1.0)):
         with pytest.raises(ValueError, match="margin band"):
             GeneratorTrainConfig(margin_band=band)
-    with pytest.raises(ValueError, match="init output scale"):
-        GeneratorTrainConfig(init_output_scale=0.0)
     with pytest.raises(ValueError, match="lr alpha"):
         GeneratorTrainConfig(lr_alpha=(1e-2, 0.0))
     for shape in ((), (8,), (8, 0), (2, 4, 8)):
@@ -245,15 +243,27 @@ def test_train_generator_frozen_alpha_by_default():
     assert state.history[0]["alpha_0"] == state.history[-1]["alpha_0"]
 
 
-def test_train_generator_rejects_bad_profile():
+def unverifiable_bundle():
+    """A bundle whose profile fails verification."""
     bundle, _ = small_bundle()
-    from kktgen.homogeneity import QuasiHomogeneousProfile
-    bad = ClassifierBundle(
+    return ClassifierBundle(
         bundle.spec, bundle.params,
         QuasiHomogeneousProfile({n: 1.0 for n in bundle.params.groups}),
         bundle.virtual_n)
+
+
+def test_train_generator_rejects_bad_profile():
     with pytest.raises(ValueError, match="profile fails verification"):
-        run_short(GeneratorTrainConfig(steps=1), bad)
+        run_short(GeneratorTrainConfig(steps=1), unverifiable_bundle())
+
+
+def test_train_generator_checks_the_label_distribution_first():
+    """A label distribution of another length than the classes is
+    refused before any profile is verified."""
+    with pytest.raises(ValueError, match="length-2 probability vector, "
+                                         "not 3 entries"):
+        run_short(GeneratorTrainConfig(label_distribution=(0.2, 0.3, 0.5)),
+                  unverifiable_bundle())
 
 
 def test_train_generator_spec_count_mismatch():
@@ -301,11 +311,19 @@ def test_tv_loss_known_value():
 
 
 def test_tv_loss_shape_check():
+    """The graph reference checks the shape at each call, train_generator
+    once, against the generator's 2 outputs, before any profile is
+    verified."""
     for x, h, w in [(np.zeros((2, 16)), 4, 3), (np.zeros((2, 12)), 4, 4)]:
         with pytest.raises(ValueError, match="flat dimension"):
             tv_loss(x, h, w)
-        with pytest.raises(ValueError, match="flat dimension"):
-            tr._tv_value_grad(x, h, w)
+    bundle = unverifiable_bundle()
+    for h, w in [(1, 1), (1, 3), (4, 4)]:
+        config = GeneratorTrainConfig(tv_weight=0.01, tv_shape=(h, w))
+        with pytest.raises(ValueError, match=f"tv shape {h}x{w} does not "
+                                             f"hold the generator's 2 "
+                                             f"outputs"):
+            run_short(config, bundle)
 
 
 def test_sample_shapes_and_determinism():
