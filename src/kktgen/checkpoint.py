@@ -173,8 +173,6 @@ def save_generator(path, gen_spec, mult_spec, state, config_hash=""):
     if state.optimizers:
         sections["opt.theta"] = _adam_bytes(state.optimizers["theta"])
         sections["opt.eta"] = _adam_bytes(state.optimizers["eta"])
-        for t, adam in enumerate(state.optimizers["alpha"]):
-            sections[f"opt.alpha{t}"] = _adam_bytes(adam)
     write_sections(path, sections)
 
 
@@ -184,7 +182,8 @@ def load_generator(path, config=None):
     ``config`` (a GeneratorTrainConfig) is needed to rebuild optimizer
     learning rates when the checkpoint is used to resume training; the
     state then carries its optimizers and its loss history, and a
-    checkpoint without their sections is incomplete.
+    checkpoint without their sections is incomplete.  Sections it does
+    not read are ignored.
     """
     sections, meta = _read_checkpoint(path, "generator")
     try:
@@ -206,8 +205,7 @@ def load_generator(path, config=None):
     if config is None:
         return gen_spec, mult_spec, state, meta
     names = {"theta": "opt.theta", "eta": "opt.eta"}
-    alpha_names = [f"opt.alpha{t}" for t in range(state.alphas.size)]
-    missing = [name for name in [*names.values(), *alpha_names, "history"]
+    missing = [name for name in [*names.values(), "history"]
                if name not in sections]
     if missing:
         raise ValueError(f"{path}: incomplete generator checkpoint "
@@ -218,8 +216,6 @@ def load_generator(path, config=None):
     try:
         for key, name in names.items():
             _adam_load(state.optimizers[key], sections[name])
-        for adam, name in zip(state.optimizers["alpha"], alpha_names):
-            _adam_load(adam, sections[name])
         table = _floats_from(sections["history"])
         if table.size != state.step * len(keys):
             raise ValueError(f"{table.size} history values for "

@@ -333,8 +333,8 @@ def cmd_selftest(args):
     for margin, want in ((np.exp(0.0) - 0.1, 0.1),
                          (np.exp(0.0) + 0.05, 0.0),
                          (np.exp(0.0) + 0.1 + 0.2, 0.2)):
-        val, _, _ = kkt._duality_grads(np.array([[margin, 0.0]]),
-                                       np.array([0]), 0.0, 0.1)
+        val, _ = kkt._duality_grads(np.array([[margin, 0.0]]),
+                                    np.array([0]), 0.0, 0.1)
         if abs(val - want) > 1e-12:
             failures.append(f"duality loss at margin {margin}: "
                             f"{val} != {want}")

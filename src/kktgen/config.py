@@ -230,6 +230,10 @@ class RunConfig:
         sec = self.section("dataset")
         kind = sec["kind"]
         if kind in BUILTIN_DATASETS:
+            for key in ("csv_path", "num_classes"):
+                if sec[key]:
+                    raise ConfigError(f"dataset.{key}",
+                                      f"only for kind = csv, not {kind}")
             ds = dataclasses.replace(BUILTIN_DATASETS[kind](), name=kind)
         elif kind == "csv":
             if not sec["csv_path"]:

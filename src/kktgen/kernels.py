@@ -53,23 +53,6 @@ class Adam:
         self.t += 1
         adam_update(values, grads, self)
 
-    def step_scalar(self, value, grad):
-        """One step of a size-1 Adam on a float; returns the new value.
-
-        The operations of :func:`adam_update`, in its order, on Python
-        floats: the same bits as :meth:`step` on size-1 arrays, without
-        the per-call cost of array operations.
-        """
-        self.t += 1
-        t = float(self.t)
-        m = float(self.m[0]) * BETA1 + grad * (1.0 - BETA1)
-        v = float(self.v[0]) * BETA2 + grad * (1.0 - BETA2) * grad
-        self.m[0] = m
-        self.v[0] = v
-        bc1 = 1.0 - BETA1 ** t
-        bc2 = 1.0 - BETA2 ** t
-        return value - m / bc1 * self.lr / (math.sqrt(v / bc2) + EPS)
-
 
 def adam_update(values, grads, adam):
     """One in-place Adam step of :class:`Adam` ``adam`` at its step count

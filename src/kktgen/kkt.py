@@ -124,7 +124,7 @@ def duality_loss(logits, labels, alpha, delta):
 
 
 def _duality_grads(logits, own, alpha, delta):
-    """Numpy L_dual with its gradients in the logits and in alpha.
+    """Numpy L_dual with its gradient in the logits.
 
     ``own`` holds the flat indices of the true-class logits
     (:func:`_own_indices`).
@@ -142,14 +142,14 @@ def _duality_grads(logits, own, alpha, delta):
     dz *= 1.0 / m
     dlogits = np.negative(dz)
     dlogits.put(own, dlogits.take(own) + np.add.reduce(dz, axis=1))
-    return l_dual, dlogits, float(np.add.reduce(dz, axis=None) * threshold)
+    return l_dual, dlogits
 
 
 def stationarity_target(params, lbar_weights, virtual_n):
     """(1/N) Lbar zeta as one flat vector in group order.
 
     The side of the stationarity condition that only the classifier and
-    alpha fix, so a training loop computes it once per alpha.
+    alpha fix, so a training loop computes it once per run.
     """
     return np.concatenate([params.group(name)
                            * (lbar_weights[name] / virtual_n)
@@ -157,7 +157,7 @@ def stationarity_target(params, lbar_weights, virtual_n):
 
 
 def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta):
-    """L_stat + beta * L_dual on a batch, with gradients in x, mu and alpha.
+    """L_stat + beta * L_dual on a batch, with gradients in x and mu.
 
     ``zeta`` is the classifier's :class:`models.BoundMlp` and ``target``
     its :func:`stationarity_target`; ``labels`` must be in range.  The
@@ -169,11 +169,9 @@ def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta):
     V = -r / (M L_stat).  A tangent forward along V gives dL_stat/dcoeff,
     and injecting delta_l V_l^T at each layer input on a backprop that
     also carries the duality cotangent gives the x gradient (the ReLU
-    masks are locally constant).  The target is a constant, as in the
-    graph, so alpha's gradient comes from the duality threshold alone.
-    Returns (l_stat, l_dual, dx, dmu, dalpha); dx and dalpha are
-    gradients of the weighted sum, dmu of L_stat.  dx is ``zeta``'s
-    input-cotangent buffer, which the next call overwrites.
+    masks are locally constant).  Returns (l_stat, l_dual, dx, dmu); dx
+    is the gradient of the weighted sum, dmu of L_stat.  dx is
+    ``zeta``'s input-cotangent buffer, which the next call overwrites.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -194,12 +192,12 @@ def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta):
     dcoeff = zeta.jvp()
     dmu = dcoeff.take(own)[:, None] - dcoeff
     dmu *= not_y
-    l_dual, dlogits, dalpha = _duality_grads(logits, own, alpha, delta)
+    l_dual, dlogits = _duality_grads(logits, own, alpha, delta)
     dlogits *= beta
     # the second backprop overwrites ``deltas``, which inject is made of
     inject = zeta.tangent_inject(deltas)
     dx = zeta.input_cotangent(zeta.backprop(dlogits, inject), inject)
-    return l_stat, l_dual, dx, dmu, dalpha * beta
+    return l_stat, l_dual, dx, dmu
 
 
 def margins_np(spec, zeta, x, labels):

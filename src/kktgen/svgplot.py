@@ -158,20 +158,33 @@ def svg_image_grid(images, side, neighbors, title=""):
     stack = np.stack([images, neighbors], axis=1)
     if np.isnan(stack).any():
         raise ValueError("image values must not be NaN")
-    row, col = np.divmod(np.arange(n), columns)
-    x0 = pad + col * (_CELL + pad)
-    y0 = y_base + pad + row * band * (_CELL + pad)
-    # (n, band, side, side) in the order the cells are drawn
-    yk = y0[:, None] + np.arange(band) * (_CELL + 2)
+    # each distinct coordinate is formatted once, as "%.2f": x by grid
+    # column and pixel column, y by grid row, band and pixel row; a rect
+    # joins the text of its x, of its y and of its gray level
     cells = np.arange(side) * px
-    x = np.broadcast_to(x0[:, None, None, None] + cells,
-                        (n, band, side, side))
-    y = np.broadcast_to(yk[:, :, None, None] + cells[:, None],
-                        (n, band, side, side))
-    level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp)
-    parts.extend(chain.from_iterable(format_rows(
-        f'<rect x="%.2f" y="%.2f" width="{_fmt(px)}" '
-        f'height="{_fmt(px)}" fill="%s"/>',
-        [x.ravel(), y.ravel(), _GRAYS[level].ravel()])))
+    xs = (pad + np.arange(columns) * (_CELL + pad))[:, None] + cells
+    yk = ((y_base + pad + np.arange(rows) * band * (_CELL + pad))[:, None]
+          + np.arange(band) * (_CELL + 2))
+    ys = yk[:, :, None] + cells
+    heads = np.array(['<rect x="%.2f" y="' % v for v in xs.ravel().tolist()],
+                     dtype=object)
+    size = _fmt(px)
+    mids = np.array(['%.2f" width="%s" height="%s" fill="' % (v, size, size)
+                     for v in ys.ravel().tolist()], dtype=object)
+    tails = np.array([f'{gray}"/>' for gray in _GRAYS.tolist()],
+                     dtype=object)
+    # (n, band, side, side) in the order the cells are drawn
+    row, col = np.divmod(np.arange(n), columns)
+    shape = (n, band, side, side)
+    x_of = np.broadcast_to((col * side)[:, None, None, None]
+                           + np.arange(side), shape).ravel()
+    y_of = np.broadcast_to(
+        (((row * band)[:, None] + np.arange(band)) * side)[:, :, None, None]
+        + np.arange(side)[:, None], shape).ravel()
+    level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp).ravel()
+    for start in range(0, level.size, FORMAT_BLOCK_ROWS):
+        block = slice(start, start + FORMAT_BLOCK_ROWS)
+        parts += (heads[x_of[block]] + mids[y_of[block]]
+                  + tails[level[block]]).tolist()
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

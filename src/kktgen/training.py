@@ -3,13 +3,14 @@
 The classifier is driven into the max-margin regime with plain full-batch
 gradient descent on the summed cross-entropy until the loss drops below
 log(2)/N, then for a configurable number of extra epochs so the margins
-keep growing.  The generator, multiplier network and the per-classifier
-alpha are then trained with Adam on
+keep growing.  The generator and the multiplier network are then trained
+with Adam on
 
     L = L_stationarity + beta * L_duality (+ tv_weight * TV),
 
 where every step draws labels and noise from a per-step seeded stream so
-runs are bit-reproducible and resumable.
+runs are bit-reproducible and resumable.  Each classifier's alpha is
+fixed by its duality band (:func:`duality_band`).
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class GeneratorTrainConfig:
     beta: float = 3.0
     lr_theta: float = 1e-4
     lr_eta: float = 1e-3
-    lr_alpha: float = 0.0
     steps: int = 20_000
     tv_weight: float = 0.0
     tv_shape: tuple[int, ...] = ()  # (height, width) when tv_weight > 0
@@ -103,10 +103,8 @@ class GeneratorTrainConfig:
         # each range check is "not <in range>", which NaN fails too
         if not self.batch_size >= 1:
             raise ValueError("batch size must be >= 1")
-        if not isinstance(self.lr_alpha, (int, float)):
-            raise ValueError("lr alpha must be one rate for every alpha")
-        for key in ("seed", "beta", "lr_theta", "lr_eta", "lr_alpha",
-                    "steps", "tv_weight"):
+        for key in ("seed", "beta", "lr_theta", "lr_eta", "steps",
+                    "tv_weight"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key.replace('_', ' ')} must be "
                                  f"nonnegative")
@@ -161,7 +159,7 @@ class ClassifierBundle:
 class GeneratorTrainState:
     gen_params: ParameterVector
     mult_params: ParameterVector
-    alphas: np.ndarray  # one trainable alpha per classifier
+    alphas: np.ndarray  # one alpha per classifier, set by its band
     deltas: np.ndarray  # duality band width per classifier
     step: int = 0
     history: list = field(default_factory=list)  # one row per step
@@ -177,12 +175,10 @@ def history_keys(t_count):
 
 
 def generator_optimizers(state, config):
-    """Fresh Adam states for ``state``'s theta and eta and one per
-    alpha, so the alpha trajectories stay independent, at ``config``'s
+    """Fresh Adam states for ``state``'s theta and eta at ``config``'s
     learning rates."""
     return {"theta": Adam(len(state.gen_params), config.lr_theta),
-            "eta": Adam(len(state.mult_params), config.lr_eta),
-            "alpha": [Adam(1, config.lr_alpha) for _ in state.alphas]}
+            "eta": Adam(len(state.mult_params), config.lr_eta)}
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +390,13 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
     classifier's, the generator's and the multiplier's parameters, and
     ``target`` is the classifier's :func:`kkt.stationarity_target` at
     alpha_t.  Runs the generator, multiplier and classifier forwards
-    once, takes L_stat + beta L_dual and its x/mu/alpha gradients from
+    once, takes L_stat + beta L_dual and its x/mu gradients from
     :func:`kkt.kkt_loss_grads`, adds the TV term, then backpropagates
     through the multiplier and the generator.  ``gen_in`` and
     ``mult_in`` are the buffers :func:`condition` writes the two
     networks' inputs into.  Returns
-    (total, l_stat, l_dual, l_tv, g_theta, g_eta, g_alpha); g_theta and
-    g_eta are the bindings' gradient buffers.
+    (total, l_stat, l_dual, l_tv, g_theta, g_eta); g_theta and g_eta are
+    the bindings' gradient buffers.
     """
     x = gen.forward(condition(eps, labels, t, gen.spec, gen_in))
     if not np.isfinite(x).all():
@@ -408,7 +404,7 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
             f"non-finite generated sample at step {state.step}",
             state.step, state)
     mu_pre = mult.forward(condition(x, labels, t, mult.spec, mult_in))
-    l_stat, l_dual, dx, dmu, g_alpha = kkt_loss_grads(
+    l_stat, l_dual, dx, dmu = kkt_loss_grads(
         zeta, target, x, labels, np.maximum(mu_pre, 0.0),
         float(state.alphas[t]), float(state.deltas[t]), config.beta)
     total = l_stat + l_dual * config.beta
@@ -421,7 +417,7 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
     mult_deltas = mult.backprop(dmu)
     dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
     return (total, l_stat, l_dual, l_tv, gen.param_grad(gen.backprop(dx)),
-            mult.param_grad(mult_deltas), g_alpha)
+            mult.param_grad(mult_deltas))
 
 
 def probe_peak_margin(classifier, config, t):
@@ -456,7 +452,7 @@ def _spawn_seed(seed, k):
 
 def train_generator(classifiers, gen_spec, mult_spec, config,
                     state=None, callback=None):
-    """Train the generator/multiplier/alpha state against T classifiers.
+    """Train the generator and multiplier against T classifiers.
 
     With T > 1 the per-step objective cycles the classifiers round-robin
     from a seeded random offset (set ``config.full_sum`` to sum all T
@@ -512,9 +508,10 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     mult = BoundMlp(mult_spec, state.mult_params)
     gen_in = np.empty((m, gen.mlp.in_dim))
     mult_in = np.empty((m, mult.mlp.in_dim))
-    # per classifier: the alpha its stationarity target was computed at
-    target_alphas = [None] * t_count
-    targets = [None] * t_count
+    targets = [stationarity_target(cb.params,
+                                   lambda_bar(cb.profile, float(alpha)),
+                                   cb.virtual_n)
+               for cb, alpha in zip(classifiers, state.alphas)]
     keys = history_keys(t_count)
     theta, eta = state.gen_params.values, state.mult_params.values
 
@@ -533,24 +530,16 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
 
         total = 0.0
         g_theta = g_eta = 0.0
-        g_alphas = []
         l_stat = l_dual = l_tv = 0.0
         for t in active:
             labels = cdf.searchsorted(rng.random(m), side="right")
             eps = rng.standard_normal((m, noise_dim))
-            alpha = float(state.alphas[t])
-            if target_alphas[t] != alpha:
-                cb = classifiers[t]
-                targets[t] = stationarity_target(
-                    cb.params, lambda_bar(cb.profile, alpha), cb.virtual_n)
-                target_alphas[t] = alpha
-            loss_t, stat_t, dual_t, tv_t, g_th, g_et, g_alpha = \
-                _classifier_step(zetas[t], targets[t], gen, mult, state, t,
-                                 labels, eps, config, gen_in, mult_in)
+            loss_t, stat_t, dual_t, tv_t, g_th, g_et = _classifier_step(
+                zetas[t], targets[t], gen, mult, state, t, labels, eps,
+                config, gen_in, mult_in)
             total = total + loss_t
             g_theta = g_theta + g_th
             g_eta = g_eta + g_et
-            g_alphas.append(g_alpha)
             l_stat += stat_t
             l_dual += dual_t
             l_tv += tv_t
@@ -561,9 +550,6 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
 
         state.optimizers["theta"].step(theta, g_theta)
         state.optimizers["eta"].step(eta, g_eta)
-        for t, g_alpha in zip(active, g_alphas):
-            state.alphas[t] = state.optimizers["alpha"][t].step_scalar(
-                float(state.alphas[t]), g_alpha)
 
         state.history.append(dict(zip(keys, [
             step, active[0] if len(active) == 1 else -1, l_stat, l_dual,

@@ -17,6 +17,7 @@ import kktgen.kkt as kk
 import kktgen.training as tr
 from kktgen import kernels
 from kktgen.cli import main
+from kktgen.config import RunConfig
 from kktgen.datasets import circle_dataset
 from kktgen.models import GeneratorSpec, MlpSpec, MultiplierSpec, init_kaiming
 
@@ -68,6 +69,17 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
+def test_deleted_key_is_usage_error(tmp_path, capsys):
+    """``generator_training.lr_alpha`` is gone: alpha is fixed by the
+    duality band."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[generator_training]\nlr_alpha = -0.01\n")
+    assert main(["train-generator", str(cfg), "classifier.ckpt"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: bad config: generator_training.lr_alpha: "
+                   "unknown key (line 2)"]
+
+
 def test_bad_dataset_kind_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[dataset]\nkind = bogus\n")
@@ -105,7 +117,6 @@ BAD_TRAIN_VALUES = [
     ("train-generator", "generator_training", "tv_weight = -1"),
     ("train-generator", "generator_training", "lr_theta = -0.0001"),
     ("train-generator", "generator_training", "lr_eta = -0.001"),
-    ("train-generator", "generator_training", "lr_alpha = -0.01"),
     ("train-generator", "generator_training", "steps = -1"),
 ]
 
@@ -576,6 +587,39 @@ def test_resume_refuses_a_checkpoint_of_another_run(workdir, capsys,
     assert (out / "generator.ckpt").read_bytes() == before
 
 
+def test_generator_checkpoint_with_alpha_optimizers_samples(workdir,
+                                                           capsys):
+    """A generator checkpoint written while alpha was trainable has an
+    ``opt.alpha{t}`` Adam section per classifier, and its config hash
+    covers ``generator_training.lr_alpha``.  It still samples, to the same
+    bytes, and a resume refuses it as a checkpoint of another run."""
+    tmp_path, cfg = workdir
+    out = run_dir(tmp_path)
+    clf, gen = out / "classifier.ckpt", out / "generator.ckpt"
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert main(["estimate-lambda", str(clf)]) == 0
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    samples = [tmp_path / "now.csv", tmp_path / "older.csv"]
+    assert main(["sample", str(gen), "--out", str(samples[0])]) == 0
+    sections = ck.read_sections(gen)
+    sections["opt.alpha0"] = ck._adam_bytes(kernels.Adam(1, 0.0))
+    older_hash = RunConfig.from_file(cfg).replaced(
+        "generator_training", seed=0, steps=None, lr_alpha=0.0).hash()
+    sections["meta"] = sections["meta"].replace(
+        ck.load_generator(gen)[3]["config_hash"].encode(),
+        older_hash.encode())
+    ck.write_sections(gen, sections)
+    assert ck.load_generator(gen)[3]["config_hash"] == older_hash
+    assert main(["sample", str(gen), "--out", str(samples[1])]) == 0
+    assert samples[0].read_bytes() == samples[1].read_bytes()
+    before = gen.read_bytes()
+    capsys.readouterr()
+    assert main(["train-generator", str(cfg), str(clf), "--resume"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "another configuration" in err[0]
+    assert gen.read_bytes() == before
+
+
 # (section container cut, parameter blob cut) in bytes: a cut in the
 # container's version, section count and first name length, then cuts in
 # the parameter blob's version, group count and group table
@@ -620,8 +664,7 @@ def small_generator_run(tmp_path):
     state = tr.GeneratorTrainState(theta, eta, np.zeros(1), np.ones(1),
                                    step=3)
     state.optimizers = {"theta": kernels.Adam(len(theta), 1e-3),
-                        "eta": kernels.Adam(len(eta), 1e-3),
-                        "alpha": [kernels.Adam(1, 0.0)]}
+                        "eta": kernels.Adam(len(eta), 1e-3)}
     state.history = [dict(zip(tr.history_keys(1), [step, 0] + [0.5] * 5))
                      for step in range(3)]
     gen = tmp_path / "runs" / "experiment" / "generator.ckpt"
@@ -668,8 +711,8 @@ def test_truncated_generator_checkpoint_is_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("missing", [("opt.theta",), ("opt.eta",),
-                                     ("opt.alpha0",),
-                                     ("opt.theta", "opt.eta", "opt.alpha0"),
+                                     ("opt.theta", "opt.eta"),
+                                     ("opt.theta", "opt.eta", "history"),
                                      ("history",)])
 def test_resume_without_optimizer_state_is_usage_error(workdir, capsys,
                                                        missing):
@@ -817,8 +860,8 @@ def test_selftest_fails_on_a_wrong_duality_loss(capsys, monkeypatch):
     duality_grads = kk._duality_grads
 
     def off_by_one(*args):
-        value, dlogits, dalpha = duality_grads(*args)
-        return value + 1.0, dlogits, dalpha
+        value, dlogits = duality_grads(*args)
+        return value + 1.0, dlogits
 
     monkeypatch.setattr(kk, "_duality_grads", off_by_one)
     assert main(["selftest"]) == 3

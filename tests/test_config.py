@@ -125,6 +125,17 @@ def test_dataset_builder_pattern_and_csv(tmp_path):
         RunConfig.from_text("[dataset]\nkind = bogus\n").dataset()
 
 
+@pytest.mark.parametrize("line", ["csv_path = /nonexistent.csv",
+                                  "num_classes = 5"])
+def test_csv_key_under_a_builtin_kind_is_an_error(line):
+    """A key only ``kind = csv`` reads is refused, not ignored, under a
+    built-in kind."""
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match="only for kind = csv") as err:
+        RunConfig.from_text(f"[dataset]\n{line}\n").dataset()
+    assert err.value.field == f"dataset.{key}"
+
+
 def test_spec_builders():
     cfg = RunConfig.from_text("")
     assert cfg.classifier_spec() == MlpSpec((2, 16, 16, 3), False)
@@ -246,19 +257,22 @@ def test_every_key_reaches_a_builder(tmp_path):
 # workload configs under a fixed [experiment] header: the schema takes the
 # train-config defaults from the dataclasses, and their rendering must
 # not move.  The digest of each config moved only by deleting keys: the
-# same values plus the keys that became module constants (MADE_CONSTANT)
-# at their old values must still hash to the digest before that, and
-# plus the keys deleted before (classifier.refine_margins,
-# generator_training.delta and the [lambda] section) to the digest
-# before those went.
+# same values plus the trainable-alpha rate (ALPHA_RATE) at its old
+# value must still hash to the digest before it went, plus the keys that
+# became module constants (MADE_CONSTANT) at their old values to the
+# digest before that, and plus the keys deleted before
+# (classifier.refine_margins, generator_training.delta and the [lambda]
+# section) to the digest before those went.
 PINNED = [
     ("", "b896024511d5fa2e69e9caa840de811c83f344200620f8b550fbff0c19e001c7",
      "4080f22d1553c0128c36646b8ada3e39f745bd618d52a5ad99edf084b00da081",
-     "8df0cf78fb60c24cbf3f35ec96e5d8596ca3eba1929f3f51d0d43c03f74fd318"),
+     "8df0cf78fb60c24cbf3f35ec96e5d8596ca3eba1929f3f51d0d43c03f74fd318",
+     "aaab69a6c1b63f806ae9fd1269be3df7dcfe39d62c8360c600afc2c8ebd21f72"),
     ("[generator_training]\nsteps = 2000\n",
      "db715cb81d1d157b6d1945740f8c1add87fd5c9a31fc09ae89b6ce818dd0241d",
      "336ffc398f69d22e52788844a3eeee7e138cc73f0c887ab983a419691b367a17",
-     "79cf3d5fe8fdece2e7ecd146752ca338b9592d823e605d46323f9685d8360ad9"),
+     "79cf3d5fe8fdece2e7ecd146752ca338b9592d823e605d46323f9685d8360ad9",
+     "8633bb7daa588e6948eee2294989071cd8f03fca72e8403c2d26cc4a63946afd"),
     ("[dataset]\nkind = stripes-vs-checks-8x8\n"
      "[classifier]\nwidths = 64,32,32,2\nlearning_rate = 0.001\n"
      "refine_iters = 1000\n"
@@ -266,13 +280,17 @@ PINNED = [
      "tv_shape = 8,8\n",
      "552203816bae1ac5e5e93204d47d97311cc839c3b6014d71d50c5cded50fde5e",
      "0ed5521a250f5f9b220e72b0655efcdc964549c0a18d7386880ae9ba5aa34786",
-     "bdaf903b06a7ad36a9635a4c99c94a943a3ba8df2afa001302776759f86111f2"),
+     "bdaf903b06a7ad36a9635a4c99c94a943a3ba8df2afa001302776759f86111f2",
+     "8042c3b98195fe8689f1a953fc597b91e14bf5124fb08ca26a0d90f6a72f04cd"),
     ("[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 2000\n"
      "[generator_training]\nsteps = 1500\nfull_sum = true\n",
      "ed6ada6bbcd9ce9d9a0024bc1089e34dbd9dea63aaaf2a9d096591a219a382c8",
      "daef36abcac15ce44e4ee36f355ac1bcdeb0b93ac1bd4fb66c3c15a4511db1f6",
-     "8154635502ea80cde96f4482fd7c22385951606f39610c78d87aa68f35a4117e"),
+     "8154635502ea80cde96f4482fd7c22385951606f39610c78d87aa68f35a4117e",
+     "116b38a1a9a49bf50b037a2c034f4b09e073d43af99f34243647f76160dbf785"),
 ]
+
+ALPHA_RATE = {"generator_training": {"lr_alpha": 0.0}}
 
 MADE_CONSTANT = {
     "classifier": {"refine_temperatures": (3.0, 6.0, 12.0, 25.0, 50.0,
@@ -298,13 +316,17 @@ def with_keys(cfg, keys):
 
 
 @pytest.mark.parametrize(
-    "text,digest_before_deletions,digest_before_constants,digest", PINNED)
+    "text,digest_before_deletions,digest_before_constants,"
+    "digest_before_alpha,digest", PINNED)
 def test_config_hashes_are_pinned(text, digest_before_deletions,
-                                  digest_before_constants, digest):
+                                  digest_before_constants,
+                                  digest_before_alpha, digest):
     if text:
         text = "[experiment]\nname = exp\noutput_dir = runs\n" + text
     cfg = RunConfig.from_text(text)
     assert cfg.hash() == digest
+    cfg = with_keys(cfg, ALPHA_RATE)
+    assert cfg.hash() == digest_before_alpha
     cfg = with_keys(cfg, MADE_CONSTANT)
     assert cfg.hash() == digest_before_constants
     assert with_keys(cfg, DELETED_KEYS).hash() == digest_before_deletions
@@ -332,7 +354,6 @@ KEPT_KEYS = {
     ("generator_training", "beta"): "the paper's beta",
     ("generator_training", "lr_theta"): "the paper's learning rates",
     ("generator_training", "lr_eta"): "the paper's learning rates",
-    ("generator_training", "lr_alpha"): "ROADMAP item 9 measures rates",
     ("generator_training", "margin_band"): "ROADMAP item 8 tries bands",
     ("generator_training", "label_distribution"): "the class prior",
     ("generator_training", "seed"): "a seed",

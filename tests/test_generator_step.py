@@ -4,7 +4,7 @@ step loop against the loop it replaced.
 The graph below is built only from the reference oracle functions
 (``mlp_apply``, ``stationarity_loss_graph``, ``duality_loss``, ``tv_loss``)
 and differentiated with ``autodiff.grad``; the numpy step must reproduce
-its loss and its theta, eta and alpha gradients.  ``reference_train``
+its loss and its theta and eta gradients.  ``reference_train``
 keeps the step loop as it was before its per-run set-up was hoisted out,
 and ``train_generator`` must match it bit for bit.
 """
@@ -34,7 +34,7 @@ def graph_step(bundle, gen_spec, mult_spec, state, t, labels, eps, config):
     """Loss of classifier t and its gradients through the autodiff graph."""
     gen_leaves = make_leaves(gen_spec, state.gen_params)
     mult_leaves = make_leaves(mult_spec, state.mult_params)
-    alpha = ad.tensor(state.alphas[t])
+    alpha = float(state.alphas[t])
     cond = [ad.one_hot(labels, gen_spec.num_classes)]
     if gen_spec.conditions_on_classifier:
         cond.append(ad.one_hot(np.full(labels.size, t),
@@ -45,7 +45,7 @@ def graph_step(bundle, gen_spec, mult_spec, state, t, labels, eps, config):
                            ad.concat([x] + cond, axis=1)))
     l_stat, logits = stationarity_loss_graph(
         bundle.spec, make_leaves(bundle.spec, bundle.params),
-        lambda_bar(bundle.profile, float(alpha.value)), bundle.virtual_n,
+        lambda_bar(bundle.profile, alpha), bundle.virtual_n,
         x, labels, mu)
     l_dual = duality_loss(logits, labels, alpha, float(state.deltas[t]))
     total = ad.add(l_stat, ad.mul(l_dual, ad.constant(config.beta)))
@@ -55,11 +55,11 @@ def graph_step(bundle, gen_spec, mult_spec, state, t, labels, eps, config):
     gen_names = list(state.gen_params.groups)
     mult_names = list(state.mult_params.groups)
     wrt = ([gen_leaves[n] for n in gen_names]
-           + [mult_leaves[n] for n in mult_names] + [alpha])
+           + [mult_leaves[n] for n in mult_names])
     grads = ad.grad(total, wrt, allow_unused=True)
     flat = [g.value.reshape(-1) for g in grads]
     return (float(total.value), np.concatenate(flat[:len(gen_names)]),
-            np.concatenate(flat[len(gen_names):-1]), float(flat[-1][0]))
+            np.concatenate(flat[len(gen_names):]))
 
 
 def random_setup(seed, n_layers, bias, t_count, tv):
@@ -133,7 +133,7 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
     want = [0.0, 0.0, 0.0]
     got = [0.0, 0.0, 0.0]
     for t in active:
-        total, g_theta, g_eta, g_alpha = graph_step(
+        total, g_theta, g_eta = graph_step(
             bundles[t], gen_spec, mult_spec, state, t, labels, eps, config)
         target = kk.stationarity_target(
             bundles[t].params,
@@ -148,8 +148,6 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
             np.empty((BATCH, mult.mlp.in_dim)))
         want = [want[0] + total, want[1] + g_theta, want[2] + g_eta]
         got = [got[0] + step[0], got[1] + step[4], got[2] + step[5]]
-        assert g_alpha != 0.0
-        assert_close(step[6], g_alpha, f"alpha_{t} gradient")
     assert_close(got[0], want[0], "loss")
     assert_close(got[1], want[1], "theta gradient")
     assert_close(got[2], want[2], "eta gradient")
@@ -168,14 +166,13 @@ def test_tv_and_duality_gradients_at_ties_match_graph():
     # alpha = 0: margins 1.0 and 1.5 sit exactly on the band [1, 1.5]
     logits = np.array([[2.0, 1.0, 0.0], [0.0, 1.5, 0.0], [3.0, 0.0, 0.5]])
     labels = np.array([0, 1, 0])
-    l_dual, dlogits, dalpha = kk._duality_grads(
+    l_dual, dlogits = kk._duality_grads(
         logits, kk._own_indices(labels, 3), 0.0, 0.5)
-    logits_t, alpha_t = ad.tensor(logits), ad.tensor(0.0)
-    ref = duality_loss(logits_t, labels, alpha_t, 0.5)
-    g_logits, g_alpha = ad.grad(ref, [logits_t, alpha_t])
+    logits_t = ad.tensor(logits)
+    ref = duality_loss(logits_t, labels, 0.0, 0.5)
+    (g_logits,) = ad.grad(ref, [logits_t])
     assert l_dual == ref.item()
     assert np.array_equal(dlogits, g_logits.value)
-    assert dalpha == g_alpha.item()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -247,7 +244,7 @@ def reference_duality_grads(logits, labels, alpha, delta):
     dz = mask * ((z - delta > 0.0) * 1.0 - (z < 0.0)) * (1.0 / m)
     dlogits = -dz
     dlogits[rows, labels] += dz.sum(axis=1)
-    return l_dual, dlogits, float(dz.sum() * threshold)
+    return l_dual, dlogits
 
 
 def reference_jvp(zeta, acts, tangent):
@@ -283,11 +280,10 @@ def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
     tangent = r * (-1.0 / (m * l_stat))
     dcoeff = reference_jvp(zeta, zeta.acts, tangent)
     dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
-    l_dual, dlogits, dalpha = reference_duality_grads(logits, labels, alpha,
-                                                      delta)
+    l_dual, dlogits = reference_duality_grads(logits, labels, alpha, delta)
     inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
     dx = zeta.input_cotangent(zeta.backprop(dlogits * beta, inject), inject)
-    return l_stat, l_dual, dx, dmu, dalpha * beta
+    return l_stat, l_dual, dx, dmu
 
 
 def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
@@ -295,7 +291,7 @@ def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
     x = gen.forward(condition(eps, labels, t, gen.spec))
     mu_pre = mult.forward(condition(x, labels, t, mult.spec))
     alpha = float(state.alphas[t])
-    l_stat, l_dual, dx, dmu, g_alpha = reference_kkt_loss_grads(
+    l_stat, l_dual, dx, dmu = reference_kkt_loss_grads(
         zeta, lambda_bar(classifier.profile, alpha), classifier.virtual_n,
         x, labels, np.maximum(mu_pre, 0.0), alpha, float(state.deltas[t]),
         config.beta)
@@ -309,13 +305,13 @@ def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
     dcond = mult.input_cotangent(mult_deltas)
     gen_deltas = gen.backprop(dx + dcond[:, :x.shape[1]])
     return (total, l_stat, l_dual, l_tv, gen.param_grad(gen_deltas),
-            mult.param_grad(mult_deltas), g_alpha)
+            mult.param_grad(mult_deltas))
 
 
 def reference_train(classifiers, gen_spec, mult_spec, config, state):
     """The step loop before the per-run set-up was hoisted out of it:
-    ``rng.choice`` labels, a fresh conditional input per call,
-    ``lambda_bar`` every step and the array Adam for alpha."""
+    ``rng.choice`` labels, a fresh conditional input per call and
+    ``lambda_bar`` every step."""
     t_count = len(classifiers)
     offset = int(tr._step_rng(config.seed, 0, stream=7).integers(t_count))
     probs = config.label_probs(gen_spec.num_classes)
@@ -329,14 +325,13 @@ def reference_train(classifiers, gen_spec, mult_spec, config, state):
                   else [(offset + step) % t_count])
         total = 0.0
         g_theta = g_eta = 0.0
-        g_alphas = {}
         parts = {"stat": 0.0, "dual": 0.0, "tv": 0.0}
         for t in active:
             labels = rng.choice(gen_spec.num_classes,
                                 size=config.batch_size, p=probs)
             eps = rng.standard_normal((config.batch_size,
                                        gen_spec.noise_dim))
-            loss_t, l_stat, l_dual, l_tv, g_th, g_et, g_alphas[t] = \
+            loss_t, l_stat, l_dual, l_tv, g_th, g_et = \
                 reference_classifier_step(classifiers[t], zetas[t], gen,
                                           mult, state, t, labels, eps,
                                           config)
@@ -348,9 +343,6 @@ def reference_train(classifiers, gen_spec, mult_spec, config, state):
             parts["tv"] += l_tv
         state.optimizers["theta"].step(state.gen_params.values, g_theta)
         state.optimizers["eta"].step(state.mult_params.values, g_eta)
-        for t in active:
-            state.optimizers["alpha"][t].step(state.alphas[t:t + 1],
-                                              np.array([g_alphas[t]]))
         row = {"step": step, "t": active[0] if len(active) == 1 else -1,
                "l_stat": parts["stat"], "l_dual": parts["dual"],
                "tv": parts["tv"], "total": float(total)}
@@ -390,9 +382,6 @@ def loop_setup(case):
         base.update(tv_weight=0.05, tv_shape=(2, 2))
     elif case == "labels-with-a-zero":
         base["label_distribution"] = (0.5, 0.0, 0.5)
-    elif case == "lr-alpha":
-        t_count = 2
-        base.update(lr_alpha=0.05, full_sum=True)
     bundles = [homogeneous_bundle((dim, 8, 6, classes), bias, 11 + k)
                for k in range(t_count)]
     gen_spec = GeneratorSpec(3, classes, (10, 8), dim,
@@ -417,18 +406,15 @@ def assert_same_run(got, want):
     assert np.array_equal(got.gen_params.values, want.gen_params.values)
     assert np.array_equal(got.mult_params.values, want.mult_params.values)
     assert got.alphas.tobytes() == want.alphas.tobytes()
-    adams = [("theta", got.optimizers["theta"], want.optimizers["theta"]),
-             ("eta", got.optimizers["eta"], want.optimizers["eta"])]
-    adams += [(f"alpha{t}", a, b) for t, (a, b) in enumerate(
-        zip(got.optimizers["alpha"], want.optimizers["alpha"]))]
-    for name, a, b in adams:
+    for name in ("theta", "eta"):
+        a, b = got.optimizers[name], want.optimizers[name]
         assert a.t == b.t, name
         assert a.m.tobytes() == b.m.tobytes(), name
         assert a.v.tobytes() == b.v.tobytes(), name
 
 
 LOOP_CASES = ["T1", "T2-round-robin", "T2-full-sum", "tv",
-              "labels-with-a-zero", "lr-alpha"]
+              "labels-with-a-zero"]
 
 
 @pytest.mark.parametrize("case", LOOP_CASES)
@@ -441,23 +427,38 @@ def test_train_generator_matches_reference_loop_bit_for_bit(case):
                                                config))
     assert got.step == want.step == config.steps
     assert_same_run(got, want)
-    if case == "lr-alpha":  # the target caches had to refresh every step
-        for key in ("alpha_0", "alpha_1"):
-            alphas = [row[key] for row in got.history]
-            assert len(set(alphas)) == len(alphas)
 
 
-@pytest.mark.parametrize("case", ["lr-alpha", "T2-round-robin", "tv"])
-def test_resume_through_checkpoint_rebuilds_the_step_state(tmp_path, case):
-    """k steps, a checkpoint, and a resume equal one uninterrupted run."""
-    bundles, gen_spec, mult_spec, config = loop_setup(case)
-    straight = tr.train_generator(bundles, gen_spec, mult_spec, config)
+def resumed_run(tmp_path, bundles, gen_spec, mult_spec, config):
+    """9 steps, a checkpoint, and a resume to ``config.steps``."""
     part = tr.train_generator(bundles, gen_spec, mult_spec,
                               tr.GeneratorTrainConfig(
                                   **{**config.__dict__, "steps": 9}))
     path = tmp_path / "part.ckpt"
     ck.save_generator(path, gen_spec, mult_spec, part)
     _, _, loaded, _ = ck.load_generator(path, config=config)
-    resumed = tr.train_generator(bundles, gen_spec, mult_spec, config,
-                                 state=loaded)
-    assert_same_run(resumed, straight)
+    return tr.train_generator(bundles, gen_spec, mult_spec, config,
+                              state=loaded)
+
+
+@pytest.mark.parametrize("case", ["T2-round-robin", "tv"])
+def test_resume_through_checkpoint_rebuilds_the_step_state(tmp_path, case):
+    """k steps, a checkpoint, and a resume equal one uninterrupted run."""
+    bundles, gen_spec, mult_spec, config = loop_setup(case)
+    straight = tr.train_generator(bundles, gen_spec, mult_spec, config)
+    assert_same_run(resumed_run(tmp_path, bundles, gen_spec, mult_spec,
+                                config), straight)
+
+
+def test_alpha_is_the_duality_band_alpha_on_every_step(tmp_path):
+    """No step moves alpha: every alpha_t of a T = 2 full-sum run, and of
+    its resume through a checkpoint, is the classifier's
+    :func:`training.duality_band` alpha, bit for bit."""
+    bundles, gen_spec, mult_spec, config = loop_setup("T2-full-sum")
+    band = [bits(tr.duality_band(cb, config, t)[0])
+            for t, cb in enumerate(bundles)]
+    for run in (tr.train_generator(bundles, gen_spec, mult_spec, config),
+                resumed_run(tmp_path, bundles, gen_spec, mult_spec, config)):
+        assert [[bits(row[f"alpha_{t}"]) for t in range(2)]
+                for row in run.history] == [band] * config.steps
+        assert [bits(a) for a in run.alphas] == band

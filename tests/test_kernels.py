@@ -94,39 +94,6 @@ def test_bound_adam_operands_match_out_of_place_steps(size, lr, beta1, beta2,
         assert adam.v.tobytes() == wv.tobytes()
 
 
-@pytest.mark.parametrize("lr", [0.0, 1e-3, 0.05])
-def test_scalar_adam_step_is_bit_identical_to_the_kernel(lr):
-    """``Adam.step_scalar`` against ``adam_update`` on size-1 arrays, with
-    gradients of either sign from 1e-8 to 1e3, and a state that a
-    checkpoint of either carries over to the other."""
-    from kktgen import checkpoint
-    from kktgen.kernels import Adam
-
-    rng = np.random.default_rng(7)
-    grads = (rng.choice([-1.0, 1.0], 5000)
-             * 10.0 ** rng.uniform(-8.0, 3.0, 5000))
-    kernel, scalar = Adam(1, lr), Adam(1, lr)
-    values, value = np.array([0.37]), 0.37
-    for g in grads:
-        kernel.step(values, np.array([g]))
-        value = scalar.step_scalar(value, float(g))
-        assert type(value) is float
-        assert np.float64(value).tobytes() == values.tobytes()
-        assert scalar.m.tobytes() == kernel.m.tobytes()
-        assert scalar.v.tobytes() == kernel.v.tobytes()
-    assert scalar.t == kernel.t == 5000
-    assert scalar.m.shape == scalar.v.shape == (1,)
-    # a checkpoint section written by the array Adam resumes the scalar one
-    section = checkpoint._adam_bytes(kernel)
-    assert checkpoint._adam_bytes(scalar) == section
-    resumed = Adam(1, lr)
-    checkpoint._adam_load(resumed, section)
-    for g in grads[:50]:
-        kernel.step(values, np.array([g]))
-        value = resumed.step_scalar(value, float(g))
-        assert np.float64(value).tobytes() == values.tobytes()
-
-
 def test_ssim_uniform_identity_and_symmetry():
     rng = np.random.default_rng(1)
     a = rng.random((1, 12, 12))

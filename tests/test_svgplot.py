@@ -1,12 +1,14 @@
 """Unit tests for the dependency-free SVG plotting helpers."""
 
+from itertools import chain
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from kktgen.datasets import circle_dataset
-from kktgen.svgplot import PALETTE, svg_image_grid, svg_scatter
+from kktgen.datasets import circle_dataset, format_rows
+from kktgen.svgplot import (_CELL, _COLUMNS, _ESCAPES, _GRAYS, PALETTE, _fmt,
+                            svg_image_grid, svg_scatter)
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -92,3 +94,60 @@ def test_title_is_escaped(patterns, mode):
         svg = svg_image_grid(images, 8, images, title=title)
     root = ElementTree.fromstring(svg)
     assert title in [t.text for t in root.iter(f"{{{SVG_NS}}}text")]
+
+
+def format_rows_image_grid(images, side, neighbors, title=""):
+    """:func:`svg_image_grid` with each rect's coordinates and gray level
+    formatted by one ``format_rows`` template per rect."""
+    images = np.asarray(images, dtype=np.float64).reshape(-1, side, side)
+    neighbors = np.asarray(neighbors,
+                           dtype=np.float64).reshape(len(images), side, side)
+    n = len(images)
+    columns = min(_COLUMNS, max(n, 1))
+    rows = (n + columns - 1) // columns
+    band = 2
+    pad = 8
+    width = columns * (_CELL + pad) + pad
+    height = max(rows * band * (_CELL + pad) + pad + (20 if title else 0),
+                 _CELL)
+    px = _CELL / side
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{_fmt(width / 2)}" y="14" font-size="12" '
+                     f'text-anchor="middle">'
+                     f'{title.translate(_ESCAPES)}</text>')
+    y_base = 20 if title else 0
+    stack = np.stack([images, neighbors], axis=1)
+    row, col = np.divmod(np.arange(n), columns)
+    x0 = pad + col * (_CELL + pad)
+    y0 = y_base + pad + row * band * (_CELL + pad)
+    yk = y0[:, None] + np.arange(band) * (_CELL + 2)
+    cells = np.arange(side) * px
+    x = np.broadcast_to(x0[:, None, None, None] + cells,
+                        (n, band, side, side))
+    y = np.broadcast_to(yk[:, :, None, None] + cells[:, None],
+                        (n, band, side, side))
+    level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp)
+    parts.extend(chain.from_iterable(format_rows(
+        f'<rect x="%.2f" y="%.2f" width="{_fmt(px)}" '
+        f'height="{_fmt(px)}" fill="%s"/>',
+        [x.ravel(), y.ravel(), _GRAYS[level].ravel()])))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("n,title", [(0, ""), (1, ""), (11, "a<b"),
+                                     (200, "")])
+def test_image_grid_matches_per_rect_formatting(n, title):
+    """The same bytes as one template per rect, over 0, 1 and several
+    grid rows and several format blocks, with values outside [0, 1]."""
+    rng = np.random.default_rng(n)
+    images, neighbors = rng.random((2, n, 64)) * 1.6 - 0.3
+    got = svg_image_grid(images, 8, neighbors, title=title)
+    want = format_rows_image_grid(images, 8, neighbors, title=title)
+    # as lines, so that a failure reports the first line that differs
+    assert got.split("\n") == want.split("\n")

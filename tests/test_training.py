@@ -144,8 +144,6 @@ def test_generator_config_validation():
     for band in ((0.9, 0.5), (), (0.5,), (0.2, 0.5, 1.0)):
         with pytest.raises(ValueError, match="margin band"):
             GeneratorTrainConfig(margin_band=band)
-    with pytest.raises(ValueError, match="lr alpha"):
-        GeneratorTrainConfig(lr_alpha=(1e-2, 0.0))
     for shape in ((), (8,), (8, 0), (2, 4, 8)):
         with pytest.raises(ValueError, match="tv weight"):
             GeneratorTrainConfig(tv_weight=0.01, tv_shape=shape)
