@@ -16,19 +16,16 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import kkt
 from . import training as tr
 from .config import RunConfig
 from .datasets import (CsvError, LabeledDataset, coverage_report,
                        format_rows, integer_column, nearest_neighbor,
                        read_csv, reject_rows)
-from .homogeneity import (PROBE_COUNT, PROBE_MAX_ORDER, VERIFY_ALPHAS,
-                          VERIFY_DEVIATION_LIMIT, VerificationError,
-                          default_probe_samples, estimate_profile,
-                          scaling_deviations, verify_lambda)
-from .kernels import Adam, NnlsIterationLimit
+from .homogeneity import (VERIFY_ALPHAS, VERIFY_DEVIATION_LIMIT,
+                          VerificationError, estimate_profile,
+                          scaling_deviations)
+from .kernels import NnlsIterationLimit
 from .kkt import kkt_residual_oracle, margins_np
-from .models import MlpSpec, init_kaiming
 from .svgplot import svg_image_grid, svg_scatter
 
 EXIT_OK = 0
@@ -148,7 +145,8 @@ def cmd_train_classifier(args):
         ckpt.save_classifier(
             os.path.join(out, f"classifier{tag}.ckpt"), spec, params,
             config_hash=config.hash(),
-            extra={"dataset": ds.name, "final_loss": trajectory[-1]})
+            extra={"dataset": ds.name, "dataset_size": ds.size,
+                   "final_loss": trajectory[-1]})
         _write_csv(os.path.join(out, f"classifier{tag}_loss.csv"),
                    ["epoch", "cross_entropy"],
                    [np.arange(len(trajectory)), trajectory])
@@ -159,15 +157,9 @@ def cmd_train_classifier(args):
 
 
 def cmd_estimate_lambda(args):
-    _require(args.probes >= 1,
-             f"--probes must be at least 1, got {args.probes}")
-    _require(args.max_order in (1, 2),
-             f"--max-order must be 1 or 2, got {args.max_order}")
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     spec, params, _, _ = ckpt.load_classifier(_existing(args.checkpoint))
-    profile, samples = estimate_profile(spec, params, k=args.probes,
-                                        max_order=args.max_order,
-                                        seed=args.seed)
+    profile, samples = estimate_profile(spec, params, seed=args.seed)
     devs = scaling_deviations(spec, params, profile, VERIFY_ALPHAS, samples)
     worst = float(devs.max())
     csv_path = args.out or (os.path.splitext(args.checkpoint)[0]
@@ -190,17 +182,20 @@ def cmd_estimate_lambda(args):
 
 def cmd_train_generator(args):
     config = _load_config(args.config)
-    datasets = config.dataset()
     out = _run_dir(config)
     bundles = []
-    for i, path in enumerate(args.checkpoints):
-        spec, params, profile, _ = ckpt.load_classifier(_existing(path))
+    for path in args.checkpoints:
+        spec, params, profile, meta = ckpt.load_classifier(_existing(path))
         if profile is None:
             raise ValueError(f"{path}: no scaling profile; run "
                              f"'kktgen estimate-lambda {path}' first")
-        ds = datasets[i] if i < len(datasets) else datasets[0]
-        bundles.append(tr.ClassifierBundle(spec, params, profile, ds.size,
-                                           path))
+        # N of the stationarity target: the size of the set it was
+        # trained on, which train-classifier records
+        if not isinstance(meta.get("dataset_size"), int):
+            raise ValueError(f"{path}: no training-set size in its meta; "
+                             f"retrain it with 'kktgen train-classifier'")
+        bundles.append(tr.ClassifierBundle(spec, params, profile,
+                                           meta["dataset_size"], path))
     t_count = len(bundles)
     num_classes = bundles[0].spec.widths[-1]
     out_dim = bundles[0].spec.widths[0]
@@ -313,49 +308,6 @@ def cmd_plot(args):
     return EXIT_OK
 
 
-def cmd_selftest(args):
-    """Fast internal consistency checks of code the commands run: the
-    scaling profile, the step's duality loss and the Adam kernel."""
-    failures = []
-
-    # the scaling profile of a net with zero biases, which only the
-    # second-order (Hessian-vector) rows pin, checked by direct rescaling
-    spec = MlpSpec((2, 10, 1))
-    params = init_kaiming(spec, 0)
-    profile, _ = estimate_profile(spec, params, k=16)
-    dev = verify_lambda(spec, params, profile, VERIFY_ALPHAS,
-                        default_probe_samples(spec, 16, seed=1))
-    if dev > VERIFY_DEVIATION_LIMIT:
-        failures.append(f"lambda estimation deviation {dev:.3g}")
-
-    # duality loss pointwise values (U-shape contract), as the step
-    # computes them
-    for margin, want in ((np.exp(0.0) - 0.1, 0.1),
-                         (np.exp(0.0) + 0.05, 0.0),
-                         (np.exp(0.0) + 0.1 + 0.2, 0.2)):
-        val, _ = kkt._duality_grads(np.array([[margin, 0.0]]),
-                                    np.array([0]), 0.0, 0.1)
-        if abs(val - want) > 1e-12:
-            failures.append(f"duality loss at margin {margin}: "
-                            f"{val} != {want}")
-
-    # the first Adam step against the reference formula: a step of lr
-    # against the sign of the gradient
-    vals = np.array([1.0, -2.0])
-    grads = np.array([0.5, 0.25])
-    Adam(2, 0.1).step(vals, grads)
-    ref = np.array([1.0, -2.0]) - 0.1 * grads / (np.abs(grads) + 1e-8)
-    if not np.allclose(vals, ref, atol=1e-9):
-        failures.append("adam kernel mismatch")
-
-    if failures:
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        return EXIT_VERIFY
-    print("selftest ok")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -374,8 +326,6 @@ def build_parser():
     p = sub.add_parser("estimate-lambda",
                        help="estimate and attach the scaling profile")
     p.add_argument("checkpoint")
-    p.add_argument("--probes", type=int, default=PROBE_COUNT)
-    p.add_argument("--max-order", type=int, default=PROBE_MAX_ORDER)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_estimate_lambda)
@@ -414,9 +364,6 @@ def build_parser():
     p.add_argument("--title", default="")
     p.add_argument("--out", default="plot.svg")
     p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("selftest", help="fast internal consistency checks")
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 

@@ -92,7 +92,7 @@ SCHEMA = {
         "kind": ("str", "circle18"),
         "csv_path": ("str", ""),
         "num_classes": ("int", 0),
-        "split": ("str", "none"),  # none | alternating | arc
+        "split": ("str", "none"),  # none | arc
     },
     "classifier": {
         "widths": ("ints", (2, 16, 16, 3)),
@@ -249,8 +249,8 @@ class RunConfig:
         split = sec["split"]
         if split == "none":
             return (ds,)
-        if split in ("alternating", "arc"):
-            return split_dataset(ds, split)
+        if split == "arc":
+            return split_dataset(ds)
         raise ConfigError("dataset.split", f"unknown split {split!r}")
 
     def classifier_spec(self):

@@ -82,26 +82,17 @@ def circle_dataset():
     return LabeledDataset(x, labels, num_classes=3)
 
 
-def split_dataset(dataset, mode):
-    """Split each class in half into two balanced datasets.
-
-    ``alternating`` interleaves by index within each class; ``arc`` gives
-    the first half of each class to the first split.
-    """
-    if mode not in ("alternating", "arc"):
-        raise ValueError(f"unknown split mode {mode!r}")
+def split_dataset(dataset):
+    """Split each class in half into two balanced datasets: the arc split,
+    which gives the first half of each class to the first."""
     idx_a, idx_b = [], []
     for c in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == c)
         if members.size % 2 != 0:
             raise ValueError(f"class {c} has odd size {members.size}")
-        if mode == "alternating":
-            idx_a.extend(members[0::2])
-            idx_b.extend(members[1::2])
-        else:
-            half = members.size // 2
-            idx_a.extend(members[:half])
-            idx_b.extend(members[half:])
+        half = members.size // 2
+        idx_a.extend(members[:half])
+        idx_b.extend(members[half:])
     idx_a, idx_b = sorted(idx_a), sorted(idx_b)
     return (dataset.subset(idx_a, dataset.name + "_split1"),
             dataset.subset(idx_b, dataset.name + "_split2"))

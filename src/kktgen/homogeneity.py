@@ -6,8 +6,9 @@ exponents are estimated from the derivative identity
 
     sum_j lambda_j * (zeta_j . grad_j Phi_c(x)) = Phi_c(x)
 
-evaluated at random inputs (plus optional second-order rows), solved as a
-nonnegative least-squares problem, and validated by direct rescaling.
+evaluated at random inputs, with second-order rows at the first two,
+solved as a nonnegative least-squares problem, and validated by direct
+rescaling.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from .models import BoundMlp, mlp_apply_np, row_gradients
 
 MASK_REL_TOL = 1e-6
 RIDGE = 1e-12
-# probes of a profile estimate: random inputs and the highest derivative
-# order of the identity rows
+# the random inputs of a profile estimate
 PROBE_COUNT = 32
-PROBE_MAX_ORDER = 2
 # the check of a profile by direct rescaling, wherever one is checked: the
 # alpha grid and the largest relative deviation a profile may show on it
 VERIFY_ALPHAS = (-1.0, -0.5, 0.1, 0.5, 1.0)
@@ -103,12 +102,12 @@ def default_probe_samples(spec, k, seed):
     return rng.standard_normal((k, spec.mlp().in_dim))
 
 
-def build_derivative_equations(spec, params, samples, max_order):
+def build_derivative_equations(spec, params, samples):
     """Assemble the linear system in the per-group lambdas.
 
     First-order rows encode the derivative identity per (sample, output).
-    With ``max_order=2``, one probe coordinate per group adds rows of the
-    lifted second-order identity
+    One probe coordinate per group adds rows of the lifted second-order
+    identity
 
         sum_j lambda_j (zeta_j . grad2_{j,p} Phi) + lambda_{g(p)} grad_p Phi
             = grad_p Phi,
@@ -122,8 +121,6 @@ def build_derivative_equations(spec, params, samples, max_order):
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("at least one probe sample is required")
-    if max_order not in (1, 2):
-        raise ValueError("max_order must be 1 or 2")
     names = [name for name, _ in spec.mlp().group_shapes()]
     offsets = [params.groups[name][0] for name in names]
     # one probe coordinate per group: the largest-magnitude entry
@@ -131,7 +128,7 @@ def build_derivative_equations(spec, params, samples, max_order):
               for name, offset in zip(names, offsets)]
     n_samples, n_out, n_groups = (samples.shape[0], spec.mlp().out_dim,
                                   len(names))
-    n_second = min(2, n_samples) if max_order == 2 else 0
+    n_second = min(2, n_samples)
     # [k, c, 0] is the first-order row of sample k and output c, and
     # [k, c, 1 + j] the second-order row of group j's probe coordinate
     rows = np.zeros((n_samples, n_out, 1 + n_groups, n_groups))
@@ -146,8 +143,6 @@ def build_derivative_equations(spec, params, samples, max_order):
         rhs[:n_second, c, 1:] = grads[:n_second, probes]
         np.multiply(grads, params.values, out=grads)
         rows[:, c, 0] = np.add.reduceat(grads, offsets, axis=1)
-        if not n_second:
-            continue
         deltas = net.backprop(dout[:n_second, None, :])
         for j, p in enumerate(probes):
             net.tangent.fill(0.0)
@@ -220,10 +215,8 @@ def lambda_bar(profile, alpha):
             for name, lam in profile.lambdas.items()}
 
 
-def estimate_profile(spec, params, k=PROBE_COUNT, max_order=PROBE_MAX_ORDER,
-                     seed=0):
-    """Convenience wrapper: probe, assemble, solve."""
-    samples = default_probe_samples(spec, k=k, seed=seed)
-    system = build_derivative_equations(spec, params, samples,
-                                        max_order=max_order)
+def estimate_profile(spec, params, seed=0):
+    """Probe ``PROBE_COUNT`` inputs, assemble, solve."""
+    samples = default_probe_samples(spec, k=PROBE_COUNT, seed=seed)
+    system = build_derivative_equations(spec, params, samples)
     return solve_lambda(system), samples

@@ -113,9 +113,7 @@ def duality_loss(logits, labels, alpha, delta):
     onehot = ad.one_hot(labels, num_classes)
     phi_y = ad.tsum(ad.mul(logits_t, onehot), axis=1, keepdims=True)
     margins = ad.sub(phi_y, logits_t)
-    alpha_t = alpha if isinstance(alpha, ad.Tensor) else ad.tensor(alpha)
-    threshold = ad.exp(ad.neg(alpha_t))
-    z = ad.sub(margins, threshold)
+    z = ad.sub(margins, ad.constant(np.exp(-alpha)))
     upper = ad.maximum(ad.sub(z, ad.constant(delta)), 0.0)
     lower = ad.minimum(z, 0.0)
     mask = ad.constant(second_place_mask(logits_t.value, labels))

@@ -115,7 +115,7 @@ def reference_net():
 def test_profile_estimation_reference_architecture():
     start = time.monotonic()
     spec, params = reference_net()
-    profile, _ = estimate_profile(spec, params, k=32, max_order=2)
+    profile, _ = estimate_profile(spec, params)
     rng = np.random.default_rng(11)
     deviation = verify_lambda(spec, params, profile,
                               [-1.0, -0.5, 0.1, 0.5, 1.0],
@@ -130,7 +130,7 @@ def test_profile_estimation_reference_architecture():
 
 def test_groupwise_gradient_scaling_identity():
     spec, params = reference_net()
-    profile, _ = estimate_profile(spec, params, k=32, max_order=2)
+    profile, _ = estimate_profile(spec, params)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(2)
     names = [name for name, _ in spec.mlp().group_shapes()]
@@ -264,7 +264,7 @@ def test_generation_covers_circle(circle, generator_runs):
 
 @pytest.fixture(scope="module")
 def sharded_runs(circle):
-    halves = split_dataset(circle, mode="arc")
+    halves = split_dataset(circle)
     spec = CFG.classifier_spec()
     bundles = []
     for half in halves:
@@ -326,7 +326,7 @@ def test_duality_loss_pointwise_values():
                         (threshold + delta / 2.0, 0.0),
                         (threshold + delta + 0.2, 0.2)):
         logits = np.array([[margin, 0.0]])  # margin of class 0 over class 1
-        loss = duality_loss(logits, np.array([0]), ad.tensor(alpha), delta)
+        loss = duality_loss(logits, np.array([0]), alpha, delta)
         assert abs(float(loss.value) - want) < 1e-12
 
 

@@ -219,7 +219,7 @@ def test_generator_resume_through_checkpoint_is_bit_exact(tmp_path):
     spec = MlpSpec((2, 8, 2), False)
     params, _ = tr.train_classifier(
         data, spec, tr.ClassifierTrainConfig(refine_iters=0))
-    profile, _ = estimate_profile(spec, params, k=8, max_order=2)
+    profile, _ = estimate_profile(spec, params)
     bundle = tr.ClassifierBundle(spec, params, profile, data.size)
     gen_spec = GeneratorSpec(3, 2, (8,), 2)
     mult_spec = MultiplierSpec(2, 2, (8,))

@@ -16,7 +16,7 @@ import kktgen.homogeneity as hg
 import kktgen.kkt as kk
 import kktgen.training as tr
 from kktgen import kernels
-from kktgen.cli import main
+from kktgen.cli import build_parser, main
 from kktgen.config import RunConfig
 from kktgen.datasets import circle_dataset
 from kktgen.models import GeneratorSpec, MlpSpec, MultiplierSpec, init_kaiming
@@ -157,13 +157,15 @@ def generators(tmp_path_factory):
     return paths
 
 
-# a command-line value out of range: (command, checkpoint, flag, value);
-# the checkpoint is the profiled classifier or the generator for that many
-# classifiers
+# a command-line value out of range, or a flag the command does not have:
+# (command, checkpoint, flag, value); the checkpoint is the profiled
+# classifier or the generator for that many classifiers
 BAD_ARGUMENTS = [
     ("estimate-lambda", "classifier", "--probes", "0"),
     ("estimate-lambda", "classifier", "--probes", "-3"),
+    ("estimate-lambda", "classifier", "--probes", "8"),
     ("estimate-lambda", "classifier", "--max-order", "0"),
+    ("estimate-lambda", "classifier", "--max-order", "1"),
     ("estimate-lambda", "classifier", "--max-order", "3"),
     ("estimate-lambda", "classifier", "--seed", "-1"),
     ("train-generator", "classifier", "--seed", "-1"),
@@ -190,15 +192,32 @@ def test_bad_argument_is_usage_error(tmp_path, capsys, profiled_classifier,
         argv = [command, str(cfg), str(path)]
     else:
         argv = [command, str(path), "--out", str(out)]
-    # train-generator's --seed overrides the config's seed, which the
-    # train config checks
-    start = ("error: bad config: generator_training: seed "
-             if command == "train-generator" else f"error: {flag} ")
     capsys.readouterr()
-    assert main(argv + [flag, value]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(start)
+    if flag in ("--probes", "--max-order"):
+        # the profile estimate takes no options: argparse refuses them
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + [flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == (f"kktgen: error: unrecognized arguments: "
+                           f"{flag} {value}")
+    else:
+        # train-generator's --seed overrides the config's seed, which the
+        # train config checks
+        start = ("error: bad config: generator_training: seed "
+                 if command == "train-generator" else f"error: {flag} ")
+        assert main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(start)
+    assert "Traceback" not in "".join(err)
     assert not out.exists() and not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_selftest_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["selftest"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["estimate-lambda", "evaluate"])
@@ -230,13 +249,14 @@ def test_nnls_iteration_limit_is_numeric_error(tmp_path, capsys, monkeypatch,
 
 def profiled_checkpoint(path, widths, lambdas=None):
     """A bias-free classifier checkpoint with a scaling profile: the
-    estimated one, or ``lambdas`` for every group."""
+    estimated one, or ``lambdas`` for every group.  Its meta gives the
+    circle's 18 points as the size of its training set."""
     spec = MlpSpec(widths, False)
     params = init_kaiming(spec, 0)
     profile = (hg.estimate_profile(spec, params)[0] if lambdas is None
                else hg.QuasiHomogeneousProfile(
                    dict.fromkeys(params.groups, lambdas)))
-    ck.save_classifier(path, spec, params)
+    ck.save_classifier(path, spec, params, extra={"dataset_size": 18})
     ck.attach_profile(path, profile)
 
 
@@ -262,6 +282,9 @@ def failure_inputs(tmp_path_factory):
     (d / "arc.cfg").write_text(
         f"[experiment]\nname = arc\noutput_dir = {d / 'runs'}\n"
         "[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 0\n")
+    (d / "alternating.cfg").write_text(
+        f"[experiment]\nname = alternating\noutput_dir = {d / 'runs'}\n"
+        "[dataset]\nsplit = alternating\n")
     (d / "latin1.cfg").write_bytes(b"[experiment]\nname = caf\xe9\n")
     (d / "s.csv").write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
     (d / "empty.csv").write_text("x0,x1,y,t\n")
@@ -274,6 +297,9 @@ def failure_inputs(tmp_path_factory):
     sections = ck.read_sections(d / "clf.ckpt")
     sections["profile"] = b"{}"
     ck.write_sections(d / "empty_profile.ckpt", sections)
+    sections = ck.read_sections(d / "clf.ckpt")
+    sections["meta"] = b'{"kind": "classifier"}'
+    ck.write_sections(d / "no_size.ckpt", sections)
     # a run of two classifiers, and its checkpoint cut to one alpha
     clf = str(d / "clf.ckpt")
     assert main(["train-generator", str(d / "run.cfg"), clf, clf,
@@ -302,6 +328,8 @@ FAILURES = [
      "samples file not found", None),
     ("missing-checkpoint", "sample {d}/none.ckpt", 2, "checkpoint not found",
      None),
+    ("split-alternating", "train-classifier {d}/alternating.cfg", 2,
+     "dataset.split: unknown split 'alternating'", None),
     ("classifier-does-not-converge", "train-classifier {d}/stall.cfg", 4,
      "classifier: ", "runs/stall/classifier_loss.csv"),
     ("classifier-on-a-loss-plateau", "train-classifier {d}/plateau.cfg", 4,
@@ -320,6 +348,9 @@ FAILURES = [
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
      "bad_profile.ckpt: profile fails verification", None),
+    ("classifier-without-dataset-size",
+     "train-generator {d}/run.cfg {d}/no_size.ckpt", 2,
+     "no_size.ckpt: no training-set size", None),
     ("generator-checkpoint-as-classifier",
      "train-generator {d}/run.cfg {d}/runs/demo/two.ckpt", 2,
      "two.ckpt: not a classifier checkpoint", None),
@@ -462,8 +493,7 @@ def test_no_command_builds_an_autodiff_graph(tmp_path, monkeypatch):
                  ["train-generator", cfg, clf],
                  ["sample", gen, "--per-class", "3", "--out", samples],
                  ["evaluate", cfg, samples, "--classifier", clf],
-                 ["plot", cfg, samples, "--out", out / "plot.svg"],
-                 ["selftest"]):
+                 ["plot", cfg, samples, "--out", out / "plot.svg"]):
         assert main([str(a) for a in argv]) == 0, argv[0]
 
 
@@ -851,19 +881,44 @@ def test_bad_dataset_csv_is_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "runs").exists()
 
 
-def test_selftest():
-    assert main(["selftest"]) == 0
+
+def test_train_generator_reads_no_data(tmp_path):
+    """train-generator takes each classifier's N from its checkpoint: with
+    the training CSV deleted it writes the bytes it writes with it."""
+    data = tmp_path / "circle.csv"
+    circle = circle_dataset()
+    data.write_text("x0,x1,y\n" + "".join(
+        f"{a:.17g},{b:.17g},{y}\n"
+        for (a, b), y in zip(circle.x, circle.labels)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\nname = demo\n"
+                   f"output_dir = {tmp_path / 'runs'}\n"
+                   f"[dataset]\nkind = csv\ncsv_path = {data}\n"
+                   "num_classes = 3\n" + FAST_CLASSIFIER.format(steps=5))
+    out = run_dir(tmp_path)
+    clf = out / "classifier.ckpt"
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert main(["estimate-lambda", str(clf)]) == 0
+    assert ck.load_classifier(clf)[3]["dataset_size"] == 18
+    outputs = [out / "generator.ckpt", out / "generator_loss.csv"]
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    with_data = [p.read_bytes() for p in outputs]
+    data.unlink()
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    assert [p.read_bytes() for p in outputs] == with_data
 
 
-def test_selftest_fails_on_a_wrong_duality_loss(capsys, monkeypatch):
-    """selftest checks the duality loss the generator step trains with."""
-    duality_grads = kk._duality_grads
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
-    def off_by_one(*args):
-        value, dlogits = duality_grads(*args)
-        return value + 1.0, dlogits
 
-    monkeypatch.setattr(kk, "_duality_grads", off_by_one)
-    assert main(["selftest"]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 3 and all("duality loss" in e for e in err)
+def test_readme_commands_parse():
+    """Every ``kktgen`` line of the README names a command and flags the
+    parser has; parsing runs nothing."""
+    with open(README, encoding="utf-8") as fh:
+        lines = [line.split()[1:] for line in fh
+                 if line.startswith("kktgen ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).command == argv[0]

@@ -1,11 +1,13 @@
 """Unit tests for the run-configuration format."""
 
+import argparse
 import ast
 import inspect
 import os
 
 import pytest
 
+from kktgen.cli import build_parser
 from kktgen.config import SCHEMA, ConfigError, RunConfig, parse_config_text
 from kktgen.datasets import BUILTIN_DATASETS, dataset_from_csv, split_dataset
 from kktgen.models import GeneratorSpec, MlpSpec
@@ -102,8 +104,10 @@ def test_dataset_builder_circle_and_split():
     split = RunConfig.from_text("[dataset]\nsplit = arc\n")
     a, b = split.dataset()
     assert a.size == b.size == 9
-    with pytest.raises(ConfigError, match="unknown split"):
-        RunConfig.from_text("[dataset]\nsplit = bogus\n").dataset()
+    for bad in ("bogus", "alternating"):
+        with pytest.raises(ConfigError, match="unknown split") as err:
+            RunConfig.from_text(f"[dataset]\nsplit = {bad}\n").dataset()
+        assert err.value.field == "dataset.split"
 
 
 def test_dataset_builder_pattern_and_csv(tmp_path):
@@ -388,3 +392,72 @@ def test_every_key_is_set_by_a_workload_or_kept_for_a_reason():
     # a kept key a workload now sets, or that is gone, leaves the table
     assert sorted(KEPT_KEYS.keys() & set_by_workloads) == []
     assert sorted(KEPT_KEYS.keys() - keys) == []
+
+
+# Command-line flags the benchmark does not pass, each with the reason it
+# stays a flag; a flag without one becomes a constant.
+KEPT_FLAGS = {
+    ("estimate-lambda", "--out"): "a path",
+    ("train-generator", "--name"): "an output name",
+    ("train-generator", "--resume"): "ROADMAP aim 3: a resumed run is "
+                                     "bit-exact",
+    ("sample", "--t"): "shard-conditional sampling, which "
+                       "test_sharded_generation and the README use",
+    ("plot", "--title"): "user text",
+}
+
+
+def parser_flags():
+    """(command, flag) of every option of ``cli.build_parser()``."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {(command, flag) for command, sub in commands.items()
+            for action in sub._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"}
+
+
+def benchmark_flags():
+    """(command, flag) the benchmark passes: the "--" literals of each
+    list literal in ``pipebench/run.py`` that begins with a command name,
+    and of each list added (``+=``) to a name bound to one."""
+    with open(BENCH_RUN, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    commands = {command for command, _ in parser_flags()}
+
+    def literals(node):
+        return [e.value for e in node.elts if isinstance(e, ast.Constant)
+                and isinstance(e.value, str)]
+
+    def command_of(node):
+        if (isinstance(node, ast.List) and node.elts
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in commands):
+            return node.elts[0].value
+        return None
+
+    bound = {target.id: command_of(node.value)
+             for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and command_of(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    lists = [(command_of(node), node) for node in ast.walk(tree)
+             if command_of(node)]
+    lists += [(bound[node.target.id], node.value)
+              for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
+              and isinstance(node.target, ast.Name)
+              and node.target.id in bound
+              and isinstance(node.value, ast.List)]
+    return {(command, flag) for command, node in lists
+            for flag in literals(node) if flag.startswith("--")}
+
+
+def test_every_flag_is_passed_by_the_benchmark_or_kept_for_a_reason():
+    """A flag no run sets is a constant, not an option."""
+    flags = parser_flags()
+    passed = benchmark_flags()
+    assert ("evaluate", "--classifier") in passed
+    assert sorted(passed - flags) == []
+    assert sorted(flags - passed - KEPT_FLAGS.keys()) == []
+    # a kept flag the benchmark now passes, or that is gone, leaves the
+    # table
+    assert sorted(KEPT_FLAGS.keys() & passed) == []
+    assert sorted(KEPT_FLAGS.keys() - flags) == []

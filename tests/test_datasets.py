@@ -27,31 +27,20 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=2)
 
 
-def test_split_alternating():
-    circle = ds.circle_dataset()
-    a, b = ds.split_dataset(circle, mode="alternating")
-    assert a.size == b.size == 9
-    assert np.array_equal(a.labels, np.repeat([0, 1, 2], 3))
-    # within class 0 (indices 0..5): evens to a, odds to b
-    assert np.allclose(a.x[:3], circle.x[[0, 2, 4]])
-    assert np.allclose(b.x[:3], circle.x[[1, 3, 5]])
-
-
 def test_split_arc():
     circle = ds.circle_dataset()
-    a, b = ds.split_dataset(circle, mode="arc")
+    a, b = ds.split_dataset(circle)
+    assert a.size == b.size == 9
+    assert np.array_equal(a.labels, np.repeat([0, 1, 2], 3))
     assert np.allclose(a.x[:3], circle.x[[0, 1, 2]])
     assert np.allclose(b.x[:3], circle.x[[3, 4, 5]])
     assert a.num_classes == 3
 
 
 def test_split_validation():
-    circle = ds.circle_dataset()
-    with pytest.raises(ValueError, match="unknown split mode"):
-        ds.split_dataset(circle, mode="bogus")
-    odd = circle.subset(np.arange(17), "odd")
+    odd = ds.circle_dataset().subset(np.arange(17), "odd")
     with pytest.raises(ValueError, match="odd size"):
-        ds.split_dataset(odd, "alternating")
+        ds.split_dataset(odd)
 
 
 def test_pattern_dataset(patterns):

@@ -17,7 +17,7 @@ from kktgen.models import MlpSpec, make_leaves, mlp_apply
 ROW_RTOL = 1e-12
 
 
-def graph_derivative_equations(spec, params, samples, max_order=2):
+def graph_derivative_equations(spec, params, samples):
     """The rows of :func:`hg.build_derivative_equations`, one graph
     backprop per (sample, output) and one double backprop per
     second-order row."""
@@ -46,7 +46,7 @@ def graph_derivative_equations(spec, params, samples, max_order=2):
                 continue
             rows.append(coeff)
             rhs.append(b)
-            if max_order == 2 and k < 2:
+            if k < 2:
                 for p_name in names:
                     p_idx = probes[p_name]
                     flat_cot = ad.reshape(cots[names.index(p_name)],
@@ -69,9 +69,8 @@ def graph_derivative_equations(spec, params, samples, max_order=2):
                                     group_names=names)
 
 
-def estimate(spec, params, k=16, max_order=2, seed=0):
-    profile, _ = hg.estimate_profile(spec, params, k=k, max_order=max_order,
-                                     seed=seed)
+def estimate(spec, params):
+    profile, _ = hg.estimate_profile(spec, params)
     return profile
 
 
@@ -119,7 +118,7 @@ def test_biased_two_layer_lambdas():
     rng = np.random.default_rng(4)
     params.group("layer0.bias")[:] = rng.standard_normal(8)
     params.group("layer1.bias")[:] = rng.standard_normal(1)
-    profile = estimate(spec, params, k=32)
+    profile = estimate(spec, params)
     assert abs(profile.lambdas["layer0.weight"] - 1 / 3) < 1e-6
     assert abs(profile.lambdas["layer0.bias"] - 1 / 3) < 1e-6
     assert abs(profile.lambdas["layer1.weight"] - 2 / 3) < 1e-6
@@ -198,10 +197,7 @@ def test_build_equations_validation():
     spec = MlpSpec((2, 3), False)
     params = km.init_kaiming(spec, seed=0)
     with pytest.raises(ValueError, match="at least one probe"):
-        hg.build_derivative_equations(spec, params, np.zeros((0, 2)), 2)
-    with pytest.raises(ValueError, match="max_order"):
-        hg.build_derivative_equations(spec, params, np.ones((1, 2)),
-                                      max_order=3)
+        hg.build_derivative_equations(spec, params, np.zeros((0, 2)))
 
 
 def test_probe_samples_deterministic():
@@ -239,16 +235,18 @@ def assert_rows_match(got, want):
     assert np.all(np.abs(got.rhs - want.rhs) <= ROW_RTOL * np.abs(want.rhs))
 
 
-@pytest.mark.parametrize("max_order", [1, 2])
+@pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("k", [1, 32])
 @pytest.mark.parametrize("biases", BIASES)
 @pytest.mark.parametrize("n_layers", [2, 3, 4])
-def test_rows_match_graph_reference(n_layers, biases, k, max_order):
+def test_rows_match_graph_reference(n_layers, biases, k, draw):
+    """On two draws of ``k`` probes each."""
     spec, params = random_classifier(
         10 * n_layers + BIASES.index(biases), n_layers, biases)
-    samples = hg.default_probe_samples(spec, k=k, seed=n_layers)
-    got = hg.build_derivative_equations(spec, params, samples, max_order)
-    want = graph_derivative_equations(spec, params, samples, max_order)
+    samples = hg.default_probe_samples(spec, k=k,
+                                       seed=10 * draw + n_layers)
+    got = hg.build_derivative_equations(spec, params, samples)
+    want = graph_derivative_equations(spec, params, samples)
     assert_rows_match(got, want)
 
 
@@ -265,7 +263,7 @@ def test_rows_with_a_non_finite_entry_are_left_out_as_in_the_graph():
     samples = hg.default_probe_samples(spec, k=4, seed=0)
     samples[::2] *= 1e6
     with np.errstate(over="ignore", invalid="ignore"):
-        got = hg.build_derivative_equations(spec, params, samples, 2)
+        got = hg.build_derivative_equations(spec, params, samples)
         want = graph_derivative_equations(spec, params, samples)
     # of 4 * 3 first-order and 2 * 3 * 6 second-order rows
     assert got.matrix.shape == (24, 6)

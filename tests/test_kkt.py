@@ -91,24 +91,21 @@ def test_margins_np_true_class_column_zero():
 
 
 def test_duality_loss_pointwise_values():
-    """Margins below/inside/above the band give the exact U-shape values."""
+    """Margins below/inside/above the band give the exact U-shape values,
+    in the graph and in the numpy twin the generator step trains with,
+    whose margin slope is -1, 0 and 1 there."""
     alpha, delta = 0.0, 0.1
     threshold = np.exp(-alpha)
-    for margin, want in ((threshold - 0.1, 0.1),
-                         (threshold + delta / 2, 0.0),
-                         (threshold + delta + 0.2, 0.2)):
+    for margin, want, slope in ((threshold - 0.1, 0.1, -1.0),
+                                (threshold + delta / 2, 0.0, 0.0),
+                                (threshold + delta + 0.2, 0.2, 1.0)):
         logits = np.array([[margin, 0.0]])
         loss = kk.duality_loss(logits, np.array([0]), alpha, delta)
         assert abs(loss.item() - want) < 1e-12
-
-
-def test_duality_loss_alpha_tensor_and_gradient():
-    alpha = ad.tensor(np.array(0.3))
-    logits = ad.tensor(np.array([[0.2, 0.0]]))  # margin 0.2 < e^-0.3
-    loss = kk.duality_loss(logits, np.array([0]), alpha, 0.1)
-    assert loss.item() == pytest.approx(np.exp(-0.3) - 0.2)
-    (g,) = ad.grad(loss, [alpha])
-    assert g.value == pytest.approx(-np.exp(-0.3))
+        value, dlogits = kk._duality_grads(logits, np.array([0]), alpha,
+                                           delta)
+        assert abs(value - want) < 1e-12
+        assert np.array_equal(dlogits, [[slope, -slope]])
 
 
 def test_duality_loss_counts_only_second_place_pairs():

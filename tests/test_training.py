@@ -26,7 +26,7 @@ def small_bundle(seed=0):
     spec = MlpSpec((2, 8, 2), False)
     config = ClassifierTrainConfig(seed=seed, refine_iters=0)
     params, _ = tr.train_classifier(data, spec, config)
-    profile, _ = estimate_profile(spec, params, k=8, max_order=2)
+    profile, _ = estimate_profile(spec, params)
     return ClassifierBundle(spec, params, profile, data.size), data
 
 
@@ -87,7 +87,7 @@ def test_train_classifier_stops_on_a_loss_plateau():
     """A bias-free (2,8,3) net on arc shard 0 sits near 3 log 3 and
     would run all 200 000 epochs; at its rate of fall it cannot reach
     the threshold, which the plateau stop sees at a window's end."""
-    shard, _ = split_dataset(circle_dataset(), "arc")
+    shard, _ = split_dataset(circle_dataset())
     with pytest.raises(ConvergenceError, match="loss plateau") as err:
         tr.train_classifier(shard, MlpSpec((2, 8, 3), False),
                             ClassifierTrainConfig())
