@@ -91,17 +91,27 @@ def test_margins_np_true_class_column_zero():
 
 
 def test_duality_loss_pointwise_values():
-    """Margins below/inside/above the band give the exact U-shape values,
-    in the graph and in the numpy twin the generator step trains with,
-    whose margin slope is -1, 0 and 1 there."""
+    """Margins below/inside/above the band give the exact U-shape values."""
+    alpha, delta = 0.0, 0.1
+    threshold = np.exp(-alpha)
+    for margin, want in ((threshold - 0.1, 0.1),
+                         (threshold + delta / 2, 0.0),
+                         (threshold + delta + 0.2, 0.2)):
+        logits = np.array([[margin, 0.0]])
+        loss = kk.duality_loss(logits, np.array([0]), alpha, delta)
+        assert abs(loss.item() - want) < 1e-12
+
+
+def test_duality_grads_pointwise_values_and_slopes():
+    """The numpy duality loss the generator step trains with gives the
+    U-shape values below/inside/above the band, with margin slope -1, 0
+    and 1 there."""
     alpha, delta = 0.0, 0.1
     threshold = np.exp(-alpha)
     for margin, want, slope in ((threshold - 0.1, 0.1, -1.0),
                                 (threshold + delta / 2, 0.0, 0.0),
                                 (threshold + delta + 0.2, 0.2, 1.0)):
         logits = np.array([[margin, 0.0]])
-        loss = kk.duality_loss(logits, np.array([0]), alpha, delta)
-        assert abs(loss.item() - want) < 1e-12
         value, dlogits = kk._duality_grads(logits, np.array([0]), alpha,
                                            delta)
         assert abs(value - want) < 1e-12
