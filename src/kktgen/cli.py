@@ -303,7 +303,7 @@ def cmd_plot(args):
         neighbors = dataset.x[[i for i, _ in nearest_neighbor(x, dataset)]]
         svg = svg_image_grid(x, side, neighbors, title=args.title)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.writelines(svg)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -250,7 +250,12 @@ class RunConfig:
         if split == "none":
             return (ds,)
         if split == "arc":
-            return split_dataset(ds)
+            try:
+                return split_dataset(ds)
+            except ValueError as exc:
+                source = sec["csv_path"] if kind == "csv" else kind
+                raise ConfigError("dataset.split",
+                                  f"arc split of {source}: {exc}") from None
         raise ConfigError("dataset.split", f"unknown split {split!r}")
 
     def classifier_spec(self):

@@ -132,11 +132,17 @@ def nnls(a, b):
     """min ||a x - b|| over x >= 0; returns ``(x, rnorm)``.
 
     Lawson & Hanson's active-set method (*Solving Least Squares
-    Problems*, 1974, ch. 23), with the results of
-    ``scipy.optimize.nnls``.  A tall ``a`` is first reduced by one QR
-    factorization a = QR to the n-by-n problem ||R x - Q^T b||, which
-    has the same minimizer, so every passive-set solve factors columns
-    of the small R.  The column of largest positive dual enters the
+    Problems*, 1974, ch. 23-24), with the results of
+    ``scipy.optimize.nnls``.  The passive columns are factored a = QR in
+    their order of entry, with Q kept as one Householder reflector per
+    passive column, so no copy of ``a`` is made: besides R, at most
+    n-by-n, memory grows with the columns that enter.  A trial column is
+    a copy of its column of ``a`` with the reflectors applied one at a
+    time, in order; its parts inside and outside the span of the passive
+    columns give the test for near-dependence, and one more reflector
+    gives its coefficients.  When columns leave, the passive columns
+    after the first that left are factored again.  The duals are
+    ``a.T @ (b - a x)``.  The column of largest positive dual enters the
     passive set unless it is numerically dependent on the passive
     columns or would enter with a coefficient <= 0; a rejected column
     waits until the dual is next recomputed.  Each entry lowers the
@@ -151,46 +157,69 @@ def nnls(a, b):
         raise ValueError("nnls expects an (m, n) matrix and an m-vector")
     m, n = a.shape
     maxiter = _ITERATIONS_PER_COLUMN * n
-    if m > n:
-        # the R factor of [a | b] holds R, Q^T b and the norm of the
-        # part of b outside the range of a, so Q is never formed
-        r = np.linalg.qr(np.column_stack([a, b]), mode="r")
-        a_red, b_red, outside = r[:n, :n], r[:n, n], abs(r[n, n])
-    else:
-        a_red, b_red, outside = a, b, 0.0
+    size = min(m, n)
+    r = np.zeros((size, size))
+    # the reflector of the k-th passive column: (v, tau), with
+    # H_k = I - tau v v^T and v zero above row k and 1 in it, so that
+    # Q^T = H_{k-1} ... H_0
+    reflectors = []
 
-    def factor(cols):
-        """R factor of [a_red[:, cols] | b_red], for a triangular solve."""
-        return np.linalg.qr(np.column_stack([a_red[:, cols], b_red]),
-                            mode="r")
+    def factor(col, k):
+        """Make ``col``, Q^T times a column of ``a``, column k of R:
+        store its rows of R and return its reflector, made in ``col``."""
+        head = col[k]
+        r[:k, k] = col[:k]
+        col[:k] = 0.0
+        # the norm of the whole column with its head zeroed: the tail
+        # slice alone rounds otherwise, and on the circle oracle's matrix
+        # that drops a last entry which scipy makes
+        beta = -math.copysign(math.sqrt(col.dot(col)), head)
+        r[k, k] = beta
+        col /= head - beta
+        col[k] = 1.0
+        return col, (beta - head) / beta
 
-    def coefficients(r):
-        k = r.shape[1] - 1
-        return np.linalg.solve(r[:k, :k], r[:k, k])
+    def refactor(keep, passive):
+        """Q^T b after the passive columns from position ``keep`` on are
+        factored again."""
+        del reflectors[keep:]
+        qtb = _reflect(b.copy(), reflectors)
+        for k in range(keep, len(passive)):
+            col = _reflect(a[:, passive[k]].copy(), reflectors)
+            reflectors.append(factor(col, k))
+            _reflect(qtb, reflectors[-1:])
+        return qtb
 
     x = np.zeros(n)
     free = np.ones(n, dtype=bool)
-    passive = []  # in order of entry, so a new column is factored last
-    res = b_red
-    dual = a_red.T @ res
+    passive = []  # in order of entry, the order of the reflectors
+    qtb = b.copy()
+    rnorm = math.sqrt(b.dot(b))
+    dual = a.T @ b
     iters = 0
-    while len(passive) < min(m, n):
+    while len(passive) < size:
         j = int(np.argmax(np.where(free, dual, 0.0)))
         if not (free[j] and dual[j] > 0.0):
             break
-        trial = passive + [j]
-        r = factor(trial)
-        k = len(trial)
-        inside = float(np.linalg.norm(r[:k - 1, k - 1]))
+        k = len(passive)
+        col = _reflect(a[:, j].copy(), reflectors)
+        head, tail = col[:k], col[k:]
+        inside = math.sqrt(head.dot(head))
+        outside = math.sqrt(tail.dot(tail))
         z = None
-        if inside + _INDEPENDENCE_FACTOR * abs(r[k - 1, k - 1]) > inside:
-            z = coefficients(r)
+        if inside + _INDEPENDENCE_FACTOR * outside > inside:
+            v, tau = factor(col, k)
+            rhs = qtb[:k + 1].copy()
+            rhs[k] -= tau * v.dot(qtb)
+            z = np.linalg.solve(r[:k + 1, :k + 1], rhs)
         if z is None or not z[-1] > 0.0:
             dual[j] = 0.0
             continue
-        passive = trial
+        passive.append(j)
+        reflectors.append((v, tau))
+        _reflect(qtb, reflectors[-1:])
         free[j] = False
-        x_before, res_before = x.copy(), res
+        x_before, rnorm_before = x.copy(), rnorm
         while True:
             iters += 1
             if iters > maxiter:
@@ -207,12 +236,24 @@ def nnls(a, b):
             x[cols[blocked[stop]]] = 0.0
             free[cols] = x[cols] <= 0.0
             x[free] = 0.0
+            keep = int(np.argmax(free[cols]))
             passive = [i for i in passive if not free[i]]
-            z = coefficients(factor(passive))
+            qtb = refactor(keep, passive)
+            k = len(passive)
+            z = np.linalg.solve(r[:k, :k], qtb[:k])
         x[passive] = z
-        res = b_red - a_red[:, passive] @ z
-        if not np.linalg.norm(res) < np.linalg.norm(res_before):
-            x, res = x_before, res_before
+        res = b - a @ x
+        rnorm = math.sqrt(res.dot(res))
+        if not rnorm < rnorm_before:
+            x, rnorm = x_before, rnorm_before
             break
-        dual = a_red.T @ res
-    return x, math.hypot(float(np.linalg.norm(res)), outside)
+        dual = a.T @ res
+    return x, rnorm
+
+
+def _reflect(v, reflectors):
+    """Apply the reflectors (u, tau), I - tau u u^T, to ``v`` in place,
+    one at a time, in order; returns ``v``."""
+    for u, tau in reflectors:
+        v -= (tau * u.dot(v)) * u
+    return v

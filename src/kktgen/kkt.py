@@ -230,8 +230,7 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha):
     dlogits[pair_rows, classes] = -1.0
     _, g = row_gradients(mlp, zeta, x[rows], dlogits)
     g = g.T
-    mu, _ = nnls(g, target)
-    residual = float(np.linalg.norm(target - g @ mu)
-                     / (np.linalg.norm(target) + NORM_EPS))
+    mu, rnorm = nnls(g, target)
+    residual = float(rnorm / (np.linalg.norm(target) + NORM_EPS))
     pairs = [(int(i), int(c)) for i, c in zip(rows, classes)]
     return residual, dict(zip(pairs, mu))

@@ -3,7 +3,10 @@
 No plotting dependency: the output is deterministic text, so plots can
 be diffed and golden-tested.  Training points are circles colored by
 class, generated points are crosses; image grids render 8-bit grayscale
-cells, each image above its nearest dataset image.
+cells, each image above its nearest dataset image.  A plot is returned as
+an iterator of text blocks, each of whole lines, so that it can be
+written a block at a time; the elements of a block are formatted when the
+block is reached.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ def _fmt(value):
     return f"{float(value):.2f}"
 
 
+def _blocks(head, blocks):
+    """The text of an SVG document: the lines of ``head``, then each
+    list of lines of ``blocks``, then the closing tag, one string each."""
+    yield "\n".join(head) + "\n"
+    for lines in blocks:
+        yield "\n".join(lines) + "\n"
+    yield "</svg>\n"
+
+
 def _axis_bounds(arrays):
     allpts = np.vstack(arrays)
     if not len(allpts):
@@ -55,7 +67,7 @@ def svg_scatter(train_points, train_labels, samples, sample_labels,
     """Scatter SVG: dataset points as circles, generated as crosses.
 
     The points are ``(n, 2)`` arrays, either of them possibly empty, each
-    with an array of its class labels.
+    with an array of its class labels.  Returns the text blocks.
     """
     train_points = np.asarray(train_points, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
@@ -93,15 +105,14 @@ def svg_scatter(train_points, train_labels, samples, sample_labels,
         parts.append(f'<text x="{_fmt(size / 2)}" y="20" font-size="14" '
                      f'text-anchor="middle">'
                      f'{title.translate(_ESCAPES)}</text>')
-    parts.extend(_emit_crosses(sx(samples[:, 0]), sy(samples[:, 1]),
-                               _colors(sample_labels)))
-    parts.extend(chain.from_iterable(format_rows(
+    crosses = _emit_crosses(sx(samples[:, 0]), sy(samples[:, 1]),
+                            _colors(sample_labels))
+    circles = format_rows(
         '<circle cx="%.2f" cy="%.2f" r="5" fill="none" stroke="%s" '
         'stroke-width="2"/>', [sx(train_points[:, 0]),
                                sy(train_points[:, 1]),
-                               _colors(train_labels)])))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                               _colors(train_labels)])
+    return _blocks(parts, chain(crosses, circles))
 
 
 def _colors(labels):
@@ -110,28 +121,26 @@ def _colors(labels):
 
 
 def _emit_crosses(cx, cy, colors):
-    """One path per cross centred on (cx, cy), arms 3 long, a block of
-    ``FORMAT_BLOCK_ROWS`` at a time.  Each of a cross's four distinct
-    coordinates (cx - 3, cy - 3, cx + 3, cy + 3) is formatted once, as
-    ``_fmt`` does, and used twice."""
+    """One path per cross centred on (cx, cy), arms 3 long, one list of
+    lines per block of ``FORMAT_BLOCK_ROWS``.  Each of a cross's four
+    distinct coordinates (cx - 3, cy - 3, cx + 3, cy + 3) is formatted
+    once, as ``_fmt`` does, and used twice."""
     corners = (cx - 3, cy - 3, cx + 3, cy + 3)
-    lines = []
     for start in range(0, len(cx), FORMAT_BLOCK_ROWS):
         block = slice(start, start + FORMAT_BLOCK_ROWS)
         x0, y0, x1, y1 = (["%.2f" % v for v in c[block].tolist()]
                           for c in corners)
-        lines += [f'<path d="M {a} {b} L {c} {d} M {a} {d} L {c} {b}" '
-                  f'stroke="{k}" stroke-width="1" opacity="0.6"/>'
-                  for a, b, c, d, k in zip(x0, y0, x1, y1,
-                                           colors[block].tolist())]
-    return lines
+        yield [f'<path d="M {a} {b} L {c} {d} M {a} {d} L {c} {b}" '
+               f'stroke="{k}" stroke-width="1" opacity="0.6"/>'
+               for a, b, c, d, k in zip(x0, y0, x1, y1,
+                                        colors[block].tolist())]
 
 
 def svg_image_grid(images, side, neighbors, title=""):
     """Grid of grayscale images; ``neighbors`` renders beneath each image.
 
     ``images`` and ``neighbors`` are (n, side*side), flat square images;
-    values clipped to [0, 1].
+    values clipped to [0, 1].  Returns the text blocks.
     """
     images = np.asarray(images, dtype=np.float64).reshape(-1, side, side)
     neighbors = np.asarray(neighbors,
@@ -182,9 +191,8 @@ def svg_image_grid(images, side, neighbors, title=""):
         (((row * band)[:, None] + np.arange(band)) * side)[:, :, None, None]
         + np.arange(side)[:, None], shape).ravel()
     level = np.rint(255 * np.clip(stack, 0.0, 1.0)).astype(np.intp).ravel()
-    for start in range(0, level.size, FORMAT_BLOCK_ROWS):
-        block = slice(start, start + FORMAT_BLOCK_ROWS)
-        parts += (heads[x_of[block]] + mids[y_of[block]]
-                  + tails[level[block]]).tolist()
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    blocks = (slice(start, start + FORMAT_BLOCK_ROWS)
+              for start in range(0, level.size, FORMAT_BLOCK_ROWS))
+    return _blocks(parts, ((heads[x_of[block]] + mids[y_of[block]]
+                            + tails[level[block]]).tolist()
+                           for block in blocks))

@@ -285,6 +285,11 @@ def failure_inputs(tmp_path_factory):
     (d / "alternating.cfg").write_text(
         f"[experiment]\nname = alternating\noutput_dir = {d / 'runs'}\n"
         "[dataset]\nsplit = alternating\n")
+    (d / "odd.csv").write_text("x0,x1,label\n1.0,0.0,0\n0.0,1.0,1\n"
+                               "0.0,-1.0,1\n")
+    (d / "odd.cfg").write_text(
+        f"[experiment]\nname = odd\noutput_dir = {d / 'runs'}\n"
+        f"[dataset]\nkind = csv\ncsv_path = {d / 'odd.csv'}\nsplit = arc\n")
     (d / "latin1.cfg").write_bytes(b"[experiment]\nname = caf\xe9\n")
     (d / "s.csv").write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
     (d / "empty.csv").write_text("x0,x1,y,t\n")
@@ -316,7 +321,8 @@ def failure_inputs(tmp_path_factory):
 
 
 # a command on a bad input: (id, argv in the directory {d}, exit code, a
-# fragment of the one error line, a file the failed command leaves)
+# fragment of the one error line, also in {d}, a file the failed command
+# leaves)
 FAILURES = [
     ("missing-config", "train-classifier {d}/none.cfg", 2,
      "config file not found", None),
@@ -330,6 +336,9 @@ FAILURES = [
      None),
     ("split-alternating", "train-classifier {d}/alternating.cfg", 2,
      "dataset.split: unknown split 'alternating'", None),
+    ("split-arc-of-a-class-of-odd-size", "train-classifier {d}/odd.cfg", 2,
+     "dataset.split: arc split of {d}/odd.csv: class 0 has odd size 1",
+     None),
     ("classifier-does-not-converge", "train-classifier {d}/stall.cfg", 4,
      "classifier: ", "runs/stall/classifier_loss.csv"),
     ("classifier-on-a-loss-plateau", "train-classifier {d}/plateau.cfg", 4,
@@ -401,7 +410,7 @@ def test_failing_command_exits_with_one_error_line(
         assert main([a.format(d=d) for a in argv.split()]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert fragment in err[0] and "Traceback" not in err[0]
+    assert fragment.format(d=d) in err[0] and "Traceback" not in err[0]
     assert {p: p.read_bytes() for p in d.rglob("*.ckpt")} == checkpoints
     assert leaves is None or (d / leaves).exists()
 

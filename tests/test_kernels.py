@@ -1,5 +1,7 @@
 """Unit tests for the numpy kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -163,12 +165,25 @@ def ridge_rows(a, b):
             np.concatenate([b, np.zeros(a.shape[1])]))
 
 
+def sparse_fit(rng, m, share):
+    """(a, b): an (m, 100) Gaussian matrix, and a combination of its
+    columns, positive in about ``share`` of them and negative in the
+    rest, plus noise that puts part of b outside the range of a."""
+    a = rng.standard_normal((m, 100))
+    signs = np.where(rng.random(100) < share, 1.0, -1.0)
+    x = signs * rng.uniform(0.5, 1.5, 100)
+    return a, a @ x + 5.0 * rng.standard_normal(m)
+
+
 def nnls_case(name, seed):
     """(a, b, unique): a problem of kind ``name``; ``unique`` says whether
     its minimizer is unique, so that x can be compared."""
     rng = np.random.default_rng(seed)
     if name == "tall":
         return rng.standard_normal((40, 10)), rng.standard_normal(40), True
+    if name == "tall-many-entries":
+        # inconsistent, and about 30 of the 100 columns enter
+        return (*sparse_fit(rng, 2000, 0.3), True)
     if name == "wide":
         return rng.standard_normal((8, 20)), rng.standard_normal(8), False
     if name == "rank-deficient-ridge":
@@ -205,14 +220,35 @@ def assert_matches_scipy(a, b, unique):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("name", ["tall", "wide", "rank-deficient-ridge",
-                                  "negative-cone", "zero-column"])
+@pytest.mark.parametrize("name", ["tall", "tall-many-entries", "wide",
+                                  "rank-deficient-ridge", "negative-cone",
+                                  "zero-column"])
 def test_nnls_matches_scipy(name, seed):
     x = assert_matches_scipy(*nnls_case(name, seed))
+    if name == "tall-many-entries":
+        assert 10 <= np.count_nonzero(x) <= 60
     if name == "negative-cone":
         assert not np.any(x)
     if name == "zero-column":
         assert x[3] == 0.0
+
+
+def test_nnls_memory_grows_with_the_columns_that_enter():
+    """The solver keeps one reflector per column that enters, not a copy
+    of ``a``: on a tall problem where 30 of 100 columns or fewer enter,
+    its traced peak stays below half of ``a``."""
+    a, b = sparse_fit(np.random.default_rng(0), 3000, 0.2)
+    want_x, want_rnorm = scipy.optimize.nnls(a, b)
+    assert np.count_nonzero(want_x) <= 30
+    assert want_rnorm > 0.1 * np.linalg.norm(b)
+    tracemalloc.start()
+    try:
+        x, _ = kernels.nnls(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(x) == np.count_nonzero(want_x)
+    assert peak < 0.5 * a.nbytes
 
 
 def dependent_columns(kind, seed):

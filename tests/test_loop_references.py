@@ -408,7 +408,7 @@ def test_svg_scatter_matches_loop(n):
     for args in [(circle.x * 5, circle.labels, samples, labels),
                  (*none, samples, np.zeros(n, dtype=int)),
                  (circle.x, np.zeros(circle.size, dtype=int), *none)]:
-        got = svg_scatter(*args, title="t")
+        got = "".join(svg_scatter(*args, title="t"))
         assert lines(got) == lines(loop_svg_scatter(*args, title="t"))
 
 
@@ -424,7 +424,8 @@ def test_svg_scatter_crosses_hit_decimal_halves():
     assert ties
     labels = np.zeros(len(samples), dtype=int)
     none = np.zeros((0, 2)), np.zeros(0, dtype=int)
-    assert lines(svg_scatter(*none, samples, labels)) == lines(
+    got = "".join(svg_scatter(*none, samples, labels))
+    assert lines(got) == lines(
         loop_svg_scatter(*none, samples, labels))
 
 
@@ -449,7 +450,7 @@ def test_svg_image_grid_matches_loop(n, cell):
     neighbors = rng.random((n, 64))
     for kwargs in [{"neighbors": neighbors},
                    {"neighbors": neighbors, "title": "grid"}]:
-        got = svg_image_grid(images, 8, **kwargs)
+        got = "".join(svg_image_grid(images, 8, **kwargs))
         assert lines(got) == lines(loop_svg_image_grid(
             images, side=8, cell=cell, **kwargs))
 
@@ -459,7 +460,8 @@ def test_svg_image_grid_cells_at_decimal_halves_match_loop():
     ``%.2f`` half (multiples of 0.375)."""
     rng = np.random.default_rng(128)
     images, neighbors = rng.random((2, 2, 128 * 128))
-    assert lines(svg_image_grid(images, 128, neighbors)) == lines(
+    got = "".join(svg_image_grid(images, 128, neighbors))
+    assert lines(got) == lines(
         loop_svg_image_grid(images, neighbors=neighbors, side=128))
 
 

@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from kktgen.datasets import circle_dataset, format_rows
+from kktgen.datasets import FORMAT_BLOCK_ROWS, circle_dataset, format_rows
 from kktgen.svgplot import (_CELL, _COLUMNS, _ESCAPES, _GRAYS, PALETTE, _fmt,
                             svg_image_grid, svg_scatter)
 
@@ -24,8 +24,8 @@ def well_formed(svg):
 def test_scatter_basic_structure():
     circle = circle_dataset()
     samples = circle.x * 0.9
-    svg = svg_scatter(circle.x, circle.labels, samples, circle.labels,
-                      title="demo")
+    svg = "".join(svg_scatter(circle.x, circle.labels, samples,
+                              circle.labels, title="demo"))
     assert well_formed(svg)
     assert svg.count("<circle") == 18
     assert svg.count("<path") == 18  # crosses
@@ -37,13 +37,13 @@ def test_scatter_basic_structure():
 
 def test_scatter_deterministic():
     circle = circle_dataset()
-    a = svg_scatter(circle.x, circle.labels, circle.x, circle.labels)
-    b = svg_scatter(circle.x, circle.labels, circle.x, circle.labels)
+    a, b = ("".join(svg_scatter(circle.x, circle.labels, circle.x,
+                                circle.labels)) for _ in range(2))
     assert a == b
 
 
 def test_scatter_empty_inputs_still_draw_axes():
-    svg = svg_scatter(*NONE, *NONE)
+    svg = "".join(svg_scatter(*NONE, *NONE))
     assert well_formed(svg)
     assert svg.count("<line") == 2  # the two axes
     assert "<circle" not in svg and "<path" not in svg
@@ -51,14 +51,14 @@ def test_scatter_empty_inputs_still_draw_axes():
 
 def test_scatter_samples_only():
     samples = np.array([[0.0, 0.0], [1.0, 1.0]])
-    svg = svg_scatter(*NONE, samples, np.array([0, 1]))
+    svg = "".join(svg_scatter(*NONE, samples, np.array([0, 1])))
     assert well_formed(svg)
     assert svg.count("<path") == 2
 
 
 def test_image_grid_renders_cells(patterns):
     data = patterns(2, 0.0, 0)
-    svg = svg_image_grid(data.x, 8, data.x, title="patterns")
+    svg = "".join(svg_image_grid(data.x, 8, data.x, title="patterns"))
     assert well_formed(svg)
     # background + 4 images and their neighbours
     assert svg.count("<rect") == 1 + 2 * 4 * 64
@@ -67,20 +67,36 @@ def test_image_grid_renders_cells(patterns):
 
 def test_image_grid_with_neighbors_doubles_cells(patterns):
     data = patterns(1, 0.0, 0)
-    svg = svg_image_grid(data.x, 8, neighbors=data.x[::-1])
+    svg = "".join(svg_image_grid(data.x, 8, neighbors=data.x[::-1]))
     assert svg.count("<rect") == 1 + 2 * 2 * 64
 
 
 def test_image_grid_empty():
-    svg = svg_image_grid(np.zeros((0, 64)), 8, np.zeros((0, 64)))
+    svg = "".join(svg_image_grid(np.zeros((0, 64)), 8, np.zeros((0, 64))))
     assert well_formed(svg)
 
 
 def test_image_grid_clips_values():
     img = np.array([[-1.0, 0.5, 2.0, 0.0]])
-    svg = svg_image_grid(img, 2, img)
+    svg = "".join(svg_image_grid(img, 2, img))
     assert "#000000" in svg  # clipped low
     assert "#ffffff" in svg  # clipped high
+
+
+def test_plots_come_in_blocks_of_whole_lines(patterns):
+    """A plot is written a block at a time: the head, one block per
+    ``FORMAT_BLOCK_ROWS`` elements, the closing tag, each of whole lines."""
+    data = patterns(10, 0.02, 0)
+    rects = 2 * data.size * 64
+    grid = list(svg_image_grid(data.x, 8, data.x))
+    assert rects > 2 * FORMAT_BLOCK_ROWS
+    assert len(grid) == 2 + -(-rects // FORMAT_BLOCK_ROWS)
+    scatter = list(svg_scatter(data.x[:, :2], data.labels, data.x[:, :2],
+                               data.labels))
+    assert len(scatter) == 4
+    for blocks in (grid, scatter):
+        assert all(block.endswith("\n") for block in blocks)
+        assert blocks[-1] == "</svg>\n"
 
 
 @pytest.mark.parametrize("mode", ["scatter", "grid"])
@@ -88,10 +104,11 @@ def test_title_is_escaped(patterns, mode):
     title = "a<b&c>d"
     if mode == "scatter":
         circle = circle_dataset()
-        svg = svg_scatter(circle.x, circle.labels, *NONE, title=title)
+        svg = "".join(svg_scatter(circle.x, circle.labels, *NONE,
+                                  title=title))
     else:
         images = patterns(1, 0.02, 0).x
-        svg = svg_image_grid(images, 8, images, title=title)
+        svg = "".join(svg_image_grid(images, 8, images, title=title))
     root = ElementTree.fromstring(svg)
     assert title in [t.text for t in root.iter(f"{{{SVG_NS}}}text")]
 
@@ -147,7 +164,7 @@ def test_image_grid_matches_per_rect_formatting(n, title):
     grid rows and several format blocks, with values outside [0, 1]."""
     rng = np.random.default_rng(n)
     images, neighbors = rng.random((2, n, 64)) * 1.6 - 0.3
-    got = svg_image_grid(images, 8, neighbors, title=title)
+    got = "".join(svg_image_grid(images, 8, neighbors, title=title))
     want = format_rows_image_grid(images, 8, neighbors, title=title)
     # as lines, so that a failure reports the first line that differs
     assert got.split("\n") == want.split("\n")
