@@ -198,8 +198,13 @@ def load_generator(path, config=None):
         if not deltas.size == alphas.size == gen_spec.num_classifiers:
             raise ValueError(f"{deltas.size} deltas for {alphas.size} alphas"
                              f" of {gen_spec.num_classifiers} classifiers")
+        # where the run's seed table starts on a resume
+        step = meta.get("step", 0)
+        if type(step) is not int or step < 0:
+            raise ValueError(f"step {json.dumps(step)} is not a "
+                             f"nonnegative integer")
         state = GeneratorTrainState(gen_params, mult_params, alphas, deltas,
-                                    step=int(meta.get("step", 0)))
+                                    step=step)
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
     if config is None:

@@ -1,5 +1,5 @@
-"""Numpy kernels: the Adam update, uniform SSIM and nonnegative least
-squares."""
+"""Numpy kernels: the Adam update, mean total variation, uniform SSIM
+and nonnegative least squares."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Adam", "NnlsIterationLimit", "adam_update", "nnls", "operand",
-           "ssim_uniform"]
+__all__ = ["Adam", "NnlsIterationLimit", "TotalVariation", "adam_update",
+           "nnls", "operand", "ssim_uniform"]
 
 
 def operand(value):
@@ -83,6 +83,83 @@ def adam_update(values, grads, adam):
     update *= lr
     update /= step
     values -= update
+
+
+class TotalVariation:
+    """Mean anisotropic total variation of a batch of ``m`` flat
+    ``height`` x ``width`` images, and its gradient (|.|' = 0 at ties),
+    with every buffer bound once for batches of that shape.
+
+    Each call takes the down differences x[i + w] - x[i] and the right
+    differences x[i + 1] - x[i] over the flat batch, one contiguous
+    subtraction each, into one buffer.  Its down part is bordered by
+    ``width`` zeros on each side and its right part by one, so that with
+    S and R the signs of the two parts a pixel's gradient is
+    S[i] - S[i + w] + R[i] - R[i + 1], four contiguous slices.  The
+    differences that cross from one image or row into the next are
+    gathered out before the sum, and their signs are zeroed; the rest
+    are gathered in the order of the (m, h - 1, w) and (m, h, w - 1)
+    difference arrays, whose sums they reproduce bit for bit.  The signs
+    are int8, from two comparisons, and the gradient is their integer
+    count times 1/m, so it is exact and every zero of it is +0.0, as the
+    np.sign form gives for finite x.  A call returns (value, gradient);
+    the gradient is the kernel's buffer, valid until the next call.
+    """
+
+    def __init__(self, m, height, width):
+        n, w, size = m * height * width, width, height * width
+        self.width = w
+        self.inv_m = 1.0 / m
+        # the down part: w zeros, the n - w down differences, w zeros;
+        # then the right part: one zero, the n - 1 right differences,
+        # one zero
+        self.diffs = np.zeros(2 * n + w + 1)
+        self.down = self.diffs[w:n]
+        self.right = self.diffs[n + w + 1:2 * n + w]
+        down_in = np.arange(n - w) % size < size - w
+        right_in = np.arange(n - 1) % w < w - 1
+        self.valid = np.concatenate([w + np.flatnonzero(down_in),
+                                     n + w + 1 + np.flatnonzero(right_in)])
+        self.abs = np.empty(self.valid.size)
+        n_down = np.count_nonzero(down_in)
+        self.abs_down, self.abs_right = self.abs[:n_down], self.abs[n_down:]
+        self.positive = np.empty(self.diffs.size, dtype=bool)
+        self.negative = np.empty(self.diffs.size, dtype=bool)
+        self.positive_int = self.positive.view(np.int8)
+        self.negative_int = self.negative.view(np.int8)
+        self.signs = np.empty(self.diffs.size, dtype=np.int8)
+        # 1 where a difference stays in its image row or column; an int8
+        # product has no signed zero
+        self.keep = np.zeros(self.diffs.size, dtype=np.int8)
+        self.keep[self.valid] = 1
+        self.grad_terms = (self.signs[:n], self.signs[w:n + w],
+                           self.signs[n + w:2 * n + w],
+                           self.signs[n + w + 1:])
+        self.count = np.empty(n, dtype=np.int8)
+        self.grad = np.empty((m, size))
+        self.grad_flat = self.grad.reshape(-1)
+
+    def __call__(self, x):
+        flat, w = x.reshape(-1), self.width
+        np.subtract(flat[w:], flat[:-w], out=self.down)
+        np.subtract(flat[1:], flat[:-1], out=self.right)
+        # "clip" only skips a buffered copy; the indices are in range
+        self.diffs.take(self.valid, out=self.abs, mode="clip")
+        np.abs(self.abs, out=self.abs)
+        value = (np.add.reduce(self.abs_down)
+                 + np.add.reduce(self.abs_right)) * self.inv_m
+        np.greater(self.diffs, 0.0, out=self.positive)
+        np.less(self.diffs, 0.0, out=self.negative)
+        np.subtract(self.positive_int, self.negative_int, out=self.signs)
+        self.signs *= self.keep
+        s_lo, s_hi, r_lo, r_hi = self.grad_terms
+        count = self.count
+        np.subtract(s_lo, s_hi, out=count)
+        count += r_lo
+        count -= r_hi
+        np.copyto(self.grad_flat, count)
+        self.grad_flat *= self.inv_m
+        return float(value), self.grad
 
 
 def ssim_uniform(a, b, window, c1, c2):

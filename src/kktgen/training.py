@@ -23,7 +23,7 @@ import numpy as np
 from .homogeneity import (VERIFY_ALPHAS, VERIFY_DEVIATION_LIMIT,
                           VerificationError, default_probe_samples,
                           lambda_bar, verify_lambda)
-from .kernels import Adam
+from .kernels import Adam, TotalVariation
 from .kkt import kkt_loss_grads, stationarity_target
 from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
                      init_kaiming, mlp_apply_np)
@@ -192,10 +192,11 @@ def _ce_loss_and_grad(net, x, labels):
     """
     logits = net.forward(x)
     shift = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shift).sum(axis=1))
+    e = np.exp(shift)
+    logz = np.log(e.sum(axis=1))
     n = len(labels)
     loss = float(np.sum(logz - shift[np.arange(n), labels]))
-    dlogits = np.exp(shift) / np.exp(logz)[:, None]
+    dlogits = e / np.exp(logz)[:, None]
     dlogits[np.arange(n), labels] -= 1.0
     return loss, net.param_grad(net.backprop(dlogits))
 
@@ -361,29 +362,113 @@ def train_classifier(dataset, spec, config):
 # generator training
 
 
-def _step_rng(seed, step, stream=0):
-    return np.random.default_rng([int(seed), int(stream), int(step)])
+# SeedSequence's mixing constants, which NEP 19 keeps fixed, and the
+# multiplier of PCG64's 128-bit LCG
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# steps per seed table; its uint32 temporaries are 1 KB each
+SEED_BLOCK = 256
 
 
-def _tv_value_grad(x, height, width):
-    """Mean anisotropic total variation of a batch of flat images and
-    its x gradient (|.|' = 0 at ties)."""
-    m, d = x.shape
-    imgs = x.reshape(m, height, width)
-    down = imgs[:, 1:, :] - imgs[:, :-1, :]
-    right = imgs[:, :, 1:] - imgs[:, :, :-1]
-    value = (np.sum(np.abs(down)) + np.sum(np.abs(right))) * (1.0 / m)
-    sign_down, sign_right = np.sign(down), np.sign(right)
-    grad = np.zeros_like(imgs)
-    grad[:, 1:, :] += sign_down
-    grad[:, :-1, :] -= sign_down
-    grad[:, :, 1:] += sign_right
-    grad[:, :, :-1] -= sign_right
-    return float(value), grad.reshape(m, d) * (1.0 / m)
+def _uint32_words(n):
+    """The uint32 words SeedSequence makes of a nonnegative int, low
+    word first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(seed, stream, start, stop):
+    """``np.random.SeedSequence([seed, stream, step]).generate_state(4,
+    np.uint64)`` for each step of [start, stop), the rows of a uint64
+    array.
+
+    SeedSequence's entropy mixing and its state generation run on uint32
+    arrays over the steps.  The steps must share every word but the low
+    one, as they do within a multiple of 2**32.
+    """
+    n = stop - start
+    if not (0 <= start < stop and (start ^ (stop - 1)) >> 32 == 0):
+        raise ValueError(f"steps [{start}, {stop}) cross a multiple of "
+                         f"2**32")
+    step_words = _uint32_words(start)
+    entropy = [np.full(n, word, dtype=np.uint32) for word in
+               _uint32_words(seed) + _uint32_words(stream) + step_words]
+    entropy[-len(step_words)] += np.arange(n, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy)
+                    else np.zeros(n, dtype=np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((8, n), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[i] = value ^ value >> 16
+    # each uint64 is a pair of uint32 words, the low one first
+    return (state[::2] | state[1::2] << np.uint64(32)).T
+
+
+class _StepRng:
+    """Step -> the Generator of ``np.random.default_rng([seed, stream,
+    step])``, bit for bit: one PCG64 whose state each call seeds from the
+    step's row of a table of :func:`_seed_words`, built ``SEED_BLOCK``
+    steps at a time from the step asked for.  The Generator is the same
+    object at every step, so a step's draws end at the next call."""
+
+    def __init__(self, seed, stream):
+        self.seed, self.stream = int(seed), int(stream)
+        self.bit_generator = np.random.PCG64(0)
+        self.generator = np.random.Generator(self.bit_generator)
+        self.start = self.stop = 0
+        self.table = None
+
+    def __call__(self, step):
+        if not self.start <= step < self.stop:
+            self.start = step
+            self.stop = min(step + SEED_BLOCK, (step | _MASK32) + 1)
+            self.table = _seed_words(self.seed, self.stream, self.start,
+                                     self.stop)
+        # PCG64's seeding: its 128-bit LCG starts at 0, steps once with
+        # the odd increment, adds the seed and steps again.  It is done
+        # per step: a table of the 128-bit states as Python ints, made a
+        # block at a time, raised patterns-tv's peak RSS by 1.5 MB in
+        # most benchmark runs
+        s_hi, s_lo, i_hi, i_lo = self.table[step - self.start].tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        self.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self.generator
 
 
 def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
-                     config, gen_in, mult_in):
+                     config, gen_in, mult_in, tv):
     """One classifier's loss terms and their closed-form gradients.
 
     ``zeta``, ``gen`` and ``mult`` are :class:`BoundMlp` bindings of the
@@ -391,12 +476,13 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
     ``target`` is the classifier's :func:`kkt.stationarity_target` at
     alpha_t.  Runs the generator, multiplier and classifier forwards
     once, takes L_stat + beta L_dual and its x/mu gradients from
-    :func:`kkt.kkt_loss_grads`, adds the TV term, then backpropagates
-    through the multiplier and the generator.  ``gen_in`` and
-    ``mult_in`` are the buffers :func:`condition` writes the two
-    networks' inputs into.  Returns
+    :func:`kkt.kkt_loss_grads`, adds the TV term of ``tv`` (the run's
+    :class:`kernels.TotalVariation`, or None without a TV term) into the
+    x gradient in place, then backpropagates through the multiplier and
+    the generator.  ``gen_in`` and ``mult_in`` are the buffers
+    :func:`condition` writes the two networks' inputs into.  Returns
     (total, l_stat, l_dual, l_tv, g_theta, g_eta); g_theta and g_eta are
-    the bindings' gradient buffers.
+    the bindings' gradient buffers, valid until the next call.
     """
     x = gen.forward(condition(eps, labels, t, gen.spec, gen_in))
     if not np.isfinite(x).all():
@@ -409,10 +495,11 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
         float(state.alphas[t]), float(state.deltas[t]), config.beta)
     total = l_stat + l_dual * config.beta
     l_tv = 0.0
-    if config.tv_weight > 0:
-        l_tv, dtv = _tv_value_grad(x, *config.tv_shape)
+    if tv is not None:
+        l_tv, dtv = tv(x)
         total = total + l_tv * config.tv_weight
-        dx = dx + dtv * config.tv_weight
+        dtv *= config.tv_weight
+        dx += dtv
     dmu *= mu_pre > 0.0
     mult_deltas = mult.backprop(dmu)
     dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
@@ -429,8 +516,7 @@ def probe_peak_margin(classifier, config, t):
     estimates the top of the margin landscape at radius 1.
     """
     d = classifier.spec.widths[0]
-    rng = _step_rng(config.seed, t, stream=9)
-    u = rng.standard_normal((MARGIN_PROBES, d))
+    u = _StepRng(config.seed, 9)(t).standard_normal((MARGIN_PROBES, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     logits = mlp_apply_np(classifier.spec, classifier.params, u)
     top2 = np.sort(logits, axis=1)
@@ -458,6 +544,16 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     from a seeded random offset (set ``config.full_sum`` to sum all T
     losses each step instead).  Returns the final
     :class:`GeneratorTrainState` with the full loss history.
+
+    What does not change between steps is bound once per run: the
+    network bindings, the conditional-input buffers, the label CDF, each
+    classifier's stationarity target, the TV kernel, the gradient sums
+    of ``full_sum`` (one classifier's gradients go to Adam as the
+    bindings' buffers) and the step's random stream.  Step s draws its
+    labels and noise from what ``np.random.default_rng([seed, 0, s])``
+    would give, from one reused Generator whose state a seed table sets
+    (:class:`_StepRng`), so a resumed run draws what a straight run
+    does.
     """
     t_count = len(classifiers)
     if t_count < 1:
@@ -498,7 +594,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         deltas = np.array([b[1] for b in bands])
         state = GeneratorTrainState(theta, eta, alphas, deltas)
         state.optimizers = generator_optimizers(state, config)
-    offset = int(_step_rng(config.seed, 0, stream=7).integers(t_count))
+    offset = int(_StepRng(config.seed, 7)(0).integers(t_count))
     # Generator.choice's draw: the searchsorted of uniforms in the cdf
     cdf = probs.cumsum()
     cdf /= cdf[-1]
@@ -512,12 +608,19 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
                                    lambda_bar(cb.profile, float(alpha)),
                                    cb.virtual_n)
                for cb, alpha in zip(classifiers, state.alphas)]
+    tv = TotalVariation(m, *config.tv_shape) if config.tv_weight > 0 \
+        else None
     keys = history_keys(t_count)
     theta, eta = state.gen_params.values, state.mult_params.values
+    # under full_sum the classifiers' gradients are summed into these
+    # from 0.0; one classifier's are Adam's input as they are
+    sums = (np.empty_like(theta), np.empty_like(eta)) \
+        if config.full_sum else None
+    step_rng = _StepRng(config.seed, 0)
 
     while state.step < config.steps:
         step = state.step
-        rng = _step_rng(config.seed, step)
+        rng = step_rng(step)
         if config.full_sum:
             active = list(range(t_count))
         else:
@@ -529,17 +632,23 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
                 f"{step}", step, state)
 
         total = 0.0
-        g_theta = g_eta = 0.0
         l_stat = l_dual = l_tv = 0.0
+        if sums is not None:
+            g_theta, g_eta = sums
+            g_theta.fill(0.0)
+            g_eta.fill(0.0)
         for t in active:
             labels = cdf.searchsorted(rng.random(m), side="right")
             eps = rng.standard_normal((m, noise_dim))
             loss_t, stat_t, dual_t, tv_t, g_th, g_et = _classifier_step(
                 zetas[t], targets[t], gen, mult, state, t, labels, eps,
-                config, gen_in, mult_in)
+                config, gen_in, mult_in, tv)
             total = total + loss_t
-            g_theta = g_theta + g_th
-            g_eta = g_eta + g_et
+            if sums is None:
+                g_theta, g_eta = g_th, g_et
+            else:
+                g_theta += g_th
+                g_eta += g_et
             l_stat += stat_t
             l_dual += dual_t
             l_tv += tv_t

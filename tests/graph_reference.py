@@ -2,7 +2,8 @@
 
 Each builds an autodiff graph for a quantity the package computes in
 numpy, so a test can check the numpy form and its gradients against
-``autodiff.grad``.
+``autodiff.grad``; ``tv_value_grad`` is the strided numpy form that
+``kernels.TotalVariation`` replaced, which it must match bit for bit.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import kktgen.autodiff as ad
 def tv_loss(x, height, width):
     """Mean anisotropic total variation of a batch of flat images.
 
-    Graph form, the reference for ``training._tv_value_grad``.
+    Graph form, the reference for ``kernels.TotalVariation``.
     """
     x_t = x if isinstance(x, ad.Tensor) else ad.tensor(np.atleast_2d(x))
     m, d = x_t.value.shape
@@ -26,6 +27,23 @@ def tv_loss(x, height, width):
                              ad.slice_axis(imgs, 2, 0, width - 1)))
     return ad.mul(ad.add(ad.tsum(down), ad.tsum(right)),
                   ad.constant(1.0 / m))
+
+
+def tv_value_grad(x, height, width):
+    """Mean anisotropic total variation of a batch of flat images and
+    its x gradient (|.|' = 0 at ties), on strided image views."""
+    m, d = x.shape
+    imgs = x.reshape(m, height, width)
+    down = imgs[:, 1:, :] - imgs[:, :-1, :]
+    right = imgs[:, :, 1:] - imgs[:, :, :-1]
+    value = (np.sum(np.abs(down)) + np.sum(np.abs(right))) * (1.0 / m)
+    sign_down, sign_right = np.sign(down), np.sign(right)
+    grad = np.zeros_like(imgs)
+    grad[:, 1:, :] += sign_down
+    grad[:, :-1, :] -= sign_down
+    grad[:, :, 1:] += sign_right
+    grad[:, :, :-1] -= sign_right
+    return float(value), grad.reshape(m, d) * (1.0 / m)
 
 
 def finite_difference_check(fn, point, step=1e-5):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -735,18 +736,46 @@ def test_truncated_generator_checkpoint_is_usage_error(tmp_path, capsys,
         sections = ck.read_sections(gen)
         sections[section] = sections[section][:cut]
         ck.write_sections(gen, sections)
-    argv = {"sample": ["sample", str(gen), "--out",
-                       str(tmp_path / "s.csv")],
-            "train-generator": ["train-generator", str(cfg), str(clf),
-                                "--resume"]}
+    argv = generator_argv(command, tmp_path, clf, cfg, gen)
     if command == "sample" and section in ("opt.theta", "history"):
         # sampling reads no optimizer state and no history
-        assert main(argv[command]) == 0
+        assert main(argv) == 0
         return
-    assert main(argv[command]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(gen) in err[0]
     assert "truncated" in err[0] or "corrupt" in err[0]
+
+
+def generator_argv(command, tmp_path, clf, cfg, gen):
+    """``sample`` of the generator checkpoint of
+    :func:`small_generator_run`, or ``train-generator --resume`` of it."""
+    if command == "sample":
+        return ["sample", str(gen), "--out", str(tmp_path / "s.csv")]
+    return ["train-generator", str(cfg), str(clf), "--resume"]
+
+
+# meta.step values that are not a nonnegative JSON integer
+BAD_STEPS = ["null", "true", "1.5", '"3"', "-1"]
+
+
+@pytest.mark.parametrize("step", BAD_STEPS)
+@pytest.mark.parametrize("command", ["sample", "train-generator"])
+def test_bad_generator_step_is_usage_error(tmp_path, capsys, command, step):
+    """meta.step, where a resumed run's seed table starts, is validated
+    as read: no traceback, no coercion by int()."""
+    clf, cfg, gen = small_generator_run(tmp_path)
+    sections = ck.read_sections(gen)
+    meta = json.loads(sections["meta"])
+    meta["step"] = json.loads(step)
+    sections["meta"] = json.dumps(meta).encode("utf-8")
+    ck.write_sections(gen, sections)
+    capsys.readouterr()
+    assert main(generator_argv(command, tmp_path, clf, cfg, gen)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(gen) in err[0]
+    assert "corrupt generator checkpoint" in err[0]
+    assert f"step {step} is not a nonnegative integer" in err[0]
 
 
 @pytest.mark.parametrize("missing", [("opt.theta",), ("opt.eta",),

@@ -6,7 +6,9 @@ The graph below is built only from the reference oracle functions
 and differentiated with ``autodiff.grad``; the numpy step must reproduce
 its loss and its theta and eta gradients.  ``reference_train``
 keeps the step loop as it was before its per-run set-up was hoisted out,
-and ``train_generator`` must match it bit for bit.
+with a fresh ``np.random.default_rng([seed, stream, step])`` per draw,
+the strided numpy TV (``graph_reference.tv_value_grad``) and gradient
+sums from 0.0, and ``train_generator`` must match it bit for bit.
 """
 
 import numpy as np
@@ -19,11 +21,12 @@ import kktgen.training as tr
 from kktgen.cli import main
 from kktgen.config import RunConfig
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
+from kktgen.kernels import TotalVariation
 from kktgen.kkt import duality_loss, stationarity_loss_graph
 from kktgen.models import (BoundMlp, GeneratorSpec, MlpSpec, MultiplierSpec,
                            condition, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np)
-from graph_reference import tv_loss
+from graph_reference import tv_loss, tv_value_grad
 from test_training import small_bundle
 
 PARITY_RTOL = 1e-10
@@ -145,7 +148,8 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
             BoundMlp(bundles[t].spec, bundles[t].params), target, gen, mult,
             state, t, labels, eps, config,
             np.empty((BATCH, gen.mlp.in_dim)),
-            np.empty((BATCH, mult.mlp.in_dim)))
+            np.empty((BATCH, mult.mlp.in_dim)),
+            TotalVariation(BATCH, *config.tv_shape) if tv else None)
         want = [want[0] + total, want[1] + g_theta, want[2] + g_eta]
         got = [got[0] + step[0], got[1] + step[4], got[2] + step[5]]
     assert_close(got[0], want[0], "loss")
@@ -157,7 +161,7 @@ def test_tv_and_duality_gradients_at_ties_match_graph():
     """|.| and the band edges have derivative 0 at exact ties."""
     x = np.array([[0.0, 1.0, 1.0, 0.0, 2.0, 2.0],
                   [1.0, 1.0, 1.0, 1.0, 0.0, 3.0]])
-    value, grad = tr._tv_value_grad(x, 2, 3)
+    value, grad = TotalVariation(2, 2, 3)(x)
     x_t = ad.tensor(x)
     ref = tv_loss(x_t, 2, 3)
     assert value == ref.item()
@@ -298,7 +302,7 @@ def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
     total = l_stat + l_dual * config.beta
     l_tv = 0.0
     if config.tv_weight > 0:
-        l_tv, dtv = tr._tv_value_grad(x, *config.tv_shape)
+        l_tv, dtv = tv_value_grad(x, *config.tv_shape)
         total = total + l_tv * config.tv_weight
         dx = dx + dtv * config.tv_weight
     mult_deltas = mult.backprop(dmu * (mu_pre > 0.0))
@@ -313,14 +317,15 @@ def reference_train(classifiers, gen_spec, mult_spec, config, state):
     ``rng.choice`` labels, a fresh conditional input per call and
     ``lambda_bar`` every step."""
     t_count = len(classifiers)
-    offset = int(tr._step_rng(config.seed, 0, stream=7).integers(t_count))
+    offset = int(np.random.default_rng([config.seed, 7, 0])
+                 .integers(t_count))
     probs = config.label_probs(gen_spec.num_classes)
     zetas = [BoundMlp(cb.spec, cb.params) for cb in classifiers]
     gen = BoundMlp(gen_spec, state.gen_params)
     mult = BoundMlp(mult_spec, state.mult_params)
     while state.step < config.steps:
         step = state.step
-        rng = tr._step_rng(config.seed, step)
+        rng = np.random.default_rng([config.seed, 0, step])
         active = (list(range(t_count)) if config.full_sum
                   else [(offset + step) % t_count])
         total = 0.0

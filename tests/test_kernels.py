@@ -10,8 +10,8 @@ import kktgen.homogeneity as hg
 import kktgen.kkt as kk
 from kktgen import kernels
 from kktgen.config import RunConfig
-from kktgen.datasets import circle_dataset
 from kktgen.training import train_classifier
+from graph_reference import tv_value_grad
 
 
 def reference_adam(values, grads, m, v, t, lr, beta1, beta2, eps):
@@ -94,6 +94,51 @@ def test_bound_adam_operands_match_out_of_place_steps(size, lr, beta1, beta2,
         assert values.tobytes() == want.tobytes()
         assert adam.m.tobytes() == wm.tobytes()
         assert adam.v.tobytes() == wv.tobytes()
+
+
+def assert_tv_matches_reference(tv, x, height, width):
+    """The bound kernel's value equals the strided reference's, and its
+    gradient too, sign bits of its zeros included."""
+    value, grad = tv(x)
+    want_value, want_grad = tv_value_grad(x, height, width)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
+# (m, height, width): h != w, h = 1, w = 1, m = 1, and a batch whose
+# difference arrays are longer than numpy's 8192-entry reduction buffer
+TV_SHAPES = [(2, 2, 3), (3, 4, 2), (2, 1, 5), (2, 5, 1), (1, 3, 3),
+             (1, 1, 1), (4, 1, 1), (300, 8, 8)]
+
+
+@pytest.mark.parametrize("m,height,width", TV_SHAPES)
+def test_total_variation_matches_strided_reference(m, height, width):
+    """Exact ties and +-0.0 entries, drawn often, on one kernel per shape
+    called 25 times, so that each call starts from the last one's
+    buffers; then Gaussian batches."""
+    rng = np.random.default_rng(m * 100 + height * 10 + width)
+    tv = kernels.TotalVariation(m, height, width)
+    levels = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    for _ in range(25):
+        x = rng.choice(levels, size=(m, height * width))
+        assert_tv_matches_reference(tv, x, height, width)
+    for _ in range(3):
+        x = rng.standard_normal((m, height * width))
+        assert_tv_matches_reference(tv, x, height, width)
+
+
+def test_total_variation_of_signed_zeros_and_ties():
+    """All +-0.0, so every difference is a tie of either sign; and the
+    2x3 batch of exact ties of the graph test."""
+    x = np.array([[0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+                  [-0.0, -0.0, 0.0, 0.0, -0.0, 0.0]])
+    tv = kernels.TotalVariation(2, 2, 3)
+    assert_tv_matches_reference(tv, x, 2, 3)
+    assert tv(x)[0] == 0.0 and not np.signbit(tv(x)[1]).any()
+    x = np.array([[0.0, 1.0, 1.0, 0.0, 2.0, 2.0],
+                  [1.0, 1.0, 1.0, 1.0, 0.0, 3.0]])
+    assert_tv_matches_reference(tv, x, 2, 3)
 
 
 def test_ssim_uniform_identity_and_symmetry():
@@ -284,15 +329,14 @@ def test_nnls_matches_scipy_on_dependent_columns(kind, seed):
     assert np.linalg.norm(a @ x - a @ want_x) <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.fixture(scope="module")
-def circle_solves():
-    """(a, b) of both NNLS solves on the default circle classifier: the
+def recorded_solves(config_text):
+    """(a, b) of both NNLS solves on the classifier a config trains: the
     profile system with its ridge rows, and the KKT oracle's margin
     gradients against Lbar zeta."""
-    config = RunConfig.from_text("")
-    circle = circle_dataset()
+    config = RunConfig.from_text(config_text)
+    (dataset,) = config.dataset()
     spec = config.classifier_spec()
-    params, _ = train_classifier(circle, spec,
+    params, _ = train_classifier(dataset, spec,
                                  config.classifier_train_config())
     solves = []
 
@@ -304,11 +348,17 @@ def circle_solves():
         mp.setattr(hg, "nnls", recording)
         mp.setattr(kk, "nnls", recording)
         profile, _ = hg.estimate_profile(spec, params)
-        margins = kk.margins_np(spec, params, circle.x, circle.labels)
+        margins = kk.margins_np(spec, params, dataset.x, dataset.labels)
         q = np.min(margins[margins != 0.0])
-        kk.kkt_residual_oracle(spec, params, profile, circle.x,
-                               circle.labels, float(-np.log(q)))
+        kk.kkt_residual_oracle(spec, params, profile, dataset.x,
+                               dataset.labels, float(-np.log(q)))
     return dict(zip(["profile", "oracle"], solves))
+
+
+@pytest.fixture(scope="module")
+def circle_solves():
+    """Both NNLS solves on the default circle classifier."""
+    return recorded_solves("")
 
 
 @pytest.mark.parametrize("which", ["profile", "oracle"])
@@ -316,6 +366,46 @@ def test_nnls_matches_scipy_on_the_circle_classifier(circle_solves, which):
     a, b = circle_solves[which]
     x = assert_matches_scipy(a, b, unique=True)
     assert np.count_nonzero(x) > 1
+
+
+# the patterns-tv benchmark workload's classifier
+PATTERNS_CLASSIFIER = """
+[dataset]
+kind = stripes-vs-checks-8x8
+
+[classifier]
+widths = 64,32,32,2
+learning_rate = 0.001
+refine_iters = 1000
+"""
+
+
+@pytest.fixture(scope="module")
+def patterns_solves():
+    """Both NNLS solves on the patterns-tv classifier."""
+    return recorded_solves(PATTERNS_CLASSIFIER)
+
+
+@pytest.mark.parametrize("classifier", ["circle", "patterns"])
+def test_nnls_meets_the_optimality_conditions_on_the_oracle(
+        request, classifier):
+    """The KKT conditions of min ||a x - b|| s.t. x >= 0 on the oracle
+    systems, which hold whichever of several near-optimal supports the
+    rounding selects: x >= 0, every dual w = a^T (b - a x) <= tol where
+    x = 0 and |w| <= tol where x > 0, and rnorm no larger than scipy's
+    but for tol.  tol is m eps ||a||_F ||b||, the rounding bound of a
+    length-m dot product of a column with a residual no longer than b;
+    rnorm's is 1e-12 ||b||, that of the comparison with scipy."""
+    a, b = request.getfixturevalue(f"{classifier}_solves")["oracle"]
+    x, rnorm = kernels.nnls(a, b)
+    _, want_rnorm = scipy.optimize.nnls(a, b)
+    tol = a.shape[0] * np.finfo(np.float64).eps \
+        * np.linalg.norm(a) * np.linalg.norm(b)
+    w = a.T @ (b - a @ x)
+    assert np.all(x >= 0.0) and np.count_nonzero(x) > 1
+    assert np.all(w[x == 0.0] <= tol)
+    assert np.all(np.abs(w[x > 0.0]) <= tol)
+    assert rnorm <= want_rnorm + 1e-12 * np.linalg.norm(b)
 
 
 def test_nnls_iteration_cap(monkeypatch):

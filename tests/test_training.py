@@ -7,11 +7,12 @@ import kktgen.training as tr
 from kktgen.datasets import (LabeledDataset, circle_dataset,
                              pattern_dataset, split_dataset)
 from kktgen.homogeneity import QuasiHomogeneousProfile, estimate_profile
+from kktgen.kernels import TotalVariation
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            init_kaiming, mlp_apply_np)
 from kktgen.training import (ClassifierBundle, ClassifierTrainConfig,
                              ConvergenceError, GeneratorTrainConfig)
-from graph_reference import tv_loss
+from graph_reference import tv_loss, tv_value_grad
 
 
 def tiny_dataset():
@@ -225,6 +226,74 @@ def test_train_generator_resume_matches_straight_run():
     assert straight.history == resumed.history
 
 
+# 2**32 + 3 and 2**63 - 1 are two uint32 words of SeedSequence entropy
+SEEDS = [0, 14, 2**32 + 3, 2**63 - 1]
+
+
+def assert_draws_as_default_rng(rng, seed, stream, step):
+    """``rng`` draws random(64), then standard_normal((64, 4)), as
+    ``np.random.default_rng([seed, stream, step])`` does."""
+    want = np.random.default_rng([seed, stream, step])
+    assert rng.random(64).tobytes() == want.random(64).tobytes()
+    assert (rng.standard_normal((64, 4)).tobytes()
+            == want.standard_normal((64, 4)).tobytes())
+
+
+@pytest.mark.parametrize("stream", [0, 7, 9])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_rng_draws_as_default_rng(seed, stream):
+    """Through the first block boundary; from a resumed start off the
+    block boundaries, through the end of its block; and up to and past
+    step 2**32, where a block ends early."""
+    block = tr.SEED_BLOCK
+    resume = 3 * block + 5
+    runs = [range(block + 2), range(resume, resume + block + 2),
+            range(2**32 - 2, 2**32 + 2)]
+    for steps in runs:
+        rng = tr._StepRng(seed, stream)
+        for step in steps:
+            assert_draws_as_default_rng(rng(step), seed, stream, step)
+
+
+@pytest.mark.parametrize("stream", [0, 7, 9])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_table_past_step_2_32(seed, stream):
+    """The table builder on steps of two uint32 words (and of three):
+    each row is SeedSequence's generate_state(4, uint64) of the step; and
+    its refusal of steps that differ in more than the low word."""
+    for start in (2**32, 2**33 + 7, 2**64 + 1):
+        table = tr._seed_words(seed, stream, start, start + 3)
+        for step, row in enumerate(table, start):
+            want = np.random.SeedSequence([seed, stream, step])
+            assert row.tobytes() == want.generate_state(4, np.uint64) \
+                .tobytes()
+    with pytest.raises(ValueError, match="cross a multiple of 2"):
+        tr._seed_words(seed, stream, 2**32 - 1, 2**32 + 1)
+
+
+def test_train_generator_loop_calls_no_default_rng(monkeypatch):
+    """A 50-step run calls np.random.default_rng exactly as a 0-step run
+    does (the profile check's probe samples and the Kaiming inits), and
+    never with [seed, stream, step] entropy: the steps and the one-off
+    streams 7 and 9 draw from the seed table."""
+    bundle, _ = small_bundle()
+    calls = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        calls.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    run_short(GeneratorTrainConfig(steps=0, batch_size=8), bundle)
+    startup = list(calls)
+    calls.clear()
+    state = run_short(GeneratorTrainConfig(steps=50, batch_size=8), bundle)
+    assert state.step == 50
+    assert calls == startup
+    assert all(isinstance(seed, int) for seed in calls)
+
+
 def test_train_generator_loss_decreases():
     bundle, _ = small_bundle()
     cfg = GeneratorTrainConfig(steps=400, batch_size=16)
@@ -305,7 +374,8 @@ def test_tv_loss_known_value():
              (np.zeros((3, 16)), 4, 4, 0.0)]
     for x, h, w, want in cases:
         assert tv_loss(x, h, w).item() == want
-        assert tr._tv_value_grad(x, h, w)[0] == want
+        assert TotalVariation(len(x), h, w)(x)[0] == want
+        assert tv_value_grad(x, h, w)[0] == want
 
 
 def test_tv_loss_shape_check():
