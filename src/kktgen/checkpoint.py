@@ -15,9 +15,10 @@ import struct
 
 import numpy as np
 
-from .homogeneity import QuasiHomogeneousProfile
-from .models import (deserialize_params, read_struct, serialize_params,
-                     spec_from_json)
+from .homogeneity import QuasiHomogeneousProfile, check_groups
+from .models import (GeneratorSpec, MlpSpec, MultiplierSpec,
+                     deserialize_params, from_json, read_struct,
+                     serialize_params, to_json)
 from .training import GeneratorTrainState, generator_optimizers, history_keys
 
 CHECKPOINT_MAGIC = b"KGCK"
@@ -91,13 +92,33 @@ def _adam_bytes(adam):
             + _floats_bytes(np.concatenate([adam.m, adam.v])))
 
 
-def _adam_load(adam, payload):
+def _adam_load(adam, name, payload):
     head, raw = payload.split(b"\x00", 1)
-    meta = json.loads(head.decode("utf-8"))
+    adam.t = _count(name, _json(name, head), "t", 0)
     mv = _floats_from(raw)
     half = mv.size // 2
     adam.m[:], adam.v[:] = mv[:half], mv[half:]
-    adam.t = int(meta["t"])
+
+
+def _json(name, raw, cls=None):
+    """The JSON object ``raw`` of section ``name``, as a ``cls`` if one is
+    given (:func:`from_json`); a ValueError names the section."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        return obj if cls is None else from_json(cls, obj)
+    except ValueError as exc:  # and JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _count(name, obj, key, low):
+    """``obj[key]`` of section ``name``, a JSON integer of at least 0 or 1."""
+    value = obj.get(key)
+    if type(value) is not int or not value >= low:
+        raise ValueError(f"{name}: {key} {json.dumps(value)} is not a "
+                         f"{'positive' if low else 'nonnegative'} integer")
+    return value
 
 
 def _read_checkpoint(path, kind):
@@ -124,7 +145,7 @@ def save_classifier(path, spec, params, config_hash="", extra=None):
         "meta": _json_bytes({"kind": "classifier",
                              "config_hash": config_hash,
                              **(extra or {})}),
-        "spec": _json_bytes(spec.to_json()),
+        "spec": _json_bytes(to_json(spec)),
         "params": serialize_params(spec, params),
     })
 
@@ -133,13 +154,16 @@ def load_classifier(path):
     """Returns (spec, params, profile-or-None, meta dict)."""
     sections, meta = _read_checkpoint(path, "classifier")
     try:
-        spec = spec_from_json(json.loads(sections["spec"].decode("utf-8")))
+        spec = _json("spec", sections["spec"], MlpSpec)
         params = deserialize_params(sections["params"], spec)
         profile = None
         if "profile" in sections:
-            profile = QuasiHomogeneousProfile.from_json(
-                json.loads(sections["profile"].decode("utf-8")))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            profile = _json("profile", sections["profile"],
+                            QuasiHomogeneousProfile)
+            check_groups(params, profile.lambdas)
+        if "dataset_size" in meta:  # the size of its training set
+            _count("meta", meta, "dataset_size", 1)
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt classifier checkpoint ({exc})")
     return spec, params, profile, meta
 
@@ -147,7 +171,10 @@ def load_classifier(path):
 def attach_profile(path, profile):
     """Rewrite the checkpoint with the scaling profile embedded."""
     sections = read_sections(path)
-    sections["profile"] = _json_bytes(profile.to_json())
+    # with what the profile derives, for a reader of the file
+    sections["profile"] = _json_bytes({
+        **to_json(profile), "lambda_max": profile.lambda_max,
+        "tilde_mask": sorted(profile.tilde_mask)})
     write_sections(path, sections)
 
 
@@ -160,8 +187,8 @@ def save_generator(path, gen_spec, mult_spec, state, config_hash=""):
         "meta": _json_bytes({"kind": "generator",
                              "config_hash": config_hash,
                              "step": state.step}),
-        "gen_spec": _json_bytes(gen_spec.to_json()),
-        "mult_spec": _json_bytes(mult_spec.to_json()),
+        "gen_spec": _json_bytes(to_json(gen_spec)),
+        "mult_spec": _json_bytes(to_json(mult_spec)),
         "gen_params": serialize_params(gen_spec, state.gen_params),
         "mult_params": serialize_params(mult_spec, state.mult_params),
         "alphas": _floats_bytes(state.alphas),
@@ -186,11 +213,17 @@ def load_generator(path, config=None):
     not read are ignored.
     """
     sections, meta = _read_checkpoint(path, "generator")
+    names = {"theta": "opt.theta", "eta": "opt.eta"}
+    missing = [name for name in [*names.values(), "history"]
+               if name not in sections]
+    if config is not None and missing:
+        raise ValueError(f"{path}: incomplete generator checkpoint "
+                         f"(missing {', '.join(missing)}); it cannot "
+                         f"resume training")
     try:
-        gen_spec = spec_from_json(
-            json.loads(sections["gen_spec"].decode("utf-8")))
-        mult_spec = spec_from_json(
-            json.loads(sections["mult_spec"].decode("utf-8")))
+        gen_spec = _json("gen_spec", sections["gen_spec"], GeneratorSpec)
+        mult_spec = _json("mult_spec", sections["mult_spec"],
+                          MultiplierSpec)
         gen_params = deserialize_params(sections["gen_params"], gen_spec)
         mult_params = deserialize_params(sections["mult_params"], mult_spec)
         alphas = _floats_from(sections["alphas"])
@@ -199,36 +232,22 @@ def load_generator(path, config=None):
             raise ValueError(f"{deltas.size} deltas for {alphas.size} alphas"
                              f" of {gen_spec.num_classifiers} classifiers")
         # where the run's seed table starts on a resume
-        step = meta.get("step", 0)
-        if type(step) is not int or step < 0:
-            raise ValueError(f"step {json.dumps(step)} is not a "
-                             f"nonnegative integer")
+        step = _count("meta", meta, "step", 0)
         state = GeneratorTrainState(gen_params, mult_params, alphas, deltas,
                                     step=step)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
-    if config is None:
-        return gen_spec, mult_spec, state, meta
-    names = {"theta": "opt.theta", "eta": "opt.eta"}
-    missing = [name for name in [*names.values(), "history"]
-               if name not in sections]
-    if missing:
-        raise ValueError(f"{path}: incomplete generator checkpoint "
-                         f"(missing {', '.join(missing)}); it cannot "
-                         f"resume training")
-    state.optimizers = generator_optimizers(state, config)
-    keys = history_keys(state.alphas.size)
-    try:
-        for key, name in names.items():
-            _adam_load(state.optimizers[key], sections[name])
-        table = _floats_from(sections["history"])
-        if table.size != state.step * len(keys):
-            raise ValueError(f"{table.size} history values for "
-                             f"{state.step} steps of {len(keys)} columns")
-        state.history = [dict(zip(keys, [int(row[0]), int(row[1]),
-                                         *row[2:]]))
-                         for row in table.reshape(state.step,
-                                                  len(keys)).tolist()]
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        if config is not None:
+            state.optimizers = generator_optimizers(state, config)
+            for key, name in names.items():
+                _adam_load(state.optimizers[key], name, sections[name])
+            keys = history_keys(state.alphas.size)
+            table = _floats_from(sections["history"])
+            if table.size != step * len(keys):
+                raise ValueError(f"{table.size} history values for {step} "
+                                 f"steps of {len(keys)} columns")
+            state.history = [dict(zip(keys, [int(row[0]), int(row[1]),
+                                             *row[2:]]))
+                             for row in table.reshape(step,
+                                                      len(keys)).tolist()]
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
     return gen_spec, mult_spec, state, meta

@@ -173,7 +173,7 @@ def cmd_estimate_lambda(args):
     print(f"lambda profile attached (solver residual "
           f"{profile.residual:.3g}); "
           f"max scaling deviation {worst:.3g} -> {csv_path}")
-    if worst > VERIFY_DEVIATION_LIMIT:
+    if not worst <= VERIFY_DEVIATION_LIMIT:
         print(f"WARNING: deviation exceeds {VERIFY_DEVIATION_LIMIT}",
               file=sys.stderr)
         return EXIT_VERIFY
@@ -190,8 +190,8 @@ def cmd_train_generator(args):
             raise ValueError(f"{path}: no scaling profile; run "
                              f"'kktgen estimate-lambda {path}' first")
         # N of the stationarity target: the size of the set it was
-        # trained on, which train-classifier records
-        if not isinstance(meta.get("dataset_size"), int):
+        # trained on, which train-classifier records and the load checks
+        if "dataset_size" not in meta:
             raise ValueError(f"{path}: no training-set size in its meta; "
                              f"retrain it with 'kktgen train-classifier'")
         bundles.append(tr.ClassifierBundle(spec, params, profile,

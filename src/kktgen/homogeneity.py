@@ -39,14 +39,14 @@ class VerificationError(ValueError):
 class QuasiHomogeneousProfile:
     """Per-group scaling exponents and derived quantities."""
 
-    lambdas: dict  # group name -> lambda_j >= 0
+    lambdas: dict[str, float]  # group name -> lambda_j >= 0
     residual: float = 0.0
 
     def __post_init__(self):
         if not self.lambdas:
             raise ValueError("profile needs at least one group")
-        if any(v < 0 for v in self.lambdas.values()):
-            raise ValueError("lambda values must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in self.lambdas.values()):
+            raise ValueError("lambdas must be finite and nonnegative")
 
     @property
     def lambda_max(self):
@@ -59,16 +59,6 @@ class QuasiHomogeneousProfile:
         return {name for name, v in self.lambdas.items()
                 if v >= lmax * (1.0 - MASK_REL_TOL)}
 
-    def to_json(self):
-        return {"lambdas": dict(self.lambdas), "residual": self.residual,
-                "lambda_max": self.lambda_max,
-                "tilde_mask": sorted(self.tilde_mask)}
-
-    @staticmethod
-    def from_json(obj):
-        return QuasiHomogeneousProfile(dict(obj["lambdas"]),
-                                       float(obj["residual"]))
-
 
 @dataclass
 class DerivativeEquationSystem:
@@ -79,7 +69,9 @@ class DerivativeEquationSystem:
     group_names: list
 
 
-def _check_groups(params, lambdas):
+def check_groups(params, lambdas):
+    """A ValueError unless ``lambdas`` has one entry per group of
+    ``params``."""
     if set(params.groups) != set(lambdas):
         raise ValueError(
             f"profile groups {sorted(lambdas)} do not match parameter "
@@ -89,7 +81,7 @@ def _check_groups(params, lambdas):
 
 def scale_params(params, profile, alpha):
     """psi_alpha: scale group j by e^{alpha * lambda_j}."""
-    _check_groups(params, profile.lambdas)
+    check_groups(params, profile.lambdas)
     out = params.copy()
     for name, lam in profile.lambdas.items():
         out.group(name)[:] *= np.exp(alpha * lam)

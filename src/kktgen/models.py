@@ -9,10 +9,12 @@ forward is ``X @ W + b``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +43,9 @@ class MlpSpec:
     layers.  ``bias`` is a single flag or one flag per layer.
     """
 
-    widths: tuple
-    bias: tuple = True
+    kind: typing.ClassVar[str] = "mlp"
+    widths: tuple[int, ...]
+    bias: tuple[bool, ...] = True
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -80,18 +83,8 @@ class MlpSpec:
                 out.append((f"layer{l}.bias", (self.widths[l + 1],)))
         return out
 
-    def to_json(self):
-        return {"kind": "mlp", "widths": list(self.widths),
-                "bias": list(self.bias)}
-
-    @staticmethod
-    def from_json(obj):
-        if obj.get("kind") != "mlp":
-            raise ValueError(f"not an MLP spec: {obj.get('kind')!r}")
-        return MlpSpec(tuple(obj["widths"]), tuple(obj["bias"]))
-
     def hash(self):
-        payload = json.dumps(self.to_json(), sort_keys=True).encode()
+        payload = json.dumps(to_json(self), sort_keys=True).encode()
         return hashlib.sha256(payload).digest()
 
 
@@ -99,9 +92,10 @@ class MlpSpec:
 class GeneratorSpec:
     """Conditional generator x = g(noise, y[, t])."""
 
+    kind: typing.ClassVar[str] = "generator"
     noise_dim: int
     num_classes: int
-    hidden: tuple
+    hidden: tuple[int, ...]
     out_dim: int
     num_classifiers: int = 1
     bias: bool = True
@@ -126,28 +120,15 @@ class GeneratorSpec:
     def mlp(self):
         return MlpSpec((self.in_dim, *self.hidden, self.out_dim), self.bias)
 
-    def to_json(self):
-        return {"kind": "generator", "noise_dim": self.noise_dim,
-                "num_classes": self.num_classes, "hidden": list(self.hidden),
-                "out_dim": self.out_dim,
-                "num_classifiers": self.num_classifiers, "bias": self.bias}
-
-    @staticmethod
-    def from_json(obj):
-        if obj.get("kind") != "generator":
-            raise ValueError("not a generator spec")
-        return GeneratorSpec(obj["noise_dim"], obj["num_classes"],
-                             tuple(obj["hidden"]), obj["out_dim"],
-                             obj["num_classifiers"], obj["bias"])
-
 
 @dataclass(frozen=True)
 class MultiplierSpec:
     """KKT-multiplier network mu' = h(x, y[, t]) in R^{num_classes}."""
 
+    kind: typing.ClassVar[str] = "multiplier"
     in_dim: int
     num_classes: int
-    hidden: tuple
+    hidden: tuple[int, ...]
     num_classifiers: int = 1
     bias: bool = True
 
@@ -168,29 +149,63 @@ class MultiplierSpec:
         return MlpSpec((self.in_dim + self.num_classes + extra,
                         *self.hidden, self.num_classes), self.bias)
 
-    def to_json(self):
-        return {"kind": "multiplier", "in_dim": self.in_dim,
-                "num_classes": self.num_classes, "hidden": list(self.hidden),
-                "num_classifiers": self.num_classifiers, "bias": self.bias}
 
-    @staticmethod
-    def from_json(obj):
-        if obj.get("kind") != "multiplier":
-            raise ValueError("not a multiplier spec")
-        return MultiplierSpec(obj["in_dim"], obj["num_classes"],
-                              tuple(obj["hidden"]), obj["num_classifiers"],
-                              obj["bias"])
+# ---------------------------------------------------------------------------
+# JSON form of the spec and profile dataclasses
+
+# the scalar hints :func:`from_json` reads, and what each must be in JSON
+_JSON_SCALARS = {int: "an integer", bool: "a boolean", float: "a float"}
 
 
-def spec_from_json(obj):
-    kind = obj.get("kind")
-    if kind == "mlp":
-        return MlpSpec.from_json(obj)
-    if kind == "generator":
-        return GeneratorSpec.from_json(obj)
-    if kind == "multiplier":
-        return MultiplierSpec.from_json(obj)
-    raise ValueError(f"unknown spec kind {kind!r}")
+def to_json(obj):
+    """A spec's or profile's JSON object: its class's ``kind`` tag, if
+    any, and its fields."""
+    kind = getattr(obj, "kind", None)
+    return {**({"kind": kind} if kind else {}), **dataclasses.asdict(obj)}
+
+
+def from_json(cls, obj):
+    """The ``cls`` whose :func:`to_json` object is ``obj``.
+
+    Each field must be there with the JSON type of its hint: an integer
+    (not a boolean) for ``int``, a boolean, a float, a list for
+    ``tuple[X, ...]``, an object for ``dict[str, X]``.  Anything else, or
+    another kind tag, is a ValueError naming the field; keys that are no
+    field are ignored, and a hint of another form is a TypeError.
+    """
+    kind = getattr(cls, "kind", None)
+    if kind is not None and obj.get("kind") != kind:
+        raise ValueError(f"kind {json.dumps(obj.get('kind'))} is not "
+                         f"{json.dumps(kind)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            raise ValueError(f"{f.name} is missing")
+        values[f.name] = _from_json_value(hints[f.name], obj[f.name], f.name)
+    return cls(**values)
+
+
+def _from_json_value(hint, value, where):
+    """``value`` as a ``hint``; ``where`` names it in an error."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,):
+        if isinstance(value, list):
+            return tuple(_from_json_value(args[0], v, f"{where}[{i}]")
+                         for i, v in enumerate(value))
+        what = "a list"
+    elif typing.get_origin(hint) is dict and args[:1] == (str,):
+        if isinstance(value, dict):
+            return {k: _from_json_value(args[1], v, f"{where}.{k}")
+                    for k, v in value.items()}
+        what = "an object"
+    elif hint in _JSON_SCALARS:
+        if type(value) is hint:
+            return value
+        what = _JSON_SCALARS[hint]
+    else:
+        raise TypeError(f"{where}: no JSON form for the hint {hint!r}")
+    raise ValueError(f"{where} {json.dumps(value)} is not {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -569,10 +569,10 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         name = cb.name or f"classifier {k}"
         dev = verify_lambda(cb.spec, cb.params, cb.profile, VERIFY_ALPHAS,
                             default_probe_samples(cb.spec, 8, seed=k))
-        if dev > VERIFY_DEVIATION_LIMIT:
+        if not dev <= VERIFY_DEVIATION_LIMIT:
             raise VerificationError(
                 f"{name}: profile fails verification "
-                f"(deviation {dev:.3g} > {VERIFY_DEVIATION_LIMIT})")
+                f"(deviation {dev:.3g}, limit {VERIFY_DEVIATION_LIMIT})")
         # the step indexes the classifier's logits by the drawn labels
         # unchecked
         if cb.spec.widths[-1] != gen_spec.num_classes:

@@ -109,6 +109,13 @@ def test_classifier_corruption_detected(tmp_path):
     ck.write_sections(missing, sections)
     with pytest.raises(ValueError, match="corrupt classifier"):
         ck.load_classifier(missing)
+    # a spec section that is not a JSON object names the section
+    for payload, message in [(b"[2, 3]", "not a JSON object"),
+                             (b"{", "Expecting"), (b"\xff", "utf-8")]:
+        ck.write_sections(bad, {**ck.read_sections(path), "spec": payload})
+        with pytest.raises(ValueError, match=f"corrupt classifier checkpoint "
+                                             f"\\(spec: .*{message}"):
+            ck.load_classifier(bad)
 
 
 def test_classifier_kind_check(tmp_path):
@@ -239,3 +246,57 @@ def test_generator_resume_through_checkpoint_is_bit_exact(tmp_path):
     assert np.array_equal(straight.mult_params.values,
                           resumed.mult_params.values)
     assert straight.history[-1] == resumed.history[-1]
+
+
+# the JSON sections of the checkpoints test_json_sections_are_pinned
+# writes, byte for byte as every earlier version wrote them; the opt.*
+# entries are the JSON header before the moments
+PINNED_SECTIONS = {
+    ("clf", "meta"):
+        b'{"config_hash": "abc", "dataset_size": 18, "kind": "classifier"}',
+    ("clf", "spec"):
+        b'{"bias": [false, true], "kind": "mlp", "widths": [2, 5, 3]}',
+    ("clf", "profile"):
+        b'{"lambda_max": 0.5, "lambdas": {"layer0.weight": 0.5, '
+        b'"layer1.bias": 0.25, "layer1.weight": 0.499999995}, '
+        b'"residual": 1e-09, "tilde_mask": ["layer0.weight", '
+        b'"layer1.weight"]}',
+    ("gen", "meta"): b'{"config_hash": "h", "kind": "generator", "step": 0}',
+    ("gen", "gen_spec"):
+        b'{"bias": false, "hidden": [4, 4], "kind": "generator", '
+        b'"noise_dim": 3, "num_classes": 2, "num_classifiers": 2, '
+        b'"out_dim": 2}',
+    ("gen", "mult_spec"):
+        b'{"bias": true, "hidden": [4], "in_dim": 2, "kind": "multiplier", '
+        b'"num_classes": 2, "num_classifiers": 2}',
+    ("gen", "opt.theta"): b'{"t": 17}',
+    ("gen", "opt.eta"): b'{"t": 0}',
+}
+
+
+def test_json_sections_are_pinned(tmp_path):
+    spec = MlpSpec((2, 5, 3), (False, True))
+    ck.save_classifier(tmp_path / "clf", spec, init_kaiming(spec, 0),
+                       config_hash="abc", extra={"dataset_size": 18})
+    profile = QuasiHomogeneousProfile(
+        {"layer0.weight": 0.5, "layer1.weight": 0.5 * (1 - 1e-8),
+         "layer1.bias": 0.25}, residual=1e-9)
+    ck.attach_profile(tmp_path / "clf", profile)
+    gen_spec = GeneratorSpec(3, 2, (4, 4), 2, num_classifiers=2, bias=False)
+    mult_spec = MultiplierSpec(2, 2, (4,), num_classifiers=2)
+    state = GeneratorTrainState(init_kaiming(gen_spec, 0),
+                                init_kaiming(mult_spec, 1),
+                                np.array([0.5, 0.7]), np.array([0.1, 0.2]))
+    state.optimizers = {"theta": Adam(len(state.gen_params), 1e-4),
+                        "eta": Adam(len(state.mult_params), 1e-3)}
+    state.optimizers["theta"].t = 17
+    ck.save_generator(tmp_path / "gen", gen_spec, mult_spec, state,
+                      config_hash="h")
+    for (name, section), want in PINNED_SECTIONS.items():
+        got = ck.read_sections(tmp_path / name)[section]
+        assert got.split(b"\x00")[0] == want, (name, section)
+    assert ck.load_classifier(tmp_path / "clf")[:3:2] == (spec, profile)
+    config = GeneratorTrainConfig(lr_theta=1e-4, lr_eta=1e-3)
+    gen2, mult2, state2, _ = ck.load_generator(tmp_path / "gen", config)
+    assert (gen2, mult2) == (gen_spec, mult_spec)
+    assert [a.t for a in state2.optimizers.values()] == [17, 0]

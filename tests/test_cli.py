@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import functools
+import itertools
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -16,7 +19,7 @@ import kktgen.checkpoint as ck
 import kktgen.homogeneity as hg
 import kktgen.kkt as kk
 import kktgen.training as tr
-from kktgen import kernels
+from kktgen import cli, kernels
 from kktgen.cli import build_parser, main
 from kktgen.config import RunConfig
 from kktgen.datasets import circle_dataset
@@ -303,6 +306,9 @@ def failure_inputs(tmp_path_factory):
     sections = ck.read_sections(d / "clf.ckpt")
     sections["profile"] = b"{}"
     ck.write_sections(d / "empty_profile.ckpt", sections)
+    sections["profile"] = (b'{"lambdas": {"layer0.weight": 0.5}, '
+                           b'"residual": 0.0}')
+    ck.write_sections(d / "one_group_profile.ckpt", sections)
     sections = ck.read_sections(d / "clf.ckpt")
     sections["meta"] = b'{"kind": "classifier"}'
     ck.write_sections(d / "no_size.ckpt", sections)
@@ -355,6 +361,10 @@ FAILURES = [
     ("profile-section-not-a-profile",
      "train-generator {d}/run.cfg {d}/empty_profile.ckpt", 2,
      "empty_profile.ckpt: corrupt classifier checkpoint", None),
+    ("profile-of-other-groups", "evaluate {d}/run.cfg {d}/s.csv "
+     "--classifier {d}/one_group_profile.ckpt", 2,
+     "one_group_profile.ckpt: corrupt classifier checkpoint (profile "
+     "groups ['layer0.weight'] do not match parameter groups", None),
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
      "bad_profile.ckpt: profile fails verification", None),
@@ -776,6 +786,173 @@ def test_bad_generator_step_is_usage_error(tmp_path, capsys, command, step):
     assert len(err) == 1 and str(gen) in err[0]
     assert "corrupt generator checkpoint" in err[0]
     assert f"step {step} is not a nonnegative integer" in err[0]
+
+
+# the values a mutation sweep sets each JSON field of a checkpoint to
+SWEEP_VALUES = [None, "x", -1, 0, 2 ** 40, 1.5, float("nan"), [], {}, True,
+                [1, "a"]]
+# the sections a sweep edits: the classifier's, read by estimate-lambda,
+# evaluate --classifier and train-generator, and the generator's, read by
+# sample and train-generator --resume; an opt.* section's JSON is the
+# header before its moments
+CLASSIFIER_SECTIONS = ("spec", "profile", "meta")
+GENERATOR_SECTIONS = ("gen_spec", "mult_spec", "meta", "opt.theta",
+                      "opt.eta")
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """The directory of a trained classifier with its profile, a 3-step
+    generator run of it and a samples file to evaluate."""
+    d = tmp_path_factory.mktemp("sweep")
+    cfg = d / "run.cfg"
+    cfg.write_text(f"[experiment]\nname = demo\noutput_dir = {d / 'runs'}\n"
+                   + FAST_CLASSIFIER.format(steps=3))
+    clf = run_dir(d) / "classifier.ckpt"
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert main(["estimate-lambda", str(clf)]) == 0
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    (d / "s.csv").write_text("x0,x1,y,t\n1.0,0.0,0,0\n")
+    return d
+
+
+def sweep_argv(command, d, target):
+    """``command`` of the sweep on the checkpoint ``target``."""
+    cfg, clf = d / "run.cfg", run_dir(d) / "classifier.ckpt"
+    return [str(a) for a in {
+        "estimate-lambda": ["estimate-lambda", target, "--out", d / "v.csv"],
+        "evaluate": ["evaluate", cfg, d / "s.csv", "--classifier", target,
+                     "--out", d / "r.csv"],
+        "train-generator": ["train-generator", cfg, target, "--name", "new"],
+        "sample": ["sample", target, "--per-class", "2", "--out",
+                   d / "drawn.csv"],
+        "resume": ["train-generator", cfg, clf, "--name", target.stem,
+                   "--resume"]}[command]]
+
+
+def field_paths(obj, path=()):
+    """Each key of the JSON object ``obj``, nested, and each of the first
+    3 entries of a list, as a path of keys and indices."""
+    for key, value in obj.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from field_paths(value, (*path, key))
+        elif isinstance(value, list):
+            yield from ((*path, key, i) for i in range(min(3, len(value))))
+
+
+def mutated(sections, name, field, value):
+    """``sections`` with ``field`` of section ``name`` set to ``value``."""
+    head, sep, rest = sections[name].partition(b"\x00")
+    obj = json.loads(head)
+    *parents, last = field
+    functools.reduce(operator.getitem, parents, obj)[last] = value
+    return {**sections, name: json.dumps(obj).encode("utf-8") + sep + rest}
+
+
+def sweep(d, command, source, names, capsys):
+    """Run ``command`` once per mutation of a field of section ``names``
+    of ``source``; returns each run's (section, field, value, exit code
+    or exception, stderr lines)."""
+    sections = ck.read_sections(source)
+    target = run_dir(d) / f"mutated{source.suffix}"
+    runs = []
+    for name in names:
+        fields = list(field_paths(json.loads(
+            sections[name].partition(b"\x00")[0])))
+        for field, value in itertools.product(fields, SWEEP_VALUES):
+            ck.write_sections(target, mutated(sections, name, field, value))
+            capsys.readouterr()
+            try:
+                code = main(sweep_argv(command, d, target))
+            except Exception as exc:  # recorded, so all of them show
+                code = repr(exc)
+            runs.append((name, field, value, code,
+                         capsys.readouterr().err.strip().splitlines()))
+    return runs
+
+
+@pytest.mark.parametrize("command", ["estimate-lambda", "evaluate",
+                                     "train-generator", "sample", "resume"])
+def test_checkpoint_mutation_sweep_ends_in_an_exit_code(sweep_run, capsys,
+                                                        command):
+    """Every JSON field of a checkpoint set to each of SWEEP_VALUES in
+    turn: the command exits 0, 2, 3 or 4, a failure with one line on
+    stderr, and none ends in an exception."""
+    d = sweep_run
+    source, names = ((run_dir(d) / "generator.ckpt", GENERATOR_SECTIONS)
+                     if command in ("sample", "resume") else
+                     (run_dir(d) / "classifier.ckpt", CLASSIFIER_SECTIONS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runs = sweep(d, command, source, names, capsys)
+    bad = [run for run in runs
+           if run[3] not in (0, 2, 3, 4) or run[3] and not (
+               len(run[4]) == 1
+               and run[4][0].startswith(("error: ", "WARNING: ")))]
+    assert len(runs) > 200 and not bad, bad[:10]
+
+
+# mutations a load once took in silence: (command, section, field, value)
+SILENT_MUTATIONS = [
+    ("train-generator", "meta", ("dataset_size",), True),
+    ("train-generator", "profile", ("lambdas", "layer0.weight"),
+     float("nan")),
+    ("evaluate", "profile", ("lambdas", "layer0.weight"), float("nan")),
+    *(("resume", name, ("t",), t) for name in ("opt.theta", "opt.eta")
+      for t in (1.5, "3", -1)),
+]
+
+
+@pytest.mark.parametrize(
+    "command,name,field,value", SILENT_MUTATIONS,
+    ids=[f"{c}-{n}.{'.'.join(f)}={json.dumps(v)}"
+         for c, n, f, v in SILENT_MUTATIONS])
+def test_silently_taken_mutation_is_usage_error(sweep_run, capsys, command,
+                                                name, field, value):
+    d = sweep_run
+    source = run_dir(d) / ("generator.ckpt" if command == "resume"
+                           else "classifier.ckpt")
+    target = run_dir(d) / "mutated.ckpt"
+    ck.write_sections(target, mutated(ck.read_sections(source), name, field,
+                                      value))
+    capsys.readouterr()
+    assert main(sweep_argv(command, d, target)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(target) in err[0]
+    assert f"corrupt {'generator' if command == 'resume' else 'classifier'}" \
+        f" checkpoint ({name}: {field[0]}" in err[0]
+
+
+def test_nan_scaling_deviation_fails_verification(tmp_path, capsys,
+                                                  monkeypatch):
+    """A deviation that is NaN is not within the limit: estimate-lambda
+    and train-generator exit 3.  A profile of finite lambdas of 1e300
+    overflows the rescaled network into NaN."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n"
+                   "[generator_training]\nsteps = 3\n")
+    clf, huge = tmp_path / "clf.ckpt", tmp_path / "huge.ckpt"
+    profiled_checkpoint(clf, (2, 8, 3))
+    profiled_checkpoint(huge, (2, 8, 3), lambdas=1e300)
+    real = cli.scaling_deviations
+
+    def one_nan(*args):
+        devs = real(*args)
+        devs[0, 0] = np.nan
+        return devs
+
+    monkeypatch.setattr(cli, "scaling_deviations", one_nan)
+    capsys.readouterr()
+    assert main(["estimate-lambda", str(clf)]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "WARNING: deviation exceeds 1e-05"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["train-generator", str(cfg), str(huge)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"{huge}: profile fails verification (deviation nan" in err[0]
 
 
 @pytest.mark.parametrize("missing", [("opt.theta",), ("opt.eta",),

@@ -77,15 +77,16 @@ def estimate(spec, params):
 def test_profile_validation():
     with pytest.raises(ValueError, match="at least one"):
         QuasiHomogeneousProfile({})
-    with pytest.raises(ValueError, match="nonnegative"):
-        QuasiHomogeneousProfile({"a": -0.1})
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            QuasiHomogeneousProfile({"a": 0.5, "b": bad})
 
 
 def test_profile_mask_and_json():
     p = QuasiHomogeneousProfile({"a": 0.5, "b": 0.5 * (1 - 1e-8), "c": 0.25})
     assert p.lambda_max == 0.5
     assert p.tilde_mask == {"a", "b"}
-    back = QuasiHomogeneousProfile.from_json(p.to_json())
+    back = km.from_json(QuasiHomogeneousProfile, km.to_json(p))
     assert back.lambdas == p.lambdas
 
 

@@ -1,10 +1,14 @@
 """Unit tests for MLP specs, flat parameters and forward passes."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import kktgen.autodiff as ad
 import kktgen.models as km
+from kktgen.homogeneity import QuasiHomogeneousProfile
 from kktgen.models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                            ParameterVector)
 
@@ -29,12 +33,76 @@ def test_group_shapes_order_and_bias_flags():
     assert spec.in_dim == 2 and spec.out_dim == 3
 
 
+def json_form(obj):
+    """The :func:`km.to_json` object of ``obj``, read back from its JSON
+    text."""
+    return json.loads(json.dumps(km.to_json(obj)))
+
+
 def test_spec_json_roundtrip_and_hash():
     spec = MlpSpec((2, 16, 16, 3), False)
-    again = MlpSpec.from_json(spec.to_json())
+    again = km.from_json(MlpSpec, json_form(spec))
     assert again == spec
     assert again.hash() == spec.hash()
     assert MlpSpec((2, 16, 16, 3), True).hash() != spec.hash()
+    # the digest of the spec's JSON bytes, pinned: a parameter blob
+    # carries it, so a blob stays readable only while it holds
+    assert spec.hash().hex() == ("88e57a3e0bb93172a522914c605571d4"
+                                 "de25884aebd4db9b40ad7a16ebaa61f4")
+
+
+JSON_OBJECTS = [MlpSpec((2, 5, 3), (False, True)),
+                GeneratorSpec(3, 2, (4, 4), 2, num_classifiers=2,
+                              bias=False),
+                MultiplierSpec(2, 2, (4,), num_classifiers=2),
+                QuasiHomogeneousProfile({"a": 0.5, "b": 0.25},
+                                        residual=1e-9)]
+
+
+@pytest.mark.parametrize("obj", JSON_OBJECTS,
+                         ids=lambda obj: type(obj).__name__)
+def test_json_roundtrip_through_text(obj):
+    assert km.from_json(type(obj), json_form(obj)) == obj
+
+
+@pytest.mark.parametrize("cls,obj,message", [
+    (MlpSpec, {"kind": "mlp", "widths": [2, "a"], "bias": [False]},
+     'widths\\[1\\] "a" is not an integer'),
+    (MlpSpec, {"kind": "mlp", "widths": [True, 3], "bias": [False]},
+     "widths\\[0\\] true is not an integer"),
+    (MlpSpec, {"kind": "mlp", "widths": [2, 3], "bias": [1]},
+     "bias\\[0\\] 1 is not a boolean"),
+    (MlpSpec, {"kind": "mlp", "widths": [2, 3], "bias": True},
+     "bias true is not a list"),
+    (MlpSpec, {"kind": "mlp", "bias": [False]}, "widths is missing"),
+    (MlpSpec, {"widths": [2, 3], "bias": [False]}, 'kind null is not "mlp"'),
+    (QuasiHomogeneousProfile, {"lambdas": {"a": 1}, "residual": 0.0},
+     "lambdas.a 1 is not a float"),
+    (QuasiHomogeneousProfile, {"lambdas": [], "residual": 0.0},
+     "lambdas \\[\\] is not an object"),
+    (QuasiHomogeneousProfile, {"lambdas": {"a": 0.5}, "residual": None},
+     "residual null is not a float"),
+])
+def test_from_json_names_the_field_it_refuses(cls, obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        km.from_json(cls, obj)
+
+
+@dataclasses.dataclass
+class Named:
+    name: str
+
+
+@dataclasses.dataclass
+class Pair:
+    pair: tuple[int, int]
+
+
+@pytest.mark.parametrize("cls,obj", [(Named, {"name": "a"}),
+                                     (Pair, {"pair": [1, 2]})])
+def test_from_json_refuses_a_hint_it_cannot_read(cls, obj):
+    with pytest.raises(TypeError, match="no JSON form"):
+        km.from_json(cls, obj)
 
 
 def test_parameter_vector_partition_checks():
@@ -276,10 +344,15 @@ def test_deserialize_rejects_bad_blobs():
             km.deserialize_params(blob[:cut], spec)
 
 
-def test_spec_from_json_dispatch():
-    for spec in (MlpSpec((2, 3), False),
-                 GeneratorSpec(3, 2, (4,), 2),
-                 MultiplierSpec(2, 3, (4,))):
-        assert km.spec_from_json(spec.to_json()) == spec
-    with pytest.raises(ValueError, match="unknown spec kind"):
-        km.spec_from_json({"kind": "bogus"})
+def test_from_json_refuses_another_kind():
+    specs = (MlpSpec((2, 3), False), GeneratorSpec(3, 2, (4,), 2),
+             MultiplierSpec(2, 3, (4,)))
+    for spec in specs:
+        assert km.from_json(type(spec), json_form(spec)) == spec
+        for other in specs:
+            if other is not spec:
+                with pytest.raises(ValueError, match=f'kind "{other.kind}" '
+                                                     f'is not "{spec.kind}"'):
+                    km.from_json(type(spec), km.to_json(other))
+    with pytest.raises(ValueError, match='kind "bogus" is not "mlp"'):
+        km.from_json(MlpSpec, {"kind": "bogus"})
