@@ -19,7 +19,7 @@ from .homogeneity import QuasiHomogeneousProfile, check_groups
 from .models import (GeneratorSpec, MlpSpec, MultiplierSpec,
                      deserialize_params, from_json, read_struct,
                      serialize_params, to_json)
-from .training import GeneratorTrainState, generator_optimizers, history_keys
+from .training import HISTORY_KEYS, GeneratorTrainState, generator_optimizers
 
 CHECKPOINT_MAGIC = b"KGCK"
 CHECKPOINT_VERSION = 1
@@ -96,8 +96,11 @@ def _adam_load(adam, name, payload):
     head, raw = payload.split(b"\x00", 1)
     adam.t = _count(name, _json(name, head), "t", 0)
     mv = _floats_from(raw)
-    half = mv.size // 2
-    adam.m[:], adam.v[:] = mv[:half], mv[half:]
+    # a shorter m or v would broadcast into the moments
+    if mv.size != 2 * adam.m.size:
+        raise ValueError(f"{name}: {mv.size} moments for "
+                         f"{adam.m.size} parameters, not {2 * adam.m.size}")
+    adam.m[:], adam.v[:] = mv[:adam.m.size], mv[adam.m.size:]
 
 
 def _json(name, raw, cls=None):
@@ -193,9 +196,8 @@ def save_generator(path, gen_spec, mult_spec, state, config_hash=""):
         "mult_params": serialize_params(mult_spec, state.mult_params),
         "alphas": _floats_bytes(state.alphas),
         "deltas": _floats_bytes(state.deltas),
-        # one row of floats per step, in the order of the row's keys
-        "history": _floats_bytes([list(row.values())
-                                  for row in state.history]),
+        # one row of HISTORY_KEYS per step
+        "history": _floats_bytes(state.history),
     }
     if state.optimizers:
         sections["opt.theta"] = _adam_bytes(state.optimizers["theta"])
@@ -239,15 +241,13 @@ def load_generator(path, config=None):
             state.optimizers = generator_optimizers(state, config)
             for key, name in names.items():
                 _adam_load(state.optimizers[key], name, sections[name])
-            keys = history_keys(state.alphas.size)
+            width = len(HISTORY_KEYS)
             table = _floats_from(sections["history"])
-            if table.size != step * len(keys):
+            if table.size != step * width:
                 raise ValueError(f"{table.size} history values for {step} "
-                                 f"steps of {len(keys)} columns")
-            state.history = [dict(zip(keys, [int(row[0]), int(row[1]),
-                                             *row[2:]]))
-                             for row in table.reshape(step,
-                                                      len(keys)).tolist()]
+                                 f"steps of {width} columns")
+            state.history = list(map(tuple, table.reshape(step,
+                                                          width).tolist()))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt generator checkpoint ({exc})")
     return gen_spec, mult_spec, state, meta

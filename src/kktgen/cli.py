@@ -218,9 +218,9 @@ def cmd_train_generator(args):
                                state=state)
     ckpt.save_generator(gen_path, gen_spec, mult_spec, state,
                         config_hash=run_hash)
-    header = tr.history_keys(t_count)
-    _write_csv(os.path.join(out, args.name + "_loss.csv"), header,
-               [[row[k] for row in state.history] for k in header])
+    # step and t as floats print as the ints they are under %.17g
+    _write_csv(os.path.join(out, args.name + "_loss.csv"), tr.HISTORY_KEYS,
+               np.reshape(state.history, (-1, len(tr.HISTORY_KEYS))).T)
     print(f"generator: {state.step} steps -> {gen_path}")
     return EXIT_OK
 

@@ -84,9 +84,6 @@ SCHEMA = {
     "experiment": {
         "name": ("str", "experiment"),
         "output_dir": ("str", "runs"),
-        "seeds": ("ints", (0, 10, 14)),
-        "eval_samples_per_class": ("int", 200),
-        "eval_seed_offset": ("int", 100),
     },
     "dataset": {
         "kind": ("str", "circle18"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import nnls
-from .models import BoundMlp, mlp_apply_np, row_gradients
+from .models import BoundMlp, mlp_apply_np
 
 MASK_REL_TOL = 1e-6
 RIDGE = 1e-12
@@ -105,8 +105,9 @@ def build_derivative_equations(spec, params, samples):
             = grad_p Phi,
 
     which stays linear in lambda, after each first-order row of the first
-    two samples.  Gradients come from one batched backprop per output,
-    second derivatives from Hessian-vector products.  Rows with a
+    two samples.  Gradients come from one batched forward and one
+    batched backprop per output, second derivatives from Hessian-vector
+    products on a binding of the first two samples.  Rows with a
     non-finite entry are left out, and with a first-order row its
     second-order rows.
     """
@@ -125,13 +126,15 @@ def build_derivative_equations(spec, params, samples):
     # [k, c, 1 + j] the second-order row of group j's probe coordinate
     rows = np.zeros((n_samples, n_out, 1 + n_groups, n_groups))
     rhs = np.zeros((n_samples, n_out, 1 + n_groups))
+    # each sample on the batch axis gives its own row gradient
+    first = BoundMlp(spec, params, batch=(n_samples,))
+    rhs[:, :, 0] = first.forward(samples[:, None, :])[:, 0]
     net = BoundMlp(spec, params, batch=(n_second,))
     net.forward(samples[:n_second, None, :])
     for c in range(n_out):
         dout = np.zeros((n_samples, n_out))
         dout[:, c] = 1.0
-        out, grads = row_gradients(spec, params, samples, dout)
-        rhs[:, c, 0] = out[:, c]
+        grads = first.param_grad(first.backprop(dout[:, None, :]))
         rhs[:n_second, c, 1:] = grads[:n_second, probes]
         np.multiply(grads, params.values, out=grads)
         rows[:, c, 0] = np.add.reduceat(grads, offsets, axis=1)
@@ -176,18 +179,22 @@ def scaling_deviations(spec, params, profile, alphas, samples):
     """Relative deviation of Phi(x; psi_alpha(zeta)) from e^alpha Phi.
 
     Each output is divided by its own |e^alpha Phi| + 1e-9; returns the
-    (alpha, sample) array of the largest over the outputs.
+    (alpha, sample) array of the largest over the outputs.  A profile
+    whose rescaling overflows gives a deviation of inf or nan, which
+    fails every check of it, so the overflow raises no numpy warning.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if len(alphas) == 0 or samples.shape[0] == 0:
         raise ValueError("alpha grid and samples must be nonempty")
     base = mlp_apply_np(spec, params, samples)
     devs = np.empty((len(alphas), samples.shape[0]))
-    for row, alpha in zip(devs, alphas):
-        scaled = scale_params(params, profile, alpha)
-        got = mlp_apply_np(spec, scaled, samples)
-        want = np.exp(alpha) * base
-        row[:] = (np.abs(got - want) / (np.abs(want) + 1e-9)).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, alpha in zip(devs, alphas):
+            scaled = scale_params(params, profile, alpha)
+            got = mlp_apply_np(spec, scaled, samples)
+            want = np.exp(alpha) * base
+            row[:] = (np.abs(got - want)
+                      / (np.abs(want) + 1e-9)).max(axis=1)
     return devs
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .homogeneity import lambda_bar
 from .kernels import nnls
-from .models import mlp_apply, mlp_apply_np, row_gradients
+from .models import BoundMlp, mlp_apply, mlp_apply_np
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -228,8 +228,9 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha):
     dlogits = np.zeros((rows.size, mlp.out_dim))
     dlogits[pair_rows, labels[rows]] = 1.0
     dlogits[pair_rows, classes] = -1.0
-    _, g = row_gradients(mlp, zeta, x[rows], dlogits)
-    g = g.T
+    net = BoundMlp(mlp, zeta, batch=(rows.size,))
+    net.forward(x[rows, None, :])
+    g = net.param_grad(net.backprop(dlogits[:, None, :])).T
     mu, rnorm = nnls(g, target)
     residual = float(rnorm / (np.linalg.norm(target) + NORM_EPS))
     pairs = [(int(i), int(c)) for i, c in zip(rows, classes)]

@@ -551,20 +551,6 @@ class BoundMlp:
         return grad
 
 
-def row_gradients(spec, params, x, dout):
-    """Outputs and per-row parameter gradients of a batch of inputs.
-
-    ``x`` is (rows, in_dim) and ``dout`` (rows, out_dim).  Returns the
-    (rows, out_dim) outputs Phi(x) and the (rows, n_params) gradients,
-    row r the gradient of dout[r] . Phi(x[r]), from one forward and one
-    backprop with the rows on the batch axis.
-    """
-    net = BoundMlp(spec, params, batch=(x.shape[0],))
-    out = net.forward(x[:, None, :])
-    grads = net.param_grad(net.backprop(dout[:, None, :]))
-    return out[:, 0], grads
-
-
 @functools.lru_cache(maxsize=32)
 def _one_hot_table(n):
     """The read-only n x n identity: row k is the one-hot code of k."""

@@ -166,12 +166,10 @@ class GeneratorTrainState:
     optimizers: dict = field(default_factory=dict)
 
 
-def history_keys(t_count):
-    """The keys of a row of :attr:`GeneratorTrainState.history`, in
-    order: the columns of the loss CSV.  ``step`` and ``t`` are ints, the
-    rest floats."""
-    return ["step", "t", "l_stat", "l_dual", "tv", "total",
-            *(f"alpha_{t}" for t in range(t_count))]
+# the fields of a row of GeneratorTrainState.history, a tuple, in order:
+# the columns of the loss CSV.  t is the step's classifier, -1 under
+# full_sum
+HISTORY_KEYS = ("step", "t", "l_stat", "l_dual", "tv", "total")
 
 
 def generator_optimizers(state, config):
@@ -610,7 +608,6 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
                for cb, alpha in zip(classifiers, state.alphas)]
     tv = TotalVariation(m, *config.tv_shape) if config.tv_weight > 0 \
         else None
-    keys = history_keys(t_count)
     theta, eta = state.gen_params.values, state.mult_params.values
     # under full_sum the classifiers' gradients are summed into these
     # from 0.0; one classifier's are Adam's input as they are
@@ -660,9 +657,8 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         state.optimizers["theta"].step(theta, g_theta)
         state.optimizers["eta"].step(eta, g_eta)
 
-        state.history.append(dict(zip(keys, [
-            step, active[0] if len(active) == 1 else -1, l_stat, l_dual,
-            l_tv, float(total), *state.alphas.tolist()])))
+        state.history.append((step, active[0] if len(active) == 1 else -1,
+                              l_stat, l_dual, l_tv, float(total)))
         state.step += 1
         if callback is not None:
             callback(state)

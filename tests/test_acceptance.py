@@ -29,6 +29,12 @@ from graph_reference import finite_difference_check
 
 CFG = RunConfig.from_text("")
 
+# The pinned generator seeds, the samples drawn per class to score a run,
+# and what is added to a run's seed to give its sampling seed.
+SEEDS = (0, 10, 14)
+SAMPLES_PER_CLASS = 200
+SAMPLE_SEED_OFFSET = 100
+
 # Coverage thresholds: fraction of samples near data, worst per-point
 # coverage distance, and classification agreement with the conditioning
 # label.  A seeded run passes when all three hold; the triple passes when
@@ -60,8 +66,7 @@ def classifier(circle):
 
 def run_metrics(gen_spec, state, dataset, spec, params, seed):
     """Sample 200/class at the evaluation seed and score coverage."""
-    per = CFG.get("experiment", "eval_samples_per_class")
-    offset = CFG.get("experiment", "eval_seed_offset")
+    per, offset = SAMPLES_PER_CLASS, SAMPLE_SEED_OFFSET
     xs, ys = [], []
     for y in range(dataset.num_classes):
         x, _ = sample(gen_spec, state.gen_params, y, per, seed=offset + seed)
@@ -94,7 +99,7 @@ def generator_runs(circle, classifier):
     gen_spec = CFG.generator_spec(circle.num_classes, circle.dim, 1)
     mult_spec = CFG.multiplier_spec(circle.num_classes, circle.dim, 1)
     runs = {}
-    for seed in CFG.get("experiment", "seeds"):
+    for seed in SEEDS:
         state = train_generator([bundle], gen_spec, mult_spec,
                                 CFG.generator_train_config(seed=seed))
         runs[seed] = (state, run_metrics(gen_spec, state, circle, spec,
@@ -277,7 +282,7 @@ def sharded_runs(circle):
     mult_spec = CFG.multiplier_spec(circle.num_classes, circle.dim,
                                     num_classifiers=2)
     runs = {}
-    for seed in CFG.get("experiment", "seeds"):
+    for seed in SEEDS:
         runs[seed] = train_generator(bundles, gen_spec, mult_spec,
                                      CFG.generator_train_config(seed=seed))
     return halves, gen_spec, runs
@@ -285,8 +290,7 @@ def sharded_runs(circle):
 
 def test_sharded_generation(circle, sharded_runs):
     halves, gen_spec, runs = sharded_runs
-    per = CFG.get("experiment", "eval_samples_per_class")
-    offset = CFG.get("experiment", "eval_seed_offset")
+    per, offset = SAMPLES_PER_CLASS, SAMPLE_SEED_OFFSET
     outcomes, details = [], {}
     for seed, state in runs.items():
         # free classifier index: all 18 points covered within 0.35
@@ -346,7 +350,7 @@ def test_generator_rerun_is_bit_identical(circle, classifier,
                                           generator_runs):
     spec, params, _, profile = classifier
     gen_spec, mult_spec, runs = generator_runs
-    seed = CFG.get("experiment", "seeds")[0]
+    seed = SEEDS[0]
     state, _ = runs[seed]
     bundle = ClassifierBundle(spec, params, profile, circle.size)
     again = train_generator([bundle], gen_spec, mult_spec,

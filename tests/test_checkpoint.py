@@ -142,9 +142,8 @@ def test_generator_kind_check(tmp_path):
 def history_rows(steps, t_count, seed=6):
     """A loss history of ``steps`` rows with random losses."""
     rng = np.random.default_rng(seed)
-    keys = tr.history_keys(t_count)
-    return [dict(zip(keys, [step, step % t_count,
-                            *rng.standard_normal(len(keys) - 2).tolist()]))
+    return [(step, step % t_count,
+             *rng.standard_normal(len(tr.HISTORY_KEYS) - 2).tolist())
             for step in range(steps)]
 
 
@@ -187,8 +186,9 @@ def test_generator_roundtrip_with_optimizers(tmp_path):
         assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
         assert a.t == b.t and a.lr == b.lr
     assert state2.history == state.history
-    assert [[type(v) for v in row.values()] for row in state2.history] \
-        == [[int, int] + [float] * 6] * 17
+    assert [[type(v) for v in row] for row in state2.history] \
+        == [[float] * 6] * 17
+    assert all(type(row) is tuple for row in state2.history)
 
 
 def test_generator_load_without_config_skips_optimizers(tmp_path):

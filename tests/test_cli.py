@@ -585,6 +585,24 @@ def test_resume_keeps_the_loss_history(tmp_path):
     assert written["resumed"] == written["straight"]
 
 
+@pytest.mark.parametrize("t_count", [1, 2])
+def test_loss_csv_has_the_history_columns(tmp_path, t_count):
+    """The loss CSV is HISTORY_KEYS over one row of 6 fields per step,
+    whatever the classifier count, with the step and t as integers."""
+    clf = tmp_path / "classifier.ckpt"
+    profiled_checkpoint(clf, (2, 8, 3))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path / 'runs'}\n"
+                   + FAST_CLASSIFIER.format(steps=4))
+    assert main(["train-generator", str(cfg), *[str(clf)] * t_count]) == 0
+    header, *rows = (tmp_path / "runs" / "experiment"
+                     / "generator_loss.csv").read_text().splitlines()
+    assert header.split(",") == list(tr.HISTORY_KEYS)
+    assert [len(row.split(",")) for row in rows] == [6] * 4
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3"]
+    assert {row.split(",")[1] for row in rows} <= {"0", "1"}
+
+
 def test_config_seed_applies_unless_the_seed_flag_is_given(workdir):
     tmp_path, cfg = workdir
     out = run_dir(tmp_path)
@@ -670,6 +688,41 @@ def test_generator_checkpoint_with_alpha_optimizers_samples(workdir,
     assert gen.read_bytes() == before
 
 
+def test_generator_checkpoint_with_alpha_columns_samples(workdir, capsys):
+    """A generator checkpoint written while each history row ended in one
+    alpha per classifier, and while the config held the acceptance
+    suite's three [experiment] keys, still samples, to the same bytes; a
+    resume refuses its history."""
+    tmp_path, cfg = workdir
+    out = run_dir(tmp_path)
+    clf, gen = out / "classifier.ckpt", out / "generator.ckpt"
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert main(["estimate-lambda", str(clf)]) == 0
+    assert main(["train-generator", str(cfg), str(clf)]) == 0
+    samples = [tmp_path / "now.csv", tmp_path / "older.csv"]
+    assert main(["sample", str(gen), "--out", str(samples[0])]) == 0
+    sections = ck.read_sections(gen)
+    _, _, state, meta = ck.load_generator(gen)
+    rows = np.frombuffer(sections["history"]).reshape(state.step, 6)
+    sections["history"] = np.hstack(
+        [rows, np.full((state.step, 1), state.alphas[0])]).tobytes()
+    older_hash = RunConfig.from_file(cfg).replaced(
+        "experiment", seeds=(0, 10, 14), eval_samples_per_class=200,
+        eval_seed_offset=100).replaced(
+        "generator_training", seed=0, steps=None).hash()
+    sections["meta"] = sections["meta"].replace(
+        meta["config_hash"].encode(), older_hash.encode())
+    ck.write_sections(gen, sections)
+    assert main(["sample", str(gen), "--out", str(samples[1])]) == 0
+    assert samples[0].read_bytes() == samples[1].read_bytes()
+    before = gen.read_bytes()
+    capsys.readouterr()
+    assert main(["train-generator", str(cfg), str(clf), "--resume"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "history values for 30 steps of 6" in err[0]
+    assert gen.read_bytes() == before
+
+
 # (section container cut, parameter blob cut) in bytes: a cut in the
 # container's version, section count and first name length, then cuts in
 # the parameter blob's version, group count and group table
@@ -715,8 +768,7 @@ def small_generator_run(tmp_path):
                                    step=3)
     state.optimizers = {"theta": kernels.Adam(len(theta), 1e-3),
                         "eta": kernels.Adam(len(eta), 1e-3)}
-    state.history = [dict(zip(tr.history_keys(1), [step, 0] + [0.5] * 5))
-                     for step in range(3)]
+    state.history = [(step, 0, 0.5, 0.5, 0.5, 0.5) for step in range(3)]
     gen = tmp_path / "runs" / "experiment" / "generator.ckpt"
     gen.parent.mkdir(parents=True)
     ck.save_generator(gen, gen_spec, mult_spec, state)
@@ -725,13 +777,15 @@ def small_generator_run(tmp_path):
 
 # generator-checkpoint cuts: (section, cut) in bytes, None for the whole
 # container; the parameter-blob cuts are those of TRUNCATIONS, a cut
-# optimizer section has lost its separator, an emptied deltas section
-# no longer has one band width per alpha, and a cut history no longer
-# has one row per step
+# optimizer section has lost its separator or, cut after its 8-byte JSON
+# header, the separator and two floats, has one of each moment (which
+# would broadcast), an emptied deltas section no longer has one band
+# width per alpha, and a cut history no longer has one row per step
 GENERATOR_TRUNCATIONS = [(None, 6), (None, 10), (None, 13), (None, 300),
                          ("gen_params", 6), ("gen_params", 42),
                          ("gen_params", 50), ("mult_params", 42),
-                         ("opt.theta", 3), ("deltas", 0), ("history", 8)]
+                         ("opt.theta", 3), ("deltas", 0), ("history", 8),
+                         ("opt.theta", 25)]
 
 
 @pytest.mark.parametrize("section,cut", GENERATOR_TRUNCATIONS)
@@ -924,6 +978,72 @@ def test_silently_taken_mutation_is_usage_error(sweep_run, capsys, command,
         f" checkpoint ({name}: {field[0]}" in err[0]
 
 
+# the truncation sweep cuts at every this many bytes; a cut at every byte
+# gives the same exit codes, in minutes
+CUT_STRIDE = {"classifier": 11, "generator": 307}
+
+
+def cut_points(size, stride, spans):
+    """Every ``stride``-th offset below ``size``, and the offsets that keep
+    the first byte of each (start, end) span of ``spans`` or drop its last
+    one."""
+    ends = {cut for start, end in spans for cut in (start + 1, end - 1)}
+    return sorted(set(range(0, size, stride))
+                  | {cut for cut in ends if 0 <= cut < size})
+
+
+def truncations(source, stride):
+    """(what, bytes) of each cut of the checkpoint ``source``: the whole
+    container, and each section's payload in a container rewritten
+    around it."""
+    blob = source.read_bytes()
+    sections = ck.read_sections(source)
+    spans, pos = [], 12  # magic, version and section count
+    for name, payload in sections.items():
+        start = pos + 2 + len(name.encode("utf-8")) + 8
+        spans += [(pos, start), (start, start + len(payload))]
+        pos = start + len(payload)
+    for cut in cut_points(len(blob), stride, spans):
+        yield f"container[:{cut}]", blob[:cut]
+    for name, payload in sections.items():
+        for cut in cut_points(len(payload), stride, [(0, len(payload))]):
+            target = source.with_name("sections.tmp")
+            ck.write_sections(target, {**sections,
+                                       name: payload[:cut]})
+            yield f"{name}[:{cut}]", target.read_bytes()
+
+
+@pytest.mark.parametrize("kind,commands", [
+    ("classifier", ("estimate-lambda", "evaluate", "train-generator")),
+    ("generator", ("sample", "resume"))])
+def test_truncation_sweep_ends_in_usage_errors(sweep_run, capsys, kind,
+                                               commands):
+    """A checkpoint cut anywhere, as a whole or in one section, ends each
+    command that reads what was cut in exit 2 and one error line.
+    ``sample`` reads no optimizer state and no history: it samples."""
+    d = sweep_run
+    target = run_dir(d) / "cut.ckpt"
+    bad = []
+    runs = 0
+    for what, blob in truncations(run_dir(d) / f"{kind}.ckpt",
+                                  CUT_STRIDE[kind]):
+        target.write_bytes(blob)
+        for command in commands:
+            unread = command == "sample" and what.startswith(
+                ("opt.", "history["))
+            capsys.readouterr()
+            try:
+                code = main(sweep_argv(command, d, target))
+            except Exception as exc:  # recorded, so all of them show
+                code = repr(exc)
+            err = capsys.readouterr().err.strip().splitlines()
+            runs += 1
+            if code != (0 if unread else 2) or not unread and not (
+                    len(err) == 1 and str(target) in err[0]):
+                bad.append((what, command, code, err))
+    assert runs > 300 and not bad, bad[:10]
+
+
 def test_nan_scaling_deviation_fails_verification(tmp_path, capsys,
                                                   monkeypatch):
     """A deviation that is NaN is not within the limit: estimate-lambda
@@ -947,8 +1067,9 @@ def test_nan_scaling_deviation_fails_verification(tmp_path, capsys,
     assert main(["estimate-lambda", str(clf)]) == 3
     assert capsys.readouterr().err.strip().splitlines() == [
         "WARNING: deviation exceeds 1e-05"]
+    # the overflow of the rescaled network raises no numpy warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert main(["train-generator", str(cfg), str(huge)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

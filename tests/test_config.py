@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from kktgen.cli import build_parser
+from kktgen.cli import _run_dir, build_parser
 from kktgen.config import SCHEMA, ConfigError, RunConfig, parse_config_text
 from kktgen.datasets import BUILTIN_DATASETS, dataset_from_csv, split_dataset
 from kktgen.models import GeneratorSpec, MlpSpec
@@ -16,7 +16,7 @@ from kktgen.training import ClassifierTrainConfig, GeneratorTrainConfig
 
 def test_defaults_complete():
     cfg = RunConfig.from_text("")
-    assert cfg.get("experiment", "seeds") == (0, 10, 14)
+    assert cfg.get("experiment", "output_dir") == "runs"
     assert cfg.get("dataset", "kind") == "circle18"
     assert cfg.get("classifier", "widths") == (2, 16, 16, 3)
     assert cfg.get("classifier", "bias") is False
@@ -45,9 +45,11 @@ def test_unknown_section_is_an_error():
 
 
 def test_unknown_key_is_an_error():
-    with pytest.raises(ConfigError) as err:
-        parse_config_text("[classifier]\ntypo_key = 1\n")
-    assert err.value.field == "classifier.typo_key"
+    # experiment.seeds was a key no command read until it left the schema
+    for section, key in (("classifier", "typo_key"), ("experiment", "seeds")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"[{section}]\n{key} = 1\n")
+        assert err.value.field == f"{section}.{key}"
 
 
 def test_duplicate_key_is_an_error():
@@ -187,12 +189,11 @@ def test_schema_builders_declare_no_defaults(builder):
     assert [p.name for p in params if p.default is not p.empty] == []
 
 
-# Keys no builder reads: they name the run and its evaluation.
-RECORD_ONLY = {"experiment"}
-
 # A changed value for each key whose default a generic change (int and
 # float + 1, bool flipped, a tuple's last entry repeated) cannot give.
-CHANGED = {("dataset", "kind"): "stripes-vs-checks-8x8",
+CHANGED = {("experiment", "name"): "other",
+           ("experiment", "output_dir"): "elsewhere",
+           ("dataset", "kind"): "stripes-vs-checks-8x8",
            ("dataset", "csv_path"): "{other_csv}",
            ("dataset", "num_classes"): "3",
            ("dataset", "split"): "arc",
@@ -223,7 +224,8 @@ def changed_value(section, key):
 
 def built(entries):
     """Everything the builders make of a config of ``entries``, a
-    {(section, key): raw value} dict."""
+    {(section, key): raw value} dict, and the run directory of the
+    commands."""
     lines = {}
     for (section, key), raw in entries.items():
         lines.setdefault(section, []).append(f"{key} = {raw}")
@@ -234,18 +236,18 @@ def built(entries):
                 for d in cfg.dataset()]
     return (datasets, cfg.classifier_spec(), cfg.classifier_train_config(),
             cfg.generator_spec(3, 2, 1), cfg.multiplier_spec(3, 2, 1),
-            cfg.generator_train_config())
+            cfg.generator_train_config(), _run_dir(cfg))
 
 
-def test_every_key_reaches_a_builder(tmp_path):
+def test_every_key_reaches_a_builder(tmp_path, monkeypatch):
     """A key no builder reads would be accepted and ignored."""
+    # the run directories are made under the relative output_dir
+    monkeypatch.chdir(tmp_path)
     csv, other_csv = tmp_path / "a.csv", tmp_path / "b.csv"
     csv.write_text("x0,x1,y\n0,0,0\n1,1,1\n")
     other_csv.write_text("x0,x1,y\n0,0,0\n2,1,1\n")
     ignored = []
     for section, keys in SCHEMA.items():
-        if section in RECORD_ONLY:
-            continue
         for key in keys:
             base = dict(NEEDS.get((section, key), {}))
             if section == "dataset" and key in KIND_OF:
@@ -261,8 +263,10 @@ def test_every_key_reaches_a_builder(tmp_path):
 # workload configs under a fixed [experiment] header: the schema takes the
 # train-config defaults from the dataclasses, and their rendering must
 # not move.  The digest of each config moved only by deleting keys: the
-# same values plus the trainable-alpha rate (ALPHA_RATE) at its old
-# value must still hash to the digest before it went, plus the keys that
+# same values plus the keys only the acceptance suite read (TEST_ONLY) at
+# their old values must still hash to the digest before they went, plus
+# the trainable-alpha rate (ALPHA_RATE) at its old value to the digest
+# before it went, plus the keys that
 # became module constants (MADE_CONSTANT) at their old values to the
 # digest before that, and plus the keys deleted before
 # (classifier.refine_margins, generator_training.delta and the [lambda]
@@ -271,12 +275,14 @@ PINNED = [
     ("", "b896024511d5fa2e69e9caa840de811c83f344200620f8b550fbff0c19e001c7",
      "4080f22d1553c0128c36646b8ada3e39f745bd618d52a5ad99edf084b00da081",
      "8df0cf78fb60c24cbf3f35ec96e5d8596ca3eba1929f3f51d0d43c03f74fd318",
-     "aaab69a6c1b63f806ae9fd1269be3df7dcfe39d62c8360c600afc2c8ebd21f72"),
+     "aaab69a6c1b63f806ae9fd1269be3df7dcfe39d62c8360c600afc2c8ebd21f72",
+     "d45600c643491844662dcc56bfa9e44c047b9ba57bbaa9a80fd54e85567efe26"),
     ("[generator_training]\nsteps = 2000\n",
      "db715cb81d1d157b6d1945740f8c1add87fd5c9a31fc09ae89b6ce818dd0241d",
      "336ffc398f69d22e52788844a3eeee7e138cc73f0c887ab983a419691b367a17",
      "79cf3d5fe8fdece2e7ecd146752ca338b9592d823e605d46323f9685d8360ad9",
-     "8633bb7daa588e6948eee2294989071cd8f03fca72e8403c2d26cc4a63946afd"),
+     "8633bb7daa588e6948eee2294989071cd8f03fca72e8403c2d26cc4a63946afd",
+     "9e74c5f8f3dd68994539d131be038beaaaf0d1a85300a083fa69dcf13a943024"),
     ("[dataset]\nkind = stripes-vs-checks-8x8\n"
      "[classifier]\nwidths = 64,32,32,2\nlearning_rate = 0.001\n"
      "refine_iters = 1000\n"
@@ -285,14 +291,20 @@ PINNED = [
      "552203816bae1ac5e5e93204d47d97311cc839c3b6014d71d50c5cded50fde5e",
      "0ed5521a250f5f9b220e72b0655efcdc964549c0a18d7386880ae9ba5aa34786",
      "bdaf903b06a7ad36a9635a4c99c94a943a3ba8df2afa001302776759f86111f2",
-     "8042c3b98195fe8689f1a953fc597b91e14bf5124fb08ca26a0d90f6a72f04cd"),
+     "8042c3b98195fe8689f1a953fc597b91e14bf5124fb08ca26a0d90f6a72f04cd",
+     "3e40b04177f06a942a5ba8a4f6634cefd6e9bd44c9db8425f705a5e6177f9b2b"),
     ("[dataset]\nsplit = arc\n[classifier]\nrefine_iters = 2000\n"
      "[generator_training]\nsteps = 1500\nfull_sum = true\n",
      "ed6ada6bbcd9ce9d9a0024bc1089e34dbd9dea63aaaf2a9d096591a219a382c8",
      "daef36abcac15ce44e4ee36f355ac1bcdeb0b93ac1bd4fb66c3c15a4511db1f6",
      "8154635502ea80cde96f4482fd7c22385951606f39610c78d87aa68f35a4117e",
-     "116b38a1a9a49bf50b037a2c034f4b09e073d43af99f34243647f76160dbf785"),
+     "116b38a1a9a49bf50b037a2c034f4b09e073d43af99f34243647f76160dbf785",
+     "88889d9759d11930d11064a5c1c4cc775f197383a0986ab1aac799f446f5407d"),
 ]
+
+TEST_ONLY = {"experiment": {"seeds": (0, 10, 14),
+                            "eval_samples_per_class": 200,
+                            "eval_seed_offset": 100}}
 
 ALPHA_RATE = {"generator_training": {"lr_alpha": 0.0}}
 
@@ -321,14 +333,17 @@ def with_keys(cfg, keys):
 
 @pytest.mark.parametrize(
     "text,digest_before_deletions,digest_before_constants,"
-    "digest_before_alpha,digest", PINNED)
+    "digest_before_alpha,digest_before_test_keys,digest", PINNED)
 def test_config_hashes_are_pinned(text, digest_before_deletions,
                                   digest_before_constants,
-                                  digest_before_alpha, digest):
+                                  digest_before_alpha,
+                                  digest_before_test_keys, digest):
     if text:
         text = "[experiment]\nname = exp\noutput_dir = runs\n" + text
     cfg = RunConfig.from_text(text)
     assert cfg.hash() == digest
+    cfg = with_keys(cfg, TEST_ONLY)
+    assert cfg.hash() == digest_before_test_keys
     cfg = with_keys(cfg, ALPHA_RATE)
     assert cfg.hash() == digest_before_alpha
     cfg = with_keys(cfg, MADE_CONSTANT)
@@ -339,9 +354,6 @@ def test_config_hashes_are_pinned(text, digest_before_deletions,
 # Keys no workload of the benchmark sets, each with the reason it stays a
 # key; a key without one becomes a module constant.
 KEPT_KEYS = {
-    ("experiment", "seeds"): "the seeds of the acceptance runs",
-    ("experiment", "eval_samples_per_class"): "the acceptance runs' samples",
-    ("experiment", "eval_seed_offset"): "the acceptance runs' sample seeds",
     ("dataset", "csv_path"): "the data of kind = csv",
     ("dataset", "num_classes"): "the class count of kind = csv",
     ("classifier", "bias"): "the architecture",

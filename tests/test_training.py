@@ -195,9 +195,8 @@ def test_train_generator_runs_and_records_history():
     state = run_short(cfg, bundle)
     assert state.step == 30
     assert len(state.history) == 30
-    row = state.history[-1]
-    assert set(row) >= {"step", "t", "l_stat", "l_dual", "total",
-                        "alpha_0"}
+    row = dict(zip(tr.HISTORY_KEYS, state.history[-1], strict=True))
+    assert (row["step"], row["t"]) == (29, 0)
     assert np.isfinite(row["total"])
 
 
@@ -298,16 +297,22 @@ def test_train_generator_loss_decreases():
     bundle, _ = small_bundle()
     cfg = GeneratorTrainConfig(steps=400, batch_size=16)
     state = run_short(cfg, bundle)
-    first = np.mean([r["total"] for r in state.history[:25]])
-    last = np.mean([r["total"] for r in state.history[-25:]])
+    total = tr.HISTORY_KEYS.index("total")
+    first = np.mean([r[total] for r in state.history[:25]])
+    last = np.mean([r[total] for r in state.history[-25:]])
     assert last < first
 
 
 def test_train_generator_frozen_alpha_by_default():
+    """alpha is the duality band's after a run and after its resume."""
     bundle, _ = small_bundle()
     cfg = GeneratorTrainConfig(steps=20, batch_size=8)
-    state = run_short(cfg, bundle)
-    assert state.history[0]["alpha_0"] == state.history[-1]["alpha_0"]
+    band = np.array([tr.duality_band(bundle, cfg, 0)[0]]).tobytes()
+    state = run_short(cfg, bundle, n_steps=10)
+    assert state.alphas.tobytes() == band
+    state = run_short(cfg, bundle, state=state)
+    assert state.step == 20
+    assert state.alphas.tobytes() == band
 
 
 def unverifiable_bundle():
@@ -349,12 +354,13 @@ def test_multi_classifier_round_robin_and_full_sum():
     mult_spec = MultiplierSpec(2, 2, (8,), num_classifiers=2)
     cfg = GeneratorTrainConfig(steps=8, batch_size=8)
     state = tr.train_generator([b0, b1], gen_spec, mult_spec, cfg)
-    ts = [r["t"] for r in state.history]
+    t = tr.HISTORY_KEYS.index("t")
+    ts = [r[t] for r in state.history]
     assert sorted(set(ts)) == [0, 1]
     assert all(a != b for a, b in zip(ts, ts[1:]))  # strict alternation
     full = GeneratorTrainConfig(steps=4, batch_size=8, full_sum=True)
     state2 = tr.train_generator([b0, b1], gen_spec, mult_spec, full)
-    assert all(r["t"] == -1 for r in state2.history)
+    assert all(r[t] == -1 for r in state2.history)
 
 
 def test_tv_loss_value_and_validation():
