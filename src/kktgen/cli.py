@@ -13,6 +13,12 @@ import math
 import os
 import sys
 
+# one BLAS thread unless the user sets a count: in about 1 of 8 fresh
+# processes every multi-threaded OpenBLAS call is slow (a QR of 0.10 ms
+# took 48 ms).  The pool is sized when numpy loads, so this comes first
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import checkpoint as ckpt

@@ -10,7 +10,8 @@ second-place margin into the band [e^{-alpha}, e^{-alpha} + delta].  The
 NNLS oracle checks the same stationarity system on real labeled data with
 freely fitted nonnegative multipliers.  Both losses exist twice: as
 autodiff graphs, the reference, and in closed form with their gradients
-(:func:`kkt_loss_grads`), which the generator step uses.
+(:class:`KktTerms`, bound once per classifier and run), which the
+generator step uses.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .homogeneity import lambda_bar
-from .kernels import nnls
-from .models import BoundMlp, mlp_apply, mlp_apply_np
+from .kernels import nnls, operand
+from .models import _ZERO, BoundMlp, mlp_apply, mlp_apply_np
 
 DEFAULT_TIE_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -121,28 +122,6 @@ def duality_loss(logits, labels, alpha, delta):
     return ad.mul(ad.tsum(per_pair), ad.constant(1.0 / m))
 
 
-def _duality_grads(logits, own, alpha, delta):
-    """Numpy L_dual with its gradient in the logits.
-
-    ``own`` holds the flat indices of the true-class logits
-    (:func:`_own_indices`).
-    """
-    m = own.size
-    threshold = np.exp(-alpha)
-    z = logits.take(own)[:, None] - logits
-    z -= threshold
-    z_hi = z - delta
-    mask = _second_place(logits, own)
-    per_pair = mask * (np.maximum(z_hi, 0.0) - np.minimum(z, 0.0))
-    l_dual = float(np.add.reduce(per_pair, axis=None) * (1.0 / m))
-    # ties get derivative 0 on both sides of the band, as in the graph
-    dz = mask * np.subtract(z_hi > 0.0, z < 0.0, dtype=np.float64)
-    dz *= 1.0 / m
-    dlogits = np.negative(dz)
-    dlogits.put(own, dlogits.take(own) + np.add.reduce(dz, axis=1))
-    return l_dual, dlogits
-
-
 def stationarity_target(params, lbar_weights, virtual_n):
     """(1/N) Lbar zeta as one flat vector in group order.
 
@@ -154,48 +133,159 @@ def stationarity_target(params, lbar_weights, virtual_n):
                            for name in params.groups])
 
 
-def kkt_loss_grads(zeta, target, x, labels, mu, alpha, delta, beta):
-    """L_stat + beta * L_dual on a batch, with gradients in x and mu.
+class KktTerms:
+    """L_stat + beta * L_dual of one classifier on generated batches of
+    ``m`` rows, with their gradients in x and in the multiplier network's
+    output before its ReLU, and every buffer bound once per run.
 
     ``zeta`` is the classifier's :class:`models.BoundMlp` and ``target``
-    its :func:`stationarity_target`; ``labels`` must be in range.  The
-    closed-form numpy counterpart of :func:`stationarity_loss_graph`
-    plus :func:`duality_loss`, which stay the reference it is tested
-    against.  With coefficient matrix ``coeff(mu)`` and S = sum coeff *
-    Phi(x), one backprop gives grad_zeta S and the residual r; the
-    gradient of L_stat in grad_zeta S is the parameter tangent
-    V = -r / (M L_stat).  A tangent forward along V gives dL_stat/dcoeff,
-    and injecting delta_l V_l^T at each layer input on a backprop that
-    also carries the duality cotangent gives the x gradient (the ReLU
-    masks are locally constant).  Returns (l_stat, l_dual, dx, dmu); dx
-    is the gradient of the weighted sum, dmu of L_stat.  dx is
-    ``zeta``'s input-cotangent buffer, which the next call overwrites.
+    its :func:`stationarity_target`; alpha, delta and beta are fixed for
+    the binding, and delta <= 0 is refused here.  The closed-form numpy
+    counterpart of :func:`stationarity_loss_graph` plus
+    :func:`duality_loss`, which stay the reference it is tested against.
+    With coefficient matrix ``coeff(mu)`` and S = sum coeff * Phi(x), one
+    backprop gives grad_zeta S and the residual r; the gradient of L_stat
+    in grad_zeta S is the parameter tangent V = -r / (M L_stat).  A
+    tangent forward along V gives dL_stat/dcoeff, and injecting delta_l
+    V_l^T at each layer input on a backprop that also carries the duality
+    cotangent gives the x gradient (the ReLU masks are locally constant).
+
+    What does not change within a run is bound once: the classifier's
+    binding and target, exp(-alpha), delta, beta, 1/M and the tie
+    tolerance as 0-d operands, the flat row offsets, and every (M, C) and
+    (M,) buffer, the float masks included.  The terms are worked on
+    class-major, (C, M): a row maximum or row sum is then a reduction over
+    the leading axis, C rows of M.  A row sum adds the classes one after
+    another, in class order, which is numpy's order for a row sum over
+    fewer than 8 classes; from 8 on numpy adds them pairwise.  The
+    row-major inputs and outputs move by copies, and a per-row value is
+    copied into every class row or taken by the flat own-class indices,
+    because a ufunc given a transposed or broadcast operand allocates an
+    iteration buffer, where ``np.copyto`` allocates none.
+    L_dual is the sum over the row-major (M, C) pair losses, as numpy
+    makes it.  So after the first call, which binds the classifier's pass
+    buffers, a call on a bias-free classifier allocates no array data.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    m = labels.size
-    logits = zeta.forward(x)
-    own = _own_indices(labels, logits.shape[1])
-    not_y = np.ones_like(mu)
-    not_y.put(own, 0.0)
-    mu_rivals = mu * not_y
-    coeff = np.negative(mu_rivals)
-    coeff.put(own, np.add.reduce(mu_rivals, axis=1))
-    deltas = zeta.backprop(coeff)
-    g = zeta.param_grad(deltas)
-    g *= 1.0 / m
-    r = np.subtract(target, g, out=g)
-    l_stat = math.sqrt(r.dot(r) + NORM_EPS)
-    np.multiply(r, -1.0 / (m * l_stat), out=zeta.tangent)
-    dcoeff = zeta.jvp()
-    dmu = dcoeff.take(own)[:, None] - dcoeff
-    dmu *= not_y
-    l_dual, dlogits = _duality_grads(logits, own, alpha, delta)
-    dlogits *= beta
-    # the second backprop overwrites ``deltas``, which inject is made of
-    inject = zeta.tangent_inject(deltas)
-    dx = zeta.input_cotangent(zeta.backprop(dlogits, inject), inject)
-    return l_stat, l_dual, dx, dmu
+
+    def __init__(self, zeta, target, m, alpha, delta, beta):
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        c = zeta.mlp.out_dim
+        self.zeta, self.target = zeta, target
+        self.m, self.inv_m_float = m, 1.0 / m
+        (self.threshold, self.delta, self.beta, self.neg_beta, self.inv_m,
+         self.tol) = (operand(v) for v in (np.exp(-alpha), delta, beta,
+                                           -beta, 1.0 / m, DEFAULT_TIE_TOL))
+        # the tangent's scale and the two scalar sums, rewritten per call
+        self.scale, self.sq_norm, self.dual_sum = (np.empty(())
+                                                   for _ in range(3))
+        # own[c, i] = i C + y_i, the flat index of entry (i, y_i) of an
+        # (M, C) array, in every class row
+        self.row_base = np.tile(np.arange(m) * c, (c, 1))
+        self.labels_cm = np.empty((c, m), dtype=np.int64)
+        self.own = np.empty((c, m), dtype=np.int64)
+        self.own_rows = self.own[0]
+        # column y of the table: 1.0 in the rows of the rivals of label y,
+        # then -inf in the row of y and 0.0 in theirs.  A take by the
+        # labels gives the class-major rival mask, then the addend that
+        # takes the own class out of the row maximum
+        eye = np.eye(c, dtype=bool)
+        self.label_table = np.concatenate([np.where(eye, 0.0, 1.0),
+                                           np.where(eye, -np.inf, 0.0)])
+        self.label_cols = np.empty((2 * c, m))
+        self.not_y, self.own_inf = self.label_cols[:c], self.label_cols[c:]
+        self.sums = np.empty(m)
+        # row-major: the coefficients, the logit and multiplier gradients,
+        # the pair losses
+        self.coeff, self.dlogits, self.dmu, self.pairs = (
+            np.empty((m, c)) for _ in range(4))
+        # class-major
+        (self.mu, self.keep, self.logits_cm, self.dcoeff_cm, self.z, self.e,
+         self.mask, self.work) = (np.empty((c, m)) for _ in range(8))
+        self.bools = np.empty((c, m), dtype=bool)
+
+    def __call__(self, x, labels, mu_pre):
+        """(l_stat, l_dual, dx, dmu) at generated ``x`` with in-range
+        ``labels`` and multipliers ReLU(``mu_pre``): dx is the gradient of
+        the weighted sum, dmu that of L_stat in ``mu_pre``.  dx and dmu are
+        the binding's buffers, which the next call overwrites."""
+        zeta, own, own_rows = self.zeta, self.own, self.own_rows
+        sums, not_y, mu, keep = self.sums, self.not_y, self.mu, self.keep
+        z, e, mask, bools, work = (self.z, self.e, self.mask, self.bools,
+                                   self.work)
+        coeff, dlogits, logits_cm = self.coeff, self.dlogits, self.logits_cm
+        np.copyto(self.labels_cm, labels)
+        np.add(self.row_base, self.labels_cm, out=own)
+        # "clip" only skips a buffered copy; every index is in range
+        self.label_table.take(labels, axis=1, out=self.label_cols,
+                              mode="clip")
+        # the rival multipliers; ``keep``, where one is positive, is the
+        # product of the rival mask and the ReLU mask
+        np.copyto(mu, mu_pre.T)
+        np.maximum(mu, _ZERO, out=mu)
+        mu *= not_y
+        np.greater(mu, _ZERO, out=bools)
+        np.copyto(keep, bools)
+        # the coefficients: -mu on the rivals, their row sum on the own
+        # class
+        np.copyto(coeff, mu.T)
+        np.negative(coeff, out=coeff)
+        np.add.reduce(mu, axis=0, out=sums)
+        coeff.put(own_rows, sums)
+
+        logits = zeta.forward(x)
+        deltas = zeta.backprop(coeff)
+        g = zeta.param_grad(deltas)
+        g *= self.inv_m
+        r = np.subtract(self.target, g, out=g)
+        l_stat = math.sqrt(r.dot(r, out=self.sq_norm).item() + NORM_EPS)
+        self.scale[()] = -1.0 / (self.m * l_stat)
+        np.multiply(r, self.scale, out=zeta.tangent)
+        dcoeff = zeta.jvp()
+        np.copyto(self.dcoeff_cm, dcoeff.T)
+        dcoeff.take(own, out=work, mode="clip")
+        work -= self.dcoeff_cm
+        work *= keep
+        np.copyto(self.dmu, work.T)
+
+        # the second-place mask: the rival logits within the tie tolerance
+        # of the best one.  A finite logit plus 0.0 compares as itself;
+        # with a non-finite logit L_dual is not finite
+        np.copyto(logits_cm, logits.T)
+        np.add(logits_cm, self.own_inf, out=work)
+        np.maximum.reduce(work, axis=0, out=sums)
+        sums -= self.tol
+        np.copyto(z, sums)
+        np.greater_equal(work, z, out=bools)
+        np.copyto(mask, bools)
+        # z, the margins less e^-alpha, and e = z - clip(z, 0, delta), its
+        # signed distance outside the band: the pair's loss is |e|, which
+        # is e sign(e), and its slope sign(e), 0 at both band edges as in
+        # the graph
+        logits.take(own, out=z, mode="clip")
+        z -= logits_cm
+        z -= self.threshold
+        np.maximum(z, _ZERO, out=e)
+        np.minimum(e, self.delta, out=e)
+        np.subtract(z, e, out=e)
+        np.sign(e, out=work)
+        work *= mask
+        np.multiply(e, work, out=z)
+        np.copyto(self.pairs, z.T)
+        l_dual = (np.add.reduce(self.pairs, axis=None, out=self.dual_sum)
+                  .item() * self.inv_m_float)
+        work *= self.inv_m
+        # the own-class entries of the slopes are zeros, so the own-class
+        # entry of the logit gradient is beta times their row sum
+        np.copyto(dlogits, work.T)
+        dlogits *= self.neg_beta
+        np.add.reduce(work, axis=0, out=sums)
+        sums *= self.beta
+        dlogits.put(own_rows, sums)
+        # the second backprop overwrites ``deltas``, which inject is made of
+        inject = zeta.tangent_inject(deltas)
+        dx = zeta.input_cotangent(zeta.backprop(dlogits, inject), inject)
+        return l_stat, l_dual, dx, self.dmu
 
 
 def margins_np(spec, zeta, x, labels):

@@ -24,7 +24,7 @@ from .homogeneity import (VERIFY_ALPHAS, VERIFY_DEVIATION_LIMIT,
                           VerificationError, default_probe_samples,
                           lambda_bar, verify_lambda)
 from .kernels import Adam, TotalVariation
-from .kkt import kkt_loss_grads, stationarity_target
+from .kkt import KktTerms, stationarity_target
 from .models import (BoundMlp, MlpSpec, ParameterVector, condition,
                      init_kaiming, mlp_apply_np)
 
@@ -465,16 +465,15 @@ class _StepRng:
         return self.generator
 
 
-def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
-                     config, gen_in, mult_in, tv):
+def _classifier_step(kkt, gen, mult, state, t, labels, eps, config,
+                     gen_in, mult_in, tv):
     """One classifier's loss terms and their closed-form gradients.
 
-    ``zeta``, ``gen`` and ``mult`` are :class:`BoundMlp` bindings of the
-    classifier's, the generator's and the multiplier's parameters, and
-    ``target`` is the classifier's :func:`kkt.stationarity_target` at
-    alpha_t.  Runs the generator, multiplier and classifier forwards
-    once, takes L_stat + beta L_dual and its x/mu gradients from
-    :func:`kkt.kkt_loss_grads`, adds the TV term of ``tv`` (the run's
+    ``kkt`` is classifier t's :class:`kkt.KktTerms`, and ``gen`` and
+    ``mult`` are :class:`BoundMlp` bindings of the generator's and the
+    multiplier's parameters.  Runs the generator, multiplier and
+    classifier forwards once, takes L_stat + beta L_dual and its x/mu
+    gradients from ``kkt``, adds the TV term of ``tv`` (the run's
     :class:`kernels.TotalVariation`, or None without a TV term) into the
     x gradient in place, then backpropagates through the multiplier and
     the generator.  ``gen_in`` and ``mult_in`` are the buffers
@@ -488,9 +487,7 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
             f"non-finite generated sample at step {state.step}",
             state.step, state)
     mu_pre = mult.forward(condition(x, labels, t, mult.spec, mult_in))
-    l_stat, l_dual, dx, dmu = kkt_loss_grads(
-        zeta, target, x, labels, np.maximum(mu_pre, 0.0),
-        float(state.alphas[t]), float(state.deltas[t]), config.beta)
+    l_stat, l_dual, dx, dmu = kkt(x, labels, mu_pre)
     total = l_stat + l_dual * config.beta
     l_tv = 0.0
     if tv is not None:
@@ -498,7 +495,6 @@ def _classifier_step(zeta, target, gen, mult, state, t, labels, eps,
         total = total + l_tv * config.tv_weight
         dtv *= config.tv_weight
         dx += dtv
-    dmu *= mu_pre > 0.0
     mult_deltas = mult.backprop(dmu)
     dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
     return (total, l_stat, l_dual, l_tv, gen.param_grad(gen.backprop(dx)),
@@ -524,9 +520,15 @@ def probe_peak_margin(classifier, config, t):
 def duality_band(classifier, config, t):
     """(alpha, delta) of classifier t: the band [e^{-alpha},
     e^{-alpha} + delta] spans ``margin_band`` times its probed peak
-    margin."""
+    margin.  A peak that is not finite and positive, as of a classifier
+    whose logits all tie, leaves no band: it is refused."""
     lo, hi = config.margin_band
     peak = probe_peak_margin(classifier, config, t)
+    if not (math.isfinite(peak) and peak > 0.0):
+        raise ValueError(
+            f"{classifier.name or f'classifier {t}'}: probed peak margin "
+            f"{peak:.6g} is not finite and positive, so it places no "
+            f"duality band")
     return float(-np.log(lo * peak)), float((hi - lo) * peak)
 
 
@@ -545,9 +547,10 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
 
     What does not change between steps is bound once per run: the
     network bindings, the conditional-input buffers, the label CDF, each
-    classifier's stationarity target, the TV kernel, the gradient sums
-    of ``full_sum`` (one classifier's gradients go to Adam as the
-    bindings' buffers) and the step's random stream.  Step s draws its
+    classifier's KKT terms (:class:`kkt.KktTerms`: its binding,
+    stationarity target, band, beta and buffers), the TV kernel, the
+    gradient sums of ``full_sum`` (one classifier's gradients go to Adam
+    as the bindings' buffers) and the step's random stream.  Step s draws its
     labels and noise from what ``np.random.default_rng([seed, 0, s])``
     would give, from one reused Generator whose state a seed table sets
     (:class:`_StepRng`), so a resumed run draws what a straight run
@@ -597,15 +600,17 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     m, noise_dim = config.batch_size, gen_spec.noise_dim
-    zetas = [BoundMlp(cb.spec, cb.params) for cb in classifiers]
     gen = BoundMlp(gen_spec, state.gen_params)
     mult = BoundMlp(mult_spec, state.mult_params)
     gen_in = np.empty((m, gen.mlp.in_dim))
     mult_in = np.empty((m, mult.mlp.in_dim))
-    targets = [stationarity_target(cb.params,
-                                   lambda_bar(cb.profile, float(alpha)),
-                                   cb.virtual_n)
-               for cb, alpha in zip(classifiers, state.alphas)]
+    kkts = [KktTerms(BoundMlp(cb.spec, cb.params),
+                     stationarity_target(cb.params,
+                                         lambda_bar(cb.profile, float(alpha)),
+                                         cb.virtual_n),
+                     m, float(alpha), float(delta), config.beta)
+            for cb, alpha, delta in zip(classifiers, state.alphas,
+                                        state.deltas)]
     tv = TotalVariation(m, *config.tv_shape) if config.tv_weight > 0 \
         else None
     theta, eta = state.gen_params.values, state.mult_params.values
@@ -638,8 +643,8 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             labels = cdf.searchsorted(rng.random(m), side="right")
             eps = rng.standard_normal((m, noise_dim))
             loss_t, stat_t, dual_t, tv_t, g_th, g_et = _classifier_step(
-                zetas[t], targets[t], gen, mult, state, t, labels, eps,
-                config, gen_in, mult_in, tv)
+                kkts[t], gen, mult, state, t, labels, eps, config, gen_in,
+                mult_in, tv)
             total = total + loss_t
             if sums is None:
                 g_theta, g_eta = g_th, g_et

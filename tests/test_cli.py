@@ -66,6 +66,27 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_cli_defaults_to_one_blas_thread(user_value):
+    """Importing the command line sets each BLAS thread count the user
+    did not set to 1, before numpy loads; a count the user set stays."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(
+        kktgen.__file__)))
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = ("import os, sys, kktgen; assert 'numpy' not in sys.modules; "
+            "import kktgen.cli; print(*(os.environ[v] for v in "
+            f"{BLAS_THREADS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [user_value or "1", "1", "1"]
+
+
 def test_bad_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[classifier]\ntypo = 1\n")
@@ -301,6 +322,16 @@ def failure_inputs(tmp_path_factory):
     profiled_checkpoint(d / "three_inputs.ckpt", (3, 8, 3))
     profiled_checkpoint(d / "two_classes.ckpt", (2, 8, 2))
     profiled_checkpoint(d / "bad_profile.ckpt", (2, 8, 3), lambdas=1.0)
+    # three equal last-layer weight columns: every logit ties, so every
+    # probed margin is 0
+    spec = MlpSpec((2, 8, 3), False)
+    params = init_kaiming(spec, 0)
+    weights = params.group("layer1.weight").reshape(8, 3)
+    weights[:] = weights[:, :1]
+    ck.save_classifier(d / "tied.ckpt", spec, params,
+                       extra={"dataset_size": 18})
+    ck.attach_profile(d / "tied.ckpt", hg.QuasiHomogeneousProfile(
+        dict.fromkeys(params.groups, 0.5)))
     spec = MlpSpec((2, 8, 3), False)
     ck.save_classifier(d / "no_profile.ckpt", spec, init_kaiming(spec, 0))
     sections = ck.read_sections(d / "clf.ckpt")
@@ -368,6 +399,8 @@ FAILURES = [
     ("profile-fails-verification",
      "train-generator {d}/run.cfg {d}/bad_profile.ckpt", 3,
      "bad_profile.ckpt: profile fails verification", None),
+    ("peak-margin-of-zero", "train-generator {d}/run.cfg {d}/tied.ckpt", 2,
+     "tied.ckpt: probed peak margin 0 is not finite and positive", None),
     ("classifier-without-dataset-size",
      "train-generator {d}/run.cfg {d}/no_size.ckpt", 2,
      "no_size.ckpt: no training-set size", None),

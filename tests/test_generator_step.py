@@ -11,6 +11,8 @@ the strided numpy TV (``graph_reference.tv_value_grad``) and gradient
 sums from 0.0, and ``train_generator`` must match it bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from kktgen.models import (BoundMlp, GeneratorSpec, MlpSpec, MultiplierSpec,
                            condition, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np)
 from graph_reference import tv_loss, tv_value_grad
+from test_kkt import duality_terms
 from test_training import small_bundle
 
 PARITY_RTOL = 1e-10
@@ -144,9 +147,11 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
             bundles[t].virtual_n)
         gen = BoundMlp(gen_spec, state.gen_params)
         mult = BoundMlp(mult_spec, state.mult_params)
+        kkt = kk.KktTerms(BoundMlp(bundles[t].spec, bundles[t].params),
+                          target, BATCH, float(state.alphas[t]),
+                          float(state.deltas[t]), config.beta)
         step = tr._classifier_step(
-            BoundMlp(bundles[t].spec, bundles[t].params), target, gen, mult,
-            state, t, labels, eps, config,
+            kkt, gen, mult, state, t, labels, eps, config,
             np.empty((BATCH, gen.mlp.in_dim)),
             np.empty((BATCH, mult.mlp.in_dim)),
             TotalVariation(BATCH, *config.tv_shape) if tv else None)
@@ -170,8 +175,7 @@ def test_tv_and_duality_gradients_at_ties_match_graph():
     # alpha = 0: margins 1.0 and 1.5 sit exactly on the band [1, 1.5]
     logits = np.array([[2.0, 1.0, 0.0], [0.0, 1.5, 0.0], [3.0, 0.0, 0.5]])
     labels = np.array([0, 1, 0])
-    l_dual, dlogits = kk._duality_grads(
-        logits, kk._own_indices(labels, 3), 0.0, 0.5)
+    l_dual, dlogits = duality_terms(logits, labels, 0.0, 0.5)
     logits_t = ad.tensor(logits)
     ref = duality_loss(logits_t, labels, 0.0, 0.5)
     (g_logits,) = ad.grad(ref, [logits_t])
@@ -234,6 +238,28 @@ def test_non_finite_resume_exits_numeric(tmp_path, capsys):
 # the lean step loop against the loop it replaced, bit for bit
 
 
+def class_sum(a):
+    """Row sums of an (M, C) array that add the classes in class order,
+    from 0.0: numpy's row sum below 8 classes, which from 8 on adds them
+    pairwise, and the order of :class:`kkt.KktTerms` at any C."""
+    total = np.zeros(a.shape[0])
+    for column in a.T:
+        total = total + column
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 64])
+def test_class_sum_is_numpys_row_sum_below_eight_classes(m):
+    """So the reference loop, whose cases have at most 3 classes, sums
+    as it did with numpy's row sums."""
+    rng = np.random.default_rng(m)
+    for num_classes in range(2, 8):
+        a = rng.standard_normal((m, num_classes)) * 10.0 ** rng.integers(
+            -8, 8, size=(m, num_classes))
+        a.flat[::3] = -0.0
+        assert class_sum(a).tobytes() == a.sum(axis=1).tobytes()
+
+
 def reference_duality_grads(logits, labels, alpha, delta):
     m = labels.size
     rows = np.arange(m)
@@ -247,7 +273,7 @@ def reference_duality_grads(logits, labels, alpha, delta):
     l_dual = float(np.sum(per_pair) * (1.0 / m))
     dz = mask * ((z - delta > 0.0) * 1.0 - (z < 0.0)) * (1.0 / m)
     dlogits = -dz
-    dlogits[rows, labels] += dz.sum(axis=1)
+    dlogits[rows, labels] += class_sum(dz)
     return l_dual, dlogits
 
 
@@ -273,7 +299,7 @@ def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
     not_y[rows, labels] = 0.0
     mu_rivals = mu * not_y
     coeff = -mu_rivals
-    coeff[rows, labels] = mu_rivals.sum(axis=1)
+    coeff[rows, labels] = class_sum(mu_rivals)
     deltas = zeta.backprop(coeff)
     params = zeta.params
     target = np.concatenate([params.group(name)
@@ -288,6 +314,160 @@ def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
     inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
     dx = zeta.input_cotangent(zeta.backprop(dlogits * beta, inject), inject)
     return l_stat, l_dual, dx, dmu
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.tobytes() == w.tobytes()
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def kernel_against_reference(spec, params, x, labels, mu_pre, alpha, delta,
+                             beta=1.7):
+    """The :class:`kkt.KktTerms` outputs and the reference's, with the
+    multiplier ReLU and its mask applied as the step applies them."""
+    lbar = {name: 0.4 for name in params.groups}
+    kkt = kk.KktTerms(BoundMlp(spec, params),
+                      kk.stationarity_target(params, lbar, 30), len(x),
+                      alpha, delta, beta)
+    got = [np.array(v) for v in kkt(x, labels, mu_pre)]
+    l_stat, l_dual, dx, dmu = reference_kkt_loss_grads(
+        BoundMlp(spec, params), lbar, 30, x, labels,
+        np.maximum(mu_pre, 0.0), alpha, delta, beta)
+    return got, [l_stat, l_dual, dx, dmu * (mu_pre > 0.0)]
+
+
+def multipliers(rng, m, num_classes):
+    """Pre-activation multipliers with exact zeros of both signs."""
+    mu_pre = rng.standard_normal((m, num_classes))
+    mu_pre.flat[::5] = 0.0
+    mu_pre.flat[1::7] = -0.0
+    return mu_pre
+
+
+KERNEL_CLASSES = [2, 3, 5, 8]
+
+
+@pytest.mark.parametrize("case", ["random", "tied-rivals", "one-class",
+                                  "one-row"])
+@pytest.mark.parametrize("num_classes", KERNEL_CLASSES)
+def test_kkt_terms_match_the_reference_bit_for_bit(num_classes, case):
+    """Every output of the kernel has the reference's bytes, signed zeros
+    included: rival logits that tie exactly (the last two classes share
+    their weights), a batch of one class, a batch of one row, and
+    multipliers with exact zeros."""
+    rng = np.random.default_rng(num_classes)
+    spec = MlpSpec((3, 7, num_classes), True)
+    params = init_kaiming(spec, num_classes)
+    params.values[:] += 0.1 * rng.standard_normal(len(params))
+    m = 1 if case == "one-row" else 24
+    x = rng.standard_normal((m, 3))
+    labels = rng.integers(0, num_classes, size=m)
+    if case == "one-class":
+        labels[:] = num_classes - 1
+    if case == "tied-rivals":
+        for group in ("layer1.weight", "layer1.bias"):
+            values = params.group(group).reshape(-1, num_classes)
+            values[:, -1] = values[:, -2]
+    logits = mlp_apply_np(spec, params, x)
+    if case == "tied-rivals":
+        assert np.array_equal(logits[:, -1], logits[:, -2])
+    margins = logits[np.arange(m), labels][:, None] - logits
+    mid = float(np.median(np.abs(margins))) + 0.1
+    got, want = kernel_against_reference(
+        spec, params, x, labels, multipliers(rng, m, num_classes),
+        -np.log(mid), 0.5 * mid)
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("num_classes", KERNEL_CLASSES)
+def test_kkt_terms_at_the_band_edges_match_the_reference(num_classes):
+    """Second-place margins below, inside, above and exactly on both
+    edges of the band [1, 1.5] (alpha = 0), some of them tied: the
+    classifier is the identity, so the logits are the inputs."""
+    spec = MlpSpec((num_classes, num_classes), False)
+    params = init_kaiming(spec, 0)
+    params.group("layer0.weight")[:] = np.eye(num_classes).ravel()
+    x = np.full((6, num_classes), -5.0)
+    x[:, 0] = 2.0
+    # the best rival logit of each row: margins 0.5, 1, 1.25, 1.5, 3 and
+    # a tie at 1
+    x[:, 1] = [1.5, 1.0, 0.75, 0.5, -1.0, 1.0]
+    x[5, -1] = 1.0
+    labels = np.zeros(6, dtype=np.int64)
+    rng = np.random.default_rng(num_classes)
+    got, want = kernel_against_reference(
+        spec, params, x, labels, multipliers(rng, 6, num_classes), 0.0, 0.5)
+    assert_same_bits(got, want)
+    assert got[1] == (0.5 + 1.5) / 6  # the rows below and above the band
+
+
+class RecordedKktTerms(kk.KktTerms):
+    """:class:`kkt.KktTerms` that records every binding."""
+
+    bound = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.bound.append(self)
+
+
+def test_kernels_of_a_full_sum_run_keep_separate_buffers(monkeypatch):
+    """A T = 2 full-sum run binds one kernel per classifier, and no array
+    of one shares memory with an array of the other, so one's outputs
+    survive a call of the other."""
+    bundles, gen_spec, mult_spec, config = loop_setup("T2-full-sum")
+    monkeypatch.setattr(tr, "KktTerms", RecordedKktTerms)
+    monkeypatch.setattr(RecordedKktTerms, "bound", [])
+    tr.train_generator(bundles, gen_spec, mult_spec, config)
+    first, second = RecordedKktTerms.bound
+
+    def arrays(kkt):
+        return [a for a in vars(kkt).values() if isinstance(a, np.ndarray)]
+
+    assert not any(np.shares_memory(a, b) for a in arrays(first)
+                   for b in arrays(second))
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((config.batch_size, gen_spec.out_dim))
+    labels = rng.integers(0, gen_spec.num_classes, size=config.batch_size)
+    mu_pre = rng.standard_normal((config.batch_size, gen_spec.num_classes))
+    out = first(x, labels, mu_pre)
+    kept = [np.array(v) for v in out]
+    second(x, labels, mu_pre)
+    assert_same_bits(out, kept)
+
+
+def test_kkt_terms_allocate_no_array_data_after_the_first_call():
+    """After its first call a kernel's call allocates no numpy array
+    data: none is left allocated (tracemalloc's numpy domain), and the
+    traced peak of the call stays below one float per row, which any
+    temporary of the batch's shape exceeds.  The batch is large enough
+    that Python's own allocations in the call stay below that."""
+    rng = np.random.default_rng(1)
+    spec = MlpSpec((3, 7, 5, 3), False)
+    params = init_kaiming(spec, 1)
+    m = 4096
+    x = rng.standard_normal((m, 3))
+    labels = rng.integers(0, 3, size=m)
+    mu_pre = rng.standard_normal((m, 3))
+    kkt = kk.KktTerms(BoundMlp(spec, params),
+                      np.zeros(len(params)), m, 0.2, 0.5, 3.0)
+    kkt(x, labels, mu_pre)
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(numpy_data)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        kkt(x, labels, mu_pre)
+        peak = tracemalloc.get_traced_memory()[1]
+        after = tracemalloc.take_snapshot().filter_traces(numpy_data)
+    finally:
+        tracemalloc.stop()
+    assert not [d for d in after.compare_to(before, "lineno")
+                if d.count_diff]
+    assert peak - start < 8 * m
 
 
 def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,

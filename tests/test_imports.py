@@ -14,8 +14,11 @@ reference engine.
 
 import ast
 import glob
+import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -132,3 +135,44 @@ def test_scan_finds_a_name_only_the_tests_use():
     }
     assert public_names_without_use(modules, "a.h()", {"op"}) == (
         ["a.f", "a.K", "autodiff.helper"], {"a.h"})
+
+
+# dir(kktgen) after ``import kktgen`` when the package imported every
+# public name eagerly: the names, the submodules they loaded and the
+# module attributes
+EAGER_DIR = [
+    "ClassifierBundle", "ClassifierTrainConfig", "ConfigError",
+    "ConvergenceError", "CoverageReport", "GeneratorSpec",
+    "GeneratorTrainConfig", "GeneratorTrainState", "LabeledDataset",
+    "MlpSpec", "MultiplierSpec", "ParameterVector",
+    "QuasiHomogeneousProfile", "RunConfig", "TrainingAborted", "__all__",
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__", "__version__",
+    "autodiff", "circle_dataset", "config", "coverage_report", "datasets",
+    "deserialize_params", "estimate_profile", "homogeneity", "init_kaiming",
+    "kernels", "kkt", "kkt_residual_oracle", "lambda_bar", "margins_np",
+    "models", "nearest_neighbor", "pattern_dataset", "refine_margins",
+    "sample", "scale_params", "serialize_params", "solve_lambda",
+    "split_dataset", "train_classifier", "train_generator", "training",
+    "verify_lambda",
+]
+
+
+def test_package_names_load_on_first_use():
+    """``import kktgen`` loads no numpy; its ``dir()`` is that of the
+    eager package before and after every name is used, and each name of
+    ``__all__`` is the object its module defines."""
+    code = (
+        "import importlib, json, sys, kktgen\n"
+        "lazy = 'numpy' not in sys.modules\n"
+        "before = dir(kktgen)\n"
+        "same = [getattr(kktgen, n) is getattr(importlib.import_module("
+        "'kktgen.' + kktgen._MODULE_OF[n]), n) for n in kktgen.__all__]\n"
+        "print(json.dumps([lazy, before, dir(kktgen), all(same), "
+        "sorted(kktgen.__all__) == sorted(kktgen._MODULE_OF)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    lazy, before, after, same, complete = json.loads(out.stdout)
+    assert lazy and same and complete
+    assert before == after == EAGER_DIR

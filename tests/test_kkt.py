@@ -102,6 +102,21 @@ def test_duality_loss_pointwise_values():
         assert abs(loss.item() - want) < 1e-12
 
 
+def duality_terms(logits, labels, alpha, delta):
+    """L_dual and its logit gradient as :class:`kkt.KktTerms` computes
+    them: its classifier is the identity on C inputs, so the logits are
+    the inputs and the input gradient at beta = 1 is the logit gradient.
+    Every multiplier is 0, so the stationarity term injects nothing."""
+    m, num_classes = logits.shape
+    spec = MlpSpec((num_classes, num_classes), False)
+    zeta = ParameterVector.zeros_for(spec)
+    zeta.group("layer0.weight")[:] = np.eye(num_classes).ravel()
+    kkt = kk.KktTerms(km.BoundMlp(spec, zeta), np.zeros(len(zeta)), m,
+                      alpha, delta, 1.0)
+    _, l_dual, dx, _ = kkt(logits, labels, np.zeros((m, num_classes)))
+    return l_dual, dx
+
+
 def test_duality_grads_pointwise_values_and_slopes():
     """The numpy duality loss the generator step trains with gives the
     U-shape values below/inside/above the band, with margin slope -1, 0
@@ -112,10 +127,17 @@ def test_duality_grads_pointwise_values_and_slopes():
                                 (threshold + delta / 2, 0.0, 0.0),
                                 (threshold + delta + 0.2, 0.2, 1.0)):
         logits = np.array([[margin, 0.0]])
-        value, dlogits = kk._duality_grads(logits, np.array([0]), alpha,
-                                           delta)
+        value, dlogits = duality_terms(logits, np.array([0]), alpha, delta)
         assert abs(value - want) < 1e-12
         assert np.array_equal(dlogits, [[slope, -slope]])
+
+
+def test_kkt_terms_refuse_a_band_of_no_width():
+    spec, zeta, _, _, _ = linear_pair_classifier()
+    for delta in (0.0, -0.1):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            kk.KktTerms(km.BoundMlp(spec, zeta), np.zeros(len(zeta)), 2,
+                        0.0, delta, 3.0)
 
 
 def test_duality_loss_counts_only_second_place_pairs():

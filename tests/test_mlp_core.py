@@ -459,22 +459,28 @@ def test_hvp_keeps_the_deltas_it_is_given(seed, n_layers, bias):
 @pytest.mark.parametrize("seed,n_layers,bias", SPECS)
 def test_kkt_loss_grads_twice_on_the_same_binding(seed, n_layers, bias):
     """The second call overwrites the buffers the first one returned (its
-    x gradient), so the first results are copied before it."""
+    x and mu gradients), so the first results are copied before it; a
+    fresh binding gives the same bytes."""
     spec, params, x, labels = random_problem(seed, n_layers, bias)
     rng = np.random.default_rng(seed + 3)
     target = kk.stationarity_target(
         params, {name: 0.5 for name in params.groups}, 2 * len(x))
-    mu = np.maximum(rng.standard_normal((len(x), spec.out_dim)), 0.0)
-    zeta = BoundMlp(spec, params)
+    mu_pre = rng.standard_normal((len(x), spec.out_dim))
 
-    def losses(net):
-        return [np.array(r) for r in kk.kkt_loss_grads(
-            net, target, x, labels, mu, 0.3, 0.5, 3.0)]
+    def bind():
+        return kk.KktTerms(BoundMlp(spec, params), target, len(x), 0.3, 0.5,
+                           3.0)
 
-    first = losses(zeta)
-    for want in (losses(zeta), losses(BoundMlp(spec, params))):
+    def losses(kkt):
+        return [np.array(r) for r in kkt(x, labels, mu_pre)]
+
+    kkt = bind()
+    first = losses(kkt)
+    for want in (losses(kkt), losses(bind())):
         for got, w in zip(first, want):
             assert got.tobytes() == w.tobytes()
+    assert all(a is b for a, b in zip(kkt(x, labels, mu_pre)[2:],
+                                      kkt(x, labels, mu_pre)[2:]))
 
 
 def test_mlp_apply_np_returns_a_new_array_per_call():
