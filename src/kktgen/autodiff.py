@@ -18,32 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "tensor",
-    "constant",
-    "add",
-    "sub",
-    "neg",
-    "mul",
-    "div",
-    "matmul",
-    "transpose",
-    "reshape",
-    "relu",
-    "exp",
-    "sqrt",
-    "absval",
-    "square",
-    "maximum",
-    "minimum",
-    "tsum",
-    "concat",
-    "slice_axis",
-    "one_hot",
-    "grad",
-]
-
 
 class Tensor:
     """A node of the computation graph.

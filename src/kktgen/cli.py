@@ -306,7 +306,7 @@ def cmd_plot(args):
         if side * side != dataset.dim:
             raise ValueError("grid plots need square image data; use "
                              "--mode scatter")
-        neighbors = dataset.x[[i for i, _ in nearest_neighbor(x, dataset)]]
+        neighbors = dataset.x[nearest_neighbor(x, dataset)]
         svg = svg_image_grid(x, side, neighbors, title=args.title)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(svg)

@@ -29,11 +29,11 @@ from .training import ClassifierTrainConfig, GeneratorTrainConfig
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; ``field`` names the offending entry."""
+    """Invalid configuration; the message names the offending entry
+    (``section.key``, a section or ``line N``) after ``bad config:``."""
 
     def __init__(self, field, message):
         super().__init__(f"bad config: {field}: {message}")
-        self.field = field
 
 
 def _parse_bool(raw):

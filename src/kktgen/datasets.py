@@ -161,7 +161,7 @@ def _ssim_blocks(samples, dataset):
 
 
 def nearest_neighbor(samples, dataset):
-    """Per-sample (index, SSIM) of the most similar dataset image.
+    """Per-sample index of the most similar dataset image by SSIM.
 
     Ties go to the lowest index.  Samples are scored a block at a time
     against the whole dataset.
@@ -170,12 +170,9 @@ def nearest_neighbor(samples, dataset):
     if dataset.size == 0:
         raise ValueError("dataset must be nonempty")
     idx = np.empty(samples.shape[0], dtype=np.intp)
-    best = np.empty(samples.shape[0])
     for start, scores in _ssim_blocks(samples, dataset):
-        block = slice(start, start + scores.shape[0])
-        idx[block] = np.argmax(scores, axis=1)
-        best[block] = scores[np.arange(scores.shape[0]), idx[block]]
-    return list(zip(idx.tolist(), best.tolist()))
+        np.argmax(scores, axis=1, out=idx[start:start + scores.shape[0]])
+    return idx
 
 
 def coverage_report(samples, sample_labels, dataset, spec, zeta):

@@ -60,15 +60,6 @@ class QuasiHomogeneousProfile:
                 if v >= lmax * (1.0 - MASK_REL_TOL)}
 
 
-@dataclass
-class DerivativeEquationSystem:
-    """Linear system rows in the per-group lambda unknowns."""
-
-    matrix: np.ndarray  # (n_rows, n_groups)
-    rhs: np.ndarray
-    group_names: list
-
-
 def check_groups(params, lambdas):
     """A ValueError unless ``lambdas`` has one entry per group of
     ``params``."""
@@ -95,7 +86,8 @@ def default_probe_samples(spec, k, seed):
 
 
 def build_derivative_equations(spec, params, samples):
-    """Assemble the linear system in the per-group lambdas.
+    """Assemble the linear system in the per-group lambdas: returns
+    ``(matrix, rhs, group_names)``, matrix (n_rows, n_groups).
 
     First-order rows encode the derivative identity per (sample, output).
     One probe coordinate per group adds rows of the lifted second-order
@@ -148,18 +140,17 @@ def build_derivative_equations(spec, params, samples):
     keep = np.all(np.isfinite(rows), axis=-1) & np.isfinite(rhs)
     keep[n_second:, :, 1:] = False
     keep &= keep[:, :, :1]
-    return DerivativeEquationSystem(matrix=rows[keep], rhs=rhs[keep],
-                                    group_names=names)
+    return rows[keep], rhs[keep], names
 
 
-def solve_lambda(system):
-    """Nonnegative least-squares solve of the derivative-equation system.
+def solve_lambda(a, b, group_names):
+    """Nonnegative least-squares solve of the derivative-equation system
+    ``a lambda = b`` (:func:`build_derivative_equations`).
 
     A tiny ridge term makes the solution unique when the system is
     rank-deficient, selecting the minimum-Euclidean-norm point of the
     nonnegative solution set.
     """
-    a, b = system.matrix, system.rhs
     if a.size == 0 or not np.any(a):
         raise ValueError("derivative-equation system is empty or all zero")
     scale = np.max(np.abs(a))
@@ -170,7 +161,7 @@ def solve_lambda(system):
     residual = float(np.linalg.norm(a @ lam - b)
                      / (np.linalg.norm(b) + 1e-12))
     return QuasiHomogeneousProfile(
-        lambdas=dict(zip(system.group_names, lam)),
+        lambdas=dict(zip(group_names, lam)),
         residual=residual,
     )
 
@@ -217,5 +208,5 @@ def lambda_bar(profile, alpha):
 def estimate_profile(spec, params, seed=0):
     """Probe ``PROBE_COUNT`` inputs, assemble, solve."""
     samples = default_probe_samples(spec, k=PROBE_COUNT, seed=seed)
-    system = build_derivative_equations(spec, params, samples)
-    return solve_lambda(system), samples
+    return solve_lambda(*build_derivative_equations(spec, params,
+                                                    samples)), samples

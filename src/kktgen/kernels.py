@@ -8,9 +8,6 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Adam", "NnlsIterationLimit", "TotalVariation", "adam_update",
-           "nnls", "operand", "ssim_uniform"]
-
 
 def operand(value):
     """A read-only 0-d float64 array: a ufunc takes one with less per-call

@@ -465,27 +465,22 @@ class _StepRng:
         return self.generator
 
 
-def _classifier_step(kkt, gen, mult, state, t, labels, eps, config,
-                     gen_in, mult_in, tv):
+def _classifier_step(kkt, gen, mult, x, t, labels, config, mult_in, tv):
     """One classifier's loss terms and their closed-form gradients.
 
     ``kkt`` is classifier t's :class:`kkt.KktTerms`, and ``gen`` and
     ``mult`` are :class:`BoundMlp` bindings of the generator's and the
-    multiplier's parameters.  Runs the generator, multiplier and
-    classifier forwards once, takes L_stat + beta L_dual and its x/mu
+    multiplier's parameters; ``x`` is the output of ``gen``'s latest
+    forward, on labels ``labels`` and classifier t.  Runs the multiplier
+    and classifier forwards once, takes L_stat + beta L_dual and its x/mu
     gradients from ``kkt``, adds the TV term of ``tv`` (the run's
     :class:`kernels.TotalVariation`, or None without a TV term) into the
     x gradient in place, then backpropagates through the multiplier and
-    the generator.  ``gen_in`` and ``mult_in`` are the buffers
-    :func:`condition` writes the two networks' inputs into.  Returns
-    (total, l_stat, l_dual, l_tv, g_theta, g_eta); g_theta and g_eta are
-    the bindings' gradient buffers, valid until the next call.
+    the generator.  ``mult_in`` is the buffer :func:`condition` writes
+    the multiplier's input into.  Returns (total, l_stat, l_dual, l_tv,
+    g_theta, g_eta); g_theta and g_eta are the bindings' gradient
+    buffers, valid until the next call.
     """
-    x = gen.forward(condition(eps, labels, t, gen.spec, gen_in))
-    if not np.isfinite(x).all():
-        raise TrainingAborted(
-            f"non-finite generated sample at step {state.step}",
-            state.step, state)
     mu_pre = mult.forward(condition(x, labels, t, mult.spec, mult_in))
     l_stat, l_dual, dx, dmu = kkt(x, labels, mu_pre)
     total = l_stat + l_dual * config.beta
@@ -550,7 +545,8 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     classifier's KKT terms (:class:`kkt.KktTerms`: its binding,
     stationarity target, band, beta and buffers), the TV kernel, the
     gradient sums of ``full_sum`` (one classifier's gradients go to Adam
-    as the bindings' buffers) and the step's random stream.  Step s draws its
+    as the bindings' buffers), the bool buffers of the per-step
+    finiteness checks and the step's random stream.  Step s draws its
     labels and noise from what ``np.random.default_rng([seed, 0, s])``
     would give, from one reused Generator whose state a seed table sets
     (:class:`_StepRng`), so a resumed run draws what a straight run
@@ -566,22 +562,35 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         raise ValueError(f"tv shape {config.tv_shape[0]}x"
                          f"{config.tv_shape[1]} does not hold the "
                          f"generator's {gen_spec.out_dim} outputs")
-    for k, cb in enumerate(classifiers):
-        name = cb.name or f"classifier {k}"
+    if gen_spec.num_classifiers != t_count:
+        raise ValueError("generator spec does not match classifier count")
+    # the step feeds the generator's output to each classifier and to the
+    # multiplier, and indexes their outputs by the drawn labels unchecked
+    for key, gen_key in (("in_dim", "out_dim"),
+                         ("num_classes", "num_classes"),
+                         ("num_classifiers", "num_classifiers")):
+        got, want = getattr(mult_spec, key), getattr(gen_spec, gen_key)
+        if got != want:
+            raise ValueError(f"multiplier spec has {key} {got}, the "
+                             f"generator spec {gen_key} {want}")
+    names = [cb.name or f"classifier {k}"
+             for k, cb in enumerate(classifiers)]
+    for name, cb in zip(names, classifiers):
+        if cb.spec.widths[0] != gen_spec.out_dim:
+            raise ValueError(
+                f"{name} has {cb.spec.widths[0]} inputs, the generator "
+                f"spec {gen_spec.out_dim} outputs")
+        if cb.spec.widths[-1] != gen_spec.num_classes:
+            raise ValueError(
+                f"{name} has {cb.spec.widths[-1]} classes, the generator "
+                f"spec {gen_spec.num_classes}")
+    for k, (name, cb) in enumerate(zip(names, classifiers)):
         dev = verify_lambda(cb.spec, cb.params, cb.profile, VERIFY_ALPHAS,
                             default_probe_samples(cb.spec, 8, seed=k))
         if not dev <= VERIFY_DEVIATION_LIMIT:
             raise VerificationError(
                 f"{name}: profile fails verification "
                 f"(deviation {dev:.3g}, limit {VERIFY_DEVIATION_LIMIT})")
-        # the step indexes the classifier's logits by the drawn labels
-        # unchecked
-        if cb.spec.widths[-1] != gen_spec.num_classes:
-            raise ValueError(
-                f"{name} has {cb.spec.widths[-1]} classes, the generator "
-                f"spec {gen_spec.num_classes}")
-    if gen_spec.num_classifiers != t_count:
-        raise ValueError("generator spec does not match classifier count")
 
     if state is None:
         theta = init_kaiming(gen_spec.mlp(), _spawn_seed(config.seed, 1))
@@ -618,6 +627,10 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     # from 0.0; one classifier's are Adam's input as they are
     sums = (np.empty_like(theta), np.empty_like(eta)) \
         if config.full_sum else None
+    # the per-step finiteness checks write into these
+    finite_theta, finite_eta = (np.empty(v.shape, dtype=bool)
+                                for v in (theta, eta))
+    finite_x = np.empty((m, gen_spec.out_dim), dtype=bool)
     step_rng = _StepRng(config.seed, 0)
 
     while state.step < config.steps:
@@ -628,7 +641,8 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         else:
             active = [(offset + step) % t_count]
 
-        if not (np.isfinite(theta).all() and np.isfinite(eta).all()):
+        if not (np.isfinite(theta, out=finite_theta).all()
+                and np.isfinite(eta, out=finite_eta).all()):
             raise TrainingAborted(
                 f"non-finite generator or multiplier parameters at step "
                 f"{step}", step, state)
@@ -642,9 +656,13 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
         for t in active:
             labels = cdf.searchsorted(rng.random(m), side="right")
             eps = rng.standard_normal((m, noise_dim))
+            x = gen.forward(condition(eps, labels, t, gen_spec, gen_in))
+            if not np.isfinite(x, out=finite_x).all():
+                raise TrainingAborted(
+                    f"non-finite generated sample at step {step}", step,
+                    state)
             loss_t, stat_t, dual_t, tv_t, g_th, g_et = _classifier_step(
-                kkts[t], gen, mult, state, t, labels, eps, config, gen_in,
-                mult_in, tv)
+                kkts[t], gen, mult, x, t, labels, config, mult_in, tv)
             total = total + loss_t
             if sums is None:
                 g_theta, g_eta = g_th, g_et

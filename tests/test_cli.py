@@ -410,6 +410,9 @@ FAILURES = [
     ("classifiers-differ-in-classes",
      "train-generator {d}/run.cfg {d}/clf.ckpt {d}/two_classes.ckpt", 2,
      "2 classes", None),
+    ("classifiers-differ-in-inputs",
+     "train-generator {d}/run.cfg {d}/clf.ckpt {d}/three_inputs.ckpt", 2,
+     "{d}/three_inputs.ckpt has 3 inputs", None),
     ("resume-of-a-cut-checkpoint", "train-generator {d}/run6.cfg "
      "{d}/clf.ckpt {d}/clf.ckpt --name cut --resume", 2,
      "1 deltas for 1 alphas", None),

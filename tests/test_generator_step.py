@@ -150,9 +150,9 @@ def test_closed_form_step_matches_graph(seed, n_layers, bias, t_count,
         kkt = kk.KktTerms(BoundMlp(bundles[t].spec, bundles[t].params),
                           target, BATCH, float(state.alphas[t]),
                           float(state.deltas[t]), config.beta)
+        x = gen.forward(condition(eps, labels, t, gen_spec))
         step = tr._classifier_step(
-            kkt, gen, mult, state, t, labels, eps, config,
-            np.empty((BATCH, gen.mlp.in_dim)),
+            kkt, gen, mult, x, t, labels, config,
             np.empty((BATCH, mult.mlp.in_dim)),
             TotalVariation(BATCH, *config.tv_shape) if tv else None)
         want = [want[0] + total, want[1] + g_theta, want[2] + g_eta]

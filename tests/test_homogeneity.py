@@ -10,8 +10,7 @@ import pytest
 import kktgen.autodiff as ad
 import kktgen.homogeneity as hg
 import kktgen.models as km
-from kktgen.homogeneity import (DerivativeEquationSystem,
-                                QuasiHomogeneousProfile)
+from kktgen.homogeneity import QuasiHomogeneousProfile
 from kktgen.models import MlpSpec, make_leaves, mlp_apply
 
 ROW_RTOL = 1e-12
@@ -65,8 +64,7 @@ def graph_derivative_equations(spec, params, samples):
                     rows.append(coeff2)
                     rhs.append(s_val)
 
-    return DerivativeEquationSystem(matrix=np.array(rows), rhs=np.array(rhs),
-                                    group_names=names)
+    return np.array(rows), np.array(rhs), names
 
 
 def estimate(spec, params):
@@ -177,21 +175,15 @@ def test_lambda_bar_weights():
 
 def test_solve_lambda_rank_deficient_min_norm():
     """Duplicate-column system resolves to the symmetric split."""
-    system = hg.DerivativeEquationSystem(
-        matrix=np.array([[1.0, 1.0], [2.0, 2.0]]),
-        rhs=np.array([1.0, 2.0]),
-        group_names=["a", "b"],
-    )
-    profile = hg.solve_lambda(system)
+    profile = hg.solve_lambda(np.array([[1.0, 1.0], [2.0, 2.0]]),
+                              np.array([1.0, 2.0]), ["a", "b"])
     assert profile.lambdas["a"] == pytest.approx(0.5, abs=1e-5)
     assert profile.lambdas["b"] == pytest.approx(0.5, abs=1e-5)
 
 
 def test_solve_lambda_empty_system():
-    system = hg.DerivativeEquationSystem(
-        matrix=np.zeros((2, 2)), rhs=np.zeros(2), group_names=["a", "b"])
     with pytest.raises(ValueError, match="empty or all zero"):
-        hg.solve_lambda(system)
+        hg.solve_lambda(np.zeros((2, 2)), np.zeros(2), ["a", "b"])
 
 
 def test_build_equations_validation():
@@ -227,13 +219,14 @@ def random_classifier(seed, n_layers, biases):
 
 
 def assert_rows_match(got, want):
-    assert got.group_names == want.group_names
-    assert got.matrix.shape == want.matrix.shape
-    assert got.rhs.shape == want.rhs.shape
-    scale = np.abs(want.matrix).max(axis=1)
-    assert np.all(np.abs(got.matrix - want.matrix).max(axis=1)
-                  <= ROW_RTOL * scale)
-    assert np.all(np.abs(got.rhs - want.rhs) <= ROW_RTOL * np.abs(want.rhs))
+    """``got`` and ``want`` are (matrix, rhs, group_names) systems."""
+    (got_a, got_b, got_names), (want_a, want_b, want_names) = got, want
+    assert got_names == want_names
+    assert got_a.shape == want_a.shape
+    assert got_b.shape == want_b.shape
+    scale = np.abs(want_a).max(axis=1)
+    assert np.all(np.abs(got_a - want_a).max(axis=1) <= ROW_RTOL * scale)
+    assert np.all(np.abs(got_b - want_b) <= ROW_RTOL * np.abs(want_b))
 
 
 @pytest.mark.parametrize("draw", [1, 2])
@@ -267,7 +260,7 @@ def test_rows_with_a_non_finite_entry_are_left_out_as_in_the_graph():
         got = hg.build_derivative_equations(spec, params, samples)
         want = graph_derivative_equations(spec, params, samples)
     # of 4 * 3 first-order and 2 * 3 * 6 second-order rows
-    assert got.matrix.shape == (24, 6)
+    assert got[0].shape == (24, 6)
     assert_rows_match(got, want)
 
 

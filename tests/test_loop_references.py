@@ -4,7 +4,7 @@
 minimum of ``coverage_report``, the CSV writer and reader and the two
 SVG emitters work on whole arrays.
 The loops below are the code they replaced, kept as references: every
-index and score must be equal, and every text equal byte for byte.
+index and distance must be equal, and every text equal byte for byte.
 """
 
 import numpy as np
@@ -279,9 +279,10 @@ def test_nearest_neighbor_ssim_matches_loop(monkeypatch, patterns, side,
     if block:
         small_blocks(monkeypatch, block)
     got = ds.nearest_neighbor(samples, data)
-    assert got == loop_nearest_neighbor(samples, data, metric="ssim")
-    assert all(type(i) is int and type(d) is float for i, d in got)
-    assert got[0][0] == 0
+    assert got.dtype == np.intp
+    assert got.tolist() == [i for i, _ in loop_nearest_neighbor(
+        samples, data, metric="ssim")]
+    assert got[0] == 0
 
 
 @pytest.mark.parametrize("n", [1, 5, 600])

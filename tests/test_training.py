@@ -347,6 +347,23 @@ def test_train_generator_spec_count_mismatch():
                            GeneratorTrainConfig(steps=1))
 
 
+@pytest.mark.parametrize("mult_spec,message", [
+    (MultiplierSpec(3, 2, (8,)), "in_dim 3, the generator spec out_dim 2"),
+    (MultiplierSpec(2, 3, (8,)),
+     "num_classes 3, the generator spec num_classes 2"),
+    (MultiplierSpec(2, 2, (8,), num_classifiers=2),
+     "num_classifiers 2, the generator spec num_classifiers 1"),
+], ids=["in_dim", "num_classes", "num_classifiers"])
+def test_train_generator_checks_the_multiplier_spec_first(mult_spec,
+                                                          message):
+    """A multiplier spec that does not fit the generator is refused
+    before any profile is verified."""
+    gen_spec = GeneratorSpec(3, 2, (8,), 2)
+    with pytest.raises(ValueError, match=f"multiplier spec has {message}"):
+        tr.train_generator([unverifiable_bundle()], gen_spec, mult_spec,
+                           GeneratorTrainConfig(steps=1))
+
+
 def test_multi_classifier_round_robin_and_full_sum():
     b0, _ = small_bundle(seed=0)
     b1, _ = small_bundle(seed=1)
