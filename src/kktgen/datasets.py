@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, models
 from .models import mlp_apply_np
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-# bytes per temporary array of a blocked pass over samples
-BLOCK_BYTES = 1 << 20
 
 # rows formatted per block of text: bounds the Python numbers alive at once
 FORMAT_BLOCK_ROWS = 1024
@@ -122,25 +119,26 @@ BUILTIN_DATASETS = {"circle18": circle_dataset,
                     "stripes-vs-checks-8x8": pattern_dataset}
 
 
-def _block_rows(row_bytes):
-    """Rows per block of a blocked pass whose temporaries take
-    ``row_bytes`` per row, so that each stays under ``BLOCK_BYTES``."""
-    return max(1, BLOCK_BYTES // max(row_bytes, 1))
-
-
 def _distance_blocks(samples, points):
     """``(start, d)`` for blocks of samples, ``d[i, j]`` the euclidean
     distance from sample ``start + i`` to point ``j``.
 
     The operations are those of ``np.linalg.norm(points - s, axis=1)``
     (``sqrt(add.reduce(diff * diff, axis=-1))``), so every distance has
-    the same bits; ``s - p`` is exactly ``-(p - s)``.
+    the same bits; ``s - p`` is exactly ``-(p - s)``.  They write into
+    two buffers bound once per call, so ``d`` is valid until the next
+    block.
     """
-    step = _block_rows(points.size * 8)
+    step = models._block_rows(points.size * 8)
+    diff = np.empty((min(step, samples.shape[0]), *points.shape))
+    dist = np.empty(diff.shape[:2])
     for start in range(0, samples.shape[0], step):
-        diff = samples[start:start + step, None, :] - points
-        diff *= diff
-        yield start, np.sqrt(np.add.reduce(diff, axis=-1))
+        block = samples[start:start + step, None, :]
+        d, sq = dist[:block.shape[0]], diff[:block.shape[0]]
+        np.subtract(block, points, out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add.reduce(sq, axis=-1, out=d)
+        yield start, np.sqrt(d, out=d)
 
 
 def _ssim_blocks(samples, dataset):
@@ -153,7 +151,7 @@ def _ssim_blocks(samples, dataset):
     images = dataset.x.reshape(dataset.size, side, side)
     # the SSIM constants (K * data range)^2 at data range 1
     c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
-    step = _block_rows(dataset.x.size * 8)
+    step = models._block_rows(dataset.x.size * 8)
     for start in range(0, samples.shape[0], step):
         block = samples[start:start + step].reshape(-1, side, side)
         yield start, kernels.ssim_uniform(block, images, min(8, side), c1,

@@ -283,13 +283,53 @@ def mlp_apply(spec, leaves, x):
 
 _ZERO = operand(0.0)
 
+# bytes per temporary array of a blocked pass over rows
+BLOCK_BYTES = 1 << 20
+
+# rows of a forward block are a multiple of this.  OpenBLAS multiplies
+# rows in tiles and rounds the rows of a last, partial tile otherwise;
+# blocks that start on multiples of 64 rows keep each row in the tile it
+# has in one product over all rows, for any tile size that divides 64
+FORWARD_ROW_MULTIPLE = 64
+
+
+def _block_rows(row_bytes):
+    """Rows per block of a blocked pass whose temporaries take
+    ``row_bytes`` per row, so that each stays under ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _forward_block_rows(mlp):
+    """Rows per block of :func:`mlp_apply_np` on an :class:`MlpSpec`: the
+    most whose layer outputs (8 bytes per hidden and output unit) stay
+    under ``BLOCK_BYTES``, rounded down to a multiple of
+    ``FORWARD_ROW_MULTIPLE``, and at least that."""
+    rows = _block_rows(8 * sum(mlp.widths[1:]))
+    return max(FORWARD_ROW_MULTIPLE,
+               rows - rows % FORWARD_ROW_MULTIPLE)
+
 
 def mlp_apply_np(spec, params, x):
     """Pure-numpy forward, the fast path for training and evaluation.
 
     It binds afresh on every call, so each call returns a new array.
+    The rows of a 2-d ``x`` go through the binding a block at a time
+    (:func:`_forward_block_rows`) into one output array, so the layer
+    outputs take one block's memory, not memory in proportion to the
+    rows.  A last block of one row joins the block before it: numpy
+    multiplies a single row with a matrix-vector product, whose bits
+    differ from those of the matrix product.
     """
-    return BoundMlp(spec, params).forward(x)
+    net = BoundMlp(spec, params)
+    x = np.asarray(x, dtype=np.float64)
+    step = _forward_block_rows(net.mlp)
+    if x.ndim != 2 or x.shape[0] <= step:
+        return net.forward(x)
+    out = np.empty((x.shape[0], net.mlp.out_dim))
+    starts = range(0, x.shape[0] - 1, step)
+    for start, stop in zip(starts, [*starts[1:], x.shape[0]]):
+        out[start:stop] = net.forward(x[start:stop])
+    return out
 
 
 class BoundMlp:
@@ -306,7 +346,8 @@ class BoundMlp:
     The first forward on an input array binds the array too: it
     allocates each layer's output, and the first pass after it the
     ReLU-mask, cotangent and tangent buffers and the transposed views of
-    the layer inputs.  Later forwards on the same array object reuse
+    the layer inputs; the first :meth:`hvp` allocates gradient-sized
+    buffers of its own.  Later forwards on the same array object reuse
     them, so a loop that writes each step's input into one buffer
     allocates nothing per step; another array binds anew.  Every pass
     acts on the latest forward and writes into these buffers: what a
@@ -356,6 +397,7 @@ class BoundMlp:
         self.tangent_biases = [None if b is None else self.tangent[b]
                                for _, _, b in self.layout]
         self._x = None  # the input array the buffers are bound to
+        self._grad_terms = None  # hvp's, made by its first call
 
     def weights_of(self, flat):
         """Per-layer (fan_in, fan_out) weight views of a flat vector."""
@@ -372,13 +414,15 @@ class BoundMlp:
         # ndarray.dot gives the same bits as matmul on 2-d operands at a
         # lower cost per call; matmul broadcasts leading batch axes
         self._mm = np.ndarray.dot if x.ndim == 2 else np.matmul
+        # the last input's layer outputs go first, so a binding that
+        # moves from block to block holds one block's
+        self._x = self.acts = self._forward_steps = self._mask_steps = None
         outs = self._like(x, self.mlp.widths[1:])
         self.acts = [x, *outs[:-1]]
         last = len(outs) - 1
         self._forward_steps = [(a, w, b, h, l < last) for l, (a, w, b, h) in
                                enumerate(zip(self.acts, self.weights,
                                              self.biases, outs))]
-        self._mask_steps = None
         self._x = x
 
     @staticmethod
@@ -410,8 +454,6 @@ class BoundMlp:
         self._inject = self._like(x, widths[:-1])
         self._input_cot = np.empty(x.shape)
         self._zero_out = np.zeros((*x.shape[:-1], widths[-1]))
-        # hvp's second weight-gradient term, before it is added
-        self._grad_terms = [np.empty_like(gw) for gw in self.grad_weights]
 
     def forward(self, x):
         """The output of the MLP at ``x``; ``acts[l]`` is layer l's input.
@@ -539,13 +581,19 @@ class BoundMlp:
         deltas, into buffers apart from ``deltas``.  Returns the binding's
         gradient buffer, which the next call overwrites.
         """
+        if self._grad_terms is None:
+            # the second weight-gradient term of layers 1 on, before it
+            # is added: gradient-sized, so only a binding that runs hvp
+            # holds it
+            self._grad_terms = [np.empty_like(gw)
+                                for gw in self.grad_weights[1:]]
         self.jvp()
         grad = self.param_grad(self._backprop(
             self._zero_out, self.tangent_inject(deltas), self._hvp_deltas))
         mm = self._mm
         for a_dot_t, delta, gw, term in zip(self._tangents_t, deltas[1:],
                                             self.grad_weights[1:],
-                                            self._grad_terms[1:]):
+                                            self._grad_terms):
             mm(a_dot_t, delta, term)
             gw += term
         return grad

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 import kktgen.datasets as ds
@@ -16,3 +19,31 @@ def patterns(monkeypatch):
         return ds.pattern_dataset()
 
     return build
+
+
+@pytest.fixture
+def traced():
+    """``traced(call)``: ``call()`` under ``tracemalloc``, returning
+    ``(peak, left)``.  ``peak`` is the most memory traced during the call
+    above what was traced when it began, in bytes; numpy reports its
+    array data to ``tracemalloc``, so large arrays dominate it.  ``left``
+    lists, per line, the numpy array data whose count the call changed
+    (``tracemalloc.StatisticDiff``): empty when the call leaves none
+    allocated."""
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def measure(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(numpy_data)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+            after = tracemalloc.take_snapshot().filter_traces(numpy_data)
+        finally:
+            tracemalloc.stop()
+        return peak - start, [d for d in after.compare_to(before, "lineno")
+                              if d.count_diff]
+
+    return measure

@@ -11,8 +11,6 @@ the strided numpy TV (``graph_reference.tv_value_grad``) and gradient
 sums from 0.0, and ``train_generator`` must match it bit for bit.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -438,7 +436,7 @@ def test_kernels_of_a_full_sum_run_keep_separate_buffers(monkeypatch):
     assert_same_bits(out, kept)
 
 
-def test_kkt_terms_allocate_no_array_data_after_the_first_call():
+def test_kkt_terms_allocate_no_array_data_after_the_first_call(traced):
     """After its first call a kernel's call allocates no numpy array
     data: none is left allocated (tracemalloc's numpy domain), and the
     traced peak of the call stays below one float per row, which any
@@ -454,20 +452,9 @@ def test_kkt_terms_allocate_no_array_data_after_the_first_call():
     kkt = kk.KktTerms(BoundMlp(spec, params),
                       np.zeros(len(params)), m, 0.2, 0.5, 3.0)
     kkt(x, labels, mu_pre)
-    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot().filter_traces(numpy_data)
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        kkt(x, labels, mu_pre)
-        peak = tracemalloc.get_traced_memory()[1]
-        after = tracemalloc.take_snapshot().filter_traces(numpy_data)
-    finally:
-        tracemalloc.stop()
-    assert not [d for d in after.compare_to(before, "lineno")
-                if d.count_diff]
-    assert peak - start < 8 * m
+    peak, left = traced(lambda: kkt(x, labels, mu_pre))
+    assert not left
+    assert peak < 8 * m
 
 
 def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,

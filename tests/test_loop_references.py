@@ -12,6 +12,7 @@ import pytest
 
 from kktgen import cli, kernels
 from kktgen import datasets as ds
+from kktgen import models as km
 from kktgen.svgplot import PALETTE, _axis_bounds, svg_image_grid, svg_scatter
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def with_ties(rng, n):
 
 def small_blocks(monkeypatch, rows):
     """Make blocked passes take ``rows`` samples per block."""
-    monkeypatch.setattr(ds, "_block_rows", lambda row_bytes: rows)
+    monkeypatch.setattr(km, "_block_rows", lambda row_bytes: rows)
 
 
 def assert_coverage_finds_nearest(samples, data):
@@ -236,7 +237,7 @@ def assert_coverage_finds_nearest(samples, data):
 def test_nearest_neighbor_euclidean_matches_loop(monkeypatch, n, block):
     """The Euclidean search of ``coverage_report``; 8000 circle samples
     fill more than two default blocks."""
-    assert 8000 > 2 * ds._block_rows(ds.circle_dataset().x.size * 8)
+    assert 8000 > 2 * km._block_rows(ds.circle_dataset().x.size * 8)
     rng = np.random.default_rng(n)
     lattice, samples = with_ties(rng, n)
     if block:
@@ -312,8 +313,8 @@ def test_coverage_report_needs_samples():
 
 def test_block_rows_keep_temporaries_under_the_cap():
     row_bytes = 18 * 2 * 8
-    assert ds._block_rows(row_bytes) * row_bytes <= ds.BLOCK_BYTES
-    assert ds._block_rows(ds.BLOCK_BYTES * 3) == 1
+    assert km._block_rows(row_bytes) * row_bytes <= km.BLOCK_BYTES
+    assert km._block_rows(km.BLOCK_BYTES * 3) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ import scipy.special
 import kktgen.autodiff as ad
 import kktgen.kernels as kernels
 import kktgen.kkt as kk
+import kktgen.models as km
 import kktgen.training as tr
+from kktgen.config import RunConfig
 from kktgen.datasets import LabeledDataset
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.models import (BoundMlp, MlpSpec, init_kaiming, make_leaves,
@@ -489,3 +491,26 @@ def test_mlp_apply_np_returns_a_new_array_per_call():
     second = mlp_apply_np(spec, params, x)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("which", ["generator", "classifier", "patterns"])
+def test_blocked_forward_gives_the_one_shot_bytes(which):
+    """``mlp_apply_np`` forwards in blocks; each row has the bytes of one
+    ``BoundMlp.forward`` over all rows, at the edges of a block and past
+    it.  A last block of one row (step + 1 rows) must not take numpy's
+    matrix-vector product."""
+    cfg = RunConfig.from_text("" if which != "patterns" else
+                              "[classifier]\nwidths = 64,32,32,2\n")
+    spec = (cfg.generator_spec(3, 2, 1) if which == "generator"
+            else cfg.classifier_spec()).mlp()
+    params = init_kaiming(spec, 0)
+    step = km._forward_block_rows(spec)
+    assert step % km.FORWARD_ROW_MULTIPLE == 0
+    assert step * 8 * sum(spec.widths[1:]) <= km.BLOCK_BYTES
+    rng = np.random.default_rng(step)
+    for rows in (0, 1, step - 1, step, step + 1, 3 * step + 37):
+        x = rng.standard_normal((rows, spec.in_dim))
+        want = BoundMlp(spec, params).forward(x)
+        got = mlp_apply_np(spec, params, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
