@@ -9,6 +9,7 @@ idempotent for a fixed config, seed and output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -137,28 +138,33 @@ def cmd_train_classifier(args):
     datasets = config.dataset()
     out = _run_dir(config)
     spec = config.classifier_spec()
-    for i, ds in enumerate(datasets):
-        tag = f"_{i + 1}" if len(datasets) > 1 else ""
-        train_cfg = config.classifier_train_config()
-        try:
-            params, trajectory = tr.train_classifier(ds, spec, train_cfg)
-        except tr.ConvergenceError as exc:
-            _write_csv(os.path.join(out, f"classifier{tag}_loss.csv"),
-                       ["epoch", "cross_entropy"],
-                       [np.arange(len(exc.trajectory)), exc.trajectory])
-            raise tr.ConvergenceError(f"classifier{tag}: {exc}",
-                                      exc.trajectory) from None
-        ckpt.save_classifier(
-            os.path.join(out, f"classifier{tag}.ckpt"), spec, params,
-            config_hash=config.hash(),
-            extra={"dataset": ds.name, "dataset_size": ds.size,
-                   "final_loss": trajectory[-1]})
+
+    def write_loss(tag, trajectory):
         _write_csv(os.path.join(out, f"classifier{tag}_loss.csv"),
                    ["epoch", "cross_entropy"],
                    [np.arange(len(trajectory)), trajectory])
-        print(f"classifier{tag}: {len(trajectory)} GD epochs, "
-              f"final loss {trajectory[-1]:.6g} -> "
-              f"{os.path.join(out, f'classifier{tag}.ckpt')}")
+
+    results = tr.train_classifiers(datasets, spec,
+                                   config.classifier_train_config())
+    with contextlib.closing(results):
+        for i, (ds, outcome) in enumerate(zip(datasets, results)):
+            tag = f"_{i + 1}" if len(datasets) > 1 else ""
+            if isinstance(outcome, tr.ConvergenceError):
+                write_loss(tag, outcome.trajectory)
+                raise tr.ConvergenceError(f"classifier{tag}: {outcome}",
+                                          outcome.trajectory)
+            if isinstance(outcome, ChildProcessError):
+                raise ChildProcessError(f"classifier{tag}: {outcome}")
+            params, trajectory = outcome
+            ckpt.save_classifier(
+                os.path.join(out, f"classifier{tag}.ckpt"), spec, params,
+                config_hash=config.hash(),
+                extra={"dataset": ds.name, "dataset_size": ds.size,
+                       "final_loss": trajectory[-1]})
+            write_loss(tag, trajectory)
+            print(f"classifier{tag}: {len(trajectory)} GD epochs, "
+                  f"final loss {trajectory[-1]:.6g} -> "
+                  f"{os.path.join(out, f'classifier{tag}.ckpt')}")
     return EXIT_OK
 
 

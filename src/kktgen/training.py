@@ -16,6 +16,9 @@ fixed by its duality band (:func:`duality_band`).
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,6 +357,104 @@ def train_classifier(dataset, spec, config):
     if not any(spec.bias):
         refine_margins(dataset, spec, params, config)
     return params, trajectory
+
+
+def train_classifiers(datasets, spec, config):
+    """:func:`train_classifier` on each dataset, yielded in order.
+
+    Each item is ``(params, trajectory)``, or the exception that ended
+    that dataset's training, after which nothing more is yielded: its
+    :class:`ConvergenceError`, or a ``ChildProcessError`` for a forked
+    training that ended without sending its result.  Where ``os.fork``
+    exists, every dataset after the first trains in a forked child
+    while this process trains the first, with the bits it would have
+    here.  Closing the generator (``contextlib.closing``) kills and
+    reaps every child whose outcome was not read, so none outlives an
+    exception in the consumer.
+    """
+    children = []
+    try:
+        if hasattr(os, "fork"):
+            for dataset in datasets[1:]:
+                children.append(_ForkedTraining(dataset, spec, config))
+        for k, dataset in enumerate(datasets):
+            outcome = (children[k - 1].outcome() if k and children
+                       else _trained(dataset, spec, config))
+            yield outcome
+            if isinstance(outcome, Exception):
+                return
+    finally:
+        for child in children:
+            child.close()
+
+
+def _trained(dataset, spec, config):
+    """:func:`train_classifier`'s result, or its ConvergenceError."""
+    try:
+        return train_classifier(dataset, spec, config)
+    except ConvergenceError as exc:
+        return exc
+
+
+class _ForkedTraining:
+    """:func:`train_classifier` in a forked child, whose outcome comes
+    back pickled down a pipe: ``(True, (params, trajectory))``, or
+    ``(False, (message, trajectory))`` for a ConvergenceError, which
+    does not unpickle itself.  The child ends in ``os._exit``, so it
+    runs no atexit handler and flushes no stdio buffer it inherited."""
+
+    def __init__(self, dataset, spec, config):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                outcome = _trained(dataset, spec, config)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(
+                        (False, (str(outcome), outcome.trajectory))
+                        if isinstance(outcome, ConvergenceError)
+                        else (True, outcome), pipe)
+                status = 0
+            except Exception:
+                import traceback
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.fd = read_fd
+
+    def outcome(self):
+        """Read the outcome, reap the child; once."""
+        fd, self.fd = self.fd, None
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status == 0:
+            ok, value = pickle.loads(data)
+            return value if ok else ConvergenceError(*value)
+        code = os.waitstatus_to_exitcode(status)
+        how = (f"was killed by signal {-code} ({signal.Signals(-code).name})"
+               if code < 0 else f"exited with status {code}")
+        return ChildProcessError(
+            f"training process {how} before it sent its result")
+
+    def close(self):
+        """Kill and reap the child unless its outcome was read."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 # ---------------------------------------------------------------------------

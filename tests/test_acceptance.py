@@ -24,7 +24,7 @@ from kktgen.kkt import duality_loss, kkt_residual_oracle, margins_np
 from kktgen.models import (MlpSpec, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np)
 from kktgen.training import (ClassifierBundle, sample, train_classifier,
-                             train_generator)
+                             train_classifiers, train_generator)
 from graph_reference import finite_difference_check
 
 CFG = RunConfig.from_text("")
@@ -272,9 +272,10 @@ def sharded_runs(circle):
     halves = split_dataset(circle)
     spec = CFG.classifier_spec()
     bundles = []
-    for half in halves:
-        params, _ = train_classifier(half, spec,
-                                     CFG.classifier_train_config())
+    # the second half trains in a forked child, as in train-classifier
+    trained = list(train_classifiers(halves, spec,
+                                     CFG.classifier_train_config()))
+    for half, (params, _) in zip(halves, trained):
         profile, _ = estimate_profile(spec, params)
         bundles.append(ClassifierBundle(spec, params, profile, half.size))
     gen_spec = CFG.generator_spec(circle.num_classes, circle.dim,

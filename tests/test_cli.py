@@ -6,8 +6,10 @@ import json
 import operator
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -460,6 +462,163 @@ def test_failing_command_exits_with_one_error_line(
     assert fragment.format(d=d) in err[0] and "Traceback" not in err[0]
     assert {p: p.read_bytes() for p in d.rglob("*.ckpt")} == checkpoints
     assert leaves is None or (d / leaves).exists()
+    assert_no_child()
+
+
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
+# a split config's shard classifiers, the second one in a forked child
+
+
+@pytest.fixture
+def arc_config(tmp_path):
+    cfg = tmp_path / "arc.cfg"
+    cfg.write_text(f"[experiment]\nname = arc\noutput_dir = {tmp_path}\n"
+                   "[dataset]\nsplit = arc\n[classifier]\n"
+                   "refine_iters = 50\n")
+    return cfg, tmp_path / "arc"
+
+
+SHARD_FILES = ("classifier_1.ckpt", "classifier_1_loss.csv",
+               "classifier_2.ckpt", "classifier_2_loss.csv")
+
+
+def test_forked_shard_training_writes_the_in_process_bytes(arc_config,
+                                                            monkeypatch):
+    cfg, out = arc_config
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert forks == [1]
+    forked = {name: (out / name).read_bytes() for name in SHARD_FILES}
+    shutil.rmtree(out)
+    monkeypatch.delattr(os, "fork")
+    assert main(["train-classifier", str(cfg)]) == 0
+    assert {name: (out / name).read_bytes()
+            for name in SHARD_FILES} == forked
+
+
+def fail_on_shard(monkeypatch, suffix, how):
+    """``tr.train_classifier`` as it is, but ``how()`` on a dataset whose
+    name ends in ``suffix``; a forked child inherits the patch."""
+    train = tr.train_classifier
+
+    def patched(dataset, spec, config):
+        if dataset.name.endswith(suffix):
+            how()
+        return train(dataset, spec, config)
+
+    monkeypatch.setattr(tr, "train_classifier", patched)
+
+
+def stall():
+    raise tr.ConvergenceError("stalled", [2.0, 1.5])
+
+
+def test_child_convergence_error_ends_as_in_order(arc_config, monkeypatch,
+                                                  capsys):
+    """The first shard's files are written, the second's loss CSV too,
+    and the error line names the second classifier: as in order."""
+    cfg, out = arc_config
+    fail_on_shard(monkeypatch, "_split2", stall)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-classifier", str(cfg)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: classifier_2: stalled"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "classifier_1.ckpt", "classifier_1_loss.csv",
+        "classifier_2_loss.csv"]
+    assert (out / "classifier_2_loss.csv").read_text() == (
+        "epoch,cross_entropy\n0,2\n1,1.5\n")
+    assert_no_child()
+
+
+def test_parent_failure_kills_the_running_child(arc_config, monkeypatch,
+                                                capsys):
+    """A failure of the first shard while the second still trains ends
+    the command at once, with the child killed and reaped."""
+    cfg, out = arc_config
+    fail_on_shard(monkeypatch, "_split1", stall)
+    fail_on_shard(monkeypatch, "_split2", lambda: time.sleep(60))
+    start = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-classifier", str(cfg)]) == 4
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err.splitlines() == [
+        "error: classifier_1: stalled"]
+    assert sorted(p.name for p in out.iterdir()) == ["classifier_1_loss.csv"]
+    assert_no_child()
+
+
+def test_interrupt_kills_the_running_child(arc_config, monkeypatch):
+    cfg, _ = arc_config
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    fail_on_shard(monkeypatch, "_split1", interrupt)
+    fail_on_shard(monkeypatch, "_split2", lambda: time.sleep(60))
+    start = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KeyboardInterrupt):
+            main(["train-classifier", str(cfg)])
+    assert time.monotonic() - start < 30
+    assert_no_child()
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_fault():
+    raise IndexError("a fault")
+
+
+@pytest.mark.parametrize("how,ending", [
+    (kill_self, "was killed by signal 9 (SIGKILL)"),
+    (raise_fault, "exited with status 1")])
+def test_child_lost_without_a_result_is_one_error_line(
+        arc_config, monkeypatch, capfd, how, ending):
+    """A child that ends without sending its result is an OSError
+    (exit 2) naming the classifier and how the child ended; a fault in
+    the child leaves its traceback on standard error before that line."""
+    cfg, out = arc_config
+    fail_on_shard(monkeypatch, "_split2", how)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-classifier", str(cfg)]) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert err[-1] == (f"error: classifier_2: training process {ending} "
+                       f"before it sent its result")
+    assert ("IndexError: a fault" in err) == (how is raise_fault)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "classifier_1.ckpt", "classifier_1_loss.csv"]
+    assert_no_child()
+
+
+def test_shard_training_loads_no_process_pool(arc_config):
+    """The fork needs neither ``multiprocessing`` nor
+    ``concurrent.futures``, whose imports would add to the peak RSS."""
+    cfg, out = arc_config
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(kktgen.__file__))))
+    code = ("import sys, kktgen.cli; "
+            f"assert kktgen.cli.main(['train-classifier', {str(cfg)!r}]) "
+            "== 0; print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (out / "classifier_2.ckpt").exists()
 
 
 def test_full_pipeline(workdir, capsys):
