@@ -220,13 +220,9 @@ def relu(a):
                  (lambda g: mul(g, mask),))
 
 
-def exp(a):
-    # the VJP rebuilds exp(a) rather than closing over the output node,
-    # which would put every graph in a reference cycle
-    return _node(np.exp(a.value), (a,), (lambda g: mul(g, exp(a)),))
-
-
 def sqrt(a):
+    # the VJP rebuilds sqrt(a) rather than closing over the output node,
+    # which would put every graph in a reference cycle
     return _node(np.sqrt(a.value), (a,),
                  (lambda g: div(mul(g, constant(0.5)), sqrt(a)),))
 

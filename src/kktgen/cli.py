@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import math
 import os
 import sys
@@ -121,12 +122,17 @@ def _evaluation_dataset(config):
         name="combined", num_classes=datasets[0].num_classes)
 
 
-def _generator_run_hash(config, seed):
-    """Hash of a generator run's config, with the seed it runs with and
-    without ``generator_training.steps``: a run resumed from its
-    checkpoint may extend its step count but change nothing else."""
-    return config.replaced("generator_training", seed=seed,
-                           steps=None).hash()
+def _generator_run_hash(config, seed, bundles):
+    """Hash of a generator run: its config, with the seed it runs with
+    and without ``generator_training.steps``, and what it reads of each
+    classifier (spec, parameters, profile, training-set size).  A run
+    resumed from its checkpoint may extend its step count, no more."""
+    digest = hashlib.sha256(config.replaced(
+        "generator_training", seed=seed, steps=None).hash().encode())
+    for b in bundles:  # the reprs of dataclasses of exact floats
+        digest.update(repr((b.spec, b.profile, b.virtual_n)).encode()
+                      + b.params.values.tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +153,16 @@ def cmd_train_classifier(args):
     results = tr.train_classifiers(datasets, spec,
                                    config.classifier_train_config())
     with contextlib.closing(results):
-        for i, (ds, outcome) in enumerate(zip(datasets, results)):
+        for i, ds in enumerate(datasets):
             tag = f"_{i + 1}" if len(datasets) > 1 else ""
-            if isinstance(outcome, tr.ConvergenceError):
-                write_loss(tag, outcome.trajectory)
-                raise tr.ConvergenceError(f"classifier{tag}: {outcome}",
-                                          outcome.trajectory)
-            if isinstance(outcome, ChildProcessError):
-                raise ChildProcessError(f"classifier{tag}: {outcome}")
-            params, trajectory = outcome
+            try:
+                params, trajectory = next(results)
+            except tr.ConvergenceError as exc:
+                write_loss(tag, exc.trajectory)
+                raise tr.ConvergenceError(f"classifier{tag}: {exc}",
+                                          exc.trajectory)
+            except ChildProcessError as exc:
+                raise ChildProcessError(f"classifier{tag}: {exc}")
             ckpt.save_classifier(
                 os.path.join(out, f"classifier{tag}.ckpt"), spec, params,
                 config_hash=config.hash(),
@@ -186,9 +193,9 @@ def cmd_estimate_lambda(args):
           f"{profile.residual:.3g}); "
           f"max scaling deviation {worst:.3g} -> {csv_path}")
     if not worst <= VERIFY_DEVIATION_LIMIT:
-        print(f"WARNING: deviation exceeds {VERIFY_DEVIATION_LIMIT}",
-              file=sys.stderr)
-        return EXIT_VERIFY
+        raise VerificationError(
+            f"{args.checkpoint}: profile fails verification (deviation "
+            f"{worst:.3g}, limit {VERIFY_DEVIATION_LIMIT})")
     return EXIT_OK
 
 
@@ -215,7 +222,7 @@ def cmd_train_generator(args):
     mult_spec = config.multiplier_spec(num_classes, out_dim, t_count)
     gen_cfg = config.generator_train_config(seed=args.seed)
     gen_path = os.path.join(out, args.name + ".ckpt")
-    run_hash = _generator_run_hash(config, gen_cfg.seed)
+    run_hash = _generator_run_hash(config, gen_cfg.seed, bundles)
     state = None
     if args.resume and os.path.exists(gen_path):
         saved_gen, saved_mult, state, meta = ckpt.load_generator(gen_path,
@@ -223,7 +230,7 @@ def cmd_train_generator(args):
         if (meta.get("config_hash") != run_hash
                 or (saved_gen, saved_mult) != (gen_spec, mult_spec)):
             raise ValueError(f"{gen_path} was written by a run with another "
-                             f"configuration, seed or classifier count; "
+                             f"configuration, seed or set of classifiers; "
                              f"only generator_training.steps may change on "
                              f"--resume")
     state = tr.train_generator(bundles, gen_spec, mult_spec, gen_cfg,

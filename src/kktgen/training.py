@@ -54,6 +54,9 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.trajectory = trajectory
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.trajectory)
+
 
 class TrainingAborted(RuntimeError):
     """Generator training hit a non-finite loss."""
@@ -360,17 +363,17 @@ def train_classifier(dataset, spec, config):
 
 
 def train_classifiers(datasets, spec, config):
-    """:func:`train_classifier` on each dataset, yielded in order.
+    """:func:`train_classifier` on each dataset, yielded in order as
+    ``(params, trajectory)``.
 
-    Each item is ``(params, trajectory)``, or the exception that ended
-    that dataset's training, after which nothing more is yielded: its
+    A failure is raised at its dataset's turn: its
     :class:`ConvergenceError`, or a ``ChildProcessError`` for a forked
     training that ended without sending its result.  Where ``os.fork``
     exists, every dataset after the first trains in a forked child
     while this process trains the first, with the bits it would have
-    here.  Closing the generator (``contextlib.closing``) kills and
-    reaps every child whose outcome was not read, so none outlives an
-    exception in the consumer.
+    here.  A failure, or closing the generator
+    (``contextlib.closing``), kills and reaps every child whose result
+    was not read, so none outlives an exception in the consumer.
     """
     children = []
     try:
@@ -378,30 +381,18 @@ def train_classifiers(datasets, spec, config):
             for dataset in datasets[1:]:
                 children.append(_ForkedTraining(dataset, spec, config))
         for k, dataset in enumerate(datasets):
-            outcome = (children[k - 1].outcome() if k and children
-                       else _trained(dataset, spec, config))
-            yield outcome
-            if isinstance(outcome, Exception):
-                return
+            yield (children[k - 1].result() if k and children
+                   else train_classifier(dataset, spec, config))
     finally:
         for child in children:
             child.close()
 
 
-def _trained(dataset, spec, config):
-    """:func:`train_classifier`'s result, or its ConvergenceError."""
-    try:
-        return train_classifier(dataset, spec, config)
-    except ConvergenceError as exc:
-        return exc
-
-
 class _ForkedTraining:
-    """:func:`train_classifier` in a forked child, whose outcome comes
-    back pickled down a pipe: ``(True, (params, trajectory))``, or
-    ``(False, (message, trajectory))`` for a ConvergenceError, which
-    does not unpickle itself.  The child ends in ``os._exit``, so it
-    runs no atexit handler and flushes no stdio buffer it inherited."""
+    """:func:`train_classifier` in a forked child, whose result or
+    ConvergenceError comes back pickled down a pipe.  The child ends in
+    ``os._exit``, so it runs no atexit handler and flushes no stdio
+    buffer it inherited."""
 
     def __init__(self, dataset, spec, config):
         read_fd, write_fd = os.pipe()
@@ -415,12 +406,12 @@ class _ForkedTraining:
             status = 1
             try:
                 os.close(read_fd)
-                outcome = _trained(dataset, spec, config)
+                try:
+                    result = train_classifier(dataset, spec, config)
+                except ConvergenceError as exc:
+                    result = exc
                 with open(write_fd, "wb") as pipe:
-                    pickle.dump(
-                        (False, (str(outcome), outcome.trajectory))
-                        if isinstance(outcome, ConvergenceError)
-                        else (True, outcome), pipe)
+                    pickle.dump(result, pipe)
                 status = 0
             except Exception:
                 import traceback
@@ -430,24 +421,27 @@ class _ForkedTraining:
         os.close(write_fd)
         self.fd = read_fd
 
-    def outcome(self):
-        """Read the outcome, reap the child; once."""
+    def result(self):
+        """Read the result, reap the child; once.  The child's
+        ConvergenceError is raised here."""
         fd, self.fd = self.fd, None
         with open(fd, "rb") as pipe:
             data = pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         if status == 0:
-            ok, value = pickle.loads(data)
-            return value if ok else ConvergenceError(*value)
+            result = pickle.loads(data)
+            if isinstance(result, ConvergenceError):
+                raise result
+            return result
         code = os.waitstatus_to_exitcode(status)
         how = (f"was killed by signal {-code} ({signal.Signals(-code).name})"
                if code < 0 else f"exited with status {code}")
-        return ChildProcessError(
+        raise ChildProcessError(
             f"training process {how} before it sent its result")
 
     def close(self):
-        """Kill and reap the child unless its outcome was read."""
+        """Kill and reap the child unless its result was read."""
         if self.fd is not None:
             os.close(self.fd)
             self.fd = None

@@ -21,7 +21,6 @@ def test_forward_values_basic_ops():
     assert np.array_equal(ad.relu(a).value, [1.0, 0.0, 3.0])
     assert np.array_equal(ad.square(a).value, [1.0, 4.0, 9.0])
     assert np.array_equal(ad.absval(a).value, [1.0, 2.0, 3.0])
-    assert np.allclose(ad.exp(a).value, np.exp(a.value))
     assert np.allclose(ad.sqrt(ad.absval(a)).value,
                        np.sqrt(np.abs(a.value)))
 
@@ -162,29 +161,27 @@ def test_non_finite_leaf_rejected_constant_allowed():
 def test_gradient_graph_is_differentiable_again():
     """Graph-of-graph closure: grad outputs support another grad pass."""
     x = ad.tensor(np.array([1.0, 2.0]))
-    y = ad.tsum(ad.mul(ad.square(x), ad.exp(x)))
+    y = ad.tsum(ad.mul(ad.square(x), ad.sqrt(x)))
     (g,) = ad.grad(y, [x])
     (h,) = ad.grad(ad.tsum(g), [x])
-    # d/dx (x^2 e^x) = (2x + x^2) e^x; second: (2 + 4x + x^2) e^x
-    want = (2 + 4 * x.value + x.value ** 2) * np.exp(x.value)
+    # d/dx x^(5/2) = (5/2) x^(3/2); second: (15/4) x^(1/2)
+    want = 3.75 * np.sqrt(x.value)
     assert np.allclose(h.value, want)
 
 
-def test_exp_sqrt_division_gradients():
+def test_sqrt_division_gradients():
     def fn(x):
-        return ad.tsum(ad.div(ad.exp(x), ad.sqrt(ad.add(ad.square(x),
-                                                        1.0))))
+        return ad.tsum(ad.div(x, ad.sqrt(ad.add(ad.square(x), 1.0))))
     assert finite_difference_check(fn, np.array([0.3, -0.7])) < 1e-7
 
 
-@pytest.mark.parametrize("op", [ad.exp, ad.sqrt])
-def test_exp_sqrt_graphs_are_freed_without_the_cycle_collector(op):
-    """Dropped exp/sqrt graphs, gradients included, die by refcount."""
+def test_sqrt_graph_is_freed_without_the_cycle_collector():
+    """A dropped sqrt graph, gradients included, dies by refcount."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         x = ad.tensor(np.array([0.3, 1.7]))
-        out = op(x)
+        out = ad.sqrt(x)
         root = ad.tsum(ad.mul(out, out))
         (g,) = ad.grad(root, [x])
         (gg,) = ad.grad(ad.tsum(g), [x])

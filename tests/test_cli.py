@@ -465,6 +465,23 @@ def test_failing_command_exits_with_one_error_line(
     assert_no_child()
 
 
+def test_evaluate_with_a_classifier_without_profile_has_no_kkt_row(
+        failure_inputs, tmp_path, capsys):
+    """``evaluate --classifier`` on a checkpoint without a scaling
+    profile leaves the KKT residual row out and exits 0."""
+    d = failure_inputs
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["evaluate", str(d / "run.cfg"), str(d / "s.csv"),
+                 "--classifier", str(d / "no_profile.ckpt"),
+                 "--out", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    names = [line.split(",")[0]
+             for line in report.read_text().splitlines()[1:]]
+    assert names[:2] == ["mean_nn_distance", "label_agreement"]
+    assert "kkt_stationarity_residual" not in names
+
+
 def assert_no_child():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -822,11 +839,13 @@ def test_config_seed_applies_unless_the_seed_flag_is_given(workdir):
     assert from_config[0] != default[0]
 
 
-@pytest.mark.parametrize("change", ["config", "seed", "classifiers"])
+@pytest.mark.parametrize("change", ["config", "seed", "classifiers",
+                                    "other-classifier"])
 def test_resume_refuses_a_checkpoint_of_another_run(workdir, capsys,
                                                     change):
     """Only generator_training.steps may differ between a run and its
-    resume; extending it is covered above."""
+    resume; extending it is covered above.  A classifier trained with
+    another seed, in the place of the run's, is another run too."""
     tmp_path, cfg = workdir
     out = run_dir(tmp_path)
     assert main(["train-classifier", str(cfg)]) == 0
@@ -841,8 +860,16 @@ def test_resume_refuses_a_checkpoint_of_another_run(workdir, capsys,
         argv[1] = str(other)
     elif change == "seed":
         argv += ["--seed", "1"]
-    else:
+    elif change == "classifiers":
         argv.insert(3, str(clf))
+    else:
+        other = tmp_path / "other.cfg"
+        other.write_text(cfg.read_text().replace(
+            "name = demo", "name = other").replace(
+            "[classifier]\n", "[classifier]\nseed = 5\n"))
+        assert main(["train-classifier", str(other)]) == 0
+        argv[2] = str(tmp_path / "runs" / "other" / "classifier.ckpt")
+        assert main(["estimate-lambda", argv[2]]) == 0
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -1138,7 +1165,7 @@ def test_checkpoint_mutation_sweep_ends_in_an_exit_code(sweep_run, capsys,
     bad = [run for run in runs
            if run[3] not in (0, 2, 3, 4) or run[3] and not (
                len(run[4]) == 1
-               and run[4][0].startswith(("error: ", "WARNING: ")))]
+               and run[4][0].startswith("error: "))]
     assert len(runs) > 200 and not bad, bad[:10]
 
 
@@ -1258,10 +1285,17 @@ def test_nan_scaling_deviation_fails_verification(tmp_path, capsys,
         return devs
 
     monkeypatch.setattr(cli, "scaling_deviations", one_nan)
+    sections = ck.read_sections(clf)
+    del sections["profile"]
+    ck.write_sections(clf, sections)
     capsys.readouterr()
     assert main(["estimate-lambda", str(clf)]) == 3
     assert capsys.readouterr().err.strip().splitlines() == [
-        "WARNING: deviation exceeds 1e-05"]
+        f"error: {clf}: profile fails verification (deviation nan, "
+        f"limit 1e-05)"]
+    # the failing profile is attached, and its deviations written
+    assert ck.load_classifier(clf)[2] is not None
+    assert (tmp_path / "clf_lambda_verify.csv").exists()
     # the overflow of the rescaled network raises no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -5,12 +5,15 @@ The project runs no linter, so this scans each source and test file's
 top-level imports with ``ast``: a name an import binds must appear as a
 name somewhere in the file, or in its ``__all__``.  ``__future__``
 imports are skipped.  Every public top-level function and class of
-``src/kktgen`` must be used by the package's own code (its re-export in
-``__init__.py`` does not count) or be named in ``pipebench/``.  The
-graph operations of ``autodiff`` are exempt where the tests' graph
-references (``tests/graph_reference.py``) use them: autodiff is the
-reference engine.  The package namespace re-exports the names the
-README's Python API and the benchmark read, and no others.
+``src/kktgen`` must be read by another top-level statement of the
+package (its re-export in ``__init__.py`` does not count, nor a call of
+itself) or by ``pipebench/``.  A read is a bare name in its own module,
+an import of it, or an attribute of a kktgen module (``tr.name``,
+``kktgen.models.name``); ``np.name`` reads no kktgen name.  The graph
+operations of ``autodiff`` are exempt where the tests' graph references
+(``tests/graph_reference.py``) read them: autodiff is the reference
+engine.  The package namespace re-exports the names the README's Python
+API and the benchmark read, and no others.
 """
 
 import ast
@@ -83,51 +86,104 @@ def read(path):
         return fh.read()
 
 
-def referenced_names(tree):
-    """Names a module reads: loaded names, attributes and imports."""
-    names = set()
+def kktgen_module(node):
+    """The kktgen module the ``from ... import`` ``node`` reads from: its
+    name, "" for the package, None outside the package."""
+    if node.level:
+        return node.module or ""
+    top, _, rest = (node.module or "").partition(".")
+    return rest if top == "kktgen" else None
+
+
+def module_aliases(tree, modules):
+    """{local name: kktgen module, "" for the package} of the imports
+    anywhere in ``tree``; ``modules`` are the package's module names."""
+    aliases = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "kktgen":
+                    aliases[alias.asname or top] = rest if alias.asname else ""
+        elif isinstance(node, ast.ImportFrom) and kktgen_module(node) == "":
+            aliases.update((alias.asname or alias.name, alias.name)
+                           for alias in node.names if alias.name in modules)
+    return aliases
 
 
-def public_names_without_use(modules, bench_text, reference_names):
-    """(unused, bench_only) for ``modules``, {module name: source}:
-    the public top-level functions and classes no module reads, and,
-    as ``module.name``, those of them only ``bench_text`` names.  An
-    autodiff name in ``reference_names`` counts as used."""
-    trees = {name: ast.parse(source) for name, source in modules.items()}
-    used = set().union(*(referenced_names(tree)
-                         for name, tree in trees.items()
-                         if name != "__init__"))
-    unused, bench_only = [], set()
-    for module, tree in trees.items():
+def kktgen_uses(node, module, aliases, exports):
+    """(module, name) of each kktgen name ``node`` reads: a bare name,
+    as one of ``module`` (None outside the package), an imported name,
+    or an attribute of a kktgen module.  ``aliases`` is
+    :func:`module_aliases`; a name of the package is that of the module
+    ``exports`` gives for it."""
+    uses = set()
+    for sub in ast.walk(node):
+        if (module and isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Load)):
+            uses.add((module, sub.id))
+        elif isinstance(sub, ast.ImportFrom):
+            source = kktgen_module(sub)
+            if source is not None:
+                uses.update((source or exports.get(alias.name), alias.name)
+                            for alias in sub.names)
+        elif isinstance(sub, ast.Attribute):
+            owner, source = sub.value, None
+            if isinstance(owner, ast.Name):
+                source = aliases.get(owner.id)
+            elif (isinstance(owner, ast.Attribute)
+                  and isinstance(owner.value, ast.Name)
+                  and aliases.get(owner.value.id) == ""):
+                source = owner.attr  # kktgen.<module>.<name>
+            if source is not None:
+                uses.add((source or exports.get(sub.attr), sub.attr))
+    return uses
+
+
+def file_uses(sources, modules, exports):
+    """The kktgen names ``sources``, files outside the package, read."""
+    uses = set()
+    for source in sources:
+        tree = ast.parse(source)
+        uses |= kktgen_uses(tree, None, module_aliases(tree, modules),
+                            exports)
+    return uses
+
+
+def public_names_without_use(modules, bench, reference, exports):
+    """(unused, bench_only) for ``modules``, {module name: source}: as
+    ``module.name``, the public top-level functions and classes no
+    other top-level statement of the package reads, and those of them
+    the ``bench`` sources read.  An autodiff name the ``reference``
+    sources read counts as used; ``exports`` maps each name of the
+    package namespace to its module."""
+    names = set(modules) - {"__init__"}
+    used, defined = set(), []
+    for module in sorted(names):
+        tree = ast.parse(modules[module])
+        aliases = module_aliases(tree, names)
         for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in used
-                    or (module == "autodiff"
-                        and node.name in reference_names)):
-                continue
-            if re.search(rf"\b{node.name}\b", bench_text):
-                bench_only.add(f"{module}.{node.name}")
-            else:
-                unused.append(f"{module}.{node.name}")
-    return unused, bench_only
+            uses = kktgen_uses(node, module, aliases, exports)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses.discard((module, node.name))  # calls itself
+                if not node.name.startswith("_"):
+                    defined.append((module, node.name))
+            used |= uses
+    used |= {use for use in file_uses(reference, names, exports)
+             if use[0] == "autodiff"}
+    bench_uses = file_uses(bench, names, exports)
+    unused = [use for use in defined if use not in used]
+    return ([f"{m}.{n}" for m, n in unused if (m, n) not in bench_uses],
+            {f"{m}.{n}" for m, n in unused if (m, n) in bench_uses})
 
 
 def test_no_public_name_exists_only_for_the_tests():
     modules = {os.path.basename(path)[:-3]: read(path) for path in SOURCES}
-    bench = "".join(read(path) for path in sorted(
-        glob.glob(os.path.join(ROOT, "pipebench", "*.py"))))
-    reference = referenced_names(ast.parse(read(
-        os.path.join(ROOT, "tests", "graph_reference.py"))))
-    unused, bench_only = public_names_without_use(modules, bench,
-                                                  reference)
+    bench = [read(path) for path in sorted(
+        glob.glob(os.path.join(ROOT, "pipebench", "*.py")))]
+    reference = [read(os.path.join(ROOT, "tests", "graph_reference.py"))]
+    unused, bench_only = public_names_without_use(modules, bench, reference,
+                                                  kktgen._MODULE_OF)
     assert not unused, ", ".join(unused)
     assert bench_only == PIPEBENCH_ONLY
 
@@ -140,8 +196,45 @@ def test_scan_finds_a_name_only_the_tests_use():
              "def _p():\n    pass\n",
         "autodiff": "def op():\n    pass\ndef helper():\n    pass\n",
     }
-    assert public_names_without_use(modules, "a.h()", {"op"}) == (
+    assert public_names_without_use(
+        modules, ["from kktgen import a\na.h()\n"],
+        ["import kktgen.autodiff as ad\nad.op()\n"], {}) == (
         ["a.f", "a.K", "autodiff.helper"], {"a.h"})
+
+
+def test_scan_counts_reads_of_kktgen_names_only():
+    """Each form of read counts, and none of a name elsewhere: ``np.sqrt``
+    does not read ``kkt.sqrt``."""
+    modules = {
+        "kkt": "import numpy as np\ndef sqrt():\n    pass\n"
+               "def norm():\n    return np.sqrt(2)\n",
+        "cli": "from . import kkt as kk\nfrom .models import (\n"
+               "    bare as b)\nb()\nkk.norm()\n",
+        "models": "def bare():\n    pass\ndef one():\n    pass\n"
+                  "def two():\n    pass\nclass Spec:\n    pass\n",
+    }
+    bench = ["import kktgen\nimport kktgen.models\nkktgen.models.one()\n"
+             "kktgen.Spec()\n", "from kktgen.models import two\n"]
+    assert public_names_without_use(modules, bench, [],
+                                    {"Spec": "models"}) == (
+        ["kkt.sqrt"], {"models.one", "models.two", "models.Spec"})
+
+
+def test_scan_does_not_count_a_call_of_itself():
+    modules = {"a": "def f(n):\n    return f(n - 1) if n else 0\n"
+                    "class K:\n    def copy(self):\n        return K()\n"}
+    assert public_names_without_use(modules, [], [], {}) == (
+        ["a.f", "a.K"], set())
+
+
+def test_scan_reads_the_bench_as_code_not_words():
+    """A bench variable, comment or string that spells a package name is
+    no read of it."""
+    modules = {"autodiff": "def exp():\n    pass\n"}
+    bench = ["import kktgen\nname = exp\n# autodiff.exp\n"
+             "print('kktgen.exp')\n"]
+    assert public_names_without_use(modules, bench, [], {}) == (
+        ["autodiff.exp"], set())
 
 
 def test_package_names_load_on_first_use():

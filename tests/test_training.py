@@ -1,9 +1,13 @@
 """Unit tests for classifier and generator training loops."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 import kktgen.training as tr
+from kktgen.config import RunConfig
 from kktgen.datasets import (LabeledDataset, circle_dataset,
                              pattern_dataset, split_dataset)
 from kktgen.homogeneity import QuasiHomogeneousProfile, estimate_profile
@@ -95,6 +99,54 @@ def test_train_classifier_stops_on_a_loss_plateau():
     trajectory = err.value.trajectory
     assert len(trajectory) <= 5000
     assert (len(trajectory) - 1) % tr.PLATEAU_WINDOW == 0
+
+
+def stall():
+    raise ConvergenceError("stalled", [2.0, 1.5])
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("failing,how,error", [
+    (0, stall, ConvergenceError), (1, stall, ConvergenceError),
+    (1, kill_self, ChildProcessError)],
+    ids=["parent-stalls", "child-stalls", "child-is-killed"])
+def test_train_classifiers_raises_a_failure_at_its_turn(monkeypatch,
+                                                        failing, how,
+                                                        error):
+    """On a split, the second shard trains in a forked child.  A failure
+    of either shard is raised at that shard's turn, the child's
+    ConvergenceError with its trajectory; the first shard's result comes
+    before the second's failure, nothing comes after one, and no child
+    is left."""
+    config = RunConfig.from_text("[dataset]\nsplit = arc\n"
+                                 "[classifier]\nrefine_iters = 0\n")
+    datasets = config.dataset()
+    train = tr.train_classifier
+
+    def failing_on_one(dataset, spec, train_config):
+        if dataset is datasets[failing]:
+            how()
+        return train(dataset, spec, train_config)
+
+    # a forked child inherits the patch
+    monkeypatch.setattr(tr, "train_classifier", failing_on_one)
+    results = tr.train_classifiers(datasets, config.classifier_spec(),
+                                   config.classifier_train_config())
+    if failing:
+        params, trajectory = next(results)
+        assert params.values.size and trajectory[-1] < trajectory[0]
+    with pytest.raises(error) as info:
+        next(results)
+    if how is stall:
+        assert str(info.value) == "stalled"
+        assert info.value.trajectory == [2.0, 1.5]
+    with pytest.raises(StopIteration):
+        next(results)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_extra_epochs_keep_shrinking_loss():
