@@ -316,19 +316,26 @@ def mlp_apply_np(spec, params, x):
     The rows of a 2-d ``x`` go through the binding a block at a time
     (:func:`_forward_block_rows`) into one output array, so the layer
     outputs take one block's memory, not memory in proportion to the
-    rows.  A last block of one row joins the block before it: numpy
-    multiplies a single row with a matrix-vector product, whose bits
-    differ from those of the matrix product.
+    rows.  A block whose rows are not a multiple of
+    ``FORWARD_ROW_MULTIPLE`` is padded with zero rows, whose outputs
+    are dropped: every row is then in a full tile, so its bits do not
+    depend on how many rows come with it, and no block is a single row,
+    which numpy would multiply with a matrix-vector product.
     """
     net = BoundMlp(spec, params)
     x = np.asarray(x, dtype=np.float64)
-    step = _forward_block_rows(net.mlp)
-    if x.ndim != 2 or x.shape[0] <= step:
+    if x.ndim != 2:
         return net.forward(x)
-    out = np.empty((x.shape[0], net.mlp.out_dim))
-    starts = range(0, x.shape[0] - 1, step)
-    for start, stop in zip(starts, [*starts[1:], x.shape[0]]):
-        out[start:stop] = net.forward(x[start:stop])
+    rows = len(x)
+    step = _forward_block_rows(net.mlp)
+    out = np.empty((rows, net.mlp.out_dim))
+    for start in range(0, rows, step):
+        n = min(step, rows - start)
+        block = x[start:start + n]
+        if n % FORWARD_ROW_MULTIPLE:
+            block = np.concatenate(
+                [block, np.zeros((-n % FORWARD_ROW_MULTIPLE, x.shape[1]))])
+        out[start:start + n] = net.forward(block)[:n]
     return out
 
 

@@ -15,7 +15,9 @@ fixed by its duality band (:func:`duality_band`).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -388,38 +390,83 @@ def train_classifiers(datasets, spec, config):
             child.close()
 
 
-class _ForkedTraining:
-    """:func:`train_classifier` in a forked child, whose result or
-    ConvergenceError comes back pickled down a pipe.  The child ends in
-    ``os._exit``, so it runs no atexit handler and flushes no stdio
-    buffer it inherited."""
+class _Child:
+    """A forked child that runs ``self.work(commands, results)``: the
+    read end of a pipe from this process and the write end of a pipe
+    back to it, whose other ends here are ``command_fd`` and ``fd``.
 
-    def __init__(self, dataset, spec, config):
-        read_fd, write_fd = os.pipe()
+    The child ends in ``os._exit``: with status 0 once ``work`` returns,
+    with 1 after printing the traceback of an exception, so it runs no
+    atexit handler and flushes no stdio buffer it inherited.
+    """
+
+    def __init__(self):
+        fds = os.pipe()
         try:
+            fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in fds:
+                os.close(fd)
             raise
+        results_read, results_write, commands_read, commands_write = fds
         if self.pid == 0:
             status = 1
             try:
-                os.close(read_fd)
-                try:
-                    result = train_classifier(dataset, spec, config)
-                except ConvergenceError as exc:
-                    result = exc
-                with open(write_fd, "wb") as pipe:
-                    pickle.dump(result, pipe)
+                os.close(results_read)
+                os.close(commands_write)
+                self.work(commands_read, results_write)
                 status = 0
             except Exception:
                 import traceback
                 os.write(2, traceback.format_exc().encode())
             finally:
                 os._exit(status)
-        os.close(write_fd)
-        self.fd = read_fd
+        os.close(results_write)
+        os.close(commands_read)
+        self.fd, self.command_fd = results_read, commands_write
+
+    def reap(self):
+        """Wait for the child, whose pipe back has ended; its exit code,
+        or -N if signal N killed it."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    @staticmethod
+    def ended(code):
+        """How a child with exit code ``code`` ended, in words."""
+        return (f"was killed by signal {-code} ({signal.Signals(-code).name})"
+                if code < 0 else f"exited with status {code}")
+
+    def close(self):
+        """Close the pipes, and kill and reap the child unless it was
+        reaped."""
+        for fd in (self.fd, self.command_fd):
+            if fd is not None:
+                os.close(fd)
+        self.fd = self.command_fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+class _ForkedTraining(_Child):
+    """:func:`train_classifier` in a forked child, whose result or
+    ConvergenceError comes back pickled down its pipe."""
+
+    def __init__(self, dataset, spec, config):
+        self.args = dataset, spec, config
+        super().__init__()
+
+    def work(self, commands, results):
+        try:
+            result = train_classifier(*self.args)
+        except ConvergenceError as exc:
+            result = exc
+        with open(results, "wb") as pipe:
+            pickle.dump(result, pipe)
 
     def result(self):
         """Read the result, reap the child; once.  The child's
@@ -427,28 +474,14 @@ class _ForkedTraining:
         fd, self.fd = self.fd, None
         with open(fd, "rb") as pipe:
             data = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status == 0:
+        code = self.reap()
+        if code == 0:
             result = pickle.loads(data)
             if isinstance(result, ConvergenceError):
                 raise result
             return result
-        code = os.waitstatus_to_exitcode(status)
-        how = (f"was killed by signal {-code} ({signal.Signals(-code).name})"
-               if code < 0 else f"exited with status {code}")
-        raise ChildProcessError(
-            f"training process {how} before it sent its result")
-
-    def close(self):
-        """Kill and reap the child unless its result was read."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        raise ChildProcessError(f"training process {self.ended(code)} "
+                                f"before it sent its result")
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +679,18 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     would give, from one reused Generator whose state a seed table sets
     (:class:`_StepRng`), so a resumed run draws what a straight run
     does.
+
+    Under ``full_sum`` with T > 1, where ``os.fork`` exists and a step
+    is left, each classifier after the first has its terms computed in
+    a forked child of its own (:class:`_ForkedStep`) while this process
+    computes the first's.  Theta and eta live in shared memory for the
+    run; this process draws every batch in the order of the loop in
+    one process and adds the children's terms in classifier order, so
+    every bit is the same.  When the run ends, by any path, every child
+    is killed and reaped and the state's own arrays get the values
+    back.  A child that ends is a ``ChildProcessError`` naming its
+    classifier and the step; a child's non-finite batch raises
+    :class:`TrainingAborted` at its classifier's turn.
     """
     t_count = len(classifiers)
     if t_count < 1:
@@ -704,83 +749,191 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     m, noise_dim = config.batch_size, gen_spec.noise_dim
-    gen = BoundMlp(gen_spec, state.gen_params)
-    mult = BoundMlp(mult_spec, state.mult_params)
-    gen_in = np.empty((m, gen.mlp.in_dim))
-    mult_in = np.empty((m, mult.mlp.in_dim))
-    kkts = [KktTerms(BoundMlp(cb.spec, cb.params),
-                     stationarity_target(cb.params,
-                                         lambda_bar(cb.profile, float(alpha)),
-                                         cb.virtual_n),
-                     m, float(alpha), float(delta), config.beta)
-            for cb, alpha, delta in zip(classifiers, state.alphas,
-                                        state.deltas)]
-    tv = TotalVariation(m, *config.tv_shape) if config.tv_weight > 0 \
-        else None
-    theta, eta = state.gen_params.values, state.mult_params.values
-    # under full_sum the classifiers' gradients are summed into these
-    # from 0.0; one classifier's are Adam's input as they are
-    sums = (np.empty_like(theta), np.empty_like(eta)) \
-        if config.full_sum else None
-    # the per-step finiteness checks write into these
-    finite_theta, finite_eta = (np.empty(v.shape, dtype=bool)
-                                for v in (theta, eta))
-    finite_x = np.empty((m, gen_spec.out_dim), dtype=bool)
-    step_rng = _StepRng(config.seed, 0)
+    own = state.gen_params.values, state.mult_params.values
+    forked = (config.full_sum and t_count > 1 and hasattr(os, "fork")
+              and state.step < config.steps)
+    if forked:
+        # theta and eta move into memory the children share; the state's
+        # own arrays get the values back when the run ends
+        state.gen_params.values, state.mult_params.values = \
+            _shared_arrays(*((v.shape, np.float64) for v in own))
+        np.copyto(state.gen_params.values, own[0])
+        np.copyto(state.mult_params.values, own[1])
+    children = []
+    try:
+        gen = BoundMlp(gen_spec, state.gen_params)
+        mult = BoundMlp(mult_spec, state.mult_params)
+        gen_in = np.empty((m, gen.mlp.in_dim))
+        mult_in = np.empty((m, mult.mlp.in_dim))
+        kkts = [KktTerms(BoundMlp(cb.spec, cb.params),
+                         stationarity_target(cb.params,
+                                             lambda_bar(cb.profile,
+                                                        float(alpha)),
+                                             cb.virtual_n),
+                         m, float(alpha), float(delta), config.beta)
+                for cb, alpha, delta in zip(classifiers, state.alphas,
+                                            state.deltas)]
+        tv = TotalVariation(m, *config.tv_shape) if config.tv_weight > 0 \
+            else None
+        theta, eta = state.gen_params.values, state.mult_params.values
+        # under full_sum the classifiers' gradients are summed into these
+        # from 0.0; one classifier's are Adam's input as they are
+        sums = (np.empty_like(theta), np.empty_like(eta)) \
+            if config.full_sum else None
+        # the per-step finiteness checks write into these
+        finite_theta, finite_eta = (np.empty(v.shape, dtype=bool)
+                                    for v in (theta, eta))
+        finite_x = np.empty((m, gen_spec.out_dim), dtype=bool)
+        step_rng = _StepRng(config.seed, 0)
 
-    while state.step < config.steps:
-        step = state.step
-        rng = step_rng(step)
-        if config.full_sum:
-            active = list(range(t_count))
-        else:
-            active = [(offset + step) % t_count]
-
-        if not (np.isfinite(theta, out=finite_theta).all()
-                and np.isfinite(eta, out=finite_eta).all()):
-            raise TrainingAborted(
-                f"non-finite generator or multiplier parameters at step "
-                f"{step}", step, state)
-
-        total = 0.0
-        l_stat = l_dual = l_tv = 0.0
-        if sums is not None:
-            g_theta, g_eta = sums
-            g_theta.fill(0.0)
-            g_eta.fill(0.0)
-        for t in active:
-            labels = cdf.searchsorted(rng.random(m), side="right")
-            eps = rng.standard_normal((m, noise_dim))
+        def terms(t, labels, eps):
+            """Classifier t's :func:`_classifier_step` on the batch
+            (labels, eps), or None where the generated batch is not
+            finite."""
             x = gen.forward(condition(eps, labels, t, gen_spec, gen_in))
             if not np.isfinite(x, out=finite_x).all():
-                raise TrainingAborted(
-                    f"non-finite generated sample at step {step}", step,
-                    state)
-            loss_t, stat_t, dual_t, tv_t, g_th, g_et = _classifier_step(
-                kkts[t], gen, mult, x, t, labels, config, mult_in, tv)
-            total = total + loss_t
-            if sums is None:
-                g_theta, g_eta = g_th, g_et
+                return None
+            return _classifier_step(kkts[t], gen, mult, x, t, labels,
+                                    config, mult_in, tv)
+
+        if forked:
+            for t in range(1, t_count):
+                children.append(_ForkedStep(terms, t, names[t],
+                                            (m, noise_dim), theta, eta))
+
+        while state.step < config.steps:
+            step = state.step
+            rng = step_rng(step)
+            if config.full_sum:
+                active = list(range(t_count))
             else:
-                g_theta += g_th
-                g_eta += g_et
-            l_stat += stat_t
-            l_dual += dual_t
-            l_tv += tv_t
+                active = [(offset + step) % t_count]
 
-        if not np.isfinite(total):
-            raise TrainingAborted(
-                f"non-finite loss at step {step}", step, state)
+            if not (np.isfinite(theta, out=finite_theta).all()
+                    and np.isfinite(eta, out=finite_eta).all()):
+                raise TrainingAborted(
+                    f"non-finite generator or multiplier parameters at "
+                    f"step {step}", step, state)
 
-        state.optimizers["theta"].step(theta, g_theta)
-        state.optimizers["eta"].step(eta, g_eta)
+            batches = [(cdf.searchsorted(rng.random(m), side="right"),
+                        rng.standard_normal((m, noise_dim)))
+                       for _ in active]
+            for child, batch in zip(children, batches[1:]):
+                child.start(*batch)
+            total = 0.0
+            l_stat = l_dual = l_tv = 0.0
+            if sums is not None:
+                g_theta, g_eta = sums
+                g_theta.fill(0.0)
+                g_eta.fill(0.0)
+            for t, batch in zip(active, batches):
+                result = (children[t - 1].result(step) if t and children
+                          else terms(t, *batch))
+                if result is None:
+                    raise TrainingAborted(
+                        f"non-finite generated sample at step {step}", step,
+                        state)
+                loss_t, stat_t, dual_t, tv_t, g_th, g_et = result
+                total = total + loss_t
+                if sums is None:
+                    g_theta, g_eta = g_th, g_et
+                else:
+                    g_theta += g_th
+                    g_eta += g_et
+                l_stat += stat_t
+                l_dual += dual_t
+                l_tv += tv_t
 
-        state.history.append((step, active[0] if len(active) == 1 else -1,
-                              l_stat, l_dual, l_tv, float(total)))
-        state.step += 1
-        if callback is not None:
-            callback(state)
+            if not np.isfinite(total):
+                raise TrainingAborted(
+                    f"non-finite loss at step {step}", step, state)
+
+            state.optimizers["theta"].step(theta, g_theta)
+            state.optimizers["eta"].step(eta, g_eta)
+
+            state.history.append((step,
+                                  active[0] if len(active) == 1 else -1,
+                                  l_stat, l_dual, l_tv, float(total)))
+            state.step += 1
+            if callback is not None:
+                callback(state)
+    finally:
+        for child in children:
+            child.close()
+        if forked:
+            np.copyto(own[0], state.gen_params.values)
+            np.copyto(own[1], state.mult_params.values)
+            state.gen_params.values, state.mult_params.values = own
     return state
+
+
+def _shared_arrays(*layouts):
+    """Zeroed arrays of the (shape, dtype) ``layouts``, one after the
+    other in one shared anonymous mmap: a forked child and this process
+    see each other's writes to them.  Every dtype here is 8 bytes wide,
+    so each array is aligned."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+             for shape, dtype in layouts]
+    shared = mmap.mmap(-1, sum(sizes))
+    arrays, start = [], 0
+    for (shape, dtype), size in zip(layouts, sizes):
+        arrays.append(np.frombuffer(shared, dtype, math.prod(shape),
+                                    start).reshape(shape))
+        start += size
+    return arrays
+
+
+class _ForkedStep(_Child):
+    """``terms(t, labels, eps)`` of classifier t at every full_sum step,
+    in a forked child; ``name`` stands for the classifier in errors.
+
+    Its batch (``labels``, and ``eps`` of shape ``eps_shape``) and its
+    terms (``losses``, the total, l_stat, l_dual and l_tv, then
+    ``g_theta`` and ``g_eta``, shaped like ``theta`` and ``eta``) are
+    arrays in memory shared with the child.  :meth:`start` hands it a
+    batch with one byte down its command pipe; :meth:`result` waits for
+    the byte that says it is done.
+    """
+
+    def __init__(self, terms, t, name, eps_shape, theta, eta):
+        self.terms, self.t, self.name = terms, t, name
+        (self.labels, self.eps, self.losses, self.g_theta,
+         self.g_eta) = _shared_arrays(
+            (eps_shape[:1], np.intp), (eps_shape, np.float64),
+            ((4,), np.float64), (theta.shape, np.float64),
+            (eta.shape, np.float64))
+        super().__init__()
+
+    def work(self, commands, results):
+        # until the parent closes the command pipe
+        while os.read(commands, 1):
+            out = self.terms(self.t, self.labels, self.eps)
+            if out is not None:
+                self.losses[:] = out[:4]
+                np.copyto(self.g_theta, out[4])
+                np.copyto(self.g_eta, out[5])
+            os.write(results, b"-" if out is None else b"+")
+
+    def start(self, labels, eps):
+        np.copyto(self.labels, labels)
+        np.copyto(self.eps, eps)
+        # a child that is gone is reported when its result is read
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self.command_fd, b"s")
+
+    def result(self, step):
+        """The terms of the batch :meth:`start` handed over, as
+        :func:`_classifier_step` returns them, or None where the
+        generated batch was not finite.  A child that ended is a
+        ``ChildProcessError`` naming the classifier and the step."""
+        reply = os.read(self.fd, 1)
+        if not reply:
+            raise ChildProcessError(
+                f"{self.name}: generator step process "
+                f"{self.ended(self.reap())} at step {step}")
+        if reply == b"-":
+            return None
+        return (*self.losses.tolist(), self.g_theta, self.g_eta)
 
 
 def sample(gen_spec, gen_params, y, n, t=None, seed=0):

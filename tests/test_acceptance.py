@@ -11,7 +11,11 @@ values, and bit-exact rerun determinism.  Expect a few minutes of
 runtime on one core; everything is seeded and reproducible.
 """
 
+import os
+import pickle
+import signal
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -91,20 +95,64 @@ def passes(metrics):
             and metrics["agree"] >= AGREE_MIN)
 
 
+def in_forked_children(calls):
+    """``[call() for call in calls]``, each call in a forked child of its
+    own, all running at once.  A child pickles its result down a pipe and
+    ends in ``os._exit``; one that ends without its result fails the
+    caller, after printing its traceback.  No child outlives this."""
+    children = []
+    try:
+        for call in calls:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(call(), pipe)
+                    status = 0
+                except Exception:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append([pid, open(read_fd, "rb")])
+        results = []
+        for child in children:
+            data = child[1].read()
+            _, status = os.waitpid(child[0], 0)
+            child[0] = None
+            assert status == 0, f"a forked run ended with status {status}"
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 @pytest.fixture(scope="module")
 def generator_runs(circle, classifier):
-    """The pinned seed triple of default 20k-step generator runs."""
+    """The pinned seed triple of default 20k-step generator runs, one
+    forked child per seed: seed -> (generator parameters, loss history,
+    coverage metrics)."""
     spec, params, _, profile = classifier
     bundle = ClassifierBundle(spec, params, profile, circle.size)
     gen_spec = CFG.generator_spec(circle.num_classes, circle.dim, 1)
     mult_spec = CFG.multiplier_spec(circle.num_classes, circle.dim, 1)
-    runs = {}
-    for seed in SEEDS:
+
+    def run(seed):
         state = train_generator([bundle], gen_spec, mult_spec,
                                 CFG.generator_train_config(seed=seed))
-        runs[seed] = (state, run_metrics(gen_spec, state, circle, spec,
-                                         params, seed))
-    return gen_spec, mult_spec, runs
+        return state.gen_params, state.history, run_metrics(
+            gen_spec, state, circle, spec, params, seed)
+
+    runs = in_forked_children([lambda seed=seed: run(seed)
+                               for seed in SEEDS])
+    return gen_spec, mult_spec, dict(zip(SEEDS, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +304,11 @@ def test_kkt_oracle_beats_permuted_controls(circle, classifier):
 
 def test_generation_covers_circle(circle, generator_runs):
     _, _, runs = generator_runs
-    outcomes = [passes(metrics) for _, metrics in runs.values()]
+    outcomes = [passes(metrics) for _, _, metrics in runs.values()]
     assert len(outcomes) == 3
     # median of the seeded runs passes = the majority of the triple does
     assert sum(outcomes) >= 2, \
-        {seed: metrics for seed, (_, metrics) in runs.items()}
+        {seed: metrics for seed, (_, _, metrics) in runs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +330,23 @@ def sharded_runs(circle):
                                   num_classifiers=2)
     mult_spec = CFG.multiplier_spec(circle.num_classes, circle.dim,
                                     num_classifiers=2)
-    runs = {}
-    for seed in SEEDS:
-        runs[seed] = train_generator(bundles, gen_spec, mult_spec,
-                                     CFG.generator_train_config(seed=seed))
-    return halves, gen_spec, runs
+    # one forked child per seed, which sends back the generator's
+    # parameters
+    runs = in_forked_children([
+        lambda seed=seed: train_generator(
+            bundles, gen_spec, mult_spec,
+            CFG.generator_train_config(seed=seed)).gen_params
+        for seed in SEEDS])
+    return halves, gen_spec, dict(zip(SEEDS, runs))
 
 
 def test_sharded_generation(circle, sharded_runs):
     halves, gen_spec, runs = sharded_runs
     per, offset = SAMPLES_PER_CLASS, SAMPLE_SEED_OFFSET
     outcomes, details = [], {}
-    for seed, state in runs.items():
+    for seed, gen_params in runs.items():
         # free classifier index: all 18 points covered within 0.35
-        xs = [sample(gen_spec, state.gen_params, y, per,
-                     seed=offset + seed)[0]
+        xs = [sample(gen_spec, gen_params, y, per, seed=offset + seed)[0]
               for y in range(circle.num_classes)]
         free = np.vstack(xs)
         cover = max(float(np.linalg.norm(free - point, axis=1).min())
@@ -305,8 +355,8 @@ def test_sharded_generation(circle, sharded_runs):
         fracs = []
         for t, own in enumerate(halves):
             other = halves[1 - t]
-            xs = [sample(gen_spec, state.gen_params, y, per,
-                         seed=offset + seed, t=t)[0]
+            xs = [sample(gen_spec, gen_params, y, per, seed=offset + seed,
+                         t=t)[0]
                   for y in range(circle.num_classes)]
             fixed = np.vstack(xs)
             d_own = np.linalg.norm(fixed[:, None, :] - own.x[None],
@@ -349,12 +399,13 @@ def test_classifier_rerun_is_bit_identical(circle, classifier):
 
 def test_generator_rerun_is_bit_identical(circle, classifier,
                                           generator_runs):
+    """The run of a forked child, again in this process."""
     spec, params, _, profile = classifier
     gen_spec, mult_spec, runs = generator_runs
     seed = SEEDS[0]
-    state, _ = runs[seed]
+    gen_params, history, _ = runs[seed]
     bundle = ClassifierBundle(spec, params, profile, circle.size)
     again = train_generator([bundle], gen_spec, mult_spec,
                             CFG.generator_train_config(seed=seed))
-    assert again.history == state.history
-    assert np.array_equal(again.gen_params.values, state.gen_params.values)
+    assert again.history == history
+    assert np.array_equal(again.gen_params.values, gen_params.values)

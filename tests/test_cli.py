@@ -638,6 +638,175 @@ def test_shard_training_loads_no_process_pool(arc_config):
     assert (out / "classifier_2.ckpt").exists()
 
 
+# ---------------------------------------------------------------------------
+# a full_sum generator step, each classifier after the first in a forked
+# child
+
+
+@pytest.fixture(scope="module")
+def arc_classifiers(tmp_path_factory):
+    """The two profiled shard classifiers of an arc split."""
+    d = tmp_path_factory.mktemp("arc-classifiers")
+    cfg = d / "arc.cfg"
+    cfg.write_text(f"[experiment]\nname = arc\noutput_dir = {d}\n"
+                   "[dataset]\nsplit = arc\n[classifier]\n"
+                   "refine_iters = 50\n")
+    assert main(["train-classifier", str(cfg)]) == 0
+    clfs = [str(d / "arc" / f"classifier_{k}.ckpt") for k in (1, 2)]
+    for clf in clfs:
+        assert main(["estimate-lambda", clf]) == 0
+    return clfs
+
+
+def generator_config(tmp_path, steps=12, full_sum=True):
+    """A generator config of ``steps`` steps; the run dir it writes to."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"[experiment]\nname = gen\noutput_dir = {tmp_path}\n"
+                   f"[generator_training]\nsteps = {steps}\n"
+                   f"full_sum = {str(full_sum).lower()}\nbatch_size = 16\n")
+    return str(cfg), tmp_path / "gen"
+
+
+def counted_forks(monkeypatch):
+    """A list that gets one entry per ``os.fork`` from now on."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_forked_full_sum_step_writes_the_in_process_bytes(
+        arc_classifiers, tmp_path, monkeypatch):
+    cfg, out = generator_config(tmp_path)
+    argv = ["train-generator", cfg, *arc_classifiers]
+    forks = counted_forks(monkeypatch)
+    assert main(argv) == 0
+    assert forks == [1]
+    files = ("generator.ckpt", "generator_loss.csv")
+    forked = {name: (out / name).read_bytes() for name in files}
+    shutil.rmtree(out)
+    monkeypatch.delattr(os, "fork")
+    assert main(argv) == 0
+    assert {name: (out / name).read_bytes() for name in files} == forked
+    assert_no_child()
+
+
+def on_call(monkeypatch, name, when, how):
+    """``tr.<name>`` as it is, then ``how(args)`` on the third call whose
+    arguments ``when(args)`` holds for; a forked child inherits the patch
+    and counts its own calls."""
+    original = getattr(tr, name)
+    calls = []
+
+    def patched(*args):
+        out = original(*args)
+        if when(args):
+            calls.append(1)
+            if len(calls) == 3:
+                how(args)
+        return out
+
+    monkeypatch.setattr(tr, name, patched)
+
+
+def test_lost_step_child_is_one_error_line(arc_classifiers, tmp_path,
+                                           monkeypatch, capsys):
+    """A step child that ends is an OSError (exit 2) naming its
+    classifier, how the child ended and the step; no checkpoint is
+    written."""
+    cfg, out = generator_config(tmp_path)
+    # _classifier_step(kkt, gen, mult, x, t, ...) of classifier 1, whose
+    # third call is step 2's; never this process, should it run there
+    this = os.getpid()
+    on_call(monkeypatch, "_classifier_step", lambda args: args[4] == 1,
+            lambda args: os.getpid() != this and kill_self())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-generator", cfg, *arc_classifiers]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {arc_classifiers[1]}: generator step process was killed "
+        f"by signal 9 (SIGKILL) at step 2"]
+    assert not (out / "generator.ckpt").exists()
+    assert_no_child()
+
+
+def poison(args):
+    """NaN into the generator input ``condition`` wrote, its ``out``."""
+    args[4][0, 0] = np.nan
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_non_finite_sample_of_a_child_batch_ends_as_in_process(
+        arc_classifiers, tmp_path, monkeypatch, capsys, forked):
+    """Classifier 1's batch of step 2 generates a NaN: forked or not, the
+    run ends with exit 4 at that step."""
+    cfg, out = generator_config(tmp_path)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    # condition(eps, labels, t, gen_spec, gen_in) of classifier 1
+    on_call(monkeypatch, "condition",
+            lambda args: args[2] == 1 and isinstance(args[3], GeneratorSpec),
+            poison)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-generator", cfg, *arc_classifiers]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: non-finite generated sample at step 2"]
+    assert not (out / "generator.ckpt").exists()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_raising_callback_leaves_no_step_child(arc_classifiers, tmp_path,
+                                               monkeypatch, error):
+    cfg, _ = generator_config(tmp_path)
+
+    def callback(state):
+        if state.step == 3:
+            raise error("stop")
+
+    monkeypatch.setattr(tr, "train_generator", functools.partial(
+        tr.train_generator, callback=callback))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            main(["train-generator", cfg, *arc_classifiers])
+    assert_no_child()
+
+
+@pytest.mark.parametrize("steps,full_sum,t_count", [
+    (0, True, 2), (12, False, 2), (12, True, 1)],
+    ids=["steps-0", "round-robin", "T1"])
+def test_generator_runs_that_fork_nothing(arc_classifiers, tmp_path,
+                                          monkeypatch, steps, full_sum,
+                                          t_count):
+    cfg, out = generator_config(tmp_path, steps, full_sum)
+    forks = counted_forks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-generator", cfg,
+                     *arc_classifiers[:t_count]]) == 0
+    assert forks == []
+    assert (out / "generator.ckpt").exists()
+
+
+def test_forked_generator_step_loads_no_process_pool(arc_classifiers,
+                                                     tmp_path):
+    cfg, out = generator_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(kktgen.__file__))))
+    code = ("import os, sys, kktgen.cli; forks = []; fork = os.fork; "
+            "os.fork = lambda: forks.append(1) or fork(); "
+            "assert kktgen.cli.main(['train-generator', "
+            f"{cfg!r}, *{arc_classifiers!r}]) == 0; assert forks == [1]; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (out / "generator.ckpt").exists()
+
+
 def test_full_pipeline(workdir, capsys):
     tmp_path, cfg = workdir
     out = run_dir(tmp_path)

@@ -549,6 +549,9 @@ def loop_setup(case):
     elif case == "tv":
         dim, classes = 4, 2
         base.update(tv_weight=0.05, tv_shape=(2, 2))
+    elif case == "T3-full-sum-tv":
+        dim, classes, t_count = 4, 2, 3
+        base.update(full_sum=True, tv_weight=0.05, tv_shape=(2, 2))
     elif case == "labels-with-a-zero":
         base["label_distribution"] = (0.5, 0.0, 0.5)
     bundles = [homogeneous_bundle((dim, 8, 6, classes), bias, 11 + k)
@@ -582,8 +585,9 @@ def assert_same_run(got, want):
         assert a.v.tobytes() == b.v.tobytes(), name
 
 
+# the full_sum cases run each classifier after the first in a forked child
 LOOP_CASES = ["T1", "T2-round-robin", "T2-full-sum", "tv",
-              "labels-with-a-zero"]
+              "labels-with-a-zero", "T3-full-sum-tv"]
 
 
 @pytest.mark.parametrize("case", LOOP_CASES)
@@ -610,7 +614,7 @@ def resumed_run(tmp_path, bundles, gen_spec, mult_spec, config):
                               state=loaded)
 
 
-@pytest.mark.parametrize("case", ["T2-round-robin", "tv"])
+@pytest.mark.parametrize("case", ["T2-round-robin", "T2-full-sum", "tv"])
 def test_resume_through_checkpoint_rebuilds_the_step_state(tmp_path, case):
     """k steps, a checkpoint, and a resume equal one uninterrupted run."""
     bundles, gen_spec, mult_spec, config = loop_setup(case)
@@ -633,3 +637,26 @@ def test_alpha_is_the_duality_band_alpha_on_every_step(tmp_path):
     assert seen == [band] * config.steps
     resumed = resumed_run(tmp_path, bundles, gen_spec, mult_spec, config)
     assert [bits(a) for a in resumed.alphas] == band
+
+
+def test_a_stopped_full_sum_run_leaves_its_values_in_the_state():
+    """A full_sum run that its callback stops after step 5 leaves the
+    values of those 5 steps in the state's own arrays, as a 5-step run
+    does, though the children computed classifier 1's terms in shared
+    memory."""
+    bundles, gen_spec, mult_spec, config = loop_setup("T2-full-sum")
+    state = fresh_state(bundles, gen_spec, mult_spec, config)
+    theta, eta = state.gen_params.values, state.mult_params.values
+
+    def stop(s):
+        if s.step == 5:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        tr.train_generator(bundles, gen_spec, mult_spec, config,
+                           state=state, callback=stop)
+    assert state.gen_params.values is theta
+    assert state.mult_params.values is eta
+    assert_same_run(state, tr.train_generator(
+        bundles, gen_spec, mult_spec,
+        tr.GeneratorTrainConfig(**{**config.__dict__, "steps": 5})))

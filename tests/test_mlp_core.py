@@ -493,16 +493,23 @@ def test_mlp_apply_np_returns_a_new_array_per_call():
     assert np.array_equal(first, second)
 
 
+def forward_spec(which):
+    """The default generator's or classifier's MLP spec, or the
+    patterns-tv classifier's."""
+    cfg = RunConfig.from_text("" if which != "patterns" else
+                              "[classifier]\nwidths = 64,32,32,2\n")
+    return (cfg.generator_spec(3, 2, 1) if which == "generator"
+            else cfg.classifier_spec()).mlp()
+
+
 @pytest.mark.parametrize("which", ["generator", "classifier", "patterns"])
 def test_blocked_forward_gives_the_one_shot_bytes(which):
     """``mlp_apply_np`` forwards in blocks; each row has the bytes of one
-    ``BoundMlp.forward`` over all rows, at the edges of a block and past
-    it.  A last block of one row (step + 1 rows) must not take numpy's
-    matrix-vector product."""
-    cfg = RunConfig.from_text("" if which != "patterns" else
-                              "[classifier]\nwidths = 64,32,32,2\n")
-    spec = (cfg.generator_spec(3, 2, 1) if which == "generator"
-            else cfg.classifier_spec()).mlp()
+    ``BoundMlp.forward`` over all rows padded with zero rows to a
+    multiple of ``FORWARD_ROW_MULTIPLE``, at the edges of a block and
+    past it.  A last block of one row (step + 1 rows) must not take
+    numpy's matrix-vector product."""
+    spec = forward_spec(which)
     params = init_kaiming(spec, 0)
     step = km._forward_block_rows(spec)
     assert step % km.FORWARD_ROW_MULTIPLE == 0
@@ -510,7 +517,22 @@ def test_blocked_forward_gives_the_one_shot_bytes(which):
     rng = np.random.default_rng(step)
     for rows in (0, 1, step - 1, step, step + 1, 3 * step + 37):
         x = rng.standard_normal((rows, spec.in_dim))
-        want = BoundMlp(spec, params).forward(x)
+        pad = np.zeros((-rows % km.FORWARD_ROW_MULTIPLE, spec.in_dim))
+        want = BoundMlp(spec, params).forward(np.vstack([x, pad]))[:rows]
         got = mlp_apply_np(spec, params, x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", ["generator", "classifier", "patterns"])
+@pytest.mark.parametrize("n", [18, 4003])
+def test_forward_rows_do_not_depend_on_the_rows_after_them(which, n):
+    """A forward on n rows gives the bytes of the first n rows of a
+    forward on n + k rows, whether or not the rows end in a partial
+    OpenBLAS tile (n = 18 and 4003 do) or in another block."""
+    spec = forward_spec(which)
+    params = init_kaiming(spec, 0)
+    x = np.random.default_rng(n).standard_normal((n + 5000, spec.in_dim))
+    want = mlp_apply_np(spec, params, x[:n]).tobytes()
+    for k in (1, 2, 46, 5000):
+        assert mlp_apply_np(spec, params, x[:n + k])[:n].tobytes() == want
