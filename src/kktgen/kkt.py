@@ -150,6 +150,15 @@ class KktTerms:
     V_l^T at each layer input on a backprop that also carries the duality
     cotangent gives the x gradient (the ReLU masks are locally constant).
 
+    A batch with no positive rival multiplier is idle: every coefficient
+    is 0 (complementary slackness puts most batches there on some runs),
+    so r is the target, dL_stat/dmu is 0 and the injections are 0.  An
+    idle call runs only the classifier forward and the duality terms
+    and their backprop, with no injection; L_stat is the one bound
+    from the target with the dot a busy call takes, and dmu is +0.0.
+    Only zeros may differ in sign from the busy path's.  ``idle`` says
+    whether the latest call was idle.
+
     What does not change within a run is bound once: the classifier's
     binding and target, exp(-alpha), delta, beta, 1/M and the tie
     tolerance as 0-d operands, the flat row offsets, and every (M, C) and
@@ -179,6 +188,10 @@ class KktTerms:
         # the tangent's scale and the two scalar sums, rewritten per call
         self.scale, self.sq_norm, self.dual_sum = (np.empty(())
                                                    for _ in range(3))
+        # L_stat where every coefficient is 0, by the dot of a busy call
+        self.idle_l_stat = math.sqrt(
+            target.dot(target, out=self.sq_norm).item() + NORM_EPS)
+        self.idle = False
         # own[c, i] = i C + y_i, the flat index of entry (i, y_i) of an
         # (M, C) array, in every class row
         self.row_base = np.tile(np.arange(m) * c, (c, 1))
@@ -208,7 +221,8 @@ class KktTerms:
         """(l_stat, l_dual, dx, dmu) at generated ``x`` with in-range
         ``labels`` and multipliers ReLU(``mu_pre``): dx is the gradient of
         the weighted sum, dmu that of L_stat in ``mu_pre``.  dx and dmu are
-        the binding's buffers, which the next call overwrites."""
+        the binding's buffers, which the next call overwrites; ``idle``
+        says whether this call found no positive rival multiplier."""
         zeta, own, own_rows = self.zeta, self.own, self.own_rows
         sums, not_y, mu, keep = self.sums, self.not_y, self.mu, self.keep
         z, e, mask, bools, work = (self.z, self.e, self.mask, self.bools,
@@ -225,28 +239,38 @@ class KktTerms:
         np.maximum(mu, _ZERO, out=mu)
         mu *= not_y
         np.greater(mu, _ZERO, out=bools)
-        np.copyto(keep, bools)
-        # the coefficients: -mu on the rivals, their row sum on the own
-        # class
-        np.copyto(coeff, mu.T)
-        np.negative(coeff, out=coeff)
-        np.add.reduce(mu, axis=0, out=sums)
-        coeff.put(own_rows, sums)
+        self.idle = not np.count_nonzero(bools)
 
         logits = zeta.forward(x)
-        deltas = zeta.backprop(coeff)
-        g = zeta.param_grad(deltas)
-        g *= self.inv_m
-        r = np.subtract(self.target, g, out=g)
-        l_stat = math.sqrt(r.dot(r, out=self.sq_norm).item() + NORM_EPS)
-        self.scale[()] = -1.0 / (self.m * l_stat)
-        np.multiply(r, self.scale, out=zeta.tangent)
-        dcoeff = zeta.jvp()
-        np.copyto(self.dcoeff_cm, dcoeff.T)
-        dcoeff.take(own, out=work, mode="clip")
-        work -= self.dcoeff_cm
-        work *= keep
-        np.copyto(self.dmu, work.T)
+        if self.idle:
+            # every coefficient is 0, so r is the target and inject is 0
+            l_stat, inject = self.idle_l_stat, None
+            self.dmu.fill(0.0)
+        else:
+            np.copyto(keep, bools)
+            # the coefficients: -mu on the rivals, their row sum on the
+            # own class
+            np.copyto(coeff, mu.T)
+            np.negative(coeff, out=coeff)
+            np.add.reduce(mu, axis=0, out=sums)
+            coeff.put(own_rows, sums)
+            deltas = zeta.backprop(coeff)
+            g = zeta.param_grad(deltas)
+            g *= self.inv_m
+            r = np.subtract(self.target, g, out=g)
+            l_stat = math.sqrt(r.dot(r, out=self.sq_norm).item()
+                               + NORM_EPS)
+            self.scale[()] = -1.0 / (self.m * l_stat)
+            np.multiply(r, self.scale, out=zeta.tangent)
+            dcoeff = zeta.jvp()
+            np.copyto(self.dcoeff_cm, dcoeff.T)
+            dcoeff.take(own, out=work, mode="clip")
+            work -= self.dcoeff_cm
+            work *= keep
+            np.copyto(self.dmu, work.T)
+            # the duality backprop below overwrites ``deltas``, which
+            # inject is made of
+            inject = zeta.tangent_inject(deltas)
 
         # the second-place mask: the rival logits within the tie tolerance
         # of the best one.  A finite logit plus 0.0 compares as itself;
@@ -282,8 +306,6 @@ class KktTerms:
         np.add.reduce(work, axis=0, out=sums)
         sums *= self.beta
         dlogits.put(own_rows, sums)
-        # the second backprop overwrites ``deltas``, which inject is made of
-        inject = zeta.tangent_inject(deltas)
         dx = zeta.input_cotangent(zeta.backprop(dlogits, inject), inject)
         return l_stat, l_dual, dx, self.dmu
 

@@ -604,10 +604,13 @@ def _classifier_step(kkt, gen, mult, x, t, labels, config, mult_in, tv):
     gradients from ``kkt``, adds the TV term of ``tv`` (the run's
     :class:`kernels.TotalVariation`, or None without a TV term) into the
     x gradient in place, then backpropagates through the multiplier and
-    the generator.  ``mult_in`` is the buffer :func:`condition` writes
-    the multiplier's input into.  Returns (total, l_stat, l_dual, l_tv,
-    g_theta, g_eta); g_theta and g_eta are the bindings' gradient
-    buffers, valid until the next call.
+    the generator.  On a batch ``kkt`` found idle (no positive rival
+    multiplier, so its mu gradient is 0) the multiplier's backprop,
+    input cotangent and parameter gradient are skipped, and g_eta is
+    its gradient buffer filled with 0.0.  ``mult_in`` is the buffer
+    :func:`condition` writes the multiplier's input into.  Returns
+    (total, l_stat, l_dual, l_tv, g_theta, g_eta); g_theta and g_eta
+    are the bindings' gradient buffers, valid until the next call.
     """
     mu_pre = mult.forward(condition(x, labels, t, mult.spec, mult_in))
     l_stat, l_dual, dx, dmu = kkt(x, labels, mu_pre)
@@ -618,10 +621,15 @@ def _classifier_step(kkt, gen, mult, x, t, labels, config, mult_in, tv):
         total = total + l_tv * config.tv_weight
         dtv *= config.tv_weight
         dx += dtv
-    mult_deltas = mult.backprop(dmu)
-    dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
+    if kkt.idle:
+        g_eta = mult.grad
+        g_eta.fill(0.0)
+    else:
+        mult_deltas = mult.backprop(dmu)
+        dx += mult.input_cotangent(mult_deltas)[:, :x.shape[1]]
+        g_eta = mult.param_grad(mult_deltas)
     return (total, l_stat, l_dual, l_tv, gen.param_grad(gen.backprop(dx)),
-            mult.param_grad(mult_deltas))
+            g_eta)
 
 
 def probe_peak_margin(classifier, config, t):

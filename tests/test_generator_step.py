@@ -289,7 +289,11 @@ def reference_jvp(zeta, acts, tangent):
 
 
 def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
-                             alpha, delta, beta):
+                             alpha, delta, beta, idle_rule=False):
+    """The KKT terms by the full math.  With ``idle_rule``, a batch with
+    no positive rival multiplier gets :class:`kkt.KktTerms`'s outputs
+    for it: dmu is +0.0 and dx has no injection, where the full math
+    gives zeros of either sign there."""
     m = labels.size
     rows = np.arange(m)
     logits = zeta.forward(x)
@@ -310,6 +314,8 @@ def reference_kkt_loss_grads(zeta, lbar_weights, virtual_n, x, labels, mu,
     dmu = (dcoeff[rows, labels][:, None] - dcoeff) * not_y
     l_dual, dlogits = reference_duality_grads(logits, labels, alpha, delta)
     inject = [d @ v.T for d, v in zip(deltas, zeta.weights_of(tangent))]
+    if idle_rule and not np.any(mu_rivals > 0.0):
+        dmu, inject = np.zeros_like(mu), None
     dx = zeta.input_cotangent(zeta.backprop(dlogits * beta, inject), inject)
     return l_stat, l_dual, dx, dmu
 
@@ -332,7 +338,7 @@ def kernel_against_reference(spec, params, x, labels, mu_pre, alpha, delta,
     got = [np.array(v) for v in kkt(x, labels, mu_pre)]
     l_stat, l_dual, dx, dmu = reference_kkt_loss_grads(
         BoundMlp(spec, params), lbar, 30, x, labels,
-        np.maximum(mu_pre, 0.0), alpha, delta, beta)
+        np.maximum(mu_pre, 0.0), alpha, delta, beta, idle_rule=True)
     return got, [l_stat, l_dual, dx, dmu * (mu_pre > 0.0)]
 
 
@@ -348,13 +354,14 @@ KERNEL_CLASSES = [2, 3, 5, 8]
 
 
 @pytest.mark.parametrize("case", ["random", "tied-rivals", "one-class",
-                                  "one-row"])
+                                  "one-row", "idle"])
 @pytest.mark.parametrize("num_classes", KERNEL_CLASSES)
 def test_kkt_terms_match_the_reference_bit_for_bit(num_classes, case):
     """Every output of the kernel has the reference's bytes, signed zeros
     included: rival logits that tie exactly (the last two classes share
-    their weights), a batch of one class, a batch of one row, and
-    multipliers with exact zeros."""
+    their weights), a batch of one class, a batch of one row, a batch
+    whose rival multipliers are all at most 0 (the own class's need
+    not be), and multipliers with exact zeros."""
     rng = np.random.default_rng(num_classes)
     spec = MlpSpec((3, 7, num_classes), True)
     params = init_kaiming(spec, num_classes)
@@ -373,9 +380,13 @@ def test_kkt_terms_match_the_reference_bit_for_bit(num_classes, case):
         assert np.array_equal(logits[:, -1], logits[:, -2])
     margins = logits[np.arange(m), labels][:, None] - logits
     mid = float(np.median(np.abs(margins))) + 0.1
+    mu_pre = multipliers(rng, m, num_classes)
+    if case == "idle":
+        rival = np.ones(mu_pre.shape, dtype=bool)
+        rival[np.arange(m), labels] = False
+        mu_pre = np.where(rival & (mu_pre > 0.0), -mu_pre, mu_pre)
     got, want = kernel_against_reference(
-        spec, params, x, labels, multipliers(rng, m, num_classes),
-        -np.log(mid), 0.5 * mid)
+        spec, params, x, labels, mu_pre, -np.log(mid), 0.5 * mid)
     assert_same_bits(got, want)
 
 
@@ -402,13 +413,23 @@ def test_kkt_terms_at_the_band_edges_match_the_reference(num_classes):
 
 
 class RecordedKktTerms(kk.KktTerms):
-    """:class:`kkt.KktTerms` that records every binding."""
+    """:class:`kkt.KktTerms` that records every binding, and for each of
+    its calls whether it took the idle path and whether a rival
+    multiplier was positive."""
 
     bound = []
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.calls = []
         self.bound.append(self)
+
+    def __call__(self, x, labels, mu_pre):
+        out = super().__call__(x, labels, mu_pre)
+        rivals = mu_pre.copy()
+        rivals[np.arange(labels.size), labels] = 0.0
+        self.calls.append((self.idle, bool(np.any(rivals > 0.0))))
+        return out
 
 
 def test_kernels_of_a_full_sum_run_keep_separate_buffers(monkeypatch):
@@ -438,23 +459,26 @@ def test_kernels_of_a_full_sum_run_keep_separate_buffers(monkeypatch):
 
 def test_kkt_terms_allocate_no_array_data_after_the_first_call(traced):
     """After its first call a kernel's call allocates no numpy array
-    data: none is left allocated (tracemalloc's numpy domain), and the
-    traced peak of the call stays below one float per row, which any
-    temporary of the batch's shape exceeds.  The batch is large enough
-    that Python's own allocations in the call stay below that."""
+    data, on a busy batch and on an idle one: none is left allocated
+    (tracemalloc's numpy domain), and the traced peak of the call stays
+    below one float per row, which any temporary of the batch's shape
+    exceeds.  The batch is large enough that Python's own allocations in
+    the call stay below that."""
     rng = np.random.default_rng(1)
     spec = MlpSpec((3, 7, 5, 3), False)
     params = init_kaiming(spec, 1)
     m = 4096
     x = rng.standard_normal((m, 3))
     labels = rng.integers(0, 3, size=m)
-    mu_pre = rng.standard_normal((m, 3))
+    busy = rng.standard_normal((m, 3))
     kkt = kk.KktTerms(BoundMlp(spec, params),
                       np.zeros(len(params)), m, 0.2, 0.5, 3.0)
-    kkt(x, labels, mu_pre)
-    peak, left = traced(lambda: kkt(x, labels, mu_pre))
-    assert not left
-    assert peak < 8 * m
+    for mu_pre, idle in ((busy, False), (-np.abs(busy), True)):
+        kkt(x, labels, mu_pre)
+        peak, left = traced(lambda: kkt(x, labels, mu_pre))
+        assert kkt.idle == idle
+        assert not left
+        assert peak < 8 * m
 
 
 def reference_classifier_step(classifier, zeta, gen, mult, state, t, labels,
@@ -543,9 +567,10 @@ def loop_setup(case):
     dim, classes, t_count, bias = 2, 3, 1, False
     if case == "T1":
         pass
-    elif case in ("T2-round-robin", "T2-full-sum"):
+    elif case in ("T2-round-robin", "T2-full-sum",
+                  "idle-multiplier-full-sum"):
         t_count, bias = 2, True
-        base["full_sum"] = case == "T2-full-sum"
+        base["full_sum"] = case.endswith("full-sum")
     elif case == "tv":
         dim, classes = 4, 2
         base.update(tv_weight=0.05, tv_shape=(2, 2))
@@ -568,6 +593,18 @@ def fresh_state(bundles, gen_spec, mult_spec, config):
                                   **{**config.__dict__, "steps": 0}))
 
 
+def start_state(case, bundles, gen_spec, mult_spec, config):
+    """The state a loop case starts from: a fresh one, where the idle
+    cases zero the multiplier's last-layer weights and set its bias to
+    -1, so that no multiplier is ever positive (the mu = 0 control)."""
+    state = fresh_state(bundles, gen_spec, mult_spec, config)
+    if case.startswith("idle-multiplier"):
+        last = mult_spec.mlp().n_layers - 1
+        state.mult_params.group(f"layer{last}.weight")[:] = 0.0
+        state.mult_params.group(f"layer{last}.bias")[:] = -1.0
+    return state
+
+
 def bits(value):
     return np.float64(value).tobytes()
 
@@ -585,21 +622,38 @@ def assert_same_run(got, want):
         assert a.v.tobytes() == b.v.tobytes(), name
 
 
-# the full_sum cases run each classifier after the first in a forked child
+# the full_sum cases run each classifier after the first in a forked
+# child; the idle cases take the idle path on every call
 LOOP_CASES = ["T1", "T2-round-robin", "T2-full-sum", "tv",
-              "labels-with-a-zero", "T3-full-sum-tv"]
+              "labels-with-a-zero", "T3-full-sum-tv", "idle-multiplier",
+              "idle-multiplier-full-sum"]
 
 
 @pytest.mark.parametrize("case", LOOP_CASES)
 def test_train_generator_matches_reference_loop_bit_for_bit(case):
-    bundles, gen_spec, mult_spec, config = loop_setup(case)
-    want = reference_train(bundles, gen_spec, mult_spec, config,
-                           fresh_state(bundles, gen_spec, mult_spec, config))
-    got = tr.train_generator(bundles, gen_spec, mult_spec, config,
-                             state=fresh_state(bundles, gen_spec, mult_spec,
-                                               config))
-    assert got.step == want.step == config.steps
+    setup = loop_setup(case)
+    want = reference_train(*setup, start_state(case, *setup))
+    got = tr.train_generator(*setup, state=start_state(case, *setup))
+    assert got.step == want.step == setup[-1].steps
     assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("case", ["T1", "idle-multiplier"])
+def test_a_call_is_idle_exactly_when_no_rival_multiplier_is_positive(
+        case, monkeypatch):
+    """Every call of the idle-multiplier run takes the idle path; in the
+    T1 run, whose multiplier is trained, some calls do not, and none of
+    them with a positive rival multiplier does."""
+    setup = loop_setup(case)
+    state = start_state(case, *setup)
+    monkeypatch.setattr(tr, "KktTerms", RecordedKktTerms)
+    monkeypatch.setattr(RecordedKktTerms, "bound", [])
+    tr.train_generator(*setup, state=state)
+    (kkt,) = RecordedKktTerms.bound
+    assert len(kkt.calls) == setup[-1].steps
+    assert all(idle != positive for idle, positive in kkt.calls)
+    idle = [idle for idle, _ in kkt.calls]
+    assert all(idle) if case == "idle-multiplier" else not all(idle)
 
 
 def resumed_run(tmp_path, bundles, gen_spec, mult_spec, config):
