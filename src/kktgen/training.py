@@ -16,6 +16,7 @@ fixed by its duality band (:func:`duality_band`).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import mmap
 import os
@@ -368,20 +369,23 @@ def train_classifiers(datasets, spec, config):
     """:func:`train_classifier` on each dataset, yielded in order as
     ``(params, trajectory)``.
 
-    A failure is raised at its dataset's turn: its
-    :class:`ConvergenceError`, or a ``ChildProcessError`` for a forked
-    training that ended without sending its result.  Where ``os.fork``
-    exists, every dataset after the first trains in a forked child
-    while this process trains the first, with the bits it would have
-    here.  A failure, or closing the generator
-    (``contextlib.closing``), kills and reaps every child whose result
-    was not read, so none outlives an exception in the consumer.
+    Where ``os.fork`` exists, every dataset after the first trains in a
+    forked child (:class:`_Child`) while this process trains the first,
+    with the bits it would have here.  A failure is raised at its
+    dataset's turn, as the call in this process would raise it, or as
+    the ``ChildProcessError`` of a child that ended without sending its
+    result.  A failure, or closing the generator (``contextlib.closing``),
+    kills and reaps every child, so none outlives an exception in the
+    consumer.
     """
     children = []
     try:
         if hasattr(os, "fork"):
             for dataset in datasets[1:]:
-                children.append(_ForkedTraining(dataset, spec, config))
+                children.append(_Child(functools.partial(
+                    train_classifier, dataset, spec, config),
+                    "training process"))
+                children[-1].start()
         for k, dataset in enumerate(datasets):
             yield (children[k - 1].result() if k and children
                    else train_classifier(dataset, spec, config))
@@ -391,16 +395,21 @@ def train_classifiers(datasets, spec, config):
 
 
 class _Child:
-    """A forked child that runs ``self.work(commands, results)``: the
-    read end of a pipe from this process and the write end of a pipe
-    back to it, whose other ends here are ``command_fd`` and ``fd``.
+    """A forked child that calls ``fn()`` once per :meth:`start`; each
+    :meth:`result` gives back what the call gave, so it fails exactly as
+    ``fn()`` would here.  ``process`` names the child in the
+    ``ChildProcessError`` of one that ended without its reply.
 
-    The child ends in ``os._exit``: with status 0 once ``work`` returns,
-    with 1 after printing the traceback of an exception, so it runs no
-    atexit handler and flushes no stdio buffer it inherited.
+    A start is one byte down a pipe to the child; the reply comes back
+    up another, pickled: the return value, or the ``Exception`` the call
+    raised or its pickling did.  The child ends in ``os._exit``, so it
+    runs no atexit handler and flushes no stdio buffer it inherited:
+    with status 0 once its command pipe closes, with 1 on anything else,
+    such as a reply pipe whose reader is gone.  It prints no traceback.
     """
 
-    def __init__(self):
+    def __init__(self, fn, process):
+        self.process = process
         fds = os.pipe()
         try:
             fds += os.pipe()
@@ -409,79 +418,61 @@ class _Child:
             for fd in fds:
                 os.close(fd)
             raise
-        results_read, results_write, commands_read, commands_write = fds
+        replies_read, replies_write, commands_read, commands_write = fds
         if self.pid == 0:
             status = 1
             try:
-                os.close(results_read)
+                os.close(replies_read)
                 os.close(commands_write)
-                self.work(commands_read, results_write)
+                replies = open(replies_write, "wb")
+                while os.read(commands_read, 1):
+                    try:
+                        reply = pickle.dumps((False, fn()))
+                    except Exception as exc:
+                        reply = pickle.dumps((True, exc))
+                    replies.write(reply)
+                    replies.flush()
                 status = 0
-            except Exception:
-                import traceback
-                os.write(2, traceback.format_exc().encode())
             finally:
                 os._exit(status)
-        os.close(results_write)
+        os.close(replies_write)
         os.close(commands_read)
-        self.fd, self.command_fd = results_read, commands_write
+        self.replies = open(replies_read, "rb")
+        self.command_fd = commands_write
 
-    def reap(self):
-        """Wait for the child, whose pipe back has ended; its exit code,
-        or -N if signal N killed it."""
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
+    def start(self):
+        """Have the child call ``fn()``; a child that is gone is
+        reported by :meth:`result`."""
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self.command_fd, b"s")
 
-    @staticmethod
-    def ended(code):
-        """How a child with exit code ``code`` ended, in words."""
-        return (f"was killed by signal {-code} ({signal.Signals(-code).name})"
-                if code < 0 else f"exited with status {code}")
+    def result(self, lost="before it sent its result"):
+        """What the call of the last :meth:`start` returned, or raise
+        what it raised.  A child that ends without its reply is reaped
+        and is a ``ChildProcessError`` that words how it ended, then
+        ``lost``."""
+        try:
+            raised, value = pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            ended = (f"was killed by signal {-code} "
+                     f"({signal.Signals(-code).name})" if code < 0
+                     else f"exited with status {code}")
+            raise ChildProcessError(f"{self.process} {ended} {lost}")
+        if raised:
+            raise value
+        return value
 
     def close(self):
         """Close the pipes, and kill and reap the child unless it was
         reaped."""
-        for fd in (self.fd, self.command_fd):
-            if fd is not None:
-                os.close(fd)
-        self.fd = self.command_fd = None
+        self.replies.close()
+        os.close(self.command_fd)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-
-
-class _ForkedTraining(_Child):
-    """:func:`train_classifier` in a forked child, whose result or
-    ConvergenceError comes back pickled down its pipe."""
-
-    def __init__(self, dataset, spec, config):
-        self.args = dataset, spec, config
-        super().__init__()
-
-    def work(self, commands, results):
-        try:
-            result = train_classifier(*self.args)
-        except ConvergenceError as exc:
-            result = exc
-        with open(results, "wb") as pipe:
-            pickle.dump(result, pipe)
-
-    def result(self):
-        """Read the result, reap the child; once.  The child's
-        ConvergenceError is raised here."""
-        fd, self.fd = self.fd, None
-        with open(fd, "rb") as pipe:
-            data = pipe.read()
-        code = self.reap()
-        if code == 0:
-            result = pickle.loads(data)
-            if isinstance(result, ConvergenceError):
-                raise result
-            return result
-        raise ChildProcessError(f"training process {self.ended(code)} "
-                                f"before it sent its result")
 
 
 # ---------------------------------------------------------------------------
@@ -690,15 +681,18 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
 
     Under ``full_sum`` with T > 1, where ``os.fork`` exists and a step
     is left, each classifier after the first has its terms computed in
-    a forked child of its own (:class:`_ForkedStep`) while this process
+    a forked child of its own (:class:`_Child`) while this process
     computes the first's.  Theta and eta live in shared memory for the
-    run; this process draws every batch in the order of the loop in
-    one process and adds the children's terms in classifier order, so
-    every bit is the same.  When the run ends, by any path, every child
-    is killed and reaped and the state's own arrays get the values
-    back.  A child that ends is a ``ChildProcessError`` naming its
-    classifier and the step; a child's non-finite batch raises
-    :class:`TrainingAborted` at its classifier's turn.
+    run, and so do each child's batch and gradients; its four losses
+    come back as its call's reply.  This process draws every batch in
+    the order of the loop in one process and adds the children's terms
+    in classifier order, so every bit is the same.  A child's failure
+    is raised at its classifier's turn as the call here would raise it:
+    a non-finite batch as :class:`TrainingAborted`, any exception of
+    the step as itself.  A child that ends is a ``ChildProcessError``
+    naming its classifier and the step.  When the run ends, by any
+    path, every child is killed and reaped and the state's own arrays
+    get the values back.
     """
     t_count = len(classifiers)
     if t_count < 1:
@@ -804,10 +798,29 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             return _classifier_step(kkts[t], gen, mult, x, t, labels,
                                     config, mult_in, tv)
 
+        def forked_terms(t):
+            """Classifier t's :func:`terms` in a forked child of its own,
+            with the arrays it shares with this process: its batch, the
+            labels and the noise, and its g_theta and g_eta.  The call
+            returns the four losses, or None."""
+            labels, eps, g_th, g_et = _shared_arrays(
+                ((m,), np.intp), ((m, noise_dim), np.float64),
+                (theta.shape, np.float64), (eta.shape, np.float64))
+
+            def call():
+                out = terms(t, labels, eps)
+                if out is None:
+                    return None
+                np.copyto(g_th, out[4])
+                np.copyto(g_et, out[5])
+                return out[:4]
+
+            return (_Child(call, f"{names[t]}: generator step process"),
+                    (labels, eps), (g_th, g_et))
+
         if forked:
             for t in range(1, t_count):
-                children.append(_ForkedStep(terms, t, names[t],
-                                            (m, noise_dim), theta, eta))
+                children.append(forked_terms(t))
 
         while state.step < config.steps:
             step = state.step
@@ -826,8 +839,10 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             batches = [(cdf.searchsorted(rng.random(m), side="right"),
                         rng.standard_normal((m, noise_dim)))
                        for _ in active]
-            for child, batch in zip(children, batches[1:]):
-                child.start(*batch)
+            for (child, inputs, _), batch in zip(children, batches[1:]):
+                for buffer, values in zip(inputs, batch):
+                    np.copyto(buffer, values)
+                child.start()
             total = 0.0
             l_stat = l_dual = l_tv = 0.0
             if sums is not None:
@@ -835,8 +850,12 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
                 g_theta.fill(0.0)
                 g_eta.fill(0.0)
             for t, batch in zip(active, batches):
-                result = (children[t - 1].result(step) if t and children
-                          else terms(t, *batch))
+                if t and children:
+                    child, _, grads = children[t - 1]
+                    losses = child.result(f"at step {step}")
+                    result = None if losses is None else (*losses, *grads)
+                else:
+                    result = terms(t, *batch)
                 if result is None:
                     raise TrainingAborted(
                         f"non-finite generated sample at step {step}", step,
@@ -866,7 +885,7 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
             if callback is not None:
                 callback(state)
     finally:
-        for child in children:
+        for child, _, _ in children:
             child.close()
         if forked:
             np.copyto(own[0], state.gen_params.values)
@@ -889,59 +908,6 @@ def _shared_arrays(*layouts):
                                     start).reshape(shape))
         start += size
     return arrays
-
-
-class _ForkedStep(_Child):
-    """``terms(t, labels, eps)`` of classifier t at every full_sum step,
-    in a forked child; ``name`` stands for the classifier in errors.
-
-    Its batch (``labels``, and ``eps`` of shape ``eps_shape``) and its
-    terms (``losses``, the total, l_stat, l_dual and l_tv, then
-    ``g_theta`` and ``g_eta``, shaped like ``theta`` and ``eta``) are
-    arrays in memory shared with the child.  :meth:`start` hands it a
-    batch with one byte down its command pipe; :meth:`result` waits for
-    the byte that says it is done.
-    """
-
-    def __init__(self, terms, t, name, eps_shape, theta, eta):
-        self.terms, self.t, self.name = terms, t, name
-        (self.labels, self.eps, self.losses, self.g_theta,
-         self.g_eta) = _shared_arrays(
-            (eps_shape[:1], np.intp), (eps_shape, np.float64),
-            ((4,), np.float64), (theta.shape, np.float64),
-            (eta.shape, np.float64))
-        super().__init__()
-
-    def work(self, commands, results):
-        # until the parent closes the command pipe
-        while os.read(commands, 1):
-            out = self.terms(self.t, self.labels, self.eps)
-            if out is not None:
-                self.losses[:] = out[:4]
-                np.copyto(self.g_theta, out[4])
-                np.copyto(self.g_eta, out[5])
-            os.write(results, b"-" if out is None else b"+")
-
-    def start(self, labels, eps):
-        np.copyto(self.labels, labels)
-        np.copyto(self.eps, eps)
-        # a child that is gone is reported when its result is read
-        with contextlib.suppress(BrokenPipeError):
-            os.write(self.command_fd, b"s")
-
-    def result(self, step):
-        """The terms of the batch :meth:`start` handed over, as
-        :func:`_classifier_step` returns them, or None where the
-        generated batch was not finite.  A child that ended is a
-        ``ChildProcessError`` naming the classifier and the step."""
-        reply = os.read(self.fd, 1)
-        if not reply:
-            raise ChildProcessError(
-                f"{self.name}: generator step process "
-                f"{self.ended(self.reap())} at step {step}")
-        if reply == b"-":
-            return None
-        return (*self.losses.tolist(), self.g_theta, self.g_eta)
 
 
 def sample(gen_spec, gen_params, y, n, t=None, seed=0):

@@ -1,11 +1,21 @@
 """Fixtures shared by the test modules."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import kktgen.datasets as ds
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process of this one, running or
+    unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -11,11 +11,8 @@ values, and bit-exact rerun determinism.  Expect a few minutes of
 runtime on one core; everything is seeded and reproducible.
 """
 
-import os
-import pickle
-import signal
+import functools
 import time
-import traceback
 
 import numpy as np
 import pytest
@@ -27,8 +24,9 @@ from kktgen.homogeneity import estimate_profile, scale_params, verify_lambda
 from kktgen.kkt import duality_loss, kkt_residual_oracle, margins_np
 from kktgen.models import (MlpSpec, init_kaiming, make_leaves, mlp_apply,
                            mlp_apply_np)
-from kktgen.training import (ClassifierBundle, sample, train_classifier,
-                             train_classifiers, train_generator)
+from kktgen.training import (ClassifierBundle, _Child, sample,
+                             train_classifier, train_classifiers,
+                             train_generator)
 from graph_reference import finite_difference_check
 
 CFG = RunConfig.from_text("")
@@ -95,43 +93,19 @@ def passes(metrics):
             and metrics["agree"] >= AGREE_MIN)
 
 
-def in_forked_children(calls):
-    """``[call() for call in calls]``, each call in a forked child of its
-    own, all running at once.  A child pickles its result down a pipe and
-    ends in ``os._exit``; one that ends without its result fails the
-    caller, after printing its traceback.  No child outlives this."""
+def forked_runs(run):
+    """``{seed: run(seed) for seed in SEEDS}``, each call in a forked
+    child of its own (:class:`training._Child`), all running at once."""
     children = []
     try:
-        for call in calls:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(call(), pipe)
-                    status = 0
-                except Exception:
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append([pid, open(read_fd, "rb")])
-        results = []
-        for child in children:
-            data = child[1].read()
-            _, status = os.waitpid(child[0], 0)
-            child[0] = None
-            assert status == 0, f"a forked run ended with status {status}"
-            results.append(pickle.loads(data))
-        return results
+        for seed in SEEDS:
+            children.append(_Child(functools.partial(run, seed),
+                                   f"the seed {seed} run"))
+            children[-1].start()
+        return {seed: child.result() for seed, child in zip(SEEDS, children)}
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for child in children:
+            child.close()
 
 
 @pytest.fixture(scope="module")
@@ -150,9 +124,7 @@ def generator_runs(circle, classifier):
         return state.gen_params, state.history, run_metrics(
             gen_spec, state, circle, spec, params, seed)
 
-    runs = in_forked_children([lambda seed=seed: run(seed)
-                               for seed in SEEDS])
-    return gen_spec, mult_spec, dict(zip(SEEDS, runs))
+    return gen_spec, mult_spec, forked_runs(run)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +304,9 @@ def sharded_runs(circle):
                                     num_classifiers=2)
     # one forked child per seed, which sends back the generator's
     # parameters
-    runs = in_forked_children([
-        lambda seed=seed: train_generator(
-            bundles, gen_spec, mult_spec,
-            CFG.generator_train_config(seed=seed)).gen_params
-        for seed in SEEDS])
-    return halves, gen_spec, dict(zip(SEEDS, runs))
+    return halves, gen_spec, forked_runs(lambda seed: train_generator(
+        bundles, gen_spec, mult_spec,
+        CFG.generator_train_config(seed=seed)).gen_params)
 
 
 def test_sharded_generation(circle, sharded_runs):

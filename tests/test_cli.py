@@ -462,7 +462,6 @@ def test_failing_command_exits_with_one_error_line(
     assert fragment.format(d=d) in err[0] and "Traceback" not in err[0]
     assert {p: p.read_bytes() for p in d.rglob("*.ckpt")} == checkpoints
     assert leaves is None or (d / leaves).exists()
-    assert_no_child()
 
 
 def test_evaluate_with_a_classifier_without_profile_has_no_kkt_row(
@@ -482,12 +481,6 @@ def test_evaluate_with_a_classifier_without_profile_has_no_kkt_row(
     assert "kkt_stationarity_residual" not in names
 
 
-def assert_no_child():
-    """No child process of this one is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # ---------------------------------------------------------------------------
 # a split config's shard classifiers, the second one in a forked child
 
@@ -501,24 +494,32 @@ def arc_config(tmp_path):
     return cfg, tmp_path / "arc"
 
 
-SHARD_FILES = ("classifier_1.ckpt", "classifier_1_loss.csv",
-               "classifier_2.ckpt", "classifier_2_loss.csv")
+def counted_forks(monkeypatch):
+    """A list that gets one entry per ``os.fork`` from now on."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_forked_bytes_are_in_process_bytes(monkeypatch, argv, out):
+    """``main(argv)`` forks once, and writes the files into directory
+    ``out``, byte for byte, that it writes with ``os.fork`` deleted."""
+    forks = counted_forks(monkeypatch)
+    assert main(argv) == 0
+    assert forks == [1]
+    forked = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+    monkeypatch.delattr(os, "fork")
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == forked
 
 
 def test_forked_shard_training_writes_the_in_process_bytes(arc_config,
                                                             monkeypatch):
     cfg, out = arc_config
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    assert main(["train-classifier", str(cfg)]) == 0
-    assert forks == [1]
-    forked = {name: (out / name).read_bytes() for name in SHARD_FILES}
-    shutil.rmtree(out)
-    monkeypatch.delattr(os, "fork")
-    assert main(["train-classifier", str(cfg)]) == 0
-    assert {name: (out / name).read_bytes()
-            for name in SHARD_FILES} == forked
+    assert_forked_bytes_are_in_process_bytes(
+        monkeypatch, ["train-classifier", str(cfg)], out)
 
 
 def fail_on_shard(monkeypatch, suffix, how):
@@ -538,25 +539,6 @@ def stall():
     raise tr.ConvergenceError("stalled", [2.0, 1.5])
 
 
-def test_child_convergence_error_ends_as_in_order(arc_config, monkeypatch,
-                                                  capsys):
-    """The first shard's files are written, the second's loss CSV too,
-    and the error line names the second classifier: as in order."""
-    cfg, out = arc_config
-    fail_on_shard(monkeypatch, "_split2", stall)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["train-classifier", str(cfg)]) == 4
-    assert capsys.readouterr().err.splitlines() == [
-        "error: classifier_2: stalled"]
-    assert sorted(p.name for p in out.iterdir()) == [
-        "classifier_1.ckpt", "classifier_1_loss.csv",
-        "classifier_2_loss.csv"]
-    assert (out / "classifier_2_loss.csv").read_text() == (
-        "epoch,cross_entropy\n0,2\n1,1.5\n")
-    assert_no_child()
-
-
 def test_parent_failure_kills_the_running_child(arc_config, monkeypatch,
                                                 capsys):
     """A failure of the first shard while the second still trains ends
@@ -572,7 +554,6 @@ def test_parent_failure_kills_the_running_child(arc_config, monkeypatch,
     assert capsys.readouterr().err.splitlines() == [
         "error: classifier_1: stalled"]
     assert sorted(p.name for p in out.iterdir()) == ["classifier_1_loss.csv"]
-    assert_no_child()
 
 
 def test_interrupt_kills_the_running_child(arc_config, monkeypatch):
@@ -589,52 +570,88 @@ def test_interrupt_kills_the_running_child(arc_config, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             main(["train-classifier", str(cfg)])
     assert time.monotonic() - start < 30
-    assert_no_child()
 
 
 def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def raise_fault():
-    raise IndexError("a fault")
-
-
 @pytest.mark.parametrize("how,ending", [
-    (kill_self, "was killed by signal 9 (SIGKILL)"),
-    (raise_fault, "exited with status 1")])
+    (kill_self, "was killed by signal 9 (SIGKILL)")])
 def test_child_lost_without_a_result_is_one_error_line(
         arc_config, monkeypatch, capfd, how, ending):
     """A child that ends without sending its result is an OSError
-    (exit 2) naming the classifier and how the child ended; a fault in
-    the child leaves its traceback on standard error before that line."""
+    (exit 2) naming the classifier and how the child ended, and the only
+    line on standard error."""
     cfg, out = arc_config
     fail_on_shard(monkeypatch, "_split2", how)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["train-classifier", str(cfg)]) == 2
-    err = capfd.readouterr().err.splitlines()
-    assert err[-1] == (f"error: classifier_2: training process {ending} "
-                       f"before it sent its result")
-    assert ("IndexError: a fault" in err) == (how is raise_fault)
+    assert capfd.readouterr().err.splitlines() == [
+        f"error: classifier_2: training process {ending} before it sent "
+        f"its result"]
     assert sorted(p.name for p in out.iterdir()) == [
         "classifier_1.ckpt", "classifier_1_loss.csv"]
-    assert_no_child()
 
 
-def test_shard_training_loads_no_process_pool(arc_config):
-    """The fork needs neither ``multiprocessing`` nor
-    ``concurrent.futures``, whose imports would add to the peak RSS."""
+def bad_value(*args):
+    raise ValueError("a bad value")
+
+
+def raise_fault():
+    raise IndexError("a fault")
+
+
+@pytest.mark.parametrize("forked", [True, False])
+@pytest.mark.parametrize("how,code,err,files", [
+    (stall, 4, ["error: classifier_2: stalled"], ["classifier_2_loss.csv"]),
+    (bad_value, 2, ["error: a bad value"], []),
+    (raise_fault, None, [], [])], ids=["stall", "bad_value", "raise_fault"])
+def test_shard_exception_ends_as_in_process(arc_config, monkeypatch, capfd,
+                                            how, code, err, files, forked):
+    """The second shard's exception ends the command as in order, forked
+    or not: the first shard's files are written, and a stalled shard's
+    loss CSV, with the in-process error line and exit code; a fault of
+    the program is raised out of ``main``."""
     cfg, out = arc_config
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    fail_on_shard(monkeypatch, "_split2", how)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if code is None:
+            with pytest.raises(IndexError, match="a fault"):
+                main(["train-classifier", str(cfg)])
+        else:
+            assert main(["train-classifier", str(cfg)]) == code
+    assert capfd.readouterr().err.splitlines() == err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "classifier_1.ckpt", "classifier_1_loss.csv", *files]
+    if how is stall:
+        assert (out / "classifier_2_loss.csv").read_text() == (
+            "epoch,cross_entropy\n0,2\n1,1.5\n")
+
+
+def pool_modules_of(argv):
+    """``main(argv)`` in a fresh interpreter, which must succeed after
+    one fork: the ``multiprocessing`` and ``concurrent`` modules it
+    loaded, whose imports would add to the peak RSS."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(os.path.abspath(kktgen.__file__))))
-    code = ("import sys, kktgen.cli; "
-            f"assert kktgen.cli.main(['train-classifier', {str(cfg)!r}]) "
-            "== 0; print(sorted(m for m in sys.modules if m.startswith("
+    code = ("import os, sys, kktgen.cli; forks = []; fork = os.fork; "
+            "os.fork = lambda: forks.append(1) or fork(); "
+            f"assert kktgen.cli.main({argv!r}) == 0; assert forks == [1]; "
+            "print(sorted(m for m in sys.modules if m.startswith("
             "('multiprocessing', 'concurrent'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_shard_training_loads_no_process_pool(arc_config):
+    cfg, out = arc_config
+    assert pool_modules_of(["train-classifier", str(cfg)]) == "[]"
     assert (out / "classifier_2.ckpt").exists()
 
 
@@ -667,28 +684,11 @@ def generator_config(tmp_path, steps=12, full_sum=True):
     return str(cfg), tmp_path / "gen"
 
 
-def counted_forks(monkeypatch):
-    """A list that gets one entry per ``os.fork`` from now on."""
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
 def test_forked_full_sum_step_writes_the_in_process_bytes(
         arc_classifiers, tmp_path, monkeypatch):
     cfg, out = generator_config(tmp_path)
-    argv = ["train-generator", cfg, *arc_classifiers]
-    forks = counted_forks(monkeypatch)
-    assert main(argv) == 0
-    assert forks == [1]
-    files = ("generator.ckpt", "generator_loss.csv")
-    forked = {name: (out / name).read_bytes() for name in files}
-    shutil.rmtree(out)
-    monkeypatch.delattr(os, "fork")
-    assert main(argv) == 0
-    assert {name: (out / name).read_bytes() for name in files} == forked
-    assert_no_child()
+    assert_forked_bytes_are_in_process_bytes(
+        monkeypatch, ["train-generator", cfg, *arc_classifiers], out)
 
 
 def on_call(monkeypatch, name, when, how):
@@ -709,25 +709,30 @@ def on_call(monkeypatch, name, when, how):
     monkeypatch.setattr(tr, name, patched)
 
 
+def failed_full_sum_run(classifiers, tmp_path, code):
+    """A full_sum ``train-generator`` run that must exit with ``code``
+    and write no checkpoint."""
+    cfg, out = generator_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train-generator", cfg, *classifiers]) == code
+    assert not (out / "generator.ckpt").exists()
+
+
 def test_lost_step_child_is_one_error_line(arc_classifiers, tmp_path,
                                            monkeypatch, capsys):
     """A step child that ends is an OSError (exit 2) naming its
     classifier, how the child ended and the step; no checkpoint is
     written."""
-    cfg, out = generator_config(tmp_path)
     # _classifier_step(kkt, gen, mult, x, t, ...) of classifier 1, whose
     # third call is step 2's; never this process, should it run there
     this = os.getpid()
     on_call(monkeypatch, "_classifier_step", lambda args: args[4] == 1,
             lambda args: os.getpid() != this and kill_self())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["train-generator", cfg, *arc_classifiers]) == 2
+    failed_full_sum_run(arc_classifiers, tmp_path, 2)
     assert capsys.readouterr().err.splitlines() == [
         f"error: {arc_classifiers[1]}: generator step process was killed "
         f"by signal 9 (SIGKILL) at step 2"]
-    assert not (out / "generator.ckpt").exists()
-    assert_no_child()
 
 
 def poison(args):
@@ -740,20 +745,28 @@ def test_non_finite_sample_of_a_child_batch_ends_as_in_process(
         arc_classifiers, tmp_path, monkeypatch, capsys, forked):
     """Classifier 1's batch of step 2 generates a NaN: forked or not, the
     run ends with exit 4 at that step."""
-    cfg, out = generator_config(tmp_path)
     if not forked:
         monkeypatch.delattr(os, "fork")
     # condition(eps, labels, t, gen_spec, gen_in) of classifier 1
     on_call(monkeypatch, "condition",
             lambda args: args[2] == 1 and isinstance(args[3], GeneratorSpec),
             poison)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["train-generator", cfg, *arc_classifiers]) == 4
+    failed_full_sum_run(arc_classifiers, tmp_path, 4)
     assert capsys.readouterr().err.splitlines() == [
         "error: non-finite generated sample at step 2"]
-    assert not (out / "generator.ckpt").exists()
-    assert_no_child()
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_step_exception_of_a_child_batch_ends_as_in_process(
+        arc_classifiers, tmp_path, monkeypatch, capfd, forked):
+    """Classifier 1's ``_classifier_step`` raises at step 2: forked or
+    not, the run ends with the exception's one error line (exit 2)."""
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    on_call(monkeypatch, "_classifier_step", lambda args: args[4] == 1,
+            bad_value)
+    failed_full_sum_run(arc_classifiers, tmp_path, 2)
+    assert capfd.readouterr().err.splitlines() == ["error: a bad value"]
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -771,7 +784,6 @@ def test_raising_callback_leaves_no_step_child(arc_classifiers, tmp_path,
         warnings.simplefilter("error")
         with pytest.raises(error):
             main(["train-generator", cfg, *arc_classifiers])
-    assert_no_child()
 
 
 @pytest.mark.parametrize("steps,full_sum,t_count", [
@@ -793,17 +805,8 @@ def test_generator_runs_that_fork_nothing(arc_classifiers, tmp_path,
 def test_forked_generator_step_loads_no_process_pool(arc_classifiers,
                                                      tmp_path):
     cfg, out = generator_config(tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(os.path.abspath(kktgen.__file__))))
-    code = ("import os, sys, kktgen.cli; forks = []; fork = os.fork; "
-            "os.fork = lambda: forks.append(1) or fork(); "
-            "assert kktgen.cli.main(['train-generator', "
-            f"{cfg!r}, *{arc_classifiers!r}]) == 0; assert forks == [1]; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('multiprocessing', 'concurrent'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert pool_modules_of(["train-generator", cfg,
+                            *arc_classifiers]) == "[]"
     assert (out / "generator.ckpt").exists()
 
 

@@ -145,8 +145,22 @@ def test_train_classifiers_raises_a_failure_at_its_turn(monkeypatch,
         assert info.value.trajectory == [2.0, 1.5]
     with pytest.raises(StopIteration):
         next(results)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_whose_reply_has_no_reader_ends_quietly(capfd):
+    """A child whose parent closed the reply pipe before the call
+    returned ends by itself, with nothing on standard error."""
+    gate_read, gate_write = os.pipe()
+    child = tr._Child(lambda: os.read(gate_read, 1), "test process")
+    os.close(gate_read)
+    child.start()
+    child.replies.close()
+    os.write(gate_write, b"g")
+    os.close(gate_write)
+    assert os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1]) == 1
+    child.pid = None
+    child.close()
+    assert capfd.readouterr().err == ""
 
 
 def test_extra_epochs_keep_shrinking_loss():
