@@ -125,9 +125,11 @@ def _distance_blocks(samples, points):
 
     The operations are those of ``np.linalg.norm(points - s, axis=1)``
     (``sqrt(add.reduce(diff * diff, axis=-1))``), so every distance has
-    the same bits; ``s - p`` is exactly ``-(p - s)``.  They write into
-    two buffers bound once per call, so ``d`` is valid until the next
-    block.
+    the same bits; ``s - p`` is exactly ``-(p - s)``.  numpy adds fewer
+    than 8 coordinates one after another, so below 8 the coordinate
+    planes are added in that order, a whole plane per call, in place of
+    the reduce's short loop per row.  They write into two buffers bound
+    once per call, so ``d`` is valid until the next block.
     """
     step = models._block_rows(points.size * 8)
     diff = np.empty((min(step, samples.shape[0]), *points.shape))
@@ -137,7 +139,12 @@ def _distance_blocks(samples, points):
         d, sq = dist[:block.shape[0]], diff[:block.shape[0]]
         np.subtract(block, points, out=sq)
         np.multiply(sq, sq, out=sq)
-        np.add.reduce(sq, axis=-1, out=d)
+        if sq.shape[-1] < 8:
+            np.copyto(d, sq[..., 0])
+            for k in range(1, sq.shape[-1]):
+                d += sq[..., k]
+        else:
+            np.add.reduce(sq, axis=-1, out=d)
         yield start, np.sqrt(d, out=d)
 
 

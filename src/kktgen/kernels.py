@@ -224,10 +224,30 @@ def nnls(a, b):
     which fits only rounding error, with the solution before it.  Every
     passive-set solve after an entry counts as one iteration;
     :class:`NnlsIterationLimit` is raised after 3n of them.
+
+    ``a`` is an (m, n) array, or an (m, n) linear operator that need not
+    form its matrix: an object with a ``shape`` and the methods
+    ``matvec(x)``, ``a @ x``, which may be a buffer the next call
+    overwrites; ``rmatvec(r)``, ``a.T @ r`` as a new array; and
+    ``column(j)``, column j as a new array.  They are all the solve
+    uses of ``a``; an array is used through ``a @ x``, ``a.T @ r`` and
+    ``a[:, j].copy()``.
     """
-    a = np.asarray(a, dtype=np.float64)
+    if hasattr(a, "column"):
+        matvec, rmatvec, column = a.matvec, a.rmatvec, a.column
+    else:
+        a = np.asarray(a, dtype=np.float64)
+
+        def matvec(x):
+            return a @ x
+
+        def rmatvec(res):
+            return a.T @ res
+
+        def column(j):
+            return a[:, j].copy()
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.shape != (a.shape[0],):
+    if len(a.shape) != 2 or b.shape != (a.shape[0],):
         raise ValueError("nnls expects an (m, n) matrix and an m-vector")
     m, n = a.shape
     maxiter = _ITERATIONS_PER_COLUMN * n
@@ -259,7 +279,7 @@ def nnls(a, b):
         del reflectors[keep:]
         qtb = _reflect(b.copy(), reflectors)
         for k in range(keep, len(passive)):
-            col = _reflect(a[:, passive[k]].copy(), reflectors)
+            col = _reflect(column(passive[k]), reflectors)
             reflectors.append(factor(col, k))
             _reflect(qtb, reflectors[-1:])
         return qtb
@@ -269,14 +289,14 @@ def nnls(a, b):
     passive = []  # in order of entry, the order of the reflectors
     qtb = b.copy()
     rnorm = math.sqrt(b.dot(b))
-    dual = a.T @ b
+    dual = rmatvec(b)
     iters = 0
     while len(passive) < size:
         j = int(np.argmax(np.where(free, dual, 0.0)))
         if not (free[j] and dual[j] > 0.0):
             break
         k = len(passive)
-        col = _reflect(a[:, j].copy(), reflectors)
+        col = _reflect(column(j), reflectors)
         head, tail = col[:k], col[k:]
         inside = math.sqrt(head.dot(head))
         outside = math.sqrt(tail.dot(tail))
@@ -316,12 +336,12 @@ def nnls(a, b):
             k = len(passive)
             z = np.linalg.solve(r[:k, :k], qtb[:k])
         x[passive] = z
-        res = b - a @ x
+        res = b - matvec(x)
         rnorm = math.sqrt(res.dot(res))
         if not rnorm < rnorm_before:
             x, rnorm = x_before, rnorm_before
             break
-        dual = a.T @ res
+        dual = rmatvec(res)
     return x, rnorm
 
 

@@ -317,15 +317,63 @@ def margins_np(spec, zeta, x, labels):
     return phi_y - logits
 
 
+class _PairJacobian:
+    """The oracle's G as a linear operator for :func:`kernels.nnls`, with
+    no pairs-by-parameters array: the classifier bound to the pair rows
+    ``x`` as one 2-d batch, and bound again to one row.
+
+    With ``dlogits`` the pairs' +-1 logit cotangents, G v is the
+    parameter gradient of one backprop of ``dlogits`` with row j scaled
+    by v_j, and G^T r the row sums of the tangent forward along r times
+    ``dlogits``.  Column j, pair j's margin gradient, is a forward,
+    backprop and parameter gradient of its row alone, the pass per pair
+    that gave the columns when G was formed: a matrix product over the
+    batch rounds a row otherwise than the product of that row alone.
+    """
+
+    def __init__(self, mlp, zeta, x, dlogits):
+        self.net = BoundMlp(mlp, zeta)
+        self.net.forward(x)
+        self.x, self.dlogits = x, dlogits
+        self.shape = (len(zeta), len(dlogits))
+        self.dout = np.empty_like(dlogits)
+        self.terms = np.empty_like(dlogits)
+        self.pair = BoundMlp(mlp, zeta)
+        self.pair_x, self.pair_dout = x[:1].copy(), dlogits[:1].copy()
+
+    def matvec(self, v):
+        """G v, in the batch binding's gradient buffer."""
+        np.multiply(self.dlogits, v[:, None], out=self.dout)
+        return self.net.param_grad(self.net.backprop(self.dout))
+
+    def rmatvec(self, r):
+        """G^T r, a new array."""
+        np.copyto(self.net.tangent, r)
+        np.multiply(self.net.jvp(), self.dlogits, out=self.terms)
+        return np.add.reduce(self.terms, axis=1)
+
+    def column(self, j):
+        """Column j, a new array."""
+        pair = self.pair
+        np.copyto(self.pair_x[0], self.x[j])
+        np.copyto(self.pair_dout[0], self.dlogits[j])
+        pair.forward(self.pair_x)
+        return pair.param_grad(pair.backprop(self.pair_dout)).copy()
+
+
 def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha):
     """Fit nonnegative multipliers on labeled data; report the residual.
 
     Multipliers are restricted to second-place (i, c) pairs.  Returns the
     normalized residual ||Lbar zeta - G mu|| / ||Lbar zeta|| and the fitted
     mu as {(i, c): value}.  Column (i, c) of G is the margin gradient
-    grad_zeta (Phi_{y_i} - Phi_c)(x_i); all columns come from one forward
-    and one backprop over the pair rows.  The fit does not check that the
-    classifier separates the data, the premise of the max-margin
+    grad_zeta (Phi_{y_i} - Phi_c)(x_i).  G is not formed: NNLS takes it
+    as the classifier bound to the pair rows (:class:`_PairJacobian`),
+    where G mu is a backprop of the margin cotangents scaled by mu, G^T r
+    a tangent forward along r, and a column one pass over its pair's row.
+    So no pairs-by-parameters array is held, and the solve's memory
+    grows only with the columns that enter.  The fit does not check that
+    the classifier separates the data, the premise of the max-margin
     conditions: on shuffled labels it serves as a control, where
     stationarity should NOT be satisfiable.
     """
@@ -340,9 +388,7 @@ def kkt_residual_oracle(spec, zeta, profile, x, labels, alpha):
     dlogits = np.zeros((rows.size, mlp.out_dim))
     dlogits[pair_rows, labels[rows]] = 1.0
     dlogits[pair_rows, classes] = -1.0
-    net = BoundMlp(mlp, zeta, batch=(rows.size,))
-    net.forward(x[rows, None, :])
-    g = net.param_grad(net.backprop(dlogits[:, None, :])).T
+    g = _PairJacobian(mlp, zeta, x[rows], dlogits)
     mu, rnorm = nnls(g, target)
     residual = float(rnorm / (np.linalg.norm(target) + NORM_EPS))
     pairs = [(int(i), int(c)) for i, c in zip(rows, classes)]

@@ -368,6 +368,14 @@ class BoundMlp:
     then give one flat gradient per batch entry, ``(*batch, n_params)``,
     each summed over its rows.  ReLU derivatives are 0 at the kink, as in
     :func:`autodiff.relu`.
+
+    On a 2-d input the passes are products with the (params, rows)
+    matrix whose column i is the parameter gradient of row i's output
+    along a fixed cotangent ``dout[i]``, without forming it:
+    :meth:`param_grad` of a backprop of ``dout`` with row i scaled by
+    v_i is the matrix times v, and the row sums of :meth:`jvp` along r
+    times ``dout`` are its transpose times r.  The KKT oracle hands the
+    classifier's margin gradients to NNLS so.
     """
 
     def __init__(self, spec, params, batch=()):

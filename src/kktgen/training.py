@@ -69,6 +69,9 @@ class TrainingAborted(RuntimeError):
         self.step = step
         self.state = state
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.step, self.state)
+
 
 @dataclass(frozen=True)
 class ClassifierTrainConfig:

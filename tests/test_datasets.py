@@ -72,6 +72,25 @@ def test_ssim_metric_properties(patterns):
         ds.nearest_neighbor(np.zeros((1, 5)), data)
 
 
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_distance_blocks_have_the_bits_of_linalg_norm(dim, monkeypatch):
+    """Below 8 coordinates the planes are added one after another, from
+    8 on by numpy's reduce: either way each distance has the bits of
+    ``np.linalg.norm(points - s, axis=1)``, over several blocks."""
+    rng = np.random.default_rng(dim)
+    scale = np.exp(rng.uniform(-3.0, 3.0, dim))
+    samples = rng.standard_normal((200, dim)) * scale
+    points = rng.standard_normal((18, dim)) * scale
+    monkeypatch.setattr(km, "BLOCK_BYTES", 64 * points.size * 8)
+    starts = []
+    for start, d in ds._distance_blocks(samples, points):
+        starts.append(start)
+        want = np.array([np.linalg.norm(points - s, axis=1)
+                         for s in samples[start:start + d.shape[0]]])
+        assert d.tobytes() == want.tobytes()
+    assert starts == [0, 64, 128, 192]
+
+
 def test_nearest_neighbor_euclidean():
     """The Euclidean nearest neighbour of ``coverage_report``: each
     sample's distance to its nearest point, and that point's label."""

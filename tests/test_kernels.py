@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import kktgen.autodiff as ad
 import kktgen.homogeneity as hg
 import kktgen.kkt as kk
+import kktgen.models as km
 from kktgen import kernels
 from kktgen.config import RunConfig
 from kktgen.training import train_classifier
@@ -329,10 +331,62 @@ def test_nnls_matches_scipy_on_dependent_columns(kind, seed):
     assert np.linalg.norm(a @ x - a @ want_x) <= 1e-12 * np.linalg.norm(b)
 
 
+def pair_jacobian(spec, params, x, labels, pairs):
+    """The KKT oracle's matrix G built pair by pair with autodiff: column
+    (i, c) is the gradient of Phi_{y_i} - Phi_c at x_i."""
+    names = [name for name, _ in spec.mlp().group_shapes()]
+    columns = []
+    for i, c in pairs:
+        leaves = km.make_leaves(spec, params)
+        logits = km.mlp_apply(spec, leaves, ad.tensor(x[i]))
+        y = int(labels[i])
+        margin = ad.sub(ad.tsum(ad.slice_axis(logits, 0, y, y + 1)),
+                        ad.tsum(ad.slice_axis(logits, 0, c, c + 1)))
+        grads = ad.grad(margin, [leaves[n] for n in names])
+        columns.append(np.concatenate([g.value.reshape(-1) for g in grads]))
+    return np.column_stack(columns)
+
+
+def oracle_operator(args):
+    """(operator, b, pairs): what :func:`kkt.kkt_residual_oracle` called
+    with ``args`` hands to NNLS, and its (i, c) pairs in column order."""
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b.copy()))
+        return kernels.nnls(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kk, "nnls", recording)
+        _, mu = kk.kkt_residual_oracle(*args)
+    ((a, b),) = calls
+    return a, b, list(mu)
+
+
+def assert_operator_is_the_matrix(a, g, seed=0, tol=1e-13):
+    """The operator's products with a nonnegative x and a residual-like r
+    and each of its columns equal those of the dense matrix ``g`` to
+    ``tol`` of their largest entry."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(g.shape[1])
+    r = rng.standard_normal(g.shape[0])
+    assert a.shape == g.shape
+    products = [(a.matvec(x).copy(), g @ x, "G x"),
+                (a.rmatvec(r), g.T @ r, "G^T r")]
+    products += [(a.column(j), g[:, j], f"column {j}")
+                 for j in range(g.shape[1])]
+    for got, want, what in products:
+        err = np.max(np.abs(got - want))
+        assert err <= tol * np.max(np.abs(want)), f"{what}: error {err:.3g}"
+
+
 def recorded_solves(config_text):
-    """(a, b) of both NNLS solves on the classifier a config trains: the
-    profile system with its ridge rows, and the KKT oracle's margin
-    gradients against Lbar zeta."""
+    """Both NNLS solves on the classifier a config trains, as (a, b): the
+    profile system with its ridge rows under "profile", and under
+    "oracle" the KKT oracle's margin gradients against Lbar zeta, its
+    operator's columns stacked.  "operator" is the oracle's operator
+    with "jacobian", its matrix built by :func:`pair_jacobian`, and
+    "args" the oracle's arguments."""
     config = RunConfig.from_text(config_text)
     (dataset,) = config.dataset()
     spec = config.classifier_spec()
@@ -346,13 +400,17 @@ def recorded_solves(config_text):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hg, "nnls", recording)
-        mp.setattr(kk, "nnls", recording)
         profile, _ = hg.estimate_profile(spec, params)
-        margins = kk.margins_np(spec, params, dataset.x, dataset.labels)
-        q = np.min(margins[margins != 0.0])
-        kk.kkt_residual_oracle(spec, params, profile, dataset.x,
-                               dataset.labels, float(-np.log(q)))
-    return dict(zip(["profile", "oracle"], solves))
+    margins = kk.margins_np(spec, params, dataset.x, dataset.labels)
+    q = np.min(margins[margins != 0.0])
+    args = (spec, params, profile, dataset.x, dataset.labels,
+            float(-np.log(q)))
+    a, b, pairs = oracle_operator(args)
+    stacked = np.column_stack([a.column(j) for j in range(a.shape[1])])
+    return {"profile": solves[0], "oracle": (stacked, b), "operator": a,
+            "jacobian": pair_jacobian(spec, params, dataset.x,
+                                      dataset.labels, pairs),
+            "args": args}
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +464,46 @@ def test_nnls_meets_the_optimality_conditions_on_the_oracle(
     assert np.all(w[x == 0.0] <= tol)
     assert np.all(np.abs(w[x > 0.0]) <= tol)
     assert rnorm <= want_rnorm + 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("classifier", ["circle", "patterns"])
+def test_oracle_operator_is_its_pair_jacobian(request, classifier):
+    solves = request.getfixturevalue(f"{classifier}_solves")
+    assert_operator_is_the_matrix(solves["operator"], solves["jacobian"])
+
+
+@pytest.mark.parametrize("classifier", ["circle", "patterns"])
+def test_nnls_on_the_oracle_operator_solves_its_matrix(request, classifier):
+    """The solve through the operator fits b as the solve on its stacked
+    columns does: the fit a x, the projection of b onto the cone of the
+    columns, and rnorm agree but for rounding."""
+    solves = request.getfixturevalue(f"{classifier}_solves")
+    a, b = solves["oracle"]
+    want_x, want_rnorm = kernels.nnls(a, b)
+    x, rnorm = kernels.nnls(solves["operator"], b)
+    assert np.all(x >= 0.0) and np.count_nonzero(x) > 1
+    assert np.linalg.norm(a @ x - a @ want_x) <= 1e-12 * np.linalg.norm(b)
+    assert abs(rnorm - want_rnorm) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_oracle_memory_stays_below_its_pair_jacobian(patterns_solves):
+    """The oracle never holds G, nor every column of it: on the
+    patterns-tv classifier its traced peak stays below three quarters of
+    the dense matrix.  About 0.6 of it is held, most of it by what grows
+    with the columns that enter (26 of 100 here, 0.26 of G as NNLS's
+    reflectors, 0.03 as its R) and with the pair rows (the binding's
+    layer and pass buffers, 0.2)."""
+    args = patterns_solves["args"]
+    dense = patterns_solves["jacobian"]
+    kk.kkt_residual_oracle(*args)
+    tracemalloc.start()
+    try:
+        kk.kkt_residual_oracle(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dense.shape == (3136, 100)
+    assert peak < 0.75 * dense.nbytes
 
 
 def test_nnls_iteration_cap(monkeypatch):

@@ -24,7 +24,8 @@ from kktgen.datasets import LabeledDataset
 from kktgen.homogeneity import QuasiHomogeneousProfile, lambda_bar
 from kktgen.models import (BoundMlp, MlpSpec, init_kaiming, make_leaves,
                            mlp_apply, mlp_apply_np)
-from test_kernels import out_of_place_adam
+from test_kernels import (assert_operator_is_the_matrix, oracle_operator,
+                          out_of_place_adam, pair_jacobian)
 from test_kkt import second_place_set
 
 GRAD_RTOL = 1e-12
@@ -356,6 +357,16 @@ def test_oracle_matches_per_pair_graph(seed, n_layers, bias):
     want = np.array(list(want_mu.values()))
     assert np.max(np.abs(got - want)) <= ORACLE_TOL * max(1.0,
                                                           np.max(want))
+
+
+@pytest.mark.parametrize("seed,n_layers", [(s, n) for s, n, bias in SPECS
+                                            if bias])
+def test_oracle_operator_is_its_pair_jacobian_with_biases(seed, n_layers):
+    spec, params, x, labels = random_problem(seed, n_layers, True)
+    profile = QuasiHomogeneousProfile({n: 0.5 for n in params.groups})
+    a, _, pairs = oracle_operator((spec, params, profile, x, labels, 0.3))
+    assert_operator_is_the_matrix(a, pair_jacobian(spec, params, x, labels,
+                                                   pairs), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,24 @@ def test_train_classifiers_raises_a_failure_at_its_turn(monkeypatch,
         next(results)
 
 
+def abort():
+    raise tr.TrainingAborted("non-finite loss at step 3", 3, None)
+
+
+def test_child_raises_training_aborted_as_in_process():
+    """A forked call that raises TrainingAborted raises it here, with
+    its message and step."""
+    child = tr._Child(abort, "test process")
+    try:
+        child.start()
+        with pytest.raises(tr.TrainingAborted) as info:
+            child.result()
+    finally:
+        child.close()
+    assert str(info.value) == "non-finite loss at step 3"
+    assert info.value.step == 3 and info.value.state is None
+
+
 def test_child_whose_reply_has_no_reader_ends_quietly(capfd):
     """A child whose parent closed the reply pipe before the call
     returned ends by itself, with nothing on standard error."""
