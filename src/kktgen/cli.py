@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 verification failure,
 4 numeric failure; ``main`` maps each failure to its code by the type of
-the exception (``EXIT_CODES``).  Every command is batch-oriented and
-idempotent for a fixed config, seed and output directory.
+the exception (``EXIT_CODES``).  A SIGTERM ends a command with status
+143 (128 + SIGTERM), after its forked children are killed and reaped.
+Every command is batch-oriented and idempotent for a fixed config, seed
+and output directory.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import contextlib
 import hashlib
 import math
 import os
+import signal
 import sys
+import threading
 
 # one BLAS thread unless the user sets a count: in about 1 of 8 fresh
 # processes every multi-threaded OpenBLAS call is slow (a QR of 0.10 ms
@@ -388,12 +392,38 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    with _sigterm_exits():
+        try:
+            return args.func(args)
+        except tuple(EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in EXIT_CODES.items()
+                        if isinstance(exc, kind))
+
+
+@contextlib.contextmanager
+def _sigterm_exits():
+    """In the main thread, a SIGTERM raises ``SystemExit(128 + SIGTERM)``
+    until the block ends, and the previous handler is restored then.  So
+    a terminated command runs its ``finally`` blocks, which kill and reap
+    the forked children, and prints nothing.  In another thread no
+    handler can be set, and SIGTERM keeps the handler it has."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    # numpy loads numpy.random on a command's first draw, and one of its
+    # Cython modules discards an exception raised while it loads: a
+    # SIGTERM's SystemExit there would be lost, and the command go on
+    import numpy.random  # noqa: F401
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
-        return args.func(args)
-    except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items()
-                    if isinstance(exc, kind))
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 if __name__ == "__main__":

@@ -385,9 +385,10 @@ def train_classifiers(datasets, spec, config):
     try:
         if hasattr(os, "fork"):
             for dataset in datasets[1:]:
-                children.append(_Child(functools.partial(
-                    train_classifier, dataset, spec, config),
-                    "training process"))
+                with _signals_held():
+                    children.append(_Child(functools.partial(
+                        train_classifier, dataset, spec, config),
+                        "training process"))
                 children[-1].start()
         for k, dataset in enumerate(datasets):
             yield (children[k - 1].result() if k and children
@@ -395,6 +396,23 @@ def train_classifiers(datasets, spec, config):
     finally:
         for child in children:
             child.close()
+
+
+# the signals whose handlers raise in a command (KeyboardInterrupt, and
+# the SystemExit ``cli.main`` sets for SIGTERM)
+_HELD_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """SIGINT and SIGTERM wait until the block ends, so that no
+    exception of theirs falls between forking a child and recording it
+    where a ``finally`` kills it.  A forked child lets them through."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 class _Child:
@@ -425,6 +443,11 @@ class _Child:
         if self.pid == 0:
             status = 1
             try:
+                # a SIGTERM kills the child, so that ``result`` names the
+                # signal; the handler ``cli.main`` sets would end it in
+                # a SystemExit, status 1
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, _HELD_SIGNALS)
                 os.close(replies_read)
                 os.close(commands_write)
                 replies = open(replies_write, "wb")
@@ -823,7 +846,8 @@ def train_generator(classifiers, gen_spec, mult_spec, config,
 
         if forked:
             for t in range(1, t_count):
-                children.append(forked_terms(t))
+                with _signals_held():
+                    children.append(forked_terms(t))
 
         while state.step < config.steps:
             step = state.step

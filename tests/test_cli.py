@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 
@@ -576,8 +577,13 @@ def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def terminate_self():
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
 @pytest.mark.parametrize("how,ending", [
-    (kill_self, "was killed by signal 9 (SIGKILL)")])
+    (kill_self, "was killed by signal 9 (SIGKILL)"),
+    (terminate_self, "was killed by signal 15 (SIGTERM)")])
 def test_child_lost_without_a_result_is_one_error_line(
         arc_config, monkeypatch, capfd, how, ending):
     """A child that ends without sending its result is an OSError
@@ -593,6 +599,65 @@ def test_child_lost_without_a_result_is_one_error_line(
         f"its result"]
     assert sorted(p.name for p in out.iterdir()) == [
         "classifier_1.ckpt", "classifier_1_loss.csv"]
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_to_the_command_alone_kills_and_reaps_its_child(
+        arc_config):
+    """A SIGTERM to the command alone, while its shard child trains,
+    ends the command with status 143 and nothing on standard error, and
+    the child is gone within a second."""
+    cfg, _ = arc_config
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(kktgen.__file__))))
+    code = textwrap.dedent(f"""\
+        import os, sys, time
+        import kktgen.cli, kktgen.training as tr
+        fork, train = os.fork, tr.train_classifier
+
+        def forked():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+
+        def slow(dataset, *args):
+            if dataset.name.endswith("_split2"):
+                time.sleep(60)
+            return train(dataset, *args)
+
+        os.fork, tr.train_classifier = forked, slow
+        sys.exit(kktgen.cli.main(["train-classifier", {str(cfg)!r}]))
+        """)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 1
+        proc.wait(timeout=30)
+        while alive(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        gone = not alive(child)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        if child is not None and alive(child):
+            os.kill(child, signal.SIGKILL)
+        # the pipes close when the child that shares them is gone too
+        _, err = proc.communicate()
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert err == ""
+    assert gone
 
 
 def bad_value(*args):

@@ -400,7 +400,7 @@ def lines(svg):
     return svg.split("\n")
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 500])
+@pytest.mark.parametrize("n", [0, 1, 2, 500, 2049])
 def test_svg_scatter_matches_loop(n):
     rng = np.random.default_rng(n + 3)
     circle = ds.circle_dataset()
@@ -431,13 +431,26 @@ def test_svg_scatter_crosses_hit_decimal_halves():
         loop_svg_scatter(*none, samples, labels))
 
 
+def test_svg_scatter_coordinates_past_the_digit_tables_match_loop():
+    """Points that all sit at 1e20 leave the axis a span of 0, so every
+    coordinate is NaN: such a block is formatted by Python's ``%.2f``."""
+    samples = np.full((3, 2), 1e20)
+    labels = np.arange(3)
+    none = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    with np.errstate(invalid="ignore"):
+        got = "".join(svg_scatter(*none, samples, labels))
+        want = loop_svg_scatter(*none, samples, labels)
+    assert "nan" in got
+    assert lines(got) == lines(want)
+
+
 def gray_halves():
     """Values v with 255 v exactly k + 1/2: the level rounds half to even."""
     return np.array([v for v in ((np.arange(255) + 0.5) / 255).tolist()
                      if 255 * v == int(255 * v) + 0.5])
 
 
-@pytest.mark.parametrize("n", [0, 1, 13])
+@pytest.mark.parametrize("n", [0, 1, 13, 200])
 # the grid's cell size, which the loop reference takes as an argument
 @pytest.mark.parametrize("cell", [48])
 def test_svg_image_grid_matches_loop(n, cell):
@@ -470,3 +483,16 @@ def test_svg_image_grid_cells_at_decimal_halves_match_loop():
 def test_svg_image_grid_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         svg_image_grid(np.full((1, 64), np.nan), 8, np.zeros((1, 64)))
+
+
+@pytest.mark.parametrize("last,count,match", [
+    (np.nan, 2, "finite"), (np.inf, 2, "finite"), (-np.inf, 2, "finite"),
+    (3.0, 1, "one label each"), (3.0, 3, "one label each")])
+def test_svg_scatter_rejects_non_finite_or_unlabelled_points(last, count,
+                                                             match):
+    points = np.array([[0.0, 1.0], [2.0, last]])
+    labels = np.zeros(count, dtype=int)
+    none = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    for args in [(points, labels, *none), (*none, points, labels)]:
+        with pytest.raises(ValueError, match=match):
+            svg_scatter(*args)

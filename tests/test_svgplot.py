@@ -99,6 +99,24 @@ def test_plots_come_in_blocks_of_whole_lines(patterns):
         assert blocks[-1] == "</svg>\n"
 
 
+def test_scatter_memory_stays_at_one_block(traced):
+    """A 12 000-point scatter, consumed block by block, holds one block's
+    matrix and text at a time, not the coordinates or lines of every
+    point: its traced peak stays below 1.5 MB (the plot is about 1.1 MB
+    of text)."""
+    circle = circle_dataset()
+    rng = np.random.default_rng(0)
+    samples = rng.standard_normal((12_000, 2))
+    labels = rng.integers(0, 3, len(samples))
+
+    def consume():
+        for _ in svg_scatter(circle.x, circle.labels, samples, labels):
+            pass
+
+    peak, _ = traced(consume)
+    assert peak < 1.5e6
+
+
 @pytest.mark.parametrize("mode", ["scatter", "grid"])
 def test_title_is_escaped(patterns, mode):
     title = "a<b&c>d"
