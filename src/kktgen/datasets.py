@@ -102,15 +102,12 @@ def pattern_dataset():
     stripes = (rows % 2 == 0).astype(np.float64)
     checks = ((rows + cols) % 2 == 0).astype(np.float64)
     rng = np.random.default_rng(PATTERN_SEED)
-    samples, labels = [], []
-    for label, base in enumerate((stripes, checks)):
-        for _ in range(PATTERN_PER_CLASS):
-            img = base.copy()
-            flips = rng.random((8, 8)) < PATTERN_JITTER
-            img[flips] = 1.0 - img[flips]
-            samples.append(img.reshape(-1))
-            labels.append(label)
-    return LabeledDataset(np.array(samples), np.array(labels),
+    # one draw per class: the stream of a draw per image, in its order
+    samples = [np.where(rng.random((PATTERN_PER_CLASS, 8, 8))
+                        < PATTERN_JITTER, 1.0 - base, base)
+               for base in (stripes, checks)]
+    return LabeledDataset(np.concatenate(samples).reshape(-1, 64),
+                          np.repeat(np.arange(2), PATTERN_PER_CLASS),
                           num_classes=2)
 
 
@@ -151,18 +148,25 @@ def _distance_blocks(samples, points):
 def _ssim_blocks(samples, dataset):
     """``(start, scores)`` for blocks of samples, ``scores[i, j]`` the
     SSIM of sample ``start + i`` against dataset image ``j``, one
-    :func:`kernels.ssim_uniform` call per block."""
+    :func:`kernels.ssim_uniform` call per block.
+
+    Per sample and window position, the kernel's temporaries hold the
+    window's pixels and one float per dataset image in each array over
+    pairs, of which about four are alive at once; a block has the most
+    samples for which these stay under ``BLOCK_BYTES`` together."""
     side = int(round(np.sqrt(dataset.dim)))
     if side * side != dataset.dim:
         raise ValueError("ssim metric requires square image data")
     images = dataset.x.reshape(dataset.size, side, side)
+    window = min(8, side)
     # the SSIM constants (K * data range)^2 at data range 1
     c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
-    step = models._block_rows(dataset.x.size * 8)
+    positions = (side - window + 1) ** 2
+    step = models._block_rows(8 * positions
+                              * (window * window + 4 * dataset.size))
     for start in range(0, samples.shape[0], step):
         block = samples[start:start + step].reshape(-1, side, side)
-        yield start, kernels.ssim_uniform(block, images, min(8, side), c1,
-                                          c2)
+        yield start, kernels.ssim_uniform(block, images, window, c1, c2)
 
 
 def nearest_neighbor(samples, dataset):

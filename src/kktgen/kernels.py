@@ -165,6 +165,14 @@ def ssim_uniform(a, b, window, c1, c2):
 
     ``a`` and ``b`` are stacks ``(k, h, w)`` of images of one shape; the
     scores have shape ``(k_a, k_b)``.
+
+    Each window of each image is a vector of ``window**2`` pixels, so a
+    stack is ``(P, k, window**2)`` over its P window positions.  The
+    window means and second moments are taken once per stack; the cross
+    moment of every pair at every window is one batched matrix product,
+    ``(P, k_a, window**2) @ (P, window**2, k_b)``, so no array over
+    pairs and pixels is formed: besides the window vectors, the
+    temporaries are ``(P, k_a, k_b)`` arrays.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -173,20 +181,24 @@ def ssim_uniform(a, b, window, c1, c2):
                          "2-d images")
     if window > min(a.shape[1:]):
         raise ValueError("window larger than the image")
-    a = a[:, None]
 
-    def window_mean(img):
-        return sliding_window_view(img, (window, window),
-                                   axis=(-2, -1)).mean(axis=(-2, -1))
+    def windows(stack):
+        views = sliding_window_view(stack, (window, window), axis=(1, 2))
+        return views.reshape(len(stack), -1,
+                             window * window).transpose(1, 0, 2)
 
-    mu_a = window_mean(a)
-    mu_b = window_mean(b)
-    var_a = window_mean(a * a) - mu_a * mu_a
-    var_b = window_mean(b * b) - mu_b * mu_b
-    cov = window_mean(a * b) - mu_a * mu_b
+    def moments(vectors):
+        mu = vectors.mean(axis=-1)
+        return mu, (vectors * vectors).mean(axis=-1) - mu * mu
+
+    win_a, win_b = windows(a), windows(b)
+    mu_a, var_a = (m[:, :, None] for m in moments(win_a))
+    mu_b, var_b = (m[:, None, :] for m in moments(win_b))
+    cov = (np.matmul(win_a, win_b.transpose(0, 2, 1)) / (window * window)
+           - mu_a * mu_b)
     scores = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
               / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
-    return scores.mean(axis=(-2, -1))
+    return scores.mean(axis=0)
 
 
 class NnlsIterationLimit(RuntimeError):

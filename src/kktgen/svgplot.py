@@ -80,14 +80,18 @@ def _blocks(head, blocks):
 
 
 def _axis_bounds(arrays):
+    """Each axis from its least to its greatest coordinate, padded by a
+    tenth of its span.  A span under 1e-9 of the axis's largest
+    magnitude (and of 1) counts as that much, so points that share a
+    coordinate still leave a pad that is not lost beside it."""
     allpts = np.vstack(arrays)
     if not len(allpts):
         return -1.0, 1.0, -1.0, 1.0
-    x_lo, y_lo = allpts.min(axis=0)
-    x_hi, y_hi = allpts.max(axis=0)
-    pad_x = 0.1 * max(x_hi - x_lo, 1e-9)
-    pad_y = 0.1 * max(y_hi - y_lo, 1e-9)
-    return x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y
+    lo, hi = allpts.min(axis=0), allpts.max(axis=0)
+    floor = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    pad = 0.1 * np.maximum(hi - lo, floor)
+    (x_lo, y_lo), (x_hi, y_hi) = lo - pad, hi + pad
+    return x_lo, x_hi, y_lo, y_hi
 
 
 def svg_scatter(train_points, train_labels, samples, sample_labels,

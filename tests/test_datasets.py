@@ -177,3 +177,25 @@ def test_sample_and_coverage_hold_blocks_not_every_row(traced):
     # the logits, and each sample's nearest point, distance and class
     per_sample = n * f8 * (spec.out_dim + 3)
     assert peak < per_sample + 2 * km.BLOCK_BYTES
+
+
+def test_ssim_search_takes_blocks_of_many_samples(monkeypatch, traced):
+    """The SSIM search scores 200 samples against the 100 patterns in one
+    kernel call, and on 20 000 samples holds its index array and at most
+    two ``BLOCK_BYTES`` of blocks: its temporaries grow with the block,
+    not with the samples."""
+    data = ds.pattern_dataset()
+    samples = np.random.default_rng(0).random((20_000, 64))
+    calls = []
+    ssim = kernels.ssim_uniform
+
+    def counted(a, *args):
+        calls.append(len(a))
+        return ssim(a, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "ssim_uniform", counted)
+        ds.nearest_neighbor(samples[:200], data)
+    assert calls == [200]
+    peak, _ = traced(lambda: ds.nearest_neighbor(samples, data))
+    assert peak < samples.shape[0] * 8 + 2 * km.BLOCK_BYTES

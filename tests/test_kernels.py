@@ -184,19 +184,26 @@ def loop_ssim(a, b, window, c1, c2):
     return float(np.mean(np.array(scores)))
 
 
-@pytest.mark.parametrize("shape,window", [((8, 8), 8), ((8, 8), 3),
-                                          ((12, 9), 4), ((5, 5), 1)])
-def test_ssim_uniform_matches_window_loop(shape, window):
-    """Vectorized windows and pairs of two stacks against the loop."""
+@pytest.mark.parametrize("shape,window,k_a,k_b", [
+    ((8, 8), 8, 2, 6), ((8, 8), 3, 2, 6), ((12, 9), 4, 2, 6),
+    ((5, 5), 1, 2, 6),
+    # nine windows at the grid's window size
+    ((10, 10), 8, 2, 6),
+    # many pairs per product: a block of samples against the patterns
+    ((8, 8), 8, 37, 100)],
+    ids=["shape0-8", "shape1-3", "shape2-4", "shape3-1", "shape4-8",
+         "37x100-8"])
+def test_ssim_uniform_matches_window_loop(shape, window, k_a, k_b):
+    """Window sums as products over two stacks against the loop."""
     rng = np.random.default_rng(sum(shape) + window)
-    a = rng.random((2, *shape))
-    stack = rng.random((6, *shape))
+    a = rng.random((k_a, *shape))
+    stack = rng.random((k_b, *shape))
     stack[2] = a[0]
     c1, c2 = 1e-4, 9e-4
     got = kernels.ssim_uniform(a, stack, window, c1, c2)
     want = np.array([[loop_ssim(x, b, window, c1, c2) for b in stack]
                      for x in a])
-    assert got.shape == (2, 6)
+    assert got.shape == (k_a, k_b)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert got[0, 2] == pytest.approx(1.0)
 

@@ -1,8 +1,9 @@
-"""The post-training stage against the per-sample loops it replaced.
+"""The post-training stage and the pattern dataset against the loops
+they replaced.
 
-``nearest_neighbor``, the Euclidean nearest neighbours and the per-point
-minimum of ``coverage_report``, the CSV writer and reader and the two
-SVG emitters work on whole arrays.
+``pattern_dataset``, ``nearest_neighbor``, the Euclidean nearest
+neighbours and the per-point minimum of ``coverage_report``, the CSV
+writer and reader and the two SVG emitters work on whole arrays.
 The loops below are the code they replaced, kept as references: every
 index and distance must be equal, and every text equal byte for byte.
 """
@@ -36,6 +37,22 @@ def loop_nearest_neighbor(samples, dataset, metric="euclidean"):
             idx = int(np.argmax(scores))
             out.append((idx, float(scores[idx])))
     return out
+
+
+def loop_pattern_dataset():
+    rows, cols = np.indices((8, 8))
+    stripes = (rows % 2 == 0).astype(np.float64)
+    checks = ((rows + cols) % 2 == 0).astype(np.float64)
+    rng = np.random.default_rng(ds.PATTERN_SEED)
+    samples, labels = [], []
+    for label, base in enumerate((stripes, checks)):
+        for _ in range(ds.PATTERN_PER_CLASS):
+            img = base.copy()
+            flips = rng.random((8, 8)) < ds.PATTERN_JITTER
+            img[flips] = 1.0 - img[flips]
+            samples.append(img.reshape(-1))
+            labels.append(label)
+    return np.array(samples), np.array(labels)
 
 
 def loop_per_point_min(samples, dataset):
@@ -262,6 +279,20 @@ def test_nearest_neighbor_64d_matches_loop(monkeypatch, patterns):
     assert_coverage_finds_nearest(samples, data)
 
 
+@pytest.mark.parametrize("per_class,jitter,seed", [
+    (None, None, None), (1, 0.5, 3), (7, 0.0, 0), (20, 1.0, 1)])
+def test_pattern_dataset_matches_loop(patterns, per_class, jitter, seed):
+    """The flips of a class from one draw: the bytes and labels of a
+    draw per image, at the module's values and at others."""
+    data = (ds.pattern_dataset() if per_class is None
+            else patterns(per_class, jitter, seed))
+    x, labels = loop_pattern_dataset()
+    assert data.x.tobytes() == x.tobytes()
+    assert data.x.shape == x.shape
+    assert np.array_equal(data.labels, labels)
+    assert data.labels.dtype == np.int64 and data.num_classes == 2
+
+
 @pytest.mark.parametrize("side", [8, 10])
 @pytest.mark.parametrize("block", [None, 4])
 def test_nearest_neighbor_ssim_matches_loop(monkeypatch, patterns, side,
@@ -431,13 +462,28 @@ def test_svg_scatter_crosses_hit_decimal_halves():
         loop_svg_scatter(*none, samples, labels))
 
 
+@pytest.mark.parametrize("at", [2e6, -2e6, 1e20])
+def test_svg_scatter_points_sharing_a_large_coordinate_match_loop(at):
+    """Points that share a large x, a large y or both keep a pad on that
+    axis, so no coordinate is NaN."""
+    shared_x = np.array([[at, 1.0], [at, 2.0]])
+    labels = np.arange(2)
+    none = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    for points in (shared_x, shared_x[:, ::-1], np.full((2, 2), at)):
+        with np.errstate(all="raise"):
+            got = "".join(svg_scatter(*none, points, labels))
+        assert "nan" not in got
+        assert lines(got) == lines(loop_svg_scatter(*none, points, labels))
+
+
 def test_svg_scatter_coordinates_past_the_digit_tables_match_loop():
-    """Points that all sit at 1e20 leave the axis a span of 0, so every
-    coordinate is NaN: such a block is formatted by Python's ``%.2f``."""
-    samples = np.full((3, 2), 1e20)
+    """Points at -1e308 and 1e308 span more than a float holds, so the
+    bounds are infinite and every coordinate is NaN: such a block is
+    formatted by Python's ``%.2f``."""
+    samples = np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0]])
     labels = np.arange(3)
     none = np.zeros((0, 2)), np.zeros(0, dtype=int)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         got = "".join(svg_scatter(*none, samples, labels))
         want = loop_svg_scatter(*none, samples, labels)
     assert "nan" in got
